@@ -11,20 +11,11 @@
 package digruber_test
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
 	"testing"
 	"time"
 
-	"digruber/internal/digruber"
 	"digruber/internal/exp"
-	"digruber/internal/grid"
 	"digruber/internal/grubsim"
-	"digruber/internal/netsim"
-	"digruber/internal/usla"
-	"digruber/internal/vtime"
 	"digruber/internal/wire"
 )
 
@@ -192,113 +183,5 @@ func BenchmarkGrubSimHour(b *testing.B) {
 		if _, err := grubsim.Run(grubsim.GT3Params(1)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchRecord is one row of the per-PR perf trajectory (BENCH_<n>.json,
-// ROADMAP item 1): the schedule path's headline numbers, recorded so
-// every later PR shows its speedup or regression against this file.
-type benchRecord struct {
-	Benchmark string  `json:"benchmark"`
-	N         int     `json:"n"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
-}
-
-// benchTrajectoryFile is where this PR's baseline lands; bump the number
-// per PR so the files line up into a trajectory.
-const benchTrajectoryFile = "BENCH_10.json"
-
-// BenchmarkSchedulePath measures the end-to-end schedule hot path — one
-// client issuing Schedule RPCs against a single decision point over the
-// in-memory transport with an instant service stack, so the numbers
-// isolate the wire framing + engine work from any simulated stack delay.
-// Besides the standard ns/op it reports ops/sec and the p99 latency, and
-// writes both to BENCH_10.json as the perf-trajectory baseline. The
-// benchmark config leaves Durability nil, so the number also guards the
-// nil-off contract: the WAL hook must cost nothing when disabled.
-func BenchmarkSchedulePath(b *testing.B) {
-	clock := vtime.NewReal()
-	mem := wire.NewMem()
-	dp, err := digruber.New(digruber.Config{
-		Name: "bench-dp", Addr: "bench-dp",
-		Transport: mem, Clock: clock, Profile: wire.Instant(),
-		ExchangeInterval: time.Hour,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Capacity far beyond any plausible b.N, so the path never degrades
-	// into not-handled fallbacks mid-run.
-	sites := make([]grid.Status, 4)
-	for i := range sites {
-		sites[i] = grid.Status{
-			Name:        fmt.Sprintf("bench-site-%d", i),
-			TotalCPUs:   100_000_000,
-			FreeCPUs:    100_000_000,
-			UsageByPath: map[string]int{},
-		}
-	}
-	dp.Engine().UpdateSites(sites, clock.Now())
-	if err := dp.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer dp.Stop()
-	c, err := digruber.NewClient(digruber.ClientConfig{
-		Name: "bench-client", DPName: dp.Name(), DPNode: dp.Name(), DPAddr: dp.Addr(),
-		Transport: mem, Clock: clock, Timeout: 10 * time.Second,
-		RNG: netsim.Stream(1, "bench.schedule"),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	owner := usla.MustParsePath("atlas")
-
-	lat := make([]time.Duration, b.N)
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		dec := c.Schedule(&grid.Job{
-			ID: grid.JobID(fmt.Sprintf("bench-%08d", i)), Owner: owner,
-			CPUs: 1, Runtime: time.Minute, SubmitHost: "bench-client",
-		})
-		lat[i] = time.Since(t0)
-		if dec.Err != nil {
-			b.Fatal(dec.Err)
-		}
-		if !dec.Handled {
-			b.Fatalf("schedule %d not handled", i)
-		}
-	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) time.Duration {
-		idx := int(p * float64(len(lat)-1))
-		return lat[idx]
-	}
-	rec := benchRecord{
-		Benchmark: "SchedulePath",
-		N:         b.N,
-		OpsPerSec: float64(b.N) / elapsed.Seconds(),
-		P50Micros: float64(pct(0.50).Microseconds()),
-		P99Micros: float64(pct(0.99).Microseconds()),
-	}
-	b.ReportMetric(rec.OpsPerSec, "ops/s")
-	b.ReportMetric(rec.P99Micros, "p99-µs")
-
-	// The longest timed run wins the file: go test runs benchmarks at
-	// increasing b.N, so the final overwrite is the highest-confidence
-	// measurement.
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(benchTrajectoryFile, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -223,7 +223,6 @@ func New(cfg Config) (*DecisionPoint, error) {
 		peers:    make(map[string]*peerLink),
 		view:     gossip.NewView(cfg.Name, cfg.Gossip.Seed, cfg.Gossip.ViewSize),
 	}
-	dp.engine.SetTracer(cfg.Tracer)
 	if cfg.Durability != nil {
 		if cfg.Durability.Store == nil {
 			return nil, fmt.Errorf("digruber: decision point %s: Durability needs a Store", cfg.Name)
@@ -285,10 +284,10 @@ func (dp *DecisionPoint) registerHandlers() {
 		if a.CPUs <= 0 {
 			return QueryReply{}, fmt.Errorf("digruber: query with %d CPUs", a.CPUs)
 		}
-		return QueryReply{Loads: dp.engine.SiteLoadsCtx(ctx.Span, owner, a.CPUs)}, nil
+		return QueryReply{Loads: dp.siteLoads(ctx.Span, owner, a.CPUs)}, nil
 	})
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
-		dp.engine.RecordDispatchCtx(ctx.Span, a.Dispatch)
+		dp.recordDispatch(ctx.Span, a.Dispatch)
 		return ReportReply{OK: true}, nil
 	})
 	wire.HandleCtx(dp.server, MethodExchange, func(ctx wire.Ctx, a ExchangeArgs) (ExchangeReply, error) {
@@ -296,7 +295,9 @@ func (dp *DecisionPoint) registerHandlers() {
 		// decision point's first outbound exchange revives its link at
 		// every peer without waiting out their probe backoff.
 		dp.markPeerAlive(a.From)
-		merged := dp.engine.MergeRemoteCtx(ctx.Span, a.Dispatches)
+		sp := dp.cfg.Tracer.StartSpan(ctx.Span, trace.PhaseEngineMerge)
+		merged := dp.engine.MergeRemote(a.Dispatches)
+		sp.End()
 		for _, e := range a.USLAs {
 			// Under usage-and-USLAs dissemination, remote entries are
 			// folded into local policy knowledge.
@@ -317,16 +318,13 @@ func (dp *DecisionPoint) registerHandlers() {
 	wire.Handle(dp.server, MethodSnapshot, func(a SnapshotArgs) (SnapshotReply, error) {
 		dp.markPeerAlive(a.From)
 		// A requester that recovered part of its state from a durable
-		// store sends its version vector; ship only what it lacks.
-		// Vector-less requests (non-durable peers, total loss) get the
-		// full view, as before.
-		var dispatches []gruber.Dispatch
-		if len(a.Vector) > 0 {
-			dispatches = dp.engine.ExportSnapshotSince(gossip.Vector(a.Vector))
-		} else {
-			dispatches = dp.engine.ExportSnapshot()
-		}
-		return SnapshotReply{From: dp.cfg.Name, Dispatches: dispatches}, nil
+		// store sends its version vector and is shipped only what it
+		// lacks; a vector-less request (non-durable peer, total loss)
+		// covers nothing and gets the full view.
+		return SnapshotReply{
+			From:       dp.cfg.Name,
+			Dispatches: dp.engine.ExportSnapshotSince(gossip.Vector(a.Vector)),
+		}, nil
 	})
 	wire.Handle(dp.server, MethodProposeAgreement, func(a ProposeArgs) (ProposeReply, error) {
 		agreement, err := usla.ParseAgreementXML(a.AgreementXML)
@@ -382,12 +380,12 @@ func (dp *DecisionPoint) registerHandlers() {
 		if a.CPUs <= 0 || a.Runtime <= 0 {
 			return ScheduleReply{}, fmt.Errorf("digruber: schedule with cpus=%d runtime=%s", a.CPUs, a.Runtime)
 		}
-		loads := dp.engine.SiteLoadsCtx(ctx.Span, owner, a.CPUs)
+		loads := dp.siteLoads(ctx.Span, owner, a.CPUs)
 		site, ok := (gruber.USLAAware{}).Select(loads, a.CPUs)
 		if !ok {
 			return ScheduleReply{OK: false}, nil
 		}
-		dp.engine.RecordDispatchCtx(ctx.Span, gruber.Dispatch{
+		dp.recordDispatch(ctx.Span, gruber.Dispatch{
 			JobID:   a.JobID,
 			Site:    site,
 			Owner:   a.Owner,
@@ -397,6 +395,24 @@ func (dp *DecisionPoint) registerHandlers() {
 		})
 		return ScheduleReply{Site: site, OK: true}, nil
 	})
+}
+
+// siteLoads is Engine.SiteLoads recorded as an engine.select span under
+// the request's trace context. The engine itself knows nothing of
+// tracing; the decision point opens the engine-phase spans around it.
+func (dp *DecisionPoint) siteLoads(ctx trace.SpanContext, owner usla.Path, cpus int) []gruber.SiteLoad {
+	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineSelect)
+	loads := dp.engine.SiteLoads(owner, cpus)
+	sp.End()
+	return loads
+}
+
+// recordDispatch is Engine.RecordDispatch recorded as an engine.record
+// span under the request's trace context.
+func (dp *DecisionPoint) recordDispatch(ctx trace.SpanContext, d gruber.Dispatch) {
+	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineRecord)
+	dp.engine.RecordDispatch(d)
+	sp.End()
 }
 
 // markPeerAlive resets the health of the named peer after inbound proof
@@ -536,12 +552,7 @@ func (dp *DecisionPoint) newPeerClient(node, addr string) *wire.Client {
 func (dp *DecisionPoint) Peers() []string {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
-	out := make([]string, 0, len(dp.peers))
-	for name := range dp.peers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return dp.peerNamesLocked()
 }
 
 // peerNamesLocked returns the registered peer names in sorted order, so
@@ -620,95 +631,129 @@ func (dp *DecisionPoint) exchangeLoop(ticker vtime.Ticker, done chan struct{}) {
 // directly.
 func (dp *DecisionPoint) ExchangeNow() int { return dp.syncNow(false) }
 
-// syncNow dispatches one synchronization round to the configured
-// strategy's implementation; force is passed through (contact even
-// dead-and-backed-off peers — the drain flush's mode).
+// syncNow runs one synchronization round under the configured strategy.
+// force contacts even dead peers whose probe backoff has not elapsed —
+// the drain flush's mode: a retiring point must get its last records out
+// (or fail trying) every retry, not sit out a probe interval against a
+// peer that just healed. Returns the number of records sent.
 func (dp *DecisionPoint) syncNow(force bool) int {
-	var sent int
-	if dp.cfg.Strategy == Gossip {
-		sent = dp.gossipNow(force)
-	} else {
-		sent = dp.exchangeNow(force)
-	}
 	// The round boundary doubles as the durability checkpoint cadence
 	// check — deterministic under a Manual clock, unlike a timer.
-	dp.maybeCheckpoint()
-	return sent
+	defer dp.maybeCheckpoint()
+	switch dp.cfg.Strategy {
+	case NoExchange:
+		return 0
+	case Gossip:
+		return syncRound(dp, force, dp.gossipPart(force))
+	default:
+		return syncRound(dp, force, roundPart[ExchangeArgs, ExchangeReply]{
+			method:  MethodExchange,
+			targets: dp.Peers(),
+			request: (*DecisionPoint).floodRequest,
+			merge:   (*DecisionPoint).floodAck,
+			compact: (*DecisionPoint).floodCompact,
+		})
+	}
 }
 
-// exchangeNow is ExchangeNow with an override: force contacts even dead
-// peers whose probe backoff has not elapsed. The drain flush uses it —
-// a retiring point must get its last records out (or fail trying) every
-// retry, not sit out a probe interval against a peer that just healed.
-func (dp *DecisionPoint) exchangeNow(force bool) int {
+// roundPart is what a dissemination strategy plugs into the round
+// skeleton (syncRound): whom to contact, the request for one link, what
+// to do with its reply, and what the round lets the engine forget.
+type roundPart[A, R any] struct {
+	method string
+	// targets names the peers this round contacts, in name order, before
+	// the skeleton drops the stopped and the dead.
+	targets []string
+	// request builds one peer's request from the link's cursors as read
+	// under dp.mu.
+	request func(dp *DecisionPoint, lastSent uint64, ackVV map[string]uint64) linkRequest[A]
+	// merge handles the reply to a successful request, under the
+	// per-peer span: fold it into the engine, advance the link's cursors.
+	merge func(dp *DecisionPoint, ctx trace.SpanContext, l *peerLink, req linkRequest[A], reply R)
+	// mergeInOrder holds every reply until all calls are back and merges
+	// them in link-name order — for a strategy whose replies mutate the
+	// engine, so that a round's outcome does not depend on reply arrival
+	// order. Otherwise each reply is merged (and its span ends) the
+	// moment the call returns, and a live trace does not stretch every
+	// peer's span to the slowest peer.
+	mergeInOrder bool
+	// compact drops from the engine's logs what every peer has
+	// acknowledged.
+	compact func(dp *DecisionPoint)
+}
+
+// linkRequest is one peer's request in a round.
+type linkRequest[A any] struct {
+	args A
+	// records counts the dispatch records args carries.
+	records int
+	// through is the own-log sequence number args brings the peer up to
+	// (a flood request; gossip learns what a peer holds from its reply).
+	through uint64
+}
+
+// linkOutcome is one peer's call in a round, from request to reply.
+type linkOutcome[A, R any] struct {
+	link  *peerLink
+	span  *trace.Span
+	req   linkRequest[A]
+	reply R
+	err   error
+}
+
+// syncRound is the round skeleton every dissemination strategy shares.
+func syncRound[A, R any](dp *DecisionPoint, force bool, part roundPart[A, R]) int {
 	now := dp.cfg.Clock.Now()
 	dp.mu.Lock()
-	links := make([]*peerLink, 0, len(dp.peers))
-	for _, name := range dp.peerNamesLocked() {
+	links := make([]*peerLink, 0, len(part.targets))
+	for _, name := range part.targets {
 		l := dp.peers[name]
-		if l.client == nil {
-			continue // stopped
+		if l == nil || l.client == nil {
+			continue // removed or stopped
 		}
 		if !force && l.state == peerDead && now.Before(l.nextProbe) {
 			continue // dead; not due for a probe yet
 		}
 		links = append(links, l)
 	}
-	strategy := dp.cfg.Strategy
-	timeout := dp.cfg.PeerTimeout
 	dp.mu.Unlock()
 
-	if strategy == NoExchange {
-		return 0
-	}
-	// Peers are contacted in name order so a traced round draws its span
-	// IDs in a reproducible sequence.
-	sort.Slice(links, func(i, j int) bool { return links[i].name < links[j].name })
 	round := dp.cfg.Tracer.StartTrace(trace.PhaseMeshRound)
 	sent := 0
+	// Sized once: the calls below hold pointers into it.
+	outcomes := make([]linkOutcome[A, R], 0, len(links))
 	var wg sync.WaitGroup
 	for _, link := range links {
-		link := link
 		dp.mu.Lock()
-		cursor := link.lastSent
-		client := link.client
+		client, lastSent, ackVV := link.client, link.lastSent, link.ackVV
 		dp.mu.Unlock()
 		if client == nil {
 			continue // Stop raced us
 		}
-		// The engine assigns sequence numbers under its own lock, so the
-		// (batch, hi) pair is exact: acknowledging hi never skips a
-		// record whose append lost a race with this read.
-		batch, hi := dp.engine.LocalDispatchesAfter(cursor)
-		args := ExchangeArgs{From: dp.cfg.Name, Dispatches: batch}
-		if strategy == UsageAndUSLAs {
-			args.USLAs = dp.cfg.Policies.Entries()
-		}
-		// The per-peer span (and its ID draw) happens here, in name order;
-		// only the call itself runs concurrently.
+		req := part.request(dp, lastSent, ackVV)
+		sent += req.records
+		// The per-peer span (and its ID draw) happens here, in the targets'
+		// name order, so a traced round draws its span IDs in a
+		// reproducible sequence; only the call itself runs concurrently.
 		ex := dp.cfg.Tracer.StartSpan(round.Context(), trace.PhaseMeshExchange)
 		ex.SetNote(link.name)
+		outcomes = append(outcomes, linkOutcome[A, R]{link: link, span: ex, req: req})
+		o := &outcomes[len(outcomes)-1]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := wire.CallCtx[ExchangeArgs, ExchangeReply](client, ex.Context(), MethodExchange, args, timeout)
-			ex.End()
-			dp.mu.Lock()
-			if err == nil {
-				dp.peerAliveLocked(link)
-				if hi > link.lastSent {
-					link.lastSent = hi
-				}
-			} else {
-				dp.peerFailedLocked(link, dp.cfg.Clock.Now())
+			o.reply, o.err = wire.CallCtx[A, R](client, o.span.Context(), part.method, o.req.args, dp.cfg.PeerTimeout)
+			if !part.mergeInOrder {
+				o.settle(dp, part)
 			}
-			dp.mu.Unlock()
-			// On failure the batch is retransmitted next round (or next
-			// probe); the receiver's JobID dedup makes that harmless.
 		}()
-		sent += len(batch)
 	}
 	wg.Wait()
+	if part.mergeInOrder {
+		for i := range outcomes {
+			outcomes[i].settle(dp, part)
+		}
+	}
 	round.End()
 	end := dp.cfg.Clock.Now()
 	dp.metrics.roundDur.Observe(end.Sub(now).Seconds())
@@ -716,10 +761,64 @@ func (dp *DecisionPoint) exchangeNow(force bool) int {
 	dp.rounds++
 	dp.sentRecs += sent
 	dp.lastRound = end
-	// Bound the local log: records every peer has acknowledged are never
-	// needed again. With no peers at all, nobody will ever ask, so the
-	// whole log can go.
+	dp.mu.Unlock()
+	part.compact(dp)
+	return sent
+}
+
+// settle finishes one peer's call: merge the reply, end the per-peer
+// span, book the peer's health. After a failure the same records go out
+// again next round (or next probe): the link's cursors did not move, and
+// the receiver's dedup makes retransmission harmless.
+func (o *linkOutcome[A, R]) settle(dp *DecisionPoint, part roundPart[A, R]) {
+	if o.err == nil {
+		part.merge(dp, o.span.Context(), o.link, o.req, o.reply)
+	}
+	o.span.End()
+	dp.bookOutcome(o.link, o.err)
+}
+
+// bookOutcome records the result of one outbound call in the peer's
+// health: any success revives the link, a failure moves it towards dead.
+func (dp *DecisionPoint) bookOutcome(l *peerLink, err error) {
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	if err == nil {
+		dp.peerAliveLocked(l)
+	} else {
+		dp.peerFailedLocked(l, dp.cfg.Clock.Now())
+	}
+}
+
+// The full-mesh flood's round parts: every peer is sent this engine's
+// own dispatches since the cursor that peer last acknowledged.
+
+func (dp *DecisionPoint) floodRequest(lastSent uint64, _ map[string]uint64) linkRequest[ExchangeArgs] {
+	// The engine assigns sequence numbers under its own lock, so the
+	// (batch, hi) pair is exact: acknowledging hi never skips a record
+	// whose append lost a race with this read.
+	batch, hi := dp.engine.LocalDispatchesAfter(lastSent)
+	args := ExchangeArgs{From: dp.cfg.Name, Dispatches: batch}
+	if dp.cfg.Strategy == UsageAndUSLAs {
+		args.USLAs = dp.cfg.Policies.Entries()
+	}
+	return linkRequest[ExchangeArgs]{args: args, records: len(batch), through: hi}
+}
+
+func (dp *DecisionPoint) floodAck(_ trace.SpanContext, l *peerLink, req linkRequest[ExchangeArgs], _ ExchangeReply) {
+	dp.mu.Lock()
+	if req.through > l.lastSent {
+		l.lastSent = req.through
+	}
+	dp.mu.Unlock()
+}
+
+// floodCompact bounds the own log: records every peer has acknowledged
+// are never needed again. With no peers at all, nobody will ever ask, so
+// the whole log can go.
+func (dp *DecisionPoint) floodCompact() {
 	oldest := ^uint64(0)
+	dp.mu.Lock()
 	//lint:allow mapiter -- min over values; the result is order-independent
 	for _, l := range dp.peers {
 		if l.lastSent < oldest {
@@ -727,8 +826,7 @@ func (dp *DecisionPoint) exchangeNow(force bool) int {
 		}
 	}
 	dp.mu.Unlock()
-	dp.engine.CompactLocalBefore(oldest)
-	return sent
+	dp.engine.CompactOrigins(map[string]uint64{dp.cfg.Name: oldest})
 }
 
 // ExchangeRounds reports completed exchange rounds (for tests).
@@ -821,16 +919,8 @@ func (dp *DecisionPoint) Restart() error {
 // of dispatches imported and the donor's name ("" when no peer answered —
 // the decision point then rebuilds gradually from incoming exchanges).
 func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
-	dp.mu.Lock()
-	names := make([]string, 0, len(dp.peers))
-	for name := range dp.peers {
-		names = append(names, name)
-	}
-	timeout := dp.cfg.PeerTimeout
-	dp.mu.Unlock()
-	sort.Strings(names)
 	dp.metrics.resyncs.Inc()
-	for _, name := range names {
+	for _, name := range dp.Peers() {
 		dp.mu.Lock()
 		link := dp.peers[name]
 		var client *wire.Client
@@ -849,16 +939,8 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 			// byte-identically to the pre-durability request).
 			args.Vector = gossip.Cursors(dp.engine.OriginVector())
 		}
-		reply, err := wire.Call[SnapshotArgs, SnapshotReply](client, MethodSnapshot, args, timeout)
-		dp.mu.Lock()
-		if link != nil {
-			if err == nil {
-				dp.peerAliveLocked(link)
-			} else {
-				dp.peerFailedLocked(link, dp.cfg.Clock.Now())
-			}
-		}
-		dp.mu.Unlock()
+		reply, err := wire.Call[SnapshotArgs, SnapshotReply](client, MethodSnapshot, args, dp.cfg.PeerTimeout)
+		dp.bookOutcome(link, err)
 		if err != nil {
 			continue
 		}

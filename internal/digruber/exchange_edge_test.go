@@ -8,7 +8,7 @@ import (
 	"digruber/internal/vtime"
 )
 
-// Edge-path coverage for exchangeNow: the nil-client skip (a link whose
+// Edge-path coverage for the round skeleton (syncNow): the nil-client skip (a link whose
 // client is gone because Stop or RemovePeer got there first) and the
 // dead-peer probe-backoff skip (dead and not yet due for a probe).
 
@@ -20,12 +20,12 @@ func TestExchangeSkipsNilClientLinks(t *testing.T) {
 	h := newHarness(t, 2, clock, testStatuses(50))
 	dispatchAt(h, 0, "nil-1")
 	h.dps[0].Stop() // nils every peer link's client
-	if sent := h.dps[0].exchangeNow(false); sent != 0 {
+	if sent := h.dps[0].syncNow(false); sent != 0 {
 		t.Fatalf("stopped point sent %d records, want 0", sent)
 	}
 	// force must not override the nil-client skip either — there is no
 	// client to force.
-	if sent := h.dps[0].exchangeNow(true); sent != 0 {
+	if sent := h.dps[0].syncNow(true); sent != 0 {
 		t.Fatalf("forced round on stopped point sent %d records, want 0", sent)
 	}
 	if got := h.dps[1].Engine().Stats().RemoteDispatches; got != 0 {
@@ -77,7 +77,7 @@ func TestExchangeSkipsDeadPeerUntilProbeDue(t *testing.T) {
 	}
 
 	// force ignores the backoff entirely.
-	if sent := h.dps[0].exchangeNow(true); sent != 1 {
+	if sent := h.dps[0].syncNow(true); sent != 1 {
 		t.Fatalf("forced round sent %d records, want 1", sent)
 	}
 	if got := h.dps[1].Engine().Stats().RemoteDispatches; got != 1 {

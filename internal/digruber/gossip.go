@@ -2,9 +2,9 @@ package digruber
 
 import (
 	"sort"
-	"sync"
 
 	"digruber/internal/gossip"
+	"digruber/internal/gruber"
 	"digruber/internal/trace"
 	"digruber/internal/wire"
 )
@@ -53,13 +53,15 @@ func (dp *DecisionPoint) selfMember() gossip.Member {
 	return gossip.Member{Name: dp.cfg.Name, Node: dp.cfg.Node, Addr: dp.cfg.Addr}
 }
 
-// gossipNow runs one gossip round: sample, push-pull with each target
-// concurrently, then advance the compaction floor. force (the drain
-// flush) contacts every known peer instead of a sample and ignores
-// probe backoff, exactly like exchangeNow's force. Returns the number
-// of records pushed.
-func (dp *DecisionPoint) gossipNow(force bool) int {
-	now := dp.cfg.Clock.Now()
+// gossipPart is one push-pull round's share of the round skeleton: a
+// seeded sample of the membership view — or, under force (the drain
+// flush), every known peer — is sent this engine's digest plus whatever
+// the peer's last-acknowledged vector lacked, and answers with the
+// records this engine's digest lacked. Only the calls run concurrently:
+// replies merge in link-name order, so a round's merges — and with them
+// the relay/duplicate accounting — are deterministic under a Manual
+// clock regardless of reply arrival order.
+func (dp *DecisionPoint) gossipPart(force bool) roundPart[GossipArgs, GossipReply] {
 	dp.mu.Lock()
 	round := dp.gossipRound
 	dp.gossipRound++
@@ -71,111 +73,48 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 	} else {
 		targets = dp.view.Sample(round, dp.cfg.Gossip.Fanout)
 	}
-
-	dp.mu.Lock()
-	links := make([]*peerLink, 0, len(targets))
-	for _, m := range targets {
-		l := dp.peers[m.Name]
-		if l == nil || l.client == nil {
-			continue // removed or stopped
-		}
-		if !force && l.state == peerDead && now.Before(l.nextProbe) {
-			continue // dead; not due for a probe yet
-		}
-		links = append(links, l)
+	names := make([]string, len(targets))
+	for i, m := range targets {
+		names[i] = m.Name
 	}
-	timeout := dp.cfg.PeerTimeout
-	dp.mu.Unlock()
-	sort.Slice(links, func(i, j int) bool { return links[i].name < links[j].name })
-
+	sort.Strings(names)
 	// Membership piggyback: self plus this round's targets — bounded by
 	// the fanout, so the payload does not grow with the fleet.
 	members := append([]gossip.Member{dp.selfMember()}, targets...)
 	digest := gossip.Cursors(dp.engine.OriginVector())
 
-	tr := dp.cfg.Tracer.StartTrace(trace.PhaseMeshRound)
-	sent := 0
-	type outcome struct {
-		link  *peerLink
-		span  *trace.Span
-		reply GossipReply
-		err   error
-	}
-	outcomes := make([]*outcome, 0, len(links))
-	var wg sync.WaitGroup
-	for _, link := range links {
-		dp.mu.Lock()
-		client := link.client
-		ackVV := link.ackVV
-		dp.mu.Unlock()
-		if client == nil {
-			continue // Stop raced us
-		}
-		// The push is diffed against this peer's last-acknowledged
-		// vector; a failed or never-contacted peer has a nil vector and
-		// gets everything (up to the batch bound).
-		push := dp.engine.DispatchesSince(ackVV, dp.cfg.Gossip.MaxRecords)
-		args := GossipArgs{
-			From:    dp.cfg.Name,
-			Round:   round,
-			Digest:  digest,
-			Records: push,
-			Members: members,
-		}
-		ex := dp.cfg.Tracer.StartSpan(tr.Context(), trace.PhaseMeshExchange)
-		ex.SetNote(link.name)
-		o := &outcome{link: link, span: ex}
-		outcomes = append(outcomes, o)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o.reply, o.err = wire.CallCtx[GossipArgs, GossipReply](client, ex.Context(), MethodGossip, args, timeout)
-		}()
-		sent += len(push)
-	}
-	// Only the calls run concurrently. Replies are merged after the
-	// barrier, in link-name order, so a round's merges — and with them
-	// the relay/duplicate accounting — are deterministic under a Manual
-	// clock regardless of reply arrival order.
-	wg.Wait()
-	for _, o := range outcomes {
-		if o.err != nil {
-			o.span.End()
+	return roundPart[GossipArgs, GossipReply]{
+		method:       MethodGossip,
+		targets:      names,
+		mergeInOrder: true,
+		request: func(dp *DecisionPoint, _ uint64, ackVV map[string]uint64) linkRequest[GossipArgs] {
+			// The push is diffed against this peer's last-acknowledged
+			// vector; a failed or never-contacted peer has a nil vector and
+			// gets everything (up to the batch bound).
+			push := dp.engine.DispatchesSince(ackVV, dp.cfg.Gossip.MaxRecords)
+			return linkRequest[GossipArgs]{
+				args:    GossipArgs{From: dp.cfg.Name, Round: round, Digest: digest, Records: push, Members: members},
+				records: len(push),
+			}
+		},
+		merge: func(dp *DecisionPoint, ctx trace.SpanContext, l *peerLink, _ linkRequest[GossipArgs], reply GossipReply) {
+			// The pull: records the peer held that our digest lacked. The
+			// reply digest is the peer's post-merge state.
+			dp.absorbGossip(ctx, l.name, reply.Records, reply.Digest)
 			dp.mu.Lock()
-			dp.peerFailedLocked(o.link, dp.cfg.Clock.Now())
+			dp.gossipPulled += len(reply.Records)
 			dp.mu.Unlock()
-			// The push is recomputed against the unchanged ackVV next time
-			// this peer is sampled; the receiver-side vector and JobID
-			// dedup make retransmission harmless.
-			continue
-		}
-		// The pull: records the peer held that our digest lacked.
-		st := dp.engine.MergeGossipCtx(o.span.Context(), o.link.name, o.reply.Records)
-		o.span.End()
-		dp.mu.Lock()
-		dp.peerAliveLocked(o.link)
-		// The reply digest is the peer's post-merge state: the ack basis
-		// for the next push diff, for compaction, and — via its
-		// self-origin entry — for the drain flush's completeness proof.
-		o.link.ackVV = gossip.Vector(o.reply.Digest)
-		if self := gossip.Seq(o.reply.Digest, dp.cfg.Name); self > o.link.lastSent {
-			o.link.lastSent = self
-		}
-		dp.gossipPulled += len(o.reply.Records)
-		dp.gossipRelayed += st.Relayed
-		dp.gossipDuplicates += st.Duplicates
-		dp.mu.Unlock()
-		dp.metrics.gossipResets.Add(int64(st.Resets))
+		},
+		compact: (*DecisionPoint).gossipCompact,
 	}
-	tr.End()
-	end := dp.cfg.Clock.Now()
-	dp.metrics.roundDur.Observe(end.Sub(now).Seconds())
+}
 
-	// Compaction floor: for every origin this engine holds, the minimum
-	// sequence acknowledged across the whole view. A peer never heard
-	// from has a nil vector and pins every origin at zero — conservative,
-	// and exactly why departed peers must be removed from the view
-	// (RemovePeer) rather than compacted around.
+// gossipCompact drops, for every origin this engine holds, the records
+// below the minimum sequence acknowledged across the whole view. A peer
+// never heard from has a nil vector and pins every origin at zero —
+// conservative, and exactly why departed peers must be removed from the
+// view (RemovePeer) rather than compacted around.
+func (dp *DecisionPoint) gossipCompact() {
 	vv := dp.engine.OriginVector()
 	origins := make([]string, 0, len(vv))
 	//lint:allow mapiter -- collected slice is sorted right below
@@ -184,9 +123,6 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 	}
 	sort.Strings(origins)
 	dp.mu.Lock()
-	dp.rounds++
-	dp.sentRecs += sent
-	dp.lastRound = end
 	acked := make(map[string]uint64, len(origins))
 	for _, name := range dp.peerNamesLocked() {
 		gossip.MinAcked(acked, dp.peers[name].ackVV, origins)
@@ -196,7 +132,31 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 	if hasPeers {
 		dp.engine.CompactOrigins(acked)
 	}
-	return sent
+}
+
+// absorbGossip merges records gossiped by peer from, as an engine.merge
+// span under ctx, and adopts digest as that link's acknowledged vector:
+// a digest covers everything its sender holds — the records it pushed in
+// the same message, or the ones it has just merged — so it is the basis
+// for the next push diff, for compaction and, via its entry for this
+// point, for the drain flush's completeness proof.
+func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, records []gruber.Dispatch, digest []gossip.Cursor) (gruber.GossipMergeStats, map[string]uint64) {
+	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineMerge)
+	st := dp.engine.MergeGossip(from, records)
+	sp.End()
+	vv := gossip.Vector(digest)
+	dp.mu.Lock()
+	if l, ok := dp.peers[from]; ok {
+		l.ackVV = vv
+		if self := gossip.Seq(digest, dp.cfg.Name); self > l.lastSent {
+			l.lastSent = self
+		}
+	}
+	dp.gossipRelayed += st.Relayed
+	dp.gossipDuplicates += st.Duplicates
+	dp.mu.Unlock()
+	dp.metrics.gossipResets.Add(int64(st.Resets))
+	return st, vv
 }
 
 // handleGossip serves one inbound push-pull exchange: merge the push,
@@ -210,21 +170,7 @@ func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, 
 		}
 		dp.AddPeer(m.Name, m.Node, m.Addr) // no-op for known names
 	}
-	st := dp.engine.MergeGossipCtx(ctx.Span, a.From, a.Records)
-	// The sender's digest covers everything it holds (push included), so
-	// it doubles as this side's acknowledged vector for that link.
-	senderVV := gossip.Vector(a.Digest)
-	dp.mu.Lock()
-	if l, ok := dp.peers[a.From]; ok {
-		l.ackVV = senderVV
-		if self := gossip.Seq(a.Digest, dp.cfg.Name); self > l.lastSent {
-			l.lastSent = self
-		}
-	}
-	dp.gossipRelayed += st.Relayed
-	dp.gossipDuplicates += st.Duplicates
-	dp.mu.Unlock()
-	dp.metrics.gossipResets.Add(int64(st.Resets))
+	st, senderVV := dp.absorbGossip(ctx.Span, a.From, a.Records, a.Digest)
 	// The pull: anything we hold that the sender's digest lacks. Records
 	// the sender just pushed are covered by its digest, so they never
 	// echo back.

@@ -3,6 +3,7 @@ package digruber
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,10 @@ import (
 // points, three scheduled jobs, one exchange round — under a Manual
 // clock and returns every span record it produced.
 func runTracedScenario(t *testing.T, seed int64) []trace.Record {
+	return runTracedScenarioWith(t, seed, UsageOnly)
+}
+
+func runTracedScenarioWith(t *testing.T, seed int64, strategy DisseminationStrategy) []trace.Record {
 	t.Helper()
 	clock := vtime.NewManual(epoch)
 	mem := wire.NewMem()
@@ -33,6 +38,7 @@ func runTracedScenario(t *testing.T, seed int64) []trace.Record {
 			Clock:            clock,
 			Profile:          wire.Instant(),
 			ExchangeInterval: time.Hour,
+			Strategy:         strategy,
 			Tracer:           tracerFor(fmt.Sprintf("dp-%d", i)),
 		})
 		if err != nil {
@@ -149,6 +155,49 @@ func TestTracedRequestSpansCoverThePath(t *testing.T) {
 	}
 	if !foundPeer {
 		t.Errorf("mesh round lacks a mesh.exchange child for dp-1: %+v", rounds[0].Root.Children)
+	}
+}
+
+// TestEngineSpansHangUnderTheirCallers: the engine knows nothing of
+// tracing; the decision point opens engine.select / engine.record /
+// engine.merge around the plain engine calls. Names and parents are what
+// digruber-trace and the benchmark's per-layer ledger key on: the
+// request-path spans and the Exchange/Gossip handlers' merges are
+// children of server.handle, and a gossip round's reply merge is a
+// child of that peer's mesh.exchange span.
+func TestEngineSpansHangUnderTheirCallers(t *testing.T) {
+	for _, tc := range []struct {
+		strategy DisseminationStrategy
+		want     map[string]int // "span<parent" → count
+	}{
+		{UsageOnly, map[string]int{
+			"engine.select<server.handle": 3, "engine.record<server.handle": 3,
+			"engine.merge<server.handle": 1,
+		}},
+		{Gossip, map[string]int{
+			"engine.select<server.handle": 3, "engine.record<server.handle": 3,
+			"engine.merge<server.handle": 1, "engine.merge<mesh.exchange": 1,
+		}},
+	} {
+		got := map[string]int{}
+		var walk func(n *trace.Node)
+		walk = func(n *trace.Node) {
+			for _, c := range n.Children {
+				if strings.HasPrefix(c.Name, "engine.") {
+					got[c.Name+"<"+n.Name]++
+				}
+				walk(c)
+			}
+		}
+		for _, tree := range trace.BuildTrees(runTracedScenarioWith(t, 7, tc.strategy)) {
+			if strings.HasPrefix(tree.Root.Name, "engine.") {
+				t.Errorf("%s: %s span has no parent", tc.strategy, tree.Root.Name)
+			}
+			walk(tree.Root)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: engine spans by parent = %v, want %v", tc.strategy, got, tc.want)
+		}
 	}
 }
 

@@ -1,30 +1,18 @@
 package gruber
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
-// This file is the engine's durability surface. The engine itself knows
-// nothing about logs on disk; it exposes three things the digruber
-// durability layer composes with internal/wal:
+// The engine knows nothing about logs on disk. It offers the digruber
+// durability layer a write-ahead hook (SetAppender), a checkpoint image
+// (CheckpointState) and the replay of both (RestoreState, RestoreRecord);
+// DESIGN.md ("Replication paths") tabulates where each ingest path calls
+// the hook and what replay does with a record.
 //
-//   - an appender hook, invoked under the engine lock for every dispatch
-//     record that enters dynamic state (own, merged, gossiped or
-//     snapshot-imported) — the write-ahead append, ordered exactly as
-//     the state mutations it shadows;
-//   - ExportState, a deterministic full image of the dynamic state (the
-//     per-origin logs with their compaction floors, plus the unexpired
-//     view) — the checkpoint payload;
-//   - RestoreState / RestoreRecord, the replay path: checkpoint first,
-//     then WAL records in append order, rebuilding the same logs, seen
-//     set and site views without re-triggering the appender.
-//
-// Sequence continuity is the point of persisting the log floors: a
-// recovered engine resumes its own numbering at the pre-crash high-water
-// mark instead of restarting from 1, so peers see a continued
-// incarnation (no MergeGossip reset, no renumbered duplicates) and the
-// drain protocol's high-water promise survives the crash.
+// Why the log floors are persisted: a recovered engine resumes its own
+// numbering at the pre-crash high-water mark instead of restarting from
+// 1, so peers see a continued incarnation (no MergeGossip reset, no
+// renumbered duplicates) and the drain protocol's high-water promise
+// survives the crash.
 
 // OriginState is one origin's dispatch log as persisted in a checkpoint:
 // the compaction floor plus the retained records (ascending, contiguous
@@ -63,7 +51,8 @@ type RestoreStats struct {
 	Duplicates int
 }
 
-func (s *RestoreStats) add(o RestoreStats) {
+// Add accumulates another replay's counts.
+func (s *RestoreStats) Add(o RestoreStats) {
 	s.Logged += o.Logged
 	s.Applied += o.Applied
 	s.Expired += o.Expired
@@ -88,38 +77,22 @@ func (e *Engine) appendLocked(d Dispatch, logged bool) {
 	}
 }
 
-// ExportState captures the engine's dynamic state for a checkpoint, in
-// deterministic order.
-func (e *Engine) ExportState() EngineState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.exportStateLocked()
-}
-
-// CheckpointState exports the dynamic state and hands it to persist
-// while the engine lock is still held. The lock is what makes the
-// checkpoint atomic with the write-ahead stream: the appender hook runs
-// under the same lock, so no record can slip in between the capture and
-// the log compaction that persist performs — a record is either inside
-// the exported state or appended after the compacted log restarts.
-// persist must not call back into the engine.
+// CheckpointState captures the dynamic state — every per-origin log with
+// its floor, plus the unexpired view records no log retains, all in
+// deterministic order — and hands it to persist while the engine lock is
+// still held. The lock is what makes the checkpoint atomic with the
+// write-ahead stream: the appender hook runs under the same lock, so no
+// record can slip in between the capture and the log compaction that
+// persist performs — a record is either inside the exported state or
+// appended after the compacted log restarts. persist must not call back
+// into the engine.
 func (e *Engine) CheckpointState(persist func(EngineState) error) error {
+	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return persist(e.exportStateLocked())
-}
-
-// exportStateLocked builds the checkpoint image. Caller holds e.mu.
-func (e *Engine) exportStateLocked() EngineState {
-	now := e.clock.Now()
 	var st EngineState
-	origins := make([]string, 0, len(e.logs))
-	for origin := range e.logs {
-		origins = append(origins, origin)
-	}
-	sort.Strings(origins)
 	inLog := make(map[string]struct{})
-	for _, origin := range origins {
+	for _, origin := range e.originsLocked() {
 		l := e.logs[origin]
 		recs := make([]Dispatch, len(l.recs))
 		copy(recs, l.recs)
@@ -128,24 +101,11 @@ func (e *Engine) exportStateLocked() EngineState {
 		}
 		st.Origins = append(st.Origins, OriginState{Origin: origin, Floor: l.dropped, Records: recs})
 	}
-	var view []Dispatch
-	for _, name := range e.order {
-		sv := e.sites[name]
-		sv.pruneLocked(now, &e.stats)
-		for _, d := range sv.pending {
-			if _, dup := inLog[d.JobID]; !dup {
-				view = append(view, d)
-			}
-		}
-	}
-	sort.Slice(view, func(i, j int) bool {
-		if !view[i].At.Equal(view[j].At) {
-			return view[i].At.Before(view[j].At)
-		}
-		return view[i].JobID < view[j].JobID
+	st.View = e.viewLocked(now, func(d Dispatch) bool {
+		_, dup := inLog[d.JobID]
+		return !dup
 	})
-	st.View = view
-	return st
+	return persist(st)
 }
 
 // RestoreState folds a checkpoint back into the engine: log floors and
@@ -181,9 +141,9 @@ func (e *Engine) RestoreState(st EngineState) RestoreStats {
 
 // RestoreRecord replays one write-ahead record: the same mutation the
 // appender shadowed at run time, minus the appender itself. Records
-// must be replayed in append order; the per-origin contiguity cases
-// mirror MergeGossip (a gap means the log was compacted between the
-// checkpoint and the append, so the floor fast-forwards).
+// must be replayed in append order; a sequence gap means the log was
+// compacted between the checkpoint and the append, so the floor
+// fast-forwards.
 func (e *Engine) RestoreRecord(d Dispatch, logged bool) RestoreStats {
 	now := e.clock.Now()
 	e.mu.Lock()
@@ -195,20 +155,10 @@ func (e *Engine) RestoreRecord(d Dispatch, logged bool) RestoreStats {
 
 // restoreLocked is the shared replay step. Caller holds e.mu.
 func (e *Engine) restoreLocked(d Dispatch, logged bool, now time.Time, rs *RestoreStats) {
-	if logged && d.Origin != "" && d.Seq > 0 {
-		l := e.logLocked(d.Origin)
-		switch hi := l.hi(); {
-		case d.Seq == hi+1:
-			l.recs = append(l.recs, d)
-			rs.Logged++
-		case d.Seq > hi+1:
-			l.recs = append([]Dispatch(nil), d)
-			l.dropped = d.Seq - 1
-			rs.Logged++
-		default:
-			// Already covered: checkpoint and stale log overlap after an
-			// interrupted compaction. Keep the log as is.
-		}
+	// A record the log already covers stays out of it: checkpoint and
+	// stale log overlap after an interrupted compaction.
+	if logged && d.Origin != "" && d.Seq > 0 && e.logLocked(d.Origin).insert(d) {
+		rs.Logged++
 	}
 	if !e.markSeenLocked(d) {
 		rs.Duplicates++
@@ -218,26 +168,7 @@ func (e *Engine) restoreLocked(d Dispatch, logged bool, now time.Time, rs *Resto
 		rs.Expired++
 		return
 	}
-	if sv, ok := e.sites[d.Site]; ok {
-		sv.applyLocked(d)
+	if e.foldLocked(d) {
 		rs.Applied++
 	}
-}
-
-// ExportSnapshotSince is ExportSnapshot filtered by the requester's
-// version vector: sequence-stamped dispatches the vector already covers
-// are omitted, so a durably-recovered decision point backfills only its
-// seq-gap instead of re-importing everything it replayed from disk.
-// Unstamped records (Seq 0) are always included — coverage cannot be
-// proven for them, and the importer's dedup discards repeats.
-func (e *Engine) ExportSnapshotSince(vv map[string]uint64) []Dispatch {
-	full := e.ExportSnapshot()
-	out := full[:0]
-	for _, d := range full {
-		if d.Seq > 0 && d.Origin != "" && d.Seq <= vv[d.Origin] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }

@@ -21,6 +21,13 @@ func newDurableTestEngine(name string, clock vtime.Clock) *Engine {
 	return e
 }
 
+// exportState captures the checkpoint image without persisting it.
+func exportState(e *Engine) EngineState {
+	var st EngineState
+	e.CheckpointState(func(s EngineState) error { st = s; return nil })
+	return st
+}
+
 func durableDispatch(i int, at time.Time) Dispatch {
 	return Dispatch{
 		JobID: fmt.Sprintf("job-%03d", i), Site: "site-a", Owner: "atlas",
@@ -43,7 +50,7 @@ func TestExportRestoreStateRoundTrip(t *testing.T) {
 		{JobID: "peer-1", Site: "site-b", Owner: "cms", CPUs: 2, Runtime: time.Hour,
 			At: clock.Now(), Origin: "dp-1", Seq: 1},
 	})
-	st := e.ExportState()
+	st := exportState(e)
 
 	r := newDurableTestEngine("dp-0", clock)
 	rs := r.RestoreState(st)
@@ -71,8 +78,8 @@ func TestRestoreStateKeepsCompactedFloor(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.RecordDispatch(durableDispatch(i, clock.Now()))
 	}
-	e.CompactLocalBefore(4)
-	st := e.ExportState()
+	e.CompactOrigins(map[string]uint64{e.Name(): 4})
+	st := exportState(e)
 	if len(st.Origins) != 1 || st.Origins[0].Floor != 4 || len(st.Origins[0].Records) != 0 {
 		t.Fatalf("exported origins = %+v", st.Origins)
 	}

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"digruber/internal/grid"
-	"digruber/internal/trace"
 	"digruber/internal/usla"
 	"digruber/internal/vtime"
 )
@@ -78,16 +77,15 @@ type SiteLoad struct {
 type Engine struct {
 	name  string
 	clock vtime.Clock
-	// tracer records engine-phase spans for traced requests (see the Ctx
-	// method variants); set it with SetTracer at wiring time. Nil
-	// disables tracing at zero cost.
-	tracer *trace.Tracer
 
 	mu       sync.RWMutex
 	policies *usla.PolicySet
 	sites    map[string]*siteView
 	order    []string
 	seen     map[string]time.Time // JobID → expiry, for exchange dedup
+	// seenSweepAt is the size of seen at which markSeenLocked next sweeps
+	// it for expired JobIDs.
+	seenSweepAt int
 	// logs holds one dispatch log per origin decision point: this
 	// engine's own brokered dispatches (origin == name, backing the
 	// classic exchange cursor API) plus, under gossip dissemination,
@@ -144,31 +142,18 @@ func NewEngine(name string, policies *usla.PolicySet, clock vtime.Clock) *Engine
 		policies = usla.NewPolicySet()
 	}
 	return &Engine{
-		name:     name,
-		clock:    clock,
-		policies: policies,
-		sites:    make(map[string]*siteView),
-		seen:     make(map[string]time.Time),
-		logs:     make(map[string]*originLog),
+		name:        name,
+		clock:       clock,
+		policies:    policies,
+		sites:       make(map[string]*siteView),
+		seen:        make(map[string]time.Time),
+		seenSweepAt: seenSweepFloor,
+		logs:        make(map[string]*originLog),
 	}
 }
 
 // Name returns the engine's identity.
 func (e *Engine) Name() string { return e.name }
-
-// SetTracer installs the tracer the Ctx method variants record spans
-// against. Set it before the engine starts serving requests.
-func (e *Engine) SetTracer(t *trace.Tracer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.tracer = t
-}
-
-func (e *Engine) getTracer() *trace.Tracer {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.tracer
-}
 
 // Policies returns the engine's USLA policy set (live; additions take
 // effect immediately).
@@ -207,6 +192,7 @@ func (e *Engine) UpdateSites(statuses []grid.Status, at time.Time) {
 }
 
 // applyLocked folds a dispatch into the view. Caller holds e.mu.
+// Dispatch ingest reaches it through Engine.foldLocked only.
 func (sv *siteView) applyLocked(d Dispatch) {
 	heap.Push(&sv.pending, d)
 	sv.usedDelta += d.CPUs
@@ -246,15 +232,6 @@ func (sv *siteView) estFree() int {
 	return free
 }
 
-// SiteLoadsCtx is SiteLoads recorded as an engine.select span under the
-// given trace context.
-func (e *Engine) SiteLoadsCtx(ctx trace.SpanContext, owner usla.Path, cpus int) []SiteLoad {
-	sp := e.getTracer().StartSpan(ctx, trace.PhaseEngineSelect)
-	loads := e.SiteLoads(owner, cpus)
-	sp.End()
-	return loads
-}
-
 // SiteLoads evaluates every known site for a job of the given owner and
 // CPU demand. The returned slice is sorted by site name; selectors apply
 // their own ranking.
@@ -282,12 +259,23 @@ func (e *Engine) SiteLoads(owner usla.Path, cpus int) []SiteLoad {
 	return out
 }
 
-// RecordDispatchCtx is RecordDispatch recorded as an engine.record span
-// under the given trace context.
-func (e *Engine) RecordDispatchCtx(ctx trace.SpanContext, d Dispatch) {
-	sp := e.getTracer().StartSpan(ctx, trace.PhaseEngineRecord)
-	e.RecordDispatch(d)
-	sp.End()
+// foldLocked folds d into its site's view (pending heap plus CPU and
+// per-owner usage deltas). It reports false, changing nothing, for a
+// site the engine does not know. Caller holds e.mu.
+func (e *Engine) foldLocked(d Dispatch) bool {
+	sv, ok := e.sites[d.Site]
+	if ok {
+		sv.applyLocked(d)
+	}
+	return ok
+}
+
+// foldRemoteLocked counts a record newly learned from another engine and
+// folds it into the view unless its job is already assumed finished
+// (stale news). It reports whether the view changed. Caller holds e.mu.
+func (e *Engine) foldRemoteLocked(d Dispatch, now time.Time) bool {
+	e.stats.RemoteDispatches++
+	return !d.Expired(now) && e.foldLocked(d)
 }
 
 // RecordDispatch folds a locally-brokered dispatch into the view and the
@@ -301,23 +289,14 @@ func (e *Engine) RecordDispatch(d Dispatch) {
 		return
 	}
 	e.stats.LocalDispatches++
-	d = e.logLocked(e.name).appendNext(d)
+	l := e.logLocked(e.name)
+	d.Seq = l.hi() + 1 // the own log is the numbering authority
+	l.insert(d)
 	// Write-ahead append happens before RecordDispatch returns: the
 	// Schedule/Report handler only acks after this, so an acked dispatch
 	// is always durable (zero acked-dispatch loss across a crash).
 	e.appendLocked(d, true)
-	if sv, ok := e.sites[d.Site]; ok {
-		sv.applyLocked(d)
-	}
-}
-
-// MergeRemoteCtx is MergeRemote recorded as an engine.merge span under
-// the given trace context.
-func (e *Engine) MergeRemoteCtx(ctx trace.SpanContext, dispatches []Dispatch) int {
-	sp := e.getTracer().StartSpan(ctx, trace.PhaseEngineMerge)
-	n := e.MergeRemote(dispatches)
-	sp.End()
-	return n
+	e.foldLocked(d)
 }
 
 // MergeRemote folds dispatches received from a peer decision point into
@@ -336,17 +315,16 @@ func (e *Engine) MergeRemote(dispatches []Dispatch) int {
 			continue
 		}
 		e.appendLocked(d, false)
-		e.stats.RemoteDispatches++
-		if d.Expired(now) {
-			continue // stale news: job already assumed finished
-		}
-		if sv, ok := e.sites[d.Site]; ok {
-			sv.applyLocked(d)
+		if e.foldRemoteLocked(d, now) {
 			merged++
 		}
 	}
 	return merged
 }
+
+// seenSweepFloor is the dedup-set size below which expired JobIDs are
+// never swept out.
+const seenSweepFloor = 100000
 
 // markSeenLocked registers a JobID, pruning the dedup set opportunistically.
 // It returns false for duplicates. Caller holds e.mu.
@@ -355,13 +333,21 @@ func (e *Engine) markSeenLocked(d Dispatch) bool {
 		e.stats.DuplicateIgnored++
 		return false
 	}
-	if len(e.seen) > 100000 {
+	if len(e.seen) > e.seenSweepAt {
 		now := e.clock.Now()
 		//lint:allow mapiter -- expiry sweep deletes a fixed set of keys; order cannot matter
 		for id, exp := range e.seen {
 			if now.After(exp) {
 				delete(e.seen, id)
 			}
+		}
+		// A sweep visits the whole set, so the next one waits until the
+		// set has doubled: with hour-long jobs the survivors can stay
+		// above the floor for a long time, and sweeping on every insert
+		// while they do makes each insert cost O(len(seen)).
+		e.seenSweepAt = 2 * len(e.seen)
+		if e.seenSweepAt < seenSweepFloor {
+			e.seenSweepAt = seenSweepFloor
 		}
 	}
 	e.seen[d.JobID] = d.At.Add(d.Runtime)
@@ -378,9 +364,6 @@ func (e *Engine) LocalDispatchesAfter(cursor uint64) ([]Dispatch, uint64) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	l := e.logs[e.name]
-	if l == nil {
-		return make([]Dispatch, 0), 0
-	}
 	recs := l.after(cursor)
 	out := make([]Dispatch, len(recs))
 	copy(out, recs)
@@ -396,23 +379,7 @@ func (e *Engine) LocalDispatchesAfter(cursor uint64) ([]Dispatch, uint64) {
 func (e *Engine) LocalSeqHighWater() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	l := e.logs[e.name]
-	if l == nil {
-		return 0
-	}
-	return l.hi()
-}
-
-// CompactLocalBefore drops local dispatch records with sequence numbers
-// at or below cursor, bounding memory across long runs. Callers pass the
-// lowest cursor acknowledged by any peer: those records are never needed
-// again.
-func (e *Engine) CompactLocalBefore(cursor uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if l := e.logs[e.name]; l != nil {
-		l.dropThrough(cursor)
-	}
+	return e.logs[e.name].hi()
 }
 
 // Stats returns a copy of the engine counters.

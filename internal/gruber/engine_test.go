@@ -157,7 +157,7 @@ func TestLocalDispatchesAfter(t *testing.T) {
 		t.Fatalf("cursor past end returned %d records", len(rest))
 	}
 
-	e.CompactLocalBefore(3)
+	e.CompactOrigins(map[string]uint64{e.Name(): 3})
 	if rest, hi3 := e.LocalDispatchesAfter(0); len(rest) != 2 || hi3 != 5 {
 		t.Fatalf("after compact: %d records hi=%d, want 2 records hi=5", len(rest), hi3)
 	}
@@ -165,7 +165,7 @@ func TestLocalDispatchesAfter(t *testing.T) {
 	if rest, _ := e.LocalDispatchesAfter(4); len(rest) != 1 || rest[0].JobID != "j4" {
 		t.Fatalf("after compact, cursor 4: %v", rest)
 	}
-	e.CompactLocalBefore(2) // stale cursor: must be a no-op
+	e.CompactOrigins(map[string]uint64{e.Name(): 2}) // stale cursor: must be a no-op
 	if rest, _ := e.LocalDispatchesAfter(0); len(rest) != 2 {
 		t.Fatalf("stale compact changed log: %d records", len(rest))
 	}
@@ -239,5 +239,53 @@ func TestEngineConcurrency(t *testing.T) {
 	<-done
 	if got := e.EstFreeCPUs("site-001"); got != 0 {
 		t.Fatalf("site-001 est = %d, want 0 after 200 dispatches", got)
+	}
+}
+
+// sweepCountingClock counts Now calls. RecordDispatch reads the clock
+// only when markSeenLocked sweeps the dedup set, so on an engine that
+// does nothing else the count is the number of sweeps.
+type sweepCountingClock struct {
+	vtime.Clock
+	reads int
+}
+
+func (c *sweepCountingClock) Now() time.Time {
+	c.reads++
+	return c.Clock.Now()
+}
+
+// TestDedupSweepIsAmortised: once the dedup set holds more unexpired
+// JobIDs than the sweep floor, a sweep frees nothing — so it must not
+// repeat on every insert (each one visits the whole set: 30 000 inserts
+// past the floor took ~50 s). The next sweep waits for the set to double.
+func TestDedupSweepIsAmortised(t *testing.T) {
+	clock := &sweepCountingClock{Clock: vtime.NewManual(epoch)}
+	e := newEngine(clock, "")
+	e.UpdateSites(statuses(100), epoch)
+	for i := 0; i < seenSweepFloor+30000; i++ {
+		e.RecordDispatch(Dispatch{JobID: fmt.Sprintf("j%d", i), Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: epoch})
+		if clock.reads > 1 {
+			t.Fatalf("dedup set swept %d times in %d inserts; one sweep at the floor, the next only at twice its size", clock.reads, i+1)
+		}
+	}
+	if clock.reads != 1 {
+		t.Fatalf("dedup set swept %d times, want exactly one sweep on crossing the floor", clock.reads)
+	}
+	// Expired JobIDs do still leave: once the set has doubled the sweep
+	// runs again, and a JobID it freed can be learned anew.
+	clock.Clock.(*vtime.Manual).Advance(2 * time.Hour)
+	for i := seenSweepFloor + 30000; len(e.seen) > seenSweepFloor; i++ {
+		if i > 3*seenSweepFloor {
+			t.Fatalf("dedup set still holds %d JobIDs after %d inserts; expired ones were never swept", len(e.seen), i)
+		}
+		e.RecordDispatch(Dispatch{JobID: fmt.Sprintf("j%d", i), Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Clock.Now()})
+	}
+	if dup := e.Stats().DuplicateIgnored; dup != 0 {
+		t.Fatalf("unexpected duplicates: %d", dup)
+	}
+	e.RecordDispatch(Dispatch{JobID: "j0", Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Clock.Now()})
+	if dup := e.Stats().DuplicateIgnored; dup != 0 {
+		t.Fatalf("swept JobID j0 still deduplicated (%d duplicates)", dup)
 	}
 }

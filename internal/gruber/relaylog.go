@@ -1,23 +1,15 @@
 package gruber
 
-import (
-	"sort"
+import "sort"
 
-	"digruber/internal/trace"
-)
-
-// This file generalizes the engine's dispatch log from "my own records,
-// one cursor per peer" (the flooding exchange of exchangeNow) to one log
-// per origin decision point — the state gossip dissemination needs. The
-// flooding exchange only ever ships records the sender brokered itself,
-// so a full mesh is required for every record to reach every point. A
-// gossip round instead ships anything the receiver's version vector says
-// it lacks, own or relayed, so news crosses the fleet in O(log N) hops
-// over a sparse graph. The version vector (origin → highest contiguous
-// sequence number held) replaces per-peer cursors: it is what a digest
-// advertises, what a push is diffed against, and what compaction is
-// generalized over (the per-origin minimum acknowledged across the
-// membership view, plus expiry).
+// One dispatch log per origin decision point, and the version vector
+// over them (origin → highest contiguous sequence number held). Why per
+// origin: the flooding exchange ships only records the sender brokered
+// itself, so every record reaches every point only over a full mesh; a
+// gossip round ships anything the receiver's vector lacks, own or
+// relayed, so news crosses a sparse graph in O(log N) hops. What each
+// ingest path does with these logs is tabulated in DESIGN.md
+// ("Replication paths").
 
 // originLog is one origin's dispatch records as a contiguous run:
 // recs[i] carries sequence number dropped+i+1, and everything at or
@@ -28,22 +20,49 @@ type originLog struct {
 }
 
 // hi returns the highest sequence number the log covers (compacted
-// records count — they were held and acknowledged or expired).
-func (l *originLog) hi() uint64 { return l.dropped + uint64(len(l.recs)) }
-
-// appendNext stamps the next sequence number on d and appends it,
-// returning the stamped record. Used for the engine's own log, where the
-// engine is the numbering authority.
-func (l *originLog) appendNext(d Dispatch) Dispatch {
-	d.Seq = l.hi() + 1
-	l.recs = append(l.recs, d)
-	return d
+// records count — they were held and acknowledged or expired). A nil
+// log — an origin never heard of — covers nothing.
+func (l *originLog) hi() uint64 {
+	if l == nil {
+		return 0
+	}
+	return l.dropped + uint64(len(l.recs))
 }
 
-// after returns the records with sequence numbers greater than cursor.
-// The returned slice aliases the log; callers copy before releasing the
-// engine lock.
+// insert places a sequence-stamped record, keeping the run contiguous,
+// and reports whether the log changed. A record above hi+1 means the
+// sender compacted the records in between before this engine ever saw
+// them: the log fast-forwards, restarting at d. The skipped records were
+// acknowledged across the sender's whole view or had expired, so their
+// loss is the bounded staleness dissemination already accepts. A record
+// at or below hi is already covered and is left alone; what that means
+// (duplicate, or an origin that restarted and renumbered) is the
+// caller's call.
+func (l *originLog) insert(d Dispatch) bool {
+	switch hi := l.hi(); {
+	case d.Seq == hi+1:
+		l.recs = append(l.recs, d)
+	case d.Seq > hi+1:
+		l.restartAt(d)
+	default:
+		return false
+	}
+	return true
+}
+
+// restartAt discards the run and begins a new one at d.
+func (l *originLog) restartAt(d Dispatch) {
+	l.recs = append([]Dispatch(nil), d)
+	l.dropped = d.Seq - 1
+}
+
+// after returns the records with sequence numbers greater than cursor
+// (none for a nil log). The returned slice aliases the log; callers copy
+// before releasing the engine lock.
 func (l *originLog) after(cursor uint64) []Dispatch {
+	if l == nil {
+		return nil
+	}
 	start := uint64(0)
 	if cursor > l.dropped {
 		start = cursor - l.dropped
@@ -78,6 +97,18 @@ func (e *Engine) logLocked(origin string) *originLog {
 	return l
 }
 
+// originsLocked returns the origins the engine holds a log for, sorted,
+// so that nothing derived from the logs depends on map order. Caller
+// holds e.mu.
+func (e *Engine) originsLocked() []string {
+	origins := make([]string, 0, len(e.logs))
+	for origin := range e.logs {
+		origins = append(origins, origin)
+	}
+	sort.Strings(origins)
+	return origins
+}
+
 // OriginVector returns the engine's version vector: for every origin it
 // holds a log for, the highest contiguous dispatch sequence number held.
 // This is the anti-entropy digest a gossip round advertises.
@@ -100,17 +131,12 @@ func (e *Engine) OriginVector() map[string]uint64 {
 // runs out, and the next round continues from the receiver's advanced
 // vector. When the peer's cursor sits below a log's compacted floor the
 // batch starts at the floor; the receiver fast-forwards over the gap
-// (see MergeGossip).
+// (see originLog.insert).
 func (e *Engine) DispatchesSince(vv map[string]uint64, maxRecords int) []Dispatch {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	origins := make([]string, 0, len(e.logs))
-	for origin := range e.logs {
-		origins = append(origins, origin)
-	}
-	sort.Strings(origins)
 	var out []Dispatch
-	for _, origin := range origins {
+	for _, origin := range e.originsLocked() {
 		recs := e.logs[origin].after(vv[origin])
 		if maxRecords > 0 && len(out)+len(recs) > maxRecords {
 			recs = recs[:maxRecords-len(out)]
@@ -143,37 +169,18 @@ type GossipMergeStats struct {
 	Resets int
 }
 
-// MergeGossipCtx is MergeGossip recorded as an engine.merge span under
-// the given trace context.
-func (e *Engine) MergeGossipCtx(ctx trace.SpanContext, from string, records []Dispatch) GossipMergeStats {
-	sp := e.getTracer().StartSpan(ctx, trace.PhaseEngineMerge)
-	st := e.MergeGossip(from, records)
-	sp.End()
-	return st
-}
-
 // MergeGossip folds gossip-delivered dispatch records into the
 // per-origin logs and the site views. from names the sending peer (only
 // for the Relayed count). Records must carry Origin and Seq; unstamped
 // records (a pre-gossip peer) and echoes of this engine's own records
 // are ignored — the own log is the numbering authority.
 //
-// Within an origin the sequence run must stay contiguous, which three
-// cases can break:
-//
-//   - Seq above hi+1: the sender compacted records below its floor before
-//     this engine ever saw them. Fast-forward — reset the log's floor to
-//     the incoming record. The skipped records were acknowledged across
-//     the sender's whole view or expired, so their loss is the bounded
-//     staleness gossip already accepts (and their effect on this view,
-//     if any, arrived when they were applied).
-//   - Seq at or below hi with a seen JobID: a plain duplicate (two gossip
-//     paths delivered the same record).
-//   - Seq at or below hi with an unseen JobID: the origin restarted and
-//     renumbered from 1 (sequence reuse). Reset the log to the new
-//     incarnation so its fresh records flow again; late old-incarnation
-//     relays may bounce the log once more, which converges as their
-//     JobIDs enter the dedup set.
+// A record the origin's log already covers is a plain duplicate when its
+// JobID has been seen (two gossip paths delivered it). With an unseen
+// JobID the origin restarted and renumbered from 1: the log restarts at
+// the new incarnation so its fresh records flow again; late
+// old-incarnation relays may bounce the log once more, which converges
+// as their JobIDs enter the dedup set.
 func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 	now := e.clock.Now()
 	e.mu.Lock()
@@ -183,36 +190,26 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 		if d.Origin == "" || d.Seq == 0 || d.Origin == e.name {
 			continue
 		}
-		l := e.logLocked(d.Origin)
-		switch hi := l.hi(); {
-		case d.Seq == hi+1:
-			l.recs = append(l.recs, d)
-		case d.Seq > hi+1:
-			l.recs = append([]Dispatch(nil), d)
-			l.dropped = d.Seq - 1
-		default:
+		if l := e.logLocked(d.Origin); !l.insert(d) {
 			if _, dup := e.seen[d.JobID]; dup {
 				st.Duplicates++
 				continue
 			}
-			l.recs = append([]Dispatch(nil), d)
-			l.dropped = d.Seq - 1
+			l.restartAt(d)
 			st.Resets++
 		}
 		st.Stored++
+		// Journaled as soon as it is stored, before dedup: a record the
+		// view already holds (e.g. via a snapshot import) still has to
+		// restore into the log.
 		e.appendLocked(d, true)
 		if d.Origin != from {
 			st.Relayed++
 		}
 		if !e.markSeenLocked(d) {
-			continue // view already has it (e.g. via a snapshot import)
+			continue
 		}
-		e.stats.RemoteDispatches++
-		if d.Expired(now) {
-			continue // stale news: job already assumed finished
-		}
-		if sv, ok := e.sites[d.Site]; ok {
-			sv.applyLocked(d)
+		if e.foldRemoteLocked(d, now) {
 			st.Applied++
 		}
 	}
@@ -241,9 +238,7 @@ func (e *Engine) CompactOrigins(acked map[string]uint64) {
 		for n < len(l.recs) && l.recs[n].Expired(now) {
 			n++
 		}
-		if n > 0 {
-			l.dropThrough(l.dropped + uint64(n))
-		}
+		l.dropThrough(l.dropped + uint64(n))
 	}
 }
 
@@ -253,9 +248,5 @@ func (e *Engine) CompactOrigins(acked map[string]uint64) {
 func (e *Engine) OriginLogSize(origin string) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	l := e.logs[origin]
-	if l == nil {
-		return 0
-	}
-	return len(l.recs)
+	return len(e.logs[origin].after(0))
 }

@@ -5,28 +5,47 @@ import (
 	"time"
 )
 
-// This file is the anti-entropy side of the dissemination model. The
-// periodic exchange is incremental — each decision point floods only its
-// own new dispatches — so a decision point that crashes and loses its
-// dynamic state cannot catch up from the incremental stream alone: the
-// records it missed were "after" cursors it no longer holds. Snapshot
-// export/import closes that gap: a rejoining point pulls one peer's full
-// unexpired view and is immediately as informed as that peer.
+// Why snapshots exist beside the incremental stream: the periodic
+// exchange ships only what is new since a cursor, so a decision point
+// that crashed and lost its dynamic state cannot catch up from it — the
+// records it missed sit behind cursors it no longer holds. Pulling one
+// peer's full unexpired view makes it as informed as that peer at once.
 
 // ExportSnapshot returns every unexpired dispatch in the engine's view,
 // in deterministic order (dispatch time, then JobID). Unlike the
 // incremental exchange payload it is NOT filtered to locally-brokered
 // records: the requester is assumed to have lost everything, including
 // records this engine originally learned from the requester itself.
-func (e *Engine) ExportSnapshot() []Dispatch {
+func (e *Engine) ExportSnapshot() []Dispatch { return e.ExportSnapshotSince(nil) }
+
+// ExportSnapshotSince is the snapshot for a requester that already holds
+// version vector vv: sequence-stamped dispatches the vector covers are
+// omitted, so a durably-recovered decision point backfills only its
+// seq-gap instead of re-importing everything it replayed from disk.
+// Unstamped records (Seq 0) are always included — coverage cannot be
+// proven for them, and the importer's dedup discards repeats. A nil
+// vector covers nothing.
+func (e *Engine) ExportSnapshotSince(vv map[string]uint64) []Dispatch {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.viewLocked(now, func(d Dispatch) bool {
+		return d.Seq == 0 || d.Origin == "" || d.Seq > vv[d.Origin]
+	})
+}
+
+// viewLocked returns the unexpired dispatches in the site views that
+// keep accepts, ordered by dispatch time, then JobID. Caller holds e.mu.
+func (e *Engine) viewLocked(now time.Time, keep func(Dispatch) bool) []Dispatch {
 	var out []Dispatch
 	for _, name := range e.order {
 		sv := e.sites[name]
 		sv.pruneLocked(now, &e.stats)
-		out = append(out, sv.pending...)
+		for _, d := range sv.pending {
+			if keep(d) {
+				out = append(out, d)
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].At.Equal(out[j].At) {
@@ -50,36 +69,22 @@ func (e *Engine) ImportSnapshot(dispatches []Dispatch) int {
 	defer e.mu.Unlock()
 	merged := 0
 	for _, d := range dispatches {
-		logged := false
-		if d.Origin == e.name && d.Seq > 0 {
-			// Re-adopt own-origin records into the own log: the own log is
-			// the numbering authority, and a rejoining engine must never
-			// re-issue a sequence number peers already hold for it. Without
-			// this, the next local dispatch after a resync would reuse a
-			// live sequence number, which peers can only interpret as an
-			// origin restart (MergeGossip's reset path). Records may arrive
-			// in view order rather than sequence order; the fast-forward
-			// case still leaves hi at the snapshot's own-origin maximum.
-			logged = true
-			l := e.logLocked(e.name)
-			switch hi := l.hi(); {
-			case d.Seq == hi+1:
-				l.recs = append(l.recs, d)
-			case d.Seq > hi+1:
-				l.recs = append([]Dispatch(nil), d)
-				l.dropped = d.Seq - 1
-			}
+		logged := d.Origin == e.name && d.Seq > 0
+		if logged {
+			// Re-adopt own-origin records into the own log, duplicates
+			// included: the own log is the numbering authority, and a
+			// rejoining engine must never re-issue a sequence number peers
+			// already hold for it — they could only read that as an origin
+			// restart (MergeGossip's reset). Records may arrive in view
+			// order rather than sequence order; the fast-forward still
+			// leaves hi at the snapshot's own-origin maximum.
+			e.logLocked(e.name).insert(d)
 		}
 		if !e.markSeenLocked(d) {
 			continue
 		}
 		e.appendLocked(d, logged)
-		e.stats.RemoteDispatches++
-		if d.Expired(now) {
-			continue
-		}
-		if sv, ok := e.sites[d.Site]; ok {
-			sv.applyLocked(d)
+		if e.foldRemoteLocked(d, now) {
 			merged++
 		}
 	}
@@ -104,6 +109,7 @@ func (e *Engine) DropDynamicState() {
 		sv.usageDelta = make(map[string]int)
 	}
 	e.seen = make(map[string]time.Time)
+	e.seenSweepAt = seenSweepFloor
 	// Every per-origin log goes, the engine's own included: the sequence
 	// numbering restarts from 1 on the next dispatch, which peers detect
 	// as an origin restart (see MergeGossip's reset path).
