@@ -64,10 +64,8 @@ func main() {
 		dps[i] = dp
 	}
 	for i, dp := range dps {
-		for j, peer := range dps {
-			if i != j {
-				dp.AddPeer(peer.Name(), fmt.Sprintf("dp-node-%d", j), peer.Addr())
-			}
+		for _, peer := range dps[i+1:] {
+			digruber.Connect(dp, peer)
 		}
 		if err := dp.Start(); err != nil {
 			log.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // divergence), and:
 //
 //   - scales UP under sustained pressure: a factory-built decision point
-//     is meshed with every fleet member (symmetric AddPeer fan-out),
+//     is meshed with every fleet member (Connect fan-out),
 //     bootstrapped via the Snapshot anti-entropy resync, and handed its
 //     share of the client population;
 //   - scales DOWN under sustained idleness: the newest member's clients
@@ -29,10 +29,9 @@ import (
 // cooldowns keep the loop from flapping: growth is cheap and reacts
 // fast; shrinking pays a drain and waits for proof the load is gone.
 type Controller struct {
-	cfg      ControllerConfig
-	overseer *Overseer
-	clock    vtime.Clock
-	reg      *tsdb.Registry
+	cfg   ControllerConfig
+	clock vtime.Clock
+	reg   *tsdb.Registry
 
 	scaleUps    *tsdb.Counter
 	scaleDowns  *tsdb.Counter
@@ -217,7 +216,6 @@ func NewController(cfg ControllerConfig, initial []*DecisionPoint) (*Controller,
 	}
 	c := &Controller{
 		cfg:         cfg,
-		overseer:    NewOverseer(cfg.Clock),
 		clock:       cfg.Clock,
 		reg:         cfg.Metrics,
 		scaleUps:    cfg.Metrics.Counter("fleet/scale_ups"),
@@ -226,9 +224,6 @@ func NewController(cfg ControllerConfig, initial []*DecisionPoint) (*Controller,
 		fleet:       append([]*DecisionPoint(nil), initial...),
 		nextIdx:     len(initial),
 	}
-	for _, dp := range c.fleet {
-		c.overseer.Attach(dp.Name(), dp.Status)
-	}
 	cfg.Metrics.GaugeFunc("fleet/size", func(now time.Time) float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -236,9 +231,6 @@ func NewController(cfg ControllerConfig, initial []*DecisionPoint) (*Controller,
 	})
 	return c, nil
 }
-
-// Overseer exposes the controller's monitoring service.
-func (c *Controller) Overseer() *Overseer { return c.overseer }
 
 // Fleet returns the current serving decision points.
 func (c *Controller) Fleet() []*DecisionPoint {
@@ -420,12 +412,10 @@ func (c *Controller) scaleUp(now time.Time) (*DecisionPoint, error) {
 
 	c.mu.Lock()
 	for _, existing := range c.fleet {
-		existing.AddPeer(dp.Name(), dp.cfg.Node, dp.Addr())
-		dp.AddPeer(existing.Name(), existing.cfg.Node, existing.Addr())
+		Connect(existing, dp)
 	}
 	c.fleet = append(c.fleet, dp)
 	c.deployLog = append(c.deployLog, now)
-	c.overseer.Attach(dp.Name(), dp.Status)
 	c.resetStreaksLocked(now)
 	c.mu.Unlock()
 
@@ -477,7 +467,6 @@ func (c *Controller) scaleDown(now time.Time) error {
 	c.resetStreaksLocked(now)
 	c.mu.Unlock()
 
-	c.overseer.Detach(victim.Name())
 	// Symmetric teardown: the departed name must not linger as a dead
 	// peer eating probe rounds and pinning every survivor's local log.
 	for _, s := range survivors {

@@ -492,8 +492,17 @@ func (dp *DecisionPoint) Status() StatusReply {
 	}
 }
 
-// AddPeer registers another decision point in this one's mesh. Call on
-// every decision point for a full mesh.
+// Connect peers two in-process decision points with each other, each
+// under the other's own name, node and address. Like AddPeer it is a
+// no-op for a pair already connected.
+func Connect(a, b *DecisionPoint) {
+	a.AddPeer(b.cfg.Name, b.cfg.Node, b.cfg.Addr)
+	b.AddPeer(a.cfg.Name, a.cfg.Node, a.cfg.Addr)
+}
+
+// AddPeer registers another decision point in this one's mesh — one
+// direction of a link, for a peer known only by address (a broker's
+// -peer flag, a gossiped member). In-process fleets use Connect.
 func (dp *DecisionPoint) AddPeer(name, node, addr string) {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()

@@ -194,6 +194,56 @@ func TestExchangePropagatesDispatches(t *testing.T) {
 	}
 }
 
+// TestConnectIsSymmetricAndIdempotent: one Connect gives each point a
+// link to the other under the other's own name, node and address, which
+// carries records both ways; repeating it, in either order, or
+// connecting a point with itself, adds nothing.
+func TestConnectIsSymmetricAndIdempotent(t *testing.T) {
+	clock, mem := vtime.NewManual(epoch), wire.NewMem()
+	point := func(name string) *DecisionPoint {
+		dp, err := New(Config{
+			Name: name, Node: "node-" + name, Addr: "addr/" + name,
+			Transport: mem, Clock: clock, Profile: wire.Instant(), ExchangeInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp.Engine().UpdateSites(testStatuses(100), clock.Now())
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dp.Stop)
+		return dp
+	}
+	a, b := point("a"), point("b")
+	Connect(a, b)
+	first := a.peers["b"]
+	Connect(b, a)
+	Connect(a, b)
+	Connect(a, a)
+
+	for _, side := range []struct{ dp, other *DecisionPoint }{{a, b}, {b, a}} {
+		if peers := side.dp.Peers(); len(peers) != 1 || peers[0] != side.other.Name() {
+			t.Fatalf("%s peers = %v, want just %s", side.dp.Name(), peers, side.other.Name())
+		}
+		l := side.dp.peers[side.other.Name()]
+		if l.node != "node-"+side.other.Name() || l.addr != side.other.Addr() {
+			t.Fatalf("%s reaches %s at node %q addr %q", side.dp.Name(), side.other.Name(), l.node, l.addr)
+		}
+	}
+	if a.peers["b"] != first {
+		t.Fatal("a repeated Connect replaced the link (and with it the exchange cursors)")
+	}
+
+	a.Engine().RecordDispatch(gruber.Dispatch{JobID: "from-a", Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()})
+	b.Engine().RecordDispatch(gruber.Dispatch{JobID: "from-b", Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()})
+	a.ExchangeNow()
+	b.ExchangeNow()
+	if ra, rb := a.Engine().Stats().RemoteDispatches, b.Engine().Stats().RemoteDispatches; ra != 1 || rb != 1 {
+		t.Fatalf("remote dispatches after one round each: a=%d b=%d, want 1 and 1", ra, rb)
+	}
+}
+
 func TestExchangeIncrementalAndIdempotent(t *testing.T) {
 	clock := vtime.NewReal()
 	h := newHarness(t, 2, clock, testStatuses(100))

@@ -151,8 +151,7 @@ func (p *Provisioner) Evaluate() (*DecisionPoint, error) {
 	p.mu.Lock()
 	// Mesh the newcomer with the whole fleet both ways.
 	for _, existing := range p.fleet {
-		existing.AddPeer(dp.Name(), dp.cfg.Node, dp.Addr())
-		dp.AddPeer(existing.Name(), existing.cfg.Node, existing.Addr())
+		Connect(existing, dp)
 	}
 	p.fleet = append(p.fleet, dp)
 	p.deployLog = append(p.deployLog, p.clock.Now())

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -126,17 +126,9 @@ func runDivergence(scale Scale) (Report, error) {
 	}
 
 	if MetricsOutputPath != "" {
-		f, err := os.Create(MetricsOutputPath)
+		err := writeOutput(MetricsOutputPath, func(w io.Writer) error { return tsdb.WritePoints(w, dump) })
 		if err != nil {
-			return Report{}, fmt.Errorf("exp: metrics output: %w", err)
-		}
-		werr := tsdb.WritePoints(f, dump)
-		cerr := f.Close()
-		if werr != nil {
-			return Report{}, werr
-		}
-		if cerr != nil {
-			return Report{}, cerr
+			return Report{}, err
 		}
 		fmt.Fprintf(&b, "\nmetrics time series written to %s (%d points)\n", MetricsOutputPath, len(dump))
 	}

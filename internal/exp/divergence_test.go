@@ -11,7 +11,6 @@ import (
 	"digruber/internal/gruber"
 	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
-	"digruber/internal/wire"
 )
 
 // divergenceFixture runs a fully deterministic two-broker scenario on a
@@ -25,59 +24,31 @@ import (
 func divergenceFixture(t *testing.T, exchangeEvery int) *tsdb.Registry {
 	t.Helper()
 	clock := vtime.NewManual(Epoch)
-	mem := wire.NewMem()
 	reg := tsdb.New(0)
 
 	// Mutable ground truth, decremented as jobs dispatch. The engines
-	// get a copy via UpdateSites; after that they only learn through
-	// dispatch records.
-	truth := []grid.Status{
-		{Name: "site-000", TotalCPUs: 100, FreeCPUs: 100},
-		{Name: "site-001", TotalCPUs: 100, FreeCPUs: 100},
-		{Name: "site-002", TotalCPUs: 100, FreeCPUs: 100},
+	// are seeded with it as it stands before the first job; after that
+	// they only learn through dispatch records.
+	truth := idleSites("site-%03d", 3, 100)
+	names := []string{"dp-a", "dp-b"}
+	f, err := NewFleet(FleetSpec{
+		Clock: clock, Metrics: reg, Points: len(names),
+		Sites: func() []grid.Status { return truth },
+		Point: func(i int, c *digruber.Config) {
+			c.Name = names[i]
+			c.Addr = "div/" + names[i]
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	truthCopy := func() []grid.Status { return append([]grid.Status(nil), truth...) }
-
-	dps := make([]*digruber.DecisionPoint, 2)
-	for i, name := range []string{"dp-a", "dp-b"} {
-		dp, err := digruber.New(digruber.Config{
-			Name: name, Addr: "div/" + name, Transport: mem, Clock: clock,
-			Profile: wire.Instant(),
-			// The interval ticker must never fire inside the fixture's
-			// 30 virtual minutes: rounds are driven explicitly below.
-			ExchangeInterval: time.Hour,
-			Metrics:          reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp.Engine().UpdateSites(truthCopy(), clock.Now())
-		engine := dp.Engine()
-		reg.GaugeFunc("dp/"+name+"/engine/divergence_l1", func(now time.Time) float64 {
-			return engine.ViewDivergence(truthCopy())
-		})
-		dps[i] = dp
-	}
-	dps[0].AddPeer("dp-b", "dp-b", "div/dp-b")
-	dps[1].AddPeer("dp-a", "dp-a", "div/dp-a")
+	t.Cleanup(f.Close)
+	dps := f.Points()
 	for _, dp := range dps {
-		if err := dp.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer dp.Stop()
-	}
-
-	// quiesce waits (real time) for the servers' deferred in-flight
-	// accounting to settle after a synchronous round, so samples always
-	// read a settled fleet.
-	quiesce := func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for dps[0].Status().InFlight != 0 || dps[1].Status().InFlight != 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("fleet did not quiesce")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		engine := dp.Engine()
+		reg.GaugeFunc("dp/"+dp.Name()+"/engine/divergence_l1", func(now time.Time) float64 {
+			return engine.ViewDivergence(truth)
+		})
 	}
 
 	for step := 1; step <= 30; step++ {
@@ -99,7 +70,10 @@ func divergenceFixture(t *testing.T, exchangeEvery int) *tsdb.Registry {
 		if step%exchangeEvery == 0 {
 			dps[0].ExchangeNow()
 			dps[1].ExchangeNow()
-			quiesce()
+			// Samples must read a settled fleet.
+			if err := f.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		reg.Sample(clock.Now())
 	}

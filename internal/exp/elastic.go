@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -11,9 +10,7 @@ import (
 	"digruber/internal/grubsim"
 	"digruber/internal/netsim"
 	"digruber/internal/tsdb"
-	"digruber/internal/usla"
 	"digruber/internal/vtime"
-	"digruber/internal/wire"
 )
 
 // ext-elastic: the full elastic-fleet control loop — the paper's
@@ -88,42 +85,31 @@ type elasticOutcome struct {
 // included, is a pure function of the script.
 func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 	clock := vtime.NewManual(Epoch)
-	mem := wire.NewMem()
 	reg := tsdb.New(0)
-
-	sites := make([]grid.Status, 4)
-	for i := range sites {
-		sites[i] = grid.Status{Name: fmt.Sprintf("el-site-%d", i), TotalCPUs: 600, FreeCPUs: 600}
-	}
-	factory := func(idx int) (*digruber.DecisionPoint, error) {
-		dp, err := digruber.New(digruber.Config{
-			Name: fmt.Sprintf("el-dp-%d", idx), Node: fmt.Sprintf("el-dp-%d", idx),
-			Addr: fmt.Sprintf("el/dp-%d", idx), Transport: mem, Clock: clock,
-			Profile: wire.Instant(),
-			// Rounds are driven synchronously by the step loop; the ticker
-			// must never fire on its own.
-			ExchangeInterval: 1000 * time.Hour,
-			Metrics:          reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dp.Engine().UpdateSites(append([]grid.Status(nil), sites...), clock.Now())
-		if err := dp.Start(); err != nil {
-			return nil, err
-		}
-		return dp, nil
-	}
-	first, err := factory(0)
+	sites := idleSites("el-site-%d", 4, 600)
+	f, err := NewFleet(FleetSpec{
+		Clock: clock, Metrics: reg, Points: 1, Clients: 8,
+		Sites: func() []grid.Status { return sites },
+		Point: func(i int, c *digruber.Config) {
+			c.Name = fmt.Sprintf("el-dp-%d", i)
+			c.Addr = fmt.Sprintf("el/dp-%d", i)
+		},
+		Client: func(i int, c *digruber.ClientConfig) {
+			c.Name = fmt.Sprintf("el-client-%d", i)
+			c.RNG = netsim.Stream(int64(i), "exp.elastic.client")
+		},
+	})
 	if err != nil {
 		return elasticOutcome{}, nil, err
 	}
+	defer f.Close()
+	clients := f.Clients()
 
 	offered := reg.Counter("workload/offered")
 	handledCtr := reg.Counter("workload/handled")
 
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
-		Clock: clock, Factory: factory, Metrics: reg,
+		Clock: clock, Factory: f.Deploy, Metrics: reg,
 		Interval: time.Minute, MinDPs: 1, MaxDPs: 4,
 		ScaleUpAfter: 2, ScaleDownAfter: 4,
 		UpCooldown: 3 * time.Minute, DownCooldown: 6 * time.Minute,
@@ -134,51 +120,11 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 			DemandLowPerDP:  elasticDemandLow,
 			Window:          4 * time.Minute,
 		},
-	}, []*digruber.DecisionPoint{first})
+	}, f.Points())
 	if err != nil {
 		return elasticOutcome{}, nil, err
 	}
-	defer func() {
-		for _, dp := range ctl.Fleet() {
-			dp.Stop()
-		}
-	}()
-
-	clients := make([]*digruber.Client, 8)
-	for i := range clients {
-		c, err := digruber.NewClient(digruber.ClientConfig{
-			Name: fmt.Sprintf("el-client-%d", i), Node: fmt.Sprintf("el-client-%d", i),
-			DPName: first.Name(), DPNode: first.Name(), DPAddr: first.Addr(),
-			Transport: mem, Clock: clock, Timeout: 5 * time.Second,
-			FallbackSites: []string{"el-site-0"},
-			RNG:           netsim.Stream(int64(i), "exp.elastic.client"),
-		})
-		if err != nil {
-			return elasticOutcome{}, nil, err
-		}
-		clients[i] = c
-		defer c.Close()
-	}
 	ctl.ManageClients(clients)
-
-	// quiesce waits (real time) for the serving members' deferred
-	// in-flight accounting to settle, so samples — and the drain's settle
-	// check — read a settled fleet.
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range ctl.Fleet() {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: elastic fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
 
 	var out elasticOutcome
 	seq := 0
@@ -187,13 +133,7 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 		handled := 0
 		for k := 0; k < n; k++ {
 			ci := seq % len(clients)
-			dec := clients[ci].Schedule(&grid.Job{
-				ID:         grid.JobID(fmt.Sprintf("el-%05d", seq)),
-				Owner:      usla.MustParsePath("atlas"),
-				CPUs:       1,
-				Runtime:    10 * time.Minute,
-				SubmitHost: fmt.Sprintf("el-client-%d", ci),
-			})
+			dec := f.Submit(ci, fmt.Sprintf("el-%05d", seq), "atlas", 10*time.Minute)
 			if dec.Handled {
 				handled++
 			}
@@ -208,17 +148,9 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 		}
 		offered.Add(int64(n))
 		handledCtr.Add(int64(handled))
-		for _, dp := range ctl.Fleet() {
-			dp.ExchangeNow()
-		}
-		// Quiesce after the exchange rounds: their server-side in-flight
-		// accounting settles asynchronously, and a sample (or a drain's
-		// settle check) must never observe it mid-flight.
-		if err := quiesce(); err != nil {
+		if err := f.Tick(ctl.Fleet(), true); err != nil {
 			return elasticOutcome{}, nil, err
 		}
-		clock.Advance(time.Minute)
-		reg.Sample(clock.Now())
 		act, err := ctl.Evaluate()
 		if err != nil {
 			return elasticOutcome{}, nil, fmt.Errorf("exp: elastic step %d: %w", step, err)
@@ -317,17 +249,8 @@ func runElasticExtension(scale Scale) (Report, error) {
 	}
 
 	if MetricsOutputPath != "" {
-		f, err := os.Create(MetricsOutputPath)
-		if err != nil {
-			return Report{}, fmt.Errorf("exp: metrics output: %w", err)
-		}
-		werr := reg.WriteJSONL(f)
-		cerr := f.Close()
-		if werr != nil {
-			return Report{}, werr
-		}
-		if cerr != nil {
-			return Report{}, cerr
+		if err := writeOutput(MetricsOutputPath, reg.WriteJSONL); err != nil {
+			return Report{}, err
 		}
 		fmt.Fprintf(&b, "\nmetrics time series written to %s\n", MetricsOutputPath)
 	}

@@ -8,6 +8,11 @@
 // GRUB-SIM discrete-event simulator for Table 3 and the dynamic
 // provisioning analysis.
 //
+// Every experiment that stands up brokers describes its deployment as a
+// FleetSpec and gets the running decision points, clients and — on a
+// Manual clock — the quiesce/advance/sample step from NewFleet; see
+// fleet.go and DESIGN.md "Fleet harness".
+//
 // A note on the Accuracy metric: the paper defines per-job scheduling
 // accuracy SA_i as the ratio of free resources at the selected site to
 // the free resources the broker could have had (its figures reach ~100%

@@ -9,7 +9,6 @@ import (
 	"digruber/internal/grid"
 	"digruber/internal/grubsim"
 	"digruber/internal/netsim"
-	"digruber/internal/usla"
 	"digruber/internal/vtime"
 	"digruber/internal/wire"
 )
@@ -190,7 +189,6 @@ func runLANExtension(scale Scale) (Report, error) {
 func runDynamicLiveExtension(scale Scale) (Report, error) {
 	clock := vtime.NewScaled(Epoch, scale.Speedup)
 	network := netsim.New(1, netsim.PlanetLab())
-	mem := wire.NewMem()
 
 	g, err := grid.Generate(grid.TopologyConfig{
 		Seed: 1, Sites: scale.Sites, TotalCPUs: scale.TotalCPUs, SizeSigma: 1, MaxClusterCPUs: 512,
@@ -205,53 +203,30 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 		profile.PerKB = time.Duration(float64(profile.PerKB) * float64(fullScaleSites) / float64(scale.Sites))
 	}
 
-	factory := func(idx int) (*digruber.DecisionPoint, error) {
-		dp, err := digruber.New(digruber.Config{
-			Name: fmt.Sprintf("dyn-dp-%d", idx), Node: fmt.Sprintf("dyn-dp-%d", idx),
-			Addr: fmt.Sprintf("dyn/dp-%d", idx), Transport: mem, Network: network,
-			Clock: clock, Profile: profile,
-			ExchangeInterval: 3 * time.Minute, Strategy: digruber.UsageOnly,
-			Saturation: digruber.SaturationConfig{Window: time.Minute},
-		})
-		if err != nil {
-			return nil, err
-		}
-		dp.Engine().UpdateSites(g.Snapshot(), clock.Now())
-		if err := dp.Start(); err != nil {
-			return nil, err
-		}
-		return dp, nil
-	}
-	first, err := factory(0)
+	f, err := NewFleet(FleetSpec{
+		Clock: clock, Network: network, Sites: g.Snapshot,
+		Points: 1, Clients: scale.Clients,
+		Point: func(i int, c *digruber.Config) {
+			c.Name = fmt.Sprintf("dyn-dp-%d", i)
+			c.Addr = fmt.Sprintf("dyn/dp-%d", i)
+			c.Profile = profile
+			c.Saturation = digruber.SaturationConfig{Window: time.Minute}
+		},
+		Client: func(i int, c *digruber.ClientConfig) {
+			c.Name = fmt.Sprintf("dyn-client-%03d", i)
+			c.RNG = netsim.Stream(int64(i), "dyn.client")
+		},
+	})
 	if err != nil {
 		return Report{}, err
 	}
+	defer f.Close()
+	clients := f.Clients()
 	prov, err := digruber.NewProvisioner(digruber.ProvisionerConfig{
-		Clock: clock, Factory: factory, Interval: time.Minute, MaxDPs: 8,
-	}, []*digruber.DecisionPoint{first})
+		Clock: clock, Factory: f.Deploy, Interval: time.Minute, MaxDPs: 8,
+	}, f.Points())
 	if err != nil {
 		return Report{}, err
-	}
-	defer func() {
-		for _, dp := range prov.Fleet() {
-			dp.Stop()
-		}
-	}()
-
-	clients := make([]*digruber.Client, scale.Clients)
-	for i := range clients {
-		c, err := digruber.NewClient(digruber.ClientConfig{
-			Name: fmt.Sprintf("dyn-client-%03d", i), Node: fmt.Sprintf("dyn-client-%03d", i),
-			DPName: first.Name(), DPNode: "dyn-dp-0", DPAddr: first.Addr(),
-			Transport: mem, Network: network, Clock: clock,
-			Timeout: 30 * time.Second, FallbackSites: g.SiteNames(),
-			RNG: netsim.Stream(int64(i), "dyn.client"),
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		clients[i] = c
-		defer c.Close()
 	}
 	prov.ManageClients(clients)
 	prov.Start()
@@ -262,8 +237,8 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 	duration := scale.Duration / 2
 	done := clock.After(duration)
 	stop := make(chan struct{})
-	for i, c := range clients {
-		go func(i int, c *digruber.Client) {
+	for i := range clients {
+		go func(i int) {
 			seq := 0
 			for {
 				select {
@@ -271,17 +246,11 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 					return
 				default:
 				}
-				c.Schedule(&grid.Job{
-					ID:         grid.JobID(fmt.Sprintf("dyn-%03d-%05d", i, seq)),
-					Owner:      usla.MustParsePath("atlas"),
-					CPUs:       1,
-					Runtime:    duration / 4,
-					SubmitHost: fmt.Sprintf("dyn-client-%03d", i),
-				})
+				f.Submit(i, fmt.Sprintf("dyn-%03d-%05d", i, seq), "atlas", duration/4)
 				seq++
 				clock.Sleep(5 * time.Second)
 			}
-		}(i, c)
+		}(i)
 	}
 	<-done
 	close(stop)

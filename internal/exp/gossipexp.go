@@ -3,7 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -13,7 +13,6 @@ import (
 	"digruber/internal/gruber"
 	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
-	"digruber/internal/wire"
 )
 
 // ext-gossip: the mesh-scaling extension. The paper's full-mesh exchange
@@ -115,78 +114,27 @@ type gossipOutcome struct {
 // each step, sequential dissemination rounds, and a registry sample per
 // step. Returns the outcome plus the run's registry for dumping.
 func runGossipFleet(r gossipRun, seed int64) (gossipOutcome, *tsdb.Registry, error) {
-	clock := vtime.NewManual(Epoch)
-	mem := wire.NewMem()
 	reg := tsdb.New(0)
-
-	statuses := make([]grid.Status, gossipSites)
-	truth := make([]grid.Status, gossipSites)
-	for i := range statuses {
-		statuses[i] = grid.Status{
-			Name:      fmt.Sprintf("gsite-%03d", i),
-			TotalCPUs: gossipSiteCPUs,
-			FreeCPUs:  gossipSiteCPUs,
-		}
+	// Every point is seeded with the untouched grid; truth moves on as
+	// jobs dispatch.
+	statuses := idleSites("gsite-%03d", gossipSites, gossipSiteCPUs)
+	truth := append([]grid.Status(nil), statuses...)
+	clock := vtime.NewManual(Epoch)
+	f, err := NewFleet(FleetSpec{
+		Clock: clock, Metrics: reg, Points: r.dps,
+		Sites: func() []grid.Status { return statuses },
+		Point: func(i int, c *digruber.Config) {
+			c.Name = fmt.Sprintf("gdp-%03d", i)
+			c.Addr = c.Name
+			c.Strategy = r.strategy
+			c.Gossip = digruber.GossipConfig{Fanout: r.fanout, ViewSize: r.viewSize, Seed: seed}
+		},
+	})
+	if err != nil {
+		return gossipOutcome{}, nil, err
 	}
-	copy(truth, statuses)
-
-	dps := make([]*digruber.DecisionPoint, r.dps)
-	for i := range dps {
-		dp, err := digruber.New(digruber.Config{
-			Name:      fmt.Sprintf("gdp-%03d", i),
-			Addr:      fmt.Sprintf("gdp-%03d", i),
-			Transport: mem,
-			Clock:     clock,
-			Profile:   wire.Instant(),
-			Strategy:  r.strategy,
-			Gossip: digruber.GossipConfig{
-				Fanout:   r.fanout,
-				ViewSize: r.viewSize,
-				Seed:     seed,
-			},
-			// Rounds are driven manually; the ticker must never fire.
-			ExchangeInterval: 1000 * time.Hour,
-			Metrics:          reg,
-		})
-		if err != nil {
-			return gossipOutcome{}, nil, err
-		}
-		dp.Engine().UpdateSites(statuses, clock.Now())
-		dps[i] = dp
-	}
-	for _, dp := range dps {
-		for _, peer := range dps {
-			if peer != dp {
-				dp.AddPeer(peer.Name(), peer.Name(), peer.Addr())
-			}
-		}
-		if err := dp.Start(); err != nil {
-			return gossipOutcome{}, nil, err
-		}
-	}
-	defer func() {
-		for _, dp := range dps {
-			dp.Stop()
-		}
-	}()
-
-	// quiesce waits (real time) for server-side in-flight accounting to
-	// settle after a burst of rounds, so samples read a settled fleet.
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range dps {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: gossip fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
+	defer f.Close()
+	dps := f.Points()
 
 	fleetDiv := func() float64 {
 		sum := 0.0
@@ -223,17 +171,13 @@ func runGossipFleet(r gossipRun, seed int64) (gossipOutcome, *tsdb.Registry, err
 		// Staleness at the interval boundary: the fresh news nobody has
 		// exchanged yet, plus whatever backlog the strategy left behind.
 		divSum += fleetDiv()
-		if (step+1)%r.every == 0 {
-			for _, dp := range dps {
-				dp.ExchangeNow()
-			}
+		round := (step+1)%r.every == 0
+		if round {
 			out.Rounds++
 		}
-		if err := quiesce(); err != nil {
+		if err := f.Tick(dps, round); err != nil {
 			return gossipOutcome{}, nil, err
 		}
-		clock.Advance(time.Minute)
-		reg.Sample(clock.Now())
 	}
 
 	out.MeanDiv = divSum / gossipSteps
@@ -312,15 +256,8 @@ func runGossipExtension(scale Scale) (Report, error) {
 	b.WriteString("behind via transitive relay. The i3 run trades staleness for fewer\n")
 	b.WriteString("rounds; the v16 run bounds link state with a partial view.\n")
 	if MetricsOutputPath != "" {
-		f, err := os.Create(MetricsOutputPath)
+		err := writeOutput(MetricsOutputPath, func(w io.Writer) error { return tsdb.WritePoints(w, dump) })
 		if err != nil {
-			return Report{}, err
-		}
-		if err := tsdb.WritePoints(f, dump); err != nil {
-			f.Close()
-			return Report{}, err
-		}
-		if err := f.Close(); err != nil {
 			return Report{}, err
 		}
 		fmt.Fprintf(&b, "\nmetrics time series written to %s (%d points)\n", MetricsOutputPath, len(dump))

@@ -3,7 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -12,10 +12,8 @@ import (
 	"digruber/internal/grid"
 	"digruber/internal/netsim"
 	"digruber/internal/tsdb"
-	"digruber/internal/usla"
 	"digruber/internal/vtime"
 	"digruber/internal/wal"
-	"digruber/internal/wire"
 )
 
 // ext-recovery: write-ahead durability under a fleet-wide crash. A
@@ -78,83 +76,32 @@ type recoveryOutcome struct {
 func runRecoveryScenario() (recoveryOutcome, error) {
 	const nDP = 3
 	clock := vtime.NewManual(Epoch)
-	mem := wire.NewMem()
 	reg := tsdb.New(0)
 	faultRNG := netsim.Stream(7, "exp.recovery.faults")
 
-	sites := make([]grid.Status, 3)
-	for i := range sites {
-		sites[i] = grid.Status{Name: fmt.Sprintf("rc-site-%d", i), TotalCPUs: 600, FreeCPUs: 600}
-	}
-
+	sites := idleSites("rc-site-%d", 3, 600)
 	stores := make([]*wal.MemStore, nDP)
-	dps := make([]*digruber.DecisionPoint, nDP)
-	for i := range dps {
-		stores[i] = wal.NewMemStore()
-		dp, err := digruber.New(digruber.Config{
-			Name: fmt.Sprintf("rc-dp-%d", i), Node: fmt.Sprintf("rc-dp-%d", i),
-			Addr: fmt.Sprintf("rc/dp-%d", i), Transport: mem, Clock: clock,
-			Profile: wire.Instant(),
-			// Rounds are driven synchronously by the step loop.
-			ExchangeInterval: 1000 * time.Hour,
-			Metrics:          reg,
+	f, err := NewFleet(FleetSpec{
+		Clock: clock, Metrics: reg, Points: nDP, Clients: nDP,
+		Sites: func() []grid.Status { return sites },
+		Point: func(i int, c *digruber.Config) {
+			c.Name = fmt.Sprintf("rc-dp-%d", i)
+			c.Addr = fmt.Sprintf("rc/dp-%d", i)
+			stores[i] = wal.NewMemStore()
 			// A small cadence so the run exercises checkpoint + tail
 			// replay, not just raw log replay.
-			Durability: &digruber.DurabilityConfig{Store: stores[i], CheckpointEvery: 16},
-		})
-		if err != nil {
-			return recoveryOutcome{}, err
-		}
-		dp.Engine().UpdateSites(append([]grid.Status(nil), sites...), clock.Now())
-		dps[i] = dp
+			c.Durability = &digruber.DurabilityConfig{Store: stores[i], CheckpointEvery: 16}
+		},
+		Client: func(i int, c *digruber.ClientConfig) {
+			c.Name = fmt.Sprintf("rc-client-%d", i)
+			c.RNG = netsim.Stream(int64(i), "exp.recovery.client")
+		},
+	})
+	if err != nil {
+		return recoveryOutcome{}, err
 	}
-	for _, dp := range dps {
-		for _, peer := range dps {
-			if peer != dp {
-				dp.AddPeer(peer.Name(), peer.Name(), peer.Addr())
-			}
-		}
-		if err := dp.Start(); err != nil {
-			return recoveryOutcome{}, err
-		}
-	}
-	defer func() {
-		for _, dp := range dps {
-			dp.Stop()
-		}
-	}()
-
-	clients := make([]*digruber.Client, nDP)
-	for i := range clients {
-		c, err := digruber.NewClient(digruber.ClientConfig{
-			Name: fmt.Sprintf("rc-client-%d", i), Node: fmt.Sprintf("rc-client-%d", i),
-			DPName: dps[i].Name(), DPNode: dps[i].Name(), DPAddr: dps[i].Addr(),
-			Transport: mem, Clock: clock, Timeout: 5 * time.Second,
-			FallbackSites: []string{"rc-site-0"},
-			RNG:           netsim.Stream(int64(i), "exp.recovery.client"),
-		})
-		if err != nil {
-			return recoveryOutcome{}, err
-		}
-		clients[i] = c
-		defer c.Close()
-	}
-
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range dps {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: recovery fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
+	defer f.Close()
+	dps := f.Points()
 
 	var out recoveryOutcome
 	var acked []string
@@ -162,15 +109,10 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 	submitWave := func(perClient int, record bool) int {
 		handled := 0
 		for k := 0; k < perClient; k++ {
-			for ci, c := range clients {
+			for ci := 0; ci < nDP; ci++ {
 				id := fmt.Sprintf("rc-%05d", seq)
 				seq++
-				dec := c.Schedule(&grid.Job{
-					ID: grid.JobID(id), Owner: usla.MustParsePath("atlas"),
-					CPUs: 1, Runtime: 24 * time.Hour,
-					SubmitHost: fmt.Sprintf("rc-client-%d", ci),
-				})
-				if dec.Handled {
+				if f.Submit(ci, id, "atlas", 24*time.Hour).Handled {
 					handled++
 					if record {
 						acked = append(acked, id)
@@ -180,41 +122,28 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 		}
 		return handled
 	}
-	exchangeAll := func() {
-		for _, dp := range dps {
-			dp.ExchangeNow()
-		}
-	}
 
 	// Ramp to peak. Each step: submit, exchange, quiesce, advance,
 	// sample — the metrics plane is a pure function of the script.
 	for step := 0; step < recoverySteps; step++ {
 		submitWave(recoveryOffered(step), true)
-		exchangeAll()
-		if err := quiesce(); err != nil {
+		if err := f.Tick(dps, true); err != nil {
 			return recoveryOutcome{}, err
 		}
-		clock.Advance(time.Minute)
-		reg.Sample(clock.Now())
 	}
 
 	// Final acked-but-never-exchanged burst on rc-dp-0 only (the store
 	// that stays undamaged): these records exist solely in its WAL, so
 	// the replay — not any peer — must bring them back.
 	preBurst := len(acked)
-	c0 := clients[0]
 	for k := 0; k < 5; k++ {
 		id := fmt.Sprintf("rc-burst-%02d", k)
-		dec := c0.Schedule(&grid.Job{
-			ID: grid.JobID(id), Owner: usla.MustParsePath("atlas"),
-			CPUs: 1, Runtime: 24 * time.Hour, SubmitHost: "rc-client-0",
-		})
-		if dec.Handled {
+		if f.Submit(0, id, "atlas", 24*time.Hour).Handled {
 			acked = append(acked, id)
 		}
 	}
 	out.Unjournaled = len(acked) - preBurst
-	if err := quiesce(); err != nil {
+	if err := f.Quiesce(); err != nil {
 		return recoveryOutcome{}, err
 	}
 	out.Acked = len(acked)
@@ -236,20 +165,20 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 	}
 	clock.Advance(5 * time.Minute)
 
-	// Cold restart from the stores, then exchange rounds to spread the
-	// replayed-and-backfilled state back across the mesh.
+	// Cold restart from the stores, then two exchange rounds (the second
+	// is the step's own) to spread the replayed-and-backfilled state back
+	// across the mesh.
 	for _, dp := range dps {
 		if err := dp.Restart(); err != nil {
 			return recoveryOutcome{}, fmt.Errorf("exp: restart %s: %w", dp.Name(), err)
 		}
 	}
-	exchangeAll()
-	exchangeAll()
-	if err := quiesce(); err != nil {
+	for _, dp := range dps {
+		dp.ExchangeNow()
+	}
+	if err := f.Tick(dps, true); err != nil {
 		return recoveryOutcome{}, err
 	}
-	clock.Advance(time.Minute)
-	reg.Sample(clock.Now())
 
 	out.Recoveries = make(map[string]digruber.RecoveryStats, nDP)
 	for _, dp := range dps {
@@ -280,13 +209,11 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 	}
 
 	// Service continues: one more wave through the recovered fleet.
-	out.PostOffered = 3 * len(clients)
+	out.PostOffered = 3 * nDP
 	out.PostHandled = submitWave(3, false)
-	if err := quiesce(); err != nil {
+	if err := f.Tick(nil, false); err != nil {
 		return recoveryOutcome{}, err
 	}
-	clock.Advance(time.Minute)
-	reg.Sample(clock.Now())
 
 	out.Views = make(map[string][]int, nDP)
 	for _, dp := range dps {
@@ -410,8 +337,12 @@ func runRecoveryExtension(scale Scale) (Report, error) {
 	}
 
 	if MetricsOutputPath != "" {
-		if err := os.WriteFile(MetricsOutputPath, first.MetricsJSONL, 0o644); err != nil {
-			return Report{}, fmt.Errorf("exp: metrics output: %w", err)
+		err := writeOutput(MetricsOutputPath, func(w io.Writer) error {
+			_, err := w.Write(first.MetricsJSONL)
+			return err
+		})
+		if err != nil {
+			return Report{}, err
 		}
 		fmt.Fprintf(&b, "\nmetrics time series written to %s\n", MetricsOutputPath)
 	}

@@ -1,6 +1,12 @@
 package exp
 
-import "digruber/internal/diperf"
+import (
+	"fmt"
+	"io"
+	"os"
+
+	"digruber/internal/diperf"
+)
 
 // Row is one machine-readable result record — a window of a DiPerF
 // curve, a table line, or a run summary. Every row carries a "row" key
@@ -14,6 +20,25 @@ type Report struct {
 	Text string
 	// Rows is the machine-readable form of the same results.
 	Rows []Row
+}
+
+// writeOutput creates the file an experiment was asked to leave behind
+// (-metrics-out, -alerts-out, -trace-out), lets write fill it and closes
+// it. A write error wins over the close error; on success the close
+// error is the result, because that is where a full disk shows up.
+func writeOutput(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("exp: output: %w", err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("exp: output %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("exp: output: %w", err)
+	}
+	return nil
 }
 
 // diperfRows flattens a DiPerF result into window rows plus a summary

@@ -265,7 +265,6 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 	clock := vtime.NewScaled(Epoch, cfg.Scale.Speedup)
 	network := netsim.New(cfg.Seed, netsim.PlanetLab())
-	mem := wire.NewMem()
 
 	// Per-actor tracers share the run's collector; each actor draws span
 	// IDs from its own seeded stream (nil sink disables tracing).
@@ -296,126 +295,14 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	// at teardown so watcher goroutines exit and later experiments see
 	// an idle machine.
 	defer g.Shutdown()
-	siteNames := g.SiteNames()
 
 	// --- workload ---
 	wl, err := newScenarioWorkload(cfg)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	policies := wl.policies
 
-	// --- decision points (full mesh or star) ---
-	meshLane := 0
-	if o := cfg.Overload; o != nil && o.Plane {
-		meshLane = o.MeshLane
-	}
-	dps := make([]*digruber.DecisionPoint, cfg.DPs)
-	for i := range dps {
-		dp, err := digruber.New(digruber.Config{
-			Name:             fmt.Sprintf("dp-%d", i),
-			Node:             fmt.Sprintf("dp-node-%d", i),
-			Addr:             fmt.Sprintf("%s/dp-%d", cfg.Name, i),
-			Transport:        mem,
-			Network:          network,
-			Clock:            clock,
-			Profile:          cfg.Profile,
-			Policies:         policies,
-			ExchangeInterval: cfg.ExchangeInterval,
-			Strategy:         cfg.Strategy,
-			PeerTimeout:      cfg.Timeout,
-			Tracer:           tracerFor(fmt.Sprintf("dp-%d", i)),
-			Metrics:          cfg.MetricsSink,
-			MeshLane:         meshLane,
-		})
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		dp.Engine().UpdateSites(g.Snapshot(), clock.Now())
-		dps[i] = dp
-		// The divergence gauge needs ground truth, which only the
-		// harness has — so it lives here, not in the decision point.
-		engine := dp.Engine()
-		cfg.MetricsSink.GaugeFunc("dp/"+dp.Name()+"/engine/divergence_l1", func(now time.Time) float64 {
-			return engine.ViewDivergence(g.Snapshot())
-		})
-	}
-	for i, dp := range dps {
-		for j, peer := range dps {
-			if i == j {
-				continue
-			}
-			if cfg.StarTopology && i != 0 && j != 0 {
-				continue // star: spokes only know the hub
-			}
-			dp.AddPeer(peer.Name(), fmt.Sprintf("dp-node-%d", j), peer.Addr())
-		}
-	}
-	for _, dp := range dps {
-		if err := dp.Start(); err != nil {
-			return ScenarioResult{}, err
-		}
-	}
-	defer func() {
-		for _, dp := range dps {
-			dp.Stop()
-		}
-	}()
-
-	// --- seeded fault plane: crash-and-heal wave against the fleet ---
-	if f := cfg.Faults; f != nil && f.CrashDPs > 0 {
-		faults := netsim.NewFaultPlane()
-		network.SetFaults(faults)
-		nodes := make([]string, cfg.DPs)
-		for i := range nodes {
-			nodes[i] = fmt.Sprintf("dp-node-%d", i)
-		}
-		// Victims and sub-window jitter are drawn from the run seed: the
-		// same seed replays the same outage, bit for bit.
-		spread := cfg.Scale.Duration/100 + time.Second
-		schedule := netsim.RandomCrashes(cfg.Seed, cfg.Name, nodes, f.CrashDPs,
-			f.CrashAt, f.CrashAt+spread, f.HealAt-f.CrashAt, f.HealAt-f.CrashAt+spread)
-		faults.Apply(Epoch, schedule)
-
-		var faultMu sync.Mutex
-		scenarioDone := false
-		var timers []vtime.Timer
-		for _, cr := range schedule {
-			var idx int
-			if _, err := fmt.Sscanf(cr.Node, "dp-node-%d", &idx); err != nil {
-				return ScenarioResult{}, fmt.Errorf("exp: bad crash node %q", cr.Node)
-			}
-			dp := dps[idx]
-			timers = append(timers, clock.AfterFunc(cr.From, func() { dp.Crash() }))
-			timers = append(timers, clock.AfterFunc(cr.Until, func() {
-				faultMu.Lock()
-				done := scenarioDone
-				faultMu.Unlock()
-				if done {
-					return
-				}
-				_ = dp.Restart()
-				// If teardown raced the restart, undo it.
-				faultMu.Lock()
-				if scenarioDone {
-					dp.Stop()
-				}
-				faultMu.Unlock()
-			}))
-		}
-		// Registered after the fleet-stop defer, so it runs first: no
-		// fault timer may fire (or leave a broker running) after return.
-		defer func() {
-			faultMu.Lock()
-			scenarioDone = true
-			faultMu.Unlock()
-			for _, tm := range timers {
-				tm.Stop()
-			}
-		}()
-	}
-
-	// --- clients, statically bound round-robin over decision points ---
+	// --- what the clients share ---
 	// One shared wire-counter set aggregates the whole submission fleet
 	// (nil when metrics are off, which keeps the per-call cost at one
 	// nil check).
@@ -462,80 +349,142 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 			},
 		}
 	}
-	clients := make([]*digruber.Client, cfg.Clients)
-	for t := range clients {
-		dpIdx := t % cfg.DPs
-		sel, err := selectorByName(cfg.SelectorName, cfg.Seed, t)
-		if err != nil {
+	// --- the fleet: decision points (full mesh or star) and clients,
+	// statically bound round-robin over them ---
+	selectors := make([]gruber.Selector, cfg.Clients)
+	for t := range selectors {
+		if selectors[t], err = selectorByName(cfg.SelectorName, cfg.Seed, t); err != nil {
 			return ScenarioResult{}, err
 		}
-		// Under a fault schedule — or with the overload plane's breakers
-		// on — every client also carries a failover chain: the remaining
-		// brokers in ring order from its primary. A client whose broker
-		// dies (or drowns) rebinds after a few failures instead of paying
-		// a timeout plus random fallback for every remaining job.
-		var failover []digruber.DPRef
-		if cfg.Faults != nil || (cfg.Overload != nil && cfg.Overload.Plane) {
-			for k := 1; k < cfg.DPs; k++ {
-				j := (dpIdx + k) % cfg.DPs
-				failover = append(failover, digruber.DPRef{
-					Name: dps[j].Name(),
-					Node: fmt.Sprintf("dp-node-%d", j),
-					Addr: dps[j].Addr(),
-				})
-			}
-		}
-		ccfg := digruber.ClientConfig{
-			Selector:      sel,
-			SingleCall:    cfg.SingleCall,
-			Name:          wl.gen.HostName(t),
-			Node:          fmt.Sprintf("client-node-%03d", t),
-			DPName:        dps[dpIdx].Name(),
-			DPNode:        fmt.Sprintf("dp-node-%d", dpIdx),
-			DPAddr:        dps[dpIdx].Addr(),
-			Transport:     mem,
-			Network:       network,
-			Clock:         clock,
-			Timeout:       cfg.Timeout,
-			FallbackSites: siteNames,
-			RNG:           netsim.Stream(cfg.Seed, fmt.Sprintf("exp.fallback/%d", t)),
-			Failover:      failover,
-			Tracer:        tracerFor(wl.gen.HostName(t)),
-			WireMetrics:   wireMetrics,
-		}
-		if voLatency != nil {
-			// Unknown owners fall through to a nil histogram (a no-op
-			// observation) rather than minting series mid-run.
-			ccfg.Latency = func(j *grid.Job) *tsdb.Histogram { return voLatency[j.Owner.VO] }
-		}
-		if o := cfg.Overload; o != nil {
-			// Retries with or without the plane; only the plane bounds
-			// them with the shared budget. Jitter comes from a per-client
-			// stream (netsim streams are not goroutine-safe).
-			ccfg.Retry = wire.RetryPolicy{
-				Attempts:    o.Attempts,
-				BaseBackoff: o.BaseBackoff,
-				JitterFrac:  0.5,
-				Jitter:      netsim.Stream(cfg.Seed, fmt.Sprintf("exp.retryjitter/%d", t)),
-				Budget:      retryBudget,
-			}
-			if o.Plane {
-				ccfg.PropagateDeadline = true
-				ccfg.Breaker = breakerCfg
-				ccfg.LoadAwareFailover = true
-			}
-		}
-		c, err := digruber.NewClient(ccfg)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		clients[t] = c
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
+	meshLane := 0
+	if o := cfg.Overload; o != nil && o.Plane {
+		meshLane = o.MeshLane
+	}
+	refs := make([]digruber.DPRef, cfg.DPs)
+	fleet, err := NewFleet(FleetSpec{
+		Clock: clock, Network: network, Metrics: cfg.MetricsSink, Sites: g.Snapshot,
+		Points: cfg.DPs, Star: cfg.StarTopology, Clients: cfg.Clients,
+		Point: func(i int, c *digruber.Config) {
+			c.Name = fmt.Sprintf("dp-%d", i)
+			c.Node = fmt.Sprintf("dp-node-%d", i)
+			c.Addr = fmt.Sprintf("%s/dp-%d", cfg.Name, i)
+			refs[i] = digruber.DPRef{Name: c.Name, Node: c.Node, Addr: c.Addr}
+			c.Profile = cfg.Profile
+			c.Policies = wl.policies
+			c.ExchangeInterval = cfg.ExchangeInterval
+			c.Strategy = cfg.Strategy
+			c.PeerTimeout = cfg.Timeout
+			c.Tracer = tracerFor(c.Name)
+			c.MeshLane = meshLane
+		},
+		Client: func(t int, c *digruber.ClientConfig) {
+			c.Name = wl.gen.HostName(t)
+			c.Node = fmt.Sprintf("client-node-%03d", t)
+			c.Selector = selectors[t]
+			c.SingleCall = cfg.SingleCall
+			c.Timeout = cfg.Timeout
+			c.RNG = netsim.Stream(cfg.Seed, fmt.Sprintf("exp.fallback/%d", t))
+			c.Tracer = tracerFor(c.Name)
+			c.WireMetrics = wireMetrics
+			// Under a fault schedule — or with the overload plane's breakers
+			// on — every client also carries a failover chain: the remaining
+			// brokers in ring order from its primary. A client whose broker
+			// dies (or drowns) rebinds after a few failures instead of paying
+			// a timeout plus random fallback for every remaining job.
+			if cfg.Faults != nil || (cfg.Overload != nil && cfg.Overload.Plane) {
+				for k := 1; k < cfg.DPs; k++ {
+					c.Failover = append(c.Failover, refs[(t+k)%cfg.DPs])
+				}
+			}
+			if voLatency != nil {
+				// Unknown owners fall through to a nil histogram (a no-op
+				// observation) rather than minting series mid-run.
+				c.Latency = func(j *grid.Job) *tsdb.Histogram { return voLatency[j.Owner.VO] }
+			}
+			if o := cfg.Overload; o != nil {
+				// Retries with or without the plane; only the plane bounds
+				// them with the shared budget. Jitter comes from a per-client
+				// stream (netsim streams are not goroutine-safe).
+				c.Retry = wire.RetryPolicy{
+					Attempts:    o.Attempts,
+					BaseBackoff: o.BaseBackoff,
+					JitterFrac:  0.5,
+					Jitter:      netsim.Stream(cfg.Seed, fmt.Sprintf("exp.retryjitter/%d", t)),
+					Budget:      retryBudget,
+				}
+				if o.Plane {
+					c.PropagateDeadline = true
+					c.Breaker = breakerCfg
+					c.LoadAwareFailover = true
+				}
+			}
+		},
+	})
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	defer fleet.Close()
+	dps, clients := fleet.Points(), fleet.Clients()
+	for _, dp := range dps {
+		// The divergence gauge needs ground truth, which only the
+		// harness has — so it lives here, not in the decision point.
+		engine := dp.Engine()
+		cfg.MetricsSink.GaugeFunc("dp/"+dp.Name()+"/engine/divergence_l1", func(now time.Time) float64 {
+			return engine.ViewDivergence(g.Snapshot())
+		})
+	}
+
+	// --- seeded fault plane: crash-and-heal wave against the fleet ---
+	if f := cfg.Faults; f != nil && f.CrashDPs > 0 {
+		faults := netsim.NewFaultPlane()
+		network.SetFaults(faults)
+		nodes := make([]string, cfg.DPs)
+		byNode := make(map[string]*digruber.DecisionPoint, cfg.DPs)
+		for i, ref := range refs {
+			nodes[i] = ref.Node
+			byNode[ref.Node] = dps[i]
 		}
-	}()
+		// Victims and sub-window jitter are drawn from the run seed: the
+		// same seed replays the same outage, bit for bit.
+		spread := cfg.Scale.Duration/100 + time.Second
+		schedule := netsim.RandomCrashes(cfg.Seed, cfg.Name, nodes, f.CrashDPs,
+			f.CrashAt, f.CrashAt+spread, f.HealAt-f.CrashAt, f.HealAt-f.CrashAt+spread)
+		faults.Apply(Epoch, schedule)
+
+		var faultMu sync.Mutex
+		scenarioDone := false
+		var timers []vtime.Timer
+		for _, cr := range schedule {
+			dp := byNode[cr.Node]
+			timers = append(timers, clock.AfterFunc(cr.From, func() { dp.Crash() }))
+			timers = append(timers, clock.AfterFunc(cr.Until, func() {
+				faultMu.Lock()
+				done := scenarioDone
+				faultMu.Unlock()
+				if done {
+					return
+				}
+				_ = dp.Restart()
+				// If teardown raced the restart, undo it.
+				faultMu.Lock()
+				if scenarioDone {
+					dp.Stop()
+				}
+				faultMu.Unlock()
+			}))
+		}
+		// Registered after the fleet-stop defer, so it runs first: no
+		// fault timer may fire (or leave a broker running) after return.
+		defer func() {
+			faultMu.Lock()
+			scenarioDone = true
+			faultMu.Unlock()
+			for _, tm := range timers {
+				tm.Stop()
+			}
+		}()
+	}
 
 	// --- execution path & metrics ---
 	collector := metrics.NewCollector()

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -12,9 +12,7 @@ import (
 	"digruber/internal/slo"
 	"digruber/internal/trace"
 	"digruber/internal/tsdb"
-	"digruber/internal/usla"
 	"digruber/internal/vtime"
-	"digruber/internal/wire"
 )
 
 // ext-slo: the per-VO SLO plane end to end — exemplar-linked latency
@@ -138,7 +136,6 @@ type sloOutcome struct {
 // transition log, trace records — is a pure function of the script.
 func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 	clock := vtime.NewManual(Epoch)
-	mem := wire.NewMem()
 	reg := tsdb.New(0)
 	col := trace.NewCollector(0)
 	col.RegisterMetrics(reg)
@@ -175,34 +172,34 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 		return out
 	}
 
-	sites := make([]grid.Status, 4)
-	for i := range sites {
-		sites[i] = grid.Status{Name: fmt.Sprintf("slo-site-%d", i), TotalCPUs: 600, FreeCPUs: 600}
-	}
-	factory := func(idx int) (*digruber.DecisionPoint, error) {
-		dp, err := digruber.New(digruber.Config{
-			Name: fmt.Sprintf("slo-dp-%d", idx), Node: fmt.Sprintf("slo-dp-%d", idx),
-			Addr: fmt.Sprintf("slo/dp-%d", idx), Transport: mem, Clock: clock,
-			Profile: wire.Instant(),
-			// Rounds are driven synchronously by the step loop.
-			ExchangeInterval: 1000 * time.Hour,
-			Metrics:          reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dp.Engine().UpdateSites(append([]grid.Status(nil), sites...), clock.Now())
-		// Every member — seed and dynamically deployed alike — serves the
-		// fleet-wide alert summary on its Status reply.
-		dp.SetAlertSource(alertSource)
-		if err := dp.Start(); err != nil {
-			return nil, err
-		}
-		return dp, nil
-	}
-	first, err := factory(0)
+	sites := idleSites("slo-site-%d", 4, 600)
+	f, err := NewFleet(FleetSpec{
+		Clock: clock, Metrics: reg, Points: 1, Clients: 8,
+		Sites: func() []grid.Status { return sites },
+		Point: func(i int, c *digruber.Config) {
+			c.Name = fmt.Sprintf("slo-dp-%d", i)
+			c.Addr = fmt.Sprintf("slo/dp-%d", i)
+		},
+		Client: func(i int, c *digruber.ClientConfig) {
+			c.Name = fmt.Sprintf("slo-client-%d", i)
+			c.RNG = netsim.Stream(int64(i), "exp.slo.client")
+			c.Tracer = trace.New(trace.Config{Actor: c.Name, Seed: int64(i + 1), Clock: clock, Collector: col})
+		},
+	})
 	if err != nil {
 		return sloOutcome{}, nil, err
+	}
+	defer f.Close()
+	clients := f.Clients()
+	// Every member — seed and dynamically deployed alike — serves the
+	// fleet-wide alert summary on its Status reply.
+	f.Points()[0].SetAlertSource(alertSource)
+	deploy := func(idx int) (*digruber.DecisionPoint, error) {
+		dp, err := f.Deploy(idx)
+		if err == nil {
+			dp.SetAlertSource(alertSource)
+		}
+		return dp, err
 	}
 
 	latency := map[string]*tsdb.Histogram{
@@ -215,7 +212,7 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 	}
 
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
-		Clock: clock, Factory: factory, Metrics: reg,
+		Clock: clock, Factory: deploy, Metrics: reg,
 		Interval: time.Minute, MinDPs: 1, MaxDPs: 3,
 		ScaleUpAfter: 2, ScaleDownAfter: 4,
 		UpCooldown: 3 * time.Minute, DownCooldown: 6 * time.Minute,
@@ -224,54 +221,11 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 		// is the only pressure the controller can see.
 		SLOFiring: ev.FiringCount,
 		Signals:   digruber.SignalThresholds{Window: 4 * time.Minute},
-	}, []*digruber.DecisionPoint{first})
+	}, f.Points())
 	if err != nil {
 		return sloOutcome{}, nil, err
 	}
-	defer func() {
-		for _, dp := range ctl.Fleet() {
-			dp.Stop()
-		}
-	}()
-
-	clients := make([]*digruber.Client, 8)
-	for i := range clients {
-		c, err := digruber.NewClient(digruber.ClientConfig{
-			Name: fmt.Sprintf("slo-client-%d", i), Node: fmt.Sprintf("slo-client-%d", i),
-			DPName: first.Name(), DPNode: first.Name(), DPAddr: first.Addr(),
-			Transport: mem, Clock: clock, Timeout: 5 * time.Second,
-			FallbackSites: []string{"slo-site-0"},
-			RNG:           netsim.Stream(int64(i), "exp.slo.client"),
-			Tracer: trace.New(trace.Config{
-				Actor: fmt.Sprintf("slo-client-%d", i), Seed: int64(i + 1),
-				Clock: clock, Collector: col,
-			}),
-		})
-		if err != nil {
-			return sloOutcome{}, nil, err
-		}
-		clients[i] = c
-		defer c.Close()
-	}
 	ctl.ManageClients(clients)
-
-	// quiesce waits (real time) for the serving members' deferred
-	// in-flight accounting to settle before any sample reads it.
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range ctl.Fleet() {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: slo fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
 
 	out := sloOutcome{FirstFiringStep: -1, FirstGoodputBreachStep: -1}
 	backlog := 0
@@ -287,13 +241,7 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 		for k := 0; k < n; k++ {
 			ci := seq % len(clients)
 			vo := sloVO(seq)
-			dec := clients[ci].Schedule(&grid.Job{
-				ID:         grid.JobID(fmt.Sprintf("slo-%05d", seq)),
-				Owner:      usla.MustParsePath(vo),
-				CPUs:       1,
-				Runtime:    10 * time.Minute,
-				SubmitHost: fmt.Sprintf("slo-client-%d", ci),
-			})
+			dec := f.Submit(ci, fmt.Sprintf("slo-%05d", seq), vo, 10*time.Minute)
 			if dec.Err != nil {
 				return sloOutcome{}, nil, fmt.Errorf("exp: slo step %d job %d: %w", step, k, dec.Err)
 			}
@@ -309,14 +257,9 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 		if backlog < 0 {
 			backlog = 0
 		}
-		for _, dp := range ctl.Fleet() {
-			dp.ExchangeNow()
-		}
-		if err := quiesce(); err != nil {
+		if err := f.Tick(ctl.Fleet(), true); err != nil {
 			return sloOutcome{}, nil, err
 		}
-		clock.Advance(time.Minute)
-		reg.Sample(clock.Now())
 		assessments := ev.Evaluate(clock.Now())
 		act, err := ctl.Evaluate()
 		if err != nil {
@@ -436,32 +379,17 @@ func runSLOExtension(scale Scale) (Report, error) {
 	}
 
 	if MetricsOutputPath != "" {
-		f, err := os.Create(MetricsOutputPath)
-		if err != nil {
-			return Report{}, fmt.Errorf("exp: metrics output: %w", err)
-		}
-		werr := reg.WriteJSONL(f)
-		cerr := f.Close()
-		if werr != nil {
-			return Report{}, werr
-		}
-		if cerr != nil {
-			return Report{}, cerr
+		if err := writeOutput(MetricsOutputPath, reg.WriteJSONL); err != nil {
+			return Report{}, err
 		}
 		fmt.Fprintf(&b, "\nmetrics time series written to %s\n", MetricsOutputPath)
 	}
 	if AlertsOutputPath != "" {
-		f, err := os.Create(AlertsOutputPath)
+		err := writeOutput(AlertsOutputPath, func(w io.Writer) error {
+			return slo.WriteTransitionsJSONL(w, out.Transitions)
+		})
 		if err != nil {
-			return Report{}, fmt.Errorf("exp: alerts output: %w", err)
-		}
-		werr := slo.WriteTransitionsJSONL(f, out.Transitions)
-		cerr := f.Close()
-		if werr != nil {
-			return Report{}, werr
-		}
-		if cerr != nil {
-			return Report{}, cerr
+			return Report{}, err
 		}
 		fmt.Fprintf(&b, "alert transitions written to %s\n", AlertsOutputPath)
 	}

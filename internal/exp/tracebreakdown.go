@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -149,17 +148,8 @@ func runTraceBreakdown(scale Scale) (Report, error) {
 	})
 
 	if TraceOutputPath != "" {
-		f, err := os.Create(TraceOutputPath)
-		if err != nil {
-			return Report{}, fmt.Errorf("exp: trace output: %w", err)
-		}
-		werr := sink.WriteJSONL(f)
-		cerr := f.Close()
-		if werr != nil {
-			return Report{}, werr
-		}
-		if cerr != nil {
-			return Report{}, fmt.Errorf("exp: trace output: %w", cerr)
+		if err := writeOutput(TraceOutputPath, sink.WriteJSONL); err != nil {
+			return Report{}, err
 		}
 		fmt.Fprintf(&b, "\nwrote %d span records to %s\n", sink.Len(), TraceOutputPath)
 	}
