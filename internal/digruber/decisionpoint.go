@@ -287,6 +287,16 @@ func (dp *DecisionPoint) registerHandlers() {
 		return QueryReply{Loads: dp.siteLoads(ctx.Span, owner, a.CPUs)}, nil
 	})
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
+		// A client's report is checked exactly as Schedule checks its own
+		// input: folded unchecked, a malformed owner would occupy CPUs but
+		// count against no VO's USLA, and negative CPUs would raise the
+		// site's free estimate. Records from peers (MergeRemote,
+		// MergeGossip, ImportSnapshot) are not re-checked: they passed this
+		// gate at the point that brokered them, and the engine keeps its
+		// fold-as-given semantics for them (parity.golden pins it).
+		if _, err := checkJob("report", a.Dispatch.Owner, a.Dispatch.CPUs, a.Dispatch.Runtime); err != nil {
+			return ReportReply{}, err
+		}
 		dp.recordDispatch(ctx.Span, a.Dispatch)
 		return ReportReply{OK: true}, nil
 	})
@@ -373,12 +383,9 @@ func (dp *DecisionPoint) registerHandlers() {
 		}
 		dp.detector.ObserveArrival()
 		defer dp.observeHandle(dp.cfg.Clock.Now(), ctx.Span.Trace)
-		owner, err := usla.ParsePath(a.Owner)
+		owner, err := checkJob("schedule", a.Owner, a.CPUs, a.Runtime)
 		if err != nil {
 			return ScheduleReply{}, err
-		}
-		if a.CPUs <= 0 || a.Runtime <= 0 {
-			return ScheduleReply{}, fmt.Errorf("digruber: schedule with cpus=%d runtime=%s", a.CPUs, a.Runtime)
 		}
 		loads := dp.siteLoads(ctx.Span, owner, a.CPUs)
 		site, ok := (gruber.USLAAware{}).Select(loads, a.CPUs)
@@ -395,6 +402,19 @@ func (dp *DecisionPoint) registerHandlers() {
 		})
 		return ScheduleReply{Site: site, OK: true}, nil
 	})
+}
+
+// checkJob validates what a client says about a job before any of it
+// reaches the engine: a parsable owner and positive CPUs and runtime.
+func checkJob(op, owner string, cpus int, runtime time.Duration) (usla.Path, error) {
+	p, err := usla.ParsePath(owner)
+	if err != nil {
+		return p, err
+	}
+	if cpus <= 0 || runtime <= 0 {
+		return p, fmt.Errorf("digruber: %s with cpus=%d runtime=%s", op, cpus, runtime)
+	}
+	return p, nil
 }
 
 // siteLoads is Engine.SiteLoads recorded as an engine.select span under

@@ -400,12 +400,18 @@ func TestDoubleStartRejected(t *testing.T) {
 
 // TestConcurrentQueriesAndExchanges hammers one decision point from every
 // direction at once — client scheduling, inbound state exchanges from a
-// peer, outbound exchanges, status RPCs, and site-baseline refreshes — so
+// peer, outbound exchanges, status RPCs, site-baseline refreshes, and the
+// engine's read path against everything that writes under it — so
 // `go test -race` can observe the full lock surface of the DP under
 // contention. The paper's mesh relies on a DP serving queries while
 // exchange traffic arrives; this is the smallest harness with that shape.
+//
+// The engine readers hold only the read lock and upgrade when a dispatch
+// is due, so the test makes dispatches fall due while they run: a Manual
+// clock steps past short-lived records written straight into the engine.
+// It advances less in total than one client timeout, so no call expires.
 func TestConcurrentQueriesAndExchanges(t *testing.T) {
-	clock := vtime.NewReal()
+	clock := vtime.NewManual(epoch)
 	h := newHarness(t, 2, clock, testStatuses(400, 400, 400))
 
 	const (
@@ -414,6 +420,12 @@ func TestConcurrentQueriesAndExchanges(t *testing.T) {
 		exchRounds  = 40
 		statusPolls = 60
 		siteUpdates = 30
+		readers     = 3
+		readsPerR   = 150
+		shortLived  = 120 // written directly, half recorded, half merged
+		policyAdds  = 60
+		clockSteps  = 40
+		clockStep   = 100 * time.Millisecond
 	)
 
 	// dp-1's client gives the peer local dispatches to flood at dp-0.
@@ -489,6 +501,64 @@ func TestConcurrentQueriesAndExchanges(t *testing.T) {
 		}
 	}()
 
+	// Engine readers: SiteLoads from several goroutines at once, beside
+	// the handler's own.
+	eng := h.dps[0].Engine()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < readsPerR; i++ {
+				if loads := eng.SiteLoads(usla.MustParsePath("atlas.higgs"), 1); len(loads) != 3 {
+					errs <- fmt.Errorf("SiteLoads returned %d sites, want 3", len(loads))
+					return
+				}
+			}
+		}()
+	}
+
+	// Engine writers: records that fall due within a few clock steps,
+	// half brokered here and half merged from a peer, while the clock
+	// moves — so readers find the heap's head due and must upgrade.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < shortLived; i += 2 {
+			d := gruber.Dispatch{
+				JobID: fmt.Sprintf("short-%d", i), Site: "site-001", Owner: "cms.top", CPUs: 1,
+				Runtime: time.Duration(1+i%3) * clockStep, At: clock.Now(),
+			}
+			eng.RecordDispatch(d)
+			d.JobID, d.Origin = fmt.Sprintf("short-%d", i+1), "dp-elsewhere"
+			eng.MergeRemote([]gruber.Dispatch{d})
+			if i/2 < clockSteps {
+				clock.Advance(clockStep)
+			}
+		}
+	}()
+
+	// USLA updates: an entry added before a query starts is in force for
+	// that query. The probe VO has no usage anywhere, so its headroom at
+	// site-002 is exactly the cap just set.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		probe := usla.Path{VO: "probe"}
+		for i := 0; i < policyAdds; i++ {
+			pct := float64(10 + i)
+			err := eng.Policies().Add(usla.Entry{Provider: "site-002", Consumer: probe, Resource: usla.CPU,
+				Share: usla.Share{Percent: pct, Kind: usla.UpperLimit}})
+			if err != nil {
+				errs <- err
+				return
+			}
+			if got, want := eng.SiteLoads(probe, 1)[2].Headroom, 100*(pct/100); got != want {
+				errs <- fmt.Errorf("headroom %v right after capping probe at %v%%, want %v", got, pct, want)
+				return
+			}
+		}
+	}()
+
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -501,22 +571,26 @@ func TestConcurrentQueriesAndExchanges(t *testing.T) {
 	if got := scheduled.Load(); got != clients*jobsPerC {
 		t.Fatalf("scheduled %d jobs, want %d", got, clients*jobsPerC)
 	}
+	// Queries is counted outside the engine lock; none may be lost.
 	st := h.dps[0].Status()
-	if st.Queries < clients*jobsPerC {
-		t.Fatalf("dp-0 queries = %d, want >= %d", st.Queries, clients*jobsPerC)
+	if want := int64(clients*jobsPerC + readers*readsPerR + policyAdds); st.Queries != want {
+		t.Fatalf("dp-0 queries = %d, want %d (one per Schedule and per direct SiteLoads)", st.Queries, want)
 	}
-	if st.LocalDispatches != clients*jobsPerC {
-		t.Fatalf("dp-0 local dispatches = %d, want %d", st.LocalDispatches, clients*jobsPerC)
+	if st.LocalDispatches != clients*jobsPerC+shortLived/2 {
+		t.Fatalf("dp-0 local dispatches = %d, want %d", st.LocalDispatches, clients*jobsPerC+shortLived/2)
 	}
 	// A final settle round each way: both DPs must agree on totals.
 	h.dps[0].ExchangeNow()
 	h.dps[1].ExchangeNow()
 	s0, s1 := h.dps[0].Engine().Stats(), h.dps[1].Engine().Stats()
-	if s1.RemoteDispatches != clients*jobsPerC {
-		t.Fatalf("dp-1 remote dispatches = %d, want %d", s1.RemoteDispatches, clients*jobsPerC)
+	if s1.RemoteDispatches != clients*jobsPerC+shortLived/2 {
+		t.Fatalf("dp-1 remote dispatches = %d, want %d", s1.RemoteDispatches, clients*jobsPerC+shortLived/2)
 	}
-	if s0.RemoteDispatches != 10 {
-		t.Fatalf("dp-0 remote dispatches = %d, want 10 (peer's jobs)", s0.RemoteDispatches)
+	if s0.RemoteDispatches != 10+shortLived/2 {
+		t.Fatalf("dp-0 remote dispatches = %d, want %d (peer's jobs and the direct merges)", s0.RemoteDispatches, 10+shortLived/2)
+	}
+	if s0.ExpiredPruned == 0 {
+		t.Fatal("no dispatch expired while the readers ran: the upgrade path went unexercised")
 	}
 }
 
@@ -529,4 +603,44 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition never became true")
+}
+
+// TestReportRefusesMalformedDispatch: a client's Report is validated as
+// Schedule validates its input. Folded unchecked, a bad owner would be
+// counted against the site but against no VO, and a non-positive CPU
+// count would raise the free estimate; each must be refused and leave
+// the engine exactly as it was.
+func TestReportRefusesMalformedDispatch(t *testing.T) {
+	clock := vtime.NewReal()
+	h := newHarness(t, 1, clock, testStatuses(100))
+	cli := wire.NewClient(wire.ClientConfig{
+		Node: "client", ServerNode: "dp-0", Addr: h.dps[0].Addr(), Transport: h.mem, Clock: clock,
+	})
+	defer cli.Close()
+	e := h.dps[0].Engine()
+	good := gruber.Dispatch{JobID: "ok", Site: "site-000", Owner: "atlas.higgs", CPUs: 2, Runtime: time.Hour, At: clock.Now()}
+	for name, mutate := range map[string]func(*gruber.Dispatch){
+		"bad owner":        func(d *gruber.Dispatch) { d.Owner = "atlas..higgs" },
+		"empty owner":      func(d *gruber.Dispatch) { d.Owner = "" },
+		"zero CPUs":        func(d *gruber.Dispatch) { d.CPUs = 0 },
+		"negative CPUs":    func(d *gruber.Dispatch) { d.CPUs = -40 },
+		"zero runtime":     func(d *gruber.Dispatch) { d.Runtime = 0 },
+		"negative runtime": func(d *gruber.Dispatch) { d.Runtime = -time.Minute },
+	} {
+		d := good
+		d.JobID = name
+		mutate(&d)
+		if _, err := wire.Call[ReportArgs, ReportReply](cli, MethodReport, ReportArgs{Dispatch: d}, time.Second); err == nil {
+			t.Errorf("%s: report accepted", name)
+		}
+		if free, pending, hw := e.EstFreeCPUs("site-000"), e.PendingDispatches(), e.LocalSeqHighWater(); free != 100 || pending != 0 || hw != 0 {
+			t.Errorf("%s: refused report moved the engine: free=%d pending=%d highwater=%d", name, free, pending, hw)
+		}
+	}
+	if reply, err := wire.Call[ReportArgs, ReportReply](cli, MethodReport, ReportArgs{Dispatch: good}, time.Second); err != nil || !reply.OK {
+		t.Fatalf("well-formed report refused: %+v, %v", reply, err)
+	}
+	if free, pending, hw := e.EstFreeCPUs("site-000"), e.PendingDispatches(), e.LocalSeqHighWater(); free != 98 || pending != 1 || hw != 1 {
+		t.Fatalf("after one good report: free=%d pending=%d highwater=%d, want 98/1/1", free, pending, hw)
+	}
 }

@@ -20,11 +20,11 @@ func (e *Engine) ViewDivergence(truth []grid.Status) float64 {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.pruneLocked(now)
 	d := 0.0
 	for _, st := range truth {
 		est := 0
 		if sv, ok := e.sites[st.Name]; ok {
-			sv.pruneLocked(now, &e.stats)
 			est = sv.estFree()
 		}
 		diff := est - st.FreeCPUs

@@ -17,6 +17,7 @@ import (
 	"container/heap"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"digruber/internal/grid"
@@ -82,7 +83,10 @@ type Engine struct {
 	policies *usla.PolicySet
 	sites    map[string]*siteView
 	order    []string
-	seen     map[string]time.Time // JobID → expiry, for exchange dedup
+	// pending holds exactly the dispatches the site views' sums count,
+	// all sites together, earliest expiry first.
+	pending dispatchHeap
+	seen    map[string]time.Time // JobID → expiry, for exchange dedup
 	// seenSweepAt is the size of seen at which markSeenLocked next sweeps
 	// it for expired JobIDs.
 	seenSweepAt int
@@ -93,6 +97,8 @@ type Engine struct {
 	// contiguous run of sequence-numbered records.
 	logs  map[string]*originLog
 	stats EngineStats
+	// queries is stats.Queries: SiteLoads counts under the read lock.
+	queries atomic.Int64
 	// appender is the write-ahead hook (see SetAppender in durable.go):
 	// called under e.mu for every dispatch record entering dynamic
 	// state, in mutation order. Nil when durability is off.
@@ -109,24 +115,35 @@ type EngineStats struct {
 	BaselineRefreshes int64
 }
 
+// siteView is one site's baseline plus the sums of the pending
+// dispatches newer than it — CPUs in total and per consumer path level —
+// so a query reads a site without walking anything.
 type siteView struct {
-	base   grid.Status
-	baseAt time.Time
-	// pending tracks unexpired dispatches newer than the baseline.
-	pending    dispatchHeap
+	base       grid.Status
+	baseAt     time.Time
+	baseUsage  map[usla.Path]int // base.UsageByPath, keys parsed once
 	usedDelta  int
-	usageDelta map[string]int
+	usageDelta map[usla.Path]int
 }
 
-// dispatchHeap orders dispatches by expiry time.
-type dispatchHeap []Dispatch
-
-func (h dispatchHeap) Len() int { return len(h) }
-func (h dispatchHeap) Less(i, j int) bool {
-	return h[i].At.Add(h[i].Runtime).Before(h[j].At.Add(h[j].Runtime))
+// pendingDispatch is one dispatch in a site view with what folding and
+// pruning it need, resolved once: its expiry, its site and its parsed
+// owner (the zero Path when Owner does not parse — such a dispatch
+// occupies CPUs but counts against no consumer).
+type pendingDispatch struct {
+	Dispatch
+	expiry time.Time
+	sv     *siteView
+	owner  usla.Path
 }
+
+// dispatchHeap orders pending dispatches by expiry time.
+type dispatchHeap []pendingDispatch
+
+func (h dispatchHeap) Len() int            { return len(h) }
+func (h dispatchHeap) Less(i, j int) bool  { return h[i].expiry.Before(h[j].expiry) }
 func (h dispatchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dispatchHeap) Push(x interface{}) { *h = append(*h, x.(Dispatch)) }
+func (h *dispatchHeap) Push(x interface{}) { *h = append(*h, x.(pendingDispatch)) }
 func (h *dispatchHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -168,56 +185,83 @@ func (e *Engine) UpdateSites(statuses []grid.Status, at time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.BaselineRefreshes++
+	rebased := make(map[*siteView]bool, len(statuses))
 	for _, st := range statuses {
 		sv, ok := e.sites[st.Name]
 		if !ok {
-			sv = &siteView{usageDelta: make(map[string]int)}
+			sv = &siteView{}
 			e.sites[st.Name] = sv
 			e.order = append(e.order, st.Name)
 		}
 		sv.base = st
 		sv.baseAt = at
-		// Re-apply only dispatches strictly newer than the snapshot.
-		old := sv.pending
-		sv.pending = nil
+		sv.baseUsage = usageByPath(st.UsageByPath)
 		sv.usedDelta = 0
-		sv.usageDelta = make(map[string]int)
-		for _, d := range old {
-			if d.At.After(at) {
-				sv.applyLocked(d)
-			}
-		}
+		sv.usageDelta = make(map[usla.Path]int)
+		rebased[sv] = true
 	}
+	// Re-apply only dispatches strictly newer than the snapshot.
+	kept := e.pending[:0]
+	for _, p := range e.pending {
+		if rebased[p.sv] {
+			if !p.At.After(at) {
+				continue
+			}
+			p.fold(+1)
+		}
+		kept = append(kept, p)
+	}
+	clear(e.pending[len(kept):])
+	e.pending = kept
+	heap.Init(&e.pending)
 	sort.Strings(e.order)
 }
 
-// applyLocked folds a dispatch into the view. Caller holds e.mu.
-// Dispatch ingest reaches it through Engine.foldLocked only.
-func (sv *siteView) applyLocked(d Dispatch) {
-	heap.Push(&sv.pending, d)
-	sv.usedDelta += d.CPUs
-	if p, err := usla.ParsePath(d.Owner); err == nil {
-		for _, prefix := range p.Prefixes() {
-			sv.usageDelta[prefix.String()] += d.CPUs
+// usageByPath re-keys a baseline's UsageByPath (dotted strings, a wire
+// type) by parsed path, adopting only keys that some owner's String
+// renders: no key that missed every query as a string matches one now.
+func usageByPath(dotted map[string]int) map[usla.Path]int {
+	keys := make([]string, 0, len(dotted))
+	for k := range dotted {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make(map[usla.Path]int, len(keys))
+	for _, k := range keys {
+		if p, err := usla.ParsePath(k); err == nil && p.String() == k {
+			out[p] = dotted[k]
+		}
+	}
+	return out
+}
+
+// fold adds the dispatch to (sign +1) or takes it out of (−1) its site
+// view's sums. Caller holds e.mu for writing.
+func (p *pendingDispatch) fold(sign int) {
+	p.sv.usedDelta += sign * p.CPUs
+	levels, n := p.owner.Levels()
+	for _, level := range levels[:n] {
+		if p.sv.usageDelta[level] += sign * p.CPUs; sign < 0 && p.sv.usageDelta[level] <= 0 {
+			delete(p.sv.usageDelta, level)
 		}
 	}
 }
 
-// pruneLocked drops expired dispatches from the view. Caller holds e.mu.
-func (sv *siteView) pruneLocked(now time.Time, stats *EngineStats) {
-	for len(sv.pending) > 0 && sv.pending[0].Expired(now) {
-		d := heap.Pop(&sv.pending).(Dispatch)
-		sv.usedDelta -= d.CPUs
-		if p, err := usla.ParsePath(d.Owner); err == nil {
-			for _, prefix := range p.Prefixes() {
-				sv.usageDelta[prefix.String()] -= d.CPUs
-				if sv.usageDelta[prefix.String()] <= 0 {
-					delete(sv.usageDelta, prefix.String())
-				}
-			}
-		}
-		stats.ExpiredPruned++
+// pruneLocked drops the dispatches whose jobs are assumed finished at
+// now. The merges call it while they hold e.mu anyway, so a reader that
+// follows one finds nothing due. Caller holds e.mu for writing.
+func (e *Engine) pruneLocked(now time.Time) {
+	for e.dueLocked(now) {
+		p := heap.Pop(&e.pending).(pendingDispatch)
+		p.fold(-1)
+		e.stats.ExpiredPruned++
 	}
+}
+
+// dueLocked reports whether the earliest pending dispatch has expired,
+// as strictly as Dispatch.Expired. Caller holds e.mu, at least to read.
+func (e *Engine) dueLocked(now time.Time) bool {
+	return len(e.pending) > 0 && now.After(e.pending[0].expiry)
 }
 
 // estFree is the view's free-CPU estimate. Caller holds e.mu.
@@ -234,38 +278,56 @@ func (sv *siteView) estFree() int {
 
 // SiteLoads evaluates every known site for a job of the given owner and
 // CPU demand. The returned slice is sorted by site name; selectors apply
-// their own ranking.
+// their own ranking. The owner's USLA is resolved once and every site is
+// then read under the read lock, so concurrent queries run in parallel;
+// the write lock is taken only when a pending dispatch is due to expire.
 func (e *Engine) SiteLoads(owner usla.Path, cpus int) []SiteLoad {
 	now := e.clock.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats.Queries++
-	out := make([]SiteLoad, 0, len(e.order))
-	for _, name := range e.order {
+	e.queries.Add(1)
+	policy := e.policies.Resolve(owner, usla.CPU)
+	levels, depth := owner.Levels()
+	e.mu.RLock()
+	if e.dueLocked(now) {
+		e.mu.RUnlock()
+		e.mu.Lock()
+		e.pruneLocked(now)
+		e.mu.Unlock()
+		e.mu.RLock()
+	}
+	defer e.mu.RUnlock()
+	out := make([]SiteLoad, len(e.order))
+	for i, name := range e.order {
 		sv := e.sites[name]
-		sv.pruneLocked(now, &e.stats)
-		usage := func(p usla.Path) float64 {
-			return float64(sv.base.UsageByPath[p.String()] + sv.usageDelta[p.String()])
+		var used [3]float64
+		var own float64 // usage at the owner's own level, the last one
+		for l, level := range levels[:depth] {
+			own = float64(sv.baseUsage[level] + sv.usageDelta[level])
+			used[l] = own
 		}
-		capacity := float64(sv.base.TotalCPUs)
-		out = append(out, SiteLoad{
+		ent, headroom := policy.Evaluate(name, float64(sv.base.TotalCPUs), used)
+		out[i] = SiteLoad{
 			Name:        name,
 			TotalCPUs:   sv.base.TotalCPUs,
 			EstFreeCPUs: sv.estFree(),
-			Headroom:    e.policies.Headroom(name, owner, usla.CPU, capacity, usage),
-			TargetGap:   e.policies.TargetGap(name, owner, usla.CPU, capacity, usage),
-		})
+			Headroom:    headroom,
+			TargetGap:   ent.Target - own,
+		}
 	}
 	return out
 }
 
-// foldLocked folds d into its site's view (pending heap plus CPU and
-// per-owner usage deltas). It reports false, changing nothing, for a
-// site the engine does not know. Caller holds e.mu.
+// foldLocked folds d into its site's view (the pending heap plus the
+// site's CPU and per-owner usage sums), parsing its owner once for the
+// dispatch's whole stay. It reports false, changing nothing, for a site
+// the engine does not know. Caller holds e.mu.
 func (e *Engine) foldLocked(d Dispatch) bool {
 	sv, ok := e.sites[d.Site]
 	if ok {
-		sv.applyLocked(d)
+		// An unparsable owner leaves the zero Path: no level to count against.
+		owner, _ := usla.ParsePath(d.Owner)
+		p := pendingDispatch{Dispatch: d, expiry: d.At.Add(d.Runtime), sv: sv, owner: owner}
+		p.fold(+1)
+		heap.Push(&e.pending, p)
 	}
 	return ok
 }
@@ -306,6 +368,7 @@ func (e *Engine) MergeRemote(dispatches []Dispatch) int {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.pruneLocked(now)
 	merged := 0
 	for _, d := range dispatches {
 		if d.Origin == e.name {
@@ -386,7 +449,9 @@ func (e *Engine) LocalSeqHighWater() uint64 {
 func (e *Engine) Stats() EngineStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.stats
+	st := e.stats
+	st.Queries = e.queries.Load()
+	return st
 }
 
 // NumSites reports how many sites the engine knows about.
@@ -403,10 +468,10 @@ func (e *Engine) EstFreeCPUs(site string) int {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.pruneLocked(now)
 	sv, ok := e.sites[site]
 	if !ok {
 		return 0
 	}
-	sv.pruneLocked(now, &e.stats)
 	return sv.estFree()
 }

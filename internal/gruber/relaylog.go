@@ -185,6 +185,7 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.pruneLocked(now)
 	var st GossipMergeStats
 	for _, d := range records {
 		if d.Origin == "" || d.Seq == 0 || d.Origin == e.name {

@@ -2,7 +2,6 @@ package gruber
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -190,34 +189,41 @@ func (USLAAware) Name() string { return "usla-aware" }
 
 // Select implements Selector.
 func (USLAAware) Select(loads []SiteLoad, cpus int) (string, bool) {
-	qualified := make([]SiteLoad, 0, len(loads))
-	for _, l := range loads {
-		if l.EstFreeCPUs >= cpus && l.Headroom >= float64(cpus) {
-			qualified = append(qualified, l)
-		}
-	}
-	if len(qualified) == 0 {
-		return "", false
-	}
 	// A site can only help a consumer catch up to its target as far as
 	// it has free CPUs, so the score caps the gap at the availability;
 	// otherwise a nearly-full site with a large nominal target would
 	// outrank an empty one.
-	score := func(l SiteLoad) float64 {
+	score := func(l *SiteLoad) float64 {
 		if free := float64(l.EstFreeCPUs); l.TargetGap > free {
 			return free
 		}
 		return l.TargetGap
 	}
-	sort.Slice(qualified, func(i, j int) bool {
-		a, b := qualified[i], qualified[j]
-		if sa, sb := score(a), score(b); sa != sb {
-			return sa > sb
+	// One pass keeping the best under a total order (score ↓, free CPUs ↓,
+	// name ↑; names are unique), which is the first element a sort by the
+	// same order would produce.
+	var best *SiteLoad
+	var bestScore float64
+	for i := range loads {
+		l := &loads[i]
+		if !(l.EstFreeCPUs >= cpus && l.Headroom >= float64(cpus)) {
+			continue
 		}
-		if a.EstFreeCPUs != b.EstFreeCPUs {
-			return a.EstFreeCPUs > b.EstFreeCPUs
+		s := score(l)
+		if best != nil {
+			better := s > bestScore
+			if s == bestScore {
+				better = l.EstFreeCPUs > best.EstFreeCPUs ||
+					l.EstFreeCPUs == best.EstFreeCPUs && l.Name < best.Name
+			}
+			if !better {
+				continue
+			}
 		}
-		return a.Name < b.Name
-	})
-	return qualified[0].Name, true
+		best, bestScore = l, s
+	}
+	if best == nil {
+		return "", false
+	}
+	return best.Name, true
 }

@@ -3,6 +3,8 @@ package gruber
 import (
 	"sort"
 	"time"
+
+	"digruber/internal/usla"
 )
 
 // Why snapshots exist beside the incremental stream: the periodic
@@ -37,14 +39,11 @@ func (e *Engine) ExportSnapshotSince(vv map[string]uint64) []Dispatch {
 // viewLocked returns the unexpired dispatches in the site views that
 // keep accepts, ordered by dispatch time, then JobID. Caller holds e.mu.
 func (e *Engine) viewLocked(now time.Time, keep func(Dispatch) bool) []Dispatch {
+	e.pruneLocked(now)
 	var out []Dispatch
-	for _, name := range e.order {
-		sv := e.sites[name]
-		sv.pruneLocked(now, &e.stats)
-		for _, d := range sv.pending {
-			if keep(d) {
-				out = append(out, d)
-			}
+	for _, p := range e.pending {
+		if keep(p.Dispatch) {
+			out = append(out, p.Dispatch)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -67,6 +66,7 @@ func (e *Engine) ImportSnapshot(dispatches []Dispatch) int {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.pruneLocked(now)
 	merged := 0
 	for _, d := range dispatches {
 		logged := d.Origin == e.name && d.Seq > 0
@@ -104,10 +104,10 @@ func (e *Engine) DropDynamicState() {
 	defer e.mu.Unlock()
 	//lint:allow mapiter -- per-site state reset with no cross-site reads; order cannot matter
 	for _, sv := range e.sites {
-		sv.pending = nil
 		sv.usedDelta = 0
-		sv.usageDelta = make(map[string]int)
+		sv.usageDelta = make(map[usla.Path]int)
 	}
+	e.pending = nil
 	e.seen = make(map[string]time.Time)
 	e.seenSweepAt = seenSweepFloor
 	// Every per-origin log goes, the engine's own included: the sequence
@@ -123,11 +123,6 @@ func (e *Engine) PendingDispatches() int {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := 0
-	//lint:allow mapiter -- per-site prune plus integer count; both commute across sites
-	for _, sv := range e.sites {
-		sv.pruneLocked(now, &e.stats)
-		n += len(sv.pending)
-	}
-	return n
+	e.pruneLocked(now)
+	return len(e.pending)
 }

@@ -87,18 +87,14 @@ func (p Path) Parent() Path {
 // Prefixes returns the chain from VO level down to p itself, e.g.
 // a.b.c → [a, a.b, a.b.c].
 func (p Path) Prefixes() []Path {
-	var out []Path
-	if p.VO == "" {
-		return out
-	}
-	out = append(out, Path{VO: p.VO})
-	if p.Group != "" {
-		out = append(out, Path{VO: p.VO, Group: p.Group})
-		if p.User != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	levels, n := p.Levels()
+	return append([]Path(nil), levels[:n]...)
+}
+
+// Levels is Prefixes without the allocation, for per-query and
+// per-dispatch code: the chain sits in the first n (= p.Depth()) elements.
+func (p Path) Levels() (levels [3]Path, n int) {
+	return [3]Path{{VO: p.VO}, {VO: p.VO, Group: p.Group}, p}, p.Depth()
 }
 
 // HasPrefix reports whether q is p or an ancestor of p.

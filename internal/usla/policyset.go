@@ -2,6 +2,7 @@ package usla
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -11,11 +12,24 @@ import (
 // and fair-share evaluation logic decision points run on every scheduling
 // request. It is safe for concurrent readers and writers — the paper's
 // brokers both evaluate USLAs per job and accept USLA updates at runtime.
+//
+// A scheduling query does not walk the set per site: Resolve looks the
+// consumer's levels up once and the Policy it returns evaluates any
+// number of providers without touching ps.mu.
 type PolicySet struct {
 	mu      sync.RWMutex
 	entries []Entry
-	// index[resource][consumer][provider] → accumulated limits
-	index map[Resource]map[Path]map[string]*limits
+	// index[resource][consumer] → that consumer's accumulated limits.
+	index map[Resource]map[Path]*share
+}
+
+// share is everything the set says about one (resource, consumer). A
+// published share is never mutated — Add swaps in a modified copy under
+// ps.mu — so a Policy reads the one it holds without a lock, and an Add is
+// seen by every Resolve that starts after it returns.
+type share struct {
+	any        limits            // accumulated AnyProvider entries
+	byProvider map[string]limits // provider-specific entries only
 }
 
 type limits struct {
@@ -25,7 +39,7 @@ type limits struct {
 
 // NewPolicySet returns an empty set.
 func NewPolicySet() *PolicySet {
-	return &PolicySet{index: make(map[Resource]map[Path]map[string]*limits)}
+	return &PolicySet{index: make(map[Resource]map[Path]*share)}
 }
 
 // Add validates and inserts one entry. Later entries of the same
@@ -40,18 +54,17 @@ func (ps *PolicySet) Add(e Entry) error {
 	ps.entries = append(ps.entries, e)
 	byConsumer, ok := ps.index[e.Resource]
 	if !ok {
-		byConsumer = make(map[Path]map[string]*limits)
+		byConsumer = make(map[Path]*share)
 		ps.index[e.Resource] = byConsumer
 	}
-	byProvider, ok := byConsumer[e.Consumer]
-	if !ok {
-		byProvider = make(map[string]*limits)
-		byConsumer[e.Consumer] = byProvider
+	next := &share{byProvider: map[string]limits{}}
+	if old := byConsumer[e.Consumer]; old != nil {
+		next.any = old.any
+		maps.Copy(next.byProvider, old.byProvider)
 	}
-	l, ok := byProvider[e.Provider]
-	if !ok {
-		l = &limits{}
-		byProvider[e.Provider] = l
+	l := next.any
+	if e.Provider != AnyProvider {
+		l = next.byProvider[e.Provider]
 	}
 	switch e.Share.Kind {
 	case Target:
@@ -61,6 +74,12 @@ func (ps *PolicySet) Add(e Entry) error {
 	case LowerLimit:
 		l.lower, l.hasLower = e.Share.Percent, true
 	}
+	if e.Provider == AnyProvider {
+		next.any = l
+	} else {
+		next.byProvider[e.Provider] = l
+	}
+	byConsumer[e.Consumer] = next
 	return nil
 }
 
@@ -107,25 +126,24 @@ type Limits struct {
 // A provider-specific entry overrides an AnyProvider entry per kind.
 func (ps *PolicySet) LimitsFor(provider string, consumer Path, res Resource) Limits {
 	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	var merged limits
-	explicit := false
-	if byConsumer, ok := ps.index[res]; ok {
-		if byProvider, ok := byConsumer[consumer]; ok {
-			// Wildcard first, then provider-specific overriding it.
-			if l, ok := byProvider[AnyProvider]; ok {
-				merged.apply(*l)
-				explicit = true
-			}
-			if provider != AnyProvider {
-				if l, ok := byProvider[provider]; ok {
-					merged.apply(*l)
-					explicit = true
-				}
-			}
-		}
+	s := ps.index[res][consumer]
+	ps.mu.RUnlock()
+	return s.at(provider)
+}
+
+// at merges the wildcard limits with provider's override, if any, and
+// fills in the defaults — the one implementation of both rules. A nil
+// share (no entry names the consumer) is all defaults.
+func (s *share) at(provider string) Limits {
+	out := Limits{Target: 100, Upper: 100, Lower: 0}
+	if s == nil {
+		return out
 	}
-	out := Limits{Target: 100, Upper: 100, Lower: 0, Explicit: explicit}
+	merged := s.any
+	if len(s.byProvider) > 0 {
+		merged.apply(s.byProvider[provider])
+	}
+	out.Explicit = merged.hasTarget || merged.hasUpper || merged.hasLower
 	if merged.hasUpper {
 		out.Upper = merged.upper
 		out.Target = merged.upper // target defaults to cap when only a cap is given
@@ -151,6 +169,55 @@ func (l *limits) apply(o limits) {
 	}
 }
 
+// Policy is one consumer's USLA for one resource as the set held it when
+// Resolve ran: the share of each level of the consumer's Path.Levels.
+type Policy struct {
+	shares [3]*share
+	depth  int
+}
+
+// Resolve looks up every level of consumer p for res, once.
+func (ps *PolicySet) Resolve(p Path, res Resource) Policy {
+	levels, depth := p.Levels()
+	pol := Policy{depth: depth}
+	ps.mu.RLock()
+	defer ps.mu.RUnlock()
+	byConsumer := ps.index[res]
+	for i := range levels[:depth] {
+		pol.shares[i] = byConsumer[levels[i]]
+	}
+	return pol
+}
+
+// Evaluate resolves the consumer's absolute allocation at provider for a
+// resource of the given capacity, and its headroom under the upper limit
+// of every level, given used[i], its current usage at level i. Each
+// level's percentages apply to the parent level's corresponding
+// allocation, implementing the paper's recursive VO → group → user
+// extension of Maui fair share. The products are taken level by level in
+// exactly this order: scheduling decisions tie-break on these floats, so
+// an algebraically equal rearrangement can change which site wins.
+func (pol *Policy) Evaluate(provider string, capacity float64, used [3]float64) (ent Entitlement, headroom float64) {
+	ent = Entitlement{Target: capacity, Upper: capacity, Lower: capacity}
+	headroom = capacity
+	for i := 0; i < pol.depth; i++ {
+		l := pol.shares[i].at(provider)
+		ent.Target *= l.Target / 100
+		ent.Upper *= l.Upper / 100
+		ent.Lower *= l.Lower / 100
+		if r := ent.Upper - used[i]; r < headroom {
+			headroom = r
+		}
+	}
+	if pol.depth == 0 {
+		ent.Lower = 0
+	}
+	if headroom < 0 {
+		headroom = 0
+	}
+	return ent, headroom
+}
+
 // Entitlement is an absolute allocation (in resource units, e.g. CPUs)
 // resolved multiplicatively down a consumer path.
 type Entitlement struct {
@@ -160,20 +227,10 @@ type Entitlement struct {
 }
 
 // Entitlement resolves the absolute allocation of consumer p at provider
-// for a resource of the given capacity. Each level's percentages apply to
-// the parent level's corresponding allocation, implementing the paper's
-// recursive VO → group → user extension of Maui fair share.
+// for a resource of the given capacity.
 func (ps *PolicySet) Entitlement(provider string, p Path, res Resource, capacity float64) Entitlement {
-	ent := Entitlement{Target: capacity, Upper: capacity, Lower: capacity}
-	for _, prefix := range p.Prefixes() {
-		l := ps.LimitsFor(provider, prefix, res)
-		ent.Target *= l.Target / 100
-		ent.Upper *= l.Upper / 100
-		ent.Lower *= l.Lower / 100
-	}
-	if p.Depth() == 0 {
-		ent.Lower = 0
-	}
+	pol := ps.Resolve(p, res)
+	ent, _ := pol.Evaluate(provider, capacity, [3]float64{})
 	return ent
 }
 
@@ -187,19 +244,14 @@ type UsageFunc func(p Path) float64
 // path: a user must fit within the user cap, the group cap and the VO cap
 // simultaneously. Negative headroom (already over cap) clamps to 0.
 func (ps *PolicySet) Headroom(provider string, p Path, res Resource, capacity float64, usage UsageFunc) float64 {
-	room := capacity
-	scope := capacity
-	for _, prefix := range p.Prefixes() {
-		l := ps.LimitsFor(provider, prefix, res)
-		scope *= l.Upper / 100
-		if r := scope - usage(prefix); r < room {
-			room = r
-		}
+	pol := ps.Resolve(p, res)
+	levels, depth := p.Levels()
+	var used [3]float64
+	for i := range levels[:depth] {
+		used[i] = usage(levels[i])
 	}
-	if room < 0 {
-		return 0
-	}
-	return room
+	_, headroom := pol.Evaluate(provider, capacity, used)
+	return headroom
 }
 
 // TargetGap reports how far below (positive) or above (negative) its
@@ -208,8 +260,7 @@ func (ps *PolicySet) Headroom(provider string, p Path, res Resource, capacity fl
 // under-served consumers catch up — the enforcement bias of the paper's
 // V-PEP model.
 func (ps *PolicySet) TargetGap(provider string, p Path, res Resource, capacity float64, usage UsageFunc) float64 {
-	ent := ps.Entitlement(provider, p, res, capacity)
-	return ent.Target - usage(p)
+	return ps.Entitlement(provider, p, res, capacity).Target - usage(p)
 }
 
 // Allowed reports whether consumer p may claim demand more units at
@@ -236,9 +287,8 @@ func (ps *PolicySet) Validate() []error {
 	//lint:allow mapiter -- errs are sorted before return; targets is a group-by whose lists are sorted before summing
 	for res, byConsumer := range ps.index {
 		//lint:allow mapiter -- same: order is erased by the errs sort and the per-key target sort
-		for consumer, byProvider := range byConsumer {
-			//lint:allow mapiter -- same: order is erased by the errs sort and the per-key target sort
-			for provider, l := range byProvider {
+		for consumer, s := range byConsumer {
+			check := func(provider string, l limits) {
 				if l.hasLower && l.hasUpper && l.lower > l.upper {
 					errs = append(errs, fmt.Errorf(
 						"usla: %s %s %s: lower limit %.1f%% exceeds upper limit %.1f%%",
@@ -248,6 +298,11 @@ func (ps *PolicySet) Validate() []error {
 					key := scopeKey{res, provider, consumer.Parent()}
 					targets[key] = append(targets[key], l.target)
 				}
+			}
+			check(AnyProvider, s.any)
+			//lint:allow mapiter -- same: order is erased by the errs sort and the per-key target sort
+			for provider, l := range s.byProvider {
+				check(provider, l)
 			}
 		}
 	}

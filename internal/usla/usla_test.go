@@ -236,6 +236,86 @@ func TestEntitlementRecursive(t *testing.T) {
 	}
 }
 
+// TestEvaluatorPaperExample runs the paper's VO → group → user example
+// through every entry point of the shared evaluator — Headroom, TargetGap,
+// Entitlement, and Resolve + Evaluate as a scheduling query uses it — at
+// a provider the wildcard rules cover and at one with its own overrides,
+// against values worked by hand. All products here are exact in binary
+// floating point (halves, quarters and a 40% of 1000), so == is the test.
+func TestEvaluatorPaperExample(t *testing.T) {
+	ps := mustSet(t, `
+*       atlas             cpu 40+
+*       atlas             cpu 30
+*       atlas.higgs       cpu 50
+*       atlas.higgs       cpu 10-
+*       atlas.higgs.alice cpu 25+
+site-9  atlas             cpu 50+
+site-9  atlas.higgs       cpu 75+
+site-9  atlas.higgs.alice cpu 50
+`)
+	usage := map[Path]float64{
+		{VO: "atlas"}:                                380,
+		{VO: "atlas", Group: "higgs"}:                100,
+		{VO: "atlas", Group: "higgs", User: "alice"}: 30,
+	}
+	uf := func(p Path) float64 { return usage[p] }
+	for _, tc := range []struct {
+		provider, owner string
+		ent             Entitlement
+		headroom, gap   float64
+	}{
+		// VO: cap 400, target 300, no lower limit below the site's all.
+		{"site-1", "atlas", Entitlement{Target: 300, Upper: 400, Lower: 0}, 20, -80},
+		// Group: no cap of its own (100% of the VO's 400), target half the
+		// VO's 300, lower 10% of the VO's 0; the VO's 20 left binds.
+		{"site-1", "atlas.higgs", Entitlement{Target: 150, Upper: 400, Lower: 0}, 20, 50},
+		// User: cap 25% of the group's 400 = 100, target defaults to the cap
+		// (25% of the group's 150 = 37.5); the VO level still binds.
+		{"site-1", "atlas.higgs.alice", Entitlement{Target: 37.5, Upper: 100, Lower: 0}, 20, 7.5},
+		// site-9 overrides per kind: the VO cap becomes 500 (its target stays
+		// the wildcard 30%), the group gets a 75% cap (375) beside its
+		// wildcard target, the user a 50% target beside its wildcard cap.
+		{"site-9", "atlas", Entitlement{Target: 300, Upper: 500, Lower: 0}, 120, -80},
+		{"site-9", "atlas.higgs", Entitlement{Target: 150, Upper: 375, Lower: 0}, 120, 50},
+		{"site-9", "atlas.higgs.alice", Entitlement{Target: 75, Upper: 93.75, Lower: 0}, 63.75, 45},
+		// A consumer no entry names: everything is the site.
+		{"site-1", "cms.top", Entitlement{Target: 1000, Upper: 1000, Lower: 0}, 1000, 1000},
+	} {
+		owner := MustParsePath(tc.owner)
+		if ent := ps.Entitlement(tc.provider, owner, CPU, 1000); ent != tc.ent {
+			t.Errorf("%s at %s: entitlement %+v, want %+v", tc.owner, tc.provider, ent, tc.ent)
+		}
+		if room := ps.Headroom(tc.provider, owner, CPU, 1000, uf); room != tc.headroom {
+			t.Errorf("%s at %s: headroom %v, want %v", tc.owner, tc.provider, room, tc.headroom)
+		}
+		if gap := ps.TargetGap(tc.provider, owner, CPU, 1000, uf); gap != tc.gap {
+			t.Errorf("%s at %s: target gap %v, want %v", tc.owner, tc.provider, gap, tc.gap)
+		}
+		pol := ps.Resolve(owner, CPU)
+		levels, depth := owner.Levels()
+		var used [3]float64
+		for i, l := range levels[:depth] {
+			used[i] = usage[l]
+		}
+		if ent, room := pol.Evaluate(tc.provider, 1000, used); ent != tc.ent || room != tc.headroom {
+			t.Errorf("%s at %s: Evaluate = %+v, %v, want %+v, %v", tc.owner, tc.provider, ent, room, tc.ent, tc.headroom)
+		}
+	}
+	// A resolved Policy is a point-in-time answer; the next Resolve sees
+	// an Add made since.
+	before := ps.Resolve(MustParsePath("atlas"), CPU)
+	if err := ps.Add(Entry{Provider: "site-1", Consumer: Path{VO: "atlas"}, Resource: CPU, Share: Share{10, UpperLimit}}); err != nil {
+		t.Fatal(err)
+	}
+	after := ps.Resolve(MustParsePath("atlas"), CPU)
+	if ent, _ := before.Evaluate("site-1", 1000, [3]float64{}); ent.Upper != 400 {
+		t.Errorf("policy resolved before the Add moved: upper %v, want 400", ent.Upper)
+	}
+	if ent, _ := after.Evaluate("site-1", 1000, [3]float64{}); ent.Upper != 100 {
+		t.Errorf("policy resolved after the Add: upper %v, want 100", ent.Upper)
+	}
+}
+
 func TestHeadroomRespectsEveryLevel(t *testing.T) {
 	ps := mustSet(t, `
 * atlas       cpu 50+
