@@ -1,8 +1,9 @@
-// Dynamic provisioning: the Section 5 enhancement, live. An Overseer
-// (the paper's third-party monitoring service) watches decision points'
-// saturation reports and recommends how many points the load requires;
-// GRUB-SIM then replays the same regime deterministically to show where
-// the deployment converges.
+// Dynamic provisioning: the Section 5 enhancement, live. Each decision
+// point judges its own saturation and reports it in Status; a Controller
+// (the paper's third-party monitoring service) polls those verdicts and,
+// on the first one it hears, deploys another point into the mesh and
+// spreads the clients over the grown fleet. GRUB-SIM then replays the
+// same regime deterministically to show where the deployment converges.
 //
 //	go run ./examples/dynamic-provisioning
 package main
@@ -16,6 +17,7 @@ import (
 	"digruber/internal/grid"
 	"digruber/internal/grubsim"
 	"digruber/internal/netsim"
+	"digruber/internal/tsdb"
 	"digruber/internal/usla"
 	"digruber/internal/vtime"
 	"digruber/internal/wire"
@@ -37,36 +39,61 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dp, err := digruber.New(digruber.Config{
-		Name: "dp-0", Addr: "dp-0", Transport: mem, Network: network,
-		Clock: clock, Profile: wire.GT3(),
-		Saturation: digruber.SaturationConfig{Window: 30 * time.Second},
-	})
+	reg := tsdb.New(0)
+	factory := func(idx int) (*digruber.DecisionPoint, error) {
+		name := fmt.Sprintf("dp-%d", idx)
+		dp, err := digruber.New(digruber.Config{
+			Name: name, Addr: name, Transport: mem, Network: network,
+			Clock: clock, Profile: wire.GT3(), Metrics: reg,
+			Saturation: digruber.SaturationConfig{Window: 30 * time.Second},
+		})
+		if err != nil {
+			return nil, err
+		}
+		dp.Engine().UpdateSites(g.Snapshot(), clock.Now())
+		return dp, dp.Start()
+	}
+	dp, err := factory(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dp.Engine().UpdateSites(g.Snapshot(), clock.Now())
-	if err := dp.Start(); err != nil {
+
+	const interval = 36 * time.Second // ≈300 real milliseconds at speedup 120
+	ctl, err := digruber.NewController(digruber.ControllerConfig{
+		Clock: clock, Factory: factory, Metrics: reg, Interval: interval, MaxDPs: 4,
+		ScaleUpAfter: 1, UpCooldown: interval,
+	}, []*digruber.DecisionPoint{dp})
+	if err != nil {
 		log.Fatal(err)
 	}
-	defer dp.Stop()
+	defer func() {
+		for _, dp := range ctl.Fleet() {
+			dp.Stop()
+		}
+	}()
 
-	overseer := digruber.NewOverseer(clock)
-	overseer.Attach("dp-0", dp.Status)
+	// Hammer the point with 60 concurrent clients, all bound to dp-0.
+	clients := make([]*digruber.Client, 60)
+	for c := range clients {
+		clients[c], err = digruber.NewClient(digruber.ClientConfig{
+			Name: fmt.Sprintf("client-%02d", c), DPName: "dp-0", DPNode: "dp-0", DPAddr: "dp-0",
+			Transport: mem, Network: network, Clock: clock,
+			Timeout: 30 * time.Second, FallbackSites: g.SiteNames(),
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer clients[c].Close()
+	}
+	ctl.ManageClients(clients)
+	sampler := tsdb.NewSampler(reg, clock, interval)
+	sampler.Start()
+	defer sampler.Stop()
+	ctl.Start()
 
-	// Hammer the point with 60 concurrent clients.
 	done := make(chan struct{})
-	for c := 0; c < 60; c++ {
-		go func(c int) {
-			client, err := digruber.NewClient(digruber.ClientConfig{
-				Name: fmt.Sprintf("client-%02d", c), DPName: "dp-0", DPNode: "dp-0", DPAddr: "dp-0",
-				Transport: mem, Network: network, Clock: clock,
-				Timeout: 30 * time.Second, FallbackSites: g.SiteNames(),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer client.Close()
+	for c, client := range clients {
+		go func(c int, client *digruber.Client) {
 			for i := 0; ; i++ {
 				select {
 				case <-done:
@@ -80,28 +107,26 @@ func main() {
 				})
 				clock.Sleep(time.Second)
 			}
-		}(c)
+		}(c, client)
 	}
 
-	for i := 0; i < 10; i++ {
-		clock.Sleep(36 * time.Second) // ≈300 real milliseconds at speedup 120
-		replies := overseer.Poll()
-		st := replies[0]
-		fmt.Printf("  t+%2ds: rate=%5.2f req/s capacity=%5.2f queued=%3d saturated=%v\n",
-			(i+1)*36, st.ObservedRate, st.CapacityRate, st.Queued, st.Saturated)
-		if st.Saturated {
-			rec := overseer.Recommend()
-			fmt.Printf("  overseer: %d decision point(s) deployed, recommends %d\n",
-				rec.Current, rec.Needed)
-			break
-		}
+	for i := 0; i < 10 && len(ctl.Deployments()) == 0; i++ {
+		clock.Sleep(interval)
+		st := dp.Status()
+		fmt.Printf("  t+%3ds: rate=%5.2f req/s capacity=%5.2f queued=%3d saturated=%v fleet=%d\n",
+			(i+1)*int(interval.Seconds()), st.ObservedRate, st.CapacityRate, st.Queued, st.Saturated, len(ctl.Fleet()))
 	}
 	close(done)
-	if events := overseer.Events(); len(events) > 0 {
-		fmt.Printf("  saturation events recorded: %d (first at %s)\n\n",
-			len(events), events[0].At.Format("15:04:05"))
+	ctl.Stop() // a deployment in flight finishes rebalancing first
+	if deployed := ctl.Deployments(); len(deployed) > 0 {
+		bindings := map[string]int{}
+		for _, c := range clients {
+			bindings[c.DPName()]++
+		}
+		fmt.Printf("  controller deployed %d decision point(s), the first at %s; client bindings now %v\n\n",
+			len(deployed), deployed[0].Format("15:04:05"), bindings)
 	} else {
-		fmt.Println("  (no saturation events recorded)")
+		fmt.Println("  (the controller heard no saturation verdict)")
 	}
 
 	// ---------- part 2: GRUB-SIM provisioning to convergence ----------

@@ -441,7 +441,7 @@ func pickAnyFree(loads []gruber.SiteLoad, cpus int, rng randSource) (string, boo
 }
 
 // Rebind switches the client to a different decision point — used by
-// the Provisioner when it rebalances load after deploying a new point,
+// the Controller when it rebalances load after deploying a new point,
 // and by the failover logic when the bound point looks dead. In-flight
 // calls on the old connection run to completion; subsequent Schedule
 // calls go to the new point. Rebinding a closed client is a no-op: Close

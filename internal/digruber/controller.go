@@ -9,11 +9,13 @@ import (
 	"digruber/internal/vtime"
 )
 
-// Controller is the elastic-fleet control loop — the full realization of
-// the dynamic reconfiguration the paper's Section 5 designs and the
-// grow-only Provisioner only half-implements. It watches the fleet's
-// metrics plane (queue depth, shed/expired/throttle rates, view
-// divergence), and:
+// Controller is the elastic-fleet control loop — the live realization
+// of the dynamic reconfiguration the paper's Section 5 designs but
+// leaves to future work ("we do not have a DI-GRUBER implementation for
+// such an approach"). It is the section's third-party monitor: it asks
+// every serving member for its own saturation verdict (Status) and reads
+// the fleet's metrics plane (queue depth, shed/expired/throttle rates,
+// offered demand, SLO alerts), and:
 //
 //   - scales UP under sustained pressure: a factory-built decision point
 //     is meshed with every fleet member (Connect fan-out),
@@ -46,22 +48,29 @@ type Controller struct {
 	nextUp     time.Time // earliest time the next scale-up may fire
 	nextDown   time.Time
 	ticker     vtime.Ticker
-	done       chan struct{}
-	running    bool
+	done       chan struct{} // closed by Stop; nil while not running
+	exited     chan struct{} // closed by loop on its way out
 	deployLog  []time.Time
 	retireLog  []time.Time
 }
 
+// DPFactory creates and starts decision point number idx, returning the
+// live handle. The factory owns transport/address conventions and must
+// seed the new point's engine with the grid's static site knowledge
+// before returning (UpdateSites), exactly as a freshly-deployed broker
+// would bootstrap from the information service.
+type DPFactory func(idx int) (*DecisionPoint, error)
+
 // ControllerConfig wires a Controller.
 type ControllerConfig struct {
 	Clock vtime.Clock
-	// Factory creates and starts decision point number idx on demand
-	// (same contract as the Provisioner's DPFactory).
+	// Factory creates and starts decision point number idx on demand.
 	Factory DPFactory
 	// Metrics is the fleet registry the controller reads its signals
 	// from — the same one the decision points publish under dp/<name>/.
 	// The registry must be sampled (tsdb.Sampler or manual Sample calls)
-	// for the signals to exist.
+	// for the window signals to exist; the members' saturation verdicts
+	// are read live and need no sampling.
 	Metrics *tsdb.Registry
 	// Interval is the evaluation period (default 1 minute).
 	Interval time.Duration
@@ -102,34 +111,30 @@ type ControllerConfig struct {
 	// queue depth or sheds to confirm it only delays the remedy — and
 	// vetoes idle for the same reason. Nil disables the signal.
 	SLOFiring func() int
-	// DivergenceSuffix names the per-DP view-divergence gauge as
-	// dp/<name>/<suffix> (the exp harness registers "divergence").
-	// When set together with Signals.DivergenceHigh, high divergence
-	// vetoes scale-down: a fleet that has not converged its views is not
-	// "idle enough" to lose a member. Empty disables the veto.
-	DivergenceSuffix string
 	// Signals holds the scaling thresholds.
 	Signals SignalThresholds
 }
 
-// SignalThresholds are the levels at which the controller's tsdb signals
-// read as pressure (scale up) or idleness (scale down).
+// Levels at which the always-on tsdb signals read as pressure (scale
+// up) or permit idleness (scale down).
+const (
+	// queueHigh: pressure when any serving member's smoothed queue depth
+	// (wire/queue window mean) reaches this.
+	queueHigh = 8
+	// shedRateHigh: pressure when the fleet-total shed+expired rate
+	// (1/s, window) reaches this.
+	shedRateHigh = 0.5
+	// queueLow: idle requires every member's smoothed queue depth at or
+	// below this, and zero shed/expired/throttle rate.
+	queueLow = 1
+)
+
+// SignalThresholds are the levels of the controller's optional signals
+// and the window all of its tsdb signals read over.
 type SignalThresholds struct {
-	// QueueHigh: pressure when any serving member's smoothed queue depth
-	// (wire/queue window mean) reaches this (default 8).
-	QueueHigh float64
-	// ShedRateHigh: pressure when the fleet-total shed+expired rate
-	// (1/s, window) reaches this (default 0.5).
-	ShedRateHigh float64
 	// ThrottleRateHigh: pressure when the ThrottleSeries window rate
 	// reaches this (default 0.5; only with ThrottleSeries set).
 	ThrottleRateHigh float64
-	// QueueLow: idle requires every member's smoothed queue depth at or
-	// below this (default 1) and zero shed/expired/throttle rate.
-	QueueLow float64
-	// DivergenceHigh: with DivergenceSuffix set, any member's divergence
-	// gauge at or above this vetoes idle (0 disables).
-	DivergenceHigh float64
 	// DemandHighPerDP/DemandLowPerDP: with DemandSeries set, the offered
 	// rate per serving member (1/s) that reads as pressure (at or above
 	// High) resp. permits idle (at or below Low). Zero disables the
@@ -186,17 +191,8 @@ func (cfg *ControllerConfig) setDefaults() error {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Minute
 	}
-	if cfg.Signals.QueueHigh <= 0 {
-		cfg.Signals.QueueHigh = 8
-	}
-	if cfg.Signals.ShedRateHigh <= 0 {
-		cfg.Signals.ShedRateHigh = 0.5
-	}
 	if cfg.Signals.ThrottleRateHigh <= 0 {
 		cfg.Signals.ThrottleRateHigh = 0.5
-	}
-	if cfg.Signals.QueueLow <= 0 {
-		cfg.Signals.QueueLow = 1
 	}
 	if cfg.Signals.Window <= 0 {
 		cfg.Signals.Window = 4 * cfg.Interval
@@ -266,16 +262,16 @@ func (c *Controller) ManageClients(clients []*Client) {
 func (c *Controller) Start() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.running {
+	if c.done != nil {
 		return
 	}
-	c.running = true
-	c.done = make(chan struct{})
+	c.done, c.exited = make(chan struct{}), make(chan struct{})
 	c.ticker = c.clock.NewTicker(c.cfg.Interval)
-	go c.loop(c.ticker, c.done)
+	go c.loop(c.ticker, c.done, c.exited)
 }
 
-func (c *Controller) loop(ticker vtime.Ticker, done chan struct{}) {
+func (c *Controller) loop(ticker vtime.Ticker, done, exited chan struct{}) {
+	defer close(exited)
 	for {
 		select {
 		case <-ticker.C():
@@ -286,16 +282,20 @@ func (c *Controller) loop(ticker vtime.Ticker, done chan struct{}) {
 	}
 }
 
-// Stop ends the evaluation loop (the fleet keeps running).
+// Stop ends the evaluation loop and returns once an evaluation in
+// flight has finished (the fleet keeps running).
 func (c *Controller) Stop() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.running {
+	done, exited := c.done, c.exited
+	if done == nil {
+		c.mu.Unlock()
 		return
 	}
-	c.running = false
+	c.done = nil
 	c.ticker.Stop()
-	close(c.done)
+	c.mu.Unlock()
+	close(done)
+	<-exited
 }
 
 // signals is one evaluation's view of the fleet's load, for logging and
@@ -305,15 +305,16 @@ type signals struct {
 	ShedRate     float64 // fleet-total shed+expired rate, 1/s
 	ThrottleRate float64 // client retry-throttle rate, 1/s
 	DemandPerDP  float64 // offered request rate per serving member, 1/s
-	Divergence   float64 // largest per-member view divergence
+	Saturated    int     // members whose own detector reports saturation
 	SLOAlerts    int     // per-VO SLO alerts currently firing
 	Pressure     bool
 	Idle         bool
 }
 
-// assess reads the fleet's signals from the metrics plane. Pressure and
-// idleness are deliberately not complements: between them lies the
-// steady state, where streaks reset and nothing happens.
+// assess reads the fleet's signals: each member's self-report and the
+// metrics plane. Pressure and idleness are deliberately not
+// complements: between them lies the steady state, where streaks reset
+// and nothing happens.
 func (c *Controller) assess(now time.Time) signals {
 	fleet := c.Fleet()
 	th := c.cfg.Signals
@@ -325,10 +326,8 @@ func (c *Controller) assess(now time.Time) signals {
 		}
 		s.ShedRate += c.reg.WindowRate(p+"wire/shed", now, th.Window) +
 			c.reg.WindowRate(p+"wire/expired", now, th.Window)
-		if c.cfg.DivergenceSuffix != "" {
-			if v, ok := c.reg.Latest(p + c.cfg.DivergenceSuffix); ok && v.V > s.Divergence {
-				s.Divergence = v.V
-			}
+		if dp.Status().Saturated {
+			s.Saturated++
 		}
 	}
 	if c.cfg.ThrottleSeries != "" {
@@ -340,19 +339,15 @@ func (c *Controller) assess(now time.Time) signals {
 	if c.cfg.SLOFiring != nil {
 		s.SLOAlerts = c.cfg.SLOFiring()
 	}
-	s.Pressure = s.MaxQueue >= th.QueueHigh ||
-		s.ShedRate >= th.ShedRateHigh ||
+	s.Pressure = s.Saturated > 0 ||
+		s.MaxQueue >= queueHigh ||
+		s.ShedRate >= shedRateHigh ||
 		s.SLOAlerts > 0 ||
 		(c.cfg.ThrottleSeries != "" && s.ThrottleRate >= th.ThrottleRateHigh) ||
 		(c.cfg.DemandSeries != "" && th.DemandHighPerDP > 0 && s.DemandPerDP >= th.DemandHighPerDP)
-	s.Idle = s.MaxQueue <= th.QueueLow && s.ShedRate == 0 && s.ThrottleRate == 0 &&
+	s.Idle = s.Saturated == 0 && s.MaxQueue <= queueLow && s.ShedRate == 0 && s.ThrottleRate == 0 &&
 		s.SLOAlerts == 0 &&
 		(c.cfg.DemandSeries == "" || th.DemandLowPerDP <= 0 || s.DemandPerDP <= th.DemandLowPerDP)
-	if th.DivergenceHigh > 0 && s.Divergence >= th.DivergenceHigh {
-		// A diverged fleet is not idle enough to shrink: losing a member
-		// while views disagree would only slow convergence further.
-		s.Idle = false
-	}
 	return s
 }
 

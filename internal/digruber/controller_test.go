@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"digruber/internal/gruber"
+	"digruber/internal/netsim"
 	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
 	"digruber/internal/wire"
@@ -327,5 +328,210 @@ func TestControllerRebalancesClients(t *testing.T) {
 		if c.DPName() != "dp-0" {
 			t.Fatalf("client %s still bound to %s after retirement", c.cfg.Name, c.DPName())
 		}
+	}
+}
+
+func TestControllerValidation(t *testing.T) {
+	clock := vtime.NewReal()
+	factory := func(int) (*DecisionPoint, error) { return nil, nil }
+	first := &DecisionPoint{}
+	for name, c := range map[string]struct {
+		cfg     ControllerConfig
+		initial []*DecisionPoint
+	}{
+		"empty config": {ControllerConfig{}, []*DecisionPoint{first}},
+		"no registry":  {ControllerConfig{Clock: clock, Factory: factory}, []*DecisionPoint{first}},
+		"max < min":    {ControllerConfig{Clock: clock, Factory: factory, Metrics: tsdb.New(0), MinDPs: 3, MaxDPs: 2}, []*DecisionPoint{first}},
+		"empty fleet":  {ControllerConfig{Clock: clock, Factory: factory, Metrics: tsdb.New(0)}, nil},
+	} {
+		if _, err := NewController(c.cfg, c.initial); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// saturationRig is a Real-clock fleet of 1-worker decision points whose
+// registry is never sampled: every window signal reads zero, so the
+// members' own saturation verdicts are the only live signal.
+func saturationRig(t *testing.T, prefix string, maxDPs int) (*Controller, []*Client) {
+	t.Helper()
+	clock := vtime.NewReal()
+	mem := wire.NewMem()
+	statuses := testStatuses(100, 100, 100)
+	slow := wire.StackProfile{Name: "slow", BaseOverhead: 100 * time.Millisecond, MaxConcurrent: 1, QueueLimit: 128}
+	factory := func(idx int) (*DecisionPoint, error) {
+		name := fmt.Sprintf("%s-%d", prefix, idx)
+		dp, err := New(Config{
+			Name: name, Addr: name, Transport: mem, Clock: clock, Profile: slow,
+			Strategy: UsageOnly, ExchangeInterval: time.Hour,
+			Saturation: SaturationConfig{Window: 2 * time.Second, QueueThreshold: 3},
+		})
+		if err != nil {
+			return nil, err
+		}
+		dp.Engine().UpdateSites(statuses, clock.Now())
+		return dp, dp.Start()
+	}
+	first, err := factory(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := NewController(ControllerConfig{
+		Clock: clock, Factory: factory, Metrics: tsdb.New(0),
+		Interval: time.Hour, MaxDPs: maxDPs, ScaleUpAfter: 1,
+	}, []*DecisionPoint{first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, dp := range ctl.Fleet() {
+			dp.Stop()
+		}
+	})
+
+	var clients []*Client
+	for i := 0; i < 8; i++ {
+		c, err := NewClient(ClientConfig{
+			Name: fmt.Sprintf("%s-client-%d", prefix, i), DPName: first.Name(), DPNode: first.Name(), DPAddr: first.Addr(),
+			Transport: mem, Clock: clock, Timeout: 2 * time.Second,
+			FallbackSites: []string{"site-000"},
+			RNG:           netsim.Stream(int64(i), "ctl.saturation"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		clients = append(clients, c)
+	}
+	ctl.ManageClients(clients)
+
+	// Saturate the first point: concurrent schedules at a 1-worker stack.
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done) })
+	for _, c := range clients {
+		go func(c *Client) {
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				c.Schedule(testJob(fmt.Sprintf("%s-%d", c.cfg.Name, i)))
+			}
+		}(c)
+	}
+	return ctl, clients
+}
+
+// awaitSaturated polls dp's own verdict until it reads saturated.
+func awaitSaturated(t *testing.T, dp *DecisionPoint) {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		if dp.Status().Saturated {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("%s never reported saturation under the burst", dp.Name())
+}
+
+// The Section 5 loop end to end: a member's own saturation verdict is
+// all the pressure there is, and one evaluation that hears it deploys a
+// point, meshes it both ways and hands it half the clients.
+func TestControllerDeploysUnderSaturation(t *testing.T) {
+	ctl, clients := saturationRig(t, "dp", 3)
+	deployed := false
+	for i := 0; i < 100 && !deployed; i++ {
+		act, err := ctl.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deployed = act == ActionScaleUp; !deployed {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if !deployed {
+		t.Fatal("controller never deployed a new decision point under saturation")
+	}
+	// Still saturated or not, the cooldown holds the fleet at one
+	// deployment.
+	if act, err := ctl.Evaluate(); err != nil || act != ActionNone {
+		t.Fatalf("evaluation inside the cooldown: act=%q err=%v, want none", act, err)
+	}
+	fleet := ctl.Fleet()
+	if len(fleet) != 2 {
+		t.Fatalf("fleet = %d, want 2", len(fleet))
+	}
+	if len(ctl.Deployments()) != 1 {
+		t.Fatal("deployment not logged")
+	}
+	rebound := 0
+	for _, c := range clients {
+		if c.DPName() == "dp-1" {
+			rebound++
+		}
+	}
+	if rebound != 4 {
+		t.Fatalf("rebound clients = %d, want 4 of 8", rebound)
+	}
+	if peers := fleet[1].Peers(); len(peers) != 1 || peers[0] != "dp-0" {
+		t.Fatalf("new DP peers = %v", peers)
+	}
+	if peers := fleet[0].Peers(); len(peers) != 1 || peers[0] != "dp-1" {
+		t.Fatalf("original DP peers = %v", peers)
+	}
+}
+
+func TestControllerRespectsMaxDPs(t *testing.T) {
+	ctl, _ := saturationRig(t, "cap-dp", 1)
+	awaitSaturated(t, ctl.Fleet()[0])
+	for i := 0; i < 5; i++ {
+		if act, err := ctl.Evaluate(); err != nil || act != ActionNone {
+			t.Fatalf("saturated at MaxDPs: act=%q err=%v, want none", act, err)
+		}
+	}
+	if got := len(ctl.Fleet()); got != 1 {
+		t.Fatalf("controller grew past MaxDPs: fleet = %d", got)
+	}
+}
+
+// Start hands Evaluate to the clock's ticker, one pass per Interval,
+// and Stop returns with the loop gone: no later tick evaluates.
+func TestControllerStartStopRunsOnTicker(t *testing.T) {
+	iv := time.Minute
+	r := newControllerRig(t, ControllerConfig{
+		Interval: iv, MaxDPs: 4, ScaleUpAfter: 1, UpCooldown: iv / 2,
+		Signals: SignalThresholds{ThrottleRateHigh: 0.5, Window: 4 * iv},
+	})
+	r.reg.Sample(r.clock.Now())
+	// tick accrues pressure and samples it mid-interval, so the sample is
+	// in the registry before the tick that ends the interval fires.
+	tick := func() {
+		r.clock.Advance(iv / 2)
+		r.throttle.Add(120)
+		r.reg.Sample(r.clock.Now())
+		r.clock.Advance(iv / 2)
+	}
+
+	r.ctl.Start()
+	r.ctl.Start() // idempotent: still one ticker, one loop
+	for want := int64(1); want <= 2; want++ {
+		tick()
+		// scale_ups moves last in a scale-up, so the pass is over once it
+		// reads want and the clock is free to move again.
+		for i := 0; r.ctl.scaleUps.Value() != want; i++ {
+			if i == 5000 {
+				t.Fatalf("tick %d: scale_ups = %d, the started controller never evaluated", want, r.ctl.scaleUps.Value())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	r.ctl.Stop()
+	r.ctl.Stop()
+	tick()
+	tick()
+	if got := len(r.ctl.Fleet()); got != 3 {
+		t.Fatalf("fleet = %d after Stop, want it left at 3", got)
 	}
 }

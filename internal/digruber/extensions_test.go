@@ -1,7 +1,6 @@
 package digruber
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -101,170 +100,5 @@ func TestClientRebind(t *testing.T) {
 	c.Rebind(h.dps[1].Name(), h.dps[1].Name(), h.dps[1].Addr())
 	if dec := c.Schedule(testJob("r3")); dec.Err != nil {
 		t.Fatal(dec.Err)
-	}
-}
-
-// provisionerHarness builds a 1-DP fleet with a slow profile, a factory
-// for more DPs, and a battery of clients.
-func TestProvisionerDeploysUnderSaturation(t *testing.T) {
-	clock := vtime.NewReal()
-	mem := wire.NewMem()
-	statuses := testStatuses(100, 100, 100)
-	slow := wire.StackProfile{Name: "slow", BaseOverhead: 100 * time.Millisecond, MaxConcurrent: 1, QueueLimit: 128}
-
-	factory := func(idx int) (*DecisionPoint, error) {
-		dp, err := New(Config{
-			Name: fmt.Sprintf("dp-%d", idx), Addr: fmt.Sprintf("dp-%d", idx),
-			Transport: mem, Clock: clock, Profile: slow,
-			Strategy: UsageOnly, ExchangeInterval: time.Hour,
-			Saturation: SaturationConfig{Window: 2 * time.Second, QueueThreshold: 3},
-		})
-		if err != nil {
-			return nil, err
-		}
-		dp.Engine().UpdateSites(statuses, clock.Now())
-		if err := dp.Start(); err != nil {
-			return nil, err
-		}
-		return dp, nil
-	}
-
-	first, err := factory(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := NewProvisioner(ProvisionerConfig{
-		Clock: clock, Factory: factory, MaxDPs: 3, Interval: time.Hour,
-	}, []*DecisionPoint{first})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, dp := range prov.Fleet() {
-			dp.Stop()
-		}
-	}()
-
-	var clients []*Client
-	for i := 0; i < 8; i++ {
-		c, err := NewClient(ClientConfig{
-			Name: fmt.Sprintf("pclient-%d", i), DPName: "dp-0", DPNode: "dp-0", DPAddr: "dp-0",
-			Transport: mem, Clock: clock, Timeout: 2 * time.Second,
-			FallbackSites: []string{"site-000"},
-			RNG:           netsim.Stream(int64(i), "prov"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, c)
-		defer c.Close()
-	}
-	prov.ManageClients(clients)
-
-	// Saturate dp-0: fire concurrent schedules at the 1-worker stack.
-	done := make(chan struct{})
-	for _, c := range clients {
-		c := c
-		go func() {
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				c.Schedule(testJob(fmt.Sprintf("%s-%d", c.cfg.Name, i)))
-			}
-		}()
-	}
-
-	deployed := false
-	for i := 0; i < 100; i++ {
-		dp, err := prov.Evaluate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dp != nil {
-			deployed = true
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	close(done)
-	if !deployed {
-		t.Fatal("provisioner never deployed a new decision point under saturation")
-	}
-	fleet := prov.Fleet()
-	if len(fleet) != 2 {
-		t.Fatalf("fleet = %d, want 2", len(fleet))
-	}
-	if len(prov.Deployments()) != 1 {
-		t.Fatal("deployment not logged")
-	}
-	// Clients rebalanced: half should now name dp-1.
-	rebound := 0
-	for _, c := range clients {
-		if c.DPName() == "dp-1" {
-			rebound++
-		}
-	}
-	if rebound != 4 {
-		t.Fatalf("rebound clients = %d, want 4 of 8", rebound)
-	}
-	// The newcomer is meshed with the original.
-	if peers := fleet[1].Peers(); len(peers) != 1 || peers[0] != "dp-0" {
-		t.Fatalf("new DP peers = %v", peers)
-	}
-	if peers := fleet[0].Peers(); len(peers) != 1 || peers[0] != "dp-1" {
-		t.Fatalf("original DP peers = %v", peers)
-	}
-}
-
-func TestProvisionerValidation(t *testing.T) {
-	clock := vtime.NewReal()
-	if _, err := NewProvisioner(ProvisionerConfig{}, nil); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	factory := func(int) (*DecisionPoint, error) { return nil, nil }
-	if _, err := NewProvisioner(ProvisionerConfig{Clock: clock, Factory: factory}, nil); err == nil {
-		t.Fatal("empty fleet accepted")
-	}
-}
-
-func TestProvisionerRespectsMaxDPs(t *testing.T) {
-	clock := vtime.NewReal()
-	mem := wire.NewMem()
-	factory := func(idx int) (*DecisionPoint, error) {
-		dp, err := New(Config{
-			Name: fmt.Sprintf("cap-dp-%d", idx), Addr: fmt.Sprintf("cap-dp-%d", idx),
-			Transport: mem, Clock: clock, Profile: wire.Instant(),
-			Strategy: NoExchange,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := dp.Start(); err != nil {
-			return nil, err
-		}
-		return dp, nil
-	}
-	first, err := factory(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := NewProvisioner(ProvisionerConfig{Clock: clock, Factory: factory, MaxDPs: 1, Interval: time.Hour}, []*DecisionPoint{first})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Stop()
-	// Force a saturated report by attaching a fake status source.
-	prov.Overseer().Attach("cap-dp-0", func() StatusReply {
-		return StatusReply{Saturated: true, ObservedRate: 100, CapacityRate: 1}
-	})
-	dp, err := prov.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp != nil {
-		t.Fatal("provisioner grew past MaxDPs")
 	}
 }

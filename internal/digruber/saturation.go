@@ -42,16 +42,19 @@ func (c *SaturationConfig) setDefaults() {
 }
 
 // SaturationDetector watches one decision point's request stream and
-// decides when the point has reached its saturation state. Saturation
-// events feed the third-party Overseer, which decides whether to deploy
-// additional decision points.
+// decides when the point has reached its saturation state. The verdict
+// rides Status to the third-party monitor (the Controller), which
+// decides whether to deploy additional decision points.
 type SaturationDetector struct {
 	cfg   SaturationConfig
 	clock vtime.Clock
 
-	mu       sync.Mutex
-	arrivals []time.Time // ring of arrival timestamps within Window
-	events   int         // transitions into saturation
+	mu sync.Mutex
+	// arrivals[head:] are the arrival timestamps within Window, oldest
+	// first; arrivals[:head] have aged out and wait for compaction.
+	arrivals []time.Time
+	head     int
+	events   int // transitions into saturation
 	wasSat   bool
 }
 
@@ -70,14 +73,18 @@ func (d *SaturationDetector) ObserveArrival() {
 	d.pruneLocked(now)
 }
 
+// pruneLocked ages out the timestamps older than Window by moving head
+// past them. The dead prefix is copied away only once it is at least as
+// long as the live part, so each copied timestamp pays for one aged-out
+// one and an arrival costs O(1) amortised however full the window is.
 func (d *SaturationDetector) pruneLocked(now time.Time) {
 	cut := now.Add(-d.cfg.Window)
-	i := 0
-	for i < len(d.arrivals) && d.arrivals[i].Before(cut) {
-		i++
+	for d.head < len(d.arrivals) && d.arrivals[d.head].Before(cut) {
+		d.head++
 	}
-	if i > 0 {
-		d.arrivals = append(d.arrivals[:0], d.arrivals[i:]...)
+	if d.head > 0 && d.head >= len(d.arrivals)-d.head {
+		d.arrivals = d.arrivals[:copy(d.arrivals, d.arrivals[d.head:])]
+		d.head = 0
 	}
 }
 
@@ -87,7 +94,7 @@ func (d *SaturationDetector) ObservedRate() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.pruneLocked(now)
-	return float64(len(d.arrivals)) / d.cfg.Window.Seconds()
+	return float64(len(d.arrivals)-d.head) / d.cfg.Window.Seconds()
 }
 
 // Assess combines the arrival rate with the service stack's state and

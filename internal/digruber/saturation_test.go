@@ -79,66 +79,41 @@ func TestSaturationSelfCalibration(t *testing.T) {
 	}
 }
 
-func TestOverseerEventsAndRecommendation(t *testing.T) {
-	clock := vtime.NewManual(epoch)
-	o := NewOverseer(clock)
-	saturatedA := true
-	o.Attach("dp-a", func() StatusReply {
-		return StatusReply{Saturated: saturatedA, ObservedRate: 6, CapacityRate: 2}
-	})
-	o.Attach("dp-b", func() StatusReply {
-		return StatusReply{Saturated: false, ObservedRate: 1, CapacityRate: 2}
-	})
-	replies := o.Poll()
-	if len(replies) != 2 || replies[0].Name != "dp-a" {
-		t.Fatalf("poll = %+v", replies)
+// TestSaturationPruneIsAmortised: ObserveArrival runs on every Query and
+// Schedule, so ageing timestamps out of a full window must not cost a
+// copy of the whole window per arrival — it did (93 ns per arrival while
+// a one-minute window filled at 13 000 arrivals/s, 1.47 ms once it was
+// full). The floor is on the ratio, which the host's speed cancels out
+// of; a scheduler hiccup gets three attempts to stay out of it.
+func TestSaturationPruneIsAmortised(t *testing.T) {
+	const (
+		perWindow = 50000
+		window    = 10 * time.Second
+	)
+	var fill, full time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		clock := vtime.NewManual(epoch)
+		d := NewSaturationDetector(SaturationConfig{Window: window}, clock)
+		observe := func(n int) time.Duration {
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				d.ObserveArrival()
+				clock.Advance(window / perWindow)
+			}
+			return time.Since(start)
+		}
+		fill = observe(perWindow)
+		// Two windows' worth, so the compaction the dead prefix waits for
+		// is inside the measurement.
+		full = observe(2*perWindow) / 2
+		if got, want := d.ObservedRate(), perWindow/window.Seconds(); got != want {
+			t.Fatalf("observed rate with a full window = %v, want %v", got, want)
+		}
+		if full <= 4*fill {
+			return
+		}
 	}
-	if len(o.Events()) != 1 || o.Events()[0].DP != "dp-a" {
-		t.Fatalf("events = %+v", o.Events())
-	}
-	rec := o.Recommend()
-	// Total observed 7 req/s over per-point capacity 2 → 4 DPs needed.
-	if rec.Current != 2 || rec.Needed != 4 {
-		t.Fatalf("recommendation = %+v, want needed 4", rec)
-	}
-	if len(rec.Saturated) != 1 || rec.Saturated[0] != "dp-a" {
-		t.Fatalf("saturated list = %v", rec.Saturated)
-	}
-	// Same saturated point again: no duplicate event.
-	o.Poll()
-	if len(o.Events()) != 1 {
-		t.Fatal("duplicate saturation event recorded")
-	}
-	// Recovery then relapse: second event.
-	saturatedA = false
-	o.Poll()
-	saturatedA = true
-	o.Poll()
-	if len(o.Events()) != 2 {
-		t.Fatalf("events after relapse = %d, want 2", len(o.Events()))
-	}
-}
-
-func TestOverseerSaturatedButUnderRateGrowsByOne(t *testing.T) {
-	clock := vtime.NewManual(epoch)
-	o := NewOverseer(clock)
-	// Queue-based saturation without rate overload still forces growth.
-	o.Attach("dp-a", func() StatusReply {
-		return StatusReply{Saturated: true, ObservedRate: 1, CapacityRate: 2}
-	})
-	o.Poll()
-	rec := o.Recommend()
-	if rec.Needed != 2 {
-		t.Fatalf("needed = %d, want current+1 = 2", rec.Needed)
-	}
-}
-
-func TestOverseerEmpty(t *testing.T) {
-	o := NewOverseer(vtime.NewManual(epoch))
-	rec := o.Recommend()
-	if rec.Current != 0 || rec.Needed != 0 || len(rec.Saturated) != 0 {
-		t.Fatalf("empty recommendation = %+v", rec)
-	}
+	t.Fatalf("%d arrivals took %v while the window filled and %v once it was full; want within 4x", perWindow, fill, full)
 }
 
 func TestDecisionPointSaturatesUnderBurst(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"digruber/internal/grid"
 	"digruber/internal/grubsim"
 	"digruber/internal/netsim"
+	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
 	"digruber/internal/wire"
 )
@@ -203,8 +204,9 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 		profile.PerKB = time.Duration(float64(profile.PerKB) * float64(fullScaleSites) / float64(scale.Sites))
 	}
 
+	reg := tsdb.New(0)
 	f, err := NewFleet(FleetSpec{
-		Clock: clock, Network: network, Sites: g.Snapshot,
+		Clock: clock, Network: network, Metrics: reg, Sites: g.Snapshot,
 		Points: 1, Clients: scale.Clients,
 		Point: func(i int, c *digruber.Config) {
 			c.Name = fmt.Sprintf("dyn-dp-%d", i)
@@ -222,15 +224,21 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 	}
 	defer f.Close()
 	clients := f.Clients()
-	prov, err := digruber.NewProvisioner(digruber.ProvisionerConfig{
-		Clock: clock, Factory: f.Deploy, Interval: time.Minute, MaxDPs: 8,
+	// The §5 loop: every member judges its own saturation, the Controller
+	// polls the verdicts each minute and deploys on the first one it
+	// hears; the sampler feeds its queue and shed windows.
+	ctl, err := digruber.NewController(digruber.ControllerConfig{
+		Clock: clock, Factory: f.Deploy, Metrics: reg, Interval: time.Minute, MaxDPs: 8,
+		ScaleUpAfter: 1, UpCooldown: time.Minute,
 	}, f.Points())
 	if err != nil {
 		return Report{}, err
 	}
-	prov.ManageClients(clients)
-	prov.Start()
-	defer prov.Stop()
+	ctl.ManageClients(clients)
+	sampler := tsdb.NewSampler(reg, clock, time.Minute)
+	sampler.Start()
+	defer sampler.Stop()
+	ctl.Start()
 
 	// Drive load: every client schedules a job every 5 virtual seconds
 	// for the run duration, all bound to dp-0 initially.
@@ -254,11 +262,12 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 	}
 	<-done
 	close(stop)
+	ctl.Stop() // a deployment in flight finishes rebalancing first
 
 	var b strings.Builder
 	b.WriteString("== Extension: live dynamic provisioning (GT3, from 1 DP) ==\n")
-	fmt.Fprintf(&b, "fleet grew 1 -> %d decision points during the run\n", len(prov.Fleet()))
-	for i, at := range prov.Deployments() {
+	fmt.Fprintf(&b, "fleet grew 1 -> %d decision points during the run\n", len(ctl.Fleet()))
+	for i, at := range ctl.Deployments() {
 		fmt.Fprintf(&b, "  deployed dyn-dp-%d at t+%s\n", i+1, at.Sub(Epoch).Round(time.Second))
 	}
 	bindings := map[string]int{}
@@ -266,12 +275,16 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 		bindings[c.DPName()]++
 	}
 	fmt.Fprintf(&b, "client bindings after rebalancing: %v\n", bindings)
-	fmt.Fprintf(&b, "saturation events observed: %d\n", len(prov.Overseer().Events()))
+	events := 0
+	for _, dp := range f.Points() {
+		events += dp.Detector().Events()
+	}
+	fmt.Fprintf(&b, "saturation events observed: %d\n", events)
 	rows := []Row{{
 		"row": "extension", "extension": "dynamic-live",
-		"final_dps":         len(prov.Fleet()),
-		"deployments":       len(prov.Deployments()),
-		"saturation_events": len(prov.Overseer().Events()),
+		"final_dps":         len(ctl.Fleet()),
+		"deployments":       len(ctl.Deployments()),
+		"saturation_events": events,
 	}}
 	return Report{Text: b.String(), Rows: rows}, nil
 }

@@ -200,8 +200,8 @@ func (f *Fleet) add(i int, start bool) (*digruber.DecisionPoint, error) {
 }
 
 // Deploy builds, seeds and starts decision point idx, unpeered — it is
-// the digruber.DPFactory a Controller or Provisioner grows the fleet
-// with (they do the peering), and Close stops what it deployed.
+// the digruber.DPFactory a Controller grows the fleet with (the
+// Controller does the peering), and Close stops what it deployed.
 func (f *Fleet) Deploy(idx int) (*digruber.DecisionPoint, error) {
 	return f.add(idx, true)
 }

@@ -110,6 +110,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("repository violation: %s", d)
 	}
+	checkTestOnlyMethods(t, pkgs)
 }
 
 // The committed lockfile must round-trip through the formatter and

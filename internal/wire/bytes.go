@@ -1,11 +1,6 @@
 package wire
 
-import (
-	"sync"
-	"time"
-
-	"digruber/internal/tsdb"
-)
+import "sync"
 
 // Payload-byte accounting, per method. Bytes-on-wire is the axis the
 // gossip dissemination work is judged on — per-DP bytes-per-round must
@@ -50,12 +45,6 @@ func (b *byteBook) totals() (in, out int64) {
 	return b.in, b.out
 }
 
-func (b *byteBook) method(method string) IOBytes {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.byMethod[method]
-}
-
 func (b *byteBook) snapshot() map[string]IOBytes {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -67,32 +56,9 @@ func (b *byteBook) snapshot() map[string]IOBytes {
 	return out
 }
 
-// registerMethodGauges exposes one ledger's per-method totals as
-// cumulative series under prefix/method/<name>/bytes_{in,out}. The
-// method list is explicit because tsdb series are fixed at registration
-// time; callers name the methods they serve or call.
-func (b *byteBook) registerMethodGauges(reg *tsdb.Registry, prefix string, methods []string) {
-	for _, m := range methods {
-		m := m
-		reg.GaugeFunc(prefix+"/method/"+m+"/bytes_in", func(now time.Time) float64 {
-			return float64(b.method(m).In)
-		})
-		reg.GaugeFunc(prefix+"/method/"+m+"/bytes_out", func(now time.Time) float64 {
-			return float64(b.method(m).Out)
-		})
-	}
-}
-
 // MethodIO returns the server's per-method payload-byte totals: In is
 // request bodies received, Out is response bodies sent.
 func (s *Server) MethodIO() map[string]IOBytes { return s.bytes.snapshot() }
-
-// RegisterMethodMetrics exposes the server's per-method byte totals as
-// series under prefix (see byteBook.registerMethodGauges). Safe with a
-// nil registry.
-func (s *Server) RegisterMethodMetrics(reg *tsdb.Registry, prefix string, methods ...string) {
-	s.bytes.registerMethodGauges(reg, prefix, methods)
-}
 
 // MethodIO returns this counter set's per-method payload-byte totals:
 // Out is request bodies sent (every attempt, retries included), In is
@@ -102,15 +68,6 @@ func (m *ClientMetrics) MethodIO() map[string]IOBytes {
 		return nil
 	}
 	return m.bytes.snapshot()
-}
-
-// RegisterMethodMetrics exposes the client counters' per-method byte
-// totals as series under prefix. Safe with a nil receiver or registry.
-func (m *ClientMetrics) RegisterMethodMetrics(reg *tsdb.Registry, prefix string, methods ...string) {
-	if m == nil {
-		return
-	}
-	m.bytes.registerMethodGauges(reg, prefix, methods)
 }
 
 // onBytesSent counts one attempt's encoded request body.

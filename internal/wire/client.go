@@ -303,11 +303,17 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 
 	ch := make(chan frame, 1)
 	c.mu.Lock()
+	enc := c.enc
+	conn := c.conn
+	if enc == nil {
+		// The read loop dropped the connection (or Close took it) after
+		// ensureConn saw it up: nobody would fail a call registered now.
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%w: dropped before send", ErrConnLost)
+	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
-	enc := c.enc
-	conn := c.conn
 	c.mu.Unlock()
 
 	var dl int64

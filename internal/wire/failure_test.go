@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -241,4 +242,35 @@ func waitForCond(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition never became true")
+}
+
+// deadOnArrival is a Transport whose connections are already closed by
+// the far end: reads fail at once, writes are accepted and discarded.
+type deadOnArrival struct{}
+
+func (deadOnArrival) Listen(string) (Listener, error) { return nil, errors.New("dial only") }
+func (deadOnArrival) Dial(string) (Conn, error)       { return deadConn{}, nil }
+
+type deadConn struct{}
+
+func (deadConn) Read([]byte) (int, error)    { return 0, io.EOF }
+func (deadConn) Write(p []byte) (int, error) { return len(p), nil }
+func (deadConn) Close() error                { return nil }
+
+// TestConnDroppedBeforeSendIsConnLost: the read loop can drop a
+// connection between the moment an attempt finds it up and the moment
+// the attempt takes its encoder. That is a lost connection like any
+// other — it used to be a nil encoder and a panic (seen from the chaos
+// tests under load).
+func TestConnDroppedBeforeSendIsConnLost(t *testing.T) {
+	cli := NewClient(ClientConfig{
+		Node: "client-node", ServerNode: "server-node", Addr: "dead",
+		Transport: deadOnArrival{}, Clock: vtime.NewReal(),
+	})
+	t.Cleanup(cli.Close)
+	for i := 0; i < 5000; i++ {
+		if _, err := cli.Call("echo", nil, time.Second); !errors.Is(err, ErrConnLost) {
+			t.Fatalf("call %d: err = %v, want ErrConnLost", i, err)
+		}
+	}
 }

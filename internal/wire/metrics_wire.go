@@ -7,47 +7,6 @@ import (
 	"digruber/internal/tsdb"
 )
 
-// RegisterMetrics exposes the server's load counters as time series
-// under prefix (e.g. prefix "dp/dp-0/wire" yields dp/dp-0/wire/inflight
-// and friends). The cumulative counters (received, completed, shed,
-// conn_lost, failed) pair with tsdb.Rate for the per-second views;
-// inflight and queue are instantaneous gauges. Safe with a nil
-// registry.
-func (s *Server) RegisterMetrics(reg *tsdb.Registry, prefix string) {
-	reg.GaugeFunc(prefix+"/inflight", func(now time.Time) float64 { return float64(s.inflight.Load()) })
-	reg.GaugeFunc(prefix+"/queue", func(now time.Time) float64 { return float64(len(s.work)) })
-	// Reserved-lane occupancy: zero series when no lane is configured.
-	reg.GaugeFunc(prefix+"/lane_queue", func(now time.Time) float64 {
-		if s.laneWork == nil {
-			return 0
-		}
-		return float64(len(s.laneWork))
-	})
-	reg.GaugeFunc(prefix+"/lane_inflight", func(now time.Time) float64 { return float64(s.laneInflight.Load()) })
-	for _, c := range []struct {
-		name string
-		v    *atomic.Int64
-	}{
-		{"/received", &s.received},
-		{"/completed", &s.completed},
-		{"/failed", &s.failed},
-		{"/shed", &s.shed},
-		{"/conn_lost", &s.connLost},
-		{"/expired", &s.expired},
-	} {
-		v := c.v
-		reg.GaugeFunc(prefix+c.name, func(now time.Time) float64 { return float64(v.Load()) })
-	}
-	reg.GaugeFunc(prefix+"/bytes_in", func(now time.Time) float64 {
-		in, _ := s.bytes.totals()
-		return float64(in)
-	})
-	reg.GaugeFunc(prefix+"/bytes_out", func(now time.Time) float64 {
-		_, out := s.bytes.totals()
-		return float64(out)
-	})
-}
-
 // ClientMetrics aggregates call outcomes across one or more Clients
 // sharing it (a fleet of submission hosts, a decision point's peer
 // links). All methods are safe on a nil receiver, so un-instrumented

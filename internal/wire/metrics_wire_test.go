@@ -10,48 +10,6 @@ import (
 	"digruber/internal/vtime"
 )
 
-// TestServerMetricsRegistration: the registered gauges track the same
-// atomics Stats() reads, sampled into series.
-func TestServerMetricsRegistration(t *testing.T) {
-	clock := vtime.NewReal()
-	srv, cli := newPair(t, Instant(), nil, clock)
-	Handle(srv, "echo", func(r echoReq) (echoResp, error) { return echoResp(r), nil })
-
-	reg := tsdb.New(0)
-	srv.RegisterMetrics(reg, "srv")
-
-	for i := 0; i < 3; i++ {
-		if _, err := Call[echoReq, echoResp](cli, "echo", echoReq{Msg: "x"}, time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The server decrements in-flight in a defer that runs after the
-	// response send, so it can still read 1 for an instant after a
-	// synchronous call returns — wait for it to settle before sampling.
-	for deadline := time.Now().Add(5 * time.Second); srv.Stats().InFlight != 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("server did not quiesce")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	reg.Sample(clock.Now())
-
-	for name, want := range map[string]float64{
-		"srv/received":  3,
-		"srv/completed": 3,
-		"srv/shed":      0,
-		"srv/conn_lost": 0,
-		"srv/failed":    0,
-		"srv/inflight":  0,
-		"srv/queue":     0,
-	} {
-		p, ok := reg.Latest(name)
-		if !ok || p.V != want {
-			t.Errorf("%s = %v (ok=%v), want %v", name, p.V, ok, want)
-		}
-	}
-}
-
 // TestClientMetricsOutcomes: a shared ClientMetrics partitions logical
 // call outcomes by failure class and counts attempts including retries.
 func TestClientMetricsOutcomes(t *testing.T) {
