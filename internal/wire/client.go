@@ -155,7 +155,7 @@ func NewClient(cfg ClientConfig) *Client {
 // Addr returns the server address the client dials.
 func (c *Client) Addr() string { return c.addr }
 
-// ensureConn dials if needed and returns the encoder. Caller must not
+// ensureConn dials if the client has no connection. Caller must not
 // hold c.mu.
 func (c *Client) ensureConn() error {
 	c.mu.Lock()
@@ -337,7 +337,10 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 		return nil, ErrTimeout
 	}
 	select {
-	case f := <-ch:
+	case f, ok := <-ch:
+		if !ok {
+			return nil, ErrClosed // Close took the call out of pending
+		}
 		c.metrics.onBytesReceived(method, len(f.Body))
 		if f.Err != "" {
 			switch {
@@ -390,16 +393,25 @@ func (c *Client) sleepUntil(deadline time.Time) {
 	}
 }
 
-// Close tears the connection down; subsequent calls fail with ErrClosed.
+// Close tears the connection down; calls in flight and subsequent calls
+// fail with ErrClosed.
 func (c *Client) Close() {
 	c.mu.Lock()
 	c.closed = true
 	conn := c.conn
 	c.conn = nil
 	c.enc = nil
+	// The read loop's dropConn will find c.conn already gone and leave
+	// the pending calls alone, so they are failed here.
+	orphans := c.pending
+	c.pending = make(map[uint64]chan frame)
 	c.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
+	}
+	//lint:allow mapiter -- each orphaned call has its own reply channel; delivery order is immaterial
+	for _, ch := range orphans {
+		close(ch)
 	}
 }
 

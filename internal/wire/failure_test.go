@@ -274,3 +274,33 @@ func TestConnDroppedBeforeSendIsConnLost(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseFailsInFlightCalls closes the client while a call waits for
+// its reply: the call must fail at once with ErrClosed instead of
+// waiting out its timeout and reporting ErrTimeout.
+func TestCloseFailsInFlightCalls(t *testing.T) {
+	srv, cli := newPair(t, Instant(), nil, vtime.NewReal())
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	defer close(gate)
+	Handle(srv, "block", func(r echoReq) (echoResp, error) {
+		close(entered)
+		<-gate
+		return echoResp(r), nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := Call[echoReq, echoResp](cli, "block", echoReq{}, time.Minute)
+		done <- err
+	}()
+	<-entered
+	cli.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) || Classify(err) != FailureClosed {
+			t.Fatalf("in-flight call: err = %v (%v), want ErrClosed", err, Classify(err))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("in-flight call still waiting 10s after Close")
+	}
+}

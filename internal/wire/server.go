@@ -44,7 +44,6 @@ type Server struct {
 	conns    map[*serverConn]struct{}
 
 	work    chan job
-	wg      sync.WaitGroup
 	closeCh chan struct{}
 
 	// Reserved lane (see ReserveLane): laneMethods routes matching
@@ -92,7 +91,6 @@ func NewServer(node string, profile StackProfile, clock vtime.Clock) *Server {
 		closeCh:  make(chan struct{}),
 	}
 	for i := 0; i < profile.workers(); i++ {
-		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
@@ -127,13 +125,11 @@ func (s *Server) ReserveLane(workers, queueLimit int, methods ...string) {
 	lane := s.laneWork
 	s.mu.Unlock()
 	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
 		go s.laneWorker(lane)
 	}
 }
 
 func (s *Server) laneWorker(lane chan job) {
-	defer s.wg.Done()
 	for {
 		select {
 		case j := <-lane:
@@ -282,7 +278,6 @@ func (s *Server) serveConn(raw Conn) {
 }
 
 func (s *Server) worker() {
-	defer s.wg.Done()
 	for {
 		select {
 		case j := <-s.work:
