@@ -32,7 +32,7 @@ type codecProbe struct {
 	staged []byte
 }
 
-func newCodecProbe(t *testing.T) *codecProbe {
+func newCodecProbe(t testing.TB) *codecProbe {
 	t.Helper()
 	p := &codecProbe{}
 	mem := wire.NewMem()
@@ -56,23 +56,30 @@ func newCodecProbe(t *testing.T) *codecProbe {
 	return p
 }
 
-// roundTrip sends v through wire.Call and returns the body the call put
-// on the wire and the value it decoded from the (echoed or staged) reply.
-func roundTrip[T any](t *testing.T, p *codecProbe, v T, staged []byte) ([]byte, T) {
-	t.Helper()
+// call sends v through wire.Call and returns the body the call put on
+// the wire, and the value it decoded from the (echoed or staged) reply or
+// the error it met.
+func call[T any](p *codecProbe, v T, staged []byte) ([]byte, T, error) {
 	p.mu.Lock()
 	p.staged = staged
 	p.mu.Unlock()
 	reply, err := wire.Call[T, T](p.cli, "probe", v, time.Minute)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.got, reply, err
+}
+
+// roundTrip is call for a reply that must decode.
+func roundTrip[T any](t testing.TB, p *codecProbe, v T, staged []byte) ([]byte, T) {
+	t.Helper()
+	body, reply, err := call(p, v, staged)
 	if err != nil {
 		t.Fatalf("%T: %v", v, err)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.got, reply
+	return body, reply
 }
 
-func freshGob(t *testing.T, v interface{}) []byte {
+func freshGob(t testing.TB, v interface{}) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

@@ -176,8 +176,8 @@ func (e *Engine) Name() string { return e.name }
 // effect immediately).
 func (e *Engine) Policies() *usla.PolicySet { return e.policies }
 
-// UpdateSites installs or refreshes the baseline view of sites, as a
-// monitor.Sink. The initial call is the paper's "complete static
+// UpdateSites installs or refreshes the baseline view of sites from a
+// grid snapshot. The initial call is the paper's "complete static
 // knowledge about available resources"; later calls re-baseline the
 // dynamic estimate (dispatches at or before the snapshot are dropped,
 // since the snapshot already reflects them).

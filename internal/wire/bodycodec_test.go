@@ -350,14 +350,30 @@ func TestFreeListsAreBounded(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBody holds decodeBody, on a type whose entry is warm, to a
-// fresh gob.Decoder's verdict on arbitrary bytes — and the prefix walker
-// to its contract on the same bytes.
+// FuzzDecodeBody holds decodeBody, on types whose entries are warm — one
+// gob decodes, one that carries the value hook — to a fresh gob.Decoder's
+// verdict on arbitrary bytes, and the prefix walker to its contract on
+// the same bytes.
 func FuzzDecodeBody(f *testing.F) {
 	valid := freshEncode(f, replyOf(2))
 	split := valueOffset(valid)
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)-5] ^= 0x10
+	hooked := freshEncode(f, hookedOf(2))
+	hookedSplit := valueOffset(hooked)
+	hookedFlipped := bytes.Clone(hooked)
+	hookedFlipped[len(hookedFlipped)-5] ^= 0x10
+	// The same value message with its first load's name written twice,
+	// with a field delta past the last field, and with its count in nine
+	// bytes: gob's to decode or refuse, never the hook's.
+	_, width := gobUint(hooked[hookedSplit:])
+	head, value := hooked[:hookedSplit], hooked[hookedSplit+width:]
+	reframed := func(value []byte) []byte {
+		return append(AppendGobUint(bytes.Clone(head), uint64(len(value))), value...)
+	}
+	twice := append(append(bytes.Clone(value[:4]), value[4:14]...), value[4:]...)
+	delta6 := append(append(bytes.Clone(value[:4]), 6), value[5:]...)
+	wide := append(append(bytes.Clone(value[:3]), 0xf8, 0, 0, 0, 0, 0, 0, 0, 2), value[4:]...)
 	for _, seed := range [][]byte{
 		valid, freshEncode(f, replyOf(0)), freshEncode(f, replyOf(300)),
 		freshEncode(f, codecReplyV2{Extra: "x"}), freshEncode(f, codecSchedule{JobID: "j", CPUs: 1}),
@@ -365,6 +381,10 @@ func FuzzDecodeBody(f *testing.F) {
 		valid[:split], valid[split:], valid[:len(valid)-3], flipped,
 		append(bytes.Clone(valid), valid[split:]...),
 		{}, {0}, {0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2},
+		hooked, freshEncode(f, hookedOf(0)), freshEncode(f, hookedOf(300)),
+		hooked[:len(hooked)-3], hookedFlipped, reframed(twice), reframed(delta6), reframed(wide),
+		reframed(value[:len(value)-3]), reframed(append(bytes.Clone(value[:3]), 0x7f)),
+		bytes.Replace(hooked, []byte("TotalCPUs"), []byte("TotalCPUz"), 1),
 	} {
 		f.Add(seed)
 	}
@@ -382,6 +402,11 @@ func FuzzDecodeBody(f *testing.F) {
 			if err := decodeBody(valid, &got); err != nil || !reflect.DeepEqual(got, replyOf(2)) {
 				t.Fatalf("valid body %s: %+v, %v", when, got, err)
 			}
+			var viaHook codecHooked
+			reads := hookReads.Load()
+			if err := decodeBody(hooked, &viaHook); err != nil || !reflect.DeepEqual(viaHook, hookedOf(2)) || hookReads.Load() == reads {
+				t.Fatalf("valid hooked body %s: %+v, %v", when, viaHook, err)
+			}
 		}
 		decodeValid("before")
 		var got, want codecReply
@@ -392,6 +417,15 @@ func FuzzDecodeBody(f *testing.F) {
 		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("decodeBody: %+v; fresh decoder: %+v", got, want)
+		}
+		var gotHooked, wantHooked codecHooked
+		err = decodeBody(data, &gotHooked)
+		wantErr = freshDecode(data, &wantHooked)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("hooked target: decodeBody: %v; fresh decoder: %v", err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(gotHooked, wantHooked) {
+			t.Fatalf("hooked target: decodeBody: %+v; fresh decoder: %+v", gotHooked, wantHooked)
 		}
 		decodeValid("after")
 	})

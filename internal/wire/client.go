@@ -177,7 +177,7 @@ func (c *Client) ensureConn() error {
 }
 
 func (c *Client) readLoop(conn Conn) {
-	dec := gob.NewDecoder(conn)
+	dec := gob.NewDecoder(&frameCap{r: conn})
 	for {
 		var f frame
 		if err := dec.Decode(&f); err != nil {

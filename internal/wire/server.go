@@ -241,7 +241,7 @@ func (s *Server) serveConn(raw Conn) {
 	}
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
-	dec := gob.NewDecoder(raw)
+	dec := gob.NewDecoder(&frameCap{r: raw})
 	defer func() {
 		raw.Close()
 		s.mu.Lock()

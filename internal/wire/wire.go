@@ -18,9 +18,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 )
@@ -64,6 +67,10 @@ var (
 	// it; the failover layer above re-runs the interaction against a
 	// different decision point instead.
 	ErrDraining = errors.New("wire: decision point draining")
+	// ErrFrameTooLarge reports that the peer announced a message longer
+	// than maxFrameBytes. The connection is dropped before any of the
+	// message is read, so calls in flight on it see ErrConnLost.
+	ErrFrameTooLarge = errors.New("wire: frame too large")
 )
 
 // FailureClass partitions call errors for failover and retry logic.
@@ -190,10 +197,11 @@ const (
 type bodyCodec struct {
 	mu sync.Mutex
 	// prefix is the type-definition messages a fresh encoder of the type
-	// emits before the value message; the first encode records it.
-	prefix []byte
-	encs   []*bodyEncoder
-	decs   []*bodyDecoder // least recently parked first
+	// emits before the value message and id the type id that opens the
+	// value message; the first encode records both.
+	prefix, id []byte
+	encs       []*bodyEncoder
+	decs       []*bodyDecoder // least recently parked first
 }
 
 // maxParked bounds each free list. A list only grows to the number of
@@ -265,30 +273,48 @@ func reachesInterface(rt reflect.Type, seen map[reflect.Type]bool) bool {
 }
 
 // takeEncoder pops a primed encoder and returns the prefix its output
-// lacks; (nil, nil) when none is parked or the type bypasses.
-func (c *bodyCodec) takeEncoder() (*bodyEncoder, []byte) {
+// lacks and the type id its value messages open with; all nil when none
+// is parked or the type bypasses.
+func (c *bodyCodec) takeEncoder() (e *bodyEncoder, prefix, id []byte) {
 	if c == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.encs)
 	if n == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	e := c.encs[n-1]
+	e = c.encs[n-1]
 	c.encs = c.encs[:n-1]
-	return e, c.prefix
+	return e, c.prefix, c.id
 }
 
-// parkEncoder returns a primed encoder to the list; prefix is what its
-// first message opened with.
-func (c *bodyCodec) parkEncoder(e *bodyEncoder, prefix []byte) {
+// learn records what a fresh encoder's body opened with: split bytes of
+// definitions, then the value message and its type id.
+func (c *bodyCodec) learn(body []byte, split int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.prefix == nil {
-		c.prefix = bytes.Clone(prefix)
+	if c.prefix != nil {
+		return
 	}
+	c.prefix = bytes.Clone(body[:split])
+	_, n := gobUint(body[split:])
+	_, m := gobUint(body[split+n:])
+	c.id = bytes.Clone(body[split+n : split+n+m])
+}
+
+// learnt returns what learn recorded, nil before the first encode.
+func (c *bodyCodec) learnt() (prefix, id []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.prefix, c.id
+}
+
+// parkEncoder returns a primed encoder to the list.
+func (c *bodyCodec) parkEncoder(e *bodyEncoder) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if len(c.encs) < maxParked {
 		c.encs = append(c.encs, e)
 	}
@@ -367,24 +393,116 @@ func gobUint(b []byte) (v uint64, width int) {
 	if n > 8 || len(b) <= n {
 		return 0, 0
 	}
+	if len(b) >= 9 { // anywhere but at the very end: one load, no loop
+		return binary.BigEndian.Uint64(b[1:]) >> (8 * uint(8-n)), 1 + n
+	}
 	for _, x := range b[1 : 1+n] {
 		v = v<<8 | uint64(x)
 	}
 	return v, 1 + n
 }
 
+// AppendGobUint appends gob's unsigned integer, the form gobUint reads,
+// in the fewest bytes, as gob's encoder does.
+func AppendGobUint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	var buf [9]byte
+	binary.BigEndian.PutUint64(buf[1:], v)
+	zeros := bits.LeadingZeros64(v) / 8
+	buf[zeros] = byte(zeros - 8) // minus the bytes that follow
+	return append(b, buf[zeros:]...)
+}
+
+// AppendGobInt appends gob's signed integer: the magnitude shifted left
+// one bit, complemented when negative, the sign in the low bit.
+func AppendGobInt(b []byte, v int64) []byte {
+	if v < 0 {
+		return AppendGobUint(b, uint64(^v<<1)|1)
+	}
+	return AppendGobUint(b, uint64(v<<1))
+}
+
+// AppendGobFloat appends gob's float: the IEEE 754 bits byte-reversed, so
+// that the exponent and the leading mantissa bytes come last and a round
+// number is short.
+func AppendGobFloat(b []byte, v float64) []byte {
+	return AppendGobUint(b, bits.ReverseBytes64(math.Float64bits(v)))
+}
+
+// AppendGobString appends gob's string: its length, then its bytes.
+func AppendGobString(b []byte, s string) []byte {
+	return append(AppendGobUint(b, uint64(len(s))), s...)
+}
+
+// ReadGobUint is gobUint for a ReadGobValue: it accepts only what
+// AppendGobUint writes, so an integer in more bytes than it needs has
+// width 0 too. gob's decoder is more lenient; a value refused here may
+// be one it accepts, never the other way round.
+func ReadGobUint(b []byte) (v uint64, width int) {
+	v, width = gobUint(b)
+	if width > 1 && (b[1] == 0 || v < 0x80) {
+		return 0, 0
+	}
+	return v, width
+}
+
+// GobInt undoes AppendGobInt's folding of the sign into the low bit.
+func GobInt(u uint64) int64 {
+	if u&1 != 0 {
+		return ^int64(u >> 1)
+	}
+	return int64(u >> 1)
+}
+
+// GobFloat undoes AppendGobFloat's byte reversal.
+func GobFloat(u uint64) float64 {
+	return math.Float64frombits(bits.ReverseBytes64(u))
+}
+
+// gobValueAppender and gobValueReader are the value hook: a body type
+// that carries both writes and reads the bytes of its own gob value
+// message — what follows the message's length and type id — without
+// reflection. AppendGobValue must append exactly what gob's encoder
+// writes for the value; ReadGobValue may report true only when a fresh
+// gob.Decoder, handed b for the receiver as it stood, would have
+// succeeded and left it as ReadGobValue did, and must leave the receiver
+// alone when it reports false. gob remains the reference both are tested
+// against and the path every body the hook declines takes (DESIGN.md
+// "Wire body codec").
+type gobValueAppender interface {
+	AppendGobValue(b []byte) []byte
+}
+
+type gobValueReader interface {
+	ReadGobValue(b []byte) bool
+}
+
 // encodeBody gob-encodes an RPC argument or reply value: the bytes a
 // fresh gob.Encoder writes, which is also literally what the first call
-// for a type does.
+// for a type does. Once that call has taught the memo the definitions
+// and the value message's type id, a value that carries the hook writes
+// its own message between them and the parked encoder lends its buffer.
 func encodeBody(v interface{}) ([]byte, error) {
 	c := codecFor(reflect.TypeOf(v))
-	e, prefix := c.takeEncoder()
+	e, prefix, id := c.takeEncoder()
 	primed := e != nil
 	if !primed {
 		e = &bodyEncoder{}
 		e.enc = gob.NewEncoder(&e.buf)
 	}
 	e.buf.Reset()
+	if a, ok := v.(gobValueAppender); ok && primed {
+		val := a.AppendGobValue(e.buf.AvailableBuffer())
+		e.buf.Write(val) // keeps what val grew into for the next value
+		var width [9]byte
+		size := AppendGobUint(width[:0], uint64(len(id)+len(val)))
+		out := make([]byte, 0, len(prefix)+len(size)+len(id)+len(val))
+		out = append(append(append(append(out, prefix...), size...), id...), val...)
+		c.parkEncoder(e)
+		return out, nil
+	}
 	if err := e.enc.Encode(v); err != nil {
 		// e is dropped: a failed Encode may have marked types as sent.
 		return nil, fmt.Errorf("wire: encode body: %w", err)
@@ -399,9 +517,9 @@ func encodeBody(v interface{}) ([]byte, error) {
 		if split < 0 {
 			return out, nil
 		}
-		prefix = out[:split]
+		c.learn(out, split)
 	}
-	c.parkEncoder(e, prefix)
+	c.parkEncoder(e)
 	return out, nil
 }
 
@@ -410,12 +528,20 @@ func encodeBody(v interface{}) ([]byte, error) {
 // that opens with the very definitions it was primed with and goes on
 // with one value message, and only a decoder that decoded such a body
 // without error is parked, so no body can change what a later one
-// decodes to.
+// decodes to. A target that carries the value hook is offered the value
+// message first, when the body opens exactly as this process's own
+// encoder opens one; what it declines goes to gob as it came.
 func decodeBody(data []byte, v interface{}) error {
-	c := codecFor(reflect.TypeOf(v))
+	rt := reflect.TypeOf(v)
+	c := codecFor(rt)
 	split := -1
 	if c != nil {
 		split = valueOffset(data)
+	}
+	if r, ok := v.(gobValueReader); ok && split >= 0 && rt.Kind() == reflect.Pointer {
+		if val, ok := ownValue(rt.Elem(), data, split); ok && r.ReadGobValue(val) {
+			return nil
+		}
 	}
 	var d *bodyDecoder
 	if split >= 0 {
@@ -438,4 +564,30 @@ func decodeBody(data []byte, v interface{}) error {
 		c.parkDecoder(d)
 	}
 	return nil
+}
+
+// ownValue returns the value bytes of a body whose value message starts
+// at split, if the body opens with the definitions and the type id this
+// process's gob encoder gives a value of type rt. Only then do field
+// numbers in the value mean rt's own fields: a decoder accepts any
+// definitions it can match to rt by field name — another build's, with
+// a field appended, renamed or moved — and bodies from a process that
+// numbered its types differently differ here too; both are gob's to
+// decode.
+func ownValue(rt reflect.Type, data []byte, split int) ([]byte, bool) {
+	c := codecFor(rt)
+	prefix, id := c.learnt()
+	if prefix == nil {
+		// Nothing of this type has been encoded here yet: encode one.
+		if _, err := encodeBody(reflect.Zero(rt).Interface()); err != nil {
+			return nil, false
+		}
+		prefix, id = c.learnt()
+	}
+	_, n := gobUint(data[split:])
+	msg := data[split+n:]
+	if id == nil || !bytes.Equal(data[:split], prefix) || !bytes.HasPrefix(msg, id) {
+		return nil, false
+	}
+	return msg[len(id):], true
 }
