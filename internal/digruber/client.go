@@ -317,6 +317,7 @@ func (c *Client) Schedule(j *grid.Job) Decision {
 		// handled — the broker's information was used).
 		site, ok = pickAnyFree(reply.Loads, j.CPUs, c.cfg.RNG)
 	}
+	replyLoads.Put(reply.Loads) // site is a string of its own; the loads are done with
 	sel.End()
 	if !ok {
 		fs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseFallback)

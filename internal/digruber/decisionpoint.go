@@ -284,7 +284,9 @@ func (dp *DecisionPoint) registerHandlers() {
 		if a.CPUs <= 0 {
 			return QueryReply{}, fmt.Errorf("digruber: query with %d CPUs", a.CPUs)
 		}
-		return QueryReply{Loads: dp.siteLoads(ctx.Span, owner, a.CPUs)}, nil
+		loads := dp.siteLoads(ctx.Span, replyLoads.Take(0), owner, a.CPUs)
+		ctx.AfterReply(func() { replyLoads.Put(loads) })
+		return QueryReply{Loads: loads}, nil
 	})
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
 		// A client's report is checked exactly as Schedule checks its own
@@ -387,7 +389,7 @@ func (dp *DecisionPoint) registerHandlers() {
 		if err != nil {
 			return ScheduleReply{}, err
 		}
-		loads := dp.siteLoads(ctx.Span, owner, a.CPUs)
+		loads := dp.siteLoads(ctx.Span, nil, owner, a.CPUs)
 		site, ok := (gruber.USLAAware{}).Select(loads, a.CPUs)
 		if !ok {
 			return ScheduleReply{OK: false}, nil
@@ -417,12 +419,12 @@ func checkJob(op, owner string, cpus int, runtime time.Duration) (usla.Path, err
 	return p, nil
 }
 
-// siteLoads is Engine.SiteLoads recorded as an engine.select span under
-// the request's trace context. The engine itself knows nothing of
+// siteLoads is Engine.AppendSiteLoads recorded as an engine.select span
+// under the request's trace context. The engine itself knows nothing of
 // tracing; the decision point opens the engine-phase spans around it.
-func (dp *DecisionPoint) siteLoads(ctx trace.SpanContext, owner usla.Path, cpus int) []gruber.SiteLoad {
+func (dp *DecisionPoint) siteLoads(ctx trace.SpanContext, dst []gruber.SiteLoad, owner usla.Path, cpus int) []gruber.SiteLoad {
 	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineSelect)
-	loads := dp.engine.SiteLoads(owner, cpus)
+	loads := dp.engine.AppendSiteLoads(dst, owner, cpus)
 	sp.End()
 	return loads
 }

@@ -53,6 +53,14 @@ func appendSiteLoad(b []byte, l *gruber.SiteLoad) []byte {
 	return append(b, 0)
 }
 
+// replyLoads is the storage of the two 300-element slices a two-call
+// decision builds and drops: the engine's result, which the Query handler
+// takes here and puts back once its reply is encoded, and the loads
+// ReadGobValue decodes, which Client.Schedule puts back once it has
+// selected. Anyone else who decodes a QueryReply keeps its Loads, as
+// before (DESIGN.md "Who owns a buffer").
+var replyLoads wire.SliceList[gruber.SiteLoad]
+
 // replyNames is the site names of the last reply ReadGobValue read whose
 // names were not all already here. A decision point answers every query
 // with the same sites in the same order, so a submission host's replies
@@ -79,7 +87,7 @@ func (r *QueryReply) ReadGobValue(b []byte) bool {
 	// over eight bytes, so room for that many of what is left holds a
 	// real reply in one allocation and a false claim to six times its
 	// own size; narrower loads grow the slice as they arrive.
-	loads := make([]gruber.SiteLoad, 0, min(int(n), (len(b)-i)/8+1))
+	loads := replyLoads.Take(min(int(n), (len(b)-i)/8+1))
 	var known []string
 	if p := replyNames.Load(); p != nil {
 		known = *p
@@ -89,6 +97,7 @@ func (r *QueryReply) ReadGobValue(b []byte) bool {
 		loads = append(loads, gruber.SiteLoad{})
 		var name []byte
 		if name, i = readSiteLoad(b, i, &loads[k]); i < 0 {
+			replyLoads.Put(loads)
 			return false
 		}
 		if k < len(known) && known[k] == string(name) {
@@ -99,6 +108,7 @@ func (r *QueryReply) ReadGobValue(b []byte) bool {
 		}
 	}
 	if i != len(b)-1 || b[i] != 0 {
+		replyLoads.Put(loads)
 		return false
 	}
 	if !allKnown {

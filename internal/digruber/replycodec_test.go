@@ -240,6 +240,7 @@ func allocatedBy(f func()) uint64 {
 // slice of names more when two grids alternate; and, whatever is
 // announced, no more bytes than a small multiple of what arrived.
 func TestQueryReplySharesNames(t *testing.T) {
+	emptyReplyLoads(t) // nothing here gives loads back: each read allocates its own
 	a, b := gridReply("alpha", 300), gridReply("beta", 120)
 	va, vb := appendValue(a, nil), appendValue(b, nil)
 	var first QueryReply

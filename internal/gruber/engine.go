@@ -282,6 +282,12 @@ func (sv *siteView) estFree() int {
 // then read under the read lock, so concurrent queries run in parallel;
 // the write lock is taken only when a pending dispatch is due to expire.
 func (e *Engine) SiteLoads(owner usla.Path, cpus int) []SiteLoad {
+	return e.AppendSiteLoads(nil, owner, cpus)
+}
+
+// AppendSiteLoads is SiteLoads appended to dst, for a caller that owns
+// storage to build the result in; the engine keeps no reference to it.
+func (e *Engine) AppendSiteLoads(dst []SiteLoad, owner usla.Path, cpus int) []SiteLoad {
 	now := e.clock.Now()
 	e.queries.Add(1)
 	policy := e.policies.Resolve(owner, usla.CPU)
@@ -295,8 +301,13 @@ func (e *Engine) SiteLoads(owner usla.Path, cpus int) []SiteLoad {
 		e.mu.RLock()
 	}
 	defer e.mu.RUnlock()
-	out := make([]SiteLoad, len(e.order))
-	for i, name := range e.order {
+	// Room for every site at once, sized exactly; for a nil dst also when
+	// there are no sites, so that SiteLoads stays empty and never nil.
+	out := dst
+	if n := len(e.order); out == nil || cap(out)-len(out) < n {
+		out = append(make([]SiteLoad, 0, len(dst)+n), dst...)
+	}
+	for _, name := range e.order {
 		sv := e.sites[name]
 		var used [3]float64
 		var own float64 // usage at the owner's own level, the last one
@@ -305,13 +316,13 @@ func (e *Engine) SiteLoads(owner usla.Path, cpus int) []SiteLoad {
 			used[l] = own
 		}
 		ent, headroom := policy.Evaluate(name, float64(sv.base.TotalCPUs), used)
-		out[i] = SiteLoad{
+		out = append(out, SiteLoad{
 			Name:        name,
 			TotalCPUs:   sv.base.TotalCPUs,
 			EstFreeCPUs: sv.estFree(),
 			Headroom:    headroom,
 			TargetGap:   ent.Target - own,
-		}
+		})
 	}
 	return out
 }

@@ -15,7 +15,10 @@ type Selector interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Select picks a site for a job needing cpus CPUs. ok is false when
-	// no site qualifies.
+	// no site qualifies. loads is valid only for the duration of the
+	// call: the caller reuses its storage for the next decision, so a
+	// selector may keep a site's name — a string of its own — but never
+	// the slice or a pointer into it.
 	Select(loads []SiteLoad, cpus int) (site string, ok bool)
 }
 

@@ -96,7 +96,9 @@ func parked(v interface{}) (encs, decs int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.encs), len(c.decs)
+	c.encs.mu.Lock()
+	defer c.encs.mu.Unlock()
+	return len(c.encs.items), len(c.decs)
 }
 
 func TestEncodeBodyIsAFreshEncodersBytes(t *testing.T) {

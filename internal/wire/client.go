@@ -42,6 +42,11 @@ type Client struct {
 	// would stop readLoop from draining responses — the two directions
 	// would deadlock through the server (same split as serverConn.wmu).
 	wmu sync.Mutex
+
+	// bodies is where the read loop takes the storage of each response
+	// Body from. A typed call puts it back once it has decoded the reply;
+	// the bytes a raw Call returns are its caller's for good.
+	bodies SliceList[byte]
 }
 
 // ClientConfig collects the wiring a Client needs.
@@ -177,10 +182,10 @@ func (c *Client) ensureConn() error {
 }
 
 func (c *Client) readLoop(conn Conn) {
-	dec := gob.NewDecoder(&frameCap{r: conn})
+	fr := newFrameReader(conn, &c.bodies)
 	for {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
+		f, err := fr.next()
+		if err != nil {
 			c.dropConn(conn, err)
 			return
 		}
@@ -192,6 +197,8 @@ func (c *Client) readLoop(conn Conn) {
 		c.mu.Unlock()
 		if ok {
 			ch <- f // buffered; never blocks
+		} else {
+			c.bodies.Put(f.Body) // the call gave up waiting
 		}
 	}
 }
@@ -433,8 +440,7 @@ func CallCtx[Req, Resp any](c *Client, parent trace.SpanContext, method string, 
 	if err != nil {
 		return resp, err
 	}
-	if err := decodeBody(respBody, &resp); err != nil {
-		return resp, err
-	}
-	return resp, nil
+	err = decodeBody(respBody, &resp)
+	c.bodies.Put(respBody) // decoding copies out of the body
+	return resp, err
 }

@@ -23,6 +23,31 @@ type Handler func(body []byte) ([]byte, error)
 // caller's trace.
 type Ctx struct {
 	Span trace.SpanContext
+	// call is the worker's per-request state; nil only in a Ctx that no
+	// worker made, which no handler ever sees.
+	call *serverCall
+}
+
+// serverCall is what a handler leaves for Server.process, which knows
+// when the reply is encoded and when it has been sent. One per worker,
+// cleared after every request.
+type serverCall struct {
+	afterReply func()
+	// reply is the encoded reply when its storage came from Server.bodies.
+	// A raw handler's bytes are its own — an echo returns its request —
+	// and never land here.
+	reply []byte
+}
+
+// AfterReply registers fn to run once the handler has returned and its
+// reply is encoded — when storage the reply value was built in can go
+// back to whoever owns it. At most one fn per request.
+func (c Ctx) AfterReply(fn func()) {
+	if c.call != nil {
+		c.call.afterReply = fn
+	} else {
+		fn()
+	}
 }
 
 // CtxHandler is a Handler that also receives the request context.
@@ -68,6 +93,12 @@ type Server struct {
 
 	// bytes ledgers payload bytes in/out, per method (see bytes.go).
 	bytes byteBook
+
+	// bodies is where each connection's reader takes the storage of a
+	// request Body from and a typed handler that of its encoded reply. The
+	// typed handler puts the request back once it has decoded it, process
+	// the reply once send has returned.
+	bodies SliceList[byte]
 }
 
 type job struct {
@@ -130,11 +161,12 @@ func (s *Server) ReserveLane(workers, queueLimit int, methods ...string) {
 }
 
 func (s *Server) laneWorker(lane chan job) {
+	var call serverCall
 	for {
 		select {
 		case j := <-lane:
 			s.laneInflight.Add(1)
-			s.process(j)
+			s.process(j, &call)
 			s.laneInflight.Add(-1)
 		case <-s.closeCh:
 			return
@@ -191,14 +223,17 @@ func Handle[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error))
 func HandleCtx[Req, Resp any](s *Server, method string, fn func(Ctx, Req) (Resp, error)) {
 	s.RegisterCtx(method, func(ctx Ctx, body []byte) ([]byte, error) {
 		var req Req
-		if err := decodeBody(body, &req); err != nil {
+		err := decodeBody(body, &req)
+		s.bodies.Put(body) // decoding copies out of the body
+		if err != nil {
 			return nil, err
 		}
 		resp, err := fn(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		return encodeBody(resp)
+		ctx.call.reply, err = encodeBodyFrom(&s.bodies, resp)
+		return ctx.call.reply, err
 	})
 }
 
@@ -241,7 +276,7 @@ func (s *Server) serveConn(raw Conn) {
 	}
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
-	dec := gob.NewDecoder(&frameCap{r: raw})
+	fr := newFrameReader(raw, &s.bodies)
 	defer func() {
 		raw.Close()
 		s.mu.Lock()
@@ -249,8 +284,8 @@ func (s *Server) serveConn(raw Conn) {
 		s.mu.Unlock()
 	}()
 	for {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
+		f, err := fr.next()
+		if err != nil {
 			return
 		}
 		if f.Kind != frameRequest {
@@ -278,17 +313,18 @@ func (s *Server) serveConn(raw Conn) {
 }
 
 func (s *Server) worker() {
+	var call serverCall
 	for {
 		select {
 		case j := <-s.work:
-			s.process(j)
+			s.process(j, &call)
 		case <-s.closeCh:
 			return
 		}
 	}
 }
 
-func (s *Server) process(j job) {
+func (s *Server) process(j job, call *serverCall) {
 	// Stale-work control: a request whose propagated deadline has passed
 	// is dropped here, at dequeue, before the handler or the emulated
 	// stack cost — its caller already timed out, so finishing the work
@@ -323,8 +359,11 @@ func (s *Server) process(j job) {
 	} else {
 		hs := tracer.StartSpan(parent, trace.PhaseHandle)
 		hs.SetNote(j.f.Method)
-		body, err := h(Ctx{Span: hs.Context()}, j.f.Body)
+		body, err := h(Ctx{Span: hs.Context(), call: call}, j.f.Body)
 		hs.End()
+		if call.afterReply != nil {
+			call.afterReply()
+		}
 		if err != nil {
 			errStr = err.Error()
 		} else {
@@ -356,6 +395,9 @@ func (s *Server) process(j job) {
 		// failed over, or died) before the container finished.
 		s.connLost.Add(1)
 	}
+	// send has returned: sent or not, nothing reads the reply again.
+	s.bodies.Put(call.reply)
+	*call = serverCall{}
 }
 
 // Close stops the workers and severs every active connection, as a

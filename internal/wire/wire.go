@@ -200,14 +200,9 @@ type bodyCodec struct {
 	// emits before the value message and id the type id that opens the
 	// value message; the first encode records both.
 	prefix, id []byte
-	encs       []*bodyEncoder
+	encs       freeList[*bodyEncoder]
 	decs       []*bodyDecoder // least recently parked first
 }
-
-// maxParked bounds each free list. A list only grows to the number of
-// goroutines that were inside the codec at once, so the bound caps what
-// hostile bodies (one decoder per distinct prefix) can make it hold.
-const maxParked = 16
 
 // bodyEncoder is an encoder that has already sent its type definitions
 // into buf.
@@ -279,15 +274,11 @@ func (c *bodyCodec) takeEncoder() (e *bodyEncoder, prefix, id []byte) {
 	if c == nil {
 		return nil, nil, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.encs)
-	if n == 0 {
-		return nil, nil, nil
+	if e, ok := c.encs.take(); ok {
+		prefix, id = c.learnt()
+		return e, prefix, id
 	}
-	e = c.encs[n-1]
-	c.encs = c.encs[:n-1]
-	return e, c.prefix, c.id
+	return nil, nil, nil
 }
 
 // learn records what a fresh encoder's body opened with: split bytes of
@@ -299,9 +290,15 @@ func (c *bodyCodec) learn(body []byte, split int) {
 		return
 	}
 	c.prefix = bytes.Clone(body[:split])
+	c.id = bytes.Clone(valueTypeID(body, split))
+}
+
+// valueTypeID returns the bytes of the type id that opens the value
+// message valueOffset found at split, after the message's length.
+func valueTypeID(body []byte, split int) []byte {
 	_, n := gobUint(body[split:])
 	_, m := gobUint(body[split+n:])
-	c.id = bytes.Clone(body[split+n : split+n+m])
+	return body[split+n : split+n+m]
 }
 
 // learnt returns what learn recorded, nil before the first encode.
@@ -311,12 +308,14 @@ func (c *bodyCodec) learnt() (prefix, id []byte) {
 	return c.prefix, c.id
 }
 
-// parkEncoder returns a primed encoder to the list.
+// parkEncoder returns a primed encoder to the list, unless the body it
+// just encoded grew it past maxRetained: a gob.Encoder keeps a message
+// buffer of its own as large as the largest value it wrote and offers no
+// way to shrink it, so the encoder goes with its buffer and the next
+// value of the type primes a new one.
 func (c *bodyCodec) parkEncoder(e *bodyEncoder) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.encs) < maxParked {
-		c.encs = append(c.encs, e)
+	if e.buf.Cap() <= maxRetained {
+		c.encs.put(e)
 	}
 }
 
@@ -476,6 +475,8 @@ type gobValueAppender interface {
 }
 
 type gobValueReader interface {
+	// ReadGobValue must keep no reference into b: the body belongs to
+	// whoever called decodeBody and may be reused as soon as it returns.
 	ReadGobValue(b []byte) bool
 }
 
@@ -484,7 +485,12 @@ type gobValueReader interface {
 // for a type does. Once that call has taught the memo the definitions
 // and the value message's type id, a value that carries the hook writes
 // its own message between them and the parked encoder lends its buffer.
-func encodeBody(v interface{}) ([]byte, error) {
+func encodeBody(v interface{}) ([]byte, error) { return encodeBodyFrom(nil, v) }
+
+// encodeBodyFrom is encodeBody into storage taken from l, for a caller
+// that knows when the body is dead and puts it back; with a nil l the
+// result is a new slice of exactly the body's size.
+func encodeBodyFrom(l *SliceList[byte], v interface{}) ([]byte, error) {
 	c := codecFor(reflect.TypeOf(v))
 	e, prefix, id := c.takeEncoder()
 	primed := e != nil
@@ -498,7 +504,7 @@ func encodeBody(v interface{}) ([]byte, error) {
 		e.buf.Write(val) // keeps what val grew into for the next value
 		var width [9]byte
 		size := AppendGobUint(width[:0], uint64(len(id)+len(val)))
-		out := make([]byte, 0, len(prefix)+len(size)+len(id)+len(val))
+		out := l.Take(len(prefix) + len(size) + len(id) + len(val))
 		out = append(append(append(append(out, prefix...), size...), id...), val...)
 		c.parkEncoder(e)
 		return out, nil
@@ -507,8 +513,7 @@ func encodeBody(v interface{}) ([]byte, error) {
 		// e is dropped: a failed Encode may have marked types as sent.
 		return nil, fmt.Errorf("wire: encode body: %w", err)
 	}
-	out := make([]byte, len(prefix)+e.buf.Len())
-	copy(out[copy(out, prefix):], e.buf.Bytes())
+	out := append(append(l.Take(len(prefix)+e.buf.Len()), prefix...), e.buf.Bytes()...)
 	if c == nil {
 		return out, nil
 	}
