@@ -228,7 +228,7 @@ func New(cfg Config) (*DecisionPoint, error) {
 			return nil, fmt.Errorf("digruber: decision point %s: Durability needs a Store", cfg.Name)
 		}
 		dp.dur = newDurability(cfg.Durability)
-		dp.engine.SetAppender(dp.dur.appendEntry)
+		dp.engine.SetAppender(dp.dur.commits.enqueue)
 	}
 	dp.server = dp.newServer()
 	dp.registerMetrics(cfg.Metrics)
@@ -299,7 +299,9 @@ func (dp *DecisionPoint) registerHandlers() {
 		if _, err := checkJob("report", a.Dispatch.Owner, a.Dispatch.CPUs, a.Dispatch.Runtime); err != nil {
 			return ReportReply{}, err
 		}
-		dp.recordDispatch(ctx.Span, a.Dispatch)
+		if err := dp.recordDispatch(ctx.Span, a.Dispatch); err != nil {
+			return ReportReply{}, err
+		}
 		return ReportReply{OK: true}, nil
 	})
 	wire.HandleCtx(dp.server, MethodExchange, func(ctx wire.Ctx, a ExchangeArgs) (ExchangeReply, error) {
@@ -394,7 +396,7 @@ func (dp *DecisionPoint) registerHandlers() {
 		if !ok {
 			return ScheduleReply{OK: false}, nil
 		}
-		dp.recordDispatch(ctx.Span, gruber.Dispatch{
+		err = dp.recordDispatch(ctx.Span, gruber.Dispatch{
 			JobID:   a.JobID,
 			Site:    site,
 			Owner:   a.Owner,
@@ -402,6 +404,9 @@ func (dp *DecisionPoint) registerHandlers() {
 			Runtime: a.Runtime,
 			At:      dp.cfg.Clock.Now(),
 		})
+		if err != nil {
+			return ScheduleReply{}, err
+		}
 		return ScheduleReply{Site: site, OK: true}, nil
 	})
 }
@@ -430,11 +435,16 @@ func (dp *DecisionPoint) siteLoads(ctx trace.SpanContext, dst []gruber.SiteLoad,
 }
 
 // recordDispatch is Engine.RecordDispatch recorded as an engine.record
-// span under the request's trace context.
-func (dp *DecisionPoint) recordDispatch(ctx trace.SpanContext, d gruber.Dispatch) {
+// span under the request's trace context. An error means the write-ahead
+// log refused the record: the request must not be acked.
+func (dp *DecisionPoint) recordDispatch(ctx trace.SpanContext, d gruber.Dispatch) error {
 	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineRecord)
-	dp.engine.RecordDispatch(d)
+	err := dp.engine.RecordDispatch(d)
 	sp.End()
+	if err != nil {
+		return fmt.Errorf("digruber: %s: dispatch %s is not durable: %w", dp.cfg.Name, d.JobID, err)
+	}
+	return nil
 }
 
 // markPeerAlive resets the health of the named peer after inbound proof
@@ -631,6 +641,9 @@ func (dp *DecisionPoint) Start() error {
 	dp.listener = l
 	dp.started = true
 	dp.draining = false
+	if dp.dur != nil {
+		dp.dur.commits.start()
+	}
 	dp.done = make(chan struct{})
 	dp.serveDone = make(chan struct{})
 	go func(srv *wire.Server, l wire.Listener, served chan struct{}) {
@@ -868,8 +881,9 @@ func (dp *DecisionPoint) ExchangeRounds() int {
 }
 
 // Stop shuts the decision point down: the exchange loop exits, the
-// server and listener close, peer clients close, and the serve goroutine
-// is awaited so nothing of this incarnation outlives the call. Stop is
+// server and listener close, peer clients close, and the committer and
+// the serve goroutine are awaited so nothing of this incarnation
+// outlives the call. Stop is
 // idempotent, and Start may be called again afterwards (restart).
 func (dp *DecisionPoint) Stop() {
 	dp.mu.Lock()
@@ -904,6 +918,10 @@ func (dp *DecisionPoint) Stop() {
 	}
 	for _, c := range clients {
 		c.Close()
+	}
+	if dp.dur != nil {
+		// Requests still waiting for their commit fail, unacked.
+		dp.dur.commits.stop()
 	}
 	if serveDone != nil {
 		<-serveDone

@@ -3,8 +3,10 @@ package digruber
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"digruber/internal/gruber"
@@ -16,7 +18,11 @@ import (
 // that enters the engine's dynamic state is appended (and fsynced) to a
 // write-ahead log before the mutating call returns — so a Schedule or
 // Report handler only acks a dispatch that is already on stable
-// storage. Periodically the full engine state is checkpointed and the
+// storage, and fails the request when the log refused it. The engine
+// queues records under its lock, in mutation order; one committer
+// goroutine per decision point writes whatever is queued as one batch
+// behind one fsync, off the lock (DESIGN.md, "The commit path").
+// Periodically the full engine state is checkpointed and the
 // log compacted. Recovery (the first Start, and every Start after a
 // Crash) replays checkpoint-then-log, truncates at the first torn or
 // corrupt record, and leaves the seq-gap to the Snapshot anti-entropy
@@ -43,9 +49,9 @@ const defaultCheckpointEvery = 1024
 
 // walEntry is one write-ahead record: the dispatch exactly as it
 // entered dynamic state, and whether it entered a per-origin log
-// (Logged) or only the site view. Gob-encoded self-contained (a fresh
-// encoder per record), so any prefix of the log decodes without the
-// truncated tail.
+// (Logged) or only the site view. Gob-encoded self-contained (the bytes
+// of a fresh encoder per record), so any prefix of the log decodes
+// without the truncated tail.
 type walEntry struct {
 	D      gruber.Dispatch
 	Logged bool
@@ -78,6 +84,7 @@ type RecoveryStats struct {
 // durability is the per-decision-point durability state.
 type durability struct {
 	log             *wal.Log
+	commits         committer
 	checkpointEvery int
 
 	mu sync.Mutex
@@ -103,27 +110,215 @@ func newDurability(cfg *DurabilityConfig) *durability {
 	if every == 0 {
 		every = defaultCheckpointEvery
 	}
-	return &durability{
+	dur := &durability{
 		log:             wal.Open(cfg.Store),
 		checkpointEvery: every,
 		needRecover:     true,
 	}
+	dur.commits.log = dur.log
+	return dur
 }
 
-// appendEntry is the engine's appender hook: encode and append one
-// write-ahead record. It runs under the engine lock, which is exactly
-// the point — the log order is the state-mutation order, and the
-// mutating handler cannot return (and its caller cannot be acked)
-// until the record is synced. Append errors (a full or failing disk)
-// are counted in the log's stats and surface on the wal/append_errors
-// gauge; the decision point keeps serving, trading durability of the
-// affected records for availability.
-func (dur *durability) appendEntry(d gruber.Dispatch, logged bool) {
-	payload, err := encodeWALEntry(walEntry{D: d, Logged: logged})
-	if err != nil {
-		return // gob cannot fail on this fixed shape; nothing sane to do if it did
+// committer is the one goroutine of a durable decision point that
+// touches the disk on the append path. The engine's hook (enqueue) adds
+// a record to the open batch under the engine lock; the first caller to
+// wait for the batch, its lock released, wakes run, which takes the
+// batch, encodes and frames it and commits it with one write and one
+// fsync, while the records that arrive meanwhile open the next batch.
+// Log order is queue order is mutation order. It blocks on its queue and
+// on the disk only — no timer, no commit delay: with one caller a batch
+// is one record or one merge, and batches grow exactly when records
+// arrive faster than the disk syncs.
+type committer struct {
+	log *wal.Log
+
+	mu sync.Mutex
+	// open is the batch records are joining, nil when nothing is queued.
+	open *commitBatch
+	// spare is a committed batch's entry storage for the next to reuse.
+	spare []walEntry
+	// wake (capacity 1) tells run the open batch has a waiter; nil while
+	// stopped.
+	wake chan struct{}
+	// exited is closed when run has returned.
+	exited chan struct{}
+
+	// Owned by run: the primed encoder and the batch's payload bytes.
+	enc      *entryEncoder
+	bytes    []byte
+	payloads [][]byte
+}
+
+// commitBatch is the records committed together and the Ticket of each
+// of them: done is released once the batch's fsync has returned or
+// failed, with err set first.
+type commitBatch struct {
+	c       *committer
+	entries []walEntry
+	// awaited is set by the first Wait, which is what tells the committer
+	// about the batch: a merge's records are all queued by then, so they
+	// share a commit instead of racing the committer for it one by one.
+	awaited atomic.Bool
+	done    sync.WaitGroup
+	err     error
+}
+
+// Wait costs one atomic compare once the batch has been committed.
+func (b *commitBatch) Wait() error {
+	if b.awaited.CompareAndSwap(false, true) {
+		b.c.wakeUp()
 	}
-	dur.log.Append(payload)
+	b.done.Wait()
+	return b.err
+}
+
+// errNotCommitting refuses a record queued while no committer runs (a
+// stopped decision point); it is lost unless a checkpoint captures it.
+// refusedTicket is such a record's ticket.
+var errNotCommitting = errors.New("digruber: write-ahead log is stopped")
+
+type refusedTicket struct{}
+
+func (refusedTicket) Wait() error { return errNotCommitting }
+
+// enqueue is the engine's appender hook: it runs under the engine lock,
+// which is exactly the point — the log order is the state-mutation
+// order — and therefore only queues. The mutating call waits for the
+// ticket after it has released the lock.
+func (c *committer) enqueue(d gruber.Dispatch, logged bool) gruber.Ticket {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.wake == nil {
+		return refusedTicket{}
+	}
+	if c.open == nil {
+		c.open = &commitBatch{c: c, entries: c.spare[:0]}
+		c.spare = nil
+		c.open.done.Add(1)
+	}
+	c.open.entries = append(c.open.entries, walEntry{D: d, Logged: logged})
+	return c.open
+}
+
+// wakeUp tells run there is a batch with a waiter.
+func (c *committer) wakeUp() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.wake != nil {
+		select {
+		case c.wake <- struct{}{}:
+		default: // a wake-up is already pending; run takes c.open when it comes
+		}
+	}
+}
+
+// start launches the committer goroutine; a no-op when it is running.
+func (c *committer) start() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.wake != nil {
+		return
+	}
+	c.wake = make(chan struct{}, 1)
+	c.exited = make(chan struct{})
+	go c.run(c.wake, c.exited)
+}
+
+// stop ends the committer: the batch still open is refused (its records
+// were never acked, so they may be lost), the batch being written is
+// waited for, and the goroutine has exited when stop returns.
+func (c *committer) stop() {
+	c.mu.Lock()
+	wake, exited, b := c.wake, c.exited, c.open
+	c.wake, c.open = nil, nil
+	c.mu.Unlock()
+	if wake == nil {
+		return
+	}
+	close(wake)
+	if b != nil {
+		b.err = errNotCommitting
+		b.done.Done()
+	}
+	<-exited
+}
+
+func (c *committer) run(wake <-chan struct{}, exited chan<- struct{}) {
+	defer close(exited)
+	for range wake {
+		c.mu.Lock()
+		b := c.open
+		c.open = nil
+		c.mu.Unlock()
+		if b == nil {
+			continue // stop took it
+		}
+		b.err = c.commit(b.entries)
+		clear(b.entries)
+		c.mu.Lock()
+		c.spare, b.entries = b.entries, nil
+		c.mu.Unlock()
+		b.done.Done()
+	}
+}
+
+// commit makes one batch durable: every entry encoded as a
+// self-contained record, all of them framed into one write behind one
+// fsync.
+func (c *committer) commit(entries []walEntry) error {
+	if c.enc == nil {
+		c.enc = newEntryEncoder()
+	}
+	c.bytes, c.payloads = c.bytes[:0], c.payloads[:0]
+	for i := range entries {
+		start := len(c.bytes)
+		var err error
+		if c.bytes, err = c.enc.appendEntry(c.bytes, &entries[i]); err != nil {
+			c.enc = nil // a failed Encode may have half-sent a type
+			return err
+		}
+		// If a later append moves c.bytes, this payload stays where it was
+		// written: append copies, it does not touch the array it outgrew.
+		c.payloads = append(c.payloads, c.bytes[start:])
+	}
+	return c.log.AppendBatch(c.payloads)
+}
+
+// entryEncoder writes walEntry records with one long-lived gob.Encoder.
+// A fresh encoder opens its stream with the type definitions of
+// everything a walEntry reaches and then writes the value message; a
+// primed one writes the value message alone. The definitions are a
+// function of the type, so they are taken once and put in front of
+// every value: the bytes of a fresh encoder per record (which is what
+// decodeWALEntry reads and what the log has always held) for a tenth of
+// the work.
+type entryEncoder struct {
+	enc    *gob.Encoder
+	buf    bytes.Buffer
+	prefix []byte
+}
+
+func newEntryEncoder() *entryEncoder {
+	e := &entryEncoder{}
+	e.enc = gob.NewEncoder(&e.buf)
+	// The first Encode writes definitions + value, the second the same
+	// value alone; the difference is the definitions. gob cannot fail on
+	// this fixed shape.
+	_ = e.enc.Encode(&walEntry{})
+	first := bytes.Clone(e.buf.Bytes())
+	e.buf.Reset()
+	_ = e.enc.Encode(&walEntry{})
+	e.prefix = first[:len(first)-e.buf.Len()]
+	return e
+}
+
+// appendEntry appends en's self-contained record to dst.
+func (e *entryEncoder) appendEntry(dst []byte, en *walEntry) ([]byte, error) {
+	e.buf.Reset()
+	if err := e.enc.Encode(en); err != nil {
+		return dst, err
+	}
+	return append(append(dst, e.prefix...), e.buf.Bytes()...), nil
 }
 
 // checkpointNow takes one checkpoint: the engine state is captured and
@@ -148,20 +343,11 @@ func (dur *durability) checkpointNow(e *gruber.Engine, now time.Time) error {
 	return nil
 }
 
-// encodeWALEntry / decodeWALEntry are the per-record codec. A fresh
-// gob encoder per record keeps every record self-contained (type
-// descriptors included), so truncating the log at any record boundary
-// leaves a decodable prefix. (The four codec functions stay concrete:
-// the wire-schema lint finds persisted structs at the gob call that
-// names them.)
-func encodeWALEntry(e walEntry) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
+// decodeWALEntry is the per-record decoder: every record is
+// self-contained (type descriptors included, see entryEncoder), so
+// truncating the log at any record boundary leaves a decodable prefix.
+// (The codec functions stay concrete: the wire-schema lint finds
+// persisted structs at the gob call that names them.)
 func decodeWALEntry(payload []byte) (walEntry, error) {
 	var e walEntry
 	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e)
@@ -266,7 +452,8 @@ func (dur *durability) noteBackfilled(n int) {
 }
 
 // crash drops the open log segment handle (the store image survives —
-// that is the point) and arms recovery for the next Start.
+// that is the point) and arms recovery for the next Start. The
+// committer has been stopped by then.
 func (dur *durability) crash() {
 	dur.log.Close()
 	dur.mu.Lock()

@@ -1,6 +1,7 @@
 package digruber
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -54,9 +55,11 @@ func TestDurableRecoveryZeroAckedLoss(t *testing.T) {
 	t.Cleanup(dp.Stop)
 	const n = 8
 	for i := 0; i < n; i++ {
-		// RecordDispatch returning IS the ack: the WAL append (and sync)
-		// happens inside it, under the engine lock.
-		dp.Engine().RecordDispatch(durTestDispatch(i, clock.Now()))
+		// RecordDispatch returning nil IS the ack: it waits, the engine
+		// lock released, for the commit that holds its record.
+		if err := dp.Engine().RecordDispatch(durTestDispatch(i, clock.Now())); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := dp.WALStats().Appends; got != n {
 		t.Fatalf("wal appends = %d, want %d", got, n)
@@ -79,6 +82,82 @@ func TestDurableRecoveryZeroAckedLoss(t *testing.T) {
 	dp.Engine().RecordDispatch(durTestDispatch(99, clock.Now()))
 	if hi := dp.Engine().LocalSeqHighWater(); hi != n+1 {
 		t.Fatalf("post-recovery dispatch stamped seq %d, want %d (numbering continues)", hi, n+1)
+	}
+}
+
+// TestDurableKillBetweenEnqueueAndSync moves the kill inside the commit
+// window: the record is stamped, in the view and queued, its fsync has
+// not returned, and the process dies. Only that record is lost — it was
+// never acked and never left the engine — and the restarted point hands
+// its sequence number to the next job without any peer holding it.
+func TestDurableKillBetweenEnqueueAndSync(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	mem := wire.NewMem()
+	s0, s1 := newGateStore(), wal.NewMemStore()
+	dp0 := newDurableDP(t, clock, mem, "dp-0", s0, -1)
+	dp1 := newDurableDP(t, clock, mem, "dp-1", s1, -1)
+	Connect(dp0, dp1)
+	for _, dp := range []*DecisionPoint{dp0, dp1} {
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dp.Stop)
+	}
+	cli := testWireClient(t, mem, clock, dp0)
+	if _, err := callSchedule(cli, "acked"); err != nil {
+		t.Fatal(err)
+	}
+	onDisk := s0.Size("wal.log")
+
+	s0.hold.Store(true)
+	doomed := async(func() error { _, err := callSchedule(cli, "doomed"); return err })
+	within(t, "the record reaching its fsync", s0.entered)
+	// A round starts inside the window: its export waits for the fsync,
+	// so the record cannot reach dp-1 ahead of the disk.
+	round := async(dp0.ExchangeNow)
+	time.Sleep(30 * time.Millisecond) // grace for a wrong build to send it
+	if settled(round) || settled(doomed) {
+		t.Fatalf("inside the commit window: exchange round done=%v, Schedule answered=%v", settled(round), settled(doomed))
+	}
+	killed := async(func() bool { dp0.Crash(); return true })
+	for stopping := false; !stopping; time.Sleep(time.Millisecond) {
+		// Until Crash is waiting for the committer: the connections are
+		// closed by then, as a dead process's are.
+		dp0.dur.commits.mu.Lock()
+		stopping = dp0.dur.commits.wake == nil
+		dp0.dur.commits.mu.Unlock()
+	}
+	s0.hold.Store(false)
+	s0.release <- errors.New("process killed during fsync")
+	within(t, "Crash", killed)
+	within(t, "the exchange round", round)
+	if err := within(t, "the doomed Schedule", doomed); err == nil {
+		t.Fatal("a Schedule whose fsync never returned was acked")
+	}
+	// The write never reached the platter.
+	if !s0.Truncate("wal.log", onDisk) {
+		t.Fatal("truncate failed")
+	}
+
+	if err := dp0.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := dp0.LastRecovery(); rec.Recovered != 1 || rec.Truncated || rec.Backfilled != 0 {
+		t.Fatalf("recovery = %+v, want the one acked record", rec)
+	}
+	if got := jobIDs(dp1.Engine().ExportSnapshot()); got != "" {
+		t.Fatalf("dp-1 holds %q: a record left dp-0 before it was durable", got)
+	}
+	if _, err := callSchedule(testWireClient(t, mem, clock, dp0), "next"); err != nil {
+		t.Fatal(err)
+	}
+	own, hi := dp0.Engine().LocalDispatchesAfter(0)
+	if hi != 2 || jobIDs(own) != "acked,next" {
+		t.Fatalf("own log after the restart: %q, high-water mark %d; want acked,next and 2", jobIDs(own), hi)
+	}
+	dp0.ExchangeNow()
+	if got := jobIDs(dp1.Engine().ExportSnapshot()); got != "acked,next" {
+		t.Fatalf("dp-1 holds %q after the round, want acked,next", got)
 	}
 }
 

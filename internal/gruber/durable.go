@@ -6,7 +6,20 @@ import "time"
 // durability layer a write-ahead hook (SetAppender), a checkpoint image
 // (CheckpointState) and the replay of both (RestoreState, RestoreRecord);
 // DESIGN.md ("Replication paths") tabulates where each ingest path calls
-// the hook and what replay does with a record.
+// the hook and what replay does with a record, and "The commit path"
+// follows a record from the hook to the disk.
+//
+// The disk is never waited for under the engine lock. The lock fixes
+// the order — stamp, log insert, fold, hook — and the hook only queues
+// the record and hands back a Ticket; the call that put records in
+// releases the lock and then waits for its last ticket, so "the
+// mutating call has returned" still means "its records are synced". A
+// record is therefore in the view and the logs a moment before it is
+// on disk, and every method that hands records or log positions out of
+// the engine ends the same way, waiting for the last ticket issued:
+// otherwise a point could export sequence number n, crash before the
+// sync, recover at n-1 and stamp n on a different job, which peers can
+// only read as an origin restart.
 //
 // Why the log floors are persisted: a recovered engine resumes its own
 // numbering at the pre-crash high-water mark instead of restarting from
@@ -59,12 +72,23 @@ func (s *RestoreStats) Add(o RestoreStats) {
 	s.Duplicates += o.Duplicates
 }
 
+// Ticket is the write-ahead hook's receipt for one queued record.
+type Ticket interface {
+	// Wait returns once the ticket's record, and with it every record
+	// queued before it, has been synced or refused; the error is that of
+	// the commit the ticket's own record was in. It is called without
+	// the engine lock, except by CheckpointState.
+	Wait() error
+}
+
 // SetAppender installs the write-ahead hook: fn is called under the
 // engine lock, in state-mutation order, for every dispatch record that
-// enters dynamic state. logged reports whether the record entered a
+// enters dynamic state, and must only queue it — the order of the calls
+// is the order of the log. logged reports whether the record entered a
 // per-origin log (and must restore into one) or only the site view.
-// The hook must not call back into the engine. Nil disables it.
-func (e *Engine) SetAppender(fn func(d Dispatch, logged bool)) {
+// The hook must not call back into the engine; a nil Ticket means the
+// record needs no waiting for. Nil disables the hook.
+func (e *Engine) SetAppender(fn func(d Dispatch, logged bool) Ticket) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.appender = fn
@@ -73,8 +97,36 @@ func (e *Engine) SetAppender(fn func(d Dispatch, logged bool)) {
 // appendLocked invokes the appender hook if one is set. Caller holds e.mu.
 func (e *Engine) appendLocked(d Dispatch, logged bool) {
 	if e.appender != nil {
-		e.appender(d, logged)
+		if t := e.appender(d, logged); t != nil {
+			e.ticket = t
+		}
 	}
+}
+
+// durable waits for t, if there is one. Caller does not hold e.mu.
+func durable(t Ticket) error {
+	if t == nil {
+		return nil
+	}
+	return t.Wait()
+}
+
+// unlockDurable and rUnlockDurable end a method that put records into
+// the engine or hands records or log positions out of it: release the
+// lock, then wait until everything the engine holds is on disk. A
+// refused commit is the durability layer's to count; these callers go
+// on, their records being re-obtainable from peers (ingests) or already
+// conservative estimates in the view (exports).
+func (e *Engine) unlockDurable() {
+	t := e.ticket
+	e.mu.Unlock()
+	_ = durable(t)
+}
+
+func (e *Engine) rUnlockDurable() {
+	t := e.ticket
+	e.mu.RUnlock()
+	_ = durable(t)
 }
 
 // CheckpointState captures the dynamic state — every per-origin log with
@@ -82,14 +134,16 @@ func (e *Engine) appendLocked(d Dispatch, logged bool) {
 // deterministic order — and hands it to persist while the engine lock is
 // still held. The lock is what makes the checkpoint atomic with the
 // write-ahead stream: the appender hook runs under the same lock, so no
-// record can slip in between the capture and the log compaction that
-// persist performs — a record is either inside the exported state or
-// appended after the compacted log restarts. persist must not call back
-// into the engine.
+// record can be queued between the capture and the log compaction that
+// persist performs, and everything queued before is waited for first
+// (whoever commits the queue never takes the engine lock) — a record is
+// either inside the exported state or appended after the compacted log
+// restarts. persist must not call back into the engine.
 func (e *Engine) CheckpointState(persist func(EngineState) error) error {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	_ = durable(e.ticket) // a refused record is in the state persisted below
 	var st EngineState
 	inLog := make(map[string]struct{})
 	for _, origin := range e.originsLocked() {

@@ -107,8 +107,9 @@ func TestRestoreRecordReplay(t *testing.T) {
 		logged bool
 	}
 	var wal []entry
-	live.SetAppender(func(d Dispatch, logged bool) {
+	live.SetAppender(func(d Dispatch, logged bool) Ticket {
 		wal = append(wal, entry{d, logged})
+		return nil
 	})
 	for i := 0; i < 3; i++ {
 		live.RecordDispatch(durableDispatch(i, clock.Now()))
@@ -127,7 +128,7 @@ func TestRestoreRecordReplay(t *testing.T) {
 
 	r := newDurableTestEngine("dp-0", clock)
 	replays := 0
-	r.SetAppender(func(Dispatch, bool) { replays++ })
+	r.SetAppender(func(Dispatch, bool) Ticket { replays++; return nil })
 	for _, en := range wal {
 		r.RestoreRecord(en.d, en.logged)
 	}

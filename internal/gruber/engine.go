@@ -101,8 +101,11 @@ type Engine struct {
 	queries atomic.Int64
 	// appender is the write-ahead hook (see SetAppender in durable.go):
 	// called under e.mu for every dispatch record entering dynamic
-	// state, in mutation order. Nil when durability is off.
-	appender func(d Dispatch, logged bool)
+	// state, in mutation order. Nil when durability is off. ticket is
+	// the last one it handed back: whoever waits for it has waited for
+	// every record the engine holds.
+	appender func(d Dispatch, logged bool) Ticket
+	ticket   Ticket
 }
 
 // EngineStats counts engine activity.
@@ -353,23 +356,27 @@ func (e *Engine) foldRemoteLocked(d Dispatch, now time.Time) bool {
 
 // RecordDispatch folds a locally-brokered dispatch into the view and the
 // exchange log. The engine stamps itself as Origin and assigns the
-// record's sequence number in its own dispatch log.
-func (e *Engine) RecordDispatch(d Dispatch) {
+// record's sequence number in its own dispatch log. With a write-ahead
+// hook installed it returns once the record is on stable storage, or
+// with the error of the commit that refused it: the Schedule/Report
+// handler acks only after a nil return, so an acked dispatch is always
+// durable (zero acked-dispatch loss across a crash). A refused record
+// stays in the view and the log, unacked (DESIGN.md, "The commit path").
+func (e *Engine) RecordDispatch(d Dispatch) error {
 	d.Origin = e.name
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.markSeenLocked(d) {
-		return
+	if e.markSeenLocked(d) {
+		e.stats.LocalDispatches++
+		l := e.logLocked(e.name)
+		d.Seq = l.hi() + 1 // the own log is the numbering authority
+		l.insert(d)
+		e.appendLocked(d, true)
+		e.foldLocked(d)
 	}
-	e.stats.LocalDispatches++
-	l := e.logLocked(e.name)
-	d.Seq = l.hi() + 1 // the own log is the numbering authority
-	l.insert(d)
-	// Write-ahead append happens before RecordDispatch returns: the
-	// Schedule/Report handler only acks after this, so an acked dispatch
-	// is always durable (zero acked-dispatch loss across a crash).
-	e.appendLocked(d, true)
-	e.foldLocked(d)
+	// A duplicate waits too: the first copy may still be in the queue.
+	t := e.ticket
+	e.mu.Unlock()
+	return durable(t)
 }
 
 // MergeRemote folds dispatches received from a peer decision point into
@@ -378,7 +385,6 @@ func (e *Engine) RecordDispatch(d Dispatch) {
 func (e *Engine) MergeRemote(dispatches []Dispatch) int {
 	now := e.clock.Now()
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.pruneLocked(now)
 	merged := 0
 	for _, d := range dispatches {
@@ -393,6 +399,7 @@ func (e *Engine) MergeRemote(dispatches []Dispatch) int {
 			merged++
 		}
 	}
+	e.unlockDurable()
 	return merged
 }
 
@@ -436,12 +443,13 @@ func (e *Engine) markSeenLocked(d Dispatch) bool {
 // a race (which a wall-clock cursor does).
 func (e *Engine) LocalDispatchesAfter(cursor uint64) ([]Dispatch, uint64) {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	l := e.logs[e.name]
 	recs := l.after(cursor)
 	out := make([]Dispatch, len(recs))
 	copy(out, recs)
-	return out, l.hi()
+	hi := l.hi()
+	e.rUnlockDurable()
+	return out, hi
 }
 
 // LocalSeqHighWater returns the sequence number of the newest local
@@ -452,8 +460,9 @@ func (e *Engine) LocalDispatchesAfter(cursor uint64) ([]Dispatch, uint64) {
 // every peer's acknowledged cursor is at or past this mark.
 func (e *Engine) LocalSeqHighWater() uint64 {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.logs[e.name].hi()
+	hi := e.logs[e.name].hi()
+	e.rUnlockDurable()
+	return hi
 }
 
 // Stats returns a copy of the engine counters.

@@ -97,8 +97,9 @@ func newParityRun(name string) *parityRun {
 	p.e = newEngine(p.clock, "* atlas cpu 50+\n* cms cpu 30+")
 	p.e.UpdateSites(statuses(100, 100, 100, 100), epoch)
 	fmt.Fprintf(&p.out, "== %s\n", name)
-	p.e.SetAppender(func(d Dispatch, logged bool) {
+	p.e.SetAppender(func(d Dispatch, logged bool) Ticket {
 		fmt.Fprintf(&p.out, "journal %s %s/%d logged=%t\n", d.JobID, d.Origin, d.Seq, logged)
+		return nil
 	})
 	return p
 }

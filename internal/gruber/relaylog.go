@@ -114,12 +114,12 @@ func (e *Engine) originsLocked() []string {
 // This is the anti-entropy digest a gossip round advertises.
 func (e *Engine) OriginVector() map[string]uint64 {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	vv := make(map[string]uint64, len(e.logs))
 	//lint:allow mapiter -- map-to-map copy; order cannot matter
 	for origin, l := range e.logs {
 		vv[origin] = l.hi()
 	}
+	e.rUnlockDurable()
 	return vv
 }
 
@@ -134,7 +134,6 @@ func (e *Engine) OriginVector() map[string]uint64 {
 // (see originLog.insert).
 func (e *Engine) DispatchesSince(vv map[string]uint64, maxRecords int) []Dispatch {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	var out []Dispatch
 	for _, origin := range e.originsLocked() {
 		recs := e.logs[origin].after(vv[origin])
@@ -146,6 +145,7 @@ func (e *Engine) DispatchesSince(vv map[string]uint64, maxRecords int) []Dispatc
 			break
 		}
 	}
+	e.rUnlockDurable()
 	return out
 }
 
@@ -184,7 +184,6 @@ type GossipMergeStats struct {
 func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 	now := e.clock.Now()
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.pruneLocked(now)
 	var st GossipMergeStats
 	for _, d := range records {
@@ -214,6 +213,7 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 			st.Applied++
 		}
 	}
+	e.unlockDurable()
 	return st
 }
 

@@ -30,10 +30,11 @@ func (e *Engine) ExportSnapshot() []Dispatch { return e.ExportSnapshotSince(nil)
 func (e *Engine) ExportSnapshotSince(vv map[string]uint64) []Dispatch {
 	now := e.clock.Now()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.viewLocked(now, func(d Dispatch) bool {
+	out := e.viewLocked(now, func(d Dispatch) bool {
 		return d.Seq == 0 || d.Origin == "" || d.Seq > vv[d.Origin]
 	})
+	e.unlockDurable()
+	return out
 }
 
 // viewLocked returns the unexpired dispatches in the site views that
@@ -65,7 +66,6 @@ func (e *Engine) viewLocked(now time.Time, keep func(Dispatch) bool) []Dispatch 
 func (e *Engine) ImportSnapshot(dispatches []Dispatch) int {
 	now := e.clock.Now()
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.pruneLocked(now)
 	merged := 0
 	for _, d := range dispatches {
@@ -88,6 +88,7 @@ func (e *Engine) ImportSnapshot(dispatches []Dispatch) int {
 			merged++
 		}
 	}
+	e.unlockDurable()
 	return merged
 }
 

@@ -16,11 +16,18 @@ import (
 //  3. Decoding the valid prefix alone is clean (no truncation) and
 //     yields the same records — truncate-and-retry converges.
 //  4. A clean image extended by garbage still yields all its records.
+//  5. A clean image extended by 1, 8 and 4096 zero bytes decodes to the
+//     same records, clean, with the same ValidBytes — preallocated
+//     space is not part of the log, however much of it there is.
+//  6. No surfaced record is empty: an empty record's header is the end
+//     mark.
 //
 // The checked-in seed corpus (testdata/fuzz/FuzzDecodeAll) covers the
 // empty image, single and multi-record images, each torn-tail flavor,
-// a checksum flip and an oversized length, so a plain `go test` run
-// exercises every decoder branch even without -fuzz.
+// a checksum flip, an oversized length, a zero tail, a zero tail with
+// one non-zero byte in it and a batch whose second page reached the
+// disk without its first, so a plain `go test` run exercises every
+// decoder branch even without -fuzz.
 func FuzzDecodeAll(f *testing.F) {
 	one := appendRecord(nil, []byte("hello"))
 	two := appendRecord(one, []byte("world, longer record payload"))
@@ -36,6 +43,12 @@ func FuzzDecodeAll(f *testing.F) {
 	huge := append([]byte(nil), two...)
 	huge[3] = 0xFF // length field far above maxRecordLen
 	f.Add(huge)
+	zeroTail := append(append([]byte(nil), two...), make([]byte, 100)...)
+	f.Add(zeroTail) // preallocated space after the log
+	dirtyTail := append([]byte(nil), zeroTail...)
+	dirtyTail[len(two)+50] = 1 // something in the space that should be empty
+	f.Add(dirtyTail)
+	f.Add(append(append(append([]byte(nil), one...), make([]byte, 64)...), two[len(one):]...)) // second page of a torn batch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := DecodeAll(data)
@@ -46,7 +59,10 @@ func FuzzDecodeAll(f *testing.F) {
 			t.Fatalf("Truncated=%v with Reason=%q", d.Truncated, d.Reason)
 		}
 		reframed := []byte{}
-		for _, r := range d.Records {
+		for i, r := range d.Records {
+			if len(r) == 0 {
+				t.Fatalf("record %d is empty", i)
+			}
 			reframed = appendRecord(reframed, r)
 		}
 		if !bytes.Equal(reframed, data[:d.ValidBytes]) {
@@ -61,6 +77,13 @@ func FuzzDecodeAll(f *testing.F) {
 			ext := DecodeAll(append(append([]byte(nil), data...), 0xFE, 0xED))
 			if len(ext.Records) < len(d.Records) {
 				t.Fatalf("garbage extension lost %d records", len(d.Records)-len(ext.Records))
+			}
+			for _, zeros := range []int{1, 8, 4096} {
+				z := DecodeAll(append(append([]byte(nil), data...), make([]byte, zeros)...))
+				if z.Truncated || z.ValidBytes != d.ValidBytes || len(z.Records) != len(d.Records) {
+					t.Fatalf("%d zero bytes after a clean image: truncated=%v (%s), %d valid bytes (had %d), %d records (had %d)",
+						zeros, z.Truncated, z.Reason, z.ValidBytes, d.ValidBytes, len(z.Records), len(d.Records))
+				}
 			}
 		}
 	})

@@ -25,27 +25,39 @@ const (
 // Stats counts a log's activity since Open.
 type Stats struct {
 	// Appends counts records durably appended; AppendErrors counts
-	// Append calls that failed (write or fsync error) — those records
+	// records whose batch failed (write or fsync error) — those records
 	// may not survive a crash.
 	Appends      int64
 	AppendErrors int64
-	// Bytes is the framed bytes appended to the log (checkpoints not
-	// included).
+	// Bytes is the framed bytes appended to the log (checkpoints and
+	// zero fill not included).
 	Bytes int64
 	// Checkpoints counts completed checkpoint swaps.
 	Checkpoints int64
 }
 
 // Log is one write-ahead log over a Store: Recover reads it back,
-// Append adds one durable record, Checkpoint compacts it under a new
-// snapshot. All methods are safe for concurrent use.
+// AppendBatch adds records behind one fsync, Checkpoint compacts it
+// under a new snapshot. All methods are safe for concurrent use.
 type Log struct {
 	store Store
 
-	mu    sync.Mutex
-	seg   File // open log segment; nil until the first append needs it
-	stats Stats
+	mu  sync.Mutex
+	seg Segment // open log segment; nil until the first append needs it
+	// end is where the valid log ends and the next batch goes; known is
+	// false until a Recover, a Checkpoint or the first append's own scan
+	// has established it. dirty is the highest offset anything was ever
+	// written to in this segment: past end only after a failed batch or
+	// a recovered torn tail, whose bytes the next append zeroes first.
+	end, dirty int64
+	known      bool
+	frames     []byte // the batch being framed, reused
+	stats      Stats
 }
+
+// ErrEmptyRecord refuses a record with no bytes: its header would be the
+// end mark (see DecodeAll).
+var ErrEmptyRecord = errors.New("wal: empty record")
 
 // Open returns a log over the store. It reads nothing — call Recover
 // before the first Append to adopt (and compact) any prior state.
@@ -81,10 +93,7 @@ type Recovered struct {
 func (l *Log) Recover() (Recovered, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seg != nil {
-		l.seg.Close()
-		l.seg = nil
-	}
+	l.closeSegLocked()
 	var rec Recovered
 	ck, err := l.readAll(checkpointName)
 	if err != nil {
@@ -98,16 +107,31 @@ func (l *Log) Recover() (Recovered, error) {
 			rec.Checkpoint = d.Records[0]
 		}
 	}
-	logData, err := l.readAll(logName)
+	d, err := l.scanLocked()
 	if err != nil {
 		return Recovered{}, err
 	}
-	d := DecodeAll(logData)
 	rec.Records = d.Records
 	rec.Truncated = d.Truncated
 	rec.ValidBytes = d.ValidBytes
 	rec.Reason = d.Reason
 	return rec, nil
+}
+
+// scanLocked decodes the log file and leaves the write offset at the
+// end of its valid prefix. After a truncated decode everything up to
+// the end of the file counts as dirty.
+func (l *Log) scanLocked() (Decoded, error) {
+	data, err := l.readAll(logName)
+	if err != nil {
+		return Decoded{}, err
+	}
+	d := DecodeAll(data)
+	l.end, l.dirty, l.known = d.ValidBytes, d.ValidBytes, true
+	if d.Truncated {
+		l.dirty = int64(len(data))
+	}
+	return d, nil
 }
 
 // readAll returns the named file's content, nil when it does not exist.
@@ -130,42 +154,79 @@ func (l *Log) readAll(name string) ([]byte, error) {
 	return data, nil
 }
 
-// Append frames payload and appends it durably (write + fsync) to the
-// log. On failure the record may not survive a crash: the error is
-// returned, counted, and the segment handle is dropped so the next
-// append reopens it — the log itself keeps working.
+// Append is AppendBatch of one record.
 func (l *Log) Append(payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(payload)
+	return l.AppendBatch([][]byte{payload})
 }
 
-func (l *Log) appendLocked(payload []byte) error {
-	if l.seg == nil {
-		seg, err := l.store.Append(logName)
-		if err != nil {
-			l.stats.AppendErrors++
-			return fmt.Errorf("wal: %w", err)
+// AppendBatch frames the payloads and appends them durably, in order,
+// with one write and one fsync: when it returns nil every record of the
+// batch is on stable storage. On failure none of them counts as
+// appended and any may be lost in a crash: the error is returned, the
+// records are counted, and the segment handle is dropped; the next
+// batch reopens it and starts where this one did, over whatever this
+// one left behind.
+func (l *Log) AppendBatch(payloads [][]byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := int64(len(payloads))
+	l.frames = l.frames[:0]
+	for _, p := range payloads {
+		if len(p) == 0 {
+			l.stats.AppendErrors += n
+			return ErrEmptyRecord
 		}
-		l.seg = seg
+		l.frames = appendRecord(l.frames, p)
 	}
-	frame := appendRecord(nil, payload)
-	if _, err := l.seg.Write(frame); err != nil {
-		l.failSegLocked()
+	if err := l.writeLocked(); err != nil {
+		l.stats.AppendErrors += n
+		l.closeSegLocked()
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if err := l.seg.Sync(); err != nil {
-		l.failSegLocked()
-		return fmt.Errorf("wal: append sync: %w", err)
-	}
-	l.stats.Appends++
-	l.stats.Bytes += int64(len(frame))
+	l.stats.Appends += n
+	l.stats.Bytes += int64(len(l.frames))
 	return nil
 }
 
-// failSegLocked counts a failed append and drops the segment handle.
-func (l *Log) failSegLocked() {
-	l.stats.AppendErrors++
+// writeLocked puts l.frames at the end of the log and syncs.
+func (l *Log) writeLocked() error {
+	if l.seg == nil {
+		if !l.known {
+			// Appending without a Recover first: find the end ourselves.
+			if _, err := l.scanLocked(); err != nil {
+				return err
+			}
+		}
+		seg, err := l.store.Segment(logName)
+		if err != nil {
+			return err
+		}
+		l.seg = seg
+	}
+	if l.dirty > l.end {
+		// Zero what a failed batch or a torn tail left, and make that
+		// durable first: a stale frame the same size as a new one must
+		// not be able to surface behind it.
+		if _, err := l.seg.WriteAt(make([]byte, l.dirty-l.end), l.end); err != nil {
+			return err
+		}
+		if err := l.seg.Sync(); err != nil {
+			return err
+		}
+	}
+	l.dirty = l.end + int64(len(l.frames))
+	if _, err := l.seg.WriteAt(l.frames, l.end); err != nil {
+		return err
+	}
+	if err := l.seg.Sync(); err != nil {
+		return err
+	}
+	l.end = l.dirty
+	return nil
+}
+
+// closeSegLocked drops the segment handle, if one is open.
+func (l *Log) closeSegLocked() {
 	if l.seg != nil {
 		l.seg.Close()
 		l.seg = nil
@@ -178,6 +239,9 @@ func (l *Log) failSegLocked() {
 func (l *Log) Checkpoint(snapshot []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if len(snapshot) == 0 {
+		return fmt.Errorf("wal: checkpoint: %w", ErrEmptyRecord)
+	}
 	tmp, err := l.store.Create(checkpointTmp)
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
@@ -197,24 +261,28 @@ func (l *Log) Checkpoint(snapshot []byte) error {
 		return fmt.Errorf("wal: checkpoint swap: %w", err)
 	}
 	// The snapshot is durable; everything in the log is now redundant.
-	if l.seg != nil {
-		l.seg.Close()
+	// The next append opens the emptied segment.
+	l.closeSegLocked()
+	l.known = false // until the truncation has happened
+	empty, err := l.store.Create(logName)
+	if err == nil {
+		err = empty.Close()
 	}
-	seg, err := l.store.Create(logName)
 	if err != nil {
-		l.seg = nil
 		return fmt.Errorf("wal: checkpoint truncate: %w", err)
 	}
-	l.seg = seg
+	l.end, l.dirty, l.known = 0, 0, true
 	l.stats.Checkpoints++
 	return nil
 }
 
-// Close closes the open segment, if any. The log can be reopened by a
-// later Recover.
+// Close closes the open segment, if any, and forgets where the log
+// ends: whoever uses the store next may change it (a modeled crash
+// damages it), so a later Recover or append reads it again.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.known = false
 	if l.seg == nil {
 		return nil
 	}

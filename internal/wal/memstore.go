@@ -43,6 +43,22 @@ func (f *memFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// WriteAt makes memFile a Segment. The log writes each batch where the
+// last one ended, which on a healthy store is the end of the file, so
+// the image is what appending produced; only a write over a failed
+// batch's or a torn tail's bytes lands inside it.
+func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
+	f.s.mu.Lock()
+	defer f.s.mu.Unlock()
+	data := f.s.files[f.name]
+	if grow := off + int64(len(p)) - int64(len(data)); grow > 0 {
+		data = append(data, make([]byte, grow)...)
+	}
+	copy(data[off:], p)
+	f.s.files[f.name] = data
+	return len(p), nil
+}
+
 func (f *memFile) Sync() error {
 	f.s.mu.Lock()
 	defer f.s.mu.Unlock()
@@ -76,8 +92,9 @@ func (s *MemStore) Create(name string) (File, error) {
 	return &memFile{s: s, name: name}, nil
 }
 
-// Append opens the named file for appending, creating it if absent.
-func (s *MemStore) Append(name string) (File, error) {
+// Segment opens the named file for writing at offsets, creating it if
+// absent.
+func (s *MemStore) Segment(name string) (Segment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.files[name]; !ok {

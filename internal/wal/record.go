@@ -14,6 +14,12 @@ import (
 // which desynchronizes the stream and lands the CRC on random bytes)
 // turns the record and everything after it into a reported truncation,
 // never a panic and never silently corrupt state.
+//
+// The end mark: CRC-32C of no bytes is 0, so an empty record's header
+// is eight zero bytes — exactly what space a store zero-filled ahead of
+// the log and never wrote reads as. The two cannot be told apart, so
+// there are no empty records (AppendBatch refuses one) and an all-zero
+// header means "the log ends here".
 
 // headerSize is the per-record framing overhead in bytes.
 const headerSize = 8
@@ -39,10 +45,11 @@ func appendRecord(buf, payload []byte) []byte {
 
 // Truncation reasons reported by DecodeAll.
 const (
-	ReasonTornHeader  = "torn header"       // trailing bytes shorter than a header
-	ReasonTornPayload = "torn payload"      // header promises more bytes than remain
-	ReasonOversized   = "oversized record"  // length field above maxRecordLen
-	ReasonChecksum    = "checksum mismatch" // payload bytes fail the CRC
+	ReasonTornHeader  = "torn header"           // trailing bytes shorter than a header
+	ReasonTornPayload = "torn payload"          // header promises more bytes than remain
+	ReasonOversized   = "oversized record"      // length field above maxRecordLen
+	ReasonChecksum    = "checksum mismatch"     // payload bytes fail the CRC
+	ReasonAfterEnd    = "data after end of log" // non-zero bytes past the end mark
 )
 
 // Decoded is DecodeAll's verdict on a log image: the records of the
@@ -62,8 +69,12 @@ type Decoded struct {
 	Reason string
 }
 
-// DecodeAll walks a log image record by record, stopping at the first
-// torn or corrupt record. It never fails: any input, including
+// DecodeAll walks a log image record by record, stopping at the end
+// mark or at the first torn or corrupt record. The image is clean when
+// every byte from the end mark on is zero (preallocated space, however
+// much of it); a non-zero byte there is what a torn batch leaves when a
+// later page reached the disk and an earlier one did not. It never
+// fails: any input, including
 // adversarial garbage, yields the valid prefix plus a truncation
 // verdict (see FuzzDecodeAll). The caller discards everything past
 // ValidBytes — per-record recovery beyond the first fault is not
@@ -73,12 +84,18 @@ func DecodeAll(data []byte) Decoded {
 	var d Decoded
 	for {
 		rest := data[d.ValidBytes:]
-		if len(rest) == 0 {
+		if len(rest) < headerSize {
+			if !allZero(rest) {
+				d.Truncated = true
+				d.Reason = ReasonTornHeader
+			}
 			return d
 		}
-		if len(rest) < headerSize {
-			d.Truncated = true
-			d.Reason = ReasonTornHeader
+		if allZero(rest[:headerSize]) {
+			if !allZero(rest[headerSize:]) {
+				d.Truncated = true
+				d.Reason = ReasonAfterEnd
+			}
 			return d
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
@@ -101,4 +118,14 @@ func DecodeAll(data []byte) Decoded {
 		d.Records = append(d.Records, payload)
 		d.ValidBytes += int64(headerSize) + int64(n)
 	}
+}
+
+// allZero reports whether b holds nothing but zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

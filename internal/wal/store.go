@@ -8,7 +8,8 @@
 // Two stores ship with it: MemStore, an in-memory store with
 // deterministic fault injection (torn writes, bit flips, truncation,
 // failed fsync) for hermetic tests, and DirStore over real os files for
-// the CLI binaries.
+// the CLI binaries, which keeps the log segment's space zero-filled
+// ahead of the writes so that an append never changes the file's size.
 package wal
 
 import "io"
@@ -18,6 +19,18 @@ import "io"
 // written before a successful Sync survives a crash.
 type File interface {
 	io.Writer
+	Sync() error
+	Close() error
+}
+
+// Segment is the open log segment. The log tracks the end of its valid
+// records itself and writes each batch at that offset, so a batch that
+// failed half-way is overwritten by the next one instead of sitting in
+// front of it. Bytes of the file that were never written read as zeros
+// (see DecodeAll's end mark); a store may hold any number of them past
+// the last write.
+type Segment interface {
+	io.WriterAt
 	Sync() error
 	Close() error
 }
@@ -32,8 +45,10 @@ type Store interface {
 	// Create opens the named file for writing, truncating any previous
 	// content.
 	Create(name string) (File, error)
-	// Append opens the named file for appending, creating it if absent.
-	Append(name string) (File, error)
+	// Segment opens the named file for writing at offsets of the
+	// caller's choosing, creating it if absent and keeping its content
+	// if not.
+	Segment(name string) (Segment, error)
 	// Rename atomically replaces newName with oldName's content.
 	Rename(oldName, newName string) error
 	// Remove deletes the named file (no error if absent).

@@ -2,21 +2,22 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"digruber/internal/netsim"
 )
 
-// payloads the tests append: varied sizes, including empty.
+// payloads the tests append: varied sizes, none empty (an empty record
+// is refused: its header would be the end mark).
 func testPayloads(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
 		out[i] = []byte(strings.Repeat(fmt.Sprintf("rec-%03d|", i), i%5+1))
-	}
-	if n > 2 {
-		out[2] = []byte{} // empty payload must round-trip too
 	}
 	return out
 }
@@ -66,15 +67,62 @@ func TestAppendRecover(t *testing.T) {
 	wantRecords(t, rec.Records, payloads)
 }
 
-// TestAppendSyncsEveryRecord: the append path fsyncs per record — the
-// property the zero-acked-loss contract stands on.
+// TestAppendSyncsEveryRecord: every record is behind a sync that
+// returned before its Append did — the property the zero-acked-loss
+// contract stands on — and a batch shares one.
 func TestAppendSyncsEveryRecord(t *testing.T) {
 	store := NewMemStore()
 	l := Open(store)
-	appendAll(t, l, testPayloads(5))
-	if store.Syncs() < 5 {
-		t.Fatalf("5 appends issued only %d syncs", store.Syncs())
+	for i, p := range testPayloads(5) {
+		before := store.Syncs()
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		if store.Syncs() != before+1 {
+			t.Fatalf("append %d returned behind %d syncs, want 1", i, store.Syncs()-before)
+		}
 	}
+	before := store.Syncs()
+	if err := l.AppendBatch(testPayloads(7)); err != nil {
+		t.Fatal(err)
+	}
+	if store.Syncs() != before+1 {
+		t.Fatalf("a batch of 7 returned behind %d syncs, want 1", store.Syncs()-before)
+	}
+	rec, err := Open(store).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRecords(t, rec.Records, append(testPayloads(5), testPayloads(7)...))
+}
+
+// TestEmptyRecordRefused: nothing writes a record whose header would be
+// the end mark, alone or inside a batch, and a refused batch leaves the
+// log as it was.
+func TestEmptyRecordRefused(t *testing.T) {
+	store := NewMemStore()
+	l := Open(store)
+	appendAll(t, l, testPayloads(2))
+	if err := l.Append(nil); !errors.Is(err, ErrEmptyRecord) {
+		t.Fatalf("empty append: %v", err)
+	}
+	if err := l.AppendBatch([][]byte{[]byte("a"), {}, []byte("b")}); !errors.Is(err, ErrEmptyRecord) {
+		t.Fatalf("batch with an empty record: %v", err)
+	}
+	if err := l.Checkpoint(nil); !errors.Is(err, ErrEmptyRecord) {
+		t.Fatalf("empty checkpoint: %v", err)
+	}
+	if st := l.Stats(); st.Appends != 2 || st.AppendErrors != 4 {
+		t.Fatalf("stats = %+v", st)
+	}
+	rec, err := Open(store).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Truncated {
+		t.Fatalf("recovered %+v", rec)
+	}
+	wantRecords(t, rec.Records, testPayloads(2))
 }
 
 // TestCheckpointCompacts: a checkpoint swap makes the snapshot durable,
@@ -191,6 +239,146 @@ func TestFailedFsync(t *testing.T) {
 	}
 }
 
+// shortWriteStore is a Store whose next segment write puts half the
+// buffer down and fails — what a full disk or an I/O error mid-write
+// does. (MemStore models a tear as a Truncate after the fact, which
+// removes the torn bytes the next append has to deal with.)
+type shortWriteStore struct {
+	Store
+	armed bool
+}
+
+type shortWriteSegment struct {
+	Segment
+	s *shortWriteStore
+}
+
+func (s *shortWriteStore) Segment(name string) (Segment, error) {
+	seg, err := s.Store.Segment(name)
+	return shortWriteSegment{seg, s}, err
+}
+
+func (f shortWriteSegment) WriteAt(p []byte, off int64) (int, error) {
+	if f.s.armed {
+		f.s.armed = false
+		n, _ := f.Segment.WriteAt(p[:len(p)/2], off)
+		return n, errors.New("injected short write")
+	}
+	return f.Segment.WriteAt(p, off)
+}
+
+// TestShortWriteThenAppends: records acked after a short write are
+// recoverable. The failed batch's bytes sit where the next batch goes,
+// not in front of it, and none of them surfaces.
+func TestShortWriteThenAppends(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) Store
+	}{
+		{"mem", func(*testing.T) Store { return NewMemStore() }},
+		{"dir", func(t *testing.T) Store {
+			s, err := NewDirStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &shortWriteStore{Store: tc.store(t)}
+			l := Open(store)
+			before := testPayloads(3)
+			appendAll(t, l, before)
+			store.armed = true
+			// Same-sized records, so a stale frame of the failed batch would
+			// line up exactly behind a shorter new batch.
+			failed := [][]byte{[]byte("doomed-0"), []byte("doomed-1"), []byte("doomed-2"), []byte("doomed-3")}
+			if err := l.AppendBatch(failed); err == nil {
+				t.Fatal("short write reported success")
+			}
+			if st := l.Stats(); st.AppendErrors != 4 || st.Appends != 3 {
+				t.Fatalf("stats after the short write = %+v", st)
+			}
+			var after [][]byte
+			for i := 0; i < 10; i++ {
+				after = append(after, []byte(fmt.Sprintf("later--%d", i)))
+			}
+			appendAll(t, l, after[:1])
+			// A crash here: the one later record is on disk, and whatever the
+			// failed batch left behind it must not decode.
+			rec, err := Open(store).Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Truncated {
+				t.Fatalf("recovered as truncated: %s", rec.Reason)
+			}
+			wantRecords(t, rec.Records, append(append([][]byte{}, before...), after[:1]...))
+
+			appendAll(t, l, after[1:])
+			rec, err = Open(store).Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Truncated {
+				t.Fatalf("recovered as truncated: %s", rec.Reason)
+			}
+			wantRecords(t, rec.Records, append(append([][]byte{}, before...), after...))
+		})
+	}
+}
+
+// TestAppendAfterTornTail: a log adopted with a torn tail and appended
+// to without a checkpoint in between keeps the new records readable.
+func TestAppendAfterTornTail(t *testing.T) {
+	store := NewMemStore()
+	l := Open(store)
+	payloads := testPayloads(4)
+	appendAll(t, l, payloads)
+	if !store.Truncate(logName, store.Size(logName)-2) {
+		t.Fatal("truncate failed")
+	}
+	l = Open(store)
+	rec, err := l.Recover()
+	if err != nil || !rec.Truncated {
+		t.Fatalf("recover: %+v, %v", rec, err)
+	}
+	appendAll(t, l, [][]byte{[]byte("x")}) // shorter than the torn record
+	got, err := Open(store).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Truncated {
+		t.Fatalf("recovered as truncated: %s", got.Reason)
+	}
+	wantRecords(t, got.Records, append(append([][]byte{}, payloads[:3]...), []byte("x")))
+}
+
+// TestEndMark: zeros after the last record are preallocated space, not
+// damage; anything else after them is.
+func TestEndMark(t *testing.T) {
+	payloads := testPayloads(3)
+	var img []byte
+	for _, p := range payloads {
+		img = appendRecord(img, p)
+	}
+	for _, zeros := range []int{1, 7, 8, 9, 4096} {
+		d := DecodeAll(append(append([]byte(nil), img...), make([]byte, zeros)...))
+		if d.Truncated || d.ValidBytes != int64(len(img)) {
+			t.Fatalf("%d zero bytes after the log: %+v", zeros, d)
+		}
+		wantRecords(t, d.Records, payloads)
+	}
+	// A batch torn so that its second page is on disk and its first is
+	// not: zeros where the next header belongs, frames after them.
+	torn := append(append(append([]byte(nil), img...), make([]byte, 64)...), appendRecord(nil, []byte("late"))...)
+	d := DecodeAll(torn)
+	if !d.Truncated || d.Reason != ReasonAfterEnd || d.ValidBytes != int64(len(img)) {
+		t.Fatalf("data after the end mark: %+v", d)
+	}
+	wantRecords(t, d.Records, payloads)
+}
+
 // TestCorruptCheckpointReported: a bit-flipped checkpoint is refused
 // (never served) and reported, while the log still replays.
 func TestCorruptCheckpointReported(t *testing.T) {
@@ -273,4 +461,87 @@ func TestDirStore(t *testing.T) {
 	if _, err := store.Create("../escape"); err == nil {
 		t.Fatal("path traversal accepted")
 	}
+}
+
+// TestDirStoreSegment: the on-disk segment is written inside space
+// zero-filled ahead of it. A crash (the handle dropped, nothing
+// flushed or trimmed) in the middle of a chunk and one just after an
+// extension both recover every synced record, and the log goes on from
+// the end of the valid records, not from the end of the file.
+func TestDirStoreSegment(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		st, err := os.Stat(filepath.Join(dir, logName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	l := Open(store)
+	if _, err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	add := func(n, bytesEach int) {
+		t.Helper()
+		batch := make([][]byte, n)
+		for i := range batch {
+			batch[i] = bytes.Repeat([]byte{byte('a' + len(want)%26)}, bytesEach)
+			want = append(want, batch[i])
+		}
+		if err := l.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crashAndRecover := func() {
+		t.Helper()
+		l.seg.(*dirSegment).f.Close() // the process dies: no Close of ours runs
+		l = Open(store)
+		rec, err := l.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Truncated {
+			t.Fatalf("recovered as truncated: %s", rec.Reason)
+		}
+		wantRecords(t, rec.Records, want)
+		if l.end != rec.ValidBytes || l.end >= size() {
+			t.Fatalf("write offset %d after recovery, want the valid end %d inside the %d-byte file", l.end, rec.ValidBytes, size())
+		}
+	}
+
+	add(3, 100)
+	if got := size(); got != segChunk {
+		t.Fatalf("segment is %d bytes after the first append, want one %d-byte chunk", got, segChunk)
+	}
+	crashAndRecover() // mid-chunk
+	add(2, 100)
+	if got := size(); got != segChunk {
+		t.Fatalf("segment is %d bytes: an append inside the chunk changed the file's size", got)
+	}
+	add(4, segChunk/4) // crosses the end: extended before the write
+	if got := size(); got != 2*segChunk {
+		t.Fatalf("segment is %d bytes after crossing the first chunk, want %d", got, 2*segChunk)
+	}
+	crashAndRecover() // right after an extension
+	add(1, 100)
+	if st := l.Stats(); st.Bytes != int64(headerSize+100) {
+		t.Fatalf("stats = %+v: zero fill counted as appended bytes", st)
+	}
+	crashAndRecover()
+
+	// A checkpoint empties the segment; the next append starts a chunk.
+	if err := l.Checkpoint([]byte("snap")); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != 0 {
+		t.Fatalf("segment is %d bytes after a checkpoint, want 0", got)
+	}
+	want = nil
+	add(1, 10)
+	crashAndRecover()
 }
