@@ -6,9 +6,8 @@
 //
 // Two VOs (atlas, cms) run reconstruction DAGs through the Euryale
 // planner: prescripts call out to a DI-GRUBER decision point for site
-// selection, input files stage in through the replica catalog, failed
-// placements re-plan, and a queue manager throttles each submission host
-// to its VO's fair share. At the end the demo prints per-VO delivered
+// selection, input files stage in through the replica catalog, and failed
+// placements re-plan. At the end the demo prints per-VO delivered
 // CPU time against the USLA targets.
 package main
 

@@ -152,7 +152,7 @@ func TestProposedUSLADisseminatesToPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.dps[0].ExchangeNow()
-	l := h.dps[1].Engine().Policies().LimitsFor("site-000", usla.MustParsePath("atlas"), usla.CPU)
+	l := h.dps[1].cfg.Policies.LimitsFor("site-000", usla.MustParsePath("atlas"), usla.CPU)
 	if l.Upper != 15 {
 		t.Fatalf("peer upper = %v, want 15 after dissemination", l.Upper)
 	}

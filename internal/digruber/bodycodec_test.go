@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"digruber/internal/gruber"
+	"digruber/internal/trace"
 	"digruber/internal/vtime"
 	"digruber/internal/wire"
 )
@@ -308,7 +309,7 @@ func TestBodyCodecConcurrent(t *testing.T) {
 				}
 				// The raw reply to the same request: what the typed
 				// handler's encode put on the wire.
-				raw, err := cli.Call(MethodQuery, queries[g], time.Minute)
+				raw, err := cli.CallCtx(trace.SpanContext{}, MethodQuery, queries[g], time.Minute)
 				if err != nil || !fresh[string(raw)] {
 					t.Errorf("query %d/%d: reply body is not a fresh encoder's (%d bytes, %v)", g, i, len(raw), err)
 					return

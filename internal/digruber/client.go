@@ -49,14 +49,11 @@ type ClientConfig struct {
 	// separate report is needed.
 	SingleCall bool
 	// Failover optionally lists alternate decision points. After
-	// FailoverThreshold consecutive failed interactions with the bound
+	// failoverThreshold consecutive failed interactions with the bound
 	// point the client rebinds to the next entry (cycling, skipping the
 	// current binding) — a cheaper first resort than staying bound to a
 	// dead broker and paying a timeout plus random fallback per job.
 	Failover []DPRef
-	// FailoverThreshold is the consecutive-failure count that triggers a
-	// failover rebind (default 3 when Failover is non-empty).
-	FailoverThreshold int
 	// Tracer, when non-nil, opens a client.schedule root span per job and
 	// threads its context through every RPC, so the whole request path —
 	// retries, WAN transits, server queueing, engine work — lands in one
@@ -156,13 +153,6 @@ type Client struct {
 	// probe, not a blank closed breaker. Nil until the first use; empty
 	// forever when ClientConfig.Breaker is disabled.
 	breakers map[string]*wire.Breaker
-}
-
-// conn returns the current RPC client (it changes on Rebind).
-func (c *Client) conn() *wire.Client {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rpc
 }
 
 // connAndBreaker returns the current RPC client together with the
@@ -482,8 +472,12 @@ func (c *Client) Rebind(dpName, dpNode, addr string) {
 	}()
 }
 
+// failoverThreshold is the consecutive-failure count that triggers a
+// failover rebind.
+const failoverThreshold = 3
+
 // noteOutcome updates failover accounting after one interaction with the
-// bound decision point. On the configured number of consecutive failures
+// bound decision point. After failoverThreshold consecutive failures
 // it rebinds to the next Failover entry that differs from the current
 // binding; random per-job fallback still covers the requests in between.
 // With LoadAwareFailover set the ring choice is only the default: the
@@ -497,11 +491,7 @@ func (c *Client) noteOutcome(err error) {
 		return
 	}
 	c.consecFails++
-	threshold := c.cfg.FailoverThreshold
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if len(c.cfg.Failover) == 0 || c.consecFails < threshold {
+	if len(c.cfg.Failover) == 0 || c.consecFails < failoverThreshold {
 		c.mu.Unlock()
 		return
 	}

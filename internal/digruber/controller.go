@@ -14,8 +14,8 @@ import (
 // leaves to future work ("we do not have a DI-GRUBER implementation for
 // such an approach"). It is the section's third-party monitor: it asks
 // every serving member for its own saturation verdict (Status) and reads
-// the fleet's metrics plane (queue depth, shed/expired/throttle rates,
-// offered demand, SLO alerts), and:
+// the fleet's metrics plane (queue depth, shed/expired rates, offered
+// demand, SLO alerts), and:
 //
 //   - scales UP under sustained pressure: a factory-built decision point
 //     is meshed with every fleet member (Connect fan-out),
@@ -92,10 +92,6 @@ type ControllerConfig struct {
 	// DrainTimeout is the budget handed to the victim's Drain on
 	// scale-down (default 2 minutes).
 	DrainTimeout time.Duration
-	// ThrottleSeries optionally names a cumulative series of client-side
-	// retry throttles (e.g. the fleet ClientMetrics' throttled counter);
-	// its window rate joins the pressure signal. Empty disables it.
-	ThrottleSeries string
 	// DemandSeries optionally names a cumulative series counting offered
 	// requests (e.g. a workload driver's submission counter). Its window
 	// rate divided by the serving fleet size joins the signals as
@@ -125,16 +121,13 @@ const (
 	// (1/s, window) reaches this.
 	shedRateHigh = 0.5
 	// queueLow: idle requires every member's smoothed queue depth at or
-	// below this, and zero shed/expired/throttle rate.
+	// below this, and zero shed/expired rate.
 	queueLow = 1
 )
 
 // SignalThresholds are the levels of the controller's optional signals
 // and the window all of its tsdb signals read over.
 type SignalThresholds struct {
-	// ThrottleRateHigh: pressure when the ThrottleSeries window rate
-	// reaches this (default 0.5; only with ThrottleSeries set).
-	ThrottleRateHigh float64
 	// DemandHighPerDP/DemandLowPerDP: with DemandSeries set, the offered
 	// rate per serving member (1/s) that reads as pressure (at or above
 	// High) resp. permits idle (at or below Low). Zero disables the
@@ -190,9 +183,6 @@ func (cfg *ControllerConfig) setDefaults() error {
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Minute
-	}
-	if cfg.Signals.ThrottleRateHigh <= 0 {
-		cfg.Signals.ThrottleRateHigh = 0.5
 	}
 	if cfg.Signals.Window <= 0 {
 		cfg.Signals.Window = 4 * cfg.Interval
@@ -301,14 +291,13 @@ func (c *Controller) Stop() {
 // signals is one evaluation's view of the fleet's load, for logging and
 // tests.
 type signals struct {
-	MaxQueue     float64 // largest per-member smoothed queue depth
-	ShedRate     float64 // fleet-total shed+expired rate, 1/s
-	ThrottleRate float64 // client retry-throttle rate, 1/s
-	DemandPerDP  float64 // offered request rate per serving member, 1/s
-	Saturated    int     // members whose own detector reports saturation
-	SLOAlerts    int     // per-VO SLO alerts currently firing
-	Pressure     bool
-	Idle         bool
+	MaxQueue    float64 // largest per-member smoothed queue depth
+	ShedRate    float64 // fleet-total shed+expired rate, 1/s
+	DemandPerDP float64 // offered request rate per serving member, 1/s
+	Saturated   int     // members whose own detector reports saturation
+	SLOAlerts   int     // per-VO SLO alerts currently firing
+	Pressure    bool
+	Idle        bool
 }
 
 // assess reads the fleet's signals: each member's self-report and the
@@ -330,9 +319,6 @@ func (c *Controller) assess(now time.Time) signals {
 			s.Saturated++
 		}
 	}
-	if c.cfg.ThrottleSeries != "" {
-		s.ThrottleRate = c.reg.WindowRate(c.cfg.ThrottleSeries, now, th.Window)
-	}
 	if c.cfg.DemandSeries != "" && len(fleet) > 0 {
 		s.DemandPerDP = c.reg.WindowRate(c.cfg.DemandSeries, now, th.Window) / float64(len(fleet))
 	}
@@ -343,10 +329,8 @@ func (c *Controller) assess(now time.Time) signals {
 		s.MaxQueue >= queueHigh ||
 		s.ShedRate >= shedRateHigh ||
 		s.SLOAlerts > 0 ||
-		(c.cfg.ThrottleSeries != "" && s.ThrottleRate >= th.ThrottleRateHigh) ||
 		(c.cfg.DemandSeries != "" && th.DemandHighPerDP > 0 && s.DemandPerDP >= th.DemandHighPerDP)
-	s.Idle = s.Saturated == 0 && s.MaxQueue <= queueLow && s.ShedRate == 0 && s.ThrottleRate == 0 &&
-		s.SLOAlerts == 0 &&
+	s.Idle = s.Saturated == 0 && s.MaxQueue <= queueLow && s.ShedRate == 0 && s.SLOAlerts == 0 &&
 		(c.cfg.DemandSeries == "" || th.DemandLowPerDP <= 0 || s.DemandPerDP <= th.DemandLowPerDP)
 	return s
 }

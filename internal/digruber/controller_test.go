@@ -13,15 +13,21 @@ import (
 )
 
 // controllerRig is a Manual-clock fleet whose pressure signal the test
-// drives directly through the controller's ThrottleSeries counter —
+// drives directly through the controller's DemandSeries counter —
 // every Evaluate is an explicit, deterministic step.
 type controllerRig struct {
-	t        *testing.T
-	mem      *wire.Mem
-	clock    *vtime.Manual
-	reg      *tsdb.Registry
-	ctl      *Controller
-	throttle *tsdb.Counter
+	t      *testing.T
+	mem    *wire.Mem
+	clock  *vtime.Manual
+	reg    *tsdb.Registry
+	ctl    *Controller
+	demand *tsdb.Counter
+}
+
+// rigSignals reads half an offered request per second and member as
+// pressure and permits idle only once the window holds none at all.
+func rigSignals(window time.Duration) SignalThresholds {
+	return SignalThresholds{DemandHighPerDP: 0.5, DemandLowPerDP: 0.01, Window: window}
 }
 
 func newControllerRig(t *testing.T, cfg ControllerConfig) *controllerRig {
@@ -56,8 +62,8 @@ func newControllerRig(t *testing.T, cfg ControllerConfig) *controllerRig {
 	cfg.Clock = r.clock
 	cfg.Factory = factory
 	cfg.Metrics = r.reg
-	cfg.ThrottleSeries = "clients/throttled"
-	r.throttle = r.reg.Counter(cfg.ThrottleSeries)
+	cfg.DemandSeries = "clients/offered"
+	r.demand = r.reg.Counter(cfg.DemandSeries)
 	ctl, err := NewController(cfg, []*DecisionPoint{first})
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +77,12 @@ func newControllerRig(t *testing.T, cfg ControllerConfig) *controllerRig {
 	return r
 }
 
-// step advances one interval, optionally accrues throttle events at
+// step advances one interval, optionally accrues offered requests at
 // rate/s over it, samples the registry, and runs one Evaluate.
 func (r *controllerRig) step(interval time.Duration, rate float64) (ControllerAction, error) {
 	r.t.Helper()
 	r.clock.Advance(interval)
-	r.throttle.Add(int64(rate * interval.Seconds()))
+	r.demand.Add(int64(rate * interval.Seconds()))
 	r.reg.Sample(r.clock.Now())
 	return r.ctl.Evaluate()
 }
@@ -96,7 +102,7 @@ func TestControllerScalesUpAndDown(t *testing.T) {
 		ScaleUpAfter: 2, ScaleDownAfter: 3,
 		UpCooldown: 2 * iv, DownCooldown: 3 * iv,
 		DrainTimeout: time.Minute,
-		Signals:      SignalThresholds{ThrottleRateHigh: 0.5, Window: 4 * iv},
+		Signals:      rigSignals(4 * iv),
 	})
 
 	// Warm-up sample so window rates have a baseline point.
@@ -185,7 +191,7 @@ func TestControllerScaleDownRespectsMinAndMax(t *testing.T) {
 		Interval: iv, MinDPs: 1, MaxDPs: 1,
 		ScaleUpAfter: 1, ScaleDownAfter: 1,
 		UpCooldown: iv / 2, DownCooldown: iv / 2,
-		Signals: SignalThresholds{ThrottleRateHigh: 0.5, Window: 4 * iv},
+		Signals: rigSignals(4 * iv),
 	})
 	r.reg.Sample(r.clock.Now())
 
@@ -214,7 +220,7 @@ func TestControllerDrainAbortKeepsVictim(t *testing.T) {
 		ScaleUpAfter: 1, ScaleDownAfter: 1,
 		UpCooldown: iv / 2, DownCooldown: iv / 2,
 		DrainTimeout: time.Second,
-		Signals:      SignalThresholds{ThrottleRateHigh: 0.5, Window: 4 * iv},
+		Signals:      rigSignals(4 * iv),
 	})
 	r.reg.Sample(r.clock.Now())
 
@@ -227,8 +233,8 @@ func TestControllerDrainAbortKeepsVictim(t *testing.T) {
 	victim.Engine().RecordDispatch(gruber.Dispatch{JobID: "wedge", Site: "site-000", CPUs: 1, Runtime: time.Hour, At: r.clock.Now()})
 	victim.AddPeer("ghost", "ghost", "ghost-addr")
 
-	// Age the throttle increments out of the window; these passes still
-	// read a nonzero rate (pressure, but the fleet is at MaxDPs) and take
+	// Age the offered requests out of the window; these passes still
+	// read a nonzero rate (not idle, and the fleet is at MaxDPs) and take
 	// no action.
 	for i := 0; i < 3; i++ {
 		if act, err := r.step(iv, 0); err != nil || act != ActionNone {
@@ -267,7 +273,7 @@ func TestControllerDrainAbortKeepsVictim(t *testing.T) {
 	if got := len(r.ctl.Fleet()); got != 2 {
 		t.Fatalf("fleet size after abort = %d, want 2 (victim kept)", got)
 	}
-	if st := victim.LifecycleState(); st != StateServing {
+	if st := lifecycleState(victim); st != StateServing {
 		t.Fatalf("victim state after abort = %q, want serving", st)
 	}
 	r.reg.Sample(r.clock.Now())
@@ -285,7 +291,7 @@ func TestControllerRebalancesClients(t *testing.T) {
 		ScaleUpAfter: 1, ScaleDownAfter: 2,
 		UpCooldown: iv / 2, DownCooldown: iv / 2,
 		DrainTimeout: time.Minute,
-		Signals:      SignalThresholds{ThrottleRateHigh: 0.5, Window: 2 * iv},
+		Signals:      rigSignals(2 * iv),
 	})
 	var clients []*Client
 	for i := 0; i < 4; i++ {
@@ -364,7 +370,7 @@ func saturationRig(t *testing.T, prefix string, maxDPs int) (*Controller, []*Cli
 		dp, err := New(Config{
 			Name: name, Addr: name, Transport: mem, Clock: clock, Profile: slow,
 			Strategy: UsageOnly, ExchangeInterval: time.Hour,
-			Saturation: SaturationConfig{Window: 2 * time.Second, QueueThreshold: 3},
+			Saturation: SaturationConfig{Window: 2 * time.Second}, // one worker: saturated at 3 queued
 		})
 		if err != nil {
 			return nil, err
@@ -501,14 +507,14 @@ func TestControllerStartStopRunsOnTicker(t *testing.T) {
 	iv := time.Minute
 	r := newControllerRig(t, ControllerConfig{
 		Interval: iv, MaxDPs: 4, ScaleUpAfter: 1, UpCooldown: iv / 2,
-		Signals: SignalThresholds{ThrottleRateHigh: 0.5, Window: 4 * iv},
+		Signals: rigSignals(4 * iv),
 	})
 	r.reg.Sample(r.clock.Now())
 	// tick accrues pressure and samples it mid-interval, so the sample is
 	// in the registry before the tick that ends the interval fires.
 	tick := func() {
 		r.clock.Advance(iv / 2)
-		r.throttle.Add(120)
+		r.demand.Add(120)
 		r.reg.Sample(r.clock.Now())
 		r.clock.Advance(iv / 2)
 	}

@@ -84,10 +84,6 @@ func (c *Config) setDefaults() error {
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = 30 * time.Second
 	}
-	if c.Saturation.Workers <= 0 {
-		c.Saturation.Workers = c.Profile.Workers()
-	}
-	c.Saturation.setDefaults()
 	c.Gossip.setDefaults()
 	return nil
 }
@@ -219,7 +215,7 @@ func New(cfg Config) (*DecisionPoint, error) {
 	dp := &DecisionPoint{
 		cfg:      cfg,
 		engine:   gruber.NewEngine(cfg.Name, cfg.Policies, cfg.Clock),
-		detector: NewSaturationDetector(cfg.Saturation, cfg.Clock),
+		detector: NewSaturationDetector(cfg.Saturation, cfg.Profile.Workers(), cfg.Clock),
 		peers:    make(map[string]*peerLink),
 		view:     gossip.NewView(cfg.Name, cfg.Gossip.Seed, cfg.Gossip.ViewSize),
 	}

@@ -327,7 +327,7 @@ func TestUSLADissemination(t *testing.T) {
 	defer b.Stop()
 
 	a.ExchangeNow()
-	l := b.Engine().Policies().LimitsFor("site-000", usla.MustParsePath("atlas"), usla.CPU)
+	l := b.cfg.Policies.LimitsFor("site-000", usla.MustParsePath("atlas"), usla.CPU)
 	if l.Upper != 25 {
 		t.Fatalf("dp-b atlas upper = %v, want 25 (USLA disseminated)", l.Upper)
 	}
@@ -546,7 +546,7 @@ func TestConcurrentQueriesAndExchanges(t *testing.T) {
 		probe := usla.Path{VO: "probe"}
 		for i := 0; i < policyAdds; i++ {
 			pct := float64(10 + i)
-			err := eng.Policies().Add(usla.Entry{Provider: "site-002", Consumer: probe, Resource: usla.CPU,
+			err := h.dps[0].cfg.Policies.Add(usla.Entry{Provider: "site-002", Consumer: probe, Resource: usla.CPU,
 				Share: usla.Share{Percent: pct, Kind: usla.UpperLimit}})
 			if err != nil {
 				errs <- err

@@ -88,7 +88,7 @@ func runDrainPartitionScenario(t *testing.T, healAfter, drainTimeout time.Durati
 	digest := drainChaosDigest{
 		DrainErr: drain(drainTimeout),
 	}
-	digest.VictimState = victim.LifecycleState()
+	digest.VictimState = lifecycleState(victim)
 
 	if digest.VictimState == StateServing {
 		// Abort path: the victim must still answer clients.
@@ -103,7 +103,7 @@ func runDrainPartitionScenario(t *testing.T, healAfter, drainTimeout time.Durati
 		applyFaults()
 		digest.SecondDrain = drain(time.Minute)
 	}
-	digest.FinalState = victim.LifecycleState()
+	digest.FinalState = lifecycleState(victim)
 	digest.PeerSiteFree = peer.Engine().EstFreeCPUs("site-000")
 	return digest
 }

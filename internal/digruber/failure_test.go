@@ -146,9 +146,9 @@ func TestRebindClosedClientStaysClosed(t *testing.T) {
 	h := newHarness(t, 2, clock, testStatuses(50))
 	c := h.client(0, 0, []string{"fb"})
 	c.Close()
-	before := c.conn()
+	before, _ := c.connAndBreaker()
 	c.Rebind(h.dps[1].Name(), h.dps[1].Name(), h.dps[1].Addr())
-	if c.conn() != before {
+	if after, _ := c.connAndBreaker(); after != before {
 		t.Fatal("Rebind after Close replaced the connection (client resurrected)")
 	}
 	if c.DPName() != h.dps[0].Name() {
@@ -199,7 +199,7 @@ func TestCloseCancelsRebindGrace(t *testing.T) {
 	}
 }
 
-// TestClientFailoverChain: after FailoverThreshold consecutive failures
+// TestClientFailoverChain: after failoverThreshold consecutive failures
 // the client rebinds to the next configured decision point and is handled
 // again, instead of paying fallback on every job forever.
 func TestClientFailoverChain(t *testing.T) {
@@ -215,7 +215,6 @@ func TestClientFailoverChain(t *testing.T) {
 			{Name: h.dps[0].Name(), Node: h.dps[0].Name(), Addr: h.dps[0].Addr()},
 			{Name: h.dps[1].Name(), Node: h.dps[1].Name(), Addr: h.dps[1].Addr()},
 		},
-		FailoverThreshold: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestClientFailoverChain(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	h.dps[0].Stop() // the bound broker dies
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failoverThreshold; i++ {
 		dec := c.Schedule(testJob(fmt.Sprintf("f%d", i)))
 		if dec.Handled {
 			t.Fatalf("job %d handled by a dead broker", i)
@@ -315,10 +314,9 @@ func runChaosScenario(t *testing.T) chaosDigest {
 			Name:   fmt.Sprintf("client-%d", i),
 			DPName: dps[i].Name(), DPNode: dps[i].Name(), DPAddr: dps[i].Addr(),
 			Transport: mem, Clock: clock, Timeout: 10 * time.Second,
-			FallbackSites:     siteNames,
-			RNG:               netsim.Stream(99, fmt.Sprintf("chaos.client-%d", i)),
-			Failover:          chain,
-			FailoverThreshold: 2,
+			FallbackSites: siteNames,
+			RNG:           netsim.Stream(99, fmt.Sprintf("chaos.client-%d", i)),
+			Failover:      chain,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -373,9 +371,10 @@ func runChaosScenario(t *testing.T) chaosDigest {
 	}
 	clock.Advance(time.Second)
 
-	// Clients whose broker died fail over after 2 refused calls; three
-	// waves let every affected client land on a live broker.
-	for w := 0; w < 3; w++ {
+	// Clients whose broker died fail over after failoverThreshold refused
+	// calls; one wave more lets every affected client land on a live
+	// broker.
+	for w := 0; w < failoverThreshold+1; w++ {
 		scheduleWave(2)
 		clock.Advance(time.Second)
 	}

@@ -20,8 +20,7 @@ import (
 // converges — in O(log N) rounds with high probability — while per-point
 // traffic tracks the fanout, not the fleet size.
 
-// GossipConfig tunes the Gossip dissemination strategy; zero values get
-// defaults from the gossip package.
+// GossipConfig tunes the Gossip dissemination strategy.
 type GossipConfig struct {
 	// Fanout is how many sampled peers one round contacts
 	// (gossip.DefaultFanout when 0).
@@ -31,9 +30,6 @@ type GossipConfig struct {
 	// per-point link state at very large fleets while the per-point rank
 	// permutation keeps the union of subgraphs connected.
 	ViewSize int
-	// MaxRecords bounds the dispatch records one message carries
-	// (gossip.DefaultMaxRecords when 0).
-	MaxRecords int
 	// Seed drives peer sampling and view ranking. Fleets replay
 	// byte-identically under a Manual clock for a fixed seed.
 	Seed int64
@@ -42,9 +38,6 @@ type GossipConfig struct {
 func (g *GossipConfig) setDefaults() {
 	if g.Fanout <= 0 {
 		g.Fanout = gossip.DefaultFanout
-	}
-	if g.MaxRecords <= 0 {
-		g.MaxRecords = gossip.DefaultMaxRecords
 	}
 }
 
@@ -91,7 +84,7 @@ func (dp *DecisionPoint) gossipPart(force bool) roundPart[GossipArgs, GossipRepl
 			// The push is diffed against this peer's last-acknowledged
 			// vector; a failed or never-contacted peer has a nil vector and
 			// gets everything (up to the batch bound).
-			push := dp.engine.DispatchesSince(ackVV, dp.cfg.Gossip.MaxRecords)
+			push := dp.engine.DispatchesSince(ackVV, gossip.MaxRecords)
 			return linkRequest[GossipArgs]{
 				args:    GossipArgs{From: dp.cfg.Name, Round: round, Digest: digest, Records: push, Members: members},
 				records: len(push),
@@ -174,7 +167,7 @@ func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, 
 	// The pull: anything we hold that the sender's digest lacks. Records
 	// the sender just pushed are covered by its digest, so they never
 	// echo back.
-	pull := dp.engine.DispatchesSince(senderVV, dp.cfg.Gossip.MaxRecords)
+	pull := dp.engine.DispatchesSince(senderVV, gossip.MaxRecords)
 	return GossipReply{
 		From:    dp.cfg.Name,
 		Digest:  gossip.Cursors(dp.engine.OriginVector()),

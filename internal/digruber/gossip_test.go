@@ -146,7 +146,7 @@ func TestGossipDrainFlushCompletes(t *testing.T) {
 	if err := h.dps[0].Drain(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if st := h.dps[0].LifecycleState(); st != StateStopped {
+	if st := lifecycleState(h.dps[0]); st != StateStopped {
 		t.Fatalf("drained point in state %s, want stopped", st)
 	}
 	for _, dp := range h.dps[1:] {
@@ -213,8 +213,8 @@ func TestGossipCompactsAckedRecords(t *testing.T) {
 	// round's own compaction pass then drops the acked prefix.
 	h.dps[0].ExchangeNow()
 	e := h.dps[0].Engine()
-	if n := e.OriginLogSize("dp-0"); n != 0 {
-		t.Fatalf("own log holds %d records after fleet-wide ack, want 0", n)
+	if held := e.DispatchesSince(nil, 0); len(held) != 0 {
+		t.Fatalf("logs hold %d records after fleet-wide ack, want 0", len(held))
 	}
 	if hi := e.LocalSeqHighWater(); hi != 2 {
 		t.Fatalf("high-water mark %d after compaction, want 2", hi)

@@ -29,21 +29,6 @@ func (dp *DecisionPoint) isDraining() bool {
 	return dp.draining
 }
 
-// LifecycleState names the decision point's current lifecycle state:
-// StateServing, StateDraining or StateStopped.
-func (dp *DecisionPoint) LifecycleState() string {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	switch {
-	case !dp.started:
-		return StateStopped
-	case dp.draining:
-		return StateDraining
-	default:
-		return StateServing
-	}
-}
-
 // drainPollFloor/Ceil bound the settle/flush polling period derived from
 // the drain deadline.
 const (

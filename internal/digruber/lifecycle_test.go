@@ -11,14 +11,29 @@ import (
 	"digruber/internal/wire"
 )
 
+// lifecycleState names the decision point's current lifecycle state:
+// StateServing, StateDraining or StateStopped.
+func lifecycleState(dp *DecisionPoint) string {
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	switch {
+	case !dp.started:
+		return StateStopped
+	case dp.draining:
+		return StateDraining
+	default:
+		return StateServing
+	}
+}
+
 // waitState polls (real time — the lifecycle transitions are driven by a
 // concurrent Drain) until the decision point reports the wanted state.
 func waitState(t *testing.T, dp *DecisionPoint, want string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for dp.LifecycleState() != want {
+	for lifecycleState(dp) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s never reached state %q (now %q)", dp.Name(), want, dp.LifecycleState())
+			t.Fatalf("%s never reached state %q (now %q)", dp.Name(), want, lifecycleState(dp))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -42,7 +57,7 @@ func TestDrainCompletesAndFlushesToPeers(t *testing.T) {
 	if err := h.dps[0].Drain(5 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if st := h.dps[0].LifecycleState(); st != StateStopped {
+	if st := lifecycleState(h.dps[0]); st != StateStopped {
 		t.Fatalf("state after drain = %q, want stopped", st)
 	}
 	// The final flush must have delivered every local record.
@@ -62,7 +77,7 @@ func TestDrainWithoutPeersStops(t *testing.T) {
 	if err := h.dps[0].Drain(2 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if st := h.dps[0].LifecycleState(); st != StateStopped {
+	if st := lifecycleState(h.dps[0]); st != StateStopped {
 		t.Fatalf("state = %q, want stopped", st)
 	}
 }
@@ -77,7 +92,7 @@ func TestDrainLifecycleErrors(t *testing.T) {
 	if err := h.dps[0].Start(); err != nil {
 		t.Fatal(err)
 	}
-	if st := h.dps[0].LifecycleState(); st != StateServing {
+	if st := lifecycleState(h.dps[0]); st != StateServing {
 		t.Fatalf("state after restart = %q, want serving", st)
 	}
 }
@@ -119,7 +134,7 @@ func TestDrainAbortsBackToServingOnUnreachablePeer(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "drain aborted") {
 		t.Fatalf("drain err = %v, want abort", err)
 	}
-	if st := h.dps[0].LifecycleState(); st != StateServing {
+	if st := lifecycleState(h.dps[0]); st != StateServing {
 		t.Fatalf("state after abort = %q, want serving", st)
 	}
 	// Back in service: queries answer again.
@@ -144,7 +159,6 @@ func TestClientFailsOverOnDraining(t *testing.T) {
 			{Name: h.dps[0].Name(), Node: h.dps[0].Name(), Addr: h.dps[0].Addr()},
 			{Name: h.dps[1].Name(), Node: h.dps[1].Name(), Addr: h.dps[1].Addr()},
 		},
-		FailoverThreshold: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

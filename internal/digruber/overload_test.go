@@ -24,10 +24,10 @@ func breakerClient(t *testing.T, h *harness, clock vtime.Clock, loadAware bool, 
 		Name: "c", Node: "c",
 		DPName: h.dps[0].Name(), DPNode: h.dps[0].Name(), DPAddr: h.dps[0].Addr(),
 		Transport: h.mem, Clock: clock, Timeout: 5 * time.Second,
-		FallbackSites: []string{"fb"},
-		RNG:           netsim.Stream(1, "overload.client"),
-		WireMetrics:   metrics,
-		Failover:      refs, FailoverThreshold: 2,
+		FallbackSites:     []string{"fb"},
+		RNG:               netsim.Stream(1, "overload.client"),
+		WireMetrics:       metrics,
+		Failover:          refs,
 		Breaker:           wire.BreakerConfig{Threshold: 2, Cooldown: 10 * time.Minute},
 		LoadAwareFailover: loadAware,
 	})
@@ -107,7 +107,7 @@ func TestLoadAwareFailoverSkipsOpenBreakers(t *testing.T) {
 	}
 
 	h.dps[0].Stop()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failoverThreshold; i++ {
 		c.Schedule(testJob(fmt.Sprintf("lf%d", i)))
 	}
 	if got := c.DPName(); got != h.dps[2].Name() {
@@ -127,7 +127,7 @@ func TestLoadAwareFailoverTieKeepsListOrder(t *testing.T) {
 	c, _ := breakerClient(t, h, clock, true, 1, 2)
 
 	h.dps[0].Stop()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failoverThreshold; i++ {
 		c.Schedule(testJob(fmt.Sprintf("tie%d", i)))
 	}
 	if got := c.DPName(); got != h.dps[1].Name() {

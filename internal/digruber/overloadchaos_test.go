@@ -97,7 +97,6 @@ func runOverloadChaosScenario(t *testing.T) overloadChaosDigest {
 			RNG:               netsim.Stream(99, fmt.Sprintf("ovchaos.client-%d", i)),
 			WireMetrics:       metrics,
 			Failover:          chain,
-			FailoverThreshold: 2,
 			Retry:             wire.RetryPolicy{Attempts: 3, Budget: budget},
 			PropagateDeadline: true,
 			Breaker:           wire.BreakerConfig{Threshold: 2, Cooldown: 30 * time.Second},

@@ -237,7 +237,8 @@ type StatusReply struct {
 	Saturated bool
 	// ObservedRate is the recent request arrival rate (req/s).
 	ObservedRate float64
-	// CapacityRate is the DiPerF-calibrated sustainable rate (req/s).
+	// CapacityRate is the sustainable rate (req/s) the point calibrates
+	// from its own service times: workers / mean service time.
 	CapacityRate float64
 	// Peers reports the health of every mesh link, sorted by peer name.
 	Peers []PeerHealth

@@ -13,32 +13,9 @@ import (
 // upper bound on the number of transactions that a decision point can
 // handle per time interval".
 type SaturationConfig struct {
-	// CapacityRate is the DiPerF-calibrated sustainable request rate in
-	// req/s. 0 means self-calibrate from observed service times
-	// (workers / mean service time).
-	CapacityRate float64
 	// Window is the sliding window over which the arrival rate is
-	// measured.
+	// measured (default 1 minute).
 	Window time.Duration
-	// QueueThreshold declares saturation whenever this many requests are
-	// waiting for a worker, regardless of rates. 0 means 3× the
-	// container's worker count.
-	QueueThreshold int
-	// Workers is the container's parallelism, used for defaults and
-	// self-calibration.
-	Workers int
-}
-
-func (c *SaturationConfig) setDefaults() {
-	if c.Window <= 0 {
-		c.Window = time.Minute
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.QueueThreshold <= 0 {
-		c.QueueThreshold = 3 * c.Workers
-	}
 }
 
 // SaturationDetector watches one decision point's request stream and
@@ -46,8 +23,12 @@ func (c *SaturationConfig) setDefaults() {
 // rides Status to the third-party monitor (the Controller), which
 // decides whether to deploy additional decision points.
 type SaturationDetector struct {
-	cfg   SaturationConfig
-	clock vtime.Clock
+	window time.Duration
+	// workers is the container's parallelism: the detector calibrates
+	// capacity as workers / mean service time, and declares saturation
+	// whenever 3×workers requests wait for one, regardless of rates.
+	workers int
+	clock   vtime.Clock
 
 	mu sync.Mutex
 	// arrivals[head:] are the arrival timestamps within Window, oldest
@@ -58,10 +39,13 @@ type SaturationDetector struct {
 	wasSat   bool
 }
 
-// NewSaturationDetector returns a detector with the given config.
-func NewSaturationDetector(cfg SaturationConfig, clock vtime.Clock) *SaturationDetector {
-	cfg.setDefaults()
-	return &SaturationDetector{cfg: cfg, clock: clock}
+// NewSaturationDetector returns a detector for a container of the given
+// parallelism.
+func NewSaturationDetector(cfg SaturationConfig, workers int, clock vtime.Clock) *SaturationDetector {
+	if cfg.Window <= 0 {
+		cfg.Window = time.Minute
+	}
+	return &SaturationDetector{window: cfg.Window, workers: workers, clock: clock}
 }
 
 // ObserveArrival records one request arrival.
@@ -78,7 +62,7 @@ func (d *SaturationDetector) ObserveArrival() {
 // long as the live part, so each copied timestamp pays for one aged-out
 // one and an arrival costs O(1) amortised however full the window is.
 func (d *SaturationDetector) pruneLocked(now time.Time) {
-	cut := now.Add(-d.cfg.Window)
+	cut := now.Add(-d.window)
 	for d.head < len(d.arrivals) && d.arrivals[d.head].Before(cut) {
 		d.head++
 	}
@@ -94,20 +78,20 @@ func (d *SaturationDetector) ObservedRate() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.pruneLocked(now)
-	return float64(len(d.arrivals)-d.head) / d.cfg.Window.Seconds()
+	return float64(len(d.arrivals)-d.head) / d.window.Seconds()
 }
 
 // Assess combines the arrival rate with the service stack's state and
 // returns (observed rate, capacity rate, saturated). A decision point is
 // saturated when its accept queue has built past the threshold or its
-// arrival rate exceeds the modeled capacity.
+// arrival rate exceeds the capacity its own service times imply (zero,
+// and no verdict from rates, until a request has been served).
 func (d *SaturationDetector) Assess(ss wire.Stats) (observed, capacity float64, saturated bool) {
 	observed = d.ObservedRate()
-	capacity = d.cfg.CapacityRate
-	if capacity == 0 && ss.ServiceMean > 0 {
-		capacity = float64(d.cfg.Workers) / ss.ServiceMean
+	if ss.ServiceMean > 0 {
+		capacity = float64(d.workers) / ss.ServiceMean
 	}
-	saturated = ss.Queued >= d.cfg.QueueThreshold ||
+	saturated = ss.Queued >= 3*d.workers ||
 		(capacity > 0 && observed > capacity)
 
 	d.mu.Lock()

@@ -10,13 +10,15 @@ import (
 
 func TestSaturationDetectorRates(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{CapacityRate: 2, Window: 10 * time.Second, Workers: 2}, clock)
+	d := NewSaturationDetector(SaturationConfig{Window: 10 * time.Second}, 2, clock)
+	// Two workers serving in 1s each calibrate to 2 req/s.
+	served := wire.Stats{ServiceMean: 1}
 	// 10 arrivals in 10s = 1 req/s: under capacity.
 	for i := 0; i < 10; i++ {
 		d.ObserveArrival()
 		clock.Advance(time.Second)
 	}
-	obs, cap0, sat := d.Assess(wire.Stats{})
+	obs, cap0, sat := d.Assess(served)
 	if sat {
 		t.Fatalf("saturated at %v req/s with capacity %v", obs, cap0)
 	}
@@ -25,7 +27,7 @@ func TestSaturationDetectorRates(t *testing.T) {
 		d.ObserveArrival()
 		clock.Advance(200 * time.Millisecond)
 	}
-	obs, _, sat = d.Assess(wire.Stats{})
+	obs, _, sat = d.Assess(served)
 	if !sat {
 		t.Fatalf("not saturated at %v req/s with capacity 2", obs)
 	}
@@ -36,22 +38,23 @@ func TestSaturationDetectorRates(t *testing.T) {
 
 func TestSaturationWindowForgets(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{CapacityRate: 1, Window: 10 * time.Second}, clock)
+	d := NewSaturationDetector(SaturationConfig{Window: 10 * time.Second}, 1, clock)
+	served := wire.Stats{ServiceMean: 1} // one worker, 1s each: 1 req/s
 	for i := 0; i < 100; i++ {
 		d.ObserveArrival()
 	}
-	if _, _, sat := d.Assess(wire.Stats{}); !sat {
+	if _, _, sat := d.Assess(served); !sat {
 		t.Fatal("burst not detected")
 	}
 	clock.Advance(time.Minute)
-	if _, _, sat := d.Assess(wire.Stats{}); sat {
+	if _, _, sat := d.Assess(served); sat {
 		t.Fatal("saturation persisted after window elapsed")
 	}
 	// A new episode counts as a second event.
 	for i := 0; i < 100; i++ {
 		d.ObserveArrival()
 	}
-	d.Assess(wire.Stats{})
+	d.Assess(served)
 	if d.Events() != 2 {
 		t.Fatalf("events = %d, want 2", d.Events())
 	}
@@ -59,8 +62,8 @@ func TestSaturationWindowForgets(t *testing.T) {
 
 func TestSaturationQueueThreshold(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{Window: time.Minute, Workers: 4}, clock)
-	// Default threshold = 3×4 = 12 queued.
+	d := NewSaturationDetector(SaturationConfig{Window: time.Minute}, 4, clock)
+	// Threshold = 3×4 = 12 queued.
 	if _, _, sat := d.Assess(wire.Stats{Queued: 11}); sat {
 		t.Fatal("saturated below queue threshold")
 	}
@@ -71,7 +74,7 @@ func TestSaturationQueueThreshold(t *testing.T) {
 
 func TestSaturationSelfCalibration(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{Window: 10 * time.Second, Workers: 4}, clock)
+	d := NewSaturationDetector(SaturationConfig{Window: 10 * time.Second}, 4, clock)
 	// Mean service time 2s with 4 workers → capacity 2 req/s.
 	_, cap0, _ := d.Assess(wire.Stats{ServiceMean: 2})
 	if cap0 != 2 {
@@ -93,7 +96,7 @@ func TestSaturationPruneIsAmortised(t *testing.T) {
 	var fill, full time.Duration
 	for attempt := 0; attempt < 3; attempt++ {
 		clock := vtime.NewManual(epoch)
-		d := NewSaturationDetector(SaturationConfig{Window: window}, clock)
+		d := NewSaturationDetector(SaturationConfig{Window: window}, 1, clock)
 		observe := func(n int) time.Duration {
 			start := time.Now()
 			for i := 0; i < n; i++ {
@@ -122,7 +125,7 @@ func TestDecisionPointSaturatesUnderBurst(t *testing.T) {
 	dp, err := New(Config{
 		Name: "dp-slow", Addr: "dp-slow", Transport: mem, Clock: clock,
 		Profile:    wire.StackProfile{Name: "slow", BaseOverhead: 200 * time.Millisecond, MaxConcurrent: 1, QueueLimit: 64},
-		Saturation: SaturationConfig{Window: 5 * time.Second, QueueThreshold: 3},
+		Saturation: SaturationConfig{Window: 5 * time.Second}, // one worker: saturated at 3 queued
 	})
 	if err != nil {
 		t.Fatal(err)

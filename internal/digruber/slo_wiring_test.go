@@ -115,7 +115,7 @@ func TestDPHandleExemplar(t *testing.T) {
 
 // TestControllerSLOFiringSignal: a firing SLO alert reads as pressure —
 // the controller scales up on the SLO signal alone, with queues, sheds
-// and throttles all quiet — and vetoes idle while it stays firing.
+// and demand all quiet — and vetoes idle while it stays firing.
 func TestControllerSLOFiringSignal(t *testing.T) {
 	iv := time.Minute
 	firing := 0
@@ -124,7 +124,7 @@ func TestControllerSLOFiringSignal(t *testing.T) {
 		ScaleUpAfter: 2, ScaleDownAfter: 2,
 		UpCooldown: iv, DownCooldown: iv,
 		DrainTimeout: time.Minute,
-		Signals:      SignalThresholds{ThrottleRateHigh: 0.5, Window: 4 * iv},
+		Signals:      rigSignals(4 * iv),
 		SLOFiring:    func() int { return firing },
 	}
 	r := newControllerRig(t, cfg)

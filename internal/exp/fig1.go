@@ -78,7 +78,7 @@ func RunFig1(cfg Fig1Config) (diperf.Result, error) {
 
 	payload := make([]byte, 200) // ≈0.2 KiB instance-creation request
 	duration := cfg.Scale.Duration / 2
-	stagger := duration / 2 / time.Duration(maxInt(cfg.Scale.Clients-1, 1))
+	stagger := duration / 2 / time.Duration(max(cfg.Scale.Clients-1, 1))
 	return diperf.Run(diperf.Config{
 		Testers:      cfg.Scale.Clients,
 		Stagger:      stagger,

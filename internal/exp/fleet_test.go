@@ -173,25 +173,25 @@ func TestFleetDeployUnderControllerLeavesNothingRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	throttle := reg.Counter("clients/throttled")
+	offered := reg.Counter("clients/offered")
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
 		Clock: spec.Clock, Factory: f.Deploy, Metrics: reg,
 		Interval: time.Minute, MaxDPs: 2, ScaleUpAfter: 1, ScaleDownAfter: 1,
 		UpCooldown: time.Minute, DownCooldown: time.Minute, DrainTimeout: time.Minute,
-		ThrottleSeries: "clients/throttled",
-		Signals:        digruber.SignalThresholds{ThrottleRateHigh: 0.5, Window: 2 * time.Minute},
+		DemandSeries: "clients/offered",
+		Signals:      digruber.SignalThresholds{DemandHighPerDP: 0.5, DemandLowPerDP: 0.01, Window: 2 * time.Minute},
 	}, f.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.ManageClients(f.Clients())
 
-	// stepUntil ticks the fleet, accruing throttle events at perMinute,
+	// stepUntil ticks the fleet, accruing offered requests at perMinute,
 	// until the controller takes the wanted action.
 	stepUntil := func(want digruber.ControllerAction, perMinute int64) {
 		t.Helper()
 		for step := 0; step < 20; step++ {
-			throttle.Add(perMinute)
+			offered.Add(perMinute)
 			if err := f.Tick(ctl.Fleet(), true); err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -271,14 +270,4 @@ func (r gossipRun) fanoutOrDefault() int {
 		return r.fanout
 	}
 	return gossip.DefaultFanout
-}
-
-// dumpRegistry renders a registry's flattened series to bytes — the
-// replay tests' byte-identity probe.
-func dumpRegistry(reg *tsdb.Registry, prefix string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := tsdb.WritePoints(&buf, reg.Flatten(prefix)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -78,7 +78,6 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 			{Name: "ov-b", Node: "ov-b", Addr: "ovl/ov-b"},
 			{Name: "ov-c", Node: "ov-c", Addr: "ovl/ov-c"},
 		},
-		FailoverThreshold: 2,
 		// Burst 2, negligible refill: the outage spends the whole budget
 		// and the next failure is throttled after a single attempt.
 		Retry:             wire.RetryPolicy{Attempts: 3, Budget: wire.NewRetryBudget(clock, 1.0/3600, 2)},
@@ -138,11 +137,11 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 	}
 
 	// Primary outage. The first storm job burns the retry budget, the
-	// second is throttled after one attempt, trips the breaker, and
-	// triggers load-aware failover (tie between ov-b and ov-c: list
-	// order wins).
+	// second is throttled after one attempt and trips the breaker, and
+	// the third fails fast against it and triggers load-aware failover
+	// (tie between ov-b and ov-c: list order wins).
 	dps[0].Stop()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if dec := c.Schedule(job(fmt.Sprintf("storm-%d", i))); dec.Handled || dec.Site != "fallback" {
 			t.Fatalf("storm-%d against a dead primary = %+v, want fallback", i, dec)
 		}
@@ -151,8 +150,8 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 	if got := c.DPName(); got != "ov-b" {
 		t.Fatalf("client failed over to %q, want ov-b", got)
 	}
-	if dec := c.Schedule(job("storm-2")); !dec.Handled {
-		t.Fatalf("storm-2 not handled after failover: %+v", dec)
+	if dec := c.Schedule(job("storm-3")); !dec.Handled {
+		t.Fatalf("storm-3 not handled after failover: %+v", dec)
 	}
 	step(0)
 

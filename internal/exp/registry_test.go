@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"digruber/internal/diperf"
-	"digruber/internal/metrics"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -56,7 +55,7 @@ func TestLookupUnknown(t *testing.T) {
 func TestFormatScenarioIncludesEverything(t *testing.T) {
 	res := ScenarioResult{
 		DiPerF: diperf.Result{Window: time.Minute, Ops: 10, Handled: 9},
-		Table: metrics.Table{Rows: []metrics.Row{
+		Table: Table{Rows: []TableRow{
 			{Class: "handled"}, {Class: "not-handled"}, {Class: "all"},
 		}},
 		Util:            0.42,

@@ -11,7 +11,6 @@ import (
 	"digruber/internal/grid"
 	"digruber/internal/gruber"
 	"digruber/internal/grubsim"
-	"digruber/internal/metrics"
 	"digruber/internal/netsim"
 	"digruber/internal/trace"
 	"digruber/internal/tsdb"
@@ -79,10 +78,8 @@ type ScenarioConfig struct {
 	// per-DP divergence gauge (dp/<name>/engine/divergence_l1) measures
 	// the L1 distance between the broker's dynamic free-CPU view and
 	// grid ground truth, and a sampler records everything into the
-	// registry on MetricsInterval ticks of the experiment clock.
+	// registry every Scale.Window of the experiment clock.
 	MetricsSink *tsdb.Registry
-	// MetricsInterval is the sampling period (default Scale.Window).
-	MetricsInterval time.Duration
 	// Overload, when non-nil, gives clients a retry policy and (when
 	// Overload.Plane is set) turns on the end-to-end overload-control
 	// plane. Nil keeps the PR-4 behavior: no retries, no breakers, no
@@ -100,28 +97,23 @@ type ScenarioConfig struct {
 // keeps converging while clients drown it.
 type OverloadConfig struct {
 	Plane bool
-	// Attempts is the per-call attempt cap including the first try
-	// (default 4).
-	Attempts int
-	// BaseBackoff seeds the exponential retry backoff (default 250 ms);
-	// each client jitters it from its own seeded stream.
-	BaseBackoff time.Duration
-	// BudgetRate and BudgetBurst shape the shared retry budget (tokens/s
-	// of virtual time, bucket depth; Plane only). Defaults: a quarter of
-	// the fleet's offered first-attempt rate, with two seconds of burst —
-	// enough for transient blips, nowhere near enough to double a
-	// saturated fleet's load.
-	BudgetRate  float64
-	BudgetBurst float64
-	// BreakerThreshold and BreakerCooldown parameterize the per-broker
-	// circuit breakers (Plane only; defaults 5 consecutive failures,
-	// cooldown twice the client timeout).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MeshLane is each decision point's reserved worker count for
-	// Exchange/Status/Snapshot (Plane only; default 1).
-	MeshLane int
 }
+
+// The overload runs' retry policy and control plane.
+const (
+	// overloadAttempts caps a call's attempts, the first try included.
+	overloadAttempts = 4
+	// overloadBaseBackoff seeds the exponential retry backoff; each
+	// client jitters it from its own seeded stream.
+	overloadBaseBackoff = 250 * time.Millisecond
+	// overloadBreakerThreshold is how many consecutive failures open a
+	// client's breaker on a broker; it cools down for twice the client
+	// timeout.
+	overloadBreakerThreshold = 5
+	// overloadMeshLane is each decision point's reserved worker count
+	// for Exchange/Status/Snapshot.
+	overloadMeshLane = 1
+)
 
 // FaultConfig schedules a seeded crash-and-heal wave against the
 // decision-point fleet. Each victim's node is severed on the fault plane
@@ -133,19 +125,15 @@ type FaultConfig struct {
 	// CrashDPs is how many decision points crash (capped at DPs-1 so a
 	// snapshot donor always survives).
 	CrashDPs int
-	// CrashAt is when (offset from run start) the crash wave lands;
-	// default 2/5 of the run.
+	// CrashAt is when (offset from run start) the crash wave lands.
 	CrashAt time.Duration
-	// HealAt is when crashed brokers restart; default 3/5 of the run.
+	// HealAt is when crashed brokers restart.
 	HealAt time.Duration
 }
 
 func (c *ScenarioConfig) setDefaults() error {
 	if c.DPs <= 0 {
 		return fmt.Errorf("exp: scenario needs at least one decision point")
-	}
-	if c.Scale.Sites == 0 {
-		c.Scale = BenchScale()
 	}
 	if c.Clients == 0 {
 		c.Clients = c.Scale.Clients
@@ -165,43 +153,8 @@ func (c *ScenarioConfig) setDefaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.MetricsInterval <= 0 {
-		c.MetricsInterval = c.Scale.Window
-	}
-	if c.Faults != nil {
-		if c.Faults.CrashAt <= 0 {
-			c.Faults.CrashAt = c.Scale.Duration * 2 / 5
-		}
-		if c.Faults.HealAt <= c.Faults.CrashAt {
-			c.Faults.HealAt = c.Faults.CrashAt + c.Scale.Duration/5
-		}
-		if c.Faults.CrashDPs >= c.DPs {
-			c.Faults.CrashDPs = c.DPs - 1
-		}
-	}
-	if o := c.Overload; o != nil {
-		if o.Attempts <= 0 {
-			o.Attempts = 4
-		}
-		if o.BaseBackoff <= 0 {
-			o.BaseBackoff = 250 * time.Millisecond
-		}
-		offered := float64(c.Clients) / c.Interarrival.Seconds()
-		if o.BudgetRate <= 0 {
-			o.BudgetRate = offered / 4
-		}
-		if o.BudgetBurst <= 0 {
-			o.BudgetBurst = 2 * o.BudgetRate
-		}
-		if o.BreakerThreshold <= 0 {
-			o.BreakerThreshold = 5
-		}
-		if o.BreakerCooldown <= 0 {
-			o.BreakerCooldown = 2 * c.Timeout
-		}
-		if o.MeshLane <= 0 {
-			o.MeshLane = 1
-		}
+	if c.Faults != nil && c.Faults.CrashDPs >= c.DPs {
+		c.Faults.CrashDPs = c.DPs - 1
 	}
 	if c.Profile.Name == "" {
 		c.Profile = wire.GT3()
@@ -232,7 +185,7 @@ type ScenarioResult struct {
 	// summary strip.
 	DiPerF diperf.Result
 	// Table is the Table 1/2-style handled vs not-handled breakdown.
-	Table metrics.Table
+	Table Table
 	// HandledAccuracy is mean SA over broker-handled jobs.
 	HandledAccuracy float64
 	// OverallAccuracy is mean SA over all jobs.
@@ -329,14 +282,18 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	var retryBudget *wire.RetryBudget
 	var breakerCfg wire.BreakerConfig
 	if o := cfg.Overload; o != nil && o.Plane {
-		retryBudget = wire.NewRetryBudget(clock, o.BudgetRate, o.BudgetBurst)
+		// A quarter of the fleet's offered first-attempt rate, with two
+		// seconds of burst — enough for transient blips, nowhere near
+		// enough to double a saturated fleet's load.
+		rate := float64(cfg.Clients) / cfg.Interarrival.Seconds() / 4
+		retryBudget = wire.NewRetryBudget(clock, rate, 2*rate)
 		brkOpen := cfg.MetricsSink.Counter("clients/breaker/open")
 		brkHalf := cfg.MetricsSink.Counter("clients/breaker/half_open")
 		brkClosed := cfg.MetricsSink.Counter("clients/breaker/closed")
 		breakerCfg = wire.BreakerConfig{
 			Clock:     clock,
-			Threshold: o.BreakerThreshold,
-			Cooldown:  o.BreakerCooldown,
+			Threshold: overloadBreakerThreshold,
+			Cooldown:  2 * cfg.Timeout,
 			OnTransition: func(from, to wire.BreakerState) {
 				switch to {
 				case wire.BreakerOpen:
@@ -359,7 +316,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 	meshLane := 0
 	if o := cfg.Overload; o != nil && o.Plane {
-		meshLane = o.MeshLane
+		meshLane = overloadMeshLane
 	}
 	refs := make([]digruber.DPRef, cfg.DPs)
 	fleet, err := NewFleet(FleetSpec{
@@ -407,8 +364,8 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 				// them with the shared budget. Jitter comes from a per-client
 				// stream (netsim streams are not goroutine-safe).
 				c.Retry = wire.RetryPolicy{
-					Attempts:    o.Attempts,
-					BaseBackoff: o.BaseBackoff,
+					Attempts:    overloadAttempts,
+					BaseBackoff: overloadBaseBackoff,
 					JitterFrac:  0.5,
 					Jitter:      netsim.Stream(cfg.Seed, fmt.Sprintf("exp.retryjitter/%d", t)),
 					Budget:      retryBudget,
@@ -487,7 +444,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 
 	// --- execution path & metrics ---
-	collector := metrics.NewCollector()
+	collector := NewCollector()
 	submitter := gram.NewSubmitter(g, network, clock, gram.Config{
 		SubmitOverhead: 500 * time.Millisecond,
 	})
@@ -533,12 +490,12 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 
 	// --- metrics sampler, ticking on the experiment clock ---
-	sampler := tsdb.NewSampler(cfg.MetricsSink, clock, cfg.MetricsInterval)
+	sampler := tsdb.NewSampler(cfg.MetricsSink, clock, cfg.Scale.Window)
 	sampler.Start()
 	defer sampler.Stop()
 
 	// --- drive it with DiPerF ---
-	stagger := cfg.Scale.Duration / 10 / time.Duration(maxInt(cfg.Clients-1, 1))
+	stagger := cfg.Scale.Duration / 10 / time.Duration(max(cfg.Clients-1, 1))
 	dpResult, err := diperf.Run(diperf.Config{
 		Testers:      cfg.Clients,
 		Stagger:      stagger,
@@ -612,29 +569,23 @@ func waitWithTimeout(wg *sync.WaitGroup, d time.Duration) {
 	}
 }
 
-// selectorByName instantiates a fresh per-client selector.
+// selectorByName instantiates a fresh per-client selector from the name
+// the selector reports ("" is the USLA-aware default).
 func selectorByName(name string, seed int64, tester int) (gruber.Selector, error) {
-	switch name {
-	case "", "usla-aware":
+	if name == "" {
 		return gruber.USLAAware{}, nil
-	case "random":
-		return gruber.NewRandom(netsim.Stream(seed, fmt.Sprintf("exp.selector/%d", tester))), nil
-	case "round-robin":
-		return gruber.NewRoundRobin(), nil
-	case "least-used":
-		return gruber.LeastUsed{}, nil
-	case "most-free":
-		return gruber.MostFree{}, nil
-	case "least-recently-used":
-		return gruber.NewLeastRecentlyUsed(), nil
-	default:
-		return nil, fmt.Errorf("exp: unknown selector %q", name)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+	for _, s := range []gruber.Selector{
+		gruber.USLAAware{},
+		gruber.NewRandom(netsim.Stream(seed, fmt.Sprintf("exp.selector/%d", tester))),
+		gruber.NewRoundRobin(),
+		gruber.LeastUsed{},
+		gruber.MostFree{},
+		gruber.NewLeastRecentlyUsed(),
+	} {
+		if s.Name() == name {
+			return s, nil
+		}
 	}
-	return b
+	return nil, fmt.Errorf("exp: unknown selector %q", name)
 }

@@ -338,6 +338,18 @@ func runSLOExtension(scale Scale) (Report, error) {
 		}
 	}
 	fmt.Fprintf(&b, "alert summary rode a StatusReply while firing: %v\n", out.AlertsOnStatus)
+	// The drill-down's entry point: each VO's slowest sample still held
+	// as a bucket exemplar, by the trace ID digruber-trace -trace takes.
+	for _, vo := range []string{"atlas", "cms"} {
+		var worst tsdb.Exemplar
+		for _, ex := range reg.Exemplars("vo/" + vo + "/latency_s") {
+			if ex.Valid() && ex.V >= worst.V {
+				worst = ex
+			}
+		}
+		fmt.Fprintf(&b, "slowest %s sample held as an exemplar: %.1fs at t+%dm, trace %016x\n",
+			vo, worst.V, int(worst.T.Sub(Epoch)/time.Minute), worst.Trace)
+	}
 	b.WriteString("\nReading: the morning ramp overruns one member by a single job per\n")
 	b.WriteString("minute — goodput still looks healthy, but latency creeps past the 5s\n")
 	b.WriteString("objective and both burn windows light up. The alert fires on the\n")

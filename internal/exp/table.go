@@ -1,10 +1,4 @@
-// Package metrics implements the five evaluation metrics of the paper's
-// Section 4.2 — Average Response Time, Throughput, Queue Time (plus the
-// Normalized QTime refinement of Section 4.4), Average Resource
-// Utilization, and Average Scheduling Accuracy — split, as Tables 1 and 2
-// are, between requests handled by DI-GRUBER and requests that timed out
-// into random selection.
-package metrics
+package exp
 
 import (
 	"fmt"
@@ -12,9 +6,14 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"digruber/internal/stats"
 )
+
+// This file implements the five evaluation metrics of the paper's
+// Section 4.2 — Average Response Time, Throughput, Queue Time (plus the
+// Normalized QTime refinement of Section 4.4), Average Resource
+// Utilization, and Average Scheduling Accuracy — split, as Tables 1 and 2
+// are, between requests handled by DI-GRUBER and requests that timed out
+// into random selection.
 
 // JobRecord accumulates one job's journey through scheduling and
 // execution.
@@ -80,13 +79,6 @@ func (c *Collector) RecordOutcome(id string, qtime, cpuTime time.Duration, faile
 	r.Failed = failed
 }
 
-// Len reports how many jobs have records.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.jobs)
-}
-
 // Records returns a copy of all records, sorted by ID.
 func (c *Collector) Records() []JobRecord {
 	c.mu.Lock()
@@ -99,9 +91,9 @@ func (c *Collector) Records() []JobRecord {
 	return out
 }
 
-// Row is one line of the paper's Table 1/2: aggregate metrics over one
-// class of requests.
-type Row struct {
+// TableRow is one line of the paper's Table 1/2: aggregate metrics over
+// one class of requests.
+type TableRow struct {
 	// Class is "handled", "not-handled" or "all".
 	Class string
 	// PctOfRequests is this class's share of all requests.
@@ -124,7 +116,7 @@ type Row struct {
 
 // Table is the full handled / not-handled / all breakdown.
 type Table struct {
-	Rows []Row
+	Rows []TableRow
 	// TotalCPUs and Window document the Util denominator.
 	TotalCPUs int
 	Window    time.Duration
@@ -145,7 +137,7 @@ func (c *Collector) BuildTable(totalCPUs int, window time.Duration) Table {
 	available := float64(totalCPUs) * window.Seconds()
 	table := Table{TotalCPUs: totalCPUs, Window: window}
 	for _, cl := range classes {
-		var row Row
+		var row TableRow
 		row.Class = cl.name
 		var qtimeSum, respSum, cpuSum time.Duration
 		var accSum float64
@@ -197,17 +189,6 @@ func (t Table) String() string {
 }
 
 func round(d time.Duration) time.Duration { return d.Round(10 * time.Millisecond) }
-
-// ResponseSummary summarizes scheduling response times across all
-// records (the per-figure stat strip).
-func (c *Collector) ResponseSummary() stats.Summary {
-	records := c.Records()
-	xs := make([]float64, 0, len(records))
-	for _, r := range records {
-		xs = append(xs, r.Response.Seconds())
-	}
-	return stats.Summarize(xs)
-}
 
 // AccuracyMean averages SA_i over records matching handled (nil = all).
 func (c *Collector) AccuracyMean(handled *bool) float64 {

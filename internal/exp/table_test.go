@@ -1,4 +1,4 @@
-package metrics
+package exp
 
 import (
 	"fmt"
@@ -8,17 +8,15 @@ import (
 	"time"
 )
 
-var epoch = time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC)
-
 func TestCollectorTable(t *testing.T) {
 	c := NewCollector()
 	// Two handled jobs (accurate, quick queues) and one fallback job
 	// (inaccurate, long queue).
-	c.RecordScheduled("h1", epoch, 2*time.Second, true, 0.9)
+	c.RecordScheduled("h1", Epoch, 2*time.Second, true, 0.9)
 	c.RecordOutcome("h1", 10*time.Second, 100*time.Second, false)
-	c.RecordScheduled("h2", epoch, 4*time.Second, true, 0.7)
+	c.RecordScheduled("h2", Epoch, 4*time.Second, true, 0.7)
 	c.RecordOutcome("h2", 20*time.Second, 200*time.Second, false)
-	c.RecordScheduled("f1", epoch, 30*time.Second, false, 0.1)
+	c.RecordScheduled("f1", Epoch, 30*time.Second, false, 0.1)
 	c.RecordOutcome("f1", 60*time.Second, 50*time.Second, false)
 
 	table := c.BuildTable(10, 100*time.Second) // 1000 cpu-s available
@@ -60,7 +58,7 @@ func TestCollectorTable(t *testing.T) {
 
 func TestTableStringRendering(t *testing.T) {
 	c := NewCollector()
-	c.RecordScheduled("a", epoch, time.Second, true, 0.5)
+	c.RecordScheduled("a", Epoch, time.Second, true, 0.5)
 	c.RecordOutcome("a", time.Second, time.Minute, false)
 	out := c.BuildTable(10, time.Minute).String()
 	for _, want := range []string{"handled", "not-handled", "all", "QTime", "Accuracy"} {
@@ -74,7 +72,7 @@ func TestOutOfOrderRecording(t *testing.T) {
 	c := NewCollector()
 	// Outcome can land before the scheduling record (async watchers).
 	c.RecordOutcome("x", 5*time.Second, time.Minute, false)
-	c.RecordScheduled("x", epoch, time.Second, true, 1.0)
+	c.RecordScheduled("x", Epoch, time.Second, true, 1.0)
 	recs := c.Records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
@@ -87,7 +85,7 @@ func TestOutOfOrderRecording(t *testing.T) {
 
 func TestFailedJobsCountInQTime(t *testing.T) {
 	c := NewCollector()
-	c.RecordScheduled("f", epoch, time.Second, true, 0.5)
+	c.RecordScheduled("f", Epoch, time.Second, true, 0.5)
 	c.RecordOutcome("f", 30*time.Second, 0, true)
 	row := c.BuildTable(10, time.Minute).Rows[0]
 	if row.MeanQTime != 30*time.Second {
@@ -98,15 +96,11 @@ func TestFailedJobsCountInQTime(t *testing.T) {
 	}
 }
 
-func TestResponseSummaryAndAccuracyMean(t *testing.T) {
+func TestAccuracyMean(t *testing.T) {
 	c := NewCollector()
 	for i := 1; i <= 4; i++ {
 		handled := i%2 == 0
-		c.RecordScheduled(fmt.Sprintf("j%d", i), epoch, time.Duration(i)*time.Second, handled, float64(i)/10)
-	}
-	s := c.ResponseSummary()
-	if s.N != 4 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary = %+v", s)
+		c.RecordScheduled(fmt.Sprintf("j%d", i), Epoch, time.Duration(i)*time.Second, handled, float64(i)/10)
 	}
 	yes, no := true, false
 	near := func(a, b float64) bool { return a > b-1e-9 && a < b+1e-9 }
@@ -143,13 +137,13 @@ func TestCollectorConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := fmt.Sprintf("g%d-j%d", g, i)
-				c.RecordScheduled(id, epoch, time.Second, true, 0.5)
+				c.RecordScheduled(id, Epoch, time.Second, true, 0.5)
 				c.RecordOutcome(id, time.Second, time.Minute, false)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() != 1600 {
-		t.Fatalf("len = %d", c.Len())
+	if n := len(c.Records()); n != 1600 {
+		t.Fatalf("len = %d", n)
 	}
 }

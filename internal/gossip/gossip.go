@@ -21,17 +21,16 @@ import (
 	"sort"
 )
 
-// Defaults for the knobs a decision point's gossip configuration leaves
-// zero.
 const (
-	// DefaultFanout is how many peers one round contacts. Three pushes
+	// DefaultFanout is how many peers one round contacts when a decision
+	// point's gossip configuration leaves Fanout zero. Three pushes
 	// per round keeps per-round traffic constant while an infection
 	// still reaches the whole fleet in a handful of rounds at 100 DPs.
 	DefaultFanout = 3
-	// DefaultMaxRecords bounds the dispatch records one gossip message
+	// MaxRecords bounds the dispatch records one gossip message
 	// carries, so a freshly-joined point is caught up over a few rounds
 	// instead of one unbounded frame.
-	DefaultMaxRecords = 4096
+	MaxRecords = 4096
 )
 
 // Cursor is one origin's entry in a wire-encoded digest: the highest

@@ -74,14 +74,6 @@ func (v *View) Len() int {
 	return len(v.members)
 }
 
-// Contains reports whether the view knows the named member.
-func (v *View) Contains(name string) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	_, ok := v.members[name]
-	return ok
-}
-
 // rank orders members for the active subset: lowest hash wins. Mixing
 // self into the hash decorrelates the subsets across decision points.
 func (v *View) rank(name string) uint64 {
@@ -111,18 +103,6 @@ func (v *View) activeLocked() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Members returns the active subset, sorted by name.
-func (v *View) Members() []Member {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	names := v.activeLocked()
-	out := make([]Member, len(names))
-	for i, name := range names {
-		out[i] = v.members[name]
-	}
-	return out
 }
 
 // All returns every known member, active or not, sorted by name.

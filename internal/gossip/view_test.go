@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -24,12 +25,12 @@ func TestViewIgnoresSelfAndDuplicates(t *testing.T) {
 	if v.Len() != 3 {
 		t.Fatalf("Len = %d; want 3 (self excluded, adds idempotent)", v.Len())
 	}
-	if v.Contains("dp-00") {
+	if contains(v, "dp-00") {
 		t.Fatal("view contains self")
 	}
 	v.Remove("dp-01")
-	if v.Contains("dp-01") || v.Len() != 2 {
-		t.Fatalf("after Remove: Len = %d, contains dp-01 = %v", v.Len(), v.Contains("dp-01"))
+	if contains(v, "dp-01") || v.Len() != 2 {
+		t.Fatalf("after Remove: Len = %d, contains dp-01 = %v", v.Len(), contains(v, "dp-01"))
 	}
 }
 
@@ -37,10 +38,27 @@ func TestViewAddOverwritesAddress(t *testing.T) {
 	v := NewView("dp-00", 1, 0)
 	v.Add(Member{Name: "dp-01", Node: "n1", Addr: "old"})
 	v.Add(Member{Name: "dp-01", Node: "n1", Addr: "new"})
-	ms := v.Members()
+	ms := v.All()
 	if len(ms) != 1 || ms[0].Addr != "new" {
-		t.Fatalf("Members = %+v; want one member at the new address", ms)
+		t.Fatalf("All = %+v; want one member at the new address", ms)
 	}
+}
+
+func contains(v *View, name string) bool {
+	for _, m := range v.All() {
+		if m.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// active is the subset a round can draw from, by name: a sample as
+// large as the view is a permutation of it.
+func active(v *View) []string {
+	out := names(v.Sample(1, v.Len()))
+	sort.Strings(out)
+	return out
 }
 
 func TestViewCapBoundsActiveSubset(t *testing.T) {
@@ -48,24 +66,24 @@ func TestViewCapBoundsActiveSubset(t *testing.T) {
 	for _, m := range fleet(40)[1:] {
 		v.Add(m)
 	}
-	active := v.Members()
-	if len(active) != 5 {
-		t.Fatalf("active subset = %d members; want cap 5", len(active))
+	subset := active(v)
+	if len(subset) != 5 {
+		t.Fatalf("active subset = %d members; want cap 5", len(subset))
 	}
 	if all := v.All(); len(all) != 39 {
 		t.Fatalf("All = %d members; want 39 (cap must not forget members)", len(all))
 	}
 	// The active subset is stable: same view, same subset.
-	if again := v.Members(); !reflect.DeepEqual(active, again) {
-		t.Fatalf("active subset changed between calls: %v vs %v", active, again)
+	if again := active(v); !reflect.DeepEqual(subset, again) {
+		t.Fatalf("active subset changed between calls: %v vs %v", subset, again)
 	}
 	// Different selves keep different subsets (decorrelated subgraphs).
 	w := NewView("dp-99", 7, 5)
 	for _, m := range fleet(40)[1:] {
 		w.Add(m)
 	}
-	if reflect.DeepEqual(names(active), names(w.Members())) {
-		t.Fatalf("dp-00 and dp-99 picked identical active subsets %v", names(active))
+	if reflect.DeepEqual(subset, active(w)) {
+		t.Fatalf("dp-00 and dp-99 picked identical active subsets %v", subset)
 	}
 }
 

@@ -306,7 +306,7 @@ func differentialRun(t *testing.T, seed int64) {
 	check := func(step int, what string) {
 		t.Helper()
 		now := clock.Now()
-		entries := e.Policies().Entries()
+		entries := e.policies.Entries()
 		for _, owner := range queryOwners {
 			got := e.SiteLoads(usla.MustParsePath(owner), 1)
 			want := ref.siteLoads(entries, owner, now)
@@ -389,7 +389,7 @@ func differentialRun(t *testing.T, seed int64) {
 				Share:    usla.Share{Percent: percents[rng.Intn(len(percents))], Kind: usla.ShareKind(rng.Intn(3))},
 			}
 			what += " " + entry.String()
-			if err := e.Policies().Add(entry); err != nil {
+			if err := e.policies.Add(entry); err != nil {
 				t.Fatal(err)
 			}
 		default:

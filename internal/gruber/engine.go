@@ -1,8 +1,7 @@
 // Package gruber implements the GRUBER broker the paper builds DI-GRUBER
 // on: the engine that maintains a USLA-constrained view of grid resource
-// utilization, the site selectors that answer "which is the best site at
-// which I can run this job?", and the queue manager that throttles
-// submission hosts against VO policy.
+// utilization, and the site selectors that answer "which is the best
+// site at which I can run this job?".
 //
 // The engine follows the paper's chosen dissemination model (Section
 // 3.5, second approach): every decision point has complete static
@@ -174,10 +173,6 @@ func NewEngine(name string, policies *usla.PolicySet, clock vtime.Clock) *Engine
 
 // Name returns the engine's identity.
 func (e *Engine) Name() string { return e.name }
-
-// Policies returns the engine's USLA policy set (live; additions take
-// effect immediately).
-func (e *Engine) Policies() *usla.PolicySet { return e.policies }
 
 // UpdateSites installs or refreshes the baseline view of sites from a
 // grid snapshot. The initial call is the paper's "complete static

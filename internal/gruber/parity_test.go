@@ -188,7 +188,7 @@ func (p *parityRun) finish() string {
 	}
 	sort.Strings(origins)
 	for _, o := range origins {
-		fmt.Fprintf(w, "vector %q hi=%d held=%d\n", o, vv[o], e.OriginLogSize(o))
+		fmt.Fprintf(w, "vector %q hi=%d held=%d\n", o, vv[o], held(e, o))
 	}
 	for _, d := range e.DispatchesSince(nil, 0) {
 		fmt.Fprintf(w, "log %s/%d %s\n", d.Origin, d.Seq, d.JobID)

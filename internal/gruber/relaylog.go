@@ -242,12 +242,3 @@ func (e *Engine) CompactOrigins(acked map[string]uint64) {
 		l.dropThrough(l.dropped + uint64(n))
 	}
 }
-
-// OriginLogSize reports how many records the engine currently holds in
-// the named origin's log (0 for unknown origins) — a memory-bound probe
-// for tests and status displays.
-func (e *Engine) OriginLogSize(origin string) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.logs[origin].after(0))
-}

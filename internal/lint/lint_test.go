@@ -110,7 +110,13 @@ func TestRepositoryIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("repository violation: %s", d)
 	}
-	checkTestOnlyMethods(t, pkgs)
+	msgs, err := checkTestOnly(pkgs, reachWatched, testOnlyAllowed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		t.Error(m)
+	}
 }
 
 // The committed lockfile must round-trip through the formatter and

@@ -20,8 +20,8 @@
 //     trailing window — the SRE multi-window pair (5m/1h by default),
 //     fast to react, slow to resist flapping.
 //   - A per-VO alert state machine advances pending → firing → resolved
-//     off virtual time with hysteresis on both edges, counts every
-//     transition, and reports them through an OnTransition hook.
+//     off virtual time with hysteresis on both edges, and counts and
+//     logs every transition.
 //
 // Everything is deterministic under the repo's rules: timestamps come
 // from the caller (vtime), objectives evaluate in sorted-VO order, and
@@ -90,9 +90,6 @@ type Config struct {
 	// Both are hysteresis against flapping, measured on virtual time.
 	PendingFor   time.Duration
 	ResolveAfter time.Duration
-	// OnTransition, when non-nil, observes every alert transition as it
-	// happens (after the internal state and counters update).
-	OnTransition func(Transition)
 }
 
 // AlertState is one alert's position in the state machine.
@@ -364,8 +361,8 @@ func (e *Evaluator) step(vo string, a *alert, now time.Time, as Assessment) Aler
 	return a.state
 }
 
-// transition moves an alert to a new state, bumps the matching counter,
-// logs the change, and notifies the hook.
+// transition moves an alert to a new state, bumps the matching counter
+// and logs the change.
 func (e *Evaluator) transition(vo string, a *alert, to AlertState, now time.Time, as Assessment) {
 	tr := Transition{
 		VO: vo, From: a.state, To: to,
@@ -384,9 +381,6 @@ func (e *Evaluator) transition(vo string, a *alert, to AlertState, now time.Time
 	a.since = now
 	a.belowSince = time.Time{}
 	e.log = append(e.log, tr)
-	if e.cfg.OnTransition != nil {
-		e.cfg.OnTransition(tr)
-	}
 }
 
 // FiringCount reports how many alerts are currently firing — the

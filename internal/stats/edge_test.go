@@ -38,20 +38,8 @@ func TestPercentileInterpolatesBetweenRanks(t *testing.T) {
 
 func TestEmptySeries(t *testing.T) {
 	var s Series
-	if s.Len() != 0 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if got := s.Values(); len(got) != 0 {
-		t.Errorf("Values = %v", got)
-	}
 	if got := s.Bucketize(time.Unix(0, 0), time.Minute); got != nil {
 		t.Errorf("Bucketize of empty series = %v, want nil", got)
-	}
-	if got := s.Summary(); got != (Summary{}) {
-		t.Errorf("Summary of empty series = %+v, want zero", got)
-	}
-	if got := Rate(nil, time.Minute); len(got) != 0 {
-		t.Errorf("Rate(nil) = %v", got)
 	}
 }
 

@@ -26,18 +26,6 @@ func (s *Series) Add(at time.Time, v float64) {
 	s.Samples = append(s.Samples, Sample{At: at, Value: v})
 }
 
-// Len reports the number of samples.
-func (s *Series) Len() int { return len(s.Samples) }
-
-// Values returns the sample values in insertion order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, smp := range s.Samples {
-		out[i] = smp.Value
-	}
-	return out
-}
-
 // Bucket is one aggregation window of a series.
 type Bucket struct {
 	Start time.Time
@@ -85,20 +73,6 @@ func (s *Series) Bucketize(origin time.Time, w time.Duration) []Bucket {
 	}
 	return buckets
 }
-
-// Rate returns, for each window, Count scaled to events per second —
-// the paper's throughput curves (queries per second per window).
-func Rate(buckets []Bucket, w time.Duration) []float64 {
-	out := make([]float64, len(buckets))
-	secs := w.Seconds()
-	for i, b := range buckets {
-		out[i] = float64(b.Count) / secs
-	}
-	return out
-}
-
-// Summary summarizes the sample values.
-func (s *Series) Summary() Summary { return Summarize(s.Values()) }
 
 // Render prints the bucketized series as aligned text columns: one row
 // per window with the window offset in seconds and the aggregate. It is

@@ -96,52 +96,6 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if !almostEqual(o.Mean(), batch.Mean, 1e-9) {
 		t.Fatalf("mean = %v, want %v", o.Mean(), batch.Mean)
 	}
-	if !almostEqual(o.StdDev(), batch.StdDev, 1e-9) {
-		t.Fatalf("stddev = %v, want %v", o.StdDev(), batch.StdDev)
-	}
-	if o.Min() != batch.Min || o.Max() != batch.Max {
-		t.Fatalf("min/max = %v/%v, want %v/%v", o.Min(), o.Max(), batch.Min, batch.Max)
-	}
-}
-
-func TestOnlineMergeEqualsSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	var whole, left, right Online
-	for i := 0; i < 500; i++ {
-		x := r.ExpFloat64()
-		whole.Add(x)
-		if i%2 == 0 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged n = %d, want %d", left.N(), whole.N())
-	}
-	if !almostEqual(left.Mean(), whole.Mean(), 1e-9) {
-		t.Fatalf("merged mean = %v, want %v", left.Mean(), whole.Mean())
-	}
-	if !almostEqual(left.Variance(), whole.Variance(), 1e-6) {
-		t.Fatalf("merged var = %v, want %v", left.Variance(), whole.Variance())
-	}
-}
-
-func TestOnlineMergeEmptySides(t *testing.T) {
-	var a, b Online
-	a.Add(1)
-	a.Add(3)
-	saved := a
-	a.Merge(b) // empty right side: no-op
-	if a.N() != 2 || a.Mean() != saved.Mean() {
-		t.Fatalf("merge with empty changed accumulator: %+v", a)
-	}
-	var c Online
-	c.Merge(a) // empty left side: copy
-	if c.N() != 2 || c.Mean() != 2 {
-		t.Fatalf("merge into empty wrong: n=%d mean=%v", c.N(), c.Mean())
-	}
 }
 
 func TestSeriesBucketize(t *testing.T) {
@@ -181,14 +135,6 @@ func TestSeriesBucketizeOutOfOrderAndBeforeOrigin(t *testing.T) {
 	}
 	if buckets[0].Count != 2 {
 		t.Fatalf("bucket0 count = %d, want 2 (clamped early sample)", buckets[0].Count)
-	}
-}
-
-func TestRate(t *testing.T) {
-	buckets := []Bucket{{Count: 10}, {Count: 0}, {Count: 5}}
-	rates := Rate(buckets, 5*time.Second)
-	if rates[0] != 2 || rates[1] != 0 || rates[2] != 1 {
-		t.Fatalf("rates = %v", rates)
 	}
 }
 

@@ -1,35 +1,17 @@
 package stats
 
-import "math"
-
-// Online accumulates count, mean and variance incrementally using
-// Welford's algorithm. It is what long-running collectors (DiPerF, the
-// decision-point saturation detector) use so they never retain every
-// sample. The zero value is ready to use.
+// Online accumulates a count and a mean incrementally, so a
+// long-running collector (GRUB-SIM's per-window response monitor) never
+// retains every sample. The zero value is ready to use.
 type Online struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	delta := x - o.mean
-	o.mean += delta / float64(o.n)
-	o.m2 += delta * (x - o.mean)
+	o.mean += (x - o.mean) / float64(o.n)
 }
 
 // N reports how many samples have been added.
@@ -37,45 +19,3 @@ func (o *Online) N() int { return o.n }
 
 // Mean reports the running mean (0 before any sample).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Min reports the smallest sample seen (0 before any sample).
-func (o *Online) Min() float64 { return o.min }
-
-// Max reports the largest sample seen (0 before any sample).
-func (o *Online) Max() float64 { return o.max }
-
-// Variance reports the population variance (0 with fewer than two
-// samples).
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev reports the population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Merge folds another accumulator into o (parallel Welford merge), so
-// per-goroutine accumulators can be combined without locking on the hot
-// path.
-func (o *Online) Merge(other Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = other
-		return
-	}
-	n := o.n + other.n
-	delta := other.mean - o.mean
-	mean := o.mean + delta*float64(other.n)/float64(n)
-	m2 := o.m2 + other.m2 + delta*delta*float64(o.n)*float64(other.n)/float64(n)
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-	o.n, o.mean, o.m2 = n, mean, m2
-}

@@ -83,14 +83,6 @@ func (c *Collector) Dropped() int64 {
 	return c.dropped
 }
 
-// Reset discards all held records and the drop count.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.records = nil
-	c.dropped = 0
-}
-
 // WriteJSONL streams the collected records to w, one JSON object per
 // line — the interchange format cmd/digruber-trace reads.
 func (c *Collector) WriteJSONL(w io.Writer) error {

@@ -168,14 +168,6 @@ func TestCollectorBoundDropsAndCounts(t *testing.T) {
 	if col.Dropped() != 2 {
 		t.Errorf("dropped=%d, want 2", col.Dropped())
 	}
-	col.Reset()
-	if col.Len() != 0 || col.Dropped() != 0 {
-		t.Error("Reset left state behind")
-	}
-	tr.StartTrace(PhaseSchedule).End()
-	if col.Len() != 1 {
-		t.Error("collector unusable after Reset")
-	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {

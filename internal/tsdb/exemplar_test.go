@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -109,23 +108,16 @@ func TestHistogramExemplarSurvivesRotation(t *testing.T) {
 	}
 }
 
-// TestRegistryExemplarAccessors: Exemplars/HistogramBounds answer nil
-// for unknown or non-histogram names and on a nil registry.
+// TestRegistryExemplarAccessors: Exemplars answers nil for unknown or
+// non-histogram names and on a nil registry.
 func TestRegistryExemplarAccessors(t *testing.T) {
 	r := New(0)
 	r.Gauge("g").Set(1)
 	if r.Exemplars("g") != nil || r.Exemplars("missing") != nil {
 		t.Fatal("non-histogram name returned exemplars")
 	}
-	if r.HistogramBounds("g") != nil {
-		t.Fatal("non-histogram name returned bounds")
-	}
-	h := r.Histogram("h", []float64{1, 2})
-	if want := h.Bounds(); !reflect.DeepEqual(r.HistogramBounds("h"), want) {
-		t.Fatalf("bounds mismatch: %v vs %v", r.HistogramBounds("h"), want)
-	}
 	var nilR *Registry
-	if nilR.Exemplars("x") != nil || nilR.HistogramBounds("x") != nil {
+	if nilR.Exemplars("x") != nil {
 		t.Fatal("nil registry returned data")
 	}
 }

@@ -51,28 +51,3 @@ func WritePoints(w io.Writer, pts []SeriesPoint) error {
 	}
 	return bw.Flush()
 }
-
-// ReadJSONL parses points written by WriteJSONL/WritePoints. Blank
-// lines are skipped; any malformed line is an error.
-func ReadJSONL(r io.Reader) ([]SeriesPoint, error) {
-	var out []SeriesPoint
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var p SeriesPoint
-		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, fmt.Errorf("tsdb: read jsonl line %d: %w", line, err)
-		}
-		out = append(out, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tsdb: read jsonl: %w", err)
-	}
-	return out, nil
-}

@@ -101,27 +101,6 @@ func (r *Registry) Align(names ...string) Frame {
 	return f
 }
 
-// Rate converts a cumulative series (a sampled Counter) into per-second
-// rates between consecutive points. The result has one fewer point,
-// each stamped at the later sample's time. Non-increasing time deltas
-// yield no point; negative value deltas (a counter reset, e.g. a broker
-// restart) clamp to zero rather than reporting a negative rate.
-func Rate(pts []Point) []Point {
-	var out []Point
-	for i := 1; i < len(pts); i++ {
-		dt := pts[i].T.Sub(pts[i-1].T).Seconds()
-		if dt <= 0 {
-			continue
-		}
-		dv := pts[i].V - pts[i-1].V
-		if dv < 0 {
-			dv = 0
-		}
-		out = append(out, Point{T: pts[i].T, V: dv / dt})
-	}
-	return out
-}
-
 // WindowRate returns the mean per-second rate of a cumulative series
 // (a sampled Counter) over the trailing window ending at now, computed
 // end-to-end across the window rather than averaged per-interval so
@@ -153,12 +132,6 @@ func (r *Registry) WindowRate(name string, now time.Time, window time.Duration) 
 // should not trigger a scaling action by itself.
 func (r *Registry) WindowMean(name string, now time.Time, window time.Duration) float64 {
 	return Mean(r.Range(name, now.Add(-window), now))
-}
-
-// WindowMax returns the largest value of a series over the trailing
-// window ending at now (0 with no points).
-func (r *Registry) WindowMax(name string, now time.Time, window time.Duration) float64 {
-	return Max(r.Range(name, now.Add(-window), now))
 }
 
 // Mean returns the arithmetic mean of the points' values (0 for none).

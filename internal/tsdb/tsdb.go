@@ -112,7 +112,6 @@ type Registry struct {
 	hists    map[string]*Histogram
 	names    []string // sorted instrument names, the sampling order
 	series   map[string]*series
-	samples  int
 }
 
 // New returns a registry whose series each hold at most limit points
@@ -236,18 +235,6 @@ func (r *Registry) Exemplars(name string) []Exemplar {
 	return h.Exemplars()
 }
 
-// HistogramBounds returns the named histogram's bucket upper bounds, or
-// nil when the name is not a histogram.
-func (r *Registry) HistogramBounds(name string) []float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	h := r.hists[name]
-	r.mu.Unlock()
-	return h.Bounds()
-}
-
 // sampleOp is one instrument's slot in a sampling pass.
 type sampleOp struct {
 	name    string
@@ -329,15 +316,4 @@ func (r *Registry) Sample(now time.Time) {
 		}
 		sr.add(Point{T: now, V: v})
 	}
-	r.samples++
-}
-
-// Samples reports how many sampling passes have run.
-func (r *Registry) Samples() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samples
 }

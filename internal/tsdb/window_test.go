@@ -63,11 +63,8 @@ func TestWindowMeanAndMax(t *testing.T) {
 	if got := r.WindowMean("queue", now, time.Minute); got != 9 {
 		t.Fatalf("WindowMean narrow = %v, want 9", got)
 	}
-	if got := r.WindowMax("queue", now, 3*time.Minute); got != 12 {
-		t.Fatalf("WindowMax = %v, want 12", got)
-	}
-	if got := r.WindowMax("queue", now, 30*time.Second); got != 6 {
-		t.Fatalf("WindowMax narrow = %v, want 6", got)
+	if got := Max(r.Range("queue", now.Add(-3*time.Minute), now)); got != 12 {
+		t.Fatalf("Max over the window = %v, want 12", got)
 	}
 	if got := r.WindowMean("missing", now, time.Minute); got != 0 {
 		t.Fatalf("WindowMean missing = %v, want 0", got)
@@ -119,9 +116,6 @@ func TestWindowStatsEmptyAndSingle(t *testing.T) {
 	if got := r.WindowMean("cold", t0, time.Minute); got != 0 {
 		t.Fatalf("WindowMean empty = %v, want 0", got)
 	}
-	if got := r.WindowMax("cold", t0, time.Minute); got != 0 {
-		t.Fatalf("WindowMax empty = %v, want 0", got)
-	}
 	if got := r.WindowRate("cold", t0, time.Minute); got != 0 {
 		t.Fatalf("WindowRate empty = %v, want 0", got)
 	}
@@ -132,15 +126,12 @@ func TestWindowStatsEmptyAndSingle(t *testing.T) {
 	if got := r.WindowMean("cold", t0, time.Minute); got != 7 {
 		t.Fatalf("WindowMean single = %v, want 7", got)
 	}
-	if got := r.WindowMax("cold", t0, time.Minute); got != 7 {
-		t.Fatalf("WindowMax single = %v, want 7", got)
-	}
 	if got := r.WindowRate("cold", t0, time.Minute); got != 0 {
 		t.Fatalf("WindowRate single = %v, want 0 (no rate evidence)", got)
 	}
 	// A window that excludes the lone sample is empty again.
-	if got := r.WindowMax("cold", t0.Add(2*time.Minute), time.Minute); got != 0 {
-		t.Fatalf("WindowMax excluded = %v, want 0", got)
+	if got := r.WindowMean("cold", t0.Add(2*time.Minute), time.Minute); got != 0 {
+		t.Fatalf("WindowMean excluded = %v, want 0", got)
 	}
 }
 

@@ -68,13 +68,8 @@ func BenchmarkRPCLargePayload(b *testing.B) {
 // fast path) for the overhead of turning tracing on.
 func BenchmarkRPCRoundTripTraced(b *testing.B) {
 	clock := vtime.NewReal()
-	col := trace.NewCollector(0)
-	cliTracer := trace.New(trace.Config{Actor: "c", Seed: 1, Clock: clock, Collector: col})
-	srvTracer := trace.New(trace.Config{Actor: "s", Seed: 2, Clock: clock, Collector: col})
-
 	mem := NewMem()
 	srv := NewServer("bench-srv", Instant(), clock)
-	srv.SetTracer(srvTracer)
 	Handle(srv, "echo", func(r echoReq) (echoResp, error) { return echoResp(r), nil })
 	l, err := mem.Listen("bench-traced")
 	if err != nil {
@@ -82,14 +77,33 @@ func BenchmarkRPCRoundTripTraced(b *testing.B) {
 	}
 	go srv.Serve(l)
 	defer func() { srv.Close(); l.Close() }()
-	cli := NewClient(ClientConfig{Node: "c", ServerNode: "s", Addr: "bench-traced", Transport: mem, Clock: clock, Tracer: cliTracer})
-	defer cli.Close()
+
+	var (
+		col       *trace.Collector
+		cliTracer *trace.Tracer
+		cli       *Client
+	)
+	// fresh points both ends at an empty collector.
+	fresh := func() {
+		if cli != nil {
+			cli.Close()
+		}
+		col = trace.NewCollector(0)
+		cliTracer = trace.New(trace.Config{Actor: "c", Seed: 1, Clock: clock, Collector: col})
+		srv.SetTracer(trace.New(trace.Config{Actor: "s", Seed: 2, Clock: clock, Collector: col}))
+		cli = NewClient(ClientConfig{Node: "c", ServerNode: "s", Addr: "bench-traced", Transport: mem, Clock: clock, Tracer: cliTracer})
+	}
+	fresh()
+	defer func() { cli.Close() }()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if col.Len() >= DefaultTracedBenchResetAt {
-			col.Reset() // keep measuring appends, not the drop path
+			// Keep measuring appends, not the drop path.
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
 		}
 		root := cliTracer.StartTrace(trace.PhaseSchedule)
 		if _, err := CallCtx[echoReq, echoResp](cli, root.Context(), "echo", echoReq{Msg: "x"}, time.Second); err != nil {

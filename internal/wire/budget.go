@@ -2,7 +2,6 @@ package wire
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"digruber/internal/vtime"
@@ -30,8 +29,6 @@ type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
-
-	throttled atomic.Int64
 }
 
 // NewRetryBudget returns a full bucket refilling at rate tokens/s up to
@@ -54,14 +51,14 @@ func NewRetryBudget(clock vtime.Clock, rate, burst float64) *RetryBudget {
 }
 
 // Allow spends one token if available and reports whether the retry may
-// proceed. Denials are counted (see Throttled). Nil receivers always
-// allow.
+// proceed. Nil receivers always allow.
 func (b *RetryBudget) Allow() bool {
 	if b == nil {
 		return true
 	}
 	now := b.clock.Now()
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
 		b.tokens += elapsed * b.rate
 		if b.tokens > b.burst {
@@ -71,19 +68,7 @@ func (b *RetryBudget) Allow() bool {
 	}
 	if b.tokens >= 1 {
 		b.tokens--
-		b.mu.Unlock()
 		return true
 	}
-	b.mu.Unlock()
-	b.throttled.Add(1)
 	return false
-}
-
-// Throttled reports how many retries the budget has denied (zero for a
-// nil receiver).
-func (b *RetryBudget) Throttled() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.throttled.Load()
 }

@@ -45,7 +45,7 @@ type Client struct {
 
 	// bodies is where the read loop takes the storage of each response
 	// Body from. A typed call puts it back once it has decoded the reply;
-	// the bytes a raw Call returns are its caller's for good.
+	// the bytes a raw CallCtx returns are its caller's for good.
 	bodies SliceList[byte]
 }
 
@@ -91,9 +91,8 @@ type RetryPolicy struct {
 	// values <= 1 disable retry.
 	Attempts int
 	// BaseBackoff is the pause before the second attempt; it doubles on
-	// each further retry, capped at MaxBackoff (default 8x BaseBackoff).
+	// each further retry, capped at 8x BaseBackoff.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// JitterFrac in [0, 1] extends each backoff by a uniform draw in
 	// [0, JitterFrac*backoff), decorrelating retry storms. Jitter
 	// supplies the randomness (a netsim.Stream keeps it replayable);
@@ -127,11 +126,7 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 	for i := 1; i < n; i++ {
 		d *= 2
 	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 8 * p.BaseBackoff
-	}
-	if d > max {
+	if max := 8 * p.BaseBackoff; d > max {
 		d = max
 	}
 	if p.JitterFrac > 0 && p.Jitter != nil && d > 0 {
@@ -156,9 +151,6 @@ func NewClient(cfg ClientConfig) *Client {
 		pending:    make(map[uint64]chan frame),
 	}
 }
-
-// Addr returns the server address the client dials.
-func (c *Client) Addr() string { return c.addr }
 
 // ensureConn dials if the client has no connection. Caller must not
 // hold c.mu.
@@ -223,25 +215,20 @@ func (c *Client) dropConn(conn Conn, cause error) {
 }
 
 // connLostPrefix marks locally-synthesized failure frames from dropConn
-// so Call can map them back to the ErrConnLost sentinel. It never
+// so CallCtx can map them back to the ErrConnLost sentinel. It never
 // crosses the wire.
 const connLostPrefix = "wire: connection lost: "
 
-// Call performs one RPC with the given timeout. body is the gob-encoded
-// request; the returned bytes are the gob-encoded response. On timeout it
-// returns ErrTimeout — the caller's fallback logic (random site
-// selection) takes over from there. Errors carry a FailureClass (see
+// CallCtx performs one RPC with the given timeout. body is the
+// gob-encoded request; the returned bytes are the gob-encoded response.
+// On timeout it returns ErrTimeout — the caller's fallback logic (random
+// site selection) takes over from there. Errors carry a FailureClass (see
 // Classify); when a RetryPolicy is configured, fast retryable failures
-// are re-attempted with exponential backoff before surfacing.
-func (c *Client) Call(method string, body []byte, timeout time.Duration) ([]byte, error) {
-	return c.CallCtx(trace.SpanContext{}, method, body, timeout)
-}
-
-// CallCtx is Call carrying a trace context: each attempt, each WAN
-// transit and each retry backoff becomes a child span of parent, and
-// the context rides the request frame so the server's own spans join
-// the same trace. With a zero parent (or no Tracer configured) CallCtx
-// behaves exactly like Call.
+// are re-attempted with exponential backoff before surfacing. Each
+// attempt, each WAN transit and each retry backoff becomes a child span
+// of parent, and the context rides the request frame so the server's own
+// spans join the same trace; a zero parent (or no Tracer configured)
+// leaves the call untraced.
 func (c *Client) CallCtx(parent trace.SpanContext, method string, body []byte, timeout time.Duration) ([]byte, error) {
 	c.metrics.onCall()
 	resp, err := c.callOnce(parent, method, body, timeout)

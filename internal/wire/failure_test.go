@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"digruber/internal/netsim"
+	"digruber/internal/trace"
 	"digruber/internal/vtime"
 )
 
@@ -209,8 +210,8 @@ func TestTimeoutIsNeverRetried(t *testing.T) {
 }
 
 func TestRetryBackoffSequence(t *testing.T) {
-	p := RetryPolicy{Attempts: 5, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 300 * time.Millisecond}
-	want := []time.Duration{100, 200, 300, 300}
+	p := RetryPolicy{Attempts: 6, BaseBackoff: 100 * time.Millisecond}
+	want := []time.Duration{100, 200, 400, 800, 800}
 	for i, w := range want {
 		if got := p.backoff(i + 1); got != w*time.Millisecond {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
@@ -269,7 +270,7 @@ func TestConnDroppedBeforeSendIsConnLost(t *testing.T) {
 	})
 	t.Cleanup(cli.Close)
 	for i := 0; i < 5000; i++ {
-		if _, err := cli.Call("echo", nil, time.Second); !errors.Is(err, ErrConnLost) {
+		if _, err := cli.CallCtx(trace.SpanContext{}, "echo", nil, time.Second); !errors.Is(err, ErrConnLost) {
 			t.Fatalf("call %d: err = %v, want ErrConnLost", i, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"digruber/internal/trace"
 	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
 )
@@ -53,7 +54,7 @@ func TestClientMetricsOutcomes(t *testing.T) {
 		Retry: RetryPolicy{Attempts: 3},
 	})
 	t.Cleanup(bad.Close)
-	if _, err := bad.Call("echo", nil, time.Second); !errors.Is(err, ErrRefused) {
+	if _, err := bad.CallCtx(trace.SpanContext{}, "echo", nil, time.Second); !errors.Is(err, ErrRefused) {
 		t.Fatalf("err = %v, want ErrRefused", err)
 	}
 

@@ -80,7 +80,7 @@ func TestExpiredRequestNeverInvokesHandler(t *testing.T) {
 }
 
 // TestRetryBudgetTokenBucket pins the budget's vtime semantics: spend to
-// empty, refill by elapsed virtual seconds, cap at burst, count denials.
+// empty, refill by elapsed virtual seconds, cap at burst.
 func TestRetryBudgetTokenBucket(t *testing.T) {
 	clock := vtime.NewManual(overloadEpoch)
 	b := NewRetryBudget(clock, 1, 2)
@@ -89,9 +89,6 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	}
 	if b.Allow() {
 		t.Fatal("empty bucket allowed a retry")
-	}
-	if got := b.Throttled(); got != 1 {
-		t.Fatalf("Throttled = %d, want 1", got)
 	}
 	clock.Advance(time.Second)
 	if !b.Allow() {
@@ -106,7 +103,7 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 		t.Fatal("burst cap not enforced")
 	}
 	var nilB *RetryBudget
-	if !nilB.Allow() || nilB.Throttled() != 0 {
+	if !nilB.Allow() {
 		t.Fatal("nil budget must allow everything")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"digruber/internal/trace"
 	"digruber/internal/vtime"
 )
 
@@ -103,7 +104,7 @@ func TestBodiesHaveOneOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := cli.Call("raw-echo", body, time.Second)
+	raw, err := cli.CallCtx(trace.SpanContext{}, "raw-echo", body, time.Second)
 	if err != nil || !bytes.Equal(raw, body) {
 		t.Fatalf("raw echo: % x, %v", raw, err)
 	}
@@ -126,7 +127,7 @@ func TestBodiesHaveOneOwner(t *testing.T) {
 						t.Errorf("failing handler: %v", err)
 					}
 				case 2: // the request does not decode on the server
-					if _, err := cli.Call("echo", []byte("not a gob stream"), time.Minute); err == nil {
+					if _, err := cli.CallCtx(trace.SpanContext{}, "echo", []byte("not a gob stream"), time.Minute); err == nil {
 						t.Error("the server decoded garbage")
 					}
 				case 3: // the reply does not decode on the client

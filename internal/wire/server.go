@@ -7,15 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"digruber/internal/stats"
 	"digruber/internal/trace"
 	"digruber/internal/vtime"
 )
-
-// Handler processes one RPC: it receives the gob-encoded request body and
-// returns the gob-encoded response body. Use Handle to register typed
-// handlers without touching bytes.
-type Handler func(body []byte) ([]byte, error)
 
 // Ctx carries per-request server-side context into handlers. Span is
 // the trace context the handler runs under (zero when the request is
@@ -87,9 +81,9 @@ type Server struct {
 	expired      atomic.Int64
 	inflight     atomic.Int64
 	laneInflight atomic.Int64
-
-	statMu  sync.Mutex
-	service stats.Online // observed service times, seconds
+	// serviceNs totals the emulated service time of every request that
+	// ended completed or failed; Stats divides it into ServiceMean.
+	serviceNs atomic.Int64
 
 	// bytes ledgers payload bytes in/out, per method (see bytes.go).
 	bytes byteBook
@@ -174,12 +168,6 @@ func (s *Server) laneWorker(lane chan job) {
 	}
 }
 
-// Node returns the server's emulated node name.
-func (s *Server) Node() string { return s.node }
-
-// Profile returns the container profile the server runs under.
-func (s *Server) Profile() StackProfile { return s.profile }
-
 // SetTracer installs the tracer server-side spans are recorded against.
 // Call it before Serve; requests in flight during a swap may record
 // against either tracer.
@@ -195,15 +183,8 @@ func (s *Server) getTracer() *trace.Tracer {
 	return s.tracer
 }
 
-// Register installs a raw handler for a method name. Registering after
-// Serve has started is allowed.
-func (s *Server) Register(method string, h Handler) {
-	s.RegisterCtx(method, func(_ Ctx, body []byte) ([]byte, error) {
-		return h(body)
-	})
-}
-
 // RegisterCtx installs a raw context-aware handler for a method name.
+// Registering after Serve has started is allowed.
 func (s *Server) RegisterCtx(method string, h CtxHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -380,9 +361,7 @@ func (s *Server) process(j job, call *serverCall) {
 		s.clock.Sleep(st)
 		ss.End()
 	}
-	s.statMu.Lock()
-	s.service.Add(st.Seconds())
-	s.statMu.Unlock()
+	s.serviceNs.Add(int64(st))
 
 	if errStr != "" {
 		s.failed.Add(1)
@@ -455,9 +434,11 @@ type Stats struct {
 
 // Stats returns a consistent-enough snapshot of the server counters.
 func (s *Server) Stats() Stats {
-	s.statMu.Lock()
-	mean := s.service.Mean()
-	s.statMu.Unlock()
+	completed, failed := s.completed.Load(), s.failed.Load()
+	mean := 0.0
+	if served := completed + failed; served > 0 {
+		mean = time.Duration(s.serviceNs.Load()).Seconds() / float64(served)
+	}
 	laneQueued := 0
 	if s.laneWork != nil {
 		laneQueued = len(s.laneWork)
@@ -467,8 +448,8 @@ func (s *Server) Stats() Stats {
 		BytesIn:      bytesIn,
 		BytesOut:     bytesOut,
 		Received:     s.received.Load(),
-		Completed:    s.completed.Load(),
-		Failed:       s.failed.Load(),
+		Completed:    completed,
+		Failed:       failed,
 		Shed:         s.shed.Load(),
 		ConnLost:     s.connLost.Load(),
 		Expired:      s.expired.Load(),

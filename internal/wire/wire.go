@@ -12,7 +12,7 @@
 //     identifies exactly these as the factors limiting performance.
 //
 // Everything above this package (GRUBER engines, decision points, DiPerF
-// testers) talks through Client.Call / Server handlers and never sees the
+// testers) talks through Client.CallCtx / Server handlers and never sees the
 // emulation.
 package wire
 
