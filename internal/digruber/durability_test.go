@@ -325,7 +325,7 @@ func runFleetCrashScenario(t *testing.T) fleetDigest {
 	const nDP = 4
 	clock := vtime.NewManual(epoch)
 	mem := wire.NewMem()
-	network := netsim.New(1, netsim.Loopback())
+	network := netsim.New(1, netsim.Profile{})
 	faults := netsim.NewFaultPlane()
 	network.SetFaults(faults)
 

@@ -98,7 +98,7 @@ func driveExchange(t *testing.T, clock *vtime.Manual, dp *DecisionPoint) time.Du
 func TestDeadPeerBackoffStopsStallingRounds(t *testing.T) {
 	clock := vtime.NewManual(epoch)
 	mem := wire.NewMem()
-	network := netsim.New(1, netsim.Loopback())
+	network := netsim.New(1, netsim.Profile{})
 	faults := netsim.NewFaultPlane()
 	network.SetFaults(faults)
 	const peerTimeout = 30 * time.Second

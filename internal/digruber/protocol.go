@@ -178,8 +178,7 @@ type SnapshotArgs struct {
 	// ships only the seq-gap (plus unstamped records). Nil means "send
 	// everything" — the pre-durability request. Appended as a trailing
 	// extension field: gob elides the nil slice, so vector-less requests
-	// stay byte-identical to pre-durability builds
-	// (TestSnapshotWireCompat).
+	// stay byte-identical to pre-durability builds (TestWireGolden).
 	Vector []gossip.Cursor
 }
 
@@ -250,7 +249,7 @@ type StatusReply struct {
 	// gob's value encoding elides zero fields and delta-encodes field
 	// indices, so appending keeps replies without the extensions
 	// byte-identical to older builds, while inserting earlier would
-	// renumber every later field (see TestStatusWireCompat).
+	// renumber every later field (see TestWireGolden).
 	Metrics []MetricSample
 	// Expired counts requests the service stack dropped unprocessed at
 	// dequeue because the caller's propagated deadline had already

@@ -177,9 +177,6 @@ func TestGramTransientFailure(t *testing.T) {
 	if _, err := sub.Submit("h", "s", testJob("j")); err == nil {
 		t.Fatal("transient failure not injected")
 	}
-	if _, failed := sub.Stats(); failed != 1 {
-		t.Fatal("failure not counted")
-	}
 	if _, err := sub.Submit("h", "nowhere", testJob("j")); err == nil {
 		t.Fatal("unknown site accepted")
 	}

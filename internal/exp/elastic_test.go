@@ -114,8 +114,4 @@ func TestElasticSimCrossCheck(t *testing.T) {
 		t.Fatalf("GRUB-SIM static answer %d DPs, online peak %d — expected agreement at the cap",
 			sim.FinalDPs, out.PeakFleet)
 	}
-	traj := sim.FleetTrajectory(1)
-	if traj[len(traj)-1].DPs != sim.FinalDPs {
-		t.Fatalf("sim trajectory end %d != FinalDPs %d", traj[len(traj)-1].DPs, sim.FinalDPs)
-	}
 }

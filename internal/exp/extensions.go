@@ -169,7 +169,7 @@ func runLANExtension(scale Scale) (Report, error) {
 		name string
 		wan  time.Duration
 	}
-	for _, r := range []regime{{"wan", 60 * time.Millisecond}, {"lan", 300 * time.Microsecond}} {
+	for _, r := range []regime{{"wan", 60 * time.Millisecond}, {"lan", netsim.LAN().MedianLatency}} {
 		p := grubsim.GT3Params(10)
 		p.WANLatency = r.wan
 		res, err := grubsim.Run(p)

@@ -243,10 +243,10 @@ func (f *Fleet) Close() {
 
 // Quiesce waits until no point has a request in flight, so that the
 // sample (or drain settle check) that follows reads a settled fleet. The
-// wait is in real time, because what it waits for is real: a server's
-// in-flight accounting is decremented by its own goroutine after the
-// reply is already with the caller, and on a Manual clock no amount of
-// virtual time makes that goroutine run. Only a stepped fleet can be
+// wait is in real time, because what it waits for is real: a request
+// whose caller stopped waiting (timed out or failed over) can still hold
+// a server's worker, and on a Manual clock no amount of virtual time
+// makes that goroutine run. Only a stepped fleet can be
 // quiesced — on a Scaled clock the load never pauses.
 func (f *Fleet) Quiesce() error {
 	if f.manual == nil {

@@ -35,9 +35,7 @@ type Submitter struct {
 	clock   vtime.Clock
 	cfg     Config
 
-	mu        sync.Mutex
-	submitted int
-	failed    int
+	mu sync.Mutex // guards cfg.RNG
 }
 
 // NewSubmitter builds a submitter over a grid and emulated network.
@@ -64,21 +62,9 @@ func (s *Submitter) Submit(host, siteName string, j *grid.Job) (*grid.Ticket, er
 	}
 	s.mu.Lock()
 	fail := s.cfg.TransientFailProb > 0 && s.cfg.RNG != nil && s.cfg.RNG.Float64() < s.cfg.TransientFailProb
-	if fail {
-		s.failed++
-	} else {
-		s.submitted++
-	}
 	s.mu.Unlock()
 	if fail {
 		return nil, fmt.Errorf("gram: transient submission failure for job %s at %s", j.ID, siteName)
 	}
 	return site.Submit(j)
-}
-
-// Stats reports cumulative submissions and transient failures.
-func (s *Submitter) Stats() (submitted, failed int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.submitted, s.failed
 }

@@ -34,9 +34,6 @@ func TestSubmitReachesSite(t *testing.T) {
 	if out.Failed || out.Site != "s0" {
 		t.Fatalf("outcome = %+v", out)
 	}
-	if submitted, failed := s.Stats(); submitted != 1 || failed != 0 {
-		t.Fatalf("stats = %d/%d", submitted, failed)
-	}
 }
 
 func TestSubmitUnknownSite(t *testing.T) {
@@ -62,10 +59,6 @@ func TestTransientFailureRate(t *testing.T) {
 	frac := float64(failures) / trials
 	if frac < 0.4 || frac > 0.6 {
 		t.Fatalf("failure fraction %v, want ≈0.5", frac)
-	}
-	submitted, failed := s.Stats()
-	if submitted+failed != trials {
-		t.Fatalf("stats %d+%d != %d", submitted, failed, trials)
 	}
 }
 

@@ -94,20 +94,20 @@ func TestUsageAccountingPerPrefix(t *testing.T) {
 	s.Submit(job("j2", "atlas.higgs.bob", 3, time.Hour))
 	s.Submit(job("j3", "atlas.susy", 1, time.Hour))
 	s.Submit(job("j4", "cms", 4, time.Hour))
-	if got := s.Usage(usla.MustParsePath("atlas")); got != 6 {
+	if got := s.Snapshot().UsageByPath["atlas"]; got != 6 {
 		t.Fatalf("atlas usage = %d, want 6", got)
 	}
-	if got := s.Usage(usla.MustParsePath("atlas.higgs")); got != 5 {
+	if got := s.Snapshot().UsageByPath["atlas.higgs"]; got != 5 {
 		t.Fatalf("atlas.higgs usage = %d, want 5", got)
 	}
-	if got := s.Usage(usla.MustParsePath("atlas.higgs.alice")); got != 2 {
+	if got := s.Snapshot().UsageByPath["atlas.higgs.alice"]; got != 2 {
 		t.Fatalf("alice usage = %d", got)
 	}
-	if got := s.Usage(usla.MustParsePath("cms")); got != 4 {
+	if got := s.Snapshot().UsageByPath["cms"]; got != 4 {
 		t.Fatalf("cms usage = %d", got)
 	}
 	clock.Advance(time.Hour)
-	if got := s.Usage(usla.MustParsePath("atlas")); got != 0 {
+	if got := s.Snapshot().UsageByPath["atlas"]; got != 0 {
 		t.Fatalf("atlas usage after completion = %d, want 0", got)
 	}
 }
@@ -289,7 +289,7 @@ func TestUtilizationMetric(t *testing.T) {
 
 func TestGenerateTopology(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	cfg := Grid3Times10()
+	cfg := TopologyConfig{Seed: 1, Sites: 300, TotalCPUs: 30000, SizeSigma: 1.0, MaxClusterCPUs: 512}
 	g, err := Generate(cfg, clock)
 	if err != nil {
 		t.Fatal(err)
@@ -305,11 +305,11 @@ func TestGenerateTopology(t *testing.T) {
 	sizes := make([]int, 0, g.NumSites())
 	maxSize := 0
 	for _, s := range g.Sites() {
-		sizes = append(sizes, s.TotalCPUs())
-		if s.TotalCPUs() > maxSize {
-			maxSize = s.TotalCPUs()
+		sizes = append(sizes, s.total)
+		if s.total > maxSize {
+			maxSize = s.total
 		}
-		for _, c := range s.Clusters() {
+		for _, c := range s.clusters {
 			if c > cfg.MaxClusterCPUs {
 				t.Fatalf("cluster of %d CPUs exceeds max %d", c, cfg.MaxClusterCPUs)
 			}
@@ -323,11 +323,12 @@ func TestGenerateTopology(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	g1, _ := Generate(Grid3(), clock)
-	g2, _ := Generate(Grid3(), clock)
+	cfg := TopologyConfig{Seed: 1, Sites: 30, TotalCPUs: 3000, SizeSigma: 1.0, MaxClusterCPUs: 512}
+	g1, _ := Generate(cfg, clock)
+	g2, _ := Generate(cfg, clock)
 	s1, s2 := g1.Sites(), g2.Sites()
 	for i := range s1 {
-		if s1[i].TotalCPUs() != s2[i].TotalCPUs() {
+		if s1[i].total != s2[i].total {
 			t.Fatal("topology generation not deterministic")
 		}
 	}
@@ -340,17 +341,6 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Generate(TopologyConfig{Sites: 100, TotalCPUs: 10}, clock); err == nil {
 		t.Fatal("fewer CPUs than sites accepted")
-	}
-}
-
-func TestJobStateString(t *testing.T) {
-	for st, want := range map[State]string{
-		Submitted: "submitted", Queued: "queued", Running: "running",
-		Completed: "completed", Failed: "failed", State(99): "state(99)",
-	} {
-		if st.String() != want {
-			t.Errorf("State(%d).String() = %q, want %q", int(st), st.String(), want)
-		}
 	}
 }
 

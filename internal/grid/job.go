@@ -61,41 +61,6 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// State is a job's position in the paper's four-state lifecycle.
-type State int
-
-// Job states.
-const (
-	// Submitted: created at a submission host, not yet sent to a site.
-	Submitted State = iota
-	// Queued: at a site, waiting for (or held before) CPUs.
-	Queued
-	// Running: occupying CPUs at a site.
-	Running
-	// Completed: finished successfully.
-	Completed
-	// Failed: terminated unsuccessfully (site failure injection).
-	Failed
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case Submitted:
-		return "submitted"
-	case Queued:
-		return "queued"
-	case Running:
-		return "running"
-	case Completed:
-		return "completed"
-	case Failed:
-		return "failed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
 // Outcome describes a finished job.
 type Outcome struct {
 	Job  *Job

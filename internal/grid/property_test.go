@@ -92,10 +92,10 @@ func TestPropertyTopologyTotals(t *testing.T) {
 			return false
 		}
 		for _, s := range g.Sites() {
-			if s.TotalCPUs() < 1 {
+			if s.total < 1 {
 				return false
 			}
-			for _, c := range s.Clusters() {
+			for _, c := range s.clusters {
 				if c < 1 || c > 128 {
 					return false
 				}

@@ -159,12 +159,6 @@ func NewSite(cfg SiteConfig, clock vtime.Clock) (*Site, error) {
 // Name returns the site name.
 func (s *Site) Name() string { return s.name }
 
-// TotalCPUs returns the site capacity.
-func (s *Site) TotalCPUs() int { return s.total }
-
-// Clusters returns the per-cluster CPU counts.
-func (s *Site) Clusters() []int { return append([]int(nil), s.clusters...) }
-
 // SetOutcomeHandler installs a callback invoked (outside the site lock)
 // for every finished job. Metrics collectors use this.
 func (s *Site) SetOutcomeHandler(f func(Outcome)) {
@@ -375,15 +369,6 @@ func (s *Site) Snapshot() Status {
 		}
 	}
 	return st
-}
-
-// Usage returns the running CPUs charged to a consumer path (including
-// its descendants) — the site-local ground-truth UsageFunc for USLA
-// evaluation.
-func (s *Site) Usage(p usla.Path) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.usage[p]
 }
 
 // Accounting summarizes what a site has delivered so far.

@@ -49,24 +49,6 @@ func (s *Site) releaseStorageLocked(j *Job) {
 	}
 }
 
-// StorageFree reports unallocated storage bytes (0 if unmodeled).
-func (s *Site) StorageFree() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.storageTotal <= 0 {
-		return 0
-	}
-	return s.storageTotal - s.storageUsed
-}
-
-// StorageUsage reports bytes charged to a consumer path (with
-// descendants).
-func (s *Site) StorageUsage(p usla.Path) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storageByPath[p]
-}
-
 // admitStorage rejects a job whose data cannot be stored within the
 // site's capacity. Called from Submit before queuing.
 func (s *Site) admitStorage(j *Job) error {

@@ -29,10 +29,10 @@ func TestStorageChargedAndReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.StorageFree(); got != 600 {
+	if got := s.Snapshot().StorageFree; got != 600 {
 		t.Fatalf("storage free = %d, want 600", got)
 	}
-	if got := s.StorageUsage(usla.MustParsePath("atlas")); got != 400 {
+	if got := s.Snapshot().StorageByPath["atlas"]; got != 400 {
 		t.Fatalf("atlas storage = %d, want 400 (prefix accounting)", got)
 	}
 	st := s.Snapshot()
@@ -41,10 +41,10 @@ func TestStorageChargedAndReleased(t *testing.T) {
 	}
 	clock.Advance(time.Minute)
 	<-tk.Done()
-	if got := s.StorageFree(); got != 1000 {
+	if got := s.Snapshot().StorageFree; got != 1000 {
 		t.Fatalf("storage not released: free = %d", got)
 	}
-	if s.StorageUsage(usla.MustParsePath("atlas")) != 0 {
+	if s.Snapshot().StorageByPath["atlas"] != 0 {
 		t.Fatal("per-path storage not released")
 	}
 }
@@ -68,7 +68,7 @@ func TestStorageUnmodeledByDefault(t *testing.T) {
 	if _, err := s.Submit(storageJob("j", "atlas", 1<<40, 1<<40)); err != nil {
 		t.Fatalf("storage limits enforced without capacity: %v", err)
 	}
-	if s.StorageFree() != 0 || s.Snapshot().StorageTotal != 0 {
+	if s.Snapshot().StorageFree != 0 || s.Snapshot().StorageTotal != 0 {
 		t.Fatal("unmodeled storage reported capacity")
 	}
 }
@@ -87,7 +87,7 @@ func TestStorageReleasedOnInjectedFailure(t *testing.T) {
 	if !out.Failed {
 		t.Fatal("expected injected failure")
 	}
-	if s.StorageFree() != 1000 {
+	if s.Snapshot().StorageFree != 1000 {
 		t.Fatal("failed job leaked storage")
 	}
 }

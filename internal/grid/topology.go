@@ -30,29 +30,6 @@ type TopologyConfig struct {
 	FailProb float64
 }
 
-// Grid3Times10 is the paper's headline environment.
-func Grid3Times10() TopologyConfig {
-	return TopologyConfig{
-		Seed:           1,
-		Sites:          300,
-		TotalCPUs:      30000,
-		SizeSigma:      1.0,
-		MaxClusterCPUs: 512,
-	}
-}
-
-// Grid3 approximates the 2005 Grid3/OSG deployment itself (tens of
-// sites, thousands of CPUs) for the smaller-scale comparisons.
-func Grid3() TopologyConfig {
-	return TopologyConfig{
-		Seed:           1,
-		Sites:          30,
-		TotalCPUs:      3000,
-		SizeSigma:      1.0,
-		MaxClusterCPUs: 512,
-	}
-}
-
 // Generate builds a grid per the config. Site names are site-000…; every
 // site gets at least one CPU.
 func Generate(cfg TopologyConfig, clock vtime.Clock) (*Grid, error) {

@@ -47,7 +47,8 @@ type Dispatch struct {
 	// relay third-party records and deduplicate them with a version
 	// vector instead of per-peer cursors. Appended as the struct's last
 	// field: gob's value encoding elides zero fields, so records without
-	// it stay byte-identical to older builds (see TestDispatchWireCompat).
+	// it stay byte-identical to older builds (see internal/digruber's
+	// TestWireGolden).
 	Seq uint64
 }
 

@@ -136,41 +136,6 @@ type Result struct {
 	PerDPHandled []int
 }
 
-// TrajectoryPoint is the deployment's size at one simulated instant.
-type TrajectoryPoint struct {
-	At  time.Duration
-	DPs int
-}
-
-// FleetTrajectory reconstructs the simulated fleet-size curve from the
-// recorded deployment instants: initialDPs at t=0, stepping up at each
-// AddTime. GRUB-SIM's provisioning is add-only, so the curve is
-// monotone — which is exactly what makes it the static cross-check for
-// the live elastic controller: replaying the controller's recorded
-// arrival trace through RunTrace with Dynamic provisioning answers "how
-// many decision points did this load need?" offline, and the online
-// controller's peak fleet should agree within its hysteresis slack.
-func (r Result) FleetTrajectory(initialDPs int) []TrajectoryPoint {
-	out := make([]TrajectoryPoint, 0, len(r.AddTimes)+1)
-	out = append(out, TrajectoryPoint{At: 0, DPs: initialDPs})
-	for i, at := range r.AddTimes {
-		out = append(out, TrajectoryPoint{At: at, DPs: initialDPs + i + 1})
-	}
-	return out
-}
-
-// FleetAt returns the simulated fleet size at instant t, given the
-// run's initial size.
-func (r Result) FleetAt(initialDPs int, t time.Duration) int {
-	n := initialDPs
-	for _, at := range r.AddTimes {
-		if at <= t {
-			n++
-		}
-	}
-	return n
-}
-
 // event kinds
 const (
 	evSubmit  = iota // client issues a request (at client side)

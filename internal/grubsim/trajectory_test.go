@@ -5,47 +5,9 @@ import (
 	"time"
 )
 
-func TestFleetTrajectory(t *testing.T) {
-	r := Result{AddTimes: []time.Duration{10 * time.Second, 45 * time.Second}}
-	traj := r.FleetTrajectory(2)
-	want := []TrajectoryPoint{
-		{At: 0, DPs: 2},
-		{At: 10 * time.Second, DPs: 3},
-		{At: 45 * time.Second, DPs: 4},
-	}
-	if len(traj) != len(want) {
-		t.Fatalf("trajectory = %v, want %v", traj, want)
-	}
-	for i := range want {
-		if traj[i] != want[i] {
-			t.Fatalf("trajectory[%d] = %v, want %v", i, traj[i], want[i])
-		}
-	}
-
-	if got := r.FleetAt(2, 0); got != 2 {
-		t.Fatalf("FleetAt(0) = %d, want 2", got)
-	}
-	if got := r.FleetAt(2, 10*time.Second); got != 3 {
-		t.Fatalf("FleetAt(10s) = %d, want 3 (boundary inclusive)", got)
-	}
-	if got := r.FleetAt(2, time.Hour); got != 4 {
-		t.Fatalf("FleetAt(1h) = %d, want 4", got)
-	}
-}
-
-func TestFleetTrajectoryNoAdds(t *testing.T) {
-	var r Result
-	traj := r.FleetTrajectory(3)
-	if len(traj) != 1 || traj[0] != (TrajectoryPoint{At: 0, DPs: 3}) {
-		t.Fatalf("trajectory = %v, want single initial point", traj)
-	}
-	if got := r.FleetAt(3, time.Hour); got != 3 {
-		t.Fatalf("FleetAt = %d, want 3", got)
-	}
-}
-
-// The reconstructed trajectory must agree with the scalar outcome the
-// simulator already reports.
+// The recorded deployment instants must agree with the scalar outcome
+// the simulator reports: provisioning is add-only, so the fleet steps up
+// by one at each AddTime, in order, from its initial size to FinalDPs.
 func TestFleetTrajectoryMatchesSimulation(t *testing.T) {
 	p := small(1)
 	p.Dynamic = true
@@ -56,16 +18,15 @@ func TestFleetTrajectoryMatchesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traj := res.FleetTrajectory(1)
-	if got := traj[len(traj)-1].DPs; got != res.FinalDPs {
-		t.Fatalf("trajectory end = %d, FinalDPs = %d", got, res.FinalDPs)
+	if got := 1 + len(res.AddTimes); got != res.FinalDPs || res.AddedDPs != len(res.AddTimes) {
+		t.Fatalf("1 + %d deployments, AddedDPs %d, FinalDPs %d", len(res.AddTimes), res.AddedDPs, res.FinalDPs)
 	}
-	if got := res.FleetAt(1, p.Duration); got != res.FinalDPs {
-		t.Fatalf("FleetAt(end) = %d, FinalDPs = %d", got, res.FinalDPs)
-	}
-	for i := 1; i < len(traj); i++ {
-		if traj[i].DPs != traj[i-1].DPs+1 || traj[i].At < traj[i-1].At {
-			t.Fatalf("trajectory not a monotone unit-step curve: %v", traj)
+	for i := 1; i < len(res.AddTimes); i++ {
+		if res.AddTimes[i] < res.AddTimes[i-1] {
+			t.Fatalf("deployment instants out of order: %v", res.AddTimes)
 		}
+	}
+	if n := len(res.AddTimes); n > 0 && res.AddTimes[n-1] > p.Duration {
+		t.Fatalf("deployment at %v after the run's end %v", res.AddTimes[n-1], p.Duration)
 	}
 }

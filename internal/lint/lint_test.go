@@ -110,7 +110,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("repository violation: %s", d)
 	}
-	msgs, err := checkTestOnly(pkgs, reachWatched, testOnlyAllowed)
+	msgs, err := checkTestOnly(pkgs, reachWatched(pkgs), testOnlyAllowed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRepositoryIsClean(t *testing.T) {
 
 // The committed lockfile must round-trip through the formatter and
 // cover exactly the structs reachable from the repo's wire entry
-// points — including the ones the gob wire-compat tests exercise.
+// points, whose bytes the TestWireGolden tables pin.
 func TestWireSchemaLockfile(t *testing.T) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {

@@ -12,27 +12,36 @@ import (
 	"digruber/internal/lint"
 )
 
-// reachWatched is the broker stack: the packages whose exported
-// functions and methods must each have a caller outside _test.go files.
-var reachWatched = []string{
-	"internal/digruber", "internal/gruber", "internal/wire", "internal/exp",
-	"internal/stats", "internal/tsdb", "internal/gossip", "internal/slo",
-	"internal/trace", "internal/wal",
+// reachWatched is every package under internal/ but the lint suite's
+// own: the packages whose exported functions and methods must each have
+// a caller outside _test.go files.
+func reachWatched(pkgs []*lint.Package) []string {
+	var watched []string
+	for _, pkg := range pkgs {
+		rel, ok := strings.CutPrefix(pkg.ImportPath, pkg.Module+"/")
+		if ok && strings.HasPrefix(rel, "internal/") && rel != "internal/lint" && !strings.HasPrefix(rel, "internal/lint/") {
+			watched = append(watched, rel)
+		}
+	}
+	return watched
 }
 
-// testOnlyAllowed is every exported function or method of reachWatched
-// that nothing but _test.go files refers to, with the reason it may
-// stay. Two reasons are admissible: the name is a seam through which a
-// test injects a fault or substitutes a fake store, or production
-// reaches it in a way the type checker cannot follow (fmt calling
-// String). An entry leaves when production code starts calling the name
-// or the name is deleted; a function that does over again what
+// testOnlyAllowed is every exported function or method of the watched
+// packages that nothing but _test.go files refers to, with the reason
+// it may stay. Two reasons are admissible: the name is a seam through
+// which a test injects a fault or substitutes a fake store, or
+// production reaches it in a way the type checker cannot follow (fmt
+// calling String). An entry leaves when production code starts calling
+// the name or the name is deleted; a function that does over again what
 // production does another way is never an entry (PR 18 deleted a
 // monitor and a provisioner that had grown that way) — give it a
 // caller, or fold it into the test that wanted it.
 var testOnlyAllowed = map[string]string{
-	"(*digruber/internal/wal.MemStore).FailNextSyncs": "fault-injection seam: the commit tests make the fake store refuse syncs",
-	"(digruber/internal/wire.FailureClass).String":    "fmt calls it for %s and %v; no file names it",
+	"(*digruber/internal/wal.MemStore).FailNextSyncs":  "fault-injection seam: the commit tests make the fake store refuse syncs",
+	"(digruber/internal/wire.FailureClass).String":     "fmt calls it for %s and %v; no file names it",
+	"(*digruber/internal/netsim.FaultPlane).CutLink":   "fault-injection seam: the chaos tests schedule link outages",
+	"(*digruber/internal/netsim.FaultPlane).Partition": "fault-injection seam: the chaos tests schedule network splits",
+	"(*digruber/internal/netsim.FaultPlane).Down":      "fault-injection seam: the chaos tests read the crash schedule to crash and restart their points",
 }
 
 // testOnlyFuncs returns the exported functions and methods that the

@@ -117,7 +117,7 @@ func TestApplySchedule(t *testing.T) {
 }
 
 func TestNetworkLostMsgConsultsFaults(t *testing.T) {
-	n := New(1, Loopback())
+	n := New(1, Profile{})
 	if n.LostMsg("a", "b", at(0)) {
 		t.Error("healthy loopback lost a message")
 	}

@@ -90,8 +90,9 @@ func TestPlanetLabLatencyDistribution(t *testing.T) {
 
 func nodeName(i int) string { return "node-" + string(rune('0'+i%10)) + string(rune('a'+i%26)) }
 
+// The zero Profile is a loopback: no latency, no transfer time, no loss.
 func TestLoopbackIsFree(t *testing.T) {
-	n := New(1, Loopback())
+	n := New(1, Profile{})
 	if d := n.Delay("a", "b"); d != 0 {
 		t.Fatalf("loopback delay = %v, want 0", d)
 	}

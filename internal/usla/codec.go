@@ -62,13 +62,3 @@ func ParseText(r io.Reader) ([]Entry, error) {
 func ParseTextString(s string) ([]Entry, error) {
 	return ParseText(strings.NewReader(s))
 }
-
-// WriteText renders entries in the text form, one per line.
-func WriteText(w io.Writer, entries []Entry) error {
-	for _, e := range entries {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}

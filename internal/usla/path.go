@@ -96,20 +96,3 @@ func (p Path) Prefixes() []Path {
 func (p Path) Levels() (levels [3]Path, n int) {
 	return [3]Path{{VO: p.VO}, {VO: p.VO, Group: p.Group}, p}, p.Depth()
 }
-
-// HasPrefix reports whether q is p or an ancestor of p.
-func (p Path) HasPrefix(q Path) bool {
-	if q.VO != p.VO {
-		return false
-	}
-	if q.Group == "" {
-		return true
-	}
-	if q.Group != p.Group {
-		return false
-	}
-	if q.User == "" {
-		return true
-	}
-	return q.User == p.User
-}

@@ -100,13 +100,6 @@ func (ps *PolicySet) Entries() []Entry {
 	return append([]Entry(nil), ps.entries...)
 }
 
-// Len reports the number of entries.
-func (ps *PolicySet) Len() int {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return len(ps.entries)
-}
-
 // Limits is the resolved per-level share for one consumer path level at
 // one provider, as percentages of the parent scope's allocation.
 // Unspecified components fall back to the paper's opportunistic model:

@@ -114,16 +114,3 @@ func (s *DirStore) Rename(oldName, newName string) error {
 	}
 	return os.Rename(po, pn)
 }
-
-// Remove deletes the named file (no error if absent).
-func (s *DirStore) Remove(name string) error {
-	p, err := s.path(name)
-	if err != nil {
-		return err
-	}
-	err = os.Remove(p)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}

@@ -116,14 +116,6 @@ func (s *MemStore) Rename(oldName, newName string) error {
 	return nil
 }
 
-// Remove deletes the named file (no error if absent).
-func (s *MemStore) Remove(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.files, name)
-	return nil
-}
-
 // FailNextSyncs arms the next n Sync calls (across all files) to fail —
 // the failed-fsync fault. The log counts these as append errors and
 // keeps serving; the records involved may not survive a crash.

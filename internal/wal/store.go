@@ -51,6 +51,4 @@ type Store interface {
 	Segment(name string) (Segment, error)
 	// Rename atomically replaces newName with oldName's content.
 	Rename(oldName, newName string) error
-	// Remove deletes the named file (no error if absent).
-	Remove(name string) error
 }

@@ -159,9 +159,7 @@ func (s *Server) laneWorker(lane chan job) {
 	for {
 		select {
 		case j := <-lane:
-			s.laneInflight.Add(1)
-			s.process(j, &call)
-			s.laneInflight.Add(-1)
+			s.process(j, &call, &s.laneInflight)
 		case <-s.closeCh:
 			return
 		}
@@ -298,30 +296,34 @@ func (s *Server) worker() {
 	for {
 		select {
 		case j := <-s.work:
-			s.process(j, &call)
+			s.process(j, &call, nil)
 		case <-s.closeCh:
 			return
 		}
 	}
 }
 
-func (s *Server) process(j job, call *serverCall) {
+// process serves one request; lane is the reserved lane's in-flight
+// count when a lane worker took it, nil for the shared pool.
+func (s *Server) process(j job, call *serverCall, lane *atomic.Int64) {
 	// Stale-work control: a request whose propagated deadline has passed
 	// is dropped here, at dequeue, before the handler or the emulated
 	// stack cost — its caller already timed out, so finishing the work
 	// would only be counted as ConnLost after burning a worker for the
 	// full service time. Expired drops are their own stat, not folded
-	// into completed or failed.
+	// into completed, failed or conn-lost: no work was done, and whether
+	// the caller, past its deadline, is still there to read the refusal
+	// is a race the counters must not record.
 	if dl := j.f.Deadline; dl != 0 && !s.clock.Now().Before(time.Unix(0, dl)) {
 		s.expired.Add(1)
-		if err := j.conn.send(frame{ID: j.f.ID, Kind: frameResponse, Err: ErrExpired.Error()}); err != nil {
-			s.connLost.Add(1)
-		}
+		_ = j.conn.send(frame{ID: j.f.ID, Kind: frameResponse, Err: ErrExpired.Error()})
 		return
 	}
 
 	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
+	if lane != nil {
+		lane.Add(1)
+	}
 
 	s.mu.RLock()
 	h, ok := s.handlers[j.f.Method]
@@ -369,6 +371,13 @@ func (s *Server) process(j job, call *serverCall) {
 		s.completed.Add(1)
 	}
 	s.bytes.count(j.f.Method, 0, len(respBody))
+	// Out of flight before the reply leaves: a caller holding its answer
+	// must not find its request still counted, or the load it reads next
+	// (a failover probe's Queued + InFlight) races this goroutine.
+	s.inflight.Add(-1)
+	if lane != nil {
+		lane.Add(-1)
+	}
 	if err := j.conn.send(frame{ID: j.f.ID, Kind: frameResponse, Body: respBody, Err: errStr}); err != nil {
 		// The response had nowhere to go: the caller hung up (timed out,
 		// failed over, or died) before the container finished.

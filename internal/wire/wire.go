@@ -167,7 +167,7 @@ func Classify(err error) FailureClass {
 // instead of processing them (ErrExpired). Zero means "no deadline",
 // and — like Trace/Span — the zero value is elided by gob, so frames
 // without one stay byte-identical to pre-deadline builds (asserted by
-// TestFrameDeadlineWireCompat). New fields must be appended after
+// TestWireGolden). New fields must be appended after
 // Deadline: gob delta-encodes field indices, so inserting earlier would
 // renumber the rest and break that identity.
 type frame struct {

@@ -108,7 +108,7 @@ func TestPoliciesShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 VOs × (target+upper) + 100 groups × target = 120 entries.
-	if got := ps.Len(); got != cfg.VOs*2+cfg.VOs*cfg.GroupsPerVO {
+	if got := len(ps.Entries()); got != cfg.VOs*2+cfg.VOs*cfg.GroupsPerVO {
 		t.Fatalf("policy entries = %d", got)
 	}
 	if errs := ps.Validate(); len(errs) != 0 {
