@@ -266,6 +266,7 @@ func (c *Client) Schedule(j *grid.Job) Decision {
 		return c.scheduleSingleCall(j, start, dec, root)
 	}
 
+	owner := j.Owner.String() // the query's and the report's
 	queryOnce := func(timeout time.Duration) (QueryReply, *wire.Client, *wire.Breaker, error) {
 		rpc, br := c.connAndBreaker()
 		qs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseQuery)
@@ -277,7 +278,7 @@ func (c *Client) Schedule(j *grid.Job) Decision {
 			return QueryReply{}, rpc, br, errBreakerOpen
 		}
 		reply, err := wire.CallCtx[QueryArgs, QueryReply](rpc, qs.Context(), MethodQuery,
-			QueryArgs{Owner: j.Owner.String(), CPUs: j.CPUs}, timeout)
+			QueryArgs{Owner: owner, CPUs: j.CPUs}, timeout)
 		br.Record(err)
 		return reply, rpc, br, err
 	}
@@ -322,7 +323,7 @@ func (c *Client) Schedule(j *grid.Job) Decision {
 	report := ReportArgs{Dispatch: gruber.Dispatch{
 		JobID:   string(j.ID),
 		Site:    site,
-		Owner:   j.Owner.String(),
+		Owner:   owner,
 		CPUs:    j.CPUs,
 		Runtime: j.Runtime,
 		At:      c.clock.Now(),

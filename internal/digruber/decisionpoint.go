@@ -280,9 +280,7 @@ func (dp *DecisionPoint) registerHandlers() {
 		if a.CPUs <= 0 {
 			return QueryReply{}, fmt.Errorf("digruber: query with %d CPUs", a.CPUs)
 		}
-		loads := dp.siteLoads(ctx.Span, replyLoads.Take(0), owner, a.CPUs)
-		ctx.AfterReply(func() { replyLoads.Put(loads) })
-		return QueryReply{Loads: loads}, nil
+		return lentReply(dp.siteLoads(ctx.Span, replyLoads.Take(0), owner, a.CPUs)), nil
 	})
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
 		// A client's report is checked exactly as Schedule checks its own

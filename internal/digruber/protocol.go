@@ -107,6 +107,9 @@ type QueryArgs struct {
 // service call of Figure 1.
 type QueryReply struct {
 	Loads []gruber.SiteLoad
+	// lent marks Loads built in storage from replyLoads (see lentReply);
+	// gob does not see it.
+	lent bool
 }
 
 // ReportArgs informs the decision point of the client's site selection.

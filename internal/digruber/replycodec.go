@@ -19,14 +19,14 @@ import (
 // value as its distance from the field written before it and then its
 // value, a zero byte to end each struct. gob leaves out an empty slice
 // as it does a nil one, and -0.0 as it does 0.
-func (r QueryReply) AppendGobValue(b []byte) []byte {
+func (r QueryReply) AppendGobValue(b []byte) ([]byte, bool) {
 	if len(r.Loads) > 0 {
 		b = wire.AppendGobUint(append(b, 1), uint64(len(r.Loads)))
 		for i := range r.Loads {
 			b = appendSiteLoad(b, &r.Loads[i])
 		}
 	}
-	return append(b, 0)
+	return append(b, 0), true
 }
 
 func appendSiteLoad(b []byte, l *gruber.SiteLoad) []byte {
@@ -55,11 +55,24 @@ func appendSiteLoad(b []byte, l *gruber.SiteLoad) []byte {
 
 // replyLoads is the storage of the two 300-element slices a two-call
 // decision builds and drops: the engine's result, which the Query handler
-// takes here and puts back once its reply is encoded, and the loads
-// ReadGobValue decodes, which Client.Schedule puts back once it has
-// selected. Anyone else who decodes a QueryReply keeps its Loads, as
-// before (DESIGN.md "Who owns a buffer").
+// takes here and lends its reply, and the loads ReadGobValue decodes,
+// which Client.Schedule puts back once it has selected. Anyone else who
+// decodes a QueryReply keeps its Loads, as before (DESIGN.md "Who owns a
+// buffer").
 var replyLoads wire.SliceList[gruber.SiteLoad]
+
+// lentReply is the Query handler's reply: its Loads were taken from
+// replyLoads and go back there once wire has encoded the reply.
+func lentReply(loads []gruber.SiteLoad) QueryReply { return QueryReply{Loads: loads, lent: true} }
+
+// ReplyEncoded gives a lent reply's loads back to replyLoads; wire's
+// typed handler calls it once the reply is encoded. A reply built any
+// other way keeps its loads.
+func (r QueryReply) ReplyEncoded() {
+	if r.lent {
+		replyLoads.Put(r.Loads)
+	}
+}
 
 // replyNames is the site names of the last reply ReadGobValue read whose
 // names were not all already here. A decision point answers every query

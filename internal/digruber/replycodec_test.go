@@ -17,14 +17,17 @@ import (
 // so that the tests reach QueryReply's implementation as wire does,
 // through the interface.
 type gobValueAppender interface {
-	AppendGobValue(b []byte) []byte
+	AppendGobValue(b []byte) ([]byte, bool)
 }
 
 type gobValueReader interface {
 	ReadGobValue(b []byte) bool
 }
 
-func appendValue(r QueryReply, b []byte) []byte { return gobValueAppender(r).AppendGobValue(b) }
+func appendValue(r QueryReply, b []byte) []byte {
+	v, _ := gobValueAppender(r).AppendGobValue(b) // a QueryReply always has a value
+	return v
+}
 
 func readValue(r *QueryReply, b []byte) bool { return gobValueReader(r).ReadGobValue(b) }
 
@@ -289,10 +292,10 @@ func TestQueryReplySharesNames(t *testing.T) {
 	// the memoised gob decoder reads as it read QueryReply before.
 	type plainReply struct{ Loads []gruber.SiteLoad }
 	p := newCodecProbe(t)
-	roundTrip(t, p, plainReply(a), nil)
+	roundTrip(t, p, plainReply{a.Loads}, nil)
 	gobs := testing.AllocsPerRun(50, func() {
-		roundTrip(t, p, plainReply(a), nil)
-		roundTrip(t, p, plainReply(b), nil)
+		roundTrip(t, p, plainReply{a.Loads}, nil)
+		roundTrip(t, p, plainReply{b.Loads}, nil)
 	})
 	hooks := testing.AllocsPerRun(50, func() {
 		roundTrip(t, p, a, nil)

@@ -49,8 +49,8 @@ func fullGridEngine(b testing.TB) *Engine {
 
 // The read path's allocations are a contract, not a measurement: one
 // SiteLoads is its result slice, and ranking that slice is free. A
-// dispatch costs what it did before the engine-wide heap (its log slot,
-// dedup entry, heap push and map growth, amortised).
+// dispatch allocates nothing of its own: its log slot, dedup entry and
+// heap slot are growth of storage the engine keeps, amortised.
 func TestAllocationCeilings(t *testing.T) {
 	e := fullGridEngine(t)
 	owner := usla.MustParsePath("vo-01.group-02")
@@ -66,8 +66,8 @@ func TestAllocationCeilings(t *testing.T) {
 		ds[i] = Dispatch{JobID: fmt.Sprintf("alloc-%d", i), Site: "site-000", Owner: "vo-01.group-02", CPUs: 1, Runtime: time.Hour, At: epoch}
 	}
 	i := 0
-	if n := testing.AllocsPerRun(2000, func() { e.RecordDispatch(ds[i]); i++ }); n > 5 {
-		t.Errorf("RecordDispatch: %v allocs, want <= 5", n)
+	if n := testing.AllocsPerRun(2000, func() { e.RecordDispatch(ds[i]); i++ }); n > 0 {
+		t.Errorf("RecordDispatch: %v allocs, want 0 but for amortised growth", n)
 	}
 }
 

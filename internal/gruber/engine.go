@@ -13,7 +13,6 @@
 package gruber
 
 import (
-	"container/heap"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,19 +139,65 @@ type pendingDispatch struct {
 	owner  usla.Path
 }
 
-// dispatchHeap orders pending dispatches by expiry time.
+// dispatchHeap orders pending dispatches by expiry time: a binary
+// min-heap kept by the same steps as container/heap, so that dispatches
+// with equal expiries leave in the same order, but on the element type
+// itself — container/heap moves each element in and out through an
+// interface, which boxes it.
 type dispatchHeap []pendingDispatch
 
-func (h dispatchHeap) Len() int            { return len(h) }
-func (h dispatchHeap) Less(i, j int) bool  { return h[i].expiry.Before(h[j].expiry) }
-func (h dispatchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dispatchHeap) Push(x interface{}) { *h = append(*h, x.(pendingDispatch)) }
-func (h *dispatchHeap) Pop() interface{} {
+func (h dispatchHeap) less(i, j int) bool { return h[i].expiry.Before(h[j].expiry) }
+
+// init establishes the heap order over the whole slice.
+func (h dispatchHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h *dispatchHeap) push(p pendingDispatch) {
+	*h = append(*h, p)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest expiry.
+func (h *dispatchHeap) pop() pendingDispatch {
 	old := *h
-	n := len(old)
-	d := old[n-1]
-	*h = old[:n-1]
-	return d
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old[:n].down(0, n)
+	p := old[n]
+	old[n] = pendingDispatch{} // the heap does not pin what it handed out
+	*h = old[:n]
+	return p
+}
+
+func (h dispatchHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h dispatchHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2 // the right child is earlier
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // NewEngine returns an engine named name (the decision point identity
@@ -212,7 +257,7 @@ func (e *Engine) UpdateSites(statuses []grid.Status, at time.Time) {
 	}
 	clear(e.pending[len(kept):])
 	e.pending = kept
-	heap.Init(&e.pending)
+	e.pending.init()
 	sort.Strings(e.order)
 }
 
@@ -251,7 +296,7 @@ func (p *pendingDispatch) fold(sign int) {
 // follows one finds nothing due. Caller holds e.mu for writing.
 func (e *Engine) pruneLocked(now time.Time) {
 	for e.dueLocked(now) {
-		p := heap.Pop(&e.pending).(pendingDispatch)
+		p := e.pending.pop()
 		p.fold(-1)
 		e.stats.ExpiredPruned++
 	}
@@ -337,7 +382,7 @@ func (e *Engine) foldLocked(d Dispatch) bool {
 		owner, _ := usla.ParsePath(d.Owner)
 		p := pendingDispatch{Dispatch: d, expiry: d.At.Add(d.Runtime), sv: sv, owner: owner}
 		p.fold(+1)
-		heap.Push(&e.pending, p)
+		e.pending.push(p)
 	}
 	return ok
 }

@@ -15,24 +15,25 @@ type Path struct {
 	User  string
 }
 
-// ParsePath parses "vo", "vo.group" or "vo.group.user".
+// ParsePath parses "vo", "vo.group" or "vo.group.user". It allocates
+// nothing: the levels are substrings of s.
 func ParsePath(s string) (Path, error) {
-	parts := strings.Split(strings.TrimSpace(s), ".")
-	for _, p := range parts {
-		if p == "" {
+	var levels [3]string
+	n := 0
+	for rest, more := strings.TrimSpace(s), true; more; n++ {
+		var level string
+		level, rest, more = strings.Cut(rest, ".")
+		if level == "" {
 			return Path{}, fmt.Errorf("usla: bad consumer path %q", s)
 		}
+		if n < len(levels) {
+			levels[n] = level
+		}
 	}
-	switch len(parts) {
-	case 1:
-		return Path{VO: parts[0]}, nil
-	case 2:
-		return Path{VO: parts[0], Group: parts[1]}, nil
-	case 3:
-		return Path{VO: parts[0], Group: parts[1], User: parts[2]}, nil
-	default:
-		return Path{}, fmt.Errorf("usla: consumer path %q has %d levels, max 3", s, len(parts))
+	if n > len(levels) {
+		return Path{}, fmt.Errorf("usla: consumer path %q has %d levels, max 3", s, n)
 	}
+	return Path{VO: levels[0], Group: levels[1], User: levels[2]}, nil
 }
 
 // MustParsePath is ParsePath that panics on error, for literals in tests

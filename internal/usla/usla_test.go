@@ -83,6 +83,41 @@ func TestParsePathErrors(t *testing.T) {
 	}
 }
 
+// TestParsePathMatchesSplit holds ParsePath to the strings.Split parse it
+// replaced — the same Path or the same error text — and to allocating
+// nothing for a path that parses.
+func TestParsePathMatchesSplit(t *testing.T) {
+	split := func(s string) (Path, error) {
+		parts := strings.Split(strings.TrimSpace(s), ".")
+		for _, p := range parts {
+			if p == "" {
+				return Path{}, fmt.Errorf("usla: bad consumer path %q", s)
+			}
+		}
+		switch len(parts) {
+		case 1:
+			return Path{VO: parts[0]}, nil
+		case 2:
+			return Path{VO: parts[0], Group: parts[1]}, nil
+		case 3:
+			return Path{VO: parts[0], Group: parts[1], User: parts[2]}, nil
+		default:
+			return Path{}, fmt.Errorf("usla: consumer path %q has %d levels, max 3", s, len(parts))
+		}
+	}
+	for _, in := range []string{"", " ", ".", "..", "a", " a ", "a.b", "a.b.c", "a.b.c.d", "a.b.c.d.e", "a.b.c.d.",
+		"a..c", ".a", "a.", "a.b.c.", "é.ü.ß", " vo-01.group-02\t", "a b.c"} {
+		got, err := ParsePath(in)
+		want, wantErr := split(in)
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("ParsePath(%q) = %+v, %v; strings.Split parses %+v, %v", in, got, err, want, wantErr)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParsePath("vo-03.group-07.user-1") }); n != 0 {
+		t.Errorf("ParsePath allocated %.1f times, want 0", n)
+	}
+}
+
 func TestPathPrefixesAndParent(t *testing.T) {
 	p := MustParsePath("atlas.higgs.alice")
 	pre := p.Prefixes()

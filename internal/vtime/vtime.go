@@ -28,6 +28,8 @@ type Clock interface {
 	AfterFunc(d time.Duration, f func()) Timer
 	// NewTicker returns a ticker firing every d of virtual time.
 	NewTicker(d time.Duration) Ticker
+	// NewAlarm returns an Alarm, not yet armed.
+	NewAlarm() Alarm
 	// Since is shorthand for Now().Sub(t).
 	Since(t time.Time) time.Duration
 }

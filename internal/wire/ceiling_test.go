@@ -58,14 +58,19 @@ func ceilingCalls(tb testing.TB) (echo, reply300 func()) {
 // arrived in, the copy in frame.Body and the loads. The first three now
 // go round their lists; a bare wire.Call keeps the loads it decoded
 // (digruber.Client.Schedule gives those back too: its own ceiling is in
-// internal/digruber), and that slice is what is left of the bytes.
+// internal/digruber), and that slice is what is left of the bytes. The
+// call's own state — reply channel, deadline timer, the frame boxed for
+// the encoder at both ends, the request body — then cost 8 of the echo's
+// 16 and the reply's 15; what is left is the values boxed into and out
+// of the codec's interface, the echo's gob-decoded string twice over and
+// its message buffers, and the reply's loads.
 func TestRoundTripAllocCeiling(t *testing.T) {
 	echo, reply300 := ceilingCalls(t)
-	if n := testing.AllocsPerRun(200, echo); n > 18 {
-		t.Errorf("echo round trip: %.1f allocs, ceiling 18", n)
+	if n := testing.AllocsPerRun(200, echo); n > 9 {
+		t.Errorf("echo round trip: %.1f allocs, ceiling 9", n)
 	}
-	if n := testing.AllocsPerRun(200, reply300); n > 17 {
-		t.Errorf("300-load reply round trip: %.1f allocs, ceiling 17", n)
+	if n := testing.AllocsPerRun(200, reply300); n > 6 {
+		t.Errorf("300-load reply round trip: %.1f allocs, ceiling 6", n)
 	}
 	const runs = 200
 	var before, after runtime.MemStats

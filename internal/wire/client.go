@@ -33,7 +33,7 @@ type Client struct {
 	mu      sync.Mutex
 	conn    Conn
 	enc     *gob.Encoder
-	pending map[uint64]chan frame
+	pending map[uint64]*callSlot
 	nextID  uint64
 	closed  bool
 
@@ -41,7 +41,13 @@ type Client struct {
 	// request write can block on a backed-up pipe, and holding mu there
 	// would stop readLoop from draining responses — the two directions
 	// would deadlock through the server (same split as serverConn.wmu).
+	// out is the frame being written, encoded from here so that it is
+	// not boxed into the encoder's interface argument per call.
 	wmu sync.Mutex
+	out frame
+
+	// slots holds the per-call state of calls that have returned.
+	slots freeList[*callSlot]
 
 	// bodies is where the read loop takes the storage of each response
 	// Body from. A typed call puts it back once it has decoded the reply;
@@ -148,8 +154,43 @@ func NewClient(cfg ClientConfig) *Client {
 		tracer:     cfg.Tracer,
 		metrics:    cfg.Metrics,
 		propagate:  cfg.PropagateDeadline,
-		pending:    make(map[uint64]chan frame),
+		pending:    make(map[uint64]*callSlot),
 	}
+}
+
+// callSlot is what one call waits with, kept for the client's next call:
+// the channel its reply frame arrives on and the alarm that ends the
+// wait. Whoever takes a call out of pending — the read loop, dropConn,
+// Close — sends exactly one frame to its slot; a call that timed out
+// after that frame was taken drains it before the slot is reused, so a
+// late reply never reaches the slot's next call (DESIGN.md "Who owns a
+// buffer").
+type callSlot struct {
+	reply chan frame // capacity 1: the one send never blocks
+	alarm vtime.Alarm
+}
+
+// takeSlot returns a slot with an empty reply channel.
+func (c *Client) takeSlot() *callSlot {
+	if s, ok := c.slots.take(); ok {
+		return s
+	}
+	return &callSlot{reply: make(chan frame, 1), alarm: c.clock.NewAlarm()}
+}
+
+// releaseSlot ends the call registered in s under id and parks s. A call
+// still pending is taken out, so nothing will send to s; one that is not
+// has its frame sent or on the way, and that frame is drained here.
+func (c *Client) releaseSlot(s *callSlot, id uint64) {
+	c.mu.Lock()
+	_, pending := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if !pending {
+		f := <-s.reply
+		c.bodies.Put(f.Body) // a late reply nobody reads
+	}
+	c.slots.put(s)
 }
 
 // ensureConn dials if the client has no connection. Caller must not
@@ -182,13 +223,13 @@ func (c *Client) readLoop(conn Conn) {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[f.ID]
+		s, ok := c.pending[f.ID]
 		if ok {
 			delete(c.pending, f.ID)
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- f // buffered; never blocks
+			s.reply <- f // buffered; never blocks
 		} else {
 			c.bodies.Put(f.Body) // the call gave up waiting
 		}
@@ -205,12 +246,12 @@ func (c *Client) dropConn(conn Conn, cause error) {
 	c.conn = nil
 	c.enc = nil
 	orphans := c.pending
-	c.pending = make(map[uint64]chan frame)
+	c.pending = make(map[uint64]*callSlot)
 	c.mu.Unlock()
 	_ = conn.Close()
 	//lint:allow mapiter -- each orphaned call has its own reply channel; delivery order is immaterial
-	for _, ch := range orphans {
-		ch <- frame{Err: connLostPrefix + cause.Error()}
+	for _, s := range orphans {
+		s.reply <- frame{Err: connLostPrefix + cause.Error()}
 	}
 }
 
@@ -218,6 +259,10 @@ func (c *Client) dropConn(conn Conn, cause error) {
 // so CallCtx can map them back to the ErrConnLost sentinel. It never
 // crosses the wire.
 const connLostPrefix = "wire: connection lost: "
+
+// frameClosed is the Kind of the frame Close sends a call it took out of
+// pending, which CallCtx maps to ErrClosed. It never crosses the wire.
+const frameClosed = frameResponse + 1
 
 // CallCtx performs one RPC with the given timeout. body is the
 // gob-encoded request; the returned bytes are the gob-encoded response.
@@ -295,7 +340,7 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 		return nil, err
 	}
 
-	ch := make(chan frame, 1)
+	s := c.takeSlot()
 	c.mu.Lock()
 	enc := c.enc
 	conn := c.conn
@@ -303,11 +348,12 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 		// The read loop dropped the connection (or Close took it) after
 		// ensureConn saw it up: nobody would fail a call registered now.
 		c.mu.Unlock()
+		c.slots.put(s)
 		return nil, fmt.Errorf("%w: dropped before send", ErrConnLost)
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = s
 	c.mu.Unlock()
 
 	var dl int64
@@ -315,11 +361,13 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 		dl = deadline.UnixNano()
 	}
 	c.wmu.Lock()
-	err := enc.Encode(frame{ID: id, Kind: frameRequest, Method: method, Body: body,
-		Trace: ctx.Trace, Span: ctx.Span, Deadline: dl})
+	c.out = frame{ID: id, Kind: frameRequest, Method: method, Body: body,
+		Trace: ctx.Trace, Span: ctx.Span, Deadline: dl}
+	err := enc.Encode(&c.out)
+	c.out = frame{} // the body is the caller's again
 	c.wmu.Unlock()
 	if err != nil {
-		c.forget(id)
+		c.releaseSlot(s, id)
 		c.dropConn(conn, err)
 		return nil, fmt.Errorf("%w: send: %v", ErrConnLost, err)
 	}
@@ -327,12 +375,14 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 
 	remaining := deadline.Sub(c.clock.Now())
 	if remaining <= 0 {
-		c.forget(id)
+		c.releaseSlot(s, id)
 		return nil, ErrTimeout
 	}
+	s.alarm.Reset(remaining)
 	select {
-	case f, ok := <-ch:
-		if !ok {
+	case f := <-s.reply:
+		c.slots.put(s) // its one frame is taken
+		if f.Kind == frameClosed {
 			return nil, ErrClosed // Close took the call out of pending
 		}
 		c.metrics.onBytesReceived(method, len(f.Body))
@@ -355,6 +405,7 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 		// Inbound WAN propagation.
 		if c.network != nil {
 			if c.network.LostMsg(c.serverNode, c.node, c.clock.Now()) {
+				c.bodies.Put(f.Body)
 				c.sleepUntil(deadline)
 				return nil, ErrTimeout
 			}
@@ -366,19 +417,14 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 			}
 		}
 		if c.clock.Now().After(deadline) {
+			c.bodies.Put(f.Body)
 			return nil, ErrTimeout
 		}
 		return f.Body, nil
-	case <-c.clock.After(remaining):
-		c.forget(id)
+	case <-s.alarm.C():
+		c.releaseSlot(s, id)
 		return nil, ErrTimeout
 	}
-}
-
-func (c *Client) forget(id uint64) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
 }
 
 func (c *Client) sleepUntil(deadline time.Time) {
@@ -398,14 +444,14 @@ func (c *Client) Close() {
 	// The read loop's dropConn will find c.conn already gone and leave
 	// the pending calls alone, so they are failed here.
 	orphans := c.pending
-	c.pending = make(map[uint64]chan frame)
+	c.pending = make(map[uint64]*callSlot)
 	c.mu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
 	}
 	//lint:allow mapiter -- each orphaned call has its own reply channel; delivery order is immaterial
-	for _, ch := range orphans {
-		close(ch)
+	for _, s := range orphans {
+		s.reply <- frame{Kind: frameClosed}
 	}
 }
 
@@ -419,11 +465,12 @@ func Call[Req, Resp any](c *Client, method string, req Req, timeout time.Duratio
 // attempt and WAN spans are children of parent.
 func CallCtx[Req, Resp any](c *Client, parent trace.SpanContext, method string, req Req, timeout time.Duration) (Resp, error) {
 	var resp Resp
-	body, err := encodeBody(req)
+	body, err := encodeBodyFrom(&c.bodies, req)
 	if err != nil {
 		return resp, err
 	}
 	respBody, err := c.CallCtx(parent, method, body, timeout)
+	c.bodies.Put(body) // every attempt has written it
 	if err != nil {
 		return resp, err
 	}

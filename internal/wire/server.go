@@ -23,25 +23,21 @@ type Ctx struct {
 }
 
 // serverCall is what a handler leaves for Server.process, which knows
-// when the reply is encoded and when it has been sent. One per worker,
-// cleared after every request.
+// when the reply has been sent. One per worker, cleared after every
+// request.
 type serverCall struct {
-	afterReply func()
 	// reply is the encoded reply when its storage came from Server.bodies.
 	// A raw handler's bytes are its own — an echo returns its request —
 	// and never land here.
 	reply []byte
 }
 
-// AfterReply registers fn to run once the handler has returned and its
-// reply is encoded — when storage the reply value was built in can go
-// back to whoever owns it. At most one fn per request.
-func (c Ctx) AfterReply(fn func()) {
-	if c.call != nil {
-		c.call.afterReply = fn
-	} else {
-		fn()
-	}
+// replyEncoded is implemented by a reply value built in storage its
+// handler lent it: HandleCtx calls ReplyEncoded once the value is encoded
+// (or has failed to encode), the point from which nothing reads it
+// again, so that the storage can go back to whoever owns it.
+type replyEncoded interface {
+	ReplyEncoded()
 }
 
 // CtxHandler is a Handler that also receives the request context.
@@ -211,7 +207,11 @@ func HandleCtx[Req, Resp any](s *Server, method string, fn func(Ctx, Req) (Resp,
 		if err != nil {
 			return nil, err
 		}
-		ctx.call.reply, err = encodeBodyFrom(&s.bodies, resp)
+		var v interface{} = resp
+		ctx.call.reply, err = encodeBodyFrom(&s.bodies, v)
+		if r, ok := v.(replyEncoded); ok {
+			r.ReplyEncoded()
+		}
 		return ctx.call.reply, err
 	})
 }
@@ -237,12 +237,18 @@ type serverConn struct {
 	raw Conn
 	enc *gob.Encoder
 	wmu sync.Mutex
+	// out is the frame being written, under wmu: encoded from here, it is
+	// not boxed into the encoder's interface argument per reply.
+	out frame
 }
 
 func (c *serverConn) send(f frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.enc.Encode(f)
+	c.out = f
+	err := c.enc.Encode(&c.out)
+	c.out = frame{} // the body goes back to its list once send returns
+	return err
 }
 
 func (s *Server) serveConn(raw Conn) {
@@ -344,9 +350,6 @@ func (s *Server) process(j job, call *serverCall, lane *atomic.Int64) {
 		hs.SetNote(j.f.Method)
 		body, err := h(Ctx{Span: hs.Context(), call: call}, j.f.Body)
 		hs.End()
-		if call.afterReply != nil {
-			call.afterReply()
-		}
 		if err != nil {
 			errStr = err.Error()
 		} else {

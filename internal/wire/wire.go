@@ -464,14 +464,16 @@ func GobFloat(u uint64) float64 {
 // that carries both writes and reads the bytes of its own gob value
 // message — what follows the message's length and type id — without
 // reflection. AppendGobValue must append exactly what gob's encoder
-// writes for the value; ReadGobValue may report true only when a fresh
+// writes for the value, or report false for a value gob's encoder
+// refuses (a time.Time it cannot marshal), which then goes to gob to
+// fail with gob's error; ReadGobValue may report true only when a fresh
 // gob.Decoder, handed b for the receiver as it stood, would have
 // succeeded and left it as ReadGobValue did, and must leave the receiver
 // alone when it reports false. gob remains the reference both are tested
 // against and the path every body the hook declines takes (DESIGN.md
 // "Wire body codec").
 type gobValueAppender interface {
-	AppendGobValue(b []byte) []byte
+	AppendGobValue(b []byte) ([]byte, bool)
 }
 
 type gobValueReader interface {
@@ -500,14 +502,15 @@ func encodeBodyFrom(l *SliceList[byte], v interface{}) ([]byte, error) {
 	}
 	e.buf.Reset()
 	if a, ok := v.(gobValueAppender); ok && primed {
-		val := a.AppendGobValue(e.buf.AvailableBuffer())
-		e.buf.Write(val) // keeps what val grew into for the next value
-		var width [9]byte
-		size := AppendGobUint(width[:0], uint64(len(id)+len(val)))
-		out := l.Take(len(prefix) + len(size) + len(id) + len(val))
-		out = append(append(append(append(out, prefix...), size...), id...), val...)
-		c.parkEncoder(e)
-		return out, nil
+		if val, ok := a.AppendGobValue(e.buf.AvailableBuffer()); ok {
+			e.buf.Write(val) // keeps what val grew into for the next value
+			var width [9]byte
+			size := AppendGobUint(width[:0], uint64(len(id)+len(val)))
+			out := l.Take(len(prefix) + len(size) + len(id) + len(val))
+			out = append(append(append(append(out, prefix...), size...), id...), val...)
+			c.parkEncoder(e)
+			return out, nil
+		}
 	}
 	if err := e.enc.Encode(v); err != nil {
 		// e is dropped: a failed Encode may have marked types as sent.
