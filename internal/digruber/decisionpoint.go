@@ -2,8 +2,10 @@ package digruber
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"digruber/internal/gossip"
@@ -107,6 +109,19 @@ type DecisionPoint struct {
 	// dur is the durability state (nil when Config.Durability is nil).
 	dur *durability
 
+	// reportsClosed is set once a drain's final flush is verified: from
+	// then on Report is refused (ErrDraining), because an acked report
+	// would miss the flush. Atomic, not under mu: Report is on the
+	// two-call hot path.
+	reportsClosed atomic.Bool
+	// resyncOwed is set while the point may have lost records of its own
+	// that peers hold (a crash without a store, or a recovery that
+	// truncated its log) and no peer has answered a resync yet: a record
+	// stamped now could reuse a sequence number peers already hold for a
+	// different job. Schedule and Report refuse (ErrDraining) until a
+	// round's resync gets an answer or no peer is left.
+	resyncOwed atomic.Bool
+
 	mu        sync.Mutex
 	peers     map[string]*peerLink
 	started   bool
@@ -125,6 +140,9 @@ type DecisionPoint struct {
 	gossipPulled     int // records pulled via reply halves
 	gossipRelayed    int // third-party records stored (transitive relay)
 	gossipDuplicates int // records the version vector already covered
+	// removed holds the names RemovePeer took out of the mesh. Gossip
+	// hearsay never brings one back; only an explicit AddPeer does.
+	removed map[string]bool
 }
 
 type peerLink struct {
@@ -283,6 +301,11 @@ func (dp *DecisionPoint) registerHandlers() {
 		return lentReply(dp.siteLoads(ctx.Span, replyLoads.Take(0), owner, a.CPUs)), nil
 	})
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
+		if dp.reportsClosed.Load() || dp.resyncOwed.Load() {
+			// A retiring point whose final flush is verified (see Drain),
+			// or one that does not know its own numbering yet.
+			return ReportReply{}, wire.ErrDraining
+		}
 		// A client's report is checked exactly as Schedule checks its own
 		// input: folded unchecked, a malformed owner would occupy CPUs but
 		// count against no VO's USLA, and negative CPUs would raise the
@@ -376,7 +399,7 @@ func (dp *DecisionPoint) registerHandlers() {
 		return reply, nil
 	})
 	wire.HandleCtx(dp.server, MethodSchedule, func(ctx wire.Ctx, a ScheduleArgs) (ScheduleReply, error) {
-		if dp.isDraining() {
+		if dp.isDraining() || dp.resyncOwed.Load() {
 			return ScheduleReply{}, wire.ErrDraining
 		}
 		dp.detector.ObserveArrival()
@@ -528,11 +551,23 @@ func Connect(a, b *DecisionPoint) {
 
 // AddPeer registers another decision point in this one's mesh — one
 // direction of a link, for a peer known only by address (a broker's
-// -peer flag, a gossiped member). In-process fleets use Connect.
+// -peer flag, a redeployed member). In-process fleets use Connect. It
+// also lifts an earlier RemovePeer of the name.
 func (dp *DecisionPoint) AddPeer(name, node, addr string) {
+	dp.addPeer(name, node, addr, true)
+}
+
+// addPeer is AddPeer; a gossiped member (explicit false) is ignored when
+// RemovePeer took its name out.
+func (dp *DecisionPoint) addPeer(name, node, addr string, explicit bool) {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	if name == dp.cfg.Name {
+		return
+	}
+	if explicit {
+		delete(dp.removed, name)
+	} else if dp.removed[name] {
 		return
 	}
 	if _, exists := dp.peers[name]; exists {
@@ -552,9 +587,15 @@ func (dp *DecisionPoint) AddPeer(name, node, addr string) {
 // health state goes with it, so the departed name never re-enters the
 // suspect/probe churn or holds back local-log compaction. An exchange
 // already in flight to the removed peer finishes against the detached
-// link and is discarded with it. Unknown names are a no-op.
+// link and is discarded with it. The name stays out, known or not: a
+// survivor that has not removed it yet may still gossip it as a member,
+// and only an explicit AddPeer brings it back.
 func (dp *DecisionPoint) RemovePeer(name string) {
 	dp.mu.Lock()
+	if dp.removed == nil {
+		dp.removed = make(map[string]bool)
+	}
+	dp.removed[name] = true
 	l, ok := dp.peers[name]
 	if !ok {
 		dp.mu.Unlock()
@@ -635,6 +676,7 @@ func (dp *DecisionPoint) Start() error {
 	dp.listener = l
 	dp.started = true
 	dp.draining = false
+	dp.reportsClosed.Store(false)
 	if dp.dur != nil {
 		dp.dur.commits.start()
 	}
@@ -678,6 +720,9 @@ func (dp *DecisionPoint) syncNow(force bool) int {
 	// The round boundary doubles as the durability checkpoint cadence
 	// check — deterministic under a Manual clock, unlike a timer.
 	defer dp.maybeCheckpoint()
+	if dp.resyncOwed.Load() {
+		dp.ResyncFromPeers()
+	}
 	switch dp.cfg.Strategy {
 	case NoExchange:
 		return 0
@@ -934,6 +979,8 @@ func (dp *DecisionPoint) Crash() {
 	dp.engine.DropDynamicState()
 	if dp.dur != nil {
 		dp.dur.crash()
+	} else {
+		dp.resyncOwed.Store(true)
 	}
 	dp.mu.Lock()
 	//lint:allow mapiter -- per-peer state reset with no cross-peer reads; order cannot matter
@@ -958,12 +1005,17 @@ func (dp *DecisionPoint) Restart() error {
 }
 
 // ResyncFromPeers asks peers (in deterministic name order) for a full
-// snapshot and imports the first one that answers. It returns the number
-// of dispatches imported and the donor's name ("" when no peer answered —
-// the decision point then rebuilds gradually from incoming exchanges).
+// snapshot and imports the first one that answers — every one that
+// answers while the point owes a resync (it lost records of its own, and
+// the first donor may lack some a later one holds). It returns the number
+// of dispatches imported and the first donor's name ("" when no peer
+// answered — the decision point then rebuilds gradually from incoming
+// exchanges, and one that owes a resync tries again each round until a
+// peer answers or it has none left).
 func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 	dp.metrics.resyncs.Inc()
-	for _, name := range dp.Peers() {
+	all, total, donor, peers := dp.resyncOwed.Load(), 0, "", dp.Peers()
+	for _, name := range peers {
 		dp.mu.Lock()
 		link := dp.peers[name]
 		var client *wire.Client
@@ -975,7 +1027,16 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 			continue
 		}
 		args := SnapshotArgs{From: dp.cfg.Name}
-		if dp.dur != nil {
+		switch {
+		case donor != "":
+			// A later peer is asked only for this point's own records past
+			// its own log: every peer's origin is covered in full.
+			vv := map[string]uint64{dp.cfg.Name: dp.engine.LocalSeqHighWater()}
+			for _, p := range peers {
+				vv[p] = math.MaxUint64
+			}
+			args.Vector = gossip.Cursors(vv)
+		case dp.dur != nil:
 			// Advertise what recovery already rebuilt, so the donor ships
 			// only the seq-gap instead of the whole view. Non-durable
 			// points keep requesting the full snapshot (nil Vector encodes
@@ -992,7 +1053,19 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 		if dp.dur != nil {
 			dp.dur.noteBackfilled(imported)
 		}
-		return imported, name
+		if total += imported; donor == "" {
+			donor = name
+		}
+		if !all {
+			break
+		}
+	}
+	if donor != "" {
+		dp.resyncOwed.Store(false)
+		return total, donor
+	}
+	if len(peers) == 0 { // nobody is left to hold records of ours
+		dp.resyncOwed.Store(false)
 	}
 	return 0, ""
 }

@@ -140,10 +140,8 @@ func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, record
 	vv := gossip.Vector(digest)
 	dp.mu.Lock()
 	if l, ok := dp.peers[from]; ok {
-		l.ackVV = vv
-		if self := gossip.Seq(digest, dp.cfg.Name); self > l.lastSent {
-			l.lastSent = self
-		}
+		// Exact, not a maximum: a peer that crashed since holds less.
+		l.ackVV, l.lastSent = vv, gossip.Seq(digest, dp.cfg.Name)
 	}
 	dp.gossipRelayed += st.Relayed
 	dp.gossipDuplicates += st.Duplicates
@@ -153,15 +151,15 @@ func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, record
 }
 
 // handleGossip serves one inbound push-pull exchange: merge the push,
-// learn new members, and reply with the post-merge digest plus the
-// records the sender's digest was missing.
+// learn new members (never one this point removed), and reply with the
+// post-merge digest plus the records the sender's digest was missing.
 func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, error) {
 	dp.markPeerAlive(a.From)
 	for _, m := range a.Members {
 		if m.Name == "" || m.Name == dp.cfg.Name {
 			continue
 		}
-		dp.AddPeer(m.Name, m.Node, m.Addr) // no-op for known names
+		dp.addPeer(m.Name, m.Node, m.Addr, false) // no-op for known and removed names
 	}
 	st, senderVV := dp.absorbGossip(ctx.Span, a.From, a.Records, a.Digest)
 	// The pull: anything we hold that the sender's digest lacks. Records

@@ -16,9 +16,10 @@ import (
 //
 // While draining, the point refuses new scheduling work (Query/Schedule
 // answer ErrDraining so clients fail over), but keeps accepting Reports
-// (the tail of interactions already in flight) and all mesh/monitoring
-// traffic (Exchange, Status, Snapshot) — peers still need its records
-// and monitors still need to see it. Crash skips all of this: it models
+// (the tail of interactions already in flight) until its final flush is
+// verified, and all mesh/monitoring traffic (Exchange, Status,
+// Snapshot) to the end — peers still need its records and monitors
+// still need to see it. Crash skips all of this: it models
 // the process dying, state and obligations included.
 
 // isDraining reports whether the decision point is in its Draining
@@ -57,20 +58,20 @@ func drainPoll(timeout time.Duration) time.Duration {
 //  2. Settle: wait for the service stack's in-flight and queued work to
 //     reach zero, so nothing accepted is abandoned.
 //  3. Final flush: run exchange rounds (force-probing even dead peers)
-//     until every peer has acknowledged this engine's full local
-//     dispatch log — verified against the exchange-cursor high-water
-//     mark, not assumed from one successful round.
-//  4. Stop.
+//     until every peer has answered one and acknowledged this engine's
+//     full local dispatch log — verified against the exchange-cursor
+//     high-water mark, not assumed from one successful round.
+//  4. Close: Report refuses with ErrDraining too (the client books the
+//     job as not handled), since a report acked now would miss the
+//     flush. Settle and flush once more, over whatever the reports
+//     admitted before the close recorded.
+//  5. Stop.
 //
 // If settling or flushing exceeds the budget — in-flight work wedged, or
 // a partition keeping a peer from acknowledging — the drain aborts back
 // to serving and returns an error: a broker that cannot discharge its
 // obligations keeps them, it does not strand them. The caller (normally
 // the elastic Controller) decides whether to retry later.
-//
-// A Report arriving in the instant between the verified flush and the
-// stop can still miss the last exchange; the Controller closes that
-// window by rebinding the victim's clients away before draining.
 func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 4 * dp.cfg.PeerTimeout
@@ -90,9 +91,23 @@ func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 
 	deadline := dp.cfg.Clock.Now().Add(timeout)
 	poll := drainPoll(timeout)
+	if err := dp.settleAndFlush(deadline, poll); err != nil {
+		return err
+	}
+	dp.reportsClosed.Store(true)
+	if err := dp.settleAndFlush(deadline, poll); err != nil {
+		return err
+	}
+	dp.Stop()
+	dp.metrics.retired.Inc()
+	return nil
+}
 
-	// Settle. Refused Query/Schedule calls pass through the stack quickly;
-	// what this waits out is genuinely accepted work.
+// settleAndFlush is one settle-then-flush pass of Drain; past the
+// deadline it aborts the drain and returns why.
+func (dp *DecisionPoint) settleAndFlush(deadline time.Time, poll time.Duration) error {
+	// Settle. Refused calls pass through the stack quickly; what this
+	// waits out is genuinely accepted work.
 	for {
 		st := dp.serverStats()
 		if st.InFlight == 0 && st.Queued == 0 && st.LaneInFlight == 0 && st.LaneQueued == 0 {
@@ -104,11 +119,12 @@ func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 		dp.cfg.Clock.Sleep(poll)
 	}
 
-	// Final flush, verified: every peer's acknowledged cursor must reach
-	// the local log's high-water mark. One round is not enough evidence —
-	// a call can fail against a partitioned peer — so this retries until
-	// the cursors prove completeness or the budget runs out.
-	for !dp.flushComplete() {
+	// Final flush, verified: every peer must answer a round forced
+	// through to it — an acknowledgment from before it crashed proves
+	// nothing — and its acknowledged cursor must reach the local log's
+	// high-water mark. A call can fail against a partitioned peer, so
+	// this retries until the proof holds or the budget runs out.
+	for {
 		dp.syncNow(true)
 		if dp.flushComplete() {
 			break
@@ -118,14 +134,12 @@ func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 		}
 		dp.cfg.Clock.Sleep(poll)
 	}
-
-	dp.Stop()
-	dp.metrics.retired.Inc()
 	return nil
 }
 
 // abortDrain returns the decision point to serving and reports why.
 func (dp *DecisionPoint) abortDrain(reason string) error {
+	dp.reportsClosed.Store(false)
 	dp.mu.Lock()
 	dp.draining = false
 	dp.mu.Unlock()
@@ -133,16 +147,16 @@ func (dp *DecisionPoint) abortDrain(reason string) error {
 	return fmt.Errorf("digruber: %s: drain aborted: %s", dp.cfg.Name, reason)
 }
 
-// flushComplete reports whether every peer has acknowledged the local
-// dispatch log in full — the drain protocol's exit condition for the
-// final flush.
+// flushComplete reports whether every peer answered its last call and
+// has acknowledged the local dispatch log in full — the drain protocol's
+// exit condition for the final flush.
 func (dp *DecisionPoint) flushComplete() bool {
 	hi := dp.engine.LocalSeqHighWater()
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	//lint:allow mapiter -- conjunction over values; order-independent
 	for _, l := range dp.peers {
-		if l.lastSent < hi {
+		if l.lastSent < hi || l.fails > 0 {
 			return false
 		}
 	}
