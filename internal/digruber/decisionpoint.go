@@ -2,7 +2,6 @@ package digruber
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,17 +108,19 @@ type DecisionPoint struct {
 	// dur is the durability state (nil when Config.Durability is nil).
 	dur *durability
 
-	// reportsClosed is set once a drain's final flush is verified: from
-	// then on Report is refused (ErrDraining), because an acked report
-	// would miss the flush. Atomic, not under mu: Report is on the
-	// two-call hot path.
+	// reportsClosed is set once a drain has settled, before its final
+	// flush: from then on Report is refused (ErrDraining), because a
+	// report acked after the flush would miss it. Atomic, not under mu:
+	// Report is on the two-call hot path.
 	reportsClosed atomic.Bool
 	// resyncOwed is set while the point may have lost records of its own
 	// that peers hold (a crash without a store, or a recovery that
 	// truncated its log) and no peer has answered a resync yet: a record
 	// stamped now could reuse a sequence number peers already hold for a
 	// different job. Schedule and Report refuse (ErrDraining) until a
-	// round's resync gets an answer or no peer is left.
+	// resync gets an answer or no peer is left. Start tries one, and
+	// every round retries; a NoExchange point never owes one, since no
+	// peer takes its records.
 	resyncOwed atomic.Bool
 
 	mu        sync.Mutex
@@ -302,8 +303,8 @@ func (dp *DecisionPoint) registerHandlers() {
 	})
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
 		if dp.reportsClosed.Load() || dp.resyncOwed.Load() {
-			// A retiring point whose final flush is verified (see Drain),
-			// or one that does not know its own numbering yet.
+			// A retiring point about to flush (see Drain), or one that
+			// does not know its own numbering yet.
 			return ReportReply{}, wire.ErrDraining
 		}
 		// A client's report is checked exactly as Schedule checks its own
@@ -646,8 +647,22 @@ func (dp *DecisionPoint) peerNamesLocked() []string {
 // Start begins listening and, unless the strategy is NoExchange, starts
 // the periodic exchange loop. Start after Stop brings the decision point
 // back: wire servers and clients are single-use (Close is terminal), so a
-// restart builds fresh ones on the same name, node and address.
+// restart builds fresh ones on the same name, node and address. A point
+// whose recovery owes a resync (see resyncOwed) runs it here, once it
+// listens, instead of refusing work until its first round.
 func (dp *DecisionPoint) Start() error {
+	if err := dp.listen(); err != nil {
+		return err
+	}
+	if dp.resyncOwed.Load() {
+		dp.ResyncFromPeers()
+	}
+	return nil
+}
+
+// listen is Start without the resync: recovery, the listener and the
+// exchange loop.
+func (dp *DecisionPoint) listen() error {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	if dp.started {
@@ -980,7 +995,7 @@ func (dp *DecisionPoint) Crash() {
 	if dp.dur != nil {
 		dp.dur.crash()
 	} else {
-		dp.resyncOwed.Store(true)
+		dp.oweResync()
 	}
 	dp.mu.Lock()
 	//lint:allow mapiter -- per-peer state reset with no cross-peer reads; order cannot matter
@@ -992,12 +1007,20 @@ func (dp *DecisionPoint) Crash() {
 	dp.mu.Unlock()
 }
 
+// oweResync marks that the point may have lost records of its own that
+// peers hold; see resyncOwed.
+func (dp *DecisionPoint) oweResync() {
+	if dp.cfg.Strategy != NoExchange {
+		dp.resyncOwed.Store(true)
+	}
+}
+
 // Restart brings a stopped or crashed decision point back: it starts
 // serving again and then pulls a full state snapshot from the first
 // reachable peer, so its view converges immediately instead of waiting
 // for dispatch records to drift in over exchange rounds.
 func (dp *DecisionPoint) Restart() error {
-	if err := dp.Start(); err != nil {
+	if err := dp.listen(); err != nil {
 		return err
 	}
 	dp.ResyncFromPeers()
@@ -1005,16 +1028,13 @@ func (dp *DecisionPoint) Restart() error {
 }
 
 // ResyncFromPeers asks peers (in deterministic name order) for a full
-// snapshot and imports the first one that answers — every one that
-// answers while the point owes a resync (it lost records of its own, and
-// the first donor may lack some a later one holds). It returns the number
-// of dispatches imported and the first donor's name ("" when no peer
-// answered — the decision point then rebuilds gradually from incoming
-// exchanges, and one that owes a resync tries again each round until a
-// peer answers or it has none left).
+// snapshot and imports the first one that answers. It returns the number
+// of dispatches imported and the donor's name ("" when no peer answered —
+// the decision point then rebuilds gradually from incoming exchanges).
+// An answer, or having no peer at all, settles an owed resync.
 func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 	dp.metrics.resyncs.Inc()
-	all, total, donor, peers := dp.resyncOwed.Load(), 0, "", dp.Peers()
+	peers := dp.Peers()
 	for _, name := range peers {
 		dp.mu.Lock()
 		link := dp.peers[name]
@@ -1027,16 +1047,7 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 			continue
 		}
 		args := SnapshotArgs{From: dp.cfg.Name}
-		switch {
-		case donor != "":
-			// A later peer is asked only for this point's own records past
-			// its own log: every peer's origin is covered in full.
-			vv := map[string]uint64{dp.cfg.Name: dp.engine.LocalSeqHighWater()}
-			for _, p := range peers {
-				vv[p] = math.MaxUint64
-			}
-			args.Vector = gossip.Cursors(vv)
-		case dp.dur != nil:
+		if dp.dur != nil {
 			// Advertise what recovery already rebuilt, so the donor ships
 			// only the seq-gap instead of the whole view. Non-durable
 			// points keep requesting the full snapshot (nil Vector encodes
@@ -1053,16 +1064,8 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 		if dp.dur != nil {
 			dp.dur.noteBackfilled(imported)
 		}
-		if total += imported; donor == "" {
-			donor = name
-		}
-		if !all {
-			break
-		}
-	}
-	if donor != "" {
 		dp.resyncOwed.Store(false)
-		return total, donor
+		return imported, name
 	}
 	if len(peers) == 0 { // nobody is left to hold records of ours
 		dp.resyncOwed.Store(false)

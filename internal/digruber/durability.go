@@ -437,7 +437,7 @@ func (dp *DecisionPoint) recoverLocked() error {
 	dur.last = rs
 	dur.mu.Unlock()
 	if rs.Truncated || rs.CheckpointCorrupt {
-		dp.resyncOwed.Store(true) // the lost tail may hold records of our own
+		dp.oweResync() // the lost tail may hold records of our own
 	}
 	return nil
 }

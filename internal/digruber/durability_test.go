@@ -38,6 +38,51 @@ func durTestDispatch(i int, at time.Time) gruber.Dispatch {
 	}
 }
 
+// TestDurableRecoveryZeroAckedLoss is the tentpole's core contract with
+// no peers at all: every dispatch acked before the crash is on stable
+// storage, so a cold restart from the store alone rebuilds the full
+// view and continues the sequence numbering.
+func TestDurableRecoveryZeroAckedLoss(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	mem := wire.NewMem()
+	store := wal.NewMemStore()
+	dp := newDurableDP(t, clock, mem, "dp-0", store, 0)
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dp.Stop)
+	const n = 8
+	for i := 0; i < n; i++ {
+		// RecordDispatch returning nil IS the ack: it waits, the engine
+		// lock released, for the commit that holds its record.
+		if err := dp.Engine().RecordDispatch(durTestDispatch(i, clock.Now())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dp.WALStats().Appends; got != n {
+		t.Fatalf("wal appends = %d, want %d", got, n)
+	}
+
+	dp.Crash()
+	if got := dp.Engine().PendingDispatches(); got != 0 {
+		t.Fatalf("pending after crash = %d, want 0 (dynamic state dropped)", got)
+	}
+	if err := dp.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	rec := dp.LastRecovery()
+	if rec.Recovered != n || rec.Truncated || rec.Backfilled != 0 {
+		t.Fatalf("recovery = %+v, want %d records, no truncation, no backfill", rec, n)
+	}
+	if got := dp.Engine().PendingDispatches(); got != n {
+		t.Fatalf("pending after recovery = %d, want %d (zero acked-dispatch loss)", got, n)
+	}
+	dp.Engine().RecordDispatch(durTestDispatch(99, clock.Now()))
+	if hi := dp.Engine().LocalSeqHighWater(); hi != n+1 {
+		t.Fatalf("post-recovery dispatch stamped seq %d, want %d (numbering continues)", hi, n+1)
+	}
+}
+
 // TestDurableKillBetweenEnqueueAndSync moves the kill inside the commit
 // window: the record is stamped, in the view and queued, its fsync has
 // not returned, and the process dies. Only that record is lost — it was
@@ -155,5 +200,206 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 	}
 	if got := dp0.Engine().PendingDispatches(); got != 7 {
 		t.Fatalf("pending after recovery = %d, want 7", got)
+	}
+}
+
+// TestDurableTornWriteTruncatesAndBackfills: a torn tail write (the
+// classic crash-mid-append) truncates at the damaged record, and the
+// restart's vector-filtered snapshot pulls exactly the seq-gap from a
+// peer — never a panic, never corrupt state served.
+func TestDurableTornWriteTruncatesAndBackfills(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	mem := wire.NewMem()
+	s0, s1 := wal.NewMemStore(), wal.NewMemStore()
+	dp0 := newDurableDP(t, clock, mem, "dp-0", s0, -1) // manual checkpoints only
+	dp1 := newDurableDP(t, clock, mem, "dp-1", s1, -1)
+	dp0.AddPeer("dp-1", "dp-1", "dp-1")
+	dp1.AddPeer("dp-0", "dp-0", "dp-0")
+	for _, dp := range []*DecisionPoint{dp0, dp1} {
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dp.Stop)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		dp0.Engine().RecordDispatch(durTestDispatch(i, clock.Now()))
+	}
+	dp0.ExchangeNow() // dp-1 now holds all n records
+
+	dp0.Crash()
+	// Tear the last append: cut 3 bytes off the log tail, as a crash
+	// mid-write would.
+	if !s0.Truncate("wal.log", s0.Size("wal.log")-3) {
+		t.Fatal("truncate failed")
+	}
+	if err := dp0.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	rec := dp0.LastRecovery()
+	if !rec.Truncated || rec.TruncateReason != wal.ReasonTornPayload {
+		t.Fatalf("recovery = %+v, want torn-payload truncation", rec)
+	}
+	if rec.Recovered != n-1 {
+		t.Fatalf("recovered %d records, want %d (all but the torn one)", rec.Recovered, n-1)
+	}
+	if rec.Backfilled != 1 {
+		t.Fatalf("backfilled %d records, want exactly the seq-gap of 1", rec.Backfilled)
+	}
+	if got := dp0.Engine().PendingDispatches(); got != n {
+		t.Fatalf("pending after recovery+backfill = %d, want %d", got, n)
+	}
+	// The backfilled record re-enters the own log, so numbering continues
+	// past it instead of reusing its sequence number.
+	dp0.Engine().RecordDispatch(durTestDispatch(99, clock.Now()))
+	if hi := dp0.Engine().LocalSeqHighWater(); hi != n+1 {
+		t.Fatalf("post-backfill dispatch stamped seq %d, want %d", hi, n+1)
+	}
+}
+
+// TestDurableBitFlipTruncatesAndBackfills: silent corruption (one bit)
+// inside an early record is caught by the checksum; replay stops there
+// and the peer backfill restores the entire lost suffix.
+func TestDurableBitFlipTruncatesAndBackfills(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	mem := wire.NewMem()
+	s0, s1 := wal.NewMemStore(), wal.NewMemStore()
+	dp0 := newDurableDP(t, clock, mem, "dp-0", s0, -1)
+	dp1 := newDurableDP(t, clock, mem, "dp-1", s1, -1)
+	dp0.AddPeer("dp-1", "dp-1", "dp-1")
+	dp1.AddPeer("dp-0", "dp-0", "dp-0")
+	for _, dp := range []*DecisionPoint{dp0, dp1} {
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dp.Stop)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		dp0.Engine().RecordDispatch(durTestDispatch(i, clock.Now()))
+	}
+	dp0.ExchangeNow()
+
+	dp0.Crash()
+	// Flip one bit in the first record's payload.
+	if !s0.FlipBit("wal.log", 10, 3) {
+		t.Fatal("flip failed")
+	}
+	if err := dp0.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	rec := dp0.LastRecovery()
+	if !rec.Truncated || rec.TruncateReason != wal.ReasonChecksum {
+		t.Fatalf("recovery = %+v, want checksum-mismatch truncation", rec)
+	}
+	if rec.Recovered != 0 || rec.Backfilled != n {
+		t.Fatalf("recovery = %+v, want 0 replayed and %d backfilled", rec, n)
+	}
+	if got := dp0.Engine().PendingDispatches(); got != n {
+		t.Fatalf("pending after recovery+backfill = %d, want %d", got, n)
+	}
+	dp0.Engine().RecordDispatch(durTestDispatch(99, clock.Now()))
+	if hi := dp0.Engine().LocalSeqHighWater(); hi != n+1 {
+		t.Fatalf("post-backfill dispatch stamped seq %d, want %d", hi, n+1)
+	}
+}
+
+// TestTruncatedRecoveryServesAfterStart: a recovery that truncates the
+// log owes a resync (the lost tail may hold records of the point's own),
+// and a point brought up with Start, not Restart, settles it itself: from
+// a peer that answers, or at once with no peer to ask or no exchange to
+// feed. With its only peer down it refuses work until a round reaches it.
+func TestTruncatedRecoveryServesAfterStart(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		strategy       DisseminationStrategy
+		peer, peerDown bool
+	}{{"peer-answers", UsageOnly, true, false}, {"no-peers", UsageOnly, false, false}, {"no-exchange", NoExchange, true, false}, {"peer-down", UsageOnly, true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := vtime.NewManual(epoch)
+			mem := wire.NewMem()
+			store := wal.NewMemStore()
+			dp := newDurableDP(t, clock, mem, "dp-0", store, -1)
+			dp.cfg.Strategy = tc.strategy
+			peer := newDurableDP(t, clock, mem, "dp-1", wal.NewMemStore(), -1)
+			if tc.peer {
+				Connect(dp, peer)
+			}
+			for _, p := range []*DecisionPoint{peer, dp} {
+				if err := p.Start(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(p.Stop)
+			}
+			for i := 0; i < 3; i++ {
+				dp.Engine().RecordDispatch(durTestDispatch(i, clock.Now()))
+			}
+			dp.ExchangeNow()
+			dp.Crash()
+			if tc.peerDown {
+				peer.Crash()
+			}
+			store.Truncate("wal.log", store.Size("wal.log")-3)
+			if err := dp.Start(); err != nil || !dp.LastRecovery().Truncated {
+				t.Fatalf("start: %v, recovery %+v; want a truncated recovery", err, dp.LastRecovery())
+			}
+			cli := testWireClient(t, mem, clock, dp)
+			if tc.peerDown {
+				if _, err := callSchedule(cli, "early"); !errors.Is(err, wire.ErrDraining) {
+					t.Fatalf("Schedule with the resync unanswered: %v, want ErrDraining", err)
+				}
+				if err := peer.Restart(); err != nil {
+					t.Fatal(err)
+				}
+				dp.ExchangeNow()
+			}
+			if _, err := callSchedule(cli, "after"); err != nil {
+				t.Fatalf("Schedule after the truncated recovery: %v, want it served", err)
+			}
+		})
+	}
+}
+
+// TestDrainAfterRecovery is the drain/recovery interaction: a point that
+// just cold-restarted (replay + backfill) must still be able to retire
+// cleanly — its verified flush reconciles the recovered own log against
+// peers whose cursors were reset by the crash.
+func TestDrainAfterRecovery(t *testing.T) {
+	clock := vtime.NewReal()
+	mem := wire.NewMem()
+	s0, s1 := wal.NewMemStore(), wal.NewMemStore()
+	dp0 := newDurableDP(t, clock, mem, "dp-0", s0, -1)
+	dp1 := newDurableDP(t, clock, mem, "dp-1", s1, -1)
+	dp0.AddPeer("dp-1", "dp-1", "dp-1")
+	dp1.AddPeer("dp-0", "dp-0", "dp-0")
+	for _, dp := range []*DecisionPoint{dp0, dp1} {
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dp.Stop)
+	}
+	for i := 0; i < 6; i++ {
+		dp0.Engine().RecordDispatch(durTestDispatch(i, clock.Now()))
+	}
+	// Only half the records ever reached the peer before the crash.
+	dp0.ExchangeNow()
+	for i := 6; i < 9; i++ {
+		dp0.Engine().RecordDispatch(durTestDispatch(i, clock.Now()))
+	}
+
+	dp0.Crash()
+	if err := dp0.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := dp0.LastRecovery(); rec.Recovered != 9 {
+		t.Fatalf("recovery = %+v, want all 9 records replayed", rec)
+	}
+	// Drain immediately after recovery: the flush must push the records
+	// the peer never saw (and re-prove the ones it did) before stopping.
+	if err := dp0.Drain(time.Minute); err != nil {
+		t.Fatalf("drain after recovery: %v", err)
+	}
+	if got := dp1.Engine().PendingDispatches(); got != 9 {
+		t.Fatalf("peer pending after drain = %d, want 9 (flush covered the recovered log)", got)
 	}
 }

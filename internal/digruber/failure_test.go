@@ -1,6 +1,7 @@
 package digruber
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -192,5 +193,46 @@ func TestCloseCancelsRebindGrace(t *testing.T) {
 			t.Fatalf("retiring connections = %d after Close; grace sleeper not cancelled", n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClientFailoverChain: after failoverThreshold consecutive failures
+// the client rebinds to the next configured decision point and is handled
+// again, instead of paying fallback on every job forever.
+func TestClientFailoverChain(t *testing.T) {
+	clock := vtime.NewReal()
+	h := newHarness(t, 2, clock, testStatuses(50))
+	c, err := NewClient(ClientConfig{
+		Name: "c", Node: "c",
+		DPName: h.dps[0].Name(), DPNode: h.dps[0].Name(), DPAddr: h.dps[0].Addr(),
+		Transport: h.mem, Clock: clock, Timeout: 2 * time.Second,
+		FallbackSites: []string{"fb"},
+		RNG:           netsim.Stream(1, "failover"),
+		Failover: []DPRef{
+			{Name: h.dps[0].Name(), Node: h.dps[0].Name(), Addr: h.dps[0].Addr()},
+			{Name: h.dps[1].Name(), Node: h.dps[1].Name(), Addr: h.dps[1].Addr()},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	h.dps[0].Stop() // the bound broker dies
+	for i := 0; i < failoverThreshold; i++ {
+		dec := c.Schedule(testJob(fmt.Sprintf("f%d", i)))
+		if dec.Handled {
+			t.Fatalf("job %d handled by a dead broker", i)
+		}
+		if dec.Site != "fb" {
+			t.Fatalf("job %d site = %q, want static fallback while failing over", i, dec.Site)
+		}
+	}
+	if got := c.DPName(); got != h.dps[1].Name() {
+		t.Fatalf("client bound to %q after threshold failures, want %q", got, h.dps[1].Name())
+	}
+	dec := c.Schedule(testJob("recovered"))
+	if !dec.Handled || dec.Err != nil {
+		t.Fatalf("post-failover decision = %+v, want handled", dec)
 	}
 }

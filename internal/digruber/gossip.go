@@ -140,8 +140,10 @@ func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, record
 	vv := gossip.Vector(digest)
 	dp.mu.Lock()
 	if l, ok := dp.peers[from]; ok {
-		// Exact, not a maximum: a peer that crashed since holds less.
-		l.ackVV, l.lastSent = vv, gossip.Seq(digest, dp.cfg.Name)
+		l.ackVV = vv
+		if self := gossip.Seq(digest, dp.cfg.Name); self > l.lastSent {
+			l.lastSent = self
+		}
 	}
 	dp.gossipRelayed += st.Relayed
 	dp.gossipDuplicates += st.Duplicates

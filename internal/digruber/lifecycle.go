@@ -16,10 +16,10 @@ import (
 //
 // While draining, the point refuses new scheduling work (Query/Schedule
 // answer ErrDraining so clients fail over), but keeps accepting Reports
-// (the tail of interactions already in flight) until its final flush is
-// verified, and all mesh/monitoring traffic (Exchange, Status,
-// Snapshot) to the end — peers still need its records and monitors
-// still need to see it. Crash skips all of this: it models
+// (the tail of interactions already in flight) until that work has
+// settled, and all mesh/monitoring traffic (Exchange, Status, Snapshot)
+// to the end — peers still need its records and monitors still need to
+// see it. Crash skips all of this: it models
 // the process dying, state and obligations included.
 
 // isDraining reports whether the decision point is in its Draining
@@ -57,14 +57,14 @@ func drainPoll(timeout time.Duration) time.Duration {
 //     (clients fail over), Status advertises StateDraining.
 //  2. Settle: wait for the service stack's in-flight and queued work to
 //     reach zero, so nothing accepted is abandoned.
-//  3. Final flush: run exchange rounds (force-probing even dead peers)
-//     until every peer has answered one and acknowledged this engine's
-//     full local dispatch log — verified against the exchange-cursor
-//     high-water mark, not assumed from one successful round.
-//  4. Close: Report refuses with ErrDraining too (the client books the
-//     job as not handled), since a report acked now would miss the
-//     flush. Settle and flush once more, over whatever the reports
-//     admitted before the close recorded.
+//  3. Close: Report refuses with ErrDraining too (the client books the
+//     job as not handled), since a report acked after the final flush
+//     would miss it. Settle again, over the reports admitted before the
+//     close.
+//  4. Final flush: run exchange rounds (force-probing even dead peers)
+//     until every peer has acknowledged this engine's full local
+//     dispatch log — verified against the exchange-cursor high-water
+//     mark, not assumed from one successful round.
 //  5. Stop.
 //
 // If settling or flushing exceeds the budget — in-flight work wedged, or
@@ -91,40 +91,19 @@ func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 
 	deadline := dp.cfg.Clock.Now().Add(timeout)
 	poll := drainPoll(timeout)
-	if err := dp.settleAndFlush(deadline, poll); err != nil {
+	if err := dp.settle(deadline, poll); err != nil {
 		return err
 	}
 	dp.reportsClosed.Store(true)
-	if err := dp.settleAndFlush(deadline, poll); err != nil {
+	if err := dp.settle(deadline, poll); err != nil {
 		return err
 	}
-	dp.Stop()
-	dp.metrics.retired.Inc()
-	return nil
-}
 
-// settleAndFlush is one settle-then-flush pass of Drain; past the
-// deadline it aborts the drain and returns why.
-func (dp *DecisionPoint) settleAndFlush(deadline time.Time, poll time.Duration) error {
-	// Settle. Refused calls pass through the stack quickly; what this
-	// waits out is genuinely accepted work.
-	for {
-		st := dp.serverStats()
-		if st.InFlight == 0 && st.Queued == 0 && st.LaneInFlight == 0 && st.LaneQueued == 0 {
-			break
-		}
-		if !dp.cfg.Clock.Now().Before(deadline) {
-			return dp.abortDrain("in-flight work did not settle")
-		}
-		dp.cfg.Clock.Sleep(poll)
-	}
-
-	// Final flush, verified: every peer must answer a round forced
-	// through to it — an acknowledgment from before it crashed proves
-	// nothing — and its acknowledged cursor must reach the local log's
-	// high-water mark. A call can fail against a partitioned peer, so
-	// this retries until the proof holds or the budget runs out.
-	for {
+	// Final flush, verified: every peer's acknowledged cursor must reach
+	// the local log's high-water mark. One round is not enough evidence —
+	// a call can fail against a partitioned peer — so this retries until
+	// the cursors prove completeness or the budget runs out.
+	for !dp.flushComplete() {
 		dp.syncNow(true)
 		if dp.flushComplete() {
 			break
@@ -134,7 +113,27 @@ func (dp *DecisionPoint) settleAndFlush(deadline time.Time, poll time.Duration) 
 		}
 		dp.cfg.Clock.Sleep(poll)
 	}
+
+	dp.Stop()
+	dp.metrics.retired.Inc()
 	return nil
+}
+
+// settle waits for the service stack's in-flight and queued work to
+// reach zero; past the deadline it aborts the drain and returns why.
+// Refused calls pass through the stack quickly; what this waits out is
+// genuinely accepted work.
+func (dp *DecisionPoint) settle(deadline time.Time, poll time.Duration) error {
+	for {
+		st := dp.serverStats()
+		if st.InFlight == 0 && st.Queued == 0 && st.LaneInFlight == 0 && st.LaneQueued == 0 {
+			return nil
+		}
+		if !dp.cfg.Clock.Now().Before(deadline) {
+			return dp.abortDrain("in-flight work did not settle")
+		}
+		dp.cfg.Clock.Sleep(poll)
+	}
 }
 
 // abortDrain returns the decision point to serving and reports why.
@@ -147,16 +146,16 @@ func (dp *DecisionPoint) abortDrain(reason string) error {
 	return fmt.Errorf("digruber: %s: drain aborted: %s", dp.cfg.Name, reason)
 }
 
-// flushComplete reports whether every peer answered its last call and
-// has acknowledged the local dispatch log in full — the drain protocol's
-// exit condition for the final flush.
+// flushComplete reports whether every peer has acknowledged the local
+// dispatch log in full — the drain protocol's exit condition for the
+// final flush.
 func (dp *DecisionPoint) flushComplete() bool {
 	hi := dp.engine.LocalSeqHighWater()
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	//lint:allow mapiter -- conjunction over values; order-independent
 	for _, l := range dp.peers {
-		if l.lastSent < hi || l.fails > 0 {
+		if l.lastSent < hi {
 			return false
 		}
 	}

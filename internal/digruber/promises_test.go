@@ -777,68 +777,6 @@ func TestFleetCrashRecoveryDeterministic(t *testing.T) {
 	}
 }
 
-// durableDamage: five jobs per point, a round, and dp-0's store damaged.
-func durableDamage(damage step) schedule {
-	return schedule{Points: 2, Durable: true, Steps: []step{submit, submit, submit, submit, submit, exchange, {Op: opCrash}, damage, {Op: opRestart}}}
-}
-
-// TestDurableTornWriteTruncatesAndBackfills: a torn tail costs one record,
-// the resync pulls exactly it back, and numbering goes on past it (c).
-func TestDurableTornWriteTruncatesAndBackfills(t *testing.T) {
-	o := checkSchedule(t, durableDamage(step{Op: opTruncate, N: 3}), false)
-	if r := o.Recovered["dp-0"]; r.TruncateReason != wal.ReasonTornPayload || r.Recovered != 9 || r.Backfilled != 1 {
-		t.Errorf("recovery %+v, want a torn payload, 9 of 10 records replayed and 1 backfilled", r)
-	}
-}
-
-// TestDurableBitFlipTruncatesAndBackfills: a flipped bit in the first
-// record stops replay, and the resync restores everything after it.
-func TestDurableBitFlipTruncatesAndBackfills(t *testing.T) {
-	o := checkSchedule(t, durableDamage(step{Op: opFlipBit, N: 10}), false)
-	if r := o.Recovered["dp-0"]; r.TruncateReason != wal.ReasonChecksum || r.Recovered != 0 || r.Backfilled != 10 {
-		t.Errorf("recovery %+v, want a checksum mismatch, nothing replayed and 10 records backfilled", r)
-	}
-}
-
-// TestDurableRecoveryZeroAckedLoss: with no peer at all, a cold restart
-// from the store alone rebuilds every acked record (b) and continues the
-// numbering (c).
-func TestDurableRecoveryZeroAckedLoss(t *testing.T) {
-	o := checkSchedule(t, schedule{Points: 1, Durable: true, Steps: []step{submit, submit, submit, submit, submit, submit, submit, submit, {Op: opCrash}, {Op: opRestart}}}, false)
-	if r := o.Recovered["dp-0"]; r.Recovered != 8 || r.Truncated || r.Backfilled != 0 {
-		t.Errorf("recovery %+v, want 8 records, no truncation, no backfill", r)
-	}
-}
-
-// TestDrainCompletesAndFlushesToPeers: dp-0 retires; only its final
-// flush can have put its unexchanged records at dp-1 (b).
-func TestDrainCompletesAndFlushesToPeers(t *testing.T) {
-	if o := checkSchedule(t, schedule{Points: 2, Steps: []step{submit, submit, submit, {Op: opDrain, D: time.Minute}}}, false); !slices.Equal(o.Drains, []string{"<nil>"}) {
-		t.Errorf("drains %q, want one that retires dp-0", o.Drains)
-	}
-}
-
-// TestClientFailoverChain: three failed interactions with its dead point
-// rebind client-0 to the next point of its chain, which handles it.
-func TestClientFailoverChain(t *testing.T) {
-	o := checkSchedule(t, schedule{Points: 2, Steps: []step{{Op: opCrash}, submit, submit, submit, submit}}, false)
-	for i, want := range []string{"false dp-0", "false dp-0", "false dp-1", "true dp-1"} {
-		if !strings.HasSuffix(o.Decisions[2*i], want) {
-			t.Errorf("client-0's decision %d: %q, want %s", i, o.Decisions[2*i], want)
-		}
-	}
-}
-
-// TestDrainAfterRecovery: a cold-restarted point drains at once; the flush
-// covers the replayed log, records the peer never saw included (b).
-func TestDrainAfterRecovery(t *testing.T) {
-	o := checkSchedule(t, schedule{Points: 2, Durable: true, Steps: []step{submit, submit, submit, submit, submit, submit, exchange,
-		submit, submit, submit, {Op: opCrash}, {Op: opRestart}, {Op: opDrain, D: time.Minute}}}, false)
-	if o.Recovered["dp-0"].Recovered != 15 || !slices.Equal(o.Drains, []string{"<nil>"}) {
-		t.Errorf("recovery %+v, drains %q: want all 15 records replayed and dp-0 retired", o.Recovered["dp-0"], o.Drains)
-	}
-}
-
 // retireDuringGossip is the checker's own find, shrunk and pasted as
 // printed: dp-1 retires and dp-3 removes it, and the heal's rounds reach
 // dp-3 from points that still list dp-1, whose hearsay must not re-add it.
