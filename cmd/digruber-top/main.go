@@ -1,8 +1,8 @@
 // Command digruber-top is a fleet monitor for DI-GRUBER decision
 // points: it polls every broker's Status RPC (with the metrics
 // snapshot) on a fixed interval and renders a live table of per-broker
-// load, saturation, peer health and view divergence — top(1) for a
-// brokering mesh.
+// load, saturation, lifecycle and peer health — top(1) for a brokering
+// mesh.
 //
 // Example against a three-broker mesh:
 //
@@ -232,14 +232,15 @@ func record(brokers []*broker, metrics *wire.ClientMetrics, reg *tsdb.Registry, 
 			draining = 1
 		}
 		gauge(p + "draining").Set(draining)
-		if div, ok := metric(st, "dp/"+st.Name+"/engine/divergence_l1"); ok {
-			gauge(p + "divergence_l1").Set(div)
-		}
+		// The broker's own series are named in full here, so the
+		// consumer rule in internal/lint can match each to what a
+		// decision point registers.
+		dp := "dp/" + st.Name + "/"
 		// Lifecycle counters, when the broker publishes a metrics plane:
 		// drains started, drains aborted, retirements completed.
-		for _, series := range []string{"drains", "drain_aborts", "retired"} {
-			if v, ok := metric(st, "dp/"+st.Name+"/lifecycle/"+series); ok {
-				gauge(p + series).Set(v)
+		for _, series := range []string{dp + "lifecycle/drains", dp + "lifecycle/drain_aborts", dp + "lifecycle/retired"} {
+			if v, ok := metric(st, series); ok {
+				gauge(p + strings.TrimPrefix(series, dp+"lifecycle/")).Set(v)
 			}
 		}
 		// SLO alert summary, when the broker serves an alert source: one
@@ -264,19 +265,19 @@ func record(brokers []*broker, metrics *wire.ClientMetrics, reg *tsdb.Registry, 
 		// when the broker runs the gossip strategy, the byte-accounting
 		// plane or the durability layer.
 		for _, series := range []string{
-			"gossip/view_size", "gossip/pulled", "gossip/relayed",
-			"gossip/duplicates", "gossip/resets",
-			"wire/bytes_in", "wire/bytes_out",
-			"wal/appends", "wal/bytes", "wal/checkpoints", "wal/append_errors",
-			"wal/recovered", "wal/truncated", "wal/backfilled", "wal/checkpoint_age_s",
+			dp + "gossip/view_size", dp + "gossip/pulled", dp + "gossip/relayed",
+			dp + "gossip/duplicates", dp + "gossip/resets",
+			dp + "wire/bytes_in", dp + "wire/bytes_out",
+			dp + "wal/appends", dp + "wal/bytes", dp + "wal/checkpoints", dp + "wal/append_errors",
+			dp + "wal/recovered", dp + "wal/truncated", dp + "wal/backfilled", dp + "wal/checkpoint_age_s",
 		} {
-			if v, ok := metric(st, "dp/"+st.Name+"/"+series); ok {
-				gauge(p + strings.ReplaceAll(series, "/", "_")).Set(v)
+			if v, ok := metric(st, series); ok {
+				gauge(p + strings.ReplaceAll(strings.TrimPrefix(series, dp), "/", "_")).Set(v)
 			}
 		}
 		// Derive the WAL append rate from successive polls of the
 		// monotonic appends counter.
-		if v, ok := metric(st, "dp/"+st.Name+"/wal/appends"); ok {
+		if v, ok := metric(st, dp+"wal/appends"); ok {
 			if !b.walAppendsAt.IsZero() && now.After(b.walAppendsAt) {
 				b.walRate = (v - b.walAppends) / now.Sub(b.walAppendsAt).Seconds()
 			}
@@ -328,13 +329,13 @@ func render(w *os.File, brokers []*broker, metrics *wire.ClientMetrics, plain bo
 	serving, draining, stopped := fleetStates(brokers)
 	fmt.Fprintf(w, "digruber-top — fleet %d: %d serving, %d draining, %d stopped; %d polls throttled\n",
 		serving+draining, serving, draining, stopped, metrics.Stats().Throttled)
-	fmt.Fprintf(w, "%-10s %-9s %9s %8s %8s %6s %6s %8s %8s %8s %12s %6s %8s %-12s\n",
-		"NAME", "STATE", "BRK", "RATE", "CAP", "INFL", "QUEUE", "SHED", "EXPIRED", "LOST", "DIVERGENCE", "VIEW", "RELAYED", "PEERS a/s/d")
+	fmt.Fprintf(w, "%-10s %-9s %9s %8s %8s %6s %6s %8s %8s %8s %6s %8s %-12s\n",
+		"NAME", "STATE", "BRK", "RATE", "CAP", "INFL", "QUEUE", "SHED", "EXPIRED", "LOST", "VIEW", "RELAYED", "PEERS a/s/d")
 	for _, b := range brokers {
 		brk := b.breaker.State().String()
 		if !b.up {
-			fmt.Fprintf(w, "%-10s %-9s %9s %8s %8s %6s %6s %8s %8s %8s %12s %6s %8s %-12s\n",
-				b.name, digruber.StateStopped, brk, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
+			fmt.Fprintf(w, "%-10s %-9s %9s %8s %8s %6s %6s %8s %8s %8s %6s %8s %-12s\n",
+				b.name, digruber.StateStopped, brk, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}
 		st := b.last
@@ -342,13 +343,9 @@ func render(w *os.File, brokers []*broker, metrics *wire.ClientMetrics, plain bo
 		if st.Saturated {
 			state += "+sat"
 		}
-		div := "-"
-		if v, ok := metric(st, "dp/"+st.Name+"/engine/divergence_l1"); ok {
-			div = fmt.Sprintf("%.1f", v)
-		}
 		// Gossip columns: partial-view size and third-party records
-		// relayed. "-" for brokers on the full-mesh strategy (they never
-		// publish gossip series).
+		// relayed. "-" for brokers on the full-mesh strategy (they
+		// register no gossip series).
 		view, relayed := "-", "-"
 		if v, ok := metric(st, "dp/"+st.Name+"/gossip/view_size"); ok {
 			view = fmt.Sprintf("%.0f", v)
@@ -367,9 +364,9 @@ func render(w *os.File, brokers []*broker, metrics *wire.ClientMetrics, plain bo
 				dead++
 			}
 		}
-		fmt.Fprintf(w, "%-10s %-9s %9s %8.2f %8.2f %6d %6d %8d %8d %8d %12s %6s %8s %d/%d/%d\n",
+		fmt.Fprintf(w, "%-10s %-9s %9s %8.2f %8.2f %6d %6d %8d %8d %8d %6s %8s %d/%d/%d\n",
 			b.name, state, brk, st.ObservedRate, st.CapacityRate,
-			st.InFlight, st.Queued, st.Shed, st.Expired, st.ConnLost, div,
+			st.InFlight, st.Queued, st.Shed, st.Expired, st.ConnLost,
 			view, relayed, alive, suspect, dead)
 	}
 	renderWAL(w, brokers)

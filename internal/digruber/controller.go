@@ -210,11 +210,6 @@ func NewController(cfg ControllerConfig, initial []*DecisionPoint) (*Controller,
 		fleet:       append([]*DecisionPoint(nil), initial...),
 		nextIdx:     len(initial),
 	}
-	cfg.Metrics.GaugeFunc("fleet/size", func(now time.Time) float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.fleet))
-	})
 	return c, nil
 }
 

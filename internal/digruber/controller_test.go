@@ -179,9 +179,8 @@ func TestControllerScalesUpAndDown(t *testing.T) {
 	if v, _ := r.reg.Latest("fleet/scale_ups"); v.V != 2 {
 		t.Fatalf("scale_ups = %v, want 2", v.V)
 	}
-	r.reg.Sample(r.clock.Now())
-	if v, _ := r.reg.Latest("fleet/size"); v.V != 2 {
-		t.Fatalf("fleet/size gauge = %v, want 2", v.V)
+	if n := len(r.ctl.Fleet()); n != 2 {
+		t.Fatalf("fleet size = %d, want 2", n)
 	}
 }
 

@@ -130,9 +130,7 @@ type DecisionPoint struct {
 	ticker    vtime.Ticker
 	done      chan struct{}
 	serveDone chan struct{}
-	rounds    int       // exchange (or gossip) rounds completed
-	sentRecs  int       // dispatch records sent to peers
-	lastRound time.Time // completion time of the last exchange round
+	rounds    int // exchange (or gossip) rounds completed
 	// gossipRound numbers gossip rounds monotonically; it seeds each
 	// round's deterministic peer draw and is never reset (a replayed run
 	// counts the same rounds, so it draws the same peers).
@@ -291,7 +289,6 @@ func (dp *DecisionPoint) registerHandlers() {
 			return QueryReply{}, wire.ErrDraining
 		}
 		dp.detector.ObserveArrival()
-		defer dp.observeHandle(dp.cfg.Clock.Now(), ctx.Span.Trace)
 		owner, err := usla.ParsePath(a.Owner)
 		if err != nil {
 			return QueryReply{}, err
@@ -404,7 +401,6 @@ func (dp *DecisionPoint) registerHandlers() {
 			return ScheduleReply{}, wire.ErrDraining
 		}
 		dp.detector.ObserveArrival()
-		defer dp.observeHandle(dp.cfg.Clock.Now(), ctx.Span.Trace)
 		owner, err := checkJob("schedule", a.Owner, a.CPUs, a.Runtime)
 		if err != nil {
 			return ScheduleReply{}, err
@@ -475,7 +471,7 @@ func (dp *DecisionPoint) markPeerAlive(name string) {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	if l, ok := dp.peers[name]; ok {
-		dp.peerAliveLocked(l)
+		l.markAliveLocked()
 	}
 }
 
@@ -853,12 +849,8 @@ func syncRound[A, R any](dp *DecisionPoint, force bool, part roundPart[A, R]) in
 		}
 	}
 	round.End()
-	end := dp.cfg.Clock.Now()
-	dp.metrics.roundDur.Observe(end.Sub(now).Seconds())
 	dp.mu.Lock()
 	dp.rounds++
-	dp.sentRecs += sent
-	dp.lastRound = end
 	dp.mu.Unlock()
 	part.compact(dp)
 	return sent
@@ -882,9 +874,9 @@ func (dp *DecisionPoint) bookOutcome(l *peerLink, err error) {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	if err == nil {
-		dp.peerAliveLocked(l)
+		l.markAliveLocked()
 	} else {
-		dp.peerFailedLocked(l, dp.cfg.Clock.Now())
+		l.markFailedLocked(dp.cfg.Clock.Now(), dp.cfg.ExchangeInterval)
 	}
 }
 
@@ -1033,7 +1025,6 @@ func (dp *DecisionPoint) Restart() error {
 // the decision point then rebuilds gradually from incoming exchanges).
 // An answer, or having no peer at all, settles an owed resync.
 func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
-	dp.metrics.resyncs.Inc()
 	peers := dp.Peers()
 	for _, name := range peers {
 		dp.mu.Lock()
@@ -1060,7 +1051,6 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 			continue
 		}
 		imported := dp.engine.ImportSnapshot(reply.Dispatches)
-		dp.metrics.resyncImported.Add(int64(imported))
 		if dp.dur != nil {
 			dp.dur.noteBackfilled(imported)
 		}

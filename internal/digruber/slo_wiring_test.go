@@ -8,7 +8,6 @@ import (
 	"digruber/internal/trace"
 	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
-	"digruber/internal/wire"
 )
 
 // TestClientLatencyExemplar: the client's Latency hook observes each
@@ -61,55 +60,6 @@ func TestClientLatencyExemplar(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("exemplar trace %d has no %s root in the collector", dec.TraceID, trace.PhaseSchedule)
-	}
-}
-
-// TestDPHandleExemplar: the decision point's server-side scheduling
-// handlers observe into dp/<name>/handle_s with the propagated request
-// trace as the exemplar, so a server-side spike is drillable too.
-func TestDPHandleExemplar(t *testing.T) {
-	clock := vtime.NewManual(epoch)
-	mem := wire.NewMem()
-	reg := tsdb.New(0)
-	col := trace.NewCollector(0)
-	dp, err := New(Config{
-		Name: "dp-0", Addr: "dp-0", Transport: mem, Clock: clock,
-		Profile: wire.Instant(), ExchangeInterval: time.Hour,
-		Metrics: reg,
-		Tracer:  trace.New(trace.Config{Actor: "dp-0", Seed: 5, Clock: clock, Collector: col}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp.Engine().UpdateSites(testStatuses(50, 50), clock.Now())
-	if err := dp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer dp.Stop()
-
-	tracer := trace.New(trace.Config{Actor: "client-0", Seed: 9, Clock: clock, Collector: col})
-	c, err := NewClient(ClientConfig{
-		Name: "client-0", DPName: "dp-0", DPNode: "dp-0", DPAddr: "dp-0",
-		Transport: mem, Clock: clock, Timeout: 5 * time.Second,
-		FallbackSites: []string{"site-000"}, Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	dec := c.Schedule(testJob("j1"))
-	if dec.Err != nil || !dec.Handled {
-		t.Fatalf("decision: %+v", dec)
-	}
-	var got tsdb.Exemplar
-	for _, ex := range reg.Exemplars("dp/dp-0/handle_s") {
-		if ex.Valid() {
-			got = ex
-		}
-	}
-	if got.Trace != dec.TraceID {
-		t.Fatalf("handle exemplar = %+v, want the request trace %d", got, dec.TraceID)
 	}
 }
 

@@ -106,7 +106,6 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 	clients := f.Clients()
 
 	offered := reg.Counter("workload/offered")
-	handledCtr := reg.Counter("workload/handled")
 
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
 		Clock: clock, Factory: f.Deploy, Metrics: reg,
@@ -147,7 +146,6 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 			seq++
 		}
 		offered.Add(int64(n))
-		handledCtr.Add(int64(handled))
 		if err := f.Tick(ctl.Fleet(), true); err != nil {
 			return elasticOutcome{}, nil, err
 		}

@@ -74,7 +74,6 @@ type ScenarioConfig struct {
 	TraceSink *trace.Collector
 	// MetricsSink, when non-nil, turns on the metrics plane: every
 	// decision point registers its instruments under dp/<name>/, a
-	// fleet-wide wire-client counter set lands under clients/wire/, a
 	// per-DP divergence gauge (dp/<name>/engine/divergence_l1) measures
 	// the L1 distance between the broker's dynamic free-CPU view and
 	// grid ground truth, and a sampler records everything into the
@@ -262,7 +261,6 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	var wireMetrics *wire.ClientMetrics
 	if cfg.MetricsSink != nil || cfg.Overload != nil {
 		wireMetrics = wire.NewClientMetrics()
-		wireMetrics.Register(cfg.MetricsSink, "clients/wire")
 	}
 	// Per-VO schedule-latency histograms with trace-ID exemplars — the
 	// SLO plane's input. Pre-registered for every VO of the workload so
@@ -277,8 +275,8 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 	// Shared overload-control machinery. The retry budget is one bucket
 	// for the whole fleet — that is the point: it caps aggregate retry
-	// volume, not each client's. Breaker transitions land in fleet-wide
-	// counters (nil-safe when metrics are off).
+	// volume, not each client's. Breaker openings land in a fleet-wide
+	// counter (nil-safe when metrics are off).
 	var retryBudget *wire.RetryBudget
 	var breakerCfg wire.BreakerConfig
 	if o := cfg.Overload; o != nil && o.Plane {
@@ -288,20 +286,13 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		rate := float64(cfg.Clients) / cfg.Interarrival.Seconds() / 4
 		retryBudget = wire.NewRetryBudget(clock, rate, 2*rate)
 		brkOpen := cfg.MetricsSink.Counter("clients/breaker/open")
-		brkHalf := cfg.MetricsSink.Counter("clients/breaker/half_open")
-		brkClosed := cfg.MetricsSink.Counter("clients/breaker/closed")
 		breakerCfg = wire.BreakerConfig{
 			Clock:     clock,
 			Threshold: overloadBreakerThreshold,
 			Cooldown:  2 * cfg.Timeout,
 			OnTransition: func(from, to wire.BreakerState) {
-				switch to {
-				case wire.BreakerOpen:
+				if to == wire.BreakerOpen {
 					brkOpen.Inc()
-				case wire.BreakerHalfOpen:
-					brkHalf.Inc()
-				default:
-					brkClosed.Inc()
 				}
 			},
 		}

@@ -1,10 +1,6 @@
 package gruber
 
-import (
-	"time"
-
-	"digruber/internal/grid"
-)
+import "digruber/internal/grid"
 
 // ViewDivergence measures how far the engine's dynamic free-CPU view
 // has drifted from ground truth, as the L1 distance (in CPUs) between
@@ -34,38 +30,4 @@ func (e *Engine) ViewDivergence(truth []grid.Status) float64 {
 		d += float64(diff)
 	}
 	return d
-}
-
-// MaxViewAge reports the age of the engine's stalest site baseline at
-// now (0 with no sites). Exchange rounds and monitor updates refresh
-// baselines, so a growing max age means this decision point has stopped
-// hearing about part of the grid.
-func (e *Engine) MaxViewAge(now time.Time) time.Duration {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var max time.Duration
-	//lint:allow mapiter -- max over values; the result is order-independent
-	for _, sv := range e.sites {
-		if age := now.Sub(sv.baseAt); age > max {
-			max = age
-		}
-	}
-	return max
-}
-
-// MeanViewAge reports the mean age of the site baselines at now (0 with
-// no sites) — the companion gauge to MaxViewAge for distinguishing one
-// dead feed from uniform staleness.
-func (e *Engine) MeanViewAge(now time.Time) time.Duration {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(e.sites) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	//lint:allow mapiter -- integer-duration sum; addition commutes exactly
-	for _, sv := range e.sites {
-		sum += now.Sub(sv.baseAt)
-	}
-	return sum / time.Duration(len(e.sites))
 }

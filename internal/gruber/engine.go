@@ -122,7 +122,6 @@ type EngineStats struct {
 // so a query reads a site without walking anything.
 type siteView struct {
 	base       grid.Status
-	baseAt     time.Time
 	baseUsage  map[usla.Path]int // base.UsageByPath, keys parsed once
 	usedDelta  int
 	usageDelta map[usla.Path]int
@@ -238,7 +237,6 @@ func (e *Engine) UpdateSites(statuses []grid.Status, at time.Time) {
 			e.order = append(e.order, st.Name)
 		}
 		sv.base = st
-		sv.baseAt = at
 		sv.baseUsage = usageByPath(st.UsageByPath)
 		sv.usedDelta = 0
 		sv.usageDelta = make(map[usla.Path]int)
@@ -513,13 +511,6 @@ func (e *Engine) Stats() EngineStats {
 	st := e.stats
 	st.Queries = e.queries.Load()
 	return st
-}
-
-// NumSites reports how many sites the engine knows about.
-func (e *Engine) NumSites() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.order)
 }
 
 // EstFreeCPUs reports the engine's current free-CPU estimate for one

@@ -41,9 +41,6 @@ func TestEngineBaselineView(t *testing.T) {
 	clock := vtime.NewManual(epoch)
 	e := newEngine(clock, "")
 	e.UpdateSites(statuses(100, 40, 0), clock.Now())
-	if e.NumSites() != 3 {
-		t.Fatalf("sites = %d", e.NumSites())
-	}
 	loads := e.SiteLoads(usla.MustParsePath("atlas"), 1)
 	if len(loads) != 3 {
 		t.Fatalf("loads = %d", len(loads))

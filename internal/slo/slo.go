@@ -20,8 +20,8 @@
 //     trailing window — the SRE multi-window pair (5m/1h by default),
 //     fast to react, slow to resist flapping.
 //   - A per-VO alert state machine advances pending → firing → resolved
-//     off virtual time with hysteresis on both edges, and counts and
-//     logs every transition.
+//     off virtual time with hysteresis on both edges, and logs every
+//     transition.
 //
 // Everything is deterministic under the repo's rules: timestamps come
 // from the caller (vtime), objectives evaluate in sorted-VO order, and
@@ -70,9 +70,8 @@ type Objective struct {
 
 // Config wires an Evaluator.
 type Config struct {
-	// Registry is both the source (latency histograms, handled counters)
-	// and the destination (slo/<vo>/... gauges and counters) of the
-	// evaluation.
+	// Registry is the source of the evaluation: the latency histograms
+	// and handled counters it reads back.
 	Registry *tsdb.Registry
 	// Objectives are the per-VO objectives, evaluated in sorted-VO order.
 	Objectives []Objective
@@ -160,16 +159,7 @@ type alert struct {
 	state      AlertState
 	since      time.Time // entered the current state
 	belowSince time.Time // firing only: fast burn below threshold since
-	pendings   *tsdb.Counter
-	firings    *tsdb.Counter
-	resolved   *tsdb.Counter
-
-	attainFast *tsdb.Gauge
-	attainSlow *tsdb.Gauge
-	burnFast   *tsdb.Gauge
-	burnSlow   *tsdb.Gauge
-	goodput    *tsdb.Gauge
-	level      *tsdb.Gauge
+	burnFast   float64   // fast-window burn rate at the last evaluation
 }
 
 // Evaluator evaluates a set of objectives against one registry and runs
@@ -188,11 +178,10 @@ type Evaluator struct {
 	log    []Transition
 }
 
-// New validates the config and builds an evaluator. The per-VO output
-// instruments (slo/<vo>/attainment_fast, attainment_slow, burn_fast,
-// burn_slow, goodput, alert_state gauges and the alerts/pending,
-// alerts/firing, alerts/resolved counters) register eagerly so the
-// series exist from the first sample.
+// New validates the config and builds an evaluator. It registers no
+// series: the assessments, the alert summary and the transition log are
+// its outputs, and their readers (the Controller, Status, the alerts
+// file) take them from the Evaluator.
 func New(cfg Config) (*Evaluator, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("slo: Config.Registry is required")
@@ -228,23 +217,7 @@ func New(cfg Config) (*Evaluator, error) {
 		if _, dup := e.alerts[o.VO]; dup {
 			return nil, fmt.Errorf("slo: duplicate objective for VO %s", o.VO)
 		}
-		p := "slo/" + o.VO + "/"
-		reg := cfg.Registry
-		e.alerts[o.VO] = &alert{
-			pendings:   reg.Counter(p + "alerts/pending"),
-			firings:    reg.Counter(p + "alerts/firing"),
-			resolved:   reg.Counter(p + "alerts/resolved"),
-			attainFast: reg.Gauge(p + "attainment_fast"),
-			attainSlow: reg.Gauge(p + "attainment_slow"),
-			burnFast:   reg.Gauge(p + "burn_fast"),
-			burnSlow:   reg.Gauge(p + "burn_slow"),
-			goodput:    reg.Gauge(p + "goodput"),
-			level:      reg.Gauge(p + "alert_state"),
-		}
-		// An idle VO meets its objective; start the gauges there rather
-		// than at a spurious zero-attainment first sample.
-		e.alerts[o.VO].attainFast.Set(1)
-		e.alerts[o.VO].attainSlow.Set(1)
+		e.alerts[o.VO] = &alert{}
 	}
 	return e, nil
 }
@@ -293,9 +266,8 @@ func (e *Evaluator) attainment(o Objective, now time.Time, window time.Duration)
 }
 
 // Evaluate runs one evaluation pass at virtual time now and returns the
-// per-objective assessments in sorted-VO order. It updates the output
-// gauges/counters (recorded by the registry's next Sample) and advances
-// the alert state machines.
+// per-objective assessments in sorted-VO order, and advances the alert
+// state machines.
 func (e *Evaluator) Evaluate(now time.Time) []Assessment {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -315,13 +287,7 @@ func (e *Evaluator) Evaluate(now time.Time) []Assessment {
 			}
 		}
 		as.State = e.step(o.VO, a, now, as)
-
-		a.attainFast.Set(as.AttainFast)
-		a.attainSlow.Set(as.AttainSlow)
-		a.burnFast.Set(as.BurnFast)
-		a.burnSlow.Set(as.BurnSlow)
-		a.goodput.Set(as.Goodput)
-		a.level.Set(float64(as.State))
+		a.burnFast = as.BurnFast
 		out = append(out, as)
 	}
 	return out
@@ -361,21 +327,12 @@ func (e *Evaluator) step(vo string, a *alert, now time.Time, as Assessment) Aler
 	return a.state
 }
 
-// transition moves an alert to a new state, bumps the matching counter
-// and logs the change.
+// transition moves an alert to a new state and logs the change.
 func (e *Evaluator) transition(vo string, a *alert, to AlertState, now time.Time, as Assessment) {
 	tr := Transition{
 		VO: vo, From: a.state, To: to,
 		FromState: a.state.String(), ToState: to.String(),
 		At: now, BurnFast: as.BurnFast, BurnSlow: as.BurnSlow,
-	}
-	switch to {
-	case StatePending:
-		a.pendings.Inc()
-	case StateFiring:
-		a.firings.Inc()
-	case StateInactive:
-		a.resolved.Inc()
 	}
 	a.state = to
 	a.since = now
@@ -416,7 +373,7 @@ func (e *Evaluator) Alerts() []AlertStatus {
 		if a.state == StateInactive {
 			continue
 		}
-		out = append(out, AlertStatus{VO: o.VO, State: a.state, Since: a.since, BurnFast: a.burnFast.Value()})
+		out = append(out, AlertStatus{VO: o.VO, State: a.state, Since: a.since, BurnFast: a.burnFast})
 	}
 	return out
 }

@@ -56,10 +56,10 @@ func newHarness(t *testing.T, mutate func(*Config)) *harness {
 // threshold and bad ones over it, then evaluates.
 func (h *harness) step(good, bad int) Assessment {
 	for i := 0; i < good; i++ {
-		h.hist.Observe(0.5)
+		h.hist.ObserveTrace(0.5, 0, time.Time{})
 	}
 	for i := 0; i < bad; i++ {
-		h.hist.Observe(3.0)
+		h.hist.ObserveTrace(3.0, 0, time.Time{})
 	}
 	h.ctr.Add(int64(good + bad))
 	h.now = h.now.Add(time.Minute)
@@ -166,8 +166,7 @@ func TestAlertLifecycle(t *testing.T) {
 		t.Fatal("alert never resolved after recovery")
 	}
 
-	// Transition log: pending → firing → resolved, in order, mirrored by
-	// the hook and the counters.
+	// Transition log: pending → firing → resolved, in order.
 	trs := h.ev.Transitions()
 	if len(trs) != 3 {
 		t.Fatalf("transition log = %+v, want 3 entries", trs)
@@ -180,15 +179,6 @@ func TestAlertLifecycle(t *testing.T) {
 	}
 	if trs[1].ToState != "firing" {
 		t.Fatalf("transition log spells %+v", trs[1])
-	}
-	for name, want := range map[string]int64{
-		"slo/test/alerts/pending":  1,
-		"slo/test/alerts/firing":   1,
-		"slo/test/alerts/resolved": 1,
-	} {
-		if got := h.reg.Counter(name).Value(); got != want {
-			t.Fatalf("%s = %d, want %d", name, got, want)
-		}
 	}
 }
 
@@ -222,9 +212,6 @@ func TestPendingCancel(t *testing.T) {
 		if tr.To == StateFiring {
 			t.Fatalf("short burst fired: %+v", h.ev.Transitions())
 		}
-	}
-	if got := h.reg.Counter("slo/test/alerts/firing").Value(); got != 0 {
-		t.Fatalf("firing counter = %d, want 0", got)
 	}
 }
 

@@ -14,7 +14,7 @@ var exEpoch = time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC)
 func TestHistogramExemplarWorstWins(t *testing.T) {
 	h := newHistogram("ex", []float64{1, 5, 10})
 
-	h.Observe(0.5) // untraced: counts, no exemplar
+	h.ObserveTrace(0.5, 0, time.Time{}) // untraced: counts, no exemplar
 	if ex := h.Exemplars(); ex[0].Valid() {
 		t.Fatalf("untraced observation set an exemplar: %+v", ex[0])
 	}
@@ -45,7 +45,7 @@ func TestHistogramExemplarWorstWins(t *testing.T) {
 
 	// Untraced traffic afterwards leaves it alone.
 	for i := 0; i < 100; i++ {
-		h.Observe(4.99)
+		h.ObserveTrace(4.99, 0, time.Time{})
 	}
 	if got := h.Exemplars()[1]; got.Trace != 104 {
 		t.Fatalf("untraced traffic clobbered the exemplar: %+v", got)

@@ -93,19 +93,15 @@ func (h *Histogram) Bounds() []float64 {
 	return h.bounds
 }
 
-// Observe adds one observation to the current window. NaN is ignored.
-func (h *Histogram) Observe(v float64) {
-	h.ObserveTrace(v, 0, time.Time{})
-}
-
-// ObserveTrace is Observe with exemplar capture: the observation's trace
-// ID and virtual timestamp are retained on its bucket when the sample is
-// the worst the bucket has recently seen. Replacement is worst-wins
+// ObserveTrace adds one observation to the current window (NaN is
+// ignored) and captures an exemplar: the observation's trace ID and
+// virtual timestamp are retained on its bucket when the sample is the
+// worst the bucket has recently seen. Replacement is worst-wins
 // (v at or above the held exemplar's value always takes the slot, so
 // each bucket points at its recent maximum) with seeded eviction: a
 // not-worse sample still takes the slot on a 1/8 draw from the
 // histogram's deterministic stream, bounding how long a stale outlier
-// survives. A zero trace ID degrades to a plain Observe — untraced
+// survives. A zero trace ID degrades to a plain observation — untraced
 // callers pay nothing and never clobber an exemplar.
 func (h *Histogram) ObserveTrace(v float64, traceID uint64, at time.Time) {
 	if h == nil || math.IsNaN(v) {

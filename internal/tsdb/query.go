@@ -102,28 +102,33 @@ func (r *Registry) Align(names ...string) Frame {
 }
 
 // WindowRate returns the mean per-second rate of a cumulative series
-// (a sampled Counter) over the trailing window ending at now, computed
-// end-to-end across the window rather than averaged per-interval so
-// uneven sampling cannot skew it. Fewer than two points in the window —
-// or a counter reset (negative delta, e.g. a broker restart) — yield 0:
-// the signal reads "no evidence of activity", never a negative rate.
+// (a sampled Counter) over the trailing window ending at now: the sum of
+// the increases between successive points over the time the points span.
+// A drop (a counter reset, e.g. a broker restart whose fresh server
+// counts from zero) counts the new value as an increase from zero, as
+// Prometheus's rate does — so a restarted point's activity is not hidden
+// for the window that spans its restart, and the rate is never negative.
+// Fewer than two points in the window yield 0: no evidence of activity.
 // This is the scaling controller's load-signal primitive (shed, expired
-// and throttle rates).
+// and demand rates).
 func (r *Registry) WindowRate(name string, now time.Time, window time.Duration) float64 {
 	pts := r.Range(name, now.Add(-window), now)
 	if len(pts) < 2 {
 		return 0
 	}
-	first, last := pts[0], pts[len(pts)-1]
-	dt := last.T.Sub(first.T).Seconds()
+	dt := pts[len(pts)-1].T.Sub(pts[0].T).Seconds()
 	if dt <= 0 {
 		return 0
 	}
-	dv := last.V - first.V
-	if dv < 0 {
-		dv = 0
+	inc := 0.0
+	for i := 1; i < len(pts); i++ {
+		if d := pts[i].V - pts[i-1].V; d >= 0 {
+			inc += d
+		} else {
+			inc += pts[i].V
+		}
 	}
-	return dv / dt
+	return inc / dt
 }
 
 // WindowMean returns the mean of a series over the trailing window

@@ -65,7 +65,7 @@ func TestNilRegistryAndInstrumentsAreSafe(t *testing.T) {
 	r.Counter("x").Add(1)
 	r.Gauge("y").Set(2)
 	r.GaugeFunc("z", func(time.Time) float64 { return 1 })
-	r.Histogram("h", nil).Observe(1)
+	r.Histogram("h", nil).ObserveTrace(1, 0, time.Time{})
 	r.Sample(at(1))
 	if r.SeriesNames() != nil || r.Points("x") != nil || r.Export() != nil {
 		t.Fatal("nil registry leaked state")
@@ -123,9 +123,9 @@ func TestRingBoundDropsOldest(t *testing.T) {
 func TestHistogramWindowsReset(t *testing.T) {
 	r := New(0)
 	h := r.Histogram("lat", []float64{1, 5})
-	h.Observe(0.5)
-	h.Observe(3)
-	h.Observe(100)
+	h.ObserveTrace(0.5, 0, time.Time{})
+	h.ObserveTrace(3, 0, time.Time{})
+	h.ObserveTrace(100, 0, time.Time{})
 	r.Sample(at(1))
 	// Second window: empty.
 	r.Sample(at(2))
@@ -165,7 +165,7 @@ func TestJSONLDeterministicAndRoundTrips(t *testing.T) {
 		for i := 1; i <= 4; i++ {
 			c.Add(int64(i))
 			g.Set(float64(10 - i))
-			h.Observe(float64(i))
+			h.ObserveTrace(float64(i), 0, time.Time{})
 			r.Sample(at(i))
 		}
 		return r
@@ -252,7 +252,7 @@ func TestConcurrentInstrumentsUnderSampling(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.Inc()
 				g.Set(float64(i))
-				h.Observe(float64(i % 3))
+				h.ObserveTrace(float64(i % 3), 0, time.Time{})
 			}
 		}(w)
 	}

@@ -33,16 +33,32 @@ func TestWindowRate(t *testing.T) {
 	}
 }
 
-func TestWindowRateClampsCounterReset(t *testing.T) {
+// TestWindowRateCountsAcrossReset: a restarted point's cumulative
+// series falls to its fresh server's count. The window's rate sums the
+// increases step by step and counts the value after a drop as an
+// increase from zero, so the restart neither reads as idle nor as a
+// negative rate.
+func TestWindowRateCountsAcrossReset(t *testing.T) {
 	r := New(0)
 	g := r.Gauge("restarting")
 	t0 := time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC)
-	g.Set(100)
+	for i, v := range []float64{100, 110, 0, 30} {
+		g.Set(v)
+		r.Sample(t0.Add(time.Duration(i) * time.Minute))
+	}
+	now := t0.Add(3 * time.Minute)
+	// 10 before the restart, 0 at it, 30 after: 40 over the 180 s span.
+	if got := r.WindowRate("restarting", now, 3*time.Minute); got != 40.0/180 {
+		t.Fatalf("rate across a reset = %v, want %v", got, 40.0/180)
+	}
+	// The falling edge alone: the fresh count is all increase.
+	g2 := r.Gauge("fell")
+	g2.Set(100)
 	r.Sample(t0)
-	g.Set(5) // a restart: the cumulative value fell
+	g2.Set(5)
 	r.Sample(t0.Add(time.Minute))
-	if got := r.WindowRate("restarting", t0.Add(time.Minute), 2*time.Minute); got != 0 {
-		t.Fatalf("rate across a reset = %v, want clamped 0", got)
+	if got := r.WindowRate("fell", t0.Add(time.Minute), 2*time.Minute); got != 5.0/60 {
+		t.Fatalf("rate across the falling edge = %v, want %v", got, 5.0/60)
 	}
 }
 
@@ -71,10 +87,11 @@ func TestWindowMeanAndMax(t *testing.T) {
 	}
 }
 
-// TestWindowRateResetAtBoundary pins the clamp's interaction with the
-// window edge: a reset sitting exactly on the inclusive boundary sample
-// clamps the whole window to 0, while a window starting one sample
-// later never sees the reset and reads the clean post-restart rate.
+// TestWindowRateResetAtBoundary pins the reset's interaction with the
+// window edge: a window that holds the pre-reset sample counts the
+// fresh count as an increase from zero, while a window starting one
+// sample later never sees the reset and reads the clean post-restart
+// rate.
 func TestWindowRateResetAtBoundary(t *testing.T) {
 	r := New(0)
 	g := r.Gauge("reset")
@@ -86,20 +103,19 @@ func TestWindowRateResetAtBoundary(t *testing.T) {
 	now := t0.Add(3 * time.Minute)
 
 	// Window boundary exactly on the pre-reset sample (Range is
-	// inclusive): first=100 > last=125 is fine, but a tighter window
-	// landing on the reset pair must clamp.
-	if got := r.WindowRate("reset", now, 3*time.Minute); got != 25.0/180 {
-		t.Fatalf("WindowRate spanning reset = %v, want %v", got, 25.0/180)
+	// inclusive): 5 from zero, then 60 and 60, over 180 s.
+	if got := r.WindowRate("reset", now, 3*time.Minute); got != 125.0/180 {
+		t.Fatalf("WindowRate spanning reset = %v, want %v", got, 125.0/180)
 	}
 	// Boundary exactly on the post-reset sample: the reset is outside,
 	// the recovery rate (125-5)/120s = 1/s reads clean.
 	if got := r.WindowRate("reset", now, 2*time.Minute); got != 1 {
 		t.Fatalf("WindowRate post-reset = %v, want 1", got)
 	}
-	// A window whose endpoints straddle only the falling edge clamps to
-	// 0 rather than going negative.
-	if got := r.WindowRate("reset", t0.Add(time.Minute), time.Minute); got != 0 {
-		t.Fatalf("WindowRate across falling edge = %v, want 0", got)
+	// A window whose endpoints straddle only the falling edge reads the
+	// fresh count, never a negative rate.
+	if got := r.WindowRate("reset", t0.Add(time.Minute), time.Minute); got != 5.0/60 {
+		t.Fatalf("WindowRate across falling edge = %v, want %v", got, 5.0/60)
 	}
 }
 

@@ -2,13 +2,14 @@ package wire
 
 import "sync"
 
-// Payload-byte accounting, per method. Bytes-on-wire is the axis the
-// gossip dissemination work is judged on — per-DP bytes-per-round must
-// track the fanout, not the fleet size — so both ends of a call count
-// the gob body bytes they ship and receive, split by method name.
-// Counts cover the encoded request/response bodies only (the same
-// quantity the emulated stacks charge ServiceTime on), not the frame
-// envelope, so they are stable across envelope extensions.
+// Payload-byte accounting. Bytes-on-wire is the axis the gossip
+// dissemination work is judged on — per-DP bytes-per-round must track
+// the fanout, not the fleet size — so both ends of a call count the gob
+// body bytes they ship and receive: the server as two totals, a
+// client's metrics split by method name. Counts cover the encoded
+// request/response bodies only (the same quantity the emulated stacks
+// charge ServiceTime on), not the frame envelope, so they are stable
+// across envelope extensions.
 
 // IOBytes is one method's cumulative payload-byte totals from one
 // side's perspective: In is bytes received, Out is bytes sent.
@@ -17,8 +18,8 @@ type IOBytes struct {
 	Out int64
 }
 
-// byteBook is a mutex-guarded per-method byte ledger shared by the
-// server and client implementations.
+// byteBook is a mutex-guarded per-method byte ledger, kept by
+// ClientMetrics.
 type byteBook struct {
 	mu       sync.Mutex
 	in, out  int64
@@ -55,10 +56,6 @@ func (b *byteBook) snapshot() map[string]IOBytes {
 	}
 	return out
 }
-
-// MethodIO returns the server's per-method payload-byte totals: In is
-// request bodies received, Out is response bodies sent.
-func (s *Server) MethodIO() map[string]IOBytes { return s.bytes.snapshot() }
 
 // MethodIO returns this counter set's per-method payload-byte totals:
 // Out is request bodies sent (every attempt, retries included), In is

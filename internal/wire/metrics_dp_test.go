@@ -60,17 +60,11 @@ func TestServerMetricsRegistration(t *testing.T) {
 		t.Fatalf("status %+v, client ledger %+v; want 3 received and bytes both ways", st, cs)
 	}
 	for name, want := range map[string]float64{
-		"received":                     float64(st.Received),
-		"completed":                    float64(st.Completed),
-		"shed":                         0,
-		"conn_lost":                    0,
-		"failed":                       0,
-		"inflight":                     0,
-		"queue":                        0,
-		"bytes_in":                     float64(cs.BytesSent),
-		"bytes_out":                    float64(cs.BytesReceived),
-		"method/ScheduleJob/bytes_in":  float64(m.MethodIO()[digruber.MethodSchedule].Out),
-		"method/ScheduleJob/bytes_out": float64(m.MethodIO()[digruber.MethodSchedule].In),
+		"queue":     0,
+		"shed":      0,
+		"expired":   0,
+		"bytes_in":  float64(cs.BytesSent),
+		"bytes_out": float64(cs.BytesReceived),
 	} {
 		p, ok := reg.Latest("dp/dp-0/wire/" + name)
 		if !ok || p.V != want {

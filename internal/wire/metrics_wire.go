@@ -1,11 +1,6 @@
 package wire
 
-import (
-	"sync/atomic"
-	"time"
-
-	"digruber/internal/tsdb"
-)
+import "sync/atomic"
 
 // ClientMetrics aggregates call outcomes across one or more Clients
 // sharing it (a fleet of submission hosts, a decision point's peer
@@ -30,42 +25,6 @@ type ClientMetrics struct {
 
 // NewClientMetrics returns an empty, shareable counter set.
 func NewClientMetrics() *ClientMetrics { return &ClientMetrics{} }
-
-// Register exposes the counters as cumulative series under prefix
-// (calls, attempts, retries, ok, timeout, overload, refused, lost,
-// failed). Safe with a nil receiver or registry.
-func (m *ClientMetrics) Register(reg *tsdb.Registry, prefix string) {
-	if m == nil {
-		return
-	}
-	for _, c := range []struct {
-		name string
-		v    *atomic.Int64
-	}{
-		{"/calls", &m.calls},
-		{"/attempts", &m.attempts},
-		{"/retries", &m.retries},
-		{"/throttled", &m.throttled},
-		{"/ok", &m.ok},
-		{"/timeout", &m.timeout},
-		{"/overload", &m.overload},
-		{"/refused", &m.refused},
-		{"/lost", &m.lost},
-		{"/expired", &m.expired},
-		{"/failed", &m.other},
-	} {
-		v := c.v
-		reg.GaugeFunc(prefix+c.name, func(now time.Time) float64 { return float64(v.Load()) })
-	}
-	reg.GaugeFunc(prefix+"/bytes_sent", func(now time.Time) float64 {
-		_, out := m.bytes.totals()
-		return float64(out)
-	})
-	reg.GaugeFunc(prefix+"/bytes_received", func(now time.Time) float64 {
-		in, _ := m.bytes.totals()
-		return float64(in)
-	})
-}
 
 func (m *ClientMetrics) onCall() {
 	if m != nil {

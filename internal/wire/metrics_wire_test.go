@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"digruber/internal/trace"
-	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
 )
 
@@ -68,12 +67,6 @@ func TestClientMetricsOutcomes(t *testing.T) {
 		t.Fatalf("stats = %+v, want attempts=6 retries=2", st)
 	}
 
-	reg := tsdb.New(0)
-	m.Register(reg, "clients/wire")
-	reg.Sample(clock.Now())
-	if p, ok := reg.Latest("clients/wire/calls"); !ok || p.V != 4 {
-		t.Fatalf("clients/wire/calls = %v (ok=%v), want 4", p.V, ok)
-	}
 }
 
 // TestNilClientMetricsIsFree: un-instrumented clients and nil receivers
@@ -85,7 +78,6 @@ func TestNilClientMetricsIsFree(t *testing.T) {
 	m.onRetry()
 	m.onResult(nil)
 	m.onResult(fmt.Errorf("x"))
-	m.Register(tsdb.New(0), "p")
 	if st := m.Stats(); st != (ClientStats{}) {
 		t.Fatalf("nil metrics stats = %+v", st)
 	}

@@ -81,8 +81,10 @@ type Server struct {
 	// ended completed or failed; Stats divides it into ServiceMean.
 	serviceNs atomic.Int64
 
-	// bytes ledgers payload bytes in/out, per method (see bytes.go).
-	bytes byteBook
+	// bytesIn and bytesOut total the payload bytes received and sent
+	// (see bytes.go).
+	bytesIn  atomic.Int64
+	bytesOut atomic.Int64
 
 	// bodies is where each connection's reader takes the storage of a
 	// request Body from and a typed handler that of its encoded reply. The
@@ -277,7 +279,7 @@ func (s *Server) serveConn(raw Conn) {
 			continue
 		}
 		s.received.Add(1)
-		s.bytes.count(f.Method, len(f.Body), 0)
+		s.bytesIn.Add(int64(len(f.Body)))
 		j := job{conn: conn, f: f}
 		if f.Trace != 0 && s.getTracer() != nil {
 			j.enqueuedAt = s.clock.Now()
@@ -373,7 +375,7 @@ func (s *Server) process(j job, call *serverCall, lane *atomic.Int64) {
 	} else {
 		s.completed.Add(1)
 	}
-	s.bytes.count(j.f.Method, 0, len(respBody))
+	s.bytesOut.Add(int64(len(respBody)))
 	// Out of flight before the reply leaves: a caller holding its answer
 	// must not find its request still counted, or the load it reads next
 	// (a failover probe's Queued + InFlight) races this goroutine.
@@ -438,8 +440,7 @@ type Stats struct {
 	// ServiceMean is the mean emulated service time in seconds.
 	ServiceMean float64
 	// BytesIn and BytesOut total the payload bytes received (request
-	// bodies) and sent (response bodies) across all methods; the
-	// per-method split is Server.MethodIO.
+	// bodies) and sent (response bodies) across all methods.
 	BytesIn  int64
 	BytesOut int64
 }
@@ -455,10 +456,9 @@ func (s *Server) Stats() Stats {
 	if s.laneWork != nil {
 		laneQueued = len(s.laneWork)
 	}
-	bytesIn, bytesOut := s.bytes.totals()
 	return Stats{
-		BytesIn:      bytesIn,
-		BytesOut:     bytesOut,
+		BytesIn:      s.bytesIn.Load(),
+		BytesOut:     s.bytesOut.Load(),
 		Received:     s.received.Load(),
 		Completed:    completed,
 		Failed:       failed,
