@@ -1,6 +1,6 @@
 // Physics workload: the scenario the paper's introduction motivates —
-// LHC-style collaborations with thousands of jobs of varying priority
-// sharing a grid under usage SLAs.
+// LHC-style collaborations with thousands of jobs sharing a grid under
+// usage SLAs.
 //
 //	go run ./examples/physics-workload
 //
@@ -203,11 +203,11 @@ func main() {
 
 func job(vo, host, id string, cpus int, runtime time.Duration) *grid.Job {
 	return &grid.Job{
-		ID:         grid.JobID(id),
-		Owner:      usla.MustParsePath(vo),
-		CPUs:       cpus,
-		Runtime:    runtime,
-		InputBytes: 16 << 20, OutputBytes: 8 << 20,
-		SubmitHost: host,
+		ID:          grid.JobID(id),
+		Owner:       usla.MustParsePath(vo),
+		CPUs:        cpus,
+		Runtime:     runtime,
+		OutputBytes: 8 << 20,
+		SubmitHost:  host,
 	}
 }

@@ -169,19 +169,6 @@ func TestPlannerValidation(t *testing.T) {
 	}
 }
 
-func TestGramTransientFailure(t *testing.T) {
-	clock := vtime.NewReal()
-	g := grid.New(clock)
-	g.AddSite(grid.SiteConfig{Name: "s", Clusters: []int{2}})
-	sub := gram.NewSubmitter(g, nil, clock, gram.Config{TransientFailProb: 1, RNG: netsim.Stream(1, "g")})
-	if _, err := sub.Submit("h", "s", testJob("j")); err == nil {
-		t.Fatal("transient failure not injected")
-	}
-	if _, err := sub.Submit("h", "nowhere", testJob("j")); err == nil {
-		t.Fatal("unknown site accepted")
-	}
-}
-
 func TestGramPaysLatency(t *testing.T) {
 	clock := vtime.NewReal()
 	g := grid.New(clock)

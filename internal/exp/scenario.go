@@ -466,7 +466,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 				defer execWG.Done()
 				ticket, err := submitter.Submit(job.SubmitHost, site, job)
 				if err != nil {
-					collector.RecordOutcome(string(job.ID), 0, 0, true)
+					collector.RecordRefused(string(job.ID))
 					return
 				}
 				out := <-ticket.Done()

@@ -26,15 +26,19 @@ type JobRecord struct {
 	// Handled reports whether DI-GRUBER answered (vs. timeout fallback).
 	Handled bool
 	// Accuracy is the paper's SA_i: free CPUs at the selected site over
-	// total free CPUs in the grid, both at dispatch time.
+	// free CPUs at the best site, both at dispatch time (DESIGN.md,
+	// "Scheduling accuracy").
 	Accuracy float64
 	// QTime is the site queue time (known at completion).
 	QTime time.Duration
 	// CPUTime is runtime × CPUs actually delivered (0 if failed).
 	CPUTime time.Duration
-	// Completed and Failed describe execution state.
+	// Completed and Failed describe execution state. Refused marks a
+	// failure before the job reached a queue: the site turned the
+	// submission away, so the job has no queue time.
 	Completed bool
 	Failed    bool
+	Refused   bool
 }
 
 // Collector gathers job records and produces the paper's tables. Safe
@@ -79,6 +83,20 @@ func (c *Collector) RecordOutcome(id string, qtime, cpuTime time.Duration, faile
 	r.Failed = failed
 }
 
+// RecordRefused registers a submission the site refused: the job
+// failed, and counts as a request but never as a queue wait.
+func (c *Collector) RecordRefused(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.jobs[id]
+	if !ok {
+		r = &JobRecord{ID: id}
+		c.jobs[id] = r
+	}
+	r.Failed = true
+	r.Refused = true
+}
+
 // Records returns a copy of all records, sorted by ID.
 func (c *Collector) Records() []JobRecord {
 	c.mu.Lock()
@@ -100,7 +118,8 @@ type TableRow struct {
 	PctOfRequests float64
 	// NumRequests counts requests in the class.
 	NumRequests int
-	// MeanQTime averages site queue time over the class's finished jobs.
+	// MeanQTime averages site queue time over the class's finished jobs;
+	// a refused submission never queued and is not one of them.
 	MeanQTime time.Duration
 	// NormQTime is the paper's Normalized QTime: QTime divided by the
 	// number of requests in the class.
@@ -150,7 +169,7 @@ func (c *Collector) BuildTable(totalCPUs int, window time.Duration) Table {
 			respSum += r.Response
 			accSum += r.Accuracy
 			cpuSum += r.CPUTime
-			if r.Completed || r.Failed {
+			if (r.Completed || r.Failed) && !r.Refused {
 				qtimeSum += r.QTime
 				finished++
 			}

@@ -96,6 +96,23 @@ func TestFailedJobsCountInQTime(t *testing.T) {
 	}
 }
 
+// A submission the site refused never waited in a queue: it counts as a
+// request of its class, not as a 0 s queue time.
+func TestRefusedSubmissionIsNoQueueWait(t *testing.T) {
+	c := NewCollector()
+	c.RecordScheduled("queued", Epoch, 30*time.Second, false, 0.2)
+	c.RecordOutcome("queued", 10*time.Second, time.Minute, false)
+	c.RecordScheduled("refused", Epoch, 30*time.Second, false, 0)
+	c.RecordRefused("refused")
+	row := c.BuildTable(10, time.Minute).Rows[1] // not-handled
+	if row.NumRequests != 2 {
+		t.Fatalf("not-handled requests = %d, want 2", row.NumRequests)
+	}
+	if row.MeanQTime != 10*time.Second {
+		t.Fatalf("not-handled QTime = %v, want 10s: the refused job has no queue time", row.MeanQTime)
+	}
+}
+
 func TestAccuracyMean(t *testing.T) {
 	c := NewCollector()
 	for i := 1; i <= 4; i++ {

@@ -1,14 +1,11 @@
 // Package gram stands in for the Condor-G / Globus GRAM job-submission
 // path Euryale uses to place jobs at sites: submitting costs wide-area
-// latency plus a GRAM processing overhead, and can fail transiently
-// (gatekeeper timeouts, auth hiccups) — the failures Euryale's
-// re-planning exists to absorb.
+// latency plus a GRAM processing overhead. A submission fails only when
+// the site is unknown or the site itself refuses the job.
 package gram
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"digruber/internal/grid"
@@ -21,11 +18,6 @@ type Config struct {
 	// SubmitOverhead is the GRAM gatekeeper processing cost per
 	// submission, independent of the network.
 	SubmitOverhead time.Duration
-	// TransientFailProb is the probability a submission fails before the
-	// job reaches the site queue.
-	TransientFailProb float64
-	// RNG drives failure injection; nil disables it.
-	RNG *rand.Rand
 }
 
 // Submitter submits jobs to grid sites on behalf of submission hosts.
@@ -34,8 +26,6 @@ type Submitter struct {
 	network *netsim.Network
 	clock   vtime.Clock
 	cfg     Config
-
-	mu sync.Mutex // guards cfg.RNG
 }
 
 // NewSubmitter builds a submitter over a grid and emulated network.
@@ -45,8 +35,7 @@ func NewSubmitter(g *grid.Grid, network *netsim.Network, clock vtime.Clock, cfg 
 
 // Submit sends job j from submission host to the named site. It blocks
 // for the emulated submission latency and returns the site's execution
-// ticket, or an error for unknown sites, site-level rejection, or an
-// injected transient failure.
+// ticket, or an error for an unknown site or a site's refusal.
 func (s *Submitter) Submit(host, siteName string, j *grid.Job) (*grid.Ticket, error) {
 	site, ok := s.grid.Site(siteName)
 	if !ok {
@@ -59,12 +48,6 @@ func (s *Submitter) Submit(host, siteName string, j *grid.Job) (*grid.Ticket, er
 	}
 	if s.cfg.SubmitOverhead > 0 {
 		s.clock.Sleep(s.cfg.SubmitOverhead)
-	}
-	s.mu.Lock()
-	fail := s.cfg.TransientFailProb > 0 && s.cfg.RNG != nil && s.cfg.RNG.Float64() < s.cfg.TransientFailProb
-	s.mu.Unlock()
-	if fail {
-		return nil, fmt.Errorf("gram: transient submission failure for job %s at %s", j.ID, siteName)
 	}
 	return site.Submit(j)
 }

@@ -44,24 +44,6 @@ func TestSubmitUnknownSite(t *testing.T) {
 	}
 }
 
-func TestTransientFailureRate(t *testing.T) {
-	g := testGrid(t)
-	s := NewSubmitter(g, nil, vtime.NewReal(), Config{
-		TransientFailProb: 0.5, RNG: netsim.Stream(1, "gram.test"),
-	})
-	failures := 0
-	const trials = 400
-	for i := 0; i < trials; i++ {
-		if _, err := s.Submit("host", "s0", job("j")); err != nil {
-			failures++
-		}
-	}
-	frac := float64(failures) / trials
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("failure fraction %v, want ≈0.5", frac)
-	}
-}
-
 func TestSubmitLatencyPaid(t *testing.T) {
 	g := testGrid(t)
 	network := netsim.New(1, netsim.Profile{Name: "t", MedianLatency: 20 * time.Millisecond})
@@ -75,15 +57,13 @@ func TestSubmitLatencyPaid(t *testing.T) {
 	}
 }
 
-func TestSitePolicyRejectionSurfaces(t *testing.T) {
-	clock := vtime.NewReal()
-	g := grid.New(clock)
-	ps := usla.NewPolicySet()
-	entries, _ := usla.ParseTextString("* atlas cpu 0+")
-	ps.AddAll(entries)
-	g.AddSite(grid.SiteConfig{Name: "locked", Clusters: []int{4}, Policy: grid.USLAPolicy{Policies: ps}})
-	s := NewSubmitter(g, nil, clock, Config{})
-	if _, err := s.Submit("host", "locked", job("j")); err == nil {
-		t.Fatal("S-PEP rejection not surfaced through GRAM")
+// A site's refusal reaches the submitting host as gram's error.
+func TestSiteRejectionSurfaces(t *testing.T) {
+	g := testGrid(t)
+	s := NewSubmitter(g, nil, vtime.NewReal(), Config{})
+	big := job("j")
+	big.CPUs = 5 // s0 has 4
+	if _, err := s.Submit("host", "s0", big); err == nil {
+		t.Fatal("site rejection not surfaced through GRAM")
 	}
 }

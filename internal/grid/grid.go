@@ -66,8 +66,7 @@ func (g *Grid) TotalCPUs() int {
 	return total
 }
 
-// FreeCPUs sums currently free CPUs over all sites — the denominator of
-// the paper's per-job scheduling accuracy.
+// FreeCPUs sums currently free CPUs over all sites.
 func (g *Grid) FreeCPUs() int {
 	free := 0
 	for _, name := range g.order {

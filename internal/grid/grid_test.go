@@ -169,31 +169,6 @@ func TestOutcomeHandlerInvoked(t *testing.T) {
 	}
 }
 
-func TestUSLAPolicySPEP(t *testing.T) {
-	clock := vtime.NewManual(epoch)
-	ps := usla.NewPolicySet()
-	entries, err := usla.ParseTextString("* atlas cpu 50+")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps.AddAll(entries)
-	s, err := NewSite(SiteConfig{Name: "s", Clusters: []int{10}, Policy: USLAPolicy{Policies: ps}}, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5 CPUs = the 50% cap.
-	if _, err := s.Submit(job("j1", "atlas", 5, time.Hour)); err != nil {
-		t.Fatalf("within-cap job rejected: %v", err)
-	}
-	if _, err := s.Submit(job("j2", "atlas", 1, time.Hour)); err == nil {
-		t.Fatal("over-cap job admitted")
-	}
-	// Another VO is unaffected.
-	if _, err := s.Submit(job("j3", "cms", 5, time.Hour)); err != nil {
-		t.Fatalf("other VO rejected: %v", err)
-	}
-}
-
 func TestGridAggregation(t *testing.T) {
 	clock := vtime.NewManual(epoch)
 	g := New(clock)

@@ -30,15 +30,9 @@ type Job struct {
 	Owner usla.Path
 	// CPUs is how many processors the job occupies while running.
 	CPUs int
-	// Priority orders jobs under the Priority site scheduler (higher
-	// starts first); the paper's workloads mix "work of varying
-	// priority".
-	Priority int
 	// Runtime is how long the job runs once started.
 	Runtime time.Duration
-	// InputBytes and OutputBytes size the stage-in/stage-out transfers
-	// Euryale performs around the job.
-	InputBytes  int64
+	// OutputBytes sizes each file Euryale stages out after the job.
 	OutputBytes int64
 	// SubmitHost is the submission host ("client") the job came from.
 	SubmitHost string

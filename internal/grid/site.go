@@ -11,38 +11,6 @@ import (
 	"digruber/internal/vtime"
 )
 
-// SitePolicy is the S-PEP hook: a site-local policy enforcement point
-// consulted before a job is queued. The paper's experiments assume
-// decision points have total control and leave S-PEPs out of scope, so
-// the default policy admits everything; the hook exists for the
-// extension experiments.
-type SitePolicy interface {
-	// Admit returns an error to reject the job at the site boundary,
-	// given the site's current status.
-	Admit(j *Job, st Status) error
-}
-
-// AdmitAll is the default S-PEP used in the paper's experiments.
-type AdmitAll struct{}
-
-// Admit implements SitePolicy.
-func (AdmitAll) Admit(*Job, Status) error { return nil }
-
-// USLAPolicy is an S-PEP that enforces site-level USLA upper limits on
-// running CPUs per consumer, used by the extension experiments.
-type USLAPolicy struct {
-	Policies *usla.PolicySet
-}
-
-// Admit implements SitePolicy.
-func (p USLAPolicy) Admit(j *Job, st Status) error {
-	uf := func(q usla.Path) float64 { return float64(st.UsageByPath[q.String()]) }
-	if !p.Policies.Allowed(st.Name, j.Owner, usla.CPU, float64(st.TotalCPUs), uf, float64(j.CPUs)) {
-		return fmt.Errorf("usla upper limit reached for %s at %s", j.Owner, st.Name)
-	}
-	return nil
-}
-
 // Ticket tracks one submitted job; Done delivers exactly one Outcome.
 type Ticket struct {
 	JobID JobID
@@ -58,16 +26,9 @@ type SiteConfig struct {
 	// Clusters lists CPU counts per cluster; a site's capacity is their
 	// sum. The paper notes each site comprises one or more clusters.
 	Clusters []int
-	// Scheduler is the site's local queue policy (default FIFO).
-	Scheduler SchedulerPolicy
-	// StorageBytes is the site's storage capacity; 0 leaves storage
-	// unmodeled. Jobs occupy InputBytes+OutputBytes while at the site.
-	StorageBytes int64
 	// FailProb is the probability a job fails at execution start
 	// (failure injection for Euryale's re-planning).
 	FailProb float64
-	// Policy is the S-PEP; nil means AdmitAll.
-	Policy SitePolicy
 	// RNG drives failure injection; nil disables randomness.
 	RNG *rand.Rand
 }
@@ -79,8 +40,6 @@ type Site struct {
 	clusters []int
 	total    int
 	clock    vtime.Clock
-	policy   SitePolicy
-	policy2  SchedulerPolicy // queue ordering policy
 	failProb float64
 
 	mu      sync.Mutex
@@ -91,10 +50,6 @@ type Site struct {
 	// usage counts running CPUs per consumer path prefix, so USLA
 	// evaluation at any level is O(1).
 	usage map[usla.Path]int
-	// storage accounting mirrors CPU usage, in bytes.
-	storageTotal  int64
-	storageUsed   int64
-	storageByPath map[usla.Path]int64
 
 	// accounting
 	completedJobs  int
@@ -130,29 +85,16 @@ func NewSite(cfg SiteConfig, clock vtime.Clock) (*Site, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("grid: site %s has no CPUs", cfg.Name)
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = AdmitAll{}
-	}
-	sched, err := validatePolicy(cfg.Scheduler)
-	if err != nil {
-		return nil, err
-	}
 	return &Site{
 		name:     cfg.Name,
 		clusters: append([]int(nil), cfg.Clusters...),
 		total:    total,
 		clock:    clock,
-		policy:   policy,
-		policy2:  sched,
 		failProb: cfg.FailProb,
 		rng:      cfg.RNG,
 		free:     total,
 		running:  make(map[JobID]*queuedJob),
 		usage:    make(map[usla.Path]int),
-
-		storageTotal:  cfg.StorageBytes,
-		storageByPath: make(map[usla.Path]int64),
 	}, nil
 }
 
@@ -169,19 +111,14 @@ func (s *Site) SetOutcomeHandler(f func(Outcome)) {
 
 // Submit queues a job at the site. The returned Ticket's Done channel
 // delivers the Outcome when the job finishes. Submission fails only if
-// the S-PEP rejects the job or the job is invalid.
+// the job is invalid, needs more CPUs than the site has, or the site is
+// shut down.
 func (s *Site) Submit(j *Job) (*Ticket, error) {
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
 	if j.CPUs > s.total {
 		return nil, fmt.Errorf("grid: job %s needs %d CPUs, site %s has %d", j.ID, j.CPUs, s.name, s.total)
-	}
-	if err := s.admitStorage(j); err != nil {
-		return nil, err
-	}
-	if err := s.policy.Admit(j, s.Snapshot()); err != nil {
-		return nil, fmt.Errorf("grid: site %s rejected job %s: %w", s.name, j.ID, err)
 	}
 	t := &Ticket{JobID: j.ID, done: make(chan Outcome, 1)}
 	qj := &queuedJob{job: j, ticket: t, queuedAt: s.clock.Now()}
@@ -190,7 +127,6 @@ func (s *Site) Submit(j *Job) (*Ticket, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("grid: site %s is shut down", s.name)
 	}
-	s.chargeStorageLocked(j)
 	s.queue = append(s.queue, qj)
 	s.mu.Unlock()
 	s.schedule()
@@ -214,8 +150,6 @@ func (s *Site) Close() {
 	s.running = make(map[JobID]*queuedJob)
 	s.usage = make(map[usla.Path]int)
 	s.free = s.total
-	s.storageUsed = 0
-	s.storageByPath = make(map[usla.Path]int64)
 	now := s.clock.Now()
 	s.mu.Unlock()
 
@@ -245,23 +179,22 @@ func mapValues(m map[JobID]*queuedJob) []*queuedJob {
 	return out
 }
 
-// schedule starts queued jobs while the scheduler policy admits one.
+// schedule starts jobs in arrival order while the queue head fits in
+// the free CPUs.
 func (s *Site) schedule() {
 	for {
 		s.mu.Lock()
-		now := s.clock.Now()
-		idx := s.pickNext(now)
-		if idx < 0 {
+		if len(s.queue) == 0 || s.queue[0].job.CPUs > s.free {
 			s.mu.Unlock()
 			return
 		}
-		qj := s.queue[idx]
-		s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
+		now := s.clock.Now()
+		qj := s.queue[0]
+		s.queue = append(s.queue[:0], s.queue[1:]...)
 
 		// Failure injection: the job dies at execution start.
 		if s.failProb > 0 && s.rng != nil && s.rng.Float64() < s.failProb {
 			s.failedJobs++
-			s.releaseStorageLocked(qj.job)
 			handler := s.onOutcome
 			s.mu.Unlock()
 			out := Outcome{
@@ -308,7 +241,6 @@ func (s *Site) finish(id JobID) {
 	}
 	s.completedJobs++
 	s.consumedCPU += qj.job.Runtime * time.Duration(qj.job.CPUs)
-	s.releaseStorageLocked(qj.job)
 	handler := s.onOutcome
 	now := s.clock.Now()
 	s.mu.Unlock()
@@ -335,11 +267,6 @@ type Status struct {
 	// UsageByPath maps consumer path (dotted string, gob-friendly) to
 	// running CPUs, for every path prefix with non-zero usage.
 	UsageByPath map[string]int
-	// StorageTotal/StorageFree/StorageByPath mirror the CPU fields in
-	// bytes (all zero when storage is unmodeled).
-	StorageTotal  int64
-	StorageFree   int64
-	StorageByPath map[string]int64
 }
 
 // Snapshot returns the site's current status.
@@ -351,7 +278,7 @@ func (s *Site) Snapshot() Status {
 	for p, n := range s.usage {
 		usage[p.String()] = n
 	}
-	st := Status{
+	return Status{
 		Name:        s.name,
 		TotalCPUs:   s.total,
 		FreeCPUs:    s.free,
@@ -359,16 +286,6 @@ func (s *Site) Snapshot() Status {
 		Running:     len(s.running),
 		UsageByPath: usage,
 	}
-	if s.storageTotal > 0 {
-		st.StorageTotal = s.storageTotal
-		st.StorageFree = s.storageTotal - s.storageUsed
-		st.StorageByPath = make(map[string]int64, len(s.storageByPath))
-		//lint:allow mapiter -- rekey by Path.String, which is injective; writes cannot collide
-		for p, n := range s.storageByPath {
-			st.StorageByPath[p.String()] = n
-		}
-	}
-	return st
 }
 
 // Accounting summarizes what a site has delivered so far.

@@ -25,9 +25,6 @@ type TopologyConfig struct {
 	// MaxClusterCPUs splits big sites into clusters of at most this many
 	// CPUs (the paper notes sites comprise one or more clusters).
 	MaxClusterCPUs int
-	// FailProb is per-site failure-injection probability (0 in the
-	// paper's scalability runs; non-zero for Euryale re-planning tests).
-	FailProb float64
 }
 
 // Generate builds a grid per the config. Site names are site-000…; every
@@ -98,12 +95,9 @@ func Generate(cfg TopologyConfig, clock vtime.Clock) (*Grid, error) {
 			clusters = append(clusters, c)
 			n -= c
 		}
-		failRNG := netsim.Stream(cfg.Seed, fmt.Sprintf("grid.fail/site-%03d", i))
 		_, err := g.AddSite(SiteConfig{
 			Name:     fmt.Sprintf("site-%03d", i),
 			Clusters: clusters,
-			FailProb: cfg.FailProb,
-			RNG:      failRNG,
 		})
 		if err != nil {
 			return nil, err

@@ -14,10 +14,10 @@ type jitter struct {
 }
 
 func bad() {
-	_ = rand.Intn(10)               // want `rand\.Intn bypasses the seeded stream`
-	_ = rand.Float64()              // want `rand\.Float64 bypasses the seeded stream`
-	rand.Seed(42)                   // want `rand\.Seed bypasses the seeded stream`
-	_ = rand.New(rand.NewSource(1)) // want `rand\.New bypasses the seeded stream` `rand\.NewSource bypasses the seeded stream`
+	_ = rand.Intn(10)                  // want `rand\.Intn bypasses the seeded stream`
+	_ = rand.Float64()                 // want `rand\.Float64 bypasses the seeded stream`
+	rand.Seed(42)                      // want `rand\.Seed bypasses the seeded stream`
+	_ = rand.New(rand.NewSource(1))    // want `rand\.New bypasses the seeded stream` `rand\.NewSource bypasses the seeded stream`
 	rand.Shuffle(3, func(i, j int) {}) // want `rand\.Shuffle bypasses the seeded stream`
 }
 

@@ -14,12 +14,12 @@ var epoch = time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC)
 func bad() {
 	now := time.Now() // want `time\.Now reads the wall clock`
 	_ = now
-	time.Sleep(time.Second)     // want `time\.Sleep reads the wall clock`
-	<-time.After(time.Second)   // want `time\.After reads the wall clock`
-	<-time.Tick(time.Second)    // want `time\.Tick reads the wall clock`
-	_ = time.Since(epoch)       // want `time\.Since reads the wall clock`
-	_ = time.NewTimer(1)        // want `time\.NewTimer reads the wall clock`
-	_ = time.NewTicker(1)       // want `time\.NewTicker reads the wall clock`
+	time.Sleep(time.Second)      // want `time\.Sleep reads the wall clock`
+	<-time.After(time.Second)    // want `time\.After reads the wall clock`
+	<-time.Tick(time.Second)     // want `time\.Tick reads the wall clock`
+	_ = time.Since(epoch)        // want `time\.Since reads the wall clock`
+	_ = time.NewTimer(1)         // want `time\.NewTimer reads the wall clock`
+	_ = time.NewTicker(1)        // want `time\.NewTicker reads the wall clock`
 	time.AfterFunc(1, func() {}) // want `time\.AfterFunc reads the wall clock`
 }
 

@@ -17,7 +17,6 @@ type Sample struct {
 // paper's per-figure curves (response time over the run, throughput over
 // the run, number of concurrent clients over the run).
 type Series struct {
-	Name    string
 	Samples []Sample
 }
 

@@ -252,7 +252,7 @@ func TestConcurrentInstrumentsUnderSampling(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.Inc()
 				g.Set(float64(i))
-				h.ObserveTrace(float64(i % 3), 0, time.Time{})
+				h.ObserveTrace(float64(i%3), 0, time.Time{})
 			}
 		}(w)
 	}

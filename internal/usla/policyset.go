@@ -256,12 +256,6 @@ func (ps *PolicySet) TargetGap(provider string, p Path, res Resource, capacity f
 	return ps.Entitlement(provider, p, res, capacity).Target - usage(p)
 }
 
-// Allowed reports whether consumer p may claim demand more units at
-// provider right now.
-func (ps *PolicySet) Allowed(provider string, p Path, res Resource, capacity float64, usage UsageFunc, demand float64) bool {
-	return ps.Headroom(provider, p, res, capacity, usage) >= demand
-}
-
 // Validate checks cross-entry consistency and returns all problems found:
 // sibling targets that sum past 100%, lower limits above upper limits,
 // and groups/users whose parents have no entries at all are reported.

@@ -386,11 +386,8 @@ func TestAllowed(t *testing.T) {
 	ps := mustSet(t, "* atlas cpu 20+")
 	usage := 15.0
 	uf := func(Path) float64 { return usage }
-	if !ps.Allowed("s", MustParsePath("atlas"), CPU, 100, uf, 5) {
-		t.Fatal("demand exactly at headroom should be allowed")
-	}
-	if ps.Allowed("s", MustParsePath("atlas"), CPU, 100, uf, 6) {
-		t.Fatal("demand above headroom should be denied")
+	if h := ps.Headroom("s", MustParsePath("atlas"), CPU, 100, uf); h != 5 {
+		t.Fatalf("headroom = %v, want 5: demand 5 fits, demand 6 does not", h)
 	}
 }
 
@@ -399,7 +396,7 @@ func TestOpportunisticDefaultAllowsIdleResources(t *testing.T) {
 	// are acquired when available.
 	ps := mustSet(t, "* atlas cpu 30")
 	uf := func(Path) float64 { return 90 }
-	if !ps.Allowed("s", MustParsePath("atlas"), CPU, 100, uf, 10) {
+	if ps.Headroom("s", MustParsePath("atlas"), CPU, 100, uf) < 10 {
 		t.Fatal("target-only VO should be able to use idle resources past target")
 	}
 }

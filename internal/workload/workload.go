@@ -31,9 +31,6 @@ type Config struct {
 	RuntimeSigma float64
 	// JobCPUs is the per-job CPU demand (paper workloads: 1).
 	JobCPUs int
-	// InputBytes/OutputBytes size Euryale transfers.
-	InputBytes  int64
-	OutputBytes int64
 }
 
 // Default is the paper's composite workload shape.
@@ -47,8 +44,6 @@ func Default() Config {
 		MeanRuntime:  15 * time.Minute,
 		RuntimeSigma: 0.8,
 		JobCPUs:      1,
-		InputBytes:   8 << 20,
-		OutputBytes:  4 << 20,
 	}
 }
 
@@ -132,13 +127,11 @@ func (g *Generator) NextJob(host int) (*grid.Job, error) {
 		}
 	}
 	return &grid.Job{
-		ID:          grid.JobID(fmt.Sprintf("%s-job-%05d", g.HostName(host), g.seq[host])),
-		Owner:       g.HostOwner(host),
-		CPUs:        g.cfg.JobCPUs,
-		Runtime:     runtime,
-		InputBytes:  g.cfg.InputBytes,
-		OutputBytes: g.cfg.OutputBytes,
-		SubmitHost:  g.HostName(host),
+		ID:         grid.JobID(fmt.Sprintf("%s-job-%05d", g.HostName(host), g.seq[host])),
+		Owner:      g.HostOwner(host),
+		CPUs:       g.cfg.JobCPUs,
+		Runtime:    runtime,
+		SubmitHost: g.HostName(host),
 	}, nil
 }
 
