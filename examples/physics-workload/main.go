@@ -110,21 +110,21 @@ func main() {
 		}
 		defer client.Close()
 
-		selector := euryale.SelectorFunc(func(j *grid.Job, excluded map[string]bool) (string, bool, error) {
+		selector := euryale.SelectorFunc(func(j *grid.Job, excluded map[string]bool) (string, error) {
 			dec := client.Schedule(j)
 			if dec.Err != nil {
-				return "", false, dec.Err
+				return "", dec.Err
 			}
 			if excluded[dec.Site] {
 				// Re-planning: ask again; the broker's view has moved on,
 				// but if it insists, degrade to any non-excluded site.
 				for _, s := range g.SiteNames() {
 					if !excluded[s] {
-						return s, false, nil
+						return s, nil
 					}
 				}
 			}
-			return dec.Site, dec.Handled, nil
+			return dec.Site, nil
 		})
 		planner, err := euryale.New(selector, submitter, catalog, network, clock, euryale.Config{
 			MaxAttempts: 4, CollectionSite: "tier2-01",

@@ -120,8 +120,6 @@ type Decision struct {
 	Response time.Duration
 	// Err carries the failure when no site could be chosen at all.
 	Err error
-	// At is when the decision completed.
-	At time.Time
 	// TraceID identifies the request's trace when the client is traced
 	// (zero otherwise) — the join key between DiPerF's per-operation
 	// records and the span tree.
@@ -394,7 +392,6 @@ func (c *Client) scheduleSingleCall(j *grid.Job, start time.Time, dec Decision, 
 func (c *Client) finish(j *grid.Job, dec Decision, start time.Time, root *trace.Span) Decision {
 	now := c.clock.Now()
 	dec.Response = now.Sub(start)
-	dec.At = now
 	root.EndAt(now)
 	if c.cfg.Latency != nil {
 		c.cfg.Latency(j).ObserveTrace(dec.Response.Seconds(), dec.TraceID, now)

@@ -763,7 +763,9 @@ type roundPart[A, R any] struct {
 	request func(dp *DecisionPoint, lastSent uint64, ackVV map[string]uint64) linkRequest[A]
 	// merge handles the reply to a successful request, under the
 	// per-peer span: fold it into the engine, advance the link's cursors.
-	merge func(dp *DecisionPoint, ctx trace.SpanContext, l *peerLink, req linkRequest[A], reply R)
+	// A reply it refuses leaves both as they were and returns why; the
+	// call is then booked as failed.
+	merge func(dp *DecisionPoint, ctx trace.SpanContext, l *peerLink, req linkRequest[A], reply R) error
 	// mergeInOrder holds every reply until all calls are back and merges
 	// them in link-name order — for a strategy whose replies mutate the
 	// engine, so that a round's outcome does not depend on reply arrival
@@ -862,10 +864,21 @@ func syncRound[A, R any](dp *DecisionPoint, force bool, part roundPart[A, R]) in
 // the receiver's dedup makes retransmission harmless.
 func (o *linkOutcome[A, R]) settle(dp *DecisionPoint, part roundPart[A, R]) {
 	if o.err == nil {
-		part.merge(dp, o.span.Context(), o.link, o.req, o.reply)
+		o.err = part.merge(dp, o.span.Context(), o.link, o.req, o.reply)
 	}
 	o.span.End()
 	dp.bookOutcome(o.link, o.err)
+}
+
+// answeredBy refuses a mesh reply signed by another name than the peer
+// asked: whatever answers on a peer's address (a restarted broker on a
+// reused port, say) must not settle a resync or acknowledge records in
+// that peer's name.
+func answeredBy(asked, from string) error {
+	if from != asked {
+		return fmt.Errorf("digruber: asked peer %s, answered by %q", asked, from)
+	}
+	return nil
 }
 
 // bookOutcome records the result of one outbound call in the peer's
@@ -895,12 +908,13 @@ func (dp *DecisionPoint) floodRequest(lastSent uint64, _ map[string]uint64) link
 	return linkRequest[ExchangeArgs]{args: args, records: len(batch), through: hi}
 }
 
-func (dp *DecisionPoint) floodAck(_ trace.SpanContext, l *peerLink, req linkRequest[ExchangeArgs], _ ExchangeReply) {
+func (dp *DecisionPoint) floodAck(_ trace.SpanContext, l *peerLink, req linkRequest[ExchangeArgs], _ ExchangeReply) error {
 	dp.mu.Lock()
 	if req.through > l.lastSent {
 		l.lastSent = req.through
 	}
 	dp.mu.Unlock()
+	return nil
 }
 
 // floodCompact bounds the own log: records every peer has acknowledged
@@ -1023,7 +1037,9 @@ func (dp *DecisionPoint) Restart() error {
 // snapshot and imports the first one that answers. It returns the number
 // of dispatches imported and the donor's name ("" when no peer answered —
 // the decision point then rebuilds gradually from incoming exchanges).
-// An answer, or having no peer at all, settles an owed resync.
+// An answer, or having no peer at all, settles an owed resync. An answer
+// signed by another name than the peer asked is no answer: it is booked
+// as a failed call on that link, and the next peer is asked.
 func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 	peers := dp.Peers()
 	for _, name := range peers {
@@ -1046,6 +1062,9 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 			args.Vector = gossip.Cursors(dp.engine.OriginVector())
 		}
 		reply, err := wire.Call[SnapshotArgs, SnapshotReply](client, MethodSnapshot, args, dp.cfg.PeerTimeout)
+		if err == nil {
+			err = answeredBy(name, reply.From)
+		}
 		dp.bookOutcome(link, err)
 		if err != nil {
 			continue

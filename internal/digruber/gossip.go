@@ -90,13 +90,19 @@ func (dp *DecisionPoint) gossipPart(force bool) roundPart[GossipArgs, GossipRepl
 				records: len(push),
 			}
 		},
-		merge: func(dp *DecisionPoint, ctx trace.SpanContext, l *peerLink, _ linkRequest[GossipArgs], reply GossipReply) {
+		merge: func(dp *DecisionPoint, ctx trace.SpanContext, l *peerLink, _ linkRequest[GossipArgs], reply GossipReply) error {
+			// The reply digest becomes the link's acknowledged vector, so
+			// only the peer asked may sign it.
+			if err := answeredBy(l.name, reply.From); err != nil {
+				return err
+			}
 			// The pull: records the peer held that our digest lacked. The
 			// reply digest is the peer's post-merge state.
 			dp.absorbGossip(ctx, l.name, reply.Records, reply.Digest)
 			dp.mu.Lock()
 			dp.gossipPulled += len(reply.Records)
 			dp.mu.Unlock()
+			return nil
 		},
 		compact: (*DecisionPoint).gossipCompact,
 	}

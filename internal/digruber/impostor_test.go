@@ -1,0 +1,88 @@
+package digruber
+
+import (
+	"testing"
+	"time"
+
+	"digruber/internal/gruber"
+	"digruber/internal/vtime"
+	"digruber/internal/wire"
+)
+
+// impostor serves on addr under the name dp-9, as a restarted broker on
+// a reused port would: its gossip reply acknowledges everything it was
+// pushed, and its snapshot carries a record no point ever brokered.
+func impostor(t *testing.T, mem *wire.Mem, clock vtime.Clock, addr string) {
+	t.Helper()
+	srv := wire.NewServer("dp-9", wire.Instant(), clock)
+	wire.Handle(srv, MethodGossip, func(a GossipArgs) (GossipReply, error) {
+		return GossipReply{From: "dp-9", Digest: a.Digest}, nil
+	})
+	wire.Handle(srv, MethodSnapshot, func(SnapshotArgs) (SnapshotReply, error) {
+		forged := gruber.Dispatch{JobID: "forged", Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()}
+		return SnapshotReply{From: "dp-9", Dispatches: []gruber.Dispatch{forged}}, nil
+	})
+	l, err := mem.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close(); l.Close() })
+}
+
+// linkState reads dp's health verdict on peer from its status.
+func linkState(dp *DecisionPoint, peer string) string {
+	for _, p := range dp.Status().Peers {
+		if p.Name == peer {
+			return p.State
+		}
+	}
+	return ""
+}
+
+// TestGossipRefusesReplyFromAnotherPeer: dp-0 gossips to dp-1's address
+// and dp-9 answers, acknowledging dp-0's records. The acknowledgment is
+// not dp-1's, so dp-0 must keep the records for dp-1 and book the call
+// as failed.
+func TestGossipRefusesReplyFromAnotherPeer(t *testing.T) {
+	clock := vtime.NewReal()
+	h := newGossipHarness(t, 2, clock, testStatuses(50), GossipConfig{Fanout: 1, Seed: 7})
+	h.dps[1].Stop()
+	impostor(t, h.mem, clock, "dp-1")
+	dispatchAt(h, 0, "g1")
+	dispatchAt(h, 0, "g2")
+
+	h.dps[0].ExchangeNow()
+	if held := h.dps[0].Engine().DispatchesSince(nil, 0); len(held) != 2 {
+		t.Fatalf("dp-0 holds %d of its 2 records after dp-9 acknowledged them for dp-1, want 2", len(held))
+	}
+	if st := linkState(h.dps[0], "dp-1"); st != "suspect" {
+		t.Fatalf("dp-1 is %q after a reply signed dp-9, want suspect", st)
+	}
+}
+
+// TestResyncRefusesSnapshotFromAnotherPeer: dp-0 resyncs with dp-1
+// first, but dp-9 answers on dp-1's address. dp-0 must import nothing of
+// it, book dp-1's link as failed and take dp-2's snapshot instead.
+func TestResyncRefusesSnapshotFromAnotherPeer(t *testing.T) {
+	clock := vtime.NewReal()
+	h := newHarness(t, 3, clock, testStatuses(50))
+	h.dps[1].Stop()
+	impostor(t, h.mem, clock, "dp-1")
+	if err := h.dps[2].Engine().RecordDispatch(gruber.Dispatch{
+		JobID: "real", Site: "site-000", Owner: "atlas", CPUs: 2, Runtime: time.Hour, At: clock.Now(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	n, donor := h.dps[0].ResyncFromPeers()
+	if donor != "dp-2" || n != 1 {
+		t.Fatalf("resync imported %d from %q, want 1 from dp-2", n, donor)
+	}
+	if pending := h.dps[0].Engine().PendingDispatches(); pending != 1 {
+		t.Fatalf("dp-0 holds %d dispatches, want dp-2's one and nothing of dp-9's", pending)
+	}
+	if st := linkState(h.dps[0], "dp-1"); st != "suspect" {
+		t.Fatalf("dp-1 is %q after a snapshot signed dp-9, want suspect", st)
+	}
+}

@@ -73,9 +73,6 @@ func (c *Config) validate() error {
 // OpRecord is one collected measurement, exported so trace analysis can
 // cross-check span trees against the controller's own timing.
 type OpRecord struct {
-	Tester   int
-	Seq      int
-	Start    time.Time
 	End      time.Time
 	Response time.Duration
 	Handled  bool
@@ -147,8 +144,7 @@ func Run(cfg Config, op Op) (Result, error) {
 				opEnd := clock.Now()
 				mu.Lock()
 				records = append(records, OpRecord{
-					Tester: t, Seq: seq, Start: opStart, End: opEnd,
-					Response: opEnd.Sub(opStart), Handled: res.Handled,
+					End: opEnd, Response: opEnd.Sub(opStart), Handled: res.Handled,
 					Err: res.Err, TraceID: res.TraceID,
 				})
 				mu.Unlock()

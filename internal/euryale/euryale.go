@@ -5,7 +5,8 @@
 //
 // Per the paper, a DagMan-style executor runs a prescript and postscript
 // around each job. The prescript calls out to the external site selector
-// (DI-GRUBER), rewrites the job submit file with the chosen site, stages
+// (DI-GRUBER), submits the job to the chosen site (the paper's rewritten
+// submit file), stages
 // input files in (registering transfers with the replica catalog), and
 // handles re-planning; the postscript stages outputs out, registers the
 // produced files, checks the execution, and updates file popularity.
@@ -13,7 +14,6 @@ package euryale
 
 import (
 	"fmt"
-	"time"
 
 	"digruber/internal/grid"
 	"digruber/internal/netsim"
@@ -25,33 +25,21 @@ import (
 // DI-GRUBER's client satisfies this via SelectorFunc.
 type SiteSelector interface {
 	// SelectSite picks a site for j, avoiding excluded sites (previous
-	// failed placements during re-planning). handled reports whether a
-	// broker answered (vs. a degraded random choice).
-	SelectSite(j *grid.Job, excluded map[string]bool) (site string, handled bool, err error)
+	// failed placements during re-planning).
+	SelectSite(j *grid.Job, excluded map[string]bool) (site string, err error)
 }
 
 // SelectorFunc adapts a function to SiteSelector.
-type SelectorFunc func(j *grid.Job, excluded map[string]bool) (string, bool, error)
+type SelectorFunc func(j *grid.Job, excluded map[string]bool) (string, error)
 
 // SelectSite implements SiteSelector.
-func (f SelectorFunc) SelectSite(j *grid.Job, excluded map[string]bool) (string, bool, error) {
+func (f SelectorFunc) SelectSite(j *grid.Job, excluded map[string]bool) (string, error) {
 	return f(j, excluded)
 }
 
 // Submitter is the job submission interface (gram.Submitter satisfies it).
 type Submitter interface {
 	Submit(host, site string, j *grid.Job) (*grid.Ticket, error)
-}
-
-// SubmitFile is the rewritten Condor submit description the prescript
-// produces — the "rewrites the job submit file to specify that site"
-// step, kept as data so tests and traces can inspect placement history.
-type SubmitFile struct {
-	JobID      grid.JobID
-	Site       string
-	Executable string
-	Inputs     []string
-	Attempt    int
 }
 
 // Config tunes the planner.
@@ -96,14 +84,6 @@ type Result struct {
 	Outcome grid.Outcome
 	// Attempts counts placements tried (1 = no re-planning needed).
 	Attempts int
-	// Handled reports whether the final placement came from the broker.
-	Handled bool
-	// SubmitFiles is the placement history, one rewritten submit file
-	// per attempt.
-	SubmitFiles []SubmitFile
-	// StageInTime and StageOutTime are the emulated transfer costs paid.
-	StageInTime  time.Duration
-	StageOutTime time.Duration
 }
 
 // RunJob drives one job through prescript → submission → postscript,
@@ -117,17 +97,12 @@ func (p *Planner) RunJob(j *grid.Job, inputs, outputs []string) (Result, error) 
 		res.Attempts = attempt
 
 		// ---- prescript ----
-		site, handled, err := p.selector.SelectSite(j, excluded)
+		site, err := p.selector.SelectSite(j, excluded)
 		if err != nil {
 			lastErr = fmt.Errorf("euryale: site selection for %s: %w", j.ID, err)
 			continue
 		}
-		res.Handled = handled
-		res.SubmitFiles = append(res.SubmitFiles, SubmitFile{
-			JobID: j.ID, Site: site, Executable: string(j.ID) + ".sh",
-			Inputs: inputs, Attempt: attempt,
-		})
-		res.StageInTime += p.stageIn(j, site, inputs)
+		p.stageIn(site, inputs)
 
 		// ---- submission (Condor-G / GRAM) ----
 		ticket, err := p.submitter.Submit(j.SubmitHost, site, j)
@@ -145,7 +120,7 @@ func (p *Planner) RunJob(j *grid.Job, inputs, outputs []string) (Result, error) 
 			lastErr = fmt.Errorf("euryale: job %s failed at %s: %s", j.ID, site, out.FailureReason)
 			continue
 		}
-		res.StageOutTime += p.stageOut(j, site, outputs)
+		p.stageOut(j, site, outputs)
 		for _, lfn := range inputs {
 			if p.catalog != nil {
 				p.catalog.Touch(lfn)
@@ -161,13 +136,12 @@ func (p *Planner) RunJob(j *grid.Job, inputs, outputs []string) (Result, error) 
 	return res, lastErr
 }
 
-// stageIn transfers missing input files to the site and registers the
-// new copies. Returns the emulated transfer time paid.
-func (p *Planner) stageIn(j *grid.Job, site string, inputs []string) time.Duration {
+// stageIn transfers missing input files to the site, paying the
+// emulated transfer time, and registers the new copies.
+func (p *Planner) stageIn(site string, inputs []string) {
 	if p.catalog == nil {
-		return 0
+		return
 	}
-	var total time.Duration
 	for _, lfn := range inputs {
 		src, ok := p.catalog.Nearest(lfn, site)
 		if !ok {
@@ -176,36 +150,27 @@ func (p *Planner) stageIn(j *grid.Job, site string, inputs []string) time.Durati
 		if src.Site == site {
 			continue // already local
 		}
-		var cost time.Duration
 		if p.network != nil {
-			cost = p.network.TransferTime(src.Site, site, src.Size)
-			p.clock.Sleep(cost)
+			p.clock.Sleep(p.network.TransferTime(src.Site, site, src.Size))
 		}
-		total += cost
 		p.catalog.Register(lfn, replica.PFN{Site: site, Path: "/staged/" + lfn, Size: src.Size})
 	}
-	return total
 }
 
-// stageOut ships produced files to the collection area and registers
-// them.
-func (p *Planner) stageOut(j *grid.Job, site string, outputs []string) time.Duration {
+// stageOut ships produced files to the collection area, paying the
+// emulated transfer time, and registers them.
+func (p *Planner) stageOut(j *grid.Job, site string, outputs []string) {
 	if p.catalog == nil {
-		return 0
+		return
 	}
-	var total time.Duration
 	size := j.OutputBytes
 	if size <= 0 {
 		size = 1 << 20
 	}
 	for _, lfn := range outputs {
-		var cost time.Duration
 		if p.network != nil {
-			cost = p.network.TransferTime(site, p.cfg.CollectionSite, size)
-			p.clock.Sleep(cost)
+			p.clock.Sleep(p.network.TransferTime(site, p.cfg.CollectionSite, size))
 		}
-		total += cost
 		p.catalog.Register(lfn, replica.PFN{Site: p.cfg.CollectionSite, Path: "/collected/" + lfn, Size: size})
 	}
-	return total
 }

@@ -3,6 +3,7 @@ package euryale
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ func newEnv(t *testing.T, failProbBySite map[string]float64) *env {
 		}
 	}
 	e := &env{g: g, cat: replica.NewCatalog()}
-	selector := SelectorFunc(func(j *grid.Job, excluded map[string]bool) (string, bool, error) {
+	selector := SelectorFunc(func(j *grid.Job, excluded map[string]bool) (string, error) {
 		best, bestFree := "", -1
 		for _, s := range g.Sites() {
 			if excluded[s.Name()] {
@@ -50,10 +51,10 @@ func newEnv(t *testing.T, failProbBySite map[string]float64) *env {
 			}
 		}
 		if best == "" {
-			return "", false, errors.New("no site available")
+			return "", errors.New("no site available")
 		}
 		e.picks = append(e.picks, best)
-		return best, true, nil
+		return best, nil
 	})
 	submitter := gram.NewSubmitter(g, nil, clock, gram.Config{})
 	p, err := New(selector, submitter, e.cat, nil, clock, Config{})
@@ -77,11 +78,11 @@ func TestRunJobSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 1 || !res.Handled || res.Outcome.Failed {
+	if res.Attempts != 1 || res.Outcome.Failed {
 		t.Fatalf("result = %+v", res)
 	}
-	if len(res.SubmitFiles) != 1 || res.SubmitFiles[0].Site == "" {
-		t.Fatalf("submit files = %+v", res.SubmitFiles)
+	if len(e.picks) != 1 || res.Outcome.Site != e.picks[0] {
+		t.Fatalf("placements = %v, ran at %q", e.picks, res.Outcome.Site)
 	}
 	// Postscript registered the output at the collection area.
 	copies := e.cat.Lookup("out.dat")
@@ -107,9 +108,9 @@ func TestReplanningAvoidsFailedSite(t *testing.T) {
 	if res.Outcome.Site == "site-0" {
 		t.Fatal("re-planned job still landed on the failing site")
 	}
-	// Placement history shows the failed attempt.
-	if res.SubmitFiles[0].Site != "site-0" {
-		t.Fatalf("first placement = %s, want site-0", res.SubmitFiles[0].Site)
+	// The selector was asked first for the failing site.
+	if e.picks[0] != "site-0" {
+		t.Fatalf("first placement = %s, want site-0", e.picks[0])
 	}
 }
 
@@ -125,7 +126,7 @@ func TestRunJobExhaustsAttempts(t *testing.T) {
 }
 
 func TestStageInMovesMissingInputs(t *testing.T) {
-	clock := vtime.NewReal()
+	clock := &sleepLog{Clock: vtime.NewReal()}
 	g := grid.New(clock)
 	g.AddSite(grid.SiteConfig{Name: "cern", Clusters: []int{4}})
 	g.AddSite(grid.SiteConfig{Name: "fnal", Clusters: []int{4}})
@@ -133,15 +134,14 @@ func TestStageInMovesMissingInputs(t *testing.T) {
 	cat.Register("raw.dat", replica.PFN{Site: "cern", Path: "/raw", Size: 4 << 20})
 
 	network := netsim.New(1, netsim.Profile{Name: "fast", MedianLatency: time.Microsecond, Bandwidth: 1e12})
-	selector := SelectorFunc(func(*grid.Job, map[string]bool) (string, bool, error) { return "fnal", true, nil })
+	selector := SelectorFunc(func(*grid.Job, map[string]bool) (string, error) { return "fnal", nil })
 	submitter := gram.NewSubmitter(g, nil, clock, gram.Config{})
 	p, _ := New(selector, submitter, cat, network, clock, Config{})
 
-	res, err := p.RunJob(testJob("j1"), []string{"raw.dat"}, nil)
-	if err != nil {
+	if _, err := p.RunJob(testJob("j1"), []string{"raw.dat"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if res.StageInTime <= 0 {
+	if clock.slept() <= 0 {
 		t.Fatal("no stage-in cost paid for a remote input")
 	}
 	// The transfer registered a new local copy and bumped popularity.
@@ -153,13 +153,34 @@ func TestStageInMovesMissingInputs(t *testing.T) {
 	}
 
 	// Second run: input already local, no cost.
-	res2, err := p.RunJob(testJob("j2"), []string{"raw.dat"}, nil)
-	if err != nil {
+	before := clock.slept()
+	if _, err := p.RunJob(testJob("j2"), []string{"raw.dat"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if res2.StageInTime != 0 {
-		t.Fatalf("stage-in cost %v for a local input", res2.StageInTime)
+	if d := clock.slept() - before; d != 0 {
+		t.Fatalf("stage-in cost %v for a local input", d)
 	}
+}
+
+// sleepLog is a clock that totals what it is asked to sleep: the
+// planner pays emulated transfer time by sleeping.
+type sleepLog struct {
+	vtime.Clock
+	mu    sync.Mutex
+	total time.Duration
+}
+
+func (c *sleepLog) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.total += d
+	c.mu.Unlock()
+	c.Clock.Sleep(d)
+}
+
+func (c *sleepLog) slept() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total
 }
 
 func TestPlannerValidation(t *testing.T) {

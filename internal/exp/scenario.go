@@ -458,7 +458,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		// Ground-truth scheduling accuracy at dispatch: how good was the
 		// chosen site relative to the best available one?
 		accuracy := schedulingAccuracy(g, dec.Site)
-		collector.RecordScheduled(string(job.ID), dec.At, dec.Response, dec.Handled, accuracy)
+		collector.RecordScheduled(string(job.ID), dec.Response, dec.Handled, accuracy)
 
 		if cfg.ExecuteJobs {
 			execWG.Add(1)

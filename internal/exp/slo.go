@@ -105,7 +105,6 @@ type sloStep struct {
 type sloOutcome struct {
 	Steps       []sloStep
 	Transitions []slo.Transition
-	Records     []trace.Record
 
 	Offered    int
 	Useful     int
@@ -133,11 +132,11 @@ type sloOutcome struct {
 // histograms the SLO evaluator reads back. Each step: submit, observe,
 // exchange, quiesce, advance one virtual minute, sample, evaluate the
 // objectives, evaluate the controller. The whole run — metrics registry,
-// transition log, trace records — is a pure function of the script.
-func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
+// transition log, the trace records col collects — is a pure function
+// of the script.
+func runSLOScenario(col *trace.Collector) (sloOutcome, *tsdb.Registry, error) {
 	clock := vtime.NewManual(Epoch)
 	reg := tsdb.New(0)
-	col := trace.NewCollector(0)
 	col.RegisterMetrics(reg)
 
 	ev, err := slo.New(slo.Config{
@@ -308,14 +307,13 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 			out.FirstFiringStep = step
 		}
 	}
-	out.Records = col.Records()
 	return out, reg, nil
 }
 
 // runSLOExtension (ext-slo) runs the scripted SLO scenario and reports
 // the alert timeline against the fleet and goodput trajectories.
 func runSLOExtension(scale Scale) (Report, error) {
-	out, reg, err := runSLOScenario()
+	out, reg, err := runSLOScenario(trace.NewCollector(0))
 	if err != nil {
 		return Report{}, err
 	}

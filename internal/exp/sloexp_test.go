@@ -14,7 +14,7 @@ import (
 // strictly before any goodput floor is breached — and the controller
 // scales up on that signal.
 func TestSLOAlertFiresBeforeGoodputCollapse(t *testing.T) {
-	out, _, err := runSLOScenario()
+	out, _, err := runSLOScenario(trace.NewCollector(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,13 @@ func TestSLOAlertFiresBeforeGoodputCollapse(t *testing.T) {
 // run's collector, to a complete span tree rooted at the client's
 // schedule phase — the p99-to-span-tree drill the SLO plane promises.
 func TestSLOExemplarsResolveToSpanTrees(t *testing.T) {
-	out, reg, err := runSLOScenario()
+	col := trace.NewCollector(0)
+	_, reg, err := runSLOScenario(col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	roots := map[uint64]*trace.Node{}
-	for _, tr := range trace.BuildTrees(out.Records) {
+	for _, tr := range trace.BuildTrees(col.Records()) {
 		roots[tr.Root.Trace] = tr.Root
 	}
 	checked := 0
@@ -112,11 +113,11 @@ func TestSLOExemplarsResolveToSpanTrees(t *testing.T) {
 // byte-identical alert-transition JSONL.
 func TestSLOReplaysByteIdentical(t *testing.T) {
 	var ma, mb, aa, ab bytes.Buffer
-	outA, regA, err := runSLOScenario()
+	outA, regA, err := runSLOScenario(trace.NewCollector(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	outB, regB, err := runSLOScenario()
+	outB, regB, err := runSLOScenario(trace.NewCollector(0))
 	if err != nil {
 		t.Fatal(err)
 	}

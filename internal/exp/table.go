@@ -19,8 +19,6 @@ import (
 // execution.
 type JobRecord struct {
 	ID string
-	// ScheduledAt is when the scheduling decision completed.
-	ScheduledAt time.Time
 	// Response is the scheduling operation's response time.
 	Response time.Duration
 	// Handled reports whether DI-GRUBER answered (vs. timeout fallback).
@@ -54,7 +52,7 @@ func NewCollector() *Collector {
 }
 
 // RecordScheduled registers the scheduling half of a job's record.
-func (c *Collector) RecordScheduled(id string, at time.Time, response time.Duration, handled bool, accuracy float64) {
+func (c *Collector) RecordScheduled(id string, response time.Duration, handled bool, accuracy float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.jobs[id]
@@ -62,7 +60,6 @@ func (c *Collector) RecordScheduled(id string, at time.Time, response time.Durat
 		r = &JobRecord{ID: id}
 		c.jobs[id] = r
 	}
-	r.ScheduledAt = at
 	r.Response = response
 	r.Handled = handled
 	r.Accuracy = accuracy
@@ -136,9 +133,6 @@ type TableRow struct {
 // Table is the full handled / not-handled / all breakdown.
 type Table struct {
 	Rows []TableRow
-	// TotalCPUs and Window document the Util denominator.
-	TotalCPUs int
-	Window    time.Duration
 }
 
 // BuildTable computes the paper-style table given the grid capacity and
@@ -154,7 +148,7 @@ func (c *Collector) BuildTable(totalCPUs int, window time.Duration) Table {
 		{"all", func(JobRecord) bool { return true }},
 	}
 	available := float64(totalCPUs) * window.Seconds()
-	table := Table{TotalCPUs: totalCPUs, Window: window}
+	var table Table
 	for _, cl := range classes {
 		var row TableRow
 		row.Class = cl.name

@@ -13,8 +13,7 @@ import (
 
 // Ticket tracks one submitted job; Done delivers exactly one Outcome.
 type Ticket struct {
-	JobID JobID
-	done  chan Outcome
+	done chan Outcome
 }
 
 // Done returns the completion channel.
@@ -37,7 +36,6 @@ type SiteConfig struct {
 // accounting per consumer path.
 type Site struct {
 	name     string
-	clusters []int
 	total    int
 	clock    vtime.Clock
 	failProb float64
@@ -52,11 +50,8 @@ type Site struct {
 	usage map[usla.Path]int
 
 	// accounting
-	completedJobs  int
-	failedJobs     int
-	consumedCPU    time.Duration // CPU-time delivered (runtime × cpus)
-	qtimeTotal     time.Duration
-	finishedQTimes int
+	completedJobs int
+	consumedCPU   time.Duration // CPU-time delivered (runtime × cpus)
 
 	closed    bool
 	onOutcome func(Outcome)
@@ -87,7 +82,6 @@ func NewSite(cfg SiteConfig, clock vtime.Clock) (*Site, error) {
 	}
 	return &Site{
 		name:     cfg.Name,
-		clusters: append([]int(nil), cfg.Clusters...),
 		total:    total,
 		clock:    clock,
 		failProb: cfg.FailProb,
@@ -120,7 +114,7 @@ func (s *Site) Submit(j *Job) (*Ticket, error) {
 	if j.CPUs > s.total {
 		return nil, fmt.Errorf("grid: job %s needs %d CPUs, site %s has %d", j.ID, j.CPUs, s.name, s.total)
 	}
-	t := &Ticket{JobID: j.ID, done: make(chan Outcome, 1)}
+	t := &Ticket{done: make(chan Outcome, 1)}
 	qj := &queuedJob{job: j, ticket: t, queuedAt: s.clock.Now()}
 	s.mu.Lock()
 	if s.closed {
@@ -194,7 +188,6 @@ func (s *Site) schedule() {
 
 		// Failure injection: the job dies at execution start.
 		if s.failProb > 0 && s.rng != nil && s.rng.Float64() < s.failProb {
-			s.failedJobs++
 			handler := s.onOutcome
 			s.mu.Unlock()
 			out := Outcome{
@@ -215,8 +208,6 @@ func (s *Site) schedule() {
 		for _, prefix := range qj.job.Owner.Prefixes() {
 			s.usage[prefix] += qj.job.CPUs
 		}
-		s.qtimeTotal += qj.started.Sub(qj.queuedAt)
-		s.finishedQTimes++
 		job := qj.job
 		qj.timer = s.clock.AfterFunc(job.Runtime, func() { s.finish(job.ID) })
 		s.mu.Unlock()
@@ -262,8 +253,6 @@ type Status struct {
 	Name      string
 	TotalCPUs int
 	FreeCPUs  int
-	Queued    int
-	Running   int
 	// UsageByPath maps consumer path (dotted string, gob-friendly) to
 	// running CPUs, for every path prefix with non-zero usage.
 	UsageByPath map[string]int
@@ -282,8 +271,6 @@ func (s *Site) Snapshot() Status {
 		Name:        s.name,
 		TotalCPUs:   s.total,
 		FreeCPUs:    s.free,
-		Queued:      len(s.queue),
-		Running:     len(s.running),
 		UsageByPath: usage,
 	}
 }
@@ -291,24 +278,16 @@ func (s *Site) Snapshot() Status {
 // Accounting summarizes what a site has delivered so far.
 type Accounting struct {
 	CompletedJobs int
-	FailedJobs    int
 	// ConsumedCPU is total CPU-time delivered to completed jobs.
 	ConsumedCPU time.Duration
-	// MeanQTime averages queue time over jobs that started.
-	MeanQTime time.Duration
 }
 
 // Accounting returns the site's cumulative accounting.
 func (s *Site) Accounting() Accounting {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	acc := Accounting{
+	return Accounting{
 		CompletedJobs: s.completedJobs,
-		FailedJobs:    s.failedJobs,
 		ConsumedCPU:   s.consumedCPU,
 	}
-	if s.finishedQTimes > 0 {
-		acc.MeanQTime = s.qtimeTotal / time.Duration(s.finishedQTimes)
-	}
-	return acc
 }

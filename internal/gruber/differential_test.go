@@ -359,6 +359,11 @@ func differentialRun(t *testing.T, seed int64) {
 				if rng.Intn(6) == 0 {
 					batch[i].At = batch[i].At.Add(-10 * time.Minute) // finished long ago
 				}
+				if rng.Intn(8) == 0 {
+					// A peer's record is folded as given, negative CPUs
+					// included: the per-level sums must stay exact.
+					batch[i].CPUs = -batch[i].CPUs
+				}
 			}
 			e.MergeRemote(batch)
 			ref.mergeRemote(batch, clock.Now())

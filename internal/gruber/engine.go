@@ -109,12 +109,11 @@ type Engine struct {
 
 // EngineStats counts engine activity.
 type EngineStats struct {
-	Queries           int64
-	LocalDispatches   int64
-	RemoteDispatches  int64
-	DuplicateIgnored  int64
-	ExpiredPruned     int64
-	BaselineRefreshes int64
+	Queries          int64
+	LocalDispatches  int64
+	RemoteDispatches int64
+	DuplicateIgnored int64
+	ExpiredPruned    int64
 }
 
 // siteView is one site's baseline plus the sums of the pending
@@ -227,7 +226,6 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) UpdateSites(statuses []grid.Status, at time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.stats.BaselineRefreshes++
 	rebased := make(map[*siteView]bool, len(statuses))
 	for _, st := range statuses {
 		sv, ok := e.sites[st.Name]
@@ -278,12 +276,16 @@ func usageByPath(dotted map[string]int) map[usla.Path]int {
 }
 
 // fold adds the dispatch to (sign +1) or takes it out of (−1) its site
-// view's sums. Caller holds e.mu for writing.
+// view's sums. The sums are exact: a peer record is folded as given, so
+// one with negative CPUs can take a level below zero, and its expiry
+// must find that sum as it left it. A decrease that leaves a level at
+// exactly zero deletes its entry. Caller holds e.mu for writing.
 func (p *pendingDispatch) fold(sign int) {
-	p.sv.usedDelta += sign * p.CPUs
+	d := sign * p.CPUs
+	p.sv.usedDelta += d
 	levels, n := p.owner.Levels()
 	for _, level := range levels[:n] {
-		if p.sv.usageDelta[level] += sign * p.CPUs; sign < 0 && p.sv.usageDelta[level] <= 0 {
+		if p.sv.usageDelta[level] += d; d < 0 && p.sv.usageDelta[level] == 0 {
 			delete(p.sv.usageDelta, level)
 		}
 	}

@@ -158,9 +158,6 @@ type GossipMergeStats struct {
 	// nor the sending peer — third-party news the mesh forwarded, the
 	// measure of transitive relay actually happening.
 	Relayed int
-	// Applied counts records folded into the site views (unexpired,
-	// previously unseen JobIDs against known sites).
-	Applied int
 	// Duplicates counts records the version vector already covered —
 	// gossip's redundancy cost.
 	Duplicates int
@@ -206,11 +203,8 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 		if d.Origin != from {
 			st.Relayed++
 		}
-		if !e.markSeenLocked(d) {
-			continue
-		}
-		if e.foldRemoteLocked(d, now) {
-			st.Applied++
+		if e.markSeenLocked(d) {
+			e.foldRemoteLocked(d, now)
 		}
 	}
 	e.unlockDurable()

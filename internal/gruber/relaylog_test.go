@@ -58,8 +58,8 @@ func TestMergeGossipStoresAndRelays(t *testing.T) {
 		disp("dp-b", 1, "site-000", clock.Now()),
 	}
 	st := e.MergeGossip("dp-a", recs)
-	if st.Stored != 3 || st.Applied != 3 {
-		t.Fatalf("MergeGossip = %+v; want 3 stored, 3 applied", st)
+	if st.Stored != 3 || e.PendingDispatches() != 3 {
+		t.Fatalf("MergeGossip = %+v, %d in the view; want 3 stored, 3 applied", st, e.PendingDispatches())
 	}
 	if st.Relayed != 1 {
 		t.Fatalf("Relayed = %d; want 1 (dp-b's record arrived via dp-a)", st.Relayed)

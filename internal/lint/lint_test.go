@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"digruber/internal/lint"
@@ -11,6 +12,30 @@ import (
 )
 
 var testdata = filepath.Join("testdata", "src")
+
+// module is the whole module, loaded once for every test that checks
+// the real tree: a load and its type-check take seconds.
+var module struct {
+	once sync.Once
+	root string
+	pkgs []*lint.Package
+	err  error
+}
+
+// modulePackages returns the module root and every package under it.
+func modulePackages(t *testing.T) (string, []*lint.Package) {
+	t.Helper()
+	module.once.Do(func() {
+		module.root, module.err = lint.FindModuleRoot(".")
+		if module.err == nil {
+			module.pkgs, module.err = lint.LoadModule(module.root, []string{"./..."})
+		}
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.root, module.pkgs
+}
 
 // The table drives one linttest run per (analyzer, fixture package):
 // fixture files carry their own expectations as "// want" comments, and
@@ -92,14 +117,7 @@ func TestBareAllow(t *testing.T) {
 // including the wire-schema lockfile check against the committed
 // internal/lint/wireschema.lock.
 func TestRepositoryIsClean(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadModule(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := modulePackages(t)
 	if len(pkgs) < 15 {
 		t.Fatalf("loader found only %d packages; pattern expansion is broken", len(pkgs))
 	}
@@ -123,14 +141,7 @@ func TestRepositoryIsClean(t *testing.T) {
 // cover exactly the structs reachable from the repo's wire entry
 // points, whose bytes the TestWireGolden tables pin.
 func TestWireSchemaLockfile(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadModule(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := modulePackages(t)
 	cur, err := lint.ComputeSchema(pkgs)
 	if err != nil {
 		t.Fatal(err)

@@ -166,14 +166,7 @@ func declareFields(pkg *lint.Package, f *ast.File, root string, declared map[str
 // TestEveryOptionHasASetter holds the tree to the setter rule. It has
 // no allow-list: a field nobody sets is deleted, or given its setter.
 func TestEveryOptionHasASetter(t *testing.T) {
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadModule(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := modulePackages(t)
 	unset, err := unsetFields(pkgs, root)
 	if err != nil {
 		t.Fatal(err)

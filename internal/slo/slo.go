@@ -150,8 +150,6 @@ type Assessment struct {
 	// GoodputOK reports whether the goodput floor is met (true when no
 	// floor is set).
 	GoodputOK bool
-	// State is the alert's state after this evaluation.
-	State AlertState
 }
 
 // alert is one VO's live state-machine bookkeeping.
@@ -286,15 +284,15 @@ func (e *Evaluator) Evaluate(now time.Time) []Assessment {
 				as.GoodputOK = as.Goodput >= o.GoodputFloor
 			}
 		}
-		as.State = e.step(o.VO, a, now, as)
+		e.step(o.VO, a, now, as)
 		a.burnFast = as.BurnFast
 		out = append(out, as)
 	}
 	return out
 }
 
-// step advances one alert's state machine and returns the new state.
-func (e *Evaluator) step(vo string, a *alert, now time.Time, as Assessment) AlertState {
+// step advances one alert's state machine.
+func (e *Evaluator) step(vo string, a *alert, now time.Time, as Assessment) {
 	burning := as.BurnFast >= e.cfg.BurnThreshold && as.BurnSlow >= e.cfg.BurnThreshold
 	switch a.state {
 	case StateInactive:
@@ -324,7 +322,6 @@ func (e *Evaluator) step(vo string, a *alert, now time.Time, as Assessment) Aler
 			e.transition(vo, a, StateInactive, now, as)
 		}
 	}
-	return a.state
 }
 
 // transition moves an alert to a new state and logs the change.

@@ -25,9 +25,9 @@ func (s *Series) Add(at time.Time, v float64) {
 	s.Samples = append(s.Samples, Sample{At: at, Value: v})
 }
 
-// Bucket is one aggregation window of a series.
+// Bucket is one aggregation window of a series; window i of Bucketize
+// starts i widths after its origin.
 type Bucket struct {
-	Start time.Time
 	Count int
 	Mean  float64
 	Max   float64
@@ -54,9 +54,6 @@ func (s *Series) Bucketize(origin time.Time, w time.Duration) []Bucket {
 	}
 	last := idx(samples[len(samples)-1].At)
 	buckets := make([]Bucket, last+1)
-	for i := range buckets {
-		buckets[i].Start = origin.Add(time.Duration(i) * w)
-	}
 	for _, smp := range samples {
 		b := &buckets[idx(smp.At)]
 		b.Count++

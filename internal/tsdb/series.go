@@ -8,11 +8,9 @@ import (
 // series is one metric's bounded ring of points. All access goes
 // through the registry's lock; the type itself is not concurrency-safe.
 type series struct {
-	name    string
-	limit   int
-	buf     []Point
-	head    int // index of the oldest point once the ring is full
-	dropped int64
+	limit int
+	buf   []Point
+	head  int // index of the oldest point once the ring is full
 }
 
 // add appends a point, overwriting the oldest once the ring is full.
@@ -23,7 +21,6 @@ func (s *series) add(p Point) {
 	}
 	s.buf[s.head] = p
 	s.head = (s.head + 1) % s.limit
-	s.dropped++
 }
 
 // points returns the held points oldest-first, as a copy.
@@ -40,8 +37,6 @@ type SeriesDump struct {
 	Name string
 	// Points is the retained window, oldest first.
 	Points []Point
-	// Dropped counts points overwritten by the ring bound.
-	Dropped int64
 }
 
 // SeriesNames returns every series name seen so far, sorted. Histogram
@@ -88,7 +83,7 @@ func (r *Registry) Export() []SeriesDump {
 	out := make([]SeriesDump, 0, len(names))
 	for _, name := range names {
 		s := r.series[name]
-		out = append(out, SeriesDump{Name: name, Points: s.points(), Dropped: s.dropped})
+		out = append(out, SeriesDump{Name: name, Points: s.points()})
 	}
 	return out
 }

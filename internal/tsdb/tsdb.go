@@ -311,7 +311,7 @@ func (r *Registry) Sample(now time.Time) {
 		}
 		sr, ok := r.series[s.name]
 		if !ok {
-			sr = &series{name: s.name, limit: r.limit}
+			sr = &series{limit: r.limit}
 			r.series[s.name] = sr
 		}
 		sr.add(Point{T: now, V: v})

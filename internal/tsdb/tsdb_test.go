@@ -115,8 +115,8 @@ func TestRingBoundDropsOldest(t *testing.T) {
 		}
 	}
 	dumps := r.Export()
-	if len(dumps) != 1 || dumps[0].Dropped != 2 {
-		t.Fatalf("export = %+v, want 1 series with 2 dropped", dumps)
+	if len(dumps) != 1 || len(dumps[0].Points) != 3 || dumps[0].Points[0].V != 3 {
+		t.Fatalf("export = %+v, want 1 series holding the last 3 points", dumps)
 	}
 }
 

@@ -103,16 +103,13 @@ func (ps *PolicySet) Entries() []Entry {
 // Limits is the resolved per-level share for one consumer path level at
 // one provider, as percentages of the parent scope's allocation.
 // Unspecified components fall back to the paper's opportunistic model:
-// target defaults to the upper limit if one exists (else 100%), the upper
-// limit defaults to 100% ("free resources are acquired when available"),
-// and the lower limit defaults to 0%.
+// target defaults to the upper limit if one exists (else 100%), and the
+// upper limit defaults to 100% ("free resources are acquired when
+// available"). A lower limit guarantees nothing a selector ranks on, so
+// only Validate reads it.
 type Limits struct {
 	Target float64
 	Upper  float64
-	Lower  float64
-	// Explicit reports whether any entry mentioned this (provider,
-	// consumer, resource) at all.
-	Explicit bool
 }
 
 // LimitsFor resolves the share for one consumer path at one provider.
@@ -128,7 +125,7 @@ func (ps *PolicySet) LimitsFor(provider string, consumer Path, res Resource) Lim
 // fills in the defaults — the one implementation of both rules. A nil
 // share (no entry names the consumer) is all defaults.
 func (s *share) at(provider string) Limits {
-	out := Limits{Target: 100, Upper: 100, Lower: 0}
+	out := Limits{Target: 100, Upper: 100}
 	if s == nil {
 		return out
 	}
@@ -136,16 +133,12 @@ func (s *share) at(provider string) Limits {
 	if len(s.byProvider) > 0 {
 		merged.apply(s.byProvider[provider])
 	}
-	out.Explicit = merged.hasTarget || merged.hasUpper || merged.hasLower
 	if merged.hasUpper {
 		out.Upper = merged.upper
 		out.Target = merged.upper // target defaults to cap when only a cap is given
 	}
 	if merged.hasTarget {
 		out.Target = merged.target
-	}
-	if merged.hasLower {
-		out.Lower = merged.lower
 	}
 	return out
 }
@@ -191,19 +184,15 @@ func (ps *PolicySet) Resolve(p Path, res Resource) Policy {
 // exactly this order: scheduling decisions tie-break on these floats, so
 // an algebraically equal rearrangement can change which site wins.
 func (pol *Policy) Evaluate(provider string, capacity float64, used [3]float64) (ent Entitlement, headroom float64) {
-	ent = Entitlement{Target: capacity, Upper: capacity, Lower: capacity}
+	ent = Entitlement{Target: capacity, Upper: capacity}
 	headroom = capacity
 	for i := 0; i < pol.depth; i++ {
 		l := pol.shares[i].at(provider)
 		ent.Target *= l.Target / 100
 		ent.Upper *= l.Upper / 100
-		ent.Lower *= l.Lower / 100
 		if r := ent.Upper - used[i]; r < headroom {
 			headroom = r
 		}
-	}
-	if pol.depth == 0 {
-		ent.Lower = 0
 	}
 	if headroom < 0 {
 		headroom = 0
@@ -216,7 +205,6 @@ func (pol *Policy) Evaluate(provider string, capacity float64, used [3]float64) 
 type Entitlement struct {
 	Target float64
 	Upper  float64
-	Lower  float64
 }
 
 // Entitlement resolves the absolute allocation of consumer p at provider

@@ -216,13 +216,13 @@ site-9   atlas  cpu  60
 func TestLimitsDefaults(t *testing.T) {
 	ps := NewPolicySet()
 	l := ps.LimitsFor("anywhere", MustParsePath("unknown"), CPU)
-	if l.Target != 100 || l.Upper != 100 || l.Lower != 0 || l.Explicit {
+	if l.Target != 100 || l.Upper != 100 {
 		t.Fatalf("default limits = %+v", l)
 	}
 	// Upper-only entry: target defaults to the cap.
 	ps2 := mustSet(t, "* atlas cpu 40+")
 	l2 := ps2.LimitsFor("s", MustParsePath("atlas"), CPU)
-	if l2.Upper != 40 || l2.Target != 40 || !l2.Explicit {
+	if l2.Upper != 40 || l2.Target != 40 {
 		t.Fatalf("upper-only limits = %+v", l2)
 	}
 }
@@ -234,7 +234,8 @@ func TestLimitsKindsAccumulate(t *testing.T) {
 * atlas cpu 10-
 `)
 	l := ps.LimitsFor("s", MustParsePath("atlas"), CPU)
-	if l.Target != 30 || l.Upper != 50 || l.Lower != 10 {
+	// The lower limit leaves the other two kinds as they were.
+	if l.Target != 30 || l.Upper != 50 {
 		t.Fatalf("limits = %+v", l)
 	}
 }
@@ -294,22 +295,22 @@ site-9  atlas.higgs.alice cpu 50
 		ent             Entitlement
 		headroom, gap   float64
 	}{
-		// VO: cap 400, target 300, no lower limit below the site's all.
-		{"site-1", "atlas", Entitlement{Target: 300, Upper: 400, Lower: 0}, 20, -80},
+		// VO: cap 400, target 300.
+		{"site-1", "atlas", Entitlement{Target: 300, Upper: 400}, 20, -80},
 		// Group: no cap of its own (100% of the VO's 400), target half the
-		// VO's 300, lower 10% of the VO's 0; the VO's 20 left binds.
-		{"site-1", "atlas.higgs", Entitlement{Target: 150, Upper: 400, Lower: 0}, 20, 50},
+		// VO's 300; the VO's 20 left binds.
+		{"site-1", "atlas.higgs", Entitlement{Target: 150, Upper: 400}, 20, 50},
 		// User: cap 25% of the group's 400 = 100, target defaults to the cap
 		// (25% of the group's 150 = 37.5); the VO level still binds.
-		{"site-1", "atlas.higgs.alice", Entitlement{Target: 37.5, Upper: 100, Lower: 0}, 20, 7.5},
+		{"site-1", "atlas.higgs.alice", Entitlement{Target: 37.5, Upper: 100}, 20, 7.5},
 		// site-9 overrides per kind: the VO cap becomes 500 (its target stays
 		// the wildcard 30%), the group gets a 75% cap (375) beside its
 		// wildcard target, the user a 50% target beside its wildcard cap.
-		{"site-9", "atlas", Entitlement{Target: 300, Upper: 500, Lower: 0}, 120, -80},
-		{"site-9", "atlas.higgs", Entitlement{Target: 150, Upper: 375, Lower: 0}, 120, 50},
-		{"site-9", "atlas.higgs.alice", Entitlement{Target: 75, Upper: 93.75, Lower: 0}, 63.75, 45},
+		{"site-9", "atlas", Entitlement{Target: 300, Upper: 500}, 120, -80},
+		{"site-9", "atlas.higgs", Entitlement{Target: 150, Upper: 375}, 120, 50},
+		{"site-9", "atlas.higgs.alice", Entitlement{Target: 75, Upper: 93.75}, 63.75, 45},
 		// A consumer no entry names: everything is the site.
-		{"site-1", "cms.top", Entitlement{Target: 1000, Upper: 1000, Lower: 0}, 1000, 1000},
+		{"site-1", "cms.top", Entitlement{Target: 1000, Upper: 1000}, 1000, 1000},
 	} {
 		owner := MustParsePath(tc.owner)
 		if ent := ps.Entitlement(tc.provider, owner, CPU, 1000); ent != tc.ent {

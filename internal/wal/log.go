@@ -77,11 +77,11 @@ type Recovered struct {
 	CheckpointCorrupt bool
 	// Records are the log's valid-prefix payloads, in append order.
 	Records [][]byte
-	// Truncated reports a torn or corrupt log tail; ValidBytes is where
-	// the valid prefix ends and Reason is the decoder's verdict.
-	Truncated  bool
-	ValidBytes int64
-	Reason     string
+	// Truncated reports a torn or corrupt log tail; Reason is the
+	// decoder's verdict. The next append goes where the valid prefix
+	// ends.
+	Truncated bool
+	Reason    string
 }
 
 // Recover reads the checkpoint and log back. It returns an error only
@@ -113,7 +113,6 @@ func (l *Log) Recover() (Recovered, error) {
 	}
 	rec.Records = d.Records
 	rec.Truncated = d.Truncated
-	rec.ValidBytes = d.ValidBytes
 	rec.Reason = d.Reason
 	return rec, nil
 }

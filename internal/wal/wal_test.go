@@ -173,7 +173,8 @@ func TestTornWriteTruncates(t *testing.T) {
 			t.Fatalf("trial %d: truncate at %d of %d failed", trial, cut, full)
 		}
 
-		rec, err := Open(store).Recover()
+		l2 := Open(store)
+		rec, err := l2.Recover()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +182,8 @@ func TestTornWriteTruncates(t *testing.T) {
 			t.Fatalf("trial %d: torn tail at %d not reported", trial, cut)
 		}
 		wantRecords(t, rec.Records, payloads[:7])
-		if rec.ValidBytes != full-lastLen {
-			t.Fatalf("trial %d: valid prefix %d, want %d", trial, rec.ValidBytes, full-lastLen)
+		if l2.end != full-lastLen {
+			t.Fatalf("trial %d: next append at %d, want the valid prefix's end %d", trial, l2.end, full-lastLen)
 		}
 	}
 }
@@ -509,8 +510,12 @@ func TestDirStoreSegment(t *testing.T) {
 			t.Fatalf("recovered as truncated: %s", rec.Reason)
 		}
 		wantRecords(t, rec.Records, want)
-		if l.end != rec.ValidBytes || l.end >= size() {
-			t.Fatalf("write offset %d after recovery, want the valid end %d inside the %d-byte file", l.end, rec.ValidBytes, size())
+		data, err := l.readAll(logName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if valid := DecodeAll(data).ValidBytes; l.end != valid || l.end >= size() {
+			t.Fatalf("write offset %d after recovery, want the valid end %d inside the %d-byte file", l.end, valid, size())
 		}
 	}
 

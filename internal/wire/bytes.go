@@ -22,15 +22,12 @@ type IOBytes struct {
 // ClientMetrics.
 type byteBook struct {
 	mu       sync.Mutex
-	in, out  int64
 	byMethod map[string]IOBytes
 }
 
 func (b *byteBook) count(method string, in, out int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.in += int64(in)
-	b.out += int64(out)
 	if b.byMethod == nil {
 		b.byMethod = make(map[string]IOBytes)
 	}
@@ -38,12 +35,6 @@ func (b *byteBook) count(method string, in, out int) {
 	io.In += int64(in)
 	io.Out += int64(out)
 	b.byMethod[method] = io
-}
-
-func (b *byteBook) totals() (in, out int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.in, b.out
 }
 
 func (b *byteBook) snapshot() map[string]IOBytes {

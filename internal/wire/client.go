@@ -278,7 +278,6 @@ func (c *Client) CallCtx(parent trace.SpanContext, method string, body []byte, t
 	c.metrics.onCall()
 	resp, err := c.callOnce(parent, method, body, timeout)
 	if err == nil || !c.retry.enabled() {
-		c.metrics.onResult(err)
 		return resp, err
 	}
 	for attempt := 1; attempt < c.retry.Attempts && c.retry.retryable(err); attempt++ {
@@ -294,14 +293,11 @@ func (c *Client) CallCtx(parent trace.SpanContext, method string, body []byte, t
 			c.clock.Sleep(d)
 			bs.End()
 		}
-		c.metrics.onRetry()
 		resp, err = c.callOnce(parent, method, body, timeout)
 		if err == nil {
-			c.metrics.onResult(nil)
 			return resp, nil
 		}
 	}
-	c.metrics.onResult(err)
 	return resp, err
 }
 

@@ -55,16 +55,16 @@ func TestServerMetricsRegistration(t *testing.T) {
 	}
 	reg.Sample(clock.Now())
 
-	st, cs := dp.Status(), m.Stats()
-	if st.Received != 3 || cs.BytesSent == 0 || cs.BytesReceived == 0 {
+	st, cs := dp.Status(), m.MethodIO()[digruber.MethodSchedule]
+	if st.Received != 3 || cs.Out == 0 || cs.In == 0 {
 		t.Fatalf("status %+v, client ledger %+v; want 3 received and bytes both ways", st, cs)
 	}
 	for name, want := range map[string]float64{
 		"queue":     0,
 		"shed":      0,
 		"expired":   0,
-		"bytes_in":  float64(cs.BytesSent),
-		"bytes_out": float64(cs.BytesReceived),
+		"bytes_in":  float64(cs.Out),
+		"bytes_out": float64(cs.In),
 	} {
 		p, ok := reg.Latest("dp/dp-0/wire/" + name)
 		if !ok || p.V != want {

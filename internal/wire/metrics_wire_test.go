@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -10,8 +9,9 @@ import (
 	"digruber/internal/vtime"
 )
 
-// TestClientMetricsOutcomes: a shared ClientMetrics partitions logical
-// call outcomes by failure class and counts attempts including retries.
+// TestClientMetricsOutcomes: a shared ClientMetrics counts logical calls
+// and attempts including retries, and each failed call surfaces its
+// failure class.
 func TestClientMetricsOutcomes(t *testing.T) {
 	clock := vtime.NewReal()
 	mem := NewMem()
@@ -43,8 +43,8 @@ func TestClientMetricsOutcomes(t *testing.T) {
 	if _, err := Call[echoReq, echoResp](c2, "echo", echoReq{Msg: "b"}, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Call[echoReq, echoResp](c1, "boom", echoReq{}, time.Second); err == nil {
-		t.Fatal("boom should fail")
+	if _, err := Call[echoReq, echoResp](c1, "boom", echoReq{}, time.Second); Classify(err) != FailureOther {
+		t.Fatalf("boom: err = %v, want an application error", err)
 	}
 	// Refused: nothing listens there.
 	bad := NewClient(ClientConfig{
@@ -58,15 +58,11 @@ func TestClientMetricsOutcomes(t *testing.T) {
 	}
 
 	st := m.Stats()
-	if st.Calls != 4 || st.OK != 2 || st.Other != 1 || st.Refused != 1 {
-		t.Fatalf("stats = %+v, want calls=4 ok=2 other=1 refused=1", st)
+	// echo, echo and boom take 1 attempt each; the refused call retried
+	// twice, so took 3.
+	if st.Calls != 4 || st.Attempts != 6 {
+		t.Fatalf("stats = %+v, want calls=4 attempts=6", st)
 	}
-	// The refused call retried twice: 3 + 3 + 1(boom had 1) ... attempts:
-	// echo+echo+boom are 1 attempt each, refused call is 3.
-	if st.Attempts != 6 || st.Retries != 2 {
-		t.Fatalf("stats = %+v, want attempts=6 retries=2", st)
-	}
-
 }
 
 // TestNilClientMetricsIsFree: un-instrumented clients and nil receivers
@@ -75,9 +71,7 @@ func TestNilClientMetricsIsFree(t *testing.T) {
 	var m *ClientMetrics
 	m.onCall()
 	m.onAttempt()
-	m.onRetry()
-	m.onResult(nil)
-	m.onResult(fmt.Errorf("x"))
+	m.onThrottle()
 	if st := m.Stats(); st != (ClientStats{}) {
 		t.Fatalf("nil metrics stats = %+v", st)
 	}

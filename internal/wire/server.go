@@ -46,7 +46,6 @@ type CtxHandler func(ctx Ctx, body []byte) ([]byte, error)
 // Server is an RPC server fronted by an emulated web-service container
 // (see StackProfile). Register handlers, then call Serve with a Listener.
 type Server struct {
-	node    string // node name, for WAN delay bookkeeping and reports
 	profile StackProfile
 	clock   vtime.Clock
 	// tracer records server-side spans for traced requests; set it with
@@ -101,11 +100,12 @@ type job struct {
 	enqueuedAt time.Time
 }
 
-// NewServer returns a server for the given emulated node name, container
-// profile and clock.
-func NewServer(node string, profile StackProfile, clock vtime.Clock) *Server {
+// NewServer returns a server for the given container profile and clock.
+// The first argument names the emulated node the server runs on; the
+// server keeps nothing of it, since WAN delay is the transport's to
+// charge.
+func NewServer(_ string, profile StackProfile, clock vtime.Clock) *Server {
 	s := &Server{
-		node:     node,
 		profile:  profile,
 		clock:    clock,
 		handlers: make(map[string]CtxHandler),
@@ -419,7 +419,6 @@ func (s *Server) Close() {
 type Stats struct {
 	Received  int64
 	Completed int64
-	Failed    int64
 	Shed      int64
 	// ConnLost counts responses the server computed but could not
 	// deliver because the connection was gone — work done for a caller
@@ -461,7 +460,6 @@ func (s *Server) Stats() Stats {
 		BytesOut:     s.bytesOut.Load(),
 		Received:     s.received.Load(),
 		Completed:    completed,
-		Failed:       failed,
 		Shed:         s.shed.Load(),
 		ConnLost:     s.connLost.Load(),
 		Expired:      s.expired.Load(),
