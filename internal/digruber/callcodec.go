@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"digruber/internal/gruber"
 	"digruber/internal/wire"
 )
 
 // The five small bodies of a decision — ScheduleArgs, ScheduleReply,
-// QueryArgs, ReportArgs (with its gruber.Dispatch) and ReportReply —
+// QueryArgs, ReportArgs (its gruber.Dispatch through the record codec,
+// recordcodec.go) and ReportReply —
 // carry wire's value hook as QueryReply does: AppendGobValue writes the
 // bytes gob writes for the value, field by field in the order
 // wireschema.lock records, and ReadGobValue reads exactly those bytes
@@ -63,24 +63,48 @@ func (w *valueWriter) bool(i int, v bool) {
 	}
 }
 
-// time writes t as gob writes a GobEncoder: its GobEncode bytes
-// (MarshalBinary's; Time.AppendBinary, which would spare their slice, is
-// newer than the go line of go.mod) behind their length. gob leaves out
-// only the time whose every field is zero, which is not what
-// Time.IsZero tests. It reports false for a time that cannot be
-// marshalled, which gob refuses too.
+// time writes t as gob writes a GobEncoder: its GobEncode bytes behind
+// their length. Those are MarshalBinary's — a version byte, the seconds
+// since year 1 and the nanoseconds big-endian, the zone offset in
+// minutes (-1 for UTC) and, in version 2, its odd seconds — appended
+// straight to the body from the public accessors (Time.AppendBinary
+// would do the same, but it is newer than go.mod's go line).
+// gob leaves out only the time whose every field is zero, which is not
+// what Time.IsZero tests. It reports false for a zone offset
+// MarshalBinary refuses, which gob refuses too.
 func (w *valueWriter) time(i int, t time.Time) bool {
 	if t == (time.Time{}) {
 		return true
 	}
-	enc, err := t.MarshalBinary()
-	if err != nil {
-		return false
+	version, offsetMin, offsetSec := byte(1), int16(-1), int8(0)
+	if t.Location() != time.UTC {
+		_, offset := t.Zone()
+		if offset%60 != 0 {
+			version, offsetSec = 2, int8(offset%60)
+		}
+		offset /= 60
+		if offset < -32768 || offset == -1 || offset > 32767 {
+			return false
+		}
+		offsetMin = int16(offset)
 	}
+	sec := t.Unix() + unixToInternal
+	nsec := t.Nanosecond()
 	w.field(i)
-	w.b = append(wire.AppendGobUint(w.b, uint64(len(enc))), enc...)
+	w.b = append(w.b, 14+version, version,
+		byte(sec>>56), byte(sec>>48), byte(sec>>40), byte(sec>>32),
+		byte(sec>>24), byte(sec>>16), byte(sec>>8), byte(sec),
+		byte(nsec>>24), byte(nsec>>16), byte(nsec>>8), byte(nsec),
+		byte(offsetMin>>8), byte(offsetMin))
+	if version == 2 {
+		w.b = append(w.b, byte(offsetSec))
+	}
 	return true
 }
+
+// unixToInternal is the seconds from the start of year 1, where
+// MarshalBinary counts from, to the Unix epoch.
+const unixToInternal = (1969*365 + 1969/4 - 1969/100 + 1969/400) * 24 * 60 * 60
 
 // end closes the struct.
 func (w *valueWriter) end() []byte { return append(w.b, 0) }
@@ -328,19 +352,10 @@ func (q *QueryArgs) ReadGobValue(b []byte) bool {
 func (a ReportArgs) AppendGobValue(b []byte) ([]byte, bool) {
 	w := newValueWriter(b)
 	w.field(0)
-	d := &a.Dispatch
-	in := newValueWriter(w.b)
-	in.string(0, d.JobID)
-	in.string(1, d.Site)
-	in.string(2, d.Owner)
-	in.int(3, int64(d.CPUs))
-	in.int(4, int64(d.Runtime))
-	if !in.time(5, d.At) {
+	var ok bool
+	if w.b, ok = appendDispatch(w.b, &a.Dispatch); !ok {
 		return b, false
 	}
-	in.string(6, d.Origin)
-	in.uint(7, d.Seq)
-	w.b = in.end()
 	return w.end(), true
 }
 
@@ -349,35 +364,16 @@ func (a *ReportArgs) ReadGobValue(b []byte) bool {
 	if *a != (ReportArgs{}) {
 		return false
 	}
-	var d gruber.Dispatch
+	var v ReportArgs
 	r := valueReader{b: b}
 	if r.next(-1, 1) != 0 {
 		return false // the Dispatch is always written
 	}
-	for at := r.next(-1, 8); at >= 0; at = r.next(at, 8) {
-		switch at {
-		case 0:
-			d.JobID = string(r.bytes())
-		case 1:
-			d.Site = r.name()
-		case 2:
-			d.Owner = r.name()
-		case 3:
-			d.CPUs = r.int()
-		case 4:
-			d.Runtime = time.Duration(r.int64())
-		case 5:
-			r.time(&d.At)
-		case 6:
-			d.Origin = r.name()
-		case 7:
-			d.Seq = r.nonZero()
-		}
-	}
+	readDispatch(&r, &v.Dispatch)
 	if r.next(0, 1) >= 0 || !r.end() {
 		return false
 	}
-	a.Dispatch = d
+	*a = v
 	return true
 }
 

@@ -283,10 +283,11 @@ func encodeWALEntry(e walEntry) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// TestEntryEncoderMatchesFreshEncoder: the committer's one primed
-// encoder writes, record for record, the bytes of a fresh encoder, and
-// each decodes alone.
+// TestEntryEncoderMatchesFreshEncoder: the committer's entry encoder
+// writes, record for record, the bytes of a fresh gob encoder, and each
+// decodes alone.
 func TestEntryEncoderMatchesFreshEncoder(t *testing.T) {
+	freshNameTable(t) // decodeWALEntry interns the made-up names
 	rng := netsim.Stream(23, "digruber.test.walentry")
 	str := func() string {
 		switch rng.Intn(4) {
@@ -304,7 +305,7 @@ func TestEntryEncoderMatchesFreshEncoder(t *testing.T) {
 		}
 		return rng.Int63n(1<<40) - 1<<20
 	}
-	enc := newEntryEncoder()
+	var enc entryEncoder
 	var batch []byte
 	for i := 0; i < 1000; i++ {
 		en := walEntry{Logged: rng.Intn(2) == 0, D: gruber.Dispatch{

@@ -327,6 +327,7 @@ func (dp *DecisionPoint) registerHandlers() {
 		sp := dp.cfg.Tracer.StartSpan(ctx.Span, trace.PhaseEngineMerge)
 		merged := dp.engine.MergeRemote(a.Dispatches)
 		sp.End()
+		putRecords(a.Dispatches) // the engine copied the records out
 		for _, e := range a.USLAs {
 			// Under usage-and-USLAs dissemination, remote entries are
 			// folded into local policy knowledge.
@@ -1070,6 +1071,7 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 			continue
 		}
 		imported := dp.engine.ImportSnapshot(reply.Dispatches)
+		putRecords(reply.Dispatches)
 		if dp.dur != nil {
 			dp.dur.noteBackfilled(imported)
 		}

@@ -333,6 +333,56 @@ func TestUSLADissemination(t *testing.T) {
 	}
 }
 
+// TestUSLAEntriesStayOnePerKeyAcrossRounds: under usage-and-USLAs every
+// round ships a point's whole entry list and the peer adds each entry
+// again. Two points holding one entry each must hold the same two after
+// twelve rounds both ways, not a set that grows by each round's echo.
+func TestUSLAEntriesStayOnePerKeyAcrossRounds(t *testing.T) {
+	clock := vtime.NewReal()
+	mem := wire.NewMem()
+	points := make([]*DecisionPoint, 2)
+	for i, rule := range []string{"* atlas cpu 25+", "* cms cpu 40+"} {
+		ps := usla.NewPolicySet()
+		entries, err := usla.ParseTextString(rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.AddAll(entries); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("dp-%d", i)
+		dp, err := New(Config{Name: name, Addr: name, Transport: mem, Clock: clock,
+			Profile: wire.Instant(), Strategy: UsageAndUSLAs, Policies: ps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp.Engine().UpdateSites(testStatuses(100), clock.Now())
+		points[i] = dp
+	}
+	points[0].AddPeer("dp-1", "dp-1", "dp-1")
+	points[1].AddPeer("dp-0", "dp-0", "dp-0")
+	for _, dp := range points {
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer dp.Stop()
+	}
+	for round := 0; round < 12; round++ {
+		points[0].ExchangeNow()
+		points[1].ExchangeNow()
+	}
+	for _, dp := range points {
+		if got := dp.cfg.Policies.Entries(); len(got) != 2 {
+			t.Fatalf("%s holds %d USLA entries after 12 rounds, want 2", dp.cfg.Name, len(got))
+		}
+		for vo, want := range map[string]float64{"atlas": 25, "cms": 40} {
+			if l := dp.cfg.Policies.LimitsFor("site-000", usla.MustParsePath(vo), usla.CPU); l.Upper != want {
+				t.Errorf("%s: %s upper = %v, want %v", dp.cfg.Name, vo, l.Upper, want)
+			}
+		}
+	}
+}
+
 func TestNoExchangeStrategyKeepsViewsApart(t *testing.T) {
 	clock := vtime.NewReal()
 	h := newHarnessStrategy(t, 2, clock, testStatuses(100), NoExchange)

@@ -11,6 +11,7 @@ import (
 
 	"digruber/internal/gruber"
 	"digruber/internal/wal"
+	"digruber/internal/wire"
 )
 
 // This file composes the gruber engine's durability surface with the
@@ -143,8 +144,8 @@ type committer struct {
 	// exited is closed when run has returned.
 	exited chan struct{}
 
-	// Owned by run: the primed encoder and the batch's payload bytes.
-	enc      *entryEncoder
+	// Owned by run: the entry encoder and the batch's payload bytes.
+	enc      entryEncoder
 	bytes    []byte
 	payloads [][]byte
 }
@@ -266,15 +267,11 @@ func (c *committer) run(wake <-chan struct{}, exited chan<- struct{}) {
 // self-contained record, all of them framed into one write behind one
 // fsync.
 func (c *committer) commit(entries []walEntry) error {
-	if c.enc == nil {
-		c.enc = newEntryEncoder()
-	}
 	c.bytes, c.payloads = c.bytes[:0], c.payloads[:0]
 	for i := range entries {
 		start := len(c.bytes)
 		var err error
 		if c.bytes, err = c.enc.appendEntry(c.bytes, &entries[i]); err != nil {
-			c.enc = nil // a failed Encode may have half-sent a type
 			return err
 		}
 		// If a later append moves c.bytes, this payload stays where it was
@@ -284,42 +281,62 @@ func (c *committer) commit(entries []walEntry) error {
 	return c.log.AppendBatch(c.payloads)
 }
 
-// entryEncoder writes walEntry records with one long-lived gob.Encoder.
-// A fresh encoder opens its stream with the type definitions of
-// everything a walEntry reaches and then writes the value message; a
-// primed one writes the value message alone. The definitions are a
-// function of the type, so they are taken once and put in front of
-// every value: the bytes of a fresh encoder per record (which is what
-// decodeWALEntry reads and what the log has always held) for a tenth of
-// the work.
+// entryEncoder writes walEntry records: the bytes a fresh gob.Encoder
+// writes for one entry (which is what decodeWALEntry reads and what the
+// log has always held), with the value written by the record codec
+// between this process's own definitions and type id (walFraming). Its
+// scratch is the value of the entry being framed.
 type entryEncoder struct {
-	enc    *gob.Encoder
-	buf    bytes.Buffer
-	prefix []byte
-}
-
-func newEntryEncoder() *entryEncoder {
-	e := &entryEncoder{}
-	e.enc = gob.NewEncoder(&e.buf)
-	// The first Encode writes definitions + value, the second the same
-	// value alone; the difference is the definitions. gob cannot fail on
-	// this fixed shape.
-	_ = e.enc.Encode(&walEntry{})
-	first := bytes.Clone(e.buf.Bytes())
-	e.buf.Reset()
-	_ = e.enc.Encode(&walEntry{})
-	e.prefix = first[:len(first)-e.buf.Len()]
-	return e
+	val []byte
 }
 
 // appendEntry appends en's self-contained record to dst.
 func (e *entryEncoder) appendEntry(dst []byte, en *walEntry) ([]byte, error) {
-	e.buf.Reset()
-	if err := e.enc.Encode(en); err != nil {
-		return dst, err
+	f := walFraming()
+	val, ok := en.AppendGobValue(e.val[:0])
+	if !ok || f.prefix == nil {
+		// A time gob cannot marshal: gob's bytes, or rather gob's error.
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(en); err != nil {
+			return dst, err
+		}
+		return append(dst, buf.Bytes()...), nil
 	}
-	return append(append(dst, e.prefix...), e.buf.Bytes()...), nil
+	e.val = val
+	dst = wire.AppendGobUint(append(dst, f.prefix...), uint64(len(f.id)+len(val)))
+	return append(append(dst, f.id...), val...), nil
 }
+
+// entryFraming is what a fresh gob.Encoder writes for a walEntry in front
+// of the value: the type definitions of everything a walEntry reaches,
+// and the value message's type id.
+type entryFraming struct {
+	prefix, id []byte
+}
+
+// walFraming learns the framing from gob at first use. gob numbers types
+// per process, in the order it meets them, so neither part is a
+// constant: a log written by a process that numbered its types otherwise
+// opens differently and is gob's to read. A fresh encoder's first Encode
+// writes definitions and value, a second the value message alone; the
+// difference is the definitions, and the message is its length, the id
+// and the value. A nil prefix (gob cannot fail on this fixed shape)
+// leaves every record to gob.
+var walFraming = sync.OnceValue(func() entryFraming {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	_ = enc.Encode(&walEntry{})
+	first := bytes.Clone(buf.Bytes())
+	buf.Reset()
+	_ = enc.Encode(&walEntry{})
+	msg := buf.Bytes()
+	val, _ := walEntry{}.AppendGobValue(nil)
+	_, n := wire.ReadGobUint(msg)
+	if n == 0 || len(msg) < n+len(val) || !bytes.HasSuffix(msg, val) || !bytes.HasSuffix(first, msg) {
+		return entryFraming{}
+	}
+	return entryFraming{prefix: first[:len(first)-len(msg)], id: bytes.Clone(msg[n : len(msg)-len(val)])}
+})
 
 // checkpointNow takes one checkpoint: the engine state is captured and
 // persisted under the engine lock (see Engine.CheckpointState), which
@@ -346,10 +363,24 @@ func (dur *durability) checkpointNow(e *gruber.Engine, now time.Time) error {
 // decodeWALEntry is the per-record decoder: every record is
 // self-contained (type descriptors included, see entryEncoder), so
 // truncating the log at any record boundary leaves a decodable prefix.
-// (The codec functions stay concrete: the wire-schema lint finds
-// persisted structs at the gob call that names them.)
+// A record that opens with this process's own definitions and type id
+// and holds one value message is read by the record codec; anything
+// else, or a value the codec declines, goes to a fresh gob.Decoder — the
+// own-definitions rule of wire's value hook (DESIGN.md "Wire body
+// codec"). (The codec functions stay concrete: the wire-schema lint
+// finds persisted structs at the gob call that names them.)
 func decodeWALEntry(payload []byte) (walEntry, error) {
 	var e walEntry
+	if f := walFraming(); f.prefix != nil {
+		if msg, ok := bytes.CutPrefix(payload, f.prefix); ok {
+			size, n := wire.ReadGobUint(msg)
+			if n > 0 && size == uint64(len(msg)-n) {
+				if val, ok := bytes.CutPrefix(msg[n:], f.id); ok && e.ReadGobValue(val) {
+					return e, nil
+				}
+			}
+		}
+	}
 	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e)
 	return e, err
 }

@@ -102,6 +102,7 @@ func (dp *DecisionPoint) gossipPart(force bool) roundPart[GossipArgs, GossipRepl
 			dp.mu.Lock()
 			dp.gossipPulled += len(reply.Records)
 			dp.mu.Unlock()
+			putRecords(reply.Records)
 			return nil
 		},
 		compact: (*DecisionPoint).gossipCompact,
@@ -170,6 +171,7 @@ func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, 
 		dp.addPeer(m.Name, m.Node, m.Addr, false) // no-op for known and removed names
 	}
 	st, senderVV := dp.absorbGossip(ctx.Span, a.From, a.Records, a.Digest)
+	putRecords(a.Records)
 	// The pull: anything we hold that the sender's digest lacks. Records
 	// the sender just pushed are covered by its digest, so they never
 	// echo back.

@@ -26,7 +26,14 @@ import (
 // only. A struct compared whole, as a map key or by == and !=, has all
 // its fields read. A field with a struct tag is exempt, as encoding/*
 // reads it by reflection; so is an embedded field, which its parent
-// uses through the fields and methods it promotes.
+// uses through the fields and methods it promotes. A use inside a method
+// of wire's value hook (valueHooks) is not counted as a read.
+
+// valueHooks are the methods of wire's value hook. A hook is gob's
+// reflection written out: it reads a field to put it on the wire, or to
+// check the receiver is zero, no more than gob does, so its uses are no
+// read.
+var valueHooks = map[string]bool{"AppendGobValue": true, "ReadGobValue": true}
 
 // wireBodyUnread is every field the rule finds that is part of a wire
 // body: a gob-encoded struct whose receiver is another process, so that
@@ -123,6 +130,9 @@ func unreadFields(pkgs []*lint.Package, root string) ([][2]string, error) {
 				return true
 			})
 			ast.Inspect(f.AST, func(n ast.Node) bool {
+				if fn, ok := n.(*ast.FuncDecl); ok && fn.Recv != nil && valueHooks[fn.Name.Name] {
+					return false
+				}
 				if id, ok := n.(*ast.Ident); ok && !written[id] {
 					if v := field(id); v != nil {
 						read[fieldKey(pkg.Fset, v)] = true
@@ -211,9 +221,10 @@ func TestEveryFieldHasAReader(t *testing.T) {
 
 // The fixture reads a field in every shape the rule counts as a read,
 // and declares a field no file reads, a field only its test reads, a
-// field only accumulated into, and a tagged and an embedded field
-// nobody reads: the rule reports the three unread ones, exempts the
-// other two, and reports a list entry that is read.
+// field only accumulated into, a field only a value hook uses, and a
+// tagged and an embedded field nobody reads: the rule reports the four
+// unread ones, exempts the other two, and reports a list entry that is
+// read.
 func TestReaderRuleCatchesPlants(t *testing.T) {
 	const path = "digruber/internal/readerlib"
 	loader := lint.NewTypeLoader("digruber", filepath.Join(testdata, "digruber"))
@@ -228,6 +239,7 @@ func TestReaderRuleCatchesPlants(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
+		path + ".Body.Hooked (internal/readerlib/readerlib.go:59) is written but read by no non-test file: delete it with the code that fills it, or read it",
 		path + ".Record.NeverRead (internal/readerlib/readerlib.go:13) is written but read by no non-test file: delete it with the code that fills it, or read it",
 		path + ".Record.OnlyInTests (internal/readerlib/readerlib.go:14) is written but read by no non-test file: delete it with the code that fills it, or read it",
 		path + ".state.Passed is on the wire-body list but is read now, or gone: take it off the list",

@@ -51,3 +51,27 @@ func Fill(n int) (int, *int) {
 }
 
 func use(...int) {}
+
+// Body is a wire body: its value hook puts both fields on the wire, and
+// only Sent is read anywhere else.
+type Body struct {
+	Sent   int
+	Hooked int
+}
+
+// AppendGobValue is the value hook's writer.
+func (b Body) AppendGobValue(dst []byte) ([]byte, bool) {
+	return append(dst, byte(b.Sent), byte(b.Hooked)), true
+}
+
+// ReadGobValue is the value hook's reader.
+func (b *Body) ReadGobValue(src []byte) bool {
+	if b.Sent != 0 || b.Hooked != 0 || len(src) != 2 {
+		return false
+	}
+	b.Sent, b.Hooked = int(src[0]), int(src[1])
+	return true
+}
+
+// Send reads what a receiver reads.
+func Send(b Body) int { return b.Sent }

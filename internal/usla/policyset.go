@@ -17,10 +17,22 @@ import (
 // consumer's levels up once and the Policy it returns evaluates any
 // number of providers without touching ps.mu.
 type PolicySet struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// entries holds one entry per entryKey, in the order each key was
+	// first added; at is each key's position in it.
 	entries []Entry
+	at      map[entryKey]int
 	// index[resource][consumer] → that consumer's accumulated limits.
 	index map[Resource]map[Path]*share
+}
+
+// entryKey is what an entry is about. A later entry with the same key
+// replaces the earlier one, in entries as in index.
+type entryKey struct {
+	res      Resource
+	consumer Path
+	provider string
+	kind     ShareKind
 }
 
 // share is everything the set says about one (resource, consumer). A
@@ -39,19 +51,27 @@ type limits struct {
 
 // NewPolicySet returns an empty set.
 func NewPolicySet() *PolicySet {
-	return &PolicySet{index: make(map[Resource]map[Path]*share)}
+	return &PolicySet{at: make(map[entryKey]int), index: make(map[Resource]map[Path]*share)}
 }
 
 // Add validates and inserts one entry. Later entries of the same
-// (provider, consumer, resource, kind) replace earlier ones, which is how
-// USLA modification works at runtime.
+// (provider, consumer, resource, kind) replace earlier ones in place,
+// which is how USLA modification works at runtime — and why a peer
+// re-sending the entries it holds every exchange round leaves the set
+// as large as it was.
 func (ps *PolicySet) Add(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ps.entries = append(ps.entries, e)
+	key := entryKey{e.Resource, e.Consumer, e.Provider, e.Share.Kind}
+	if i, ok := ps.at[key]; ok {
+		ps.entries[i] = e
+	} else {
+		ps.at[key] = len(ps.entries)
+		ps.entries = append(ps.entries, e)
+	}
 	byConsumer, ok := ps.index[e.Resource]
 	if !ok {
 		byConsumer = make(map[Path]*share)
@@ -93,7 +113,8 @@ func (ps *PolicySet) AddAll(entries []Entry) error {
 	return nil
 }
 
-// Entries returns a copy of all entries in insertion order.
+// Entries returns a copy of all entries, one per (resource, consumer,
+// provider, kind), in the order each was first added.
 func (ps *PolicySet) Entries() []Entry {
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
