@@ -200,6 +200,7 @@ type ifacePayload struct{ V interface{} }
 func init() { gob.Register(codecLeaf{}) }
 
 func TestBodyCodecMatchesFreshGob(t *testing.T) {
+	freshNameTable(t) // the filled bodies' names are made up
 	p := newCodecProbe(t)
 	cases := []struct {
 		name string
@@ -266,6 +267,7 @@ func TestBodyCodecMatchesFreshGob(t *testing.T) {
 // server, wire.Call's on the client, with bodies checked against the set
 // a fresh encoder produces.
 func TestBodyCodecConcurrent(t *testing.T) {
+	freshNameTable(t) // every reply's site is a name of its own
 	const goroutines, calls = 8, 60
 	mem := wire.NewMem()
 	srv := wire.NewServer("codec-node", wire.Instant(), vtime.NewReal())

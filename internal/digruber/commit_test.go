@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -287,7 +288,6 @@ func encodeWALEntry(e walEntry) ([]byte, error) {
 // writes, record for record, the bytes of a fresh gob encoder, and each
 // decodes alone.
 func TestEntryEncoderMatchesFreshEncoder(t *testing.T) {
-	freshNameTable(t) // decodeWALEntry interns the made-up names
 	rng := netsim.Stream(23, "digruber.test.walentry")
 	str := func() string {
 		switch rng.Intn(4) {
@@ -327,7 +327,8 @@ func TestEntryEncoderMatchesFreshEncoder(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("entry %d %+v:\n primed %x\n  fresh %x", i, en, got, want)
 		}
-		back, err := decodeWALEntry(got)
+		var dec walDecoder
+		back, err := dec.decode(got)
 		if err != nil {
 			t.Fatalf("entry %d does not decode alone: %v", i, err)
 		}
@@ -539,6 +540,92 @@ func TestStoreImageMatchesParent(t *testing.T) {
 		" checkpoint 529b10eb734bc00ec9a234b7eafa7c00fc38e6397c8d059d8d5726b86e5db886"
 	if got := strings.SplitN(string(out), "\n", 2)[0]; got != parent {
 		t.Fatalf("store image differs from the parent build's:\n got %s\nwant %s", got, parent)
+	}
+}
+
+var walWriterChild = flag.String("wal-writer-child", "", "internal: write TestWALFromAnotherProcessReplays' log into this directory")
+
+// TestWALFromAnotherProcessReplays: a log another process wrote — one
+// that numbered gob's types in its own order and served Schedules before
+// its first record — replays in full, each record as a fresh gob.Decoder
+// reads it, and every record after the first through the decoder the
+// first one primed.
+func TestWALFromAnotherProcessReplays(t *testing.T) {
+	if *walWriterChild != "" {
+		writeWALImage(t, *walWriterChild)
+		return
+	}
+	const n = 200
+	dir := t.TempDir()
+	if out, err := exec.Command(os.Args[0], "-test.run=^TestWALFromAnotherProcessReplays$", "-wal-writer-child", dir).CombinedOutput(); err != nil {
+		t.Fatalf("child process: %v\n%s", err, out)
+	}
+	store, err := wal.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Open(store).Recover()
+	if err != nil || len(rec.Records) != n {
+		t.Fatalf("the child's log holds %d records (%v), want %d", len(rec.Records), err, n)
+	}
+	if bytes.HasPrefix(rec.Records[0], walFraming().prefix) {
+		t.Fatal("the child numbered its types as this process does, so its log is no other process's")
+	}
+	var dec walDecoder
+	for i, payload := range rec.Records {
+		got, err := dec.decode(payload)
+		if fresh := freshDecode[walEntry](t, payload); err != nil || !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("record %d: replayed %+v (%v), a fresh gob.Decoder %+v", i, got, err, fresh)
+		}
+		if want := fmt.Sprintf("job-%04d", i); got.D.JobID != want {
+			t.Fatalf("record %d is %q, want %q", i, got.D.JobID, want)
+		}
+	}
+	if dec.dec == nil {
+		t.Fatal("no record primed a decoder")
+	}
+	last := rec.Records[n-1]
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = dec.decode(last) }); allocs > 20 {
+		t.Errorf("a record after the first: %.0f allocations, want at most 20 (a fresh gob.Decoder's)", allocs)
+	}
+
+	clock := vtime.NewManual(epoch)
+	dp := newDurableDP(t, clock, wire.NewMem(), "dp-0", store, -1)
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	if got := dp.LastRecovery(); got.Recovered != n || got.Truncated {
+		t.Fatalf("recovery: %+v, want %d records replayed", got, n)
+	}
+}
+
+// writeWALImage is the child's part: a durable point in dir takes 200
+// Schedules, one record each. It first encodes a type nothing else in
+// the package encodes, so that its gob numbers every later type
+// otherwise than a process that never met it.
+func writeWALImage(t *testing.T, dir string) {
+	if err := gob.NewEncoder(io.Discard).Encode(map[string]uint16{"shift": 1}); err != nil {
+		t.Fatal(err)
+	}
+	store, err := wal.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := vtime.NewManual(epoch)
+	mem := wire.NewMem()
+	dp := newDurableDP(t, clock, mem, "dp-0", store, -1)
+	dp.Engine().UpdateSites(roomyStatuses(3), clock.Now())
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	cli := testWireClient(t, mem, clock, dp)
+	for i := 0; i < 200; i++ {
+		clock.Advance(time.Second)
+		if r, err := callSchedule(cli, fmt.Sprintf("job-%04d", i)); err != nil || !r.OK {
+			t.Fatalf("job %d: %+v, %v", i, r, err)
+		}
 	}
 }
 

@@ -282,7 +282,7 @@ func (c *committer) commit(entries []walEntry) error {
 }
 
 // entryEncoder writes walEntry records: the bytes a fresh gob.Encoder
-// writes for one entry (which is what decodeWALEntry reads and what the
+// writes for one entry (which is what walDecoder reads and what the
 // log has always held), with the value written by the record codec
 // between this process's own definitions and type id (walFraming). Its
 // scratch is the value of the entry being framed.
@@ -316,8 +316,8 @@ type entryFraming struct {
 
 // walFraming learns the framing from gob at first use. gob numbers types
 // per process, in the order it meets them, so neither part is a
-// constant: a log written by a process that numbered its types otherwise
-// opens differently and is gob's to read. A fresh encoder's first Encode
+// constant, and learning it before the process's first record keeps the
+// log's bytes those of a fresh encoder in that process. A fresh encoder's first Encode
 // writes definitions and value, a second the value message alone; the
 // difference is the definitions, and the message is its length, the id
 // and the value. A nil prefix (gob cannot fail on this fixed shape)
@@ -360,29 +360,44 @@ func (dur *durability) checkpointNow(e *gruber.Engine, now time.Time) error {
 	return nil
 }
 
-// decodeWALEntry is the per-record decoder: every record is
+// walDecoder reads the records of one replay. Every record is
 // self-contained (type descriptors included, see entryEncoder), so
 // truncating the log at any record boundary leaves a decodable prefix.
-// A record that opens with this process's own definitions and type id
-// and holds one value message is read by the record codec; anything
-// else, or a value the codec declines, goes to a fresh gob.Decoder — the
-// own-definitions rule of wire's value hook (DESIGN.md "Wire body
-// codec"). (The codec functions stay concrete: the wire-schema lint
-// finds persisted structs at the gob call that names them.)
-func decodeWALEntry(payload []byte) (walEntry, error) {
-	var e walEntry
-	if f := walFraming(); f.prefix != nil {
-		if msg, ok := bytes.CutPrefix(payload, f.prefix); ok {
-			size, n := wire.ReadGobUint(msg)
-			if n > 0 && size == uint64(len(msg)-n) {
-				if val, ok := bytes.CutPrefix(msg[n:], f.id); ok && e.ReadGobValue(val) {
-					return e, nil
-				}
-			}
+// The first record goes to a fresh gob.Decoder; a decoder that read one
+// cleanly then reads every later record that opens with the very same
+// definitions, fed its value message alone — the rule of wire's parked
+// decoders (DESIGN.md "Wire body codec"). The definitions hold the
+// writing process's type numbering, whatever it was, so a log replays
+// this way whichever process wrote it. A record in any other shape, or
+// one the kept decoder errs on, is read by a fresh decoder. (The gob
+// call stays concrete: the wire-schema lint finds persisted structs at
+// the gob call that names them.)
+type walDecoder struct {
+	defs []byte       // the definitions dec has read
+	dec  *gob.Decoder // reads r; nil until a record decoded cleanly
+	r    bytes.Reader
+}
+
+func (d *walDecoder) decode(payload []byte) (walEntry, error) {
+	split := wire.ValueOffset(payload)
+	if d.dec != nil && split >= 0 && bytes.Equal(payload[:split], d.defs) {
+		var e walEntry
+		d.r.Reset(payload[split:])
+		if d.dec.Decode(&e) == nil {
+			return e, nil
 		}
+		d.dec = nil // a decoder that erred may have half-read a message
 	}
-	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e)
-	return e, err
+	var e walEntry
+	d.r.Reset(payload)
+	dec := gob.NewDecoder(&d.r)
+	if err := dec.Decode(&e); err != nil {
+		return walEntry{}, err
+	}
+	if split >= 0 {
+		d.defs, d.dec = append(d.defs[:0], payload[:split]...), dec
+	}
+	return e, nil
 }
 
 // encodeEngineState / decodeEngineState are the checkpoint codec.
@@ -441,8 +456,9 @@ func (dp *DecisionPoint) recoverLocked() error {
 			rs.CheckpointRestored = true
 		}
 	}
+	var dec walDecoder
 	for _, payload := range rec.Records {
-		en, derr := decodeWALEntry(payload)
+		en, derr := dec.decode(payload)
 		if derr != nil {
 			// A checksummed record that does not decode is corruption the
 			// CRC missed (or a software bug); same contract as a torn

@@ -245,7 +245,6 @@ const ceilingWindows, ceilingRuns = 5, 200
 // given coupling against a 300-site point, warmed by 50 of them.
 func ceilingDecisions(t *testing.T, single bool) func() {
 	emptyReplyLoads(t)
-	freshNameTable(t) // the grid's names are interned as in a new process
 	dp, mem := ownedPoint(t, 1)
 	c, err := NewClient(ClientConfig{Name: "ceiling-client", DPName: dp.Name(), DPNode: dp.Name(), DPAddr: dp.Addr(),
 		Transport: mem, Clock: vtime.NewReal(), Timeout: time.Minute, RNG: netsim.Stream(1, "ceiling"), SingleCall: single})

@@ -13,9 +13,11 @@ import (
 // write and read them with one codec: appendDispatch and readDispatch,
 // the bytes gob writes for a gruber.Dispatch, field by field in the
 // order wireschema.lock records. The bodies carry wire's value hook as
-// the small bodies do; walEntry is framed by the committer
-// (durability.go). TestRecordBodiesMatchGob and FuzzRecordBodies hold
-// them to gob, which stays the path for every value a hook declines.
+// the small bodies do. walEntry carries only the writer, framed by the
+// committer; replay reads the log with gob (walDecoder, durability.go),
+// as the writing process may have numbered its types otherwise.
+// TestRecordBodiesMatchGob and FuzzRecordBodies hold them to gob, which
+// stays the path for every value a hook declines.
 
 // records is the storage of the record slices the hooks decode. The
 // Exchange, Gossip and Snapshot paths put a slice back with putRecords
@@ -174,6 +176,8 @@ func (w *valueWriter) members(i int, ms []gossip.Member) {
 }
 
 // members reads a membership sample, its count a claim as cursors' is.
+// Only the point's name is interned: nothing on the decision path reads
+// a member's node or address, and the name table is bounded.
 func (r *valueReader) members() []gossip.Member {
 	n := r.count()
 	ms := make([]gossip.Member, 0, min(n, len(r.b)/8+1))
@@ -184,9 +188,9 @@ func (r *valueReader) members() []gossip.Member {
 			case 0:
 				m.Name = r.name()
 			case 1:
-				m.Node = r.name()
+				m.Node = string(r.bytes())
 			case 2:
-				m.Addr = r.name()
+				m.Addr = string(r.bytes())
 			}
 		}
 		ms = append(ms, m)
@@ -208,11 +212,11 @@ func (a ExchangeArgs) AppendGobValue(b []byte) ([]byte, bool) {
 	return w.end(), true
 }
 
-// ReadGobValue implements wire's value hook, for a zero receiver. A
-// USLAs field is a field past the last it reads, so gob takes the body.
+// ReadGobValue implements wire's value hook, for a zero receiver. A body
+// with a USLAs field is gob's, and is declined before a record is built.
 func (a *ExchangeArgs) ReadGobValue(b []byte) bool {
-	if a.From != "" || a.Dispatches != nil || a.USLAs != nil {
-		return false // gob decodes into what is there
+	if a.From != "" || a.Dispatches != nil || a.USLAs != nil || carriesUSLAs(b) {
+		return false // gob decodes into what is there, and reads USLAs
 	}
 	var v ExchangeArgs
 	r := valueReader{b: b}
@@ -230,6 +234,39 @@ func (a *ExchangeArgs) ReadGobValue(b []byte) bool {
 	}
 	*a = v
 	return true
+}
+
+// carriesUSLAs reports whether an ExchangeArgs value goes on past its
+// records to a third field, skimming the records without building them.
+// A value the skim finds malformed is left to the reader to decline.
+func carriesUSLAs(b []byte) bool {
+	r := valueReader{b: b}
+	for at := r.next(-1, 3); at >= 0; at = r.next(at, 3) {
+		switch at {
+		case 0:
+			r.bytes()
+		case 1:
+			for n := r.count(); n > 0 && !r.bad; n-- {
+				skipDispatch(&r)
+			}
+		case 2:
+			return true
+		}
+	}
+	return false
+}
+
+// skipDispatch steps over one Dispatch struct value: its strings and
+// time are length-prefixed bytes, the rest integers.
+func skipDispatch(r *valueReader) {
+	for at := r.next(-1, 8); at >= 0; at = r.next(at, 8) {
+		switch at {
+		case 0, 1, 2, 5, 6:
+			r.bytes()
+		default:
+			r.nonZero()
+		}
+	}
 }
 
 // AppendGobValue implements wire's value hook.
@@ -357,27 +394,4 @@ func (en walEntry) AppendGobValue(b []byte) ([]byte, bool) {
 	}
 	w.bool(1, en.Logged)
 	return w.end(), true
-}
-
-// ReadGobValue reads what AppendGobValue writes into the zero en.
-func (en *walEntry) ReadGobValue(b []byte) bool {
-	if *en != (walEntry{}) {
-		return false
-	}
-	var v walEntry
-	r := valueReader{b: b}
-	if r.next(-1, 2) != 0 {
-		return false // the D is always written
-	}
-	readDispatch(&r, &v.D)
-	at := r.next(0, 2)
-	if at == 1 {
-		v.Logged = r.bool()
-		at = r.next(1, 2)
-	}
-	if at >= 0 || !r.end() {
-		return false
-	}
-	*en = v
-	return true
 }

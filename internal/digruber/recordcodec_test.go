@@ -72,9 +72,7 @@ func TestRecordBodiesMatchGob(t *testing.T) {
 		ds := recordSet(at)
 		for i := range ds {
 			smallBodyCase(t, p, fmt.Sprintf("ReportArgs %d, %s", i, name), ReportArgs{Dispatch: ds[i]})
-			en := walEntry{D: ds[i], Logged: i%2 == 0}
-			smallBodyCase(t, p, fmt.Sprintf("walEntry %d, %s", i, name), en)
-			walEntryCase(t, fmt.Sprintf("record %d, %s", i, name), en)
+			walEntryCase(t, fmt.Sprintf("record %d, %s", i, name), walEntry{D: ds[i], Logged: i%2 == 0})
 		}
 		smallBodyCase(t, p, "ExchangeArgs "+name, ExchangeArgs{From: "dp-1", Dispatches: ds})
 		smallBodyCase(t, p, "GossipArgs "+name, GossipArgs{From: "dp-1", Round: 7, Digest: cur, Records: ds, Members: members})
@@ -110,8 +108,8 @@ func TestRecordBodiesMatchGob(t *testing.T) {
 }
 
 // walEntryCase holds the committer's record for en to a fresh
-// gob.Encoder's, and decodeWALEntry's reading of it to a fresh
-// gob.Decoder's.
+// gob.Encoder's, and replay's reading of it, by a fresh decoder and by
+// a primed one, to a fresh gob.Decoder's.
 func walEntryCase(t *testing.T, name string, en walEntry) {
 	t.Helper()
 	want, gobErr := encodeWALEntry(en)
@@ -126,39 +124,62 @@ func walEntryCase(t *testing.T, name string, en walEntry) {
 	if err != nil || !bytes.Equal(got, append([]byte("kept"), want...)) {
 		t.Fatalf("%s: appendEntry wrote % x (%v), a fresh gob.Encoder % x", name, got, err, want)
 	}
-	back, err := decodeWALEntry(want)
-	if fresh := freshDecode[walEntry](t, want); err != nil || !reflect.DeepEqual(back, fresh) {
-		t.Fatalf("%s: decodeWALEntry read %+v (%v), a fresh gob.Decoder %+v", name, back, err, fresh)
+	fresh := freshDecode[walEntry](t, want)
+	var dec walDecoder
+	for pass := 1; pass <= 2; pass++ {
+		if back, err := dec.decode(want); err != nil || !reflect.DeepEqual(back, fresh) {
+			t.Fatalf("%s, read %d: replay read %+v (%v), a fresh gob.Decoder %+v", name, pass, back, err, fresh)
+		}
 	}
 }
 
-// TestWALEntryInAnotherLayoutReplays: a record whose definitions are not
+// TestWALEntryInAnotherLayoutReplays: records whose definitions are not
 // this process's — here another build's entry, its fields in another
-// order — is gob's to read, and replays as gob reads it.
+// order — replay as gob reads them, the second through the decoder the
+// first primed, and a record in this process's layout after them still
+// replays.
 func TestWALEntryInAnotherLayoutReplays(t *testing.T) {
 	type otherEntry struct {
 		Logged bool
 		D      gruber.Dispatch
 	}
-	d := recordSet(time.Date(2005, 11, 12, 9, 30, 0, 0, time.UTC))[0]
-	got, err := decodeWALEntry(freshGob(t, otherEntry{Logged: true, D: d}))
-	if want := (walEntry{D: d, Logged: true}); err != nil || got != want {
-		t.Fatalf("decodeWALEntry read %+v (%v), want %+v", got, err, want)
+	ds := recordSet(time.Date(2005, 11, 12, 9, 30, 0, 0, time.UTC))
+	var dec walDecoder
+	for i, d := range ds {
+		got, err := dec.decode(freshGob(t, otherEntry{Logged: i%2 == 0, D: d}))
+		if want := (walEntry{D: d, Logged: i%2 == 0}); err != nil || got != want {
+			t.Fatalf("record %d: replay read %+v (%v), want %+v", i, got, err, want)
+		}
+	}
+	own := walEntry{D: ds[0]}
+	if got, err := dec.decode(freshGob(t, own)); err != nil || got != own {
+		t.Fatalf("replay read %+v (%v), want %+v", got, err, own)
 	}
 }
 
-// checkWALEntryValue holds decodeWALEntry to a fresh gob.Decoder on
-// value bytes data framed as this process frames a record, and on data
-// as a whole record.
+// checkWALEntryValue holds replay, by a decoder a valid record primed,
+// to a fresh gob.Decoder on value bytes data framed as this process
+// frames a record, and on data as a whole record; the valid record still
+// replays after each.
 func checkWALEntryValue(t *testing.T, data []byte) {
 	t.Helper()
 	frame, _ := valueFraming(t, walEntry{})
-	for _, record := range [][]byte{frame(data), data} {
-		got, err := decodeWALEntry(record)
+	valid := walEntry{D: recordSet(time.Unix(1e9, 5).UTC())[0], Logged: true}
+	val, _ := valid.AppendGobValue(nil)
+	validRecord := frame(val)
+	var dec walDecoder
+	for _, record := range [][]byte{frame(data), data, nil} {
+		if got, err := dec.decode(validRecord); err != nil || got != valid {
+			t.Fatalf("after % x: replay read %+v, %v; want %+v", record, got, err, valid)
+		}
+		if record == nil {
+			return
+		}
+		got, err := dec.decode(record)
 		var fresh walEntry
 		freshErr := gob.NewDecoder(bytes.NewReader(record)).Decode(&fresh)
 		if (err == nil) != (freshErr == nil) || err == nil && !reflect.DeepEqual(got, fresh) {
-			t.Fatalf("record % x: decodeWALEntry %+v, %v; a fresh gob.Decoder %+v, %v", record, got, err, fresh, freshErr)
+			t.Fatalf("record % x: replay read %+v, %v; a fresh gob.Decoder %+v, %v", record, got, err, fresh, freshErr)
 		}
 	}
 }
@@ -203,9 +224,6 @@ func TestRecordBodiesDeclineWhatGobMustRead(t *testing.T) {
 	if (&SnapshotReply{Dispatches: make([]gruber.Dispatch, 0, 4)}).ReadGobValue(own) {
 		t.Error("ReadGobValue read into a reply that held records")
 	}
-	if (&walEntry{Logged: true}).ReadGobValue(own) {
-		t.Error("ReadGobValue read into an entry that was not zero")
-	}
 }
 
 // FuzzRecordBodies holds every record body's hook and the write-ahead
@@ -239,7 +257,8 @@ func FuzzRecordBodies(f *testing.F) {
 
 // TestRecordPathsAllocate pins what a record costs on the paths that
 // carry one: reading a 250-record exchange allocates its JobIDs and
-// nothing else once its slice goes back, and writing a record — a
+// nothing else once its slice goes back, an exchange that carries USLAs
+// is declined before anything is built, and writing a record — a
 // Report's body, a write-ahead entry — allocates nothing.
 func TestRecordPathsAllocate(t *testing.T) {
 	freshNameTable(t)
@@ -265,6 +284,19 @@ func TestRecordPathsAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(50, read); n > 251 {
 		t.Errorf("reading a 250-record ExchangeArgs: %.0f allocations, want at most 251", n)
 	}
+	withUSLAs := args
+	withUSLAs.USLAs = []usla.Entry{{Provider: "site-001", Consumer: usla.MustParsePath("atlas.higgs"),
+		Resource: usla.CPU, Share: usla.Share{Percent: 30, Kind: usla.UpperLimit}}}
+	_, valueOf := valueFraming(t, withUSLAs)
+	uslaVal := valueOf(freshGob(t, withUSLAs))
+	if n := testing.AllocsPerRun(50, func() {
+		var a ExchangeArgs
+		if a.ReadGobValue(uslaVal) {
+			t.Fatal("ReadGobValue took an ExchangeArgs that carries USLAs")
+		}
+	}); n != 0 {
+		t.Errorf("declining a 250-record ExchangeArgs with USLAs: %.0f allocations, want 0", n)
+	}
 
 	en := walEntry{D: args.Dispatches[7], Logged: true}
 	var enc entryEncoder
@@ -285,7 +317,9 @@ func TestRecordPathsAllocate(t *testing.T) {
 // recordBodiesWithoutHook returns, sorted, the struct types files
 // declare with a gruber.Dispatch or []gruber.Dispatch field, each with
 // what it lacks of the value hook: AppendGobValue on the value and
-// ReadGobValue on the pointer. found lists every such type.
+// ReadGobValue on the pointer. walEntry needs only the writer: replay
+// reads the log with gob (walDecoder), as its writer may have numbered
+// its types otherwise. found lists every such type.
 func recordBodiesWithoutHook(files []*ast.File) (found, missing []string) {
 	isRecord := func(e ast.Expr) bool {
 		if a, ok := e.(*ast.ArrayType); ok && a.Len == nil {
@@ -330,7 +364,7 @@ func recordBodiesWithoutHook(files []*ast.File) (found, missing []string) {
 			if !methods[name+".AppendGobValue"] {
 				missing = append(missing, name+" lacks AppendGobValue on its value")
 			}
-			if !methods["*"+name+".ReadGobValue"] {
+			if !methods["*"+name+".ReadGobValue"] && name != "walEntry" {
 				missing = append(missing, name+" lacks ReadGobValue on its pointer")
 			}
 			return true
@@ -343,8 +377,8 @@ func recordBodiesWithoutHook(files []*ast.File) (found, missing []string) {
 
 // TestEveryRecordBodyCarriesTheHook holds the package to one record
 // codec: every struct it declares outside its tests with a record field
-// (the wire bodies and the write-ahead entry) carries the value hook, so
-// none of them falls back to gob's reflection unnoticed. A planted body
+// (the wire bodies, and the write-ahead entry's writer) carries the value
+// hook, so none of them falls back to gob's reflection unnoticed. A planted body
 // without the hook is reported.
 func TestEveryRecordBodyCarriesTheHook(t *testing.T) {
 	names, err := filepath.Glob("*.go")

@@ -176,9 +176,9 @@ func TestDecodeBodyIsAFreshDecodersValue(t *testing.T) {
 func TestForeignAndBrokenBodiesTakeTheFreshPath(t *testing.T) {
 	forget(&codecReply{})
 	valid := freshEncode(t, replyOf(3))
-	split := valueOffset(valid)
+	split := ValueOffset(valid)
 	if split <= 0 || split >= len(valid) {
-		t.Fatalf("valueOffset = %d of %d", split, len(valid))
+		t.Fatalf("ValueOffset = %d of %d", split, len(valid))
 	}
 	checkValid := func(after string) {
 		t.Helper()
@@ -291,8 +291,8 @@ func TestValueOffset(t *testing.T) {
 		{"id cut short by its message", []byte{1, 0xfe, 0, 2}, -1},
 	}
 	for _, c := range cases {
-		if got := valueOffset(c.b); got != c.want {
-			t.Errorf("%s: valueOffset(%x) = %d, want %d", c.name, c.b, got, c.want)
+		if got := ValueOffset(c.b); got != c.want {
+			t.Errorf("%s: ValueOffset(%x) = %d, want %d", c.name, c.b, got, c.want)
 		}
 	}
 }
@@ -347,7 +347,7 @@ func TestFreeListsAreBounded(t *testing.T) {
 		t.Fatalf("%d decoders parked, want %d", len(c.decs), maxParked)
 	}
 	last := foreign(2*maxParked - 1)
-	if !bytes.Equal(c.decs[maxParked-1].prefix, last[:valueOffset(last)]) {
+	if !bytes.Equal(c.decs[maxParked-1].prefix, last[:ValueOffset(last)]) {
 		t.Error("the most recently parked decoder is not the last body's")
 	}
 }
@@ -358,11 +358,11 @@ func TestFreeListsAreBounded(t *testing.T) {
 // the same bytes.
 func FuzzDecodeBody(f *testing.F) {
 	valid := freshEncode(f, replyOf(2))
-	split := valueOffset(valid)
+	split := ValueOffset(valid)
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)-5] ^= 0x10
 	hooked := freshEncode(f, hookedOf(2))
-	hookedSplit := valueOffset(hooked)
+	hookedSplit := ValueOffset(hooked)
 	hookedFlipped := bytes.Clone(hooked)
 	hookedFlipped[len(hookedFlipped)-5] ^= 0x10
 	// The same value message with its first load's name written twice,
@@ -391,11 +391,11 @@ func FuzzDecodeBody(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		off := valueOffset(data)
+		off := ValueOffset(data)
 		switch {
 		case off < -1 || off >= len(data) && off != -1:
-			t.Fatalf("valueOffset = %d of %d bytes", off, len(data))
-		case off >= 0 && (valueOffset(data[off:]) != 0 || valueOffset(data[:off]) != -1):
+			t.Fatalf("ValueOffset = %d of %d bytes", off, len(data))
+		case off >= 0 && (ValueOffset(data[off:]) != 0 || ValueOffset(data[:off]) != -1):
 			t.Fatalf("split at %d is not where the first value message starts", off)
 		}
 

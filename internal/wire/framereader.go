@@ -25,7 +25,7 @@ func ownFrameWire() (defs, id []byte) {
 		if err := gob.NewEncoder(&stream).Encode(frame{ID: 1}); err != nil {
 			return
 		}
-		if split := valueOffset(stream.Bytes()); split > 0 {
+		if split := ValueOffset(stream.Bytes()); split > 0 {
 			ownFrames.defs, ownFrames.id = stream.Bytes()[:split], valueTypeID(stream.Bytes(), split)
 		}
 	})

@@ -199,7 +199,7 @@ func TestValueHookWritesAndReadsGobsBytes(t *testing.T) {
 func TestValueHookLeavesTheRestToGob(t *testing.T) {
 	forget(codecHooked{}, &codecHooked{})
 	valid := freshEncode(t, hookedOf(3))
-	split := valueOffset(valid)
+	split := ValueOffset(valid)
 	_, width := gobUint(valid[split:])
 	value := valid[split+width+2:] // the type id of a user type is two bytes
 	if own, _ := hookedOf(3).AppendGobValue(nil); !bytes.Equal(value, own) {

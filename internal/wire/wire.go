@@ -294,7 +294,7 @@ func (c *bodyCodec) learn(body []byte, split int) {
 }
 
 // valueTypeID returns the bytes of the type id that opens the value
-// message valueOffset found at split, after the message's length.
+// message ValueOffset found at split, after the message's length.
 func valueTypeID(body []byte, split int) []byte {
 	_, n := gobUint(body[split:])
 	_, m := gobUint(body[split+n:])
@@ -346,7 +346,7 @@ func (c *bodyCodec) parkDecoder(d *bodyDecoder) {
 	c.decs = append(c.decs, d)
 }
 
-// valueOffset returns where the value message starts in a gob stream
+// ValueOffset returns where the value message starts in a gob stream
 // that is zero or more type-definition messages (negative type id)
 // followed by exactly one value message, and -1 for any other b. One
 // Encode of a type that reaches no interface writes exactly that. A
@@ -354,7 +354,7 @@ func (c *bodyCodec) parkDecoder(d *bodyDecoder) {
 // does not: gob breaks its message in two around the definition, and a
 // decoder that read it has learnt a type its prefix does not account
 // for.
-func valueOffset(b []byte) int {
+func ValueOffset(b []byte) int {
 	for off := 0; off < len(b); {
 		size, n := gobUint(b[off:])
 		// Compared as uint64 so that a length no int holds is refused.
@@ -521,7 +521,7 @@ func encodeBodyFrom(l *SliceList[byte], v interface{}) ([]byte, error) {
 		return out, nil
 	}
 	if !primed {
-		split := valueOffset(out)
+		split := ValueOffset(out)
 		if split < 0 {
 			return out, nil
 		}
@@ -544,7 +544,7 @@ func decodeBody(data []byte, v interface{}) error {
 	c := codecFor(rt)
 	split := -1
 	if c != nil {
-		split = valueOffset(data)
+		split = ValueOffset(data)
 	}
 	if r, ok := v.(gobValueReader); ok && split >= 0 && rt.Kind() == reflect.Pointer {
 		if val, ok := ownValue(rt.Elem(), data, split); ok && r.ReadGobValue(val) {
