@@ -9,16 +9,23 @@
 // selection, input files stage in through the replica catalog, and failed
 // placements re-plan. At the end the demo prints per-VO delivered
 // CPU time against the USLA targets.
+//
+// The planners sleep on the clock while files move and jobs run, so the
+// demo stays on a Scaled clock and its figures vary run to run;
+// main_test.go checks the shape only.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"time"
 
 	"digruber/internal/digruber"
 	"digruber/internal/euryale"
+	"digruber/internal/exp"
 	"digruber/internal/gram"
 	"digruber/internal/grid"
 	"digruber/internal/netsim"
@@ -28,17 +35,31 @@ import (
 	"digruber/internal/wire"
 )
 
-// epoch anchors virtual time at a fixed instant so repeated runs print
-// identical timestamps.
-var epoch = time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC)
-
 func main() {
-	clock := vtime.NewScaled(epoch, 240)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// vos are the two collaborations: USLA target (%), submission host, DAGs.
+var vos = []struct {
+	name, target, host string
+	dags               int
+}{
+	{"atlas", "60", "cern-ui", 6},
+	{"cms", "30", "fnal-ui", 3},
+}
+
+// raw is the detector data every generation job reads.
+const raw = "lfn://raw/run2005"
+
+func run(w io.Writer) error {
+	clock := vtime.NewScaled(exp.Epoch, 240)
 	network := netsim.New(7, netsim.PlanetLab())
-	mem := wire.NewMem()
 
 	// --- grid: 8 sites, one of them flaky ---
 	g := grid.New(clock)
+	defer g.Shutdown()
 	for i := 0; i < 8; i++ {
 		cfg := grid.SiteConfig{Name: fmt.Sprintf("tier2-%02d", i), Clusters: []int{64, 64}}
 		if i == 0 {
@@ -46,7 +67,7 @@ func main() {
 			cfg.RNG = netsim.Stream(7, "flaky")
 		}
 		if _, err := g.AddSite(cfg); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -58,66 +79,49 @@ func main() {
 * cms   cpu 30
 * cms   cpu 70+
 `)
-	if err != nil {
-		log.Fatal(err)
+	if err == nil {
+		err = policies.AddAll(entries)
 	}
-	policies.AddAll(entries)
+	if err != nil {
+		return err
+	}
 
-	// --- one decision point ---
-	dp, err := digruber.New(digruber.Config{
-		Name: "dp-0", Addr: "dp-0", Transport: mem, Network: network,
-		Clock: clock, Profile: wire.GT4C(), Policies: policies,
+	// --- one decision point and a submission host per VO ---
+	f, err := exp.NewFleet(exp.FleetSpec{
+		Clock: clock, Network: network, Sites: g.Snapshot, Points: 1, Clients: len(vos),
+		Point: func(_ int, c *digruber.Config) {
+			c.Name, c.Addr, c.Profile, c.Policies = "dp-0", "dp-0", wire.GT4C(), policies
+		},
+		Client: func(i int, c *digruber.ClientConfig) { c.Name, c.Node = vos[i].host, vos[i].host },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	dp.Engine().UpdateSites(g.Snapshot(), clock.Now())
-	if err := dp.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer dp.Stop()
+	defer f.Close()
 
 	// --- replica catalog with the raw detector data at tier2-01 ---
 	catalog := replica.NewCatalog()
-	catalog.Register("lfn://raw/run2005", replica.PFN{Site: "tier2-01", Path: "/raw/run2005", Size: 64 << 20})
-
-	submitter := gram.NewSubmitter(g, network, clock, gram.Config{
-		SubmitOverhead: 2 * time.Second,
-	})
-
-	// Track delivered CPU time per VO for the fair-share report.
-	var vmu sync.Mutex
-	voCPU := map[string]time.Duration{}
-	g.SetOutcomeHandler(func(o grid.Outcome) {
-		if !o.Failed {
-			vmu.Lock()
-			voCPU[o.Job.Owner.VO] += o.Job.Runtime * time.Duration(o.Job.CPUs)
-			vmu.Unlock()
-		}
-	})
+	catalog.Register(raw, replica.PFN{Site: "tier2-01", Path: "/raw/run2005", Size: 64 << 20})
+	submitter := gram.NewSubmitter(g, network, clock, gram.Config{SubmitOverhead: 2 * time.Second})
 
 	// --- per-VO Euryale planners sharing one broker ---
-	runVO := func(vo string, host string, dags int, wg *sync.WaitGroup, report chan<- string) {
+	type tally struct {
+		completed, replans, attempts int
+		cpu                          time.Duration // delivered to completed nodes
+		err                          error
+	}
+	var wg sync.WaitGroup
+	runVO := func(i int, t *tally) {
 		defer wg.Done()
-		client, err := digruber.NewClient(digruber.ClientConfig{
-			Name: host, Node: host,
-			DPName: "dp-0", DPNode: "dp-0", DPAddr: "dp-0",
-			Transport: mem, Network: network, Clock: clock,
-			Timeout: 30 * time.Second, FallbackSites: g.SiteNames(),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer client.Close()
-
+		vo, host, client := vos[i].name, vos[i].host, f.Clients()[i]
 		selector := euryale.SelectorFunc(func(j *grid.Job, excluded map[string]bool) (string, error) {
 			dec := client.Schedule(j)
 			if dec.Err != nil {
 				return "", dec.Err
 			}
 			if excluded[dec.Site] {
-				// Re-planning: ask again; the broker's view has moved on,
-				// but if it insists, degrade to any non-excluded site.
+				// Re-planning: the broker's view has moved on, but if it
+				// insists, degrade to any non-excluded site.
 				for _, s := range g.SiteNames() {
 					if !excluded[s] {
 						return s, nil
@@ -126,88 +130,71 @@ func main() {
 			}
 			return dec.Site, nil
 		})
-		planner, err := euryale.New(selector, submitter, catalog, network, clock, euryale.Config{
-			MaxAttempts: 4, CollectionSite: "tier2-01",
-		})
-		if err != nil {
-			log.Fatal(err)
+		planner, err := euryale.New(selector, submitter, catalog, network, clock,
+			euryale.Config{MaxAttempts: 4, CollectionSite: "tier2-01"})
+		if t.err = err; err != nil {
+			return
 		}
-
-		attempts, replans, completed := 0, 0, 0
-		for d := 0; d < dags; d++ {
+		for d := 0; d < vos[i].dags; d++ {
 			dag := euryale.NewDAG()
-			gen := fmt.Sprintf("%s-gen-%d", vo, d)
-			dag.Add(euryale.Node{
-				ID:      gen,
-				Job:     job(vo, host, gen, 8, 10*time.Minute),
-				Inputs:  []string{"lfn://raw/run2005"},
-				Outputs: []string{fmt.Sprintf("lfn://%s/sim-%d", vo, d)},
-			})
+			gen, sim := fmt.Sprintf("%s-gen-%d", vo, d), fmt.Sprintf("lfn://%s/sim-%d", vo, d)
+			dag.Add(euryale.Node{ID: gen, Job: job(vo, host, gen, 8, 10*time.Minute),
+				Inputs: []string{raw}, Outputs: []string{sim}})
 			for r := 0; r < 3; r++ {
 				id := fmt.Sprintf("%s-reco-%d-%d", vo, d, r)
-				dag.Add(euryale.Node{
-					ID:      id,
-					Job:     job(vo, host, id, 4, 5*time.Minute),
-					Parents: []string{gen},
-					Inputs:  []string{fmt.Sprintf("lfn://%s/sim-%d", vo, d)},
-					Outputs: []string{fmt.Sprintf("lfn://%s/reco-%d-%d", vo, d, r)},
-				})
+				dag.Add(euryale.Node{ID: id, Job: job(vo, host, id, 4, 5*time.Minute), Parents: []string{gen},
+					Inputs: []string{sim}, Outputs: []string{fmt.Sprintf("lfn://%s/reco-%d-%d", vo, d, r)}})
 			}
 			results, err := planner.RunDAG(dag, 4)
-			if err != nil {
-				log.Fatal(err)
+			if t.err = err; err != nil {
+				return
 			}
 			for _, res := range results {
-				attempts += res.Attempts
+				t.attempts += res.Attempts
 				if res.Attempts > 1 {
-					replans++
+					t.replans++
 				}
-				if !res.Outcome.Failed {
-					completed++
+				if o := res.Outcome; !o.Failed {
+					t.completed++
+					t.cpu += o.Job.Runtime * time.Duration(o.Job.CPUs)
 				}
 			}
 		}
-		report <- fmt.Sprintf("%s: %d nodes completed, %d placements re-planned (%d attempts total)",
-			vo, completed, replans, attempts)
 	}
 
-	fmt.Println("running atlas and cms reconstruction DAGs through Euryale + DI-GRUBER...")
-	var wg sync.WaitGroup
-	report := make(chan string, 2)
-	wg.Add(2)
-	go runVO("atlas", "cern-ui", 6, &wg, report)
-	go runVO("cms", "fnal-ui", 3, &wg, report)
+	fmt.Fprintln(w, "running atlas and cms reconstruction DAGs through Euryale + DI-GRUBER...")
+	tallies := make([]tally, len(vos))
+	for i := range vos {
+		wg.Add(1)
+		go runVO(i, &tallies[i])
+	}
 	wg.Wait()
-	close(report)
-	for line := range report {
-		fmt.Println(" ", line)
+	for i, t := range tallies {
+		if t.err != nil {
+			return t.err
+		}
+		fmt.Fprintf(w, "  %s: %d nodes completed, %d placements re-planned (%d attempts total)\n",
+			vos[i].name, t.completed, t.replans, t.attempts)
 	}
 
 	// --- fair-share outcome ---
 	total := g.ConsumedCPU()
-	fmt.Println("\ndelivered CPU time vs USLA targets:")
-	vmu.Lock()
-	for _, vo := range []string{"atlas", "cms"} {
+	fmt.Fprintln(w, "\ndelivered CPU time vs USLA targets:")
+	for i, t := range tallies {
 		share := 0.0
 		if total > 0 {
-			share = float64(voCPU[vo]) / float64(total) * 100
+			share = float64(t.cpu) / float64(total) * 100
 		}
-		fmt.Printf("  %-5s %8s delivered (%.0f%% of delivered; USLA target %s%%)\n",
-			vo, voCPU[vo].Round(time.Second), share, map[string]string{"atlas": "60", "cms": "30"}[vo])
+		fmt.Fprintf(w, "  %-5s %8s delivered (%.0f%% of delivered; USLA target %s%%)\n",
+			vos[i].name, t.cpu.Round(time.Second), share, vos[i].target)
 	}
-	vmu.Unlock()
-	fmt.Printf("  total delivered: %s of CPU time across the grid\n", total.Round(time.Second))
-	fmt.Printf("  raw data file staged to %d sites, accessed %d times\n",
-		len(catalog.Lookup("lfn://raw/run2005")), catalog.Popularity("lfn://raw/run2005"))
+	fmt.Fprintf(w, "  total delivered: %s of CPU time across the grid\n", total.Round(time.Second))
+	fmt.Fprintf(w, "  raw data file staged to %d sites, accessed %d times\n",
+		len(catalog.Lookup(raw)), catalog.Popularity(raw))
+	return nil
 }
 
 func job(vo, host, id string, cpus int, runtime time.Duration) *grid.Job {
-	return &grid.Job{
-		ID:          grid.JobID(id),
-		Owner:       usla.MustParsePath(vo),
-		CPUs:        cpus,
-		Runtime:     runtime,
-		OutputBytes: 8 << 20,
-		SubmitHost:  host,
-	}
+	return &grid.Job{ID: grid.JobID(id), Owner: usla.MustParsePath(vo), CPUs: cpus, Runtime: runtime,
+		OutputBytes: 8 << 20, SubmitHost: host}
 }

@@ -6,38 +6,41 @@
 // It walks the full path a job takes in the paper: the submission host
 // asks its decision point for site loads, runs site-selector logic,
 // reports the dispatch back, and the job executes at the chosen site.
+// The fleet runs on a Manual clock, so every run prints the same lines
+// (example_test.go pins them).
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"digruber/internal/digruber"
+	"digruber/internal/exp"
 	"digruber/internal/grid"
 	"digruber/internal/usla"
 	"digruber/internal/vtime"
-	"digruber/internal/wire"
 )
 
-// epoch anchors virtual time at a fixed instant so repeated runs print
-// identical timestamps.
-var epoch = time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC)
-
 func main() {
-	// Compress time 60×: a 10-minute job takes 10 real seconds.
-	clock := vtime.NewScaled(epoch, 60)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	clock := vtime.NewManual(exp.Epoch)
 
 	// --- a small grid: three sites, 56 CPUs ---
 	g := grid.New(clock)
-	for _, site := range []struct {
-		name string
-		cpus int
-	}{
-		{"uchicago", 32}, {"anl", 16}, {"fnal", 8},
+	defer g.Shutdown()
+	for _, site := range []grid.SiteConfig{
+		{Name: "uchicago", Clusters: []int{32}}, {Name: "anl", Clusters: []int{16}}, {Name: "fnal", Clusters: []int{8}},
 	} {
-		if _, err := g.AddSite(grid.SiteConfig{Name: site.name, Clusters: []int{site.cpus}}); err != nil {
-			log.Fatal(err)
+		if _, err := g.AddSite(site); err != nil {
+			return err
 		}
 	}
 
@@ -48,85 +51,59 @@ func main() {
 * atlas cpu 50+
 * cms   cpu 20
 `)
-	if err != nil {
-		log.Fatal(err)
+	if err == nil {
+		err = policies.AddAll(entries)
 	}
-	if err := policies.AddAll(entries); err != nil {
-		log.Fatal(err)
+	if err != nil {
+		return err
 	}
 
-	// --- one decision point over an in-memory transport ---
-	mem := wire.NewMem()
-	dp, err := digruber.New(digruber.Config{
-		Name:      "dp-0",
-		Addr:      "dp-0",
-		Transport: mem,
-		Clock:     clock,
-		Profile:   wire.GT4C(), // fast C-based WS core
-		Policies:  policies,
+	// --- one decision point, seeded with the grid, and one submission
+	// host bound to it ---
+	f, err := exp.NewFleet(exp.FleetSpec{
+		Clock: clock, Sites: g.Snapshot, Points: 1, Clients: 1,
+		Point: func(_ int, c *digruber.Config) {
+			c.Name, c.Addr, c.Policies = "dp-0", "dp-0", policies
+		},
+		Client: func(_ int, c *digruber.ClientConfig) { c.Name = "laptop" },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	// Complete static knowledge of the grid's resources.
-	dp.Engine().UpdateSites(g.Snapshot(), clock.Now())
-	if err := dp.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer dp.Stop()
-
-	// --- a submission-host client bound to the decision point ---
-	client, err := digruber.NewClient(digruber.ClientConfig{
-		Name:          "laptop",
-		DPName:        "dp-0",
-		DPAddr:        "dp-0",
-		Transport:     mem,
-		Clock:         clock,
-		Timeout:       30 * time.Second,
-		FallbackSites: g.SiteNames(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
+	defer f.Close()
 
 	// --- schedule and execute a handful of jobs ---
-	fmt.Println("scheduling 6 atlas jobs through DI-GRUBER:")
+	fmt.Fprintln(w, "scheduling 6 atlas jobs through DI-GRUBER:")
 	var tickets []*grid.Ticket
 	for i := 0; i < 6; i++ {
-		job := &grid.Job{
-			ID:         grid.JobID(fmt.Sprintf("analysis-%02d", i)),
-			Owner:      usla.MustParsePath("atlas.higgs"),
-			CPUs:       4,
-			Runtime:    2 * time.Minute,
-			SubmitHost: "laptop",
-		}
-		dec := client.Schedule(job)
+		job := &grid.Job{ID: grid.JobID(fmt.Sprintf("analysis-%02d", i)), Owner: usla.MustParsePath("atlas.higgs"),
+			CPUs: 4, Runtime: 2 * time.Minute, SubmitHost: "laptop"}
+		dec := f.Clients()[0].Schedule(job)
 		if dec.Err != nil {
-			log.Fatalf("scheduling %s: %v", job.ID, dec.Err)
+			return fmt.Errorf("scheduling %s: %w", job.ID, dec.Err)
 		}
-		fmt.Printf("  %s -> %-9s (handled=%v, response %s)\n",
-			job.ID, dec.Site, dec.Handled, dec.Response.Round(time.Millisecond))
+		fmt.Fprintf(w, "  %s -> %-9s (handled=%v)\n", job.ID, dec.Site, dec.Handled)
 		site, _ := g.Site(dec.Site)
 		ticket, err := site.Submit(job)
 		if err != nil {
-			log.Fatalf("submitting %s: %v", job.ID, err)
+			return fmt.Errorf("submitting %s: %w", job.ID, err)
 		}
 		tickets = append(tickets, ticket)
 	}
 
-	fmt.Println("\nwaiting for completions (2 virtual minutes)...")
+	fmt.Fprintln(w, "\nrunning the clock 2 virtual minutes to the completions:")
+	clock.Advance(2 * time.Minute)
 	for _, t := range tickets {
 		out := <-t.Done()
-		fmt.Printf("  %s finished at %-9s queue-time=%s\n",
+		fmt.Fprintf(w, "  %s finished at %-9s queue-time=%s\n",
 			out.Job.ID, out.Site, out.QTime().Round(time.Second))
 	}
 
-	fmt.Println("\nfinal grid state:")
+	fmt.Fprintln(w, "\nfinal grid state:")
 	for _, st := range g.Snapshot() {
-		fmt.Printf("  %-9s %3d/%3d CPUs free\n", st.Name, st.FreeCPUs, st.TotalCPUs)
+		fmt.Fprintf(w, "  %-9s %3d/%3d CPUs free\n", st.Name, st.FreeCPUs, st.TotalCPUs)
 	}
-	st := dp.Status()
-	fmt.Printf("\nbroker handled %d queries, recorded %d dispatches\n",
-		st.Queries, st.LocalDispatches)
+	st := f.Points()[0].Status()
+	fmt.Fprintf(w, "\nbroker handled %d queries, recorded %d dispatches\n", st.Queries, st.LocalDispatches)
+	return nil
 }

@@ -1,63 +1,65 @@
 // USLA negotiation: the agreement lifecycle the paper's introduction
 // demands — providers express and publish USLAs, consumers discover and
 // interpret them, and the broker enforces them — exercised end to end,
-// including a runtime policy change.
+// including a runtime policy change. The fleet runs on a Manual clock,
+// so every run prints the same lines (example_test.go pins them).
 //
 //	go run ./examples/usla-negotiation
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"digruber/internal/digruber"
+	"digruber/internal/exp"
 	"digruber/internal/grid"
 	"digruber/internal/usla"
 	"digruber/internal/vtime"
 	"digruber/internal/wire"
 )
 
-// epoch anchors virtual time at a fixed instant so repeated runs print
-// identical timestamps.
-var epoch = time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC)
-
 func main() {
-	clock := vtime.NewScaled(epoch, 60)
-	mem := wire.NewMem()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	clock := vtime.NewManual(exp.Epoch)
 
 	// --- grid and broker, with no USLAs yet ---
 	g := grid.New(clock)
+	defer g.Shutdown()
 	g.AddSite(grid.SiteConfig{Name: "big-center", Clusters: []int{100}})
 	g.AddSite(grid.SiteConfig{Name: "small-lab", Clusters: []int{20}})
 
-	dp, err := digruber.New(digruber.Config{
-		Name: "dp-0", Addr: "dp-0", Transport: mem, Clock: clock,
-		Profile: wire.GT4C(),
+	f, err := exp.NewFleet(exp.FleetSpec{
+		Clock: clock, Sites: g.Snapshot, Points: 1, Clients: 1,
+		Point:  func(_ int, c *digruber.Config) { c.Name, c.Addr = "dp-0", "dp-0" },
+		Client: func(_ int, c *digruber.ClientConfig) { c.Name = "atlas-host" },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	dp.Engine().UpdateSites(g.Snapshot(), clock.Now())
-	if err := dp.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer dp.Stop()
+	defer f.Close()
+	dp, client := f.Points()[0], f.Clients()[0]
 
-	rpc := wire.NewClient(wire.ClientConfig{
-		Node: "provider-admin", ServerNode: "dp-0", Addr: "dp-0",
-		Transport: mem, Clock: clock,
-	})
+	rpc := wire.NewClient(wire.ClientConfig{Node: "provider-admin", ServerNode: "dp-0", Addr: "dp-0",
+		Transport: f.Transport(), Clock: clock})
 	defer rpc.Close()
+	propose := func(xml []byte) (digruber.ProposeReply, error) {
+		return wire.Call[digruber.ProposeArgs, digruber.ProposeReply](
+			rpc, digruber.MethodProposeAgreement, digruber.ProposeArgs{AgreementXML: xml}, 5*time.Second)
+	}
 
 	// --- step 1: the provider proposes an agreement ---
 	agreement := &usla.Agreement{
-		Name: "big-center-atlas-2005",
-		Context: usla.Context{
-			Provider:   "big-center",
-			Consumer:   "atlas",
-			Expiration: clock.Now().Add(24 * time.Hour),
-		},
+		Name:    "big-center-atlas-2005",
+		Context: usla.Context{Provider: "big-center", Consumer: "atlas", Expiration: clock.Now().Add(24 * time.Hour)},
 		Terms: []usla.GuaranteeTerm{
 			{Name: "cpu-share", Resource: usla.CPU, Goal: "60+"},
 			{Name: "storage-share", Resource: usla.Storage, Goal: "40+"},
@@ -65,80 +67,60 @@ func main() {
 	}
 	xml, err := agreement.XML()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("provider proposes:")
-	fmt.Println(string(xml))
-	reply, err := wire.Call[digruber.ProposeArgs, digruber.ProposeReply](
-		rpc, digruber.MethodProposeAgreement, digruber.ProposeArgs{AgreementXML: xml}, 5*time.Second)
+	fmt.Fprintf(w, "provider proposes:\n%s\n", xml)
+	reply, err := propose(xml)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nbroker installed %d USLA entries (warnings: %d)\n\n", reply.EntriesAdded, len(reply.Warnings))
+	fmt.Fprintf(w, "\nbroker installed %d USLA entries (warnings: %d)\n\n", reply.EntriesAdded, len(reply.Warnings))
 
 	// --- step 2: a consumer discovers published agreements ---
 	published, err := wire.Call[digruber.PublishedArgs, digruber.PublishedReply](
 		rpc, digruber.MethodPublishedAgreements, digruber.PublishedArgs{Provider: "big-center"}, 5*time.Second)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("consumer discovers %d published agreement(s) for big-center:\n", len(published.AgreementsXML))
+	fmt.Fprintf(w, "consumer discovers %d published agreement(s) for big-center:\n", len(published.AgreementsXML))
 	for _, doc := range published.AgreementsXML {
 		a, err := usla.ParseAgreementXML(doc)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, term := range a.Terms {
-			fmt.Printf("  %s gets %s of %s at %s\n", a.Context.Consumer, term.Goal, term.Resource, a.Context.Provider)
+			fmt.Fprintf(w, "  %s gets %s of %s at %s\n", a.Context.Consumer, term.Goal, term.Resource, a.Context.Provider)
 		}
 	}
 
 	// --- step 3: scheduling honors the agreement ---
-	client, err := digruber.NewClient(digruber.ClientConfig{
-		Name: "atlas-host", DPName: "dp-0", DPAddr: "dp-0",
-		Transport: mem, Clock: clock, Timeout: 10 * time.Second,
-		FallbackSites: g.SiteNames(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-
-	schedule := func(tag string, n, cpus int) map[string]int {
-		placed := map[string]int{}
-		for i := 0; i < n; i++ {
-			job := &grid.Job{
-				ID:    grid.JobID(fmt.Sprintf("%s-%02d", tag, i)),
-				Owner: usla.MustParsePath("atlas"), CPUs: cpus,
-				Runtime: time.Hour, SubmitHost: "atlas-host",
-			}
-			dec := client.Schedule(job)
-			if dec.Err != nil {
-				log.Fatal(dec.Err)
-			}
-			placed[dec.Site] += cpus
-			if site, ok := g.Site(dec.Site); ok {
-				site.Submit(job)
-			}
+	placed := map[string]int{}
+	for i := 0; i < 8; i++ {
+		job := &grid.Job{ID: grid.JobID(fmt.Sprintf("wave1-%02d", i)), Owner: usla.MustParsePath("atlas"), CPUs: 10,
+			Runtime: time.Hour, SubmitHost: "atlas-host"}
+		dec := client.Schedule(job)
+		if dec.Err != nil {
+			return dec.Err
 		}
-		return placed
+		placed[dec.Site] += job.CPUs
+		site, _ := g.Site(dec.Site)
+		if _, err := site.Submit(job); err != nil {
+			return fmt.Errorf("submitting %s: %w", job.ID, err)
+		}
 	}
-
-	fmt.Println("\natlas schedules 8 × 10-CPU jobs under the 60% cap:")
-	placed := schedule("wave1", 8, 10)
-	fmt.Printf("  placements: %v\n", placed)
-	fmt.Printf("  (big-center cap = 60 CPUs, so at most 60 land there; the rest spill to small-lab)\n")
+	fmt.Fprintln(w, "\natlas schedules 8 × 10-CPU jobs under the 60% cap:")
+	fmt.Fprintf(w, "  placements: %v\n", placed)
+	fmt.Fprintln(w, "  (big-center cap = 60 CPUs, so at most 60 land there; the rest spill to small-lab)")
 
 	// --- step 4: the provider tightens the cap at runtime ---
 	agreement.Terms[0].Goal = "20+"
-	xml2, _ := agreement.XML()
-	if _, err := wire.Call[digruber.ProposeArgs, digruber.ProposeReply](
-		rpc, digruber.MethodProposeAgreement, digruber.ProposeArgs{AgreementXML: xml2}, 5*time.Second); err != nil {
-		log.Fatal(err)
+	xml, _ = agreement.XML() // it marshalled above; only a goal changed
+	if _, err := propose(xml); err != nil {
+		return err
 	}
-	fmt.Println("\nprovider renegotiates big-center down to 20+ ...")
-	loads := dp.Engine().SiteLoads(usla.MustParsePath("atlas"), 1)
-	for _, l := range loads {
-		fmt.Printf("  %-11s headroom now %.0f CPUs\n", l.Name, l.Headroom)
+	fmt.Fprintln(w, "\nprovider renegotiates big-center down to 20+ ...")
+	for _, l := range dp.Engine().SiteLoads(usla.MustParsePath("atlas"), 1) {
+		fmt.Fprintf(w, "  %-11s headroom now %.0f CPUs\n", l.Name, l.Headroom)
 	}
+	return nil
 }

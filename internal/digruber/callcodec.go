@@ -199,15 +199,17 @@ func (r *valueReader) time(t *time.Time) {
 func (r *valueReader) end() bool { return !r.bad && len(r.b) == 0 }
 
 // maxNames bounds internedNames: a grid's sites and its consumers' paths
-// with room to spare. Names past the bound are still read, each into a
-// string of its own.
+// with room to spare.
 const maxNames = 1024
 
 // internedNames holds the owner paths and site names the decision's
 // bodies carry, so that reading one allocates no string. Readers load the
-// map without a lock; a name not in it is added to a copy under mu while
-// the table has room. A grid's names stop arriving once they are all in,
-// so the copies end; hostile names fill the table at most.
+// map without a lock; a name not in it is added to a copy under mu. A
+// grid's names stop arriving once they are all in, so the copies end. A
+// name that finds the table full starts a fresh one: names nobody reads
+// again (a peer's made-up ones, a replayed log's) are dropped with it,
+// and the names in use intern again on their next read instead of
+// allocating for the life of the process.
 var internedNames struct {
 	mu sync.Mutex
 	m  atomic.Pointer[map[string]string]
@@ -229,11 +231,11 @@ func internName(b []byte) string {
 		if t, ok := (*m)[s]; ok {
 			return t
 		}
-		if len(*m) >= maxNames {
-			return s
+		if len(*m) < maxNames {
+			next = maps.Clone(*m)
 		}
-		next = maps.Clone(*m)
-	} else {
+	}
+	if next == nil {
 		next = make(map[string]string)
 	}
 	next[s] = s

@@ -72,10 +72,8 @@ type ControllerConfig struct {
 	// for the window signals to exist; the members' saturation verdicts
 	// are read live and need no sampling.
 	Metrics *tsdb.Registry
-	// Interval is the evaluation period (default 1 minute).
-	Interval time.Duration
-	// MinDPs/MaxDPs bound the fleet (defaults 1 and 16).
-	MinDPs int
+	// MaxDPs bounds the fleet from above (default 16); it never shrinks
+	// below one point.
 	MaxDPs int
 	// ScaleUpAfter/ScaleDownAfter are the hysteresis depths: how many
 	// consecutive evaluations the pressure (resp. idle) signal must hold
@@ -84,7 +82,7 @@ type ControllerConfig struct {
 	ScaleUpAfter   int
 	ScaleDownAfter int
 	// UpCooldown/DownCooldown are per-direction refractory periods after
-	// any scaling action (defaults 2×Interval and 5×Interval). Both
+	// any scaling action (defaults 2 and 5 evaluation periods). Both
 	// directions cool down after either action, so a scale-up's effect is
 	// observed before a scale-down can undo it.
 	UpCooldown   time.Duration
@@ -111,6 +109,9 @@ type ControllerConfig struct {
 	Signals SignalThresholds
 }
 
+// controllerInterval is the Controller's evaluation period.
+const controllerInterval = time.Minute
+
 // Levels at which the always-on tsdb signals read as pressure (scale
 // up) or permit idleness (scale down).
 const (
@@ -135,7 +136,7 @@ type SignalThresholds struct {
 	DemandHighPerDP float64
 	DemandLowPerDP  float64
 	// Window is the trailing window the rate/mean signals read over
-	// (default 4×Interval).
+	// (default 4 evaluation periods).
 	Window time.Duration
 }
 
@@ -157,17 +158,8 @@ func (cfg *ControllerConfig) setDefaults() error {
 	if cfg.Metrics == nil {
 		return fmt.Errorf("digruber: controller needs a Metrics registry to read signals from")
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Minute
-	}
-	if cfg.MinDPs <= 0 {
-		cfg.MinDPs = 1
-	}
 	if cfg.MaxDPs <= 0 {
 		cfg.MaxDPs = 16
-	}
-	if cfg.MaxDPs < cfg.MinDPs {
-		return fmt.Errorf("digruber: controller MaxDPs %d < MinDPs %d", cfg.MaxDPs, cfg.MinDPs)
 	}
 	if cfg.ScaleUpAfter <= 0 {
 		cfg.ScaleUpAfter = 2
@@ -176,16 +168,16 @@ func (cfg *ControllerConfig) setDefaults() error {
 		cfg.ScaleDownAfter = 5
 	}
 	if cfg.UpCooldown <= 0 {
-		cfg.UpCooldown = 2 * cfg.Interval
+		cfg.UpCooldown = 2 * controllerInterval
 	}
 	if cfg.DownCooldown <= 0 {
-		cfg.DownCooldown = 5 * cfg.Interval
+		cfg.DownCooldown = 5 * controllerInterval
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Minute
 	}
 	if cfg.Signals.Window <= 0 {
-		cfg.Signals.Window = 4 * cfg.Interval
+		cfg.Signals.Window = 4 * controllerInterval
 	}
 	return nil
 }
@@ -251,7 +243,7 @@ func (c *Controller) Start() {
 		return
 	}
 	c.done, c.exited = make(chan struct{}), make(chan struct{})
-	c.ticker = c.clock.NewTicker(c.cfg.Interval)
+	c.ticker = c.clock.NewTicker(controllerInterval)
 	go c.loop(c.ticker, c.done, c.exited)
 }
 
@@ -352,7 +344,7 @@ func (c *Controller) Evaluate() (ControllerAction, error) {
 		c.lowStreak = 0
 	}
 	wantUp := c.highStreak >= c.cfg.ScaleUpAfter && !now.Before(c.nextUp) && len(c.fleet) < c.cfg.MaxDPs
-	wantDown := !wantUp && c.lowStreak >= c.cfg.ScaleDownAfter && !now.Before(c.nextDown) && len(c.fleet) > c.cfg.MinDPs
+	wantDown := !wantUp && c.lowStreak >= c.cfg.ScaleDownAfter && !now.Before(c.nextDown) && len(c.fleet) > 1
 	c.mu.Unlock()
 
 	switch {
@@ -407,7 +399,7 @@ func (c *Controller) scaleUp(now time.Time) (*DecisionPoint, error) {
 // (usually operator-placed) members for last.
 func (c *Controller) scaleDown(now time.Time) error {
 	c.mu.Lock()
-	if len(c.fleet) <= c.cfg.MinDPs {
+	if len(c.fleet) <= 1 {
 		c.mu.Unlock()
 		return nil
 	}

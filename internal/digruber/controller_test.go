@@ -96,9 +96,9 @@ func fleetNames(ctl *Controller) []string {
 }
 
 func TestControllerScalesUpAndDown(t *testing.T) {
-	iv := time.Minute
+	iv := controllerInterval
 	r := newControllerRig(t, ControllerConfig{
-		Interval: iv, MaxDPs: 3,
+		MaxDPs:       3,
 		ScaleUpAfter: 2, ScaleDownAfter: 3,
 		UpCooldown: 2 * iv, DownCooldown: 3 * iv,
 		DrainTimeout: time.Minute,
@@ -185,9 +185,9 @@ func TestControllerScalesUpAndDown(t *testing.T) {
 }
 
 func TestControllerScaleDownRespectsMinAndMax(t *testing.T) {
-	iv := time.Minute
+	iv := controllerInterval
 	r := newControllerRig(t, ControllerConfig{
-		Interval: iv, MinDPs: 1, MaxDPs: 1,
+		MaxDPs:       1,
 		ScaleUpAfter: 1, ScaleDownAfter: 1,
 		UpCooldown: iv / 2, DownCooldown: iv / 2,
 		Signals: rigSignals(4 * iv),
@@ -198,7 +198,7 @@ func TestControllerScaleDownRespectsMinAndMax(t *testing.T) {
 	if act, err := r.step(iv, 2); err != nil || act != ActionNone {
 		t.Fatalf("at max: act=%q err=%v, want none", act, err)
 	}
-	// Idle with the fleet already at MinDPs: no action either.
+	// Idle with the fleet at its floor of one point: no action either.
 	for i := 0; i < 6; i++ {
 		if act, err := r.step(iv, 0); err != nil || act != ActionNone {
 			t.Fatalf("at min, pass %d: act=%q err=%v, want none", i, act, err)
@@ -213,9 +213,9 @@ func TestControllerScaleDownRespectsMinAndMax(t *testing.T) {
 // peer holding unflushed records) must abort: the evaluation reports
 // ActionDrainAbort, the fleet keeps its size, and the victim serves on.
 func TestControllerDrainAbortKeepsVictim(t *testing.T) {
-	iv := time.Minute
+	iv := controllerInterval
 	r := newControllerRig(t, ControllerConfig{
-		Interval: iv, MaxDPs: 2,
+		MaxDPs:       2,
 		ScaleUpAfter: 1, ScaleDownAfter: 1,
 		UpCooldown: iv / 2, DownCooldown: iv / 2,
 		DrainTimeout: time.Second,
@@ -284,9 +284,9 @@ func TestControllerDrainAbortKeepsVictim(t *testing.T) {
 // Rebalance: managed clients spread round-robin as the fleet grows, and
 // are pulled off a victim before its drain begins.
 func TestControllerRebalancesClients(t *testing.T) {
-	iv := time.Minute
+	iv := controllerInterval
 	r := newControllerRig(t, ControllerConfig{
-		Interval: iv, MaxDPs: 2,
+		MaxDPs:       2,
 		ScaleUpAfter: 1, ScaleDownAfter: 2,
 		UpCooldown: iv / 2, DownCooldown: iv / 2,
 		DrainTimeout: time.Minute,
@@ -346,7 +346,6 @@ func TestControllerValidation(t *testing.T) {
 	}{
 		"empty config": {ControllerConfig{}, []*DecisionPoint{first}},
 		"no registry":  {ControllerConfig{Clock: clock, Factory: factory}, []*DecisionPoint{first}},
-		"max < min":    {ControllerConfig{Clock: clock, Factory: factory, Metrics: tsdb.New(0), MinDPs: 3, MaxDPs: 2}, []*DecisionPoint{first}},
 		"empty fleet":  {ControllerConfig{Clock: clock, Factory: factory, Metrics: tsdb.New(0)}, nil},
 	} {
 		if _, err := NewController(c.cfg, c.initial); err == nil {
@@ -369,7 +368,6 @@ func saturationRig(t *testing.T, prefix string, maxDPs int) (*Controller, []*Cli
 		dp, err := New(Config{
 			Name: name, Addr: name, Transport: mem, Clock: clock, Profile: slow,
 			Strategy: UsageOnly, ExchangeInterval: time.Hour,
-			Saturation: SaturationConfig{Window: 2 * time.Second}, // one worker: saturated at 3 queued
 		})
 		if err != nil {
 			return nil, err
@@ -383,7 +381,7 @@ func saturationRig(t *testing.T, prefix string, maxDPs int) (*Controller, []*Cli
 	}
 	ctl, err := NewController(ControllerConfig{
 		Clock: clock, Factory: factory, Metrics: tsdb.New(0),
-		Interval: time.Hour, MaxDPs: maxDPs, ScaleUpAfter: 1,
+		MaxDPs: maxDPs, ScaleUpAfter: 1,
 	}, []*DecisionPoint{first})
 	if err != nil {
 		t.Fatal(err)
@@ -500,12 +498,12 @@ func TestControllerRespectsMaxDPs(t *testing.T) {
 	}
 }
 
-// Start hands Evaluate to the clock's ticker, one pass per Interval,
+// Start hands Evaluate to the clock's ticker, one pass a minute,
 // and Stop returns with the loop gone: no later tick evaluates.
 func TestControllerStartStopRunsOnTicker(t *testing.T) {
-	iv := time.Minute
+	iv := controllerInterval
 	r := newControllerRig(t, ControllerConfig{
-		Interval: iv, MaxDPs: 4, ScaleUpAfter: 1, UpCooldown: iv / 2,
+		MaxDPs: 4, ScaleUpAfter: 1, UpCooldown: iv / 2,
 		Signals: rigSignals(4 * iv),
 	})
 	r.reg.Sample(r.clock.Now())

@@ -43,9 +43,6 @@ type Config struct {
 	Gossip GossipConfig
 	// PeerTimeout bounds each peer exchange call.
 	PeerTimeout time.Duration
-	// Saturation configures the self-saturation detector; zero values
-	// get defaults.
-	Saturation SaturationConfig
 	// MeshLane reserves this many dedicated service-stack workers for
 	// mesh and monitoring RPCs (Exchange, Status, Snapshot), so a
 	// client-saturated decision point keeps converging its view and
@@ -232,7 +229,7 @@ func New(cfg Config) (*DecisionPoint, error) {
 	dp := &DecisionPoint{
 		cfg:      cfg,
 		engine:   gruber.NewEngine(cfg.Name, cfg.Policies, cfg.Clock),
-		detector: NewSaturationDetector(cfg.Saturation, cfg.Profile.Workers(), cfg.Clock),
+		detector: NewSaturationDetector(cfg.Profile.Workers(), cfg.Clock),
 		peers:    make(map[string]*peerLink),
 		view:     gossip.NewView(cfg.Name, cfg.Gossip.Seed, cfg.Gossip.ViewSize),
 	}

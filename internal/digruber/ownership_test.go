@@ -279,28 +279,53 @@ func ceilingDecisions(t *testing.T, single bool) func() {
 // JobID and the values boxed into and out of the codec at both ends. It
 // read 70 KB before the buffers had owners, and 36 allocations before the
 // small bodies carried the value hook and the calls reused their state.
-func TestScheduleAllocCeiling(t *testing.T) {
-	allocs, bytes := decisionCost(ceilingDecisions(t, false))
-	t.Logf("a warm two-call decision: %.0f allocations, %d bytes", allocs, bytes)
-	if allocs > 9 {
-		t.Errorf("a warm two-call decision against 300 sites makes %.0f allocations, ceiling 9", allocs)
-	}
-	if bytes > 8<<10 {
-		t.Errorf("a warm two-call decision against 300 sites allocates %d bytes, ceiling 8 KB", bytes)
-	}
-}
+func TestScheduleAllocCeiling(t *testing.T) { holdDecisionCeiling(t, false) }
 
 // TestScheduleSingleCallAllocCeiling is the single-call twin: the same
 // but for the engine's 300-load result, which the Schedule handler still
 // allocates on purpose (ROADMAP 6(a)) and which is most of its bytes.
 // It read 21 allocations before the small bodies carried the hook.
-func TestScheduleSingleCallAllocCeiling(t *testing.T) {
-	allocs, bytes := decisionCost(ceilingDecisions(t, true))
-	t.Logf("a warm single-call decision: %.0f allocations, %d bytes", allocs, bytes)
-	if allocs > 7 {
-		t.Errorf("a warm single-call decision against 300 sites makes %.0f allocations, ceiling 7", allocs)
+func TestScheduleSingleCallAllocCeiling(t *testing.T) { holdDecisionCeiling(t, true) }
+
+// holdDecisionCeiling fails t when a warm decision of the given coupling
+// against 300 sites allocates more than its ceiling: 9 allocations and
+// 8 KB for two calls, 7 allocations and 20 KB for a single call.
+func holdDecisionCeiling(t *testing.T, single bool) {
+	t.Helper()
+	coupling, maxAllocs, maxBytes := "two-call", 9.0, uint64(8<<10)
+	if single {
+		coupling, maxAllocs, maxBytes = "single-call", 7.0, 20<<10
 	}
-	if bytes > 20<<10 {
-		t.Errorf("a warm single-call decision against 300 sites allocates %d bytes, ceiling 20 KB", bytes)
+	allocs, bytes := decisionCost(ceilingDecisions(t, single))
+	t.Logf("a warm %s decision: %.0f allocations, %d bytes", coupling, allocs, bytes)
+	if allocs > maxAllocs {
+		t.Errorf("a warm %s decision against 300 sites makes %.0f allocations, ceiling %.0f", coupling, allocs, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("a warm %s decision against 300 sites allocates %d bytes, ceiling %d KB", coupling, bytes, maxBytes>>10)
+	}
+}
+
+// TestMadeUpNamesLeaveTheCeilingsStanding reads more made-up names than
+// the name table holds through one exchange body, as a peer or a
+// replayed log may send them, and then holds both couplings to their
+// ceilings: the names a decision reads must intern again after the
+// burst. A table that took no name once full read 14 and 10 allocations.
+func TestMadeUpNamesLeaveTheCeilingsStanding(t *testing.T) {
+	freshNameTable(t) // the burst comes first, as in a new process
+	at := time.Date(2005, 11, 12, 9, 30, 0, 0, time.UTC)
+	args := ExchangeArgs{From: "dp-stranger"}
+	for i := 0; i < maxNames+76; i++ {
+		args.Dispatches = append(args.Dispatches, gruber.Dispatch{JobID: fmt.Sprint("made-up-job-", i),
+			Site: fmt.Sprint("made-up-site-", i), Owner: fmt.Sprint("made-up-vo-", i), CPUs: 1,
+			Runtime: time.Minute, At: at, Origin: "dp-stranger", Seq: uint64(i + 1)})
+	}
+	val, ok := args.AppendGobValue(nil)
+	var read ExchangeArgs
+	if !ok || !read.ReadGobValue(val) || len(read.Dispatches) != len(args.Dispatches) {
+		t.Fatal("the exchange of made-up names did not round-trip through the record codec")
+	}
+	for _, single := range []bool{false, true} {
+		holdDecisionCeiling(t, single)
 	}
 }

@@ -21,8 +21,8 @@ import (
 
 // freshNameTable empties the name table for t, as a new process's is,
 // and puts it back as it was when t ends: a test that reads made-up names
-// must not fill the bounded table that another test's allocation count
-// relies on.
+// leaves none of them in the table another test's allocation count reads
+// from.
 func freshNameTable(t testing.TB) {
 	m := internedNames.m.Swap(nil)
 	t.Cleanup(func() { internedNames.m.Store(m) })

@@ -8,22 +8,17 @@ import (
 	"digruber/internal/wire"
 )
 
-// SaturationConfig tunes the per-decision-point saturation detector of
-// Section 5: "use performance models created by DiPerF to establish an
-// upper bound on the number of transactions that a decision point can
-// handle per time interval".
-type SaturationConfig struct {
-	// Window is the sliding window over which the arrival rate is
-	// measured (default 1 minute).
-	Window time.Duration
-}
+// saturationWindow is the sliding window over which the saturation
+// detector measures the arrival rate: Section 5's "upper bound on the
+// number of transactions that a decision point can handle per time
+// interval", with the interval a minute.
+const saturationWindow = time.Minute
 
 // SaturationDetector watches one decision point's request stream and
 // decides when the point has reached its saturation state. The verdict
 // rides Status to the third-party monitor (the Controller), which
 // decides whether to deploy additional decision points.
 type SaturationDetector struct {
-	window time.Duration
 	// workers is the container's parallelism: the detector calibrates
 	// capacity as workers / mean service time, and declares saturation
 	// whenever 3×workers requests wait for one, regardless of rates.
@@ -31,7 +26,7 @@ type SaturationDetector struct {
 	clock   vtime.Clock
 
 	mu sync.Mutex
-	// arrivals[head:] are the arrival timestamps within Window, oldest
+	// arrivals[head:] are the arrival timestamps within the window, oldest
 	// first; arrivals[:head] have aged out and wait for compaction.
 	arrivals []time.Time
 	head     int
@@ -41,11 +36,8 @@ type SaturationDetector struct {
 
 // NewSaturationDetector returns a detector for a container of the given
 // parallelism.
-func NewSaturationDetector(cfg SaturationConfig, workers int, clock vtime.Clock) *SaturationDetector {
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
-	return &SaturationDetector{window: cfg.Window, workers: workers, clock: clock}
+func NewSaturationDetector(workers int, clock vtime.Clock) *SaturationDetector {
+	return &SaturationDetector{workers: workers, clock: clock}
 }
 
 // ObserveArrival records one request arrival.
@@ -57,12 +49,12 @@ func (d *SaturationDetector) ObserveArrival() {
 	d.pruneLocked(now)
 }
 
-// pruneLocked ages out the timestamps older than Window by moving head
+// pruneLocked ages out the timestamps older than the window by moving head
 // past them. The dead prefix is copied away only once it is at least as
 // long as the live part, so each copied timestamp pays for one aged-out
 // one and an arrival costs O(1) amortised however full the window is.
 func (d *SaturationDetector) pruneLocked(now time.Time) {
-	cut := now.Add(-d.window)
+	cut := now.Add(-saturationWindow)
 	for d.head < len(d.arrivals) && d.arrivals[d.head].Before(cut) {
 		d.head++
 	}
@@ -78,7 +70,7 @@ func (d *SaturationDetector) ObservedRate() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.pruneLocked(now)
-	return float64(len(d.arrivals)-d.head) / d.window.Seconds()
+	return float64(len(d.arrivals)-d.head) / saturationWindow.Seconds()
 }
 
 // Assess combines the arrival rate with the service stack's state and

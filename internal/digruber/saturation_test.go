@@ -10,11 +10,11 @@ import (
 
 func TestSaturationDetectorRates(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{Window: 10 * time.Second}, 2, clock)
+	d := NewSaturationDetector(2, clock)
 	// Two workers serving in 1s each calibrate to 2 req/s.
 	served := wire.Stats{ServiceMean: 1}
-	// 10 arrivals in 10s = 1 req/s: under capacity.
-	for i := 0; i < 10; i++ {
+	// 60 arrivals in the one-minute window = 1 req/s: under capacity.
+	for i := 0; i < 60; i++ {
 		d.ObserveArrival()
 		clock.Advance(time.Second)
 	}
@@ -22,8 +22,8 @@ func TestSaturationDetectorRates(t *testing.T) {
 	if sat {
 		t.Fatalf("saturated at %v req/s with capacity %v", obs, cap0)
 	}
-	// Burst to 5 req/s: over capacity.
-	for i := 0; i < 50; i++ {
+	// Burst to 5 req/s for a whole window: over capacity.
+	for i := 0; i < 300; i++ {
 		d.ObserveArrival()
 		clock.Advance(200 * time.Millisecond)
 	}
@@ -38,7 +38,7 @@ func TestSaturationDetectorRates(t *testing.T) {
 
 func TestSaturationWindowForgets(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{Window: 10 * time.Second}, 1, clock)
+	d := NewSaturationDetector(1, clock)
 	served := wire.Stats{ServiceMean: 1} // one worker, 1s each: 1 req/s
 	for i := 0; i < 100; i++ {
 		d.ObserveArrival()
@@ -46,7 +46,7 @@ func TestSaturationWindowForgets(t *testing.T) {
 	if _, _, sat := d.Assess(served); !sat {
 		t.Fatal("burst not detected")
 	}
-	clock.Advance(time.Minute)
+	clock.Advance(saturationWindow + time.Second)
 	if _, _, sat := d.Assess(served); sat {
 		t.Fatal("saturation persisted after window elapsed")
 	}
@@ -62,7 +62,7 @@ func TestSaturationWindowForgets(t *testing.T) {
 
 func TestSaturationQueueThreshold(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{Window: time.Minute}, 4, clock)
+	d := NewSaturationDetector(4, clock)
 	// Threshold = 3×4 = 12 queued.
 	if _, _, sat := d.Assess(wire.Stats{Queued: 11}); sat {
 		t.Fatal("saturated below queue threshold")
@@ -74,7 +74,7 @@ func TestSaturationQueueThreshold(t *testing.T) {
 
 func TestSaturationSelfCalibration(t *testing.T) {
 	clock := vtime.NewManual(epoch)
-	d := NewSaturationDetector(SaturationConfig{Window: 10 * time.Second}, 4, clock)
+	d := NewSaturationDetector(4, clock)
 	// Mean service time 2s with 4 workers → capacity 2 req/s.
 	_, cap0, _ := d.Assess(wire.Stats{ServiceMean: 2})
 	if cap0 != 2 {
@@ -91,12 +91,12 @@ func TestSaturationSelfCalibration(t *testing.T) {
 func TestSaturationPruneIsAmortised(t *testing.T) {
 	const (
 		perWindow = 50000
-		window    = 10 * time.Second
+		window    = saturationWindow
 	)
 	var fill, full time.Duration
 	for attempt := 0; attempt < 3; attempt++ {
 		clock := vtime.NewManual(epoch)
-		d := NewSaturationDetector(SaturationConfig{Window: window}, 1, clock)
+		d := NewSaturationDetector(1, clock)
 		observe := func(n int) time.Duration {
 			start := time.Now()
 			for i := 0; i < n; i++ {
@@ -124,8 +124,7 @@ func TestDecisionPointSaturatesUnderBurst(t *testing.T) {
 	mem := wire.NewMem()
 	dp, err := New(Config{
 		Name: "dp-slow", Addr: "dp-slow", Transport: mem, Clock: clock,
-		Profile:    wire.StackProfile{Name: "slow", BaseOverhead: 200 * time.Millisecond, MaxConcurrent: 1, QueueLimit: 64},
-		Saturation: SaturationConfig{Window: 5 * time.Second}, // one worker: saturated at 3 queued
+		Profile: wire.StackProfile{Name: "slow", BaseOverhead: 200 * time.Millisecond, MaxConcurrent: 1, QueueLimit: 64}, // one worker: saturated at 3 queued
 	})
 	if err != nil {
 		t.Fatal(err)

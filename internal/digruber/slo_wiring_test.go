@@ -67,10 +67,10 @@ func TestClientLatencyExemplar(t *testing.T) {
 // the controller scales up on the SLO signal alone, with queues, sheds
 // and demand all quiet — and vetoes idle while it stays firing.
 func TestControllerSLOFiringSignal(t *testing.T) {
-	iv := time.Minute
+	iv := controllerInterval
 	firing := 0
 	cfg := ControllerConfig{
-		Interval: iv, MaxDPs: 2,
+		MaxDPs:       2,
 		ScaleUpAfter: 2, ScaleDownAfter: 2,
 		UpCooldown: iv, DownCooldown: iv,
 		DrainTimeout: time.Minute,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"digruber/internal/stats"
 	"digruber/internal/tsdb"
 )
 
@@ -72,9 +73,9 @@ func runDivergence(scale Scale) (Report, error) {
 		// 10-DP fleet is compared per broker, not by summed drift.
 		var meanSum, maxAll float64
 		for i := 0; i < r.dps; i++ {
-			pts := sink.Points(fmt.Sprintf("dp/dp-%d/engine/divergence_l1", i))
-			meanSum += tsdb.Mean(pts)
-			if m := tsdb.Max(pts); m > maxAll {
+			vs := tsdb.Values(sink.Points(fmt.Sprintf("dp/dp-%d/engine/divergence_l1", i)))
+			meanSum += stats.Mean(vs)
+			if m := stats.Max(vs); m > maxAll {
 				maxAll = m
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"digruber/internal/digruber"
 	"digruber/internal/grid"
 	"digruber/internal/gruber"
+	"digruber/internal/stats"
 	"digruber/internal/tsdb"
 	"digruber/internal/vtime"
 )
@@ -109,7 +110,9 @@ func TestDivergenceShrinksWithShorterExchange(t *testing.T) {
 	short := divergenceFixture(t, 1)
 	long := divergenceFixture(t, 10)
 
-	meanB := func(r *tsdb.Registry) float64 { return tsdb.Mean(r.Points("dp/dp-b/engine/divergence_l1")) }
+	meanB := func(r *tsdb.Registry) float64 {
+		return stats.Mean(tsdb.Values(r.Points("dp/dp-b/engine/divergence_l1")))
+	}
 	shortMean, longMean := meanB(short), meanB(long)
 	if longMean <= 0 {
 		t.Fatalf("10-minute exchange shows no divergence (mean %v) — gauge broken?", longMean)
@@ -121,13 +124,13 @@ func TestDivergenceShrinksWithShorterExchange(t *testing.T) {
 
 	// The dispatching broker's own view never diverges: it observes
 	// every dispatch it makes, and nothing else moves ground truth.
-	if max := tsdb.Max(long.Points("dp/dp-a/engine/divergence_l1")); max != 0 {
+	if max := stats.Max(tsdb.Values(long.Points("dp/dp-a/engine/divergence_l1"))); max != 0 {
 		t.Fatalf("origin broker diverged (max %v), want 0", max)
 	}
 	// And right after every exchange the remote broker reconverges: with
 	// 1-minute exchanges every sample lands post-round, so dp-b's series
 	// should be pinned at zero too.
-	if max := tsdb.Max(short.Points("dp/dp-b/engine/divergence_l1")); max != 0 {
+	if max := stats.Max(tsdb.Values(short.Points("dp/dp-b/engine/divergence_l1"))); max != 0 {
 		t.Fatalf("remote broker did not reconverge after each round (max %v)", max)
 	}
 }

@@ -108,8 +108,7 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 	offered := reg.Counter("workload/offered")
 
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
-		Clock: clock, Factory: f.Deploy, Metrics: reg,
-		Interval: time.Minute, MinDPs: 1, MaxDPs: 4,
+		Clock: clock, Factory: f.Deploy, Metrics: reg, MaxDPs: 4,
 		ScaleUpAfter: 2, ScaleDownAfter: 4,
 		UpCooldown: 3 * time.Minute, DownCooldown: 6 * time.Minute,
 		DrainTimeout: 10 * time.Minute,

@@ -212,7 +212,6 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 			c.Name = fmt.Sprintf("dyn-dp-%d", i)
 			c.Addr = fmt.Sprintf("dyn/dp-%d", i)
 			c.Profile = profile
-			c.Saturation = digruber.SaturationConfig{Window: time.Minute}
 		},
 		Client: func(i int, c *digruber.ClientConfig) {
 			c.Name = fmt.Sprintf("dyn-client-%03d", i)
@@ -228,7 +227,7 @@ func runDynamicLiveExtension(scale Scale) (Report, error) {
 	// polls the verdicts each minute and deploys on the first one it
 	// hears; the sampler feeds its queue and shed windows.
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
-		Clock: clock, Factory: f.Deploy, Metrics: reg, Interval: time.Minute, MaxDPs: 8,
+		Clock: clock, Factory: f.Deploy, Metrics: reg, MaxDPs: 8,
 		ScaleUpAfter: 1, UpCooldown: time.Minute,
 	}, f.Points())
 	if err != nil {

@@ -217,6 +217,11 @@ func (f *Fleet) Points() []*digruber.DecisionPoint {
 // Clients returns the submission hosts in index order.
 func (f *Fleet) Clients() []*digruber.Client { return f.clients }
 
+// Transport returns the in-memory transport every actor of the fleet
+// listens and dials on, for a caller that brings a wire client of its
+// own (an administrator's, say).
+func (f *Fleet) Transport() wire.Transport { return f.mem }
+
 // Submit schedules a one-CPU job for owner (a USLA path) through
 // submission host i and returns the decision.
 func (f *Fleet) Submit(i int, id, owner string, runtime time.Duration) digruber.Decision {

@@ -176,7 +176,7 @@ func TestFleetDeployUnderControllerLeavesNothingRunning(t *testing.T) {
 	offered := reg.Counter("clients/offered")
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
 		Clock: spec.Clock, Factory: f.Deploy, Metrics: reg,
-		Interval: time.Minute, MaxDPs: 2, ScaleUpAfter: 1, ScaleDownAfter: 1,
+		MaxDPs: 2, ScaleUpAfter: 1, ScaleDownAfter: 1,
 		UpCooldown: time.Minute, DownCooldown: time.Minute, DrainTimeout: time.Minute,
 		DemandSeries: "clients/offered",
 		Signals:      digruber.SignalThresholds{DemandHighPerDP: 0.5, DemandLowPerDP: 0.01, Window: 2 * time.Minute},

@@ -201,7 +201,7 @@ func summarizeOverloadRun(key string, dps int, variant string, clients int, res 
 	o.breakerOpens = lastValue(sink.Points("clients/breaker/open"))
 	var divSum float64
 	for i := 0; i < dps; i++ {
-		divSum += tsdb.Mean(sink.Points(fmt.Sprintf("dp/dp-%d/engine/divergence_l1", i)))
+		divSum += stats.Mean(tsdb.Values(sink.Points(fmt.Sprintf("dp/dp-%d/engine/divergence_l1", i))))
 	}
 	o.meanDiv = divSum / float64(dps)
 	return o

@@ -267,8 +267,8 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	// the export's series set never depends on which VO submitted first.
 	var voLatency map[string]*tsdb.Histogram
 	if cfg.MetricsSink != nil {
-		voLatency = make(map[string]*tsdb.Histogram, wl.gen.Config().VOs)
-		for v := 0; v < wl.gen.Config().VOs; v++ {
+		voLatency = make(map[string]*tsdb.Histogram, workload.VOs)
+		for v := 0; v < workload.VOs; v++ {
 			name := workload.VOName(v)
 			voLatency[name] = cfg.MetricsSink.Histogram("vo/"+name+"/latency_s", sloLatencyBuckets)
 		}

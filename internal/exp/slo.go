@@ -211,8 +211,7 @@ func runSLOScenario(col *trace.Collector) (sloOutcome, *tsdb.Registry, error) {
 	}
 
 	ctl, err := digruber.NewController(digruber.ControllerConfig{
-		Clock: clock, Factory: deploy, Metrics: reg,
-		Interval: time.Minute, MinDPs: 1, MaxDPs: 3,
+		Clock: clock, Factory: deploy, Metrics: reg, MaxDPs: 3,
 		ScaleUpAfter: 2, ScaleDownAfter: 4,
 		UpCooldown: 3 * time.Minute, DownCooldown: 6 * time.Minute,
 		DrainTimeout: 10 * time.Minute,

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"digruber/internal/stats"
 )
 
 // Latest returns a series' most recent point.
@@ -136,28 +138,15 @@ func (r *Registry) WindowRate(name string, now time.Time, window time.Duration) 
 // gauge, for signals like queue depth where a single spiky sample
 // should not trigger a scaling action by itself.
 func (r *Registry) WindowMean(name string, now time.Time, window time.Duration) float64 {
-	return Mean(r.Range(name, now.Add(-window), now))
+	return stats.Mean(Values(r.Range(name, now.Add(-window), now)))
 }
 
-// Mean returns the arithmetic mean of the points' values (0 for none).
-func Mean(pts []Point) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range pts {
-		sum += p.V
-	}
-	return sum / float64(len(pts))
-}
-
-// Max returns the largest value among the points (0 for none).
-func Max(pts []Point) float64 {
-	max := 0.0
+// Values returns the points' values in order, for the stats package's
+// summaries.
+func Values(pts []Point) []float64 {
+	vs := make([]float64, len(pts))
 	for i, p := range pts {
-		if i == 0 || p.V > max {
-			max = p.V
-		}
+		vs[i] = p.V
 	}
-	return max
+	return vs
 }

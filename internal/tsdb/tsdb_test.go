@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"digruber/internal/stats"
 	"digruber/internal/vtime"
 )
 
@@ -305,10 +306,10 @@ func TestQueryHelpers(t *testing.T) {
 		}
 	}
 
-	if m := Mean(r.Points("dp/b/depth")); m != 2 {
+	if m := stats.Mean(Values(r.Points("dp/b/depth"))); m != 2 {
 		t.Errorf("Mean = %v, want 2", m)
 	}
-	if m := Max(r.Points("dp/b/depth")); m != 3 {
+	if m := stats.Max(Values(r.Points("dp/b/depth"))); m != 3 {
 		t.Errorf("Max = %v, want 3", m)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"digruber/internal/stats"
 )
 
 func TestWindowRate(t *testing.T) {
@@ -79,7 +81,7 @@ func TestWindowMeanAndMax(t *testing.T) {
 	if got := r.WindowMean("queue", now, time.Minute); got != 9 {
 		t.Fatalf("WindowMean narrow = %v, want 9", got)
 	}
-	if got := Max(r.Range("queue", now.Add(-3*time.Minute), now)); got != 12 {
+	if got := stats.Max(Values(r.Range("queue", now.Add(-3*time.Minute), now))); got != 12 {
 		t.Fatalf("Max over the window = %v, want 12", got)
 	}
 	if got := r.WindowMean("missing", now, time.Minute); got != 0 {

@@ -16,12 +16,16 @@ import (
 	"digruber/internal/usla"
 )
 
+// VOs and GroupsPerVO define the consumer hierarchy: the paper's 10
+// VOs of 10 groups each.
+const (
+	VOs         = 10
+	GroupsPerVO = 10
+)
+
 // Config shapes a workload.
 type Config struct {
 	Seed int64
-	// VOs and GroupsPerVO define the consumer hierarchy (paper: 10×10).
-	VOs         int
-	GroupsPerVO int
 	// Hosts is the number of submission hosts (paper: ~120 clients).
 	Hosts int
 	// Interarrival is the per-host job submission period (paper: 1 s).
@@ -37,8 +41,6 @@ type Config struct {
 func Default() Config {
 	return Config{
 		Seed:         1,
-		VOs:          10,
-		GroupsPerVO:  10,
 		Hosts:        120,
 		Interarrival: time.Second,
 		MeanRuntime:  15 * time.Minute,
@@ -48,12 +50,6 @@ func Default() Config {
 }
 
 func (c *Config) setDefaults() {
-	if c.VOs <= 0 {
-		c.VOs = 10
-	}
-	if c.GroupsPerVO <= 0 {
-		c.GroupsPerVO = 10
-	}
 	if c.Hosts <= 0 {
 		c.Hosts = 1
 	}
@@ -87,9 +83,6 @@ func NewGenerator(cfg Config) *Generator {
 	return g
 }
 
-// Config returns the generator's effective configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // HostName names submission host i.
 func (g *Generator) HostName(i int) string { return fmt.Sprintf("client-%03d", i) }
 
@@ -102,8 +95,8 @@ func GroupName(gr int) string { return fmt.Sprintf("group-%02d", gr) }
 // HostOwner is the static consumer path host i submits under: hosts are
 // spread round-robin over VOs and, within a VO, over its groups.
 func (g *Generator) HostOwner(i int) usla.Path {
-	vo := i % g.cfg.VOs
-	group := (i / g.cfg.VOs) % g.cfg.GroupsPerVO
+	vo := i % VOs
+	group := (i / VOs) % GroupsPerVO
 	return usla.Path{VO: VOName(vo), Group: GroupName(group)}
 }
 
@@ -138,16 +131,14 @@ func (g *Generator) NextJob(host int) (*grid.Job, error) {
 // Policies builds the USLA policy set matching the composite workload:
 // every VO gets an equal fair-share target of the grid and an upper
 // limit at twice its target (so bursting is possible but bounded), and
-// groups share their VO equally.
-func Policies(cfg Config) (*usla.PolicySet, error) {
-	cfg.setDefaults()
+// groups share their VO equally. The hierarchy is the constant VOs ×
+// GroupsPerVO, so every Config gets the same set; the parameter stays
+// for the callers that pass the workload they generate.
+func Policies(Config) (*usla.PolicySet, error) {
 	ps := usla.NewPolicySet()
-	voTarget := 100.0 / float64(cfg.VOs)
+	voTarget := 100.0 / VOs
 	voUpper := voTarget * 2
-	if voUpper > 100 {
-		voUpper = 100
-	}
-	groupTarget := 100.0 / float64(cfg.GroupsPerVO)
+	groupTarget := 100.0 / GroupsPerVO
 	add := func(consumer usla.Path, percent float64, kind usla.ShareKind) error {
 		e := usla.Entry{Provider: usla.AnyProvider, Consumer: consumer, Resource: usla.CPU, Share: usla.Share{Percent: percent, Kind: kind}}
 		if err := ps.Add(e); err != nil {
@@ -155,7 +146,7 @@ func Policies(cfg Config) (*usla.PolicySet, error) {
 		}
 		return nil
 	}
-	for v := 0; v < cfg.VOs; v++ {
+	for v := 0; v < VOs; v++ {
 		vo := usla.Path{VO: VOName(v)}
 		if err := add(vo, voTarget, usla.Target); err != nil {
 			return nil, err
@@ -163,7 +154,7 @@ func Policies(cfg Config) (*usla.PolicySet, error) {
 		if err := add(vo, voUpper, usla.UpperLimit); err != nil {
 			return nil, err
 		}
-		for gr := 0; gr < cfg.GroupsPerVO; gr++ {
+		for gr := 0; gr < GroupsPerVO; gr++ {
 			p := usla.Path{VO: VOName(v), Group: GroupName(gr)}
 			if err := add(p, groupTarget, usla.Target); err != nil {
 				return nil, err

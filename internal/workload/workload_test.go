@@ -20,12 +20,12 @@ func TestHostOwnerCoversAllVOsAndGroups(t *testing.T) {
 		vos[p.VO] = true
 		groups[p.VO+"."+p.Group] = true
 	}
-	if len(vos) != cfg.VOs {
-		t.Fatalf("workload touches %d VOs, want %d", len(vos), cfg.VOs)
+	if len(vos) != VOs {
+		t.Fatalf("workload touches %d VOs, want %d", len(vos), VOs)
 	}
 	// 120 hosts over 10 VOs → 12 hosts per VO → 2 groups per VO hit at
 	// least; exact coverage is round-robin.
-	if len(groups) < cfg.VOs {
+	if len(groups) < VOs {
 		t.Fatalf("only %d distinct groups", len(groups))
 	}
 }
@@ -93,7 +93,7 @@ func TestNextJobErrorsOnBadHost(t *testing.T) {
 	if _, err := g.NextJob(-1); err == nil {
 		t.Fatal("negative host accepted")
 	}
-	if _, err := g.NextJob(g.Config().Hosts); err == nil {
+	if _, err := g.NextJob(Default().Hosts); err == nil {
 		t.Fatal("host == Hosts accepted")
 	}
 	if _, err := g.NextJob(0); err != nil {
@@ -108,7 +108,7 @@ func TestPoliciesShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 VOs × (target+upper) + 100 groups × target = 120 entries.
-	if got := len(ps.Entries()); got != cfg.VOs*2+cfg.VOs*cfg.GroupsPerVO {
+	if got := len(ps.Entries()); got != VOs*2+VOs*GroupsPerVO {
 		t.Fatalf("policy entries = %d", got)
 	}
 	if errs := ps.Validate(); len(errs) != 0 {
@@ -134,7 +134,7 @@ func TestPoliciesSumToWholeGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total float64
-	for v := 0; v < cfg.VOs; v++ {
+	for v := 0; v < VOs; v++ {
 		l := ps.LimitsFor(usla.AnyProvider, usla.Path{VO: VOName(v)}, usla.CPU)
 		total += l.Target
 	}
@@ -145,10 +145,6 @@ func TestPoliciesSumToWholeGrid(t *testing.T) {
 
 func TestConfigDefaultsApplied(t *testing.T) {
 	g := NewGenerator(Config{Hosts: 2})
-	cfg := g.Config()
-	if cfg.VOs != 10 || cfg.GroupsPerVO != 10 || cfg.JobCPUs != 1 {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
 	j, err := g.NextJob(1)
 	if err != nil {
 		t.Fatal(err)
