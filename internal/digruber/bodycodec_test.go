@@ -3,9 +3,14 @@ package digruber
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +92,42 @@ func freshGob(t testing.TB, v interface{}) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// inOwnFraming reports whether body is this build's definitions of v's
+// type and one value message: the bodies and records the codec reads,
+// where it refuses any other.
+func inOwnFraming(t testing.TB, v interface{}, body []byte) bool {
+	t.Helper()
+	whole := freshGob(t, v)
+	msg, ok := bytes.CutPrefix(body, whole[:wire.ValueOffset(whole)])
+	return ok && wire.ValueOffset(msg) == 0
+}
+
+// bodyVerdict fails t unless got and err, what the codec made of body as
+// a T, are what its contract asks: under this build's definitions of T,
+// a fresh gob.Decoder's verdict and value (compared by same, or by
+// reflect.DeepEqual when same is nil); under any others, a refusal with
+// wire.ErrForeignBody.
+func bodyVerdict[T any](t *testing.T, body []byte, got T, err error, same func(a, b T) bool) {
+	t.Helper()
+	if !inOwnFraming(t, *new(T), body) {
+		if !errors.Is(err, wire.ErrForeignBody) {
+			t.Fatalf("%T from % x, not this build's framing: %v, want wire.ErrForeignBody", got, body, err)
+		}
+		return
+	}
+	var fresh T
+	freshErr := gob.NewDecoder(bytes.NewReader(body)).Decode(&fresh)
+	if (err == nil) != (freshErr == nil) || errors.Is(err, wire.ErrForeignBody) {
+		t.Fatalf("%T from % x: the codec: %v; a fresh gob.Decoder: %v", got, body, err, freshErr)
+	}
+	if same == nil {
+		same = func(a, b T) bool { return reflect.DeepEqual(a, b) }
+	}
+	if err == nil && !same(got, fresh) {
+		t.Fatalf("%T from % x: the codec decoded %+v; a fresh gob.Decoder reads %+v", got, body, got, fresh)
+	}
 }
 
 func freshDecode[T any](t *testing.T, body []byte) T {
@@ -230,15 +271,14 @@ func TestBodyCodecMatchesFreshGob(t *testing.T) {
 	}
 
 	// A reply whose type definitions differ from this build's (a field
-	// appended) decodes as a fresh decoder would, and the warm entry
-	// still serves this build's bodies afterwards.
+	// appended), which gob would decode, is refused, and the codec still
+	// serves this build's bodies afterwards.
 	t.Run("foreign definitions", func(t *testing.T) {
 		mine := filled[ScheduleArgs](7, 1)
 		next := scheduleArgsNext{JobID: "job-next", Owner: "uc.cs", CPUs: 4, Runtime: time.Hour, Tenant: "dropped"}
 		for i := 0; i < 3; i++ {
-			_, got := roundTrip(t, p, mine, freshGob(t, next))
-			if want := (ScheduleArgs{JobID: next.JobID, Owner: next.Owner, CPUs: next.CPUs, Runtime: next.Runtime}); got != want {
-				t.Fatalf("foreign reply decoded to %+v, want %+v", got, want)
+			if _, got, err := call(p, mine, freshGob(t, next)); !errors.Is(err, wire.ErrForeignBody) || got != (ScheduleArgs{}) {
+				t.Fatalf("foreign reply: decoded %+v, %v; want wire.ErrForeignBody", got, err)
 			}
 			if body, got := roundTrip(t, p, mine, nil); got != mine || !bytes.Equal(body, freshGob(t, mine)) {
 				t.Fatalf("after a foreign reply: sent %x, decoded %+v", body, got)
@@ -320,4 +360,68 @@ func TestBodyCodecConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// bodyBytesChild is set in the environment of the child process
+// TestBodyBytesDoNotDependOnTheProcess starts.
+const bodyBytesChild = "DIGRUBER_BODY_BYTES_CHILD"
+
+// registeredBodies returns, one line per type init registers, the body
+// of a seeded value of the type: the bytes a fresh gob.Encoder writes
+// for it.
+func registeredBodies(t *testing.T) []string {
+	var lines []string
+	for i, v := range wireTypes {
+		rv := reflect.New(reflect.TypeOf(v)).Elem()
+		fill(rv, rand.New(rand.NewSource(int64(i+1))), 2)
+		lines = append(lines, fmt.Sprintf("%T %x", v, freshGob(t, rv.Interface())))
+	}
+	return lines
+}
+
+// TestBodyBytesDoNotDependOnTheProcess: a child process encodes types of
+// its own before any body, as a program that used gob for something
+// else first would, and every registered body's bytes still equal this
+// process's. ScheduleArgs holds gob's first user id, 64: its definition
+// opens with the one-byte header -64.
+func TestBodyBytesDoNotDependOnTheProcess(t *testing.T) {
+	if os.Getenv(bodyBytesChild) != "" {
+		type unrelated struct {
+			Name  string
+			Sizes map[string][]uint16
+		}
+		for _, v := range []any{unrelated{Name: "first", Sizes: map[string][]uint16{"a": {1}}}, []float32{1}, map[int]string{1: "x"}} {
+			if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, line := range registeredBodies(t) {
+			fmt.Println("body", line)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBodyBytesDoNotDependOnTheProcess$")
+	cmd.Env = append(os.Environ(), bodyBytesChild+"=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("child process: %v\n%s", err, out)
+	}
+	var child []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if body, ok := strings.CutPrefix(line, "body "); ok {
+			child = append(child, body)
+		}
+	}
+	own := registeredBodies(t)
+	if len(child) != len(own) {
+		t.Fatalf("the child wrote %d bodies, this process %d", len(child), len(own))
+	}
+	for i := range own {
+		if child[i] != own[i] {
+			t.Errorf("the child's body differs from this process's:\n child %s\n  here %s", child[i], own[i])
+		}
+	}
+	if b := freshGob(t, ScheduleArgs{}); len(b) < 2 || b[1] != 0x7f {
+		t.Errorf("ScheduleArgs' body opens % x, want its definition under type id 64 (header 7f)", b[:min(len(b), 4)])
+	}
 }

@@ -196,8 +196,9 @@ var smallBodyDeclines = map[string][][]byte{
 	"ReportReply": {{1, 2, 0}, {1, 0, 0}, {2, 1, 0}, {0, 0}},
 }
 
-// checkSmallBodyValue holds what wire.Call and ReadGobValue make of value
-// bytes data as a T to a fresh gob.Decoder's verdict, and leaves the next
+// checkSmallBodyValue holds what ReadGobValue makes of value bytes data as
+// a T, and wire.Call of them framed as this build frames a T and as a
+// whole body, to the codec's contract (bodyVerdict), and leaves the next
 // valid body decoding right.
 func checkSmallBodyValue[T any](t *testing.T, p *codecProbe, data []byte, valid T) {
 	t.Helper()
@@ -214,14 +215,7 @@ func checkSmallBodyValue[T any](t *testing.T, p *codecProbe, data []byte, valid 
 	}
 	for _, body := range [][]byte{frame(data), data} {
 		_, got, err := call(p, *new(T), body)
-		var fresh T
-		freshErr := gob.NewDecoder(bytes.NewReader(body)).Decode(&fresh)
-		if (err == nil) != (freshErr == nil) {
-			t.Fatalf("%T from % x: wire.Call: %v; a fresh gob.Decoder: %v", got, body, err, freshErr)
-		}
-		if err == nil && !reflect.DeepEqual(got, fresh) {
-			t.Fatalf("%T from % x: wire.Call decoded %+v; a fresh gob.Decoder reads %+v", got, body, got, fresh)
-		}
+		bodyVerdict(t, body, got, err, nil)
 	}
 	if _, got := roundTrip(t, p, valid, nil); !reflect.DeepEqual(got, valid) {
 		t.Fatalf("%T: the next valid body decoded to %+v", got, got)

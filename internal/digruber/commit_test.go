@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -305,7 +301,6 @@ func TestEntryEncoderMatchesFreshEncoder(t *testing.T) {
 		}
 		return rng.Int63n(1<<40) - 1<<20
 	}
-	var enc entryEncoder
 	var batch []byte
 	for i := 0; i < 1000; i++ {
 		en := walEntry{Logged: rng.Intn(2) == 0, D: gruber.Dispatch{
@@ -320,15 +315,14 @@ func TestEntryEncoderMatchesFreshEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := len(batch)
-		if batch, err = enc.appendEntry(batch, &en); err != nil {
+		if batch, err = wire.AppendBody(batch, &en); err != nil {
 			t.Fatal(err)
 		}
 		got := batch[start:]
 		if !bytes.Equal(got, want) {
 			t.Fatalf("entry %d %+v:\n primed %x\n  fresh %x", i, en, got, want)
 		}
-		var dec walDecoder
-		back, err := dec.decode(got)
+		back, err := replayRecord(got)
 		if err != nil {
 			t.Fatalf("entry %d does not decode alone: %v", i, err)
 		}
@@ -517,115 +511,84 @@ func TestStopAndCrashWithRequestsInFlight(t *testing.T) {
 	}
 }
 
-var storeImageChild = flag.Bool("store-image-child", false, "internal: print the store image digests of TestStoreImageMatchesParent's sequence")
-
-// TestStoreImageMatchesParent: the log holds the bytes it always held.
-// One fixed single-threaded sequence — 1000 Schedules, a checkpoint, 100
-// more, on a Manual clock and a MemStore — leaves a wal.log and a
-// checkpoint whose SHA-256 are those the build before the committer
-// (e058e8c: a fresh gob encoder, a write and an fsync per record, under
-// the engine lock) leaves for it. The sequence runs in a child process:
-// gob numbers types process-wide in order of first use, so the bytes
-// depend on what the process encoded before.
+// TestStoreImageMatchesParent: the log holds the bytes this build always
+// writes. One fixed single-threaded sequence — 1000 Schedules, a
+// checkpoint, 100 more, on a Manual clock and a MemStore — leaves a
+// wal.log and a checkpoint whose SHA-256 are pinned here. It runs in
+// process, after whatever else the test binary encoded: the package
+// numbers its types at init, so the bytes do not depend on what the
+// process encoded before. Re-recorded once, on purpose, when that
+// numbering moved the definitions every record and checkpoint open with;
+// until then the digests were those of the build before the committer
+// (e058e8c), taken in a process that ran the sequence alone.
 func TestStoreImageMatchesParent(t *testing.T) {
-	if *storeImageChild {
-		fmt.Println(storeImageDigests(t))
-		return
-	}
-	out, err := exec.Command(os.Args[0], "-test.run=^TestStoreImageMatchesParent$", "-store-image-child").Output()
-	if err != nil {
-		t.Fatalf("child process: %v\n%s", err, out)
-	}
-	const parent = "wal.log cd462430ddeda46bf05af6c3561201a42460271114fc88fdfe7c7c7bbf31b8fe" +
-		" checkpoint 529b10eb734bc00ec9a234b7eafa7c00fc38e6397c8d059d8d5726b86e5db886"
-	if got := strings.SplitN(string(out), "\n", 2)[0]; got != parent {
-		t.Fatalf("store image differs from the parent build's:\n got %s\nwant %s", got, parent)
+	const want = "wal.log 17cdbb3e2fffa56239c024d3f69eec0b3f93ce64853268ea094771c8311d1af6" +
+		" checkpoint a5eb6c95d1367c46134994ed91d3137d1b6e1e814d941ad61f03793bea20044e"
+	if got := storeImageDigests(t); got != want {
+		t.Fatalf("store image differs from this build's:\n got %s\nwant %s", got, want)
 	}
 }
 
-var walWriterChild = flag.String("wal-writer-child", "", "internal: write TestWALFromAnotherProcessReplays' log into this directory")
-
-// TestWALFromAnotherProcessReplays: a log another process wrote — one
-// that numbered gob's types in its own order and served Schedules before
-// its first record — replays in full, each record as a fresh gob.Decoder
-// reads it, and every record after the first through the decoder the
-// first one primed.
+// TestWALFromAnotherProcessReplays: a log whose later records another
+// process numbered otherwise — its entry type met after the rest, as in
+// a process that encoded other types first — is not in this build's
+// framing from there on. Recovery refuses the first such record with the
+// stated reason, as it stops at an undecodable one: what came before it
+// replays, the log is truncated there and a resync is owed.
 func TestWALFromAnotherProcessReplays(t *testing.T) {
-	if *walWriterChild != "" {
-		writeWALImage(t, *walWriterChild)
-		return
+	const own, n = 5, 20
+	var ds []gruber.Dispatch
+	for i := 0; i < n; i++ {
+		ds = append(ds, gruber.Dispatch{JobID: fmt.Sprintf("job-%04d", i), Site: "site-000", Owner: "atlas.higgs", CPUs: 1,
+			Runtime: time.Hour, At: epoch.Add(time.Duration(i) * time.Second), Origin: "dp-0", Seq: uint64(i + 1)})
 	}
-	const n = 200
-	dir := t.TempDir()
-	if out, err := exec.Command(os.Args[0], "-test.run=^TestWALFromAnotherProcessReplays$", "-wal-writer-child", dir).CombinedOutput(); err != nil {
-		t.Fatalf("child process: %v\n%s", err, out)
+	var payloads [][]byte
+	for _, d := range ds[:own] {
+		payloads = append(payloads, freshGob(t, walEntry{D: d, Logged: true}))
 	}
-	store, err := wal.NewDirStore(dir)
-	if err != nil {
+	defs := payloads[0][:wire.ValueOffset(payloads[0])]
+	// This walEntry is the package's in name and fields, so gob reads its
+	// records as the package's; it takes its numbers only now.
+	type walEntry struct {
+		D      gruber.Dispatch
+		Logged bool
+	}
+	for _, d := range ds[own:] {
+		record := freshGob(t, walEntry{D: d, Logged: true})
+		if bytes.HasPrefix(record, defs) {
+			t.Fatal("the other numbering opens with this build's definitions")
+		}
+		var back struct {
+			D      gruber.Dispatch
+			Logged bool
+		}
+		if err := gob.NewDecoder(bytes.NewReader(record)).Decode(&back); err != nil || !back.D.At.Equal(d.At) || back.D.JobID != d.JobID {
+			t.Fatalf("a fresh gob.Decoder reads %+v, %v; want %+v", back.D, err, d)
+		}
+		payloads = append(payloads, record)
+	}
+	store := wal.NewMemStore()
+	log := wal.Open(store)
+	if err := log.AppendBatch(payloads); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := wal.Open(store).Recover()
-	if err != nil || len(rec.Records) != n {
-		t.Fatalf("the child's log holds %d records (%v), want %d", len(rec.Records), err, n)
-	}
-	if bytes.HasPrefix(rec.Records[0], walFraming().prefix) {
-		t.Fatal("the child numbered its types as this process does, so its log is no other process's")
-	}
-	var dec walDecoder
-	for i, payload := range rec.Records {
-		got, err := dec.decode(payload)
-		if fresh := freshDecode[walEntry](t, payload); err != nil || !reflect.DeepEqual(got, fresh) {
-			t.Fatalf("record %d: replayed %+v (%v), a fresh gob.Decoder %+v", i, got, err, fresh)
-		}
-		if want := fmt.Sprintf("job-%04d", i); got.D.JobID != want {
-			t.Fatalf("record %d is %q, want %q", i, got.D.JobID, want)
-		}
-	}
-	if dec.dec == nil {
-		t.Fatal("no record primed a decoder")
-	}
-	last := rec.Records[n-1]
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = dec.decode(last) }); allocs > 20 {
-		t.Errorf("a record after the first: %.0f allocations, want at most 20 (a fresh gob.Decoder's)", allocs)
-	}
+	log.Close()
 
-	clock := vtime.NewManual(epoch)
+	clock := vtime.NewManual(epoch.Add(time.Minute))
 	dp := newDurableDP(t, clock, wire.NewMem(), "dp-0", store, -1)
-	if err := dp.Start(); err != nil {
+	if err := dp.listen(); err != nil { // Start without the resync, which a peerless point drops
 		t.Fatal(err)
 	}
 	defer dp.Stop()
-	if got := dp.LastRecovery(); got.Recovered != n || got.Truncated {
-		t.Fatalf("recovery: %+v, want %d records replayed", got, n)
+	got := dp.LastRecovery()
+	if got.Recovered != own || !got.Truncated || got.TruncateReason != foreignRecord {
+		t.Fatalf("recovery: %+v, want %d records replayed and truncation for %q", got, own, foreignRecord)
 	}
-}
-
-// writeWALImage is the child's part: a durable point in dir takes 200
-// Schedules, one record each. It first encodes a type nothing else in
-// the package encodes, so that its gob numbers every later type
-// otherwise than a process that never met it.
-func writeWALImage(t *testing.T, dir string) {
-	if err := gob.NewEncoder(io.Discard).Encode(map[string]uint16{"shift": 1}); err != nil {
-		t.Fatal(err)
+	if held := dp.Engine().PendingDispatches(); held != own {
+		t.Fatalf("the engine holds %d dispatches, want %d", held, own)
 	}
-	store, err := wal.NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := vtime.NewManual(epoch)
-	mem := wire.NewMem()
-	dp := newDurableDP(t, clock, mem, "dp-0", store, -1)
-	dp.Engine().UpdateSites(roomyStatuses(3), clock.Now())
-	if err := dp.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer dp.Stop()
-	cli := testWireClient(t, mem, clock, dp)
-	for i := 0; i < 200; i++ {
-		clock.Advance(time.Second)
-		if r, err := callSchedule(cli, fmt.Sprintf("job-%04d", i)); err != nil || !r.OK {
-			t.Fatalf("job %d: %+v, %v", i, r, err)
-		}
+	if !dp.resyncOwed.Load() {
+		t.Error("no resync is owed for the truncated tail")
 	}
 }
 

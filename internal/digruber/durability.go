@@ -144,8 +144,7 @@ type committer struct {
 	// exited is closed when run has returned.
 	exited chan struct{}
 
-	// Owned by run: the entry encoder and the batch's payload bytes.
-	enc      entryEncoder
+	// Owned by run: the batch's payload bytes.
 	bytes    []byte
 	payloads [][]byte
 }
@@ -271,7 +270,7 @@ func (c *committer) commit(entries []walEntry) error {
 	for i := range entries {
 		start := len(c.bytes)
 		var err error
-		if c.bytes, err = c.enc.appendEntry(c.bytes, &entries[i]); err != nil {
+		if c.bytes, err = wire.AppendBody(c.bytes, &entries[i]); err != nil {
 			return err
 		}
 		// If a later append moves c.bytes, this payload stays where it was
@@ -280,63 +279,6 @@ func (c *committer) commit(entries []walEntry) error {
 	}
 	return c.log.AppendBatch(c.payloads)
 }
-
-// entryEncoder writes walEntry records: the bytes a fresh gob.Encoder
-// writes for one entry (which is what walDecoder reads and what the
-// log has always held), with the value written by the record codec
-// between this process's own definitions and type id (walFraming). Its
-// scratch is the value of the entry being framed.
-type entryEncoder struct {
-	val []byte
-}
-
-// appendEntry appends en's self-contained record to dst.
-func (e *entryEncoder) appendEntry(dst []byte, en *walEntry) ([]byte, error) {
-	f := walFraming()
-	val, ok := en.AppendGobValue(e.val[:0])
-	if !ok || f.prefix == nil {
-		// A time gob cannot marshal: gob's bytes, or rather gob's error.
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(en); err != nil {
-			return dst, err
-		}
-		return append(dst, buf.Bytes()...), nil
-	}
-	e.val = val
-	dst = wire.AppendGobUint(append(dst, f.prefix...), uint64(len(f.id)+len(val)))
-	return append(append(dst, f.id...), val...), nil
-}
-
-// entryFraming is what a fresh gob.Encoder writes for a walEntry in front
-// of the value: the type definitions of everything a walEntry reaches,
-// and the value message's type id.
-type entryFraming struct {
-	prefix, id []byte
-}
-
-// walFraming learns the framing from gob at first use. gob numbers types
-// per process, in the order it meets them, so neither part is a
-// constant, and learning it before the process's first record keeps the
-// log's bytes those of a fresh encoder in that process. A fresh encoder's first Encode
-// writes definitions and value, a second the value message alone; the
-// difference is the definitions, and the message is its length, the id
-// and the value. A nil prefix (gob cannot fail on this fixed shape)
-// leaves every record to gob.
-var walFraming = sync.OnceValue(func() entryFraming {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	_ = enc.Encode(&walEntry{})
-	first := bytes.Clone(buf.Bytes())
-	buf.Reset()
-	_ = enc.Encode(&walEntry{})
-	msg := buf.Bytes()
-	val, _ := walEntry{}.AppendGobValue(nil)
-	_, n := wire.ReadGobUint(msg)
-	if n == 0 || len(msg) < n+len(val) || !bytes.HasSuffix(msg, val) || !bytes.HasSuffix(first, msg) {
-		return entryFraming{}
-	}
-	return entryFraming{prefix: first[:len(first)-len(msg)], id: bytes.Clone(msg[n : len(msg)-len(val)])}
-})
 
 // checkpointNow takes one checkpoint: the engine state is captured and
 // persisted under the engine lock (see Engine.CheckpointState), which
@@ -360,45 +302,9 @@ func (dur *durability) checkpointNow(e *gruber.Engine, now time.Time) error {
 	return nil
 }
 
-// walDecoder reads the records of one replay. Every record is
-// self-contained (type descriptors included, see entryEncoder), so
-// truncating the log at any record boundary leaves a decodable prefix.
-// The first record goes to a fresh gob.Decoder; a decoder that read one
-// cleanly then reads every later record that opens with the very same
-// definitions, fed its value message alone — the rule of wire's parked
-// decoders (DESIGN.md "Wire body codec"). The definitions hold the
-// writing process's type numbering, whatever it was, so a log replays
-// this way whichever process wrote it. A record in any other shape, or
-// one the kept decoder errs on, is read by a fresh decoder. (The gob
-// call stays concrete: the wire-schema lint finds persisted structs at
-// the gob call that names them.)
-type walDecoder struct {
-	defs []byte       // the definitions dec has read
-	dec  *gob.Decoder // reads r; nil until a record decoded cleanly
-	r    bytes.Reader
-}
-
-func (d *walDecoder) decode(payload []byte) (walEntry, error) {
-	split := wire.ValueOffset(payload)
-	if d.dec != nil && split >= 0 && bytes.Equal(payload[:split], d.defs) {
-		var e walEntry
-		d.r.Reset(payload[split:])
-		if d.dec.Decode(&e) == nil {
-			return e, nil
-		}
-		d.dec = nil // a decoder that erred may have half-read a message
-	}
-	var e walEntry
-	d.r.Reset(payload)
-	dec := gob.NewDecoder(&d.r)
-	if err := dec.Decode(&e); err != nil {
-		return walEntry{}, err
-	}
-	if split >= 0 {
-		d.defs, d.dec = append(d.defs[:0], payload[:split]...), dec
-	}
-	return e, nil
-}
+// foreignRecord is the truncation reason of a record that is not this
+// build's definitions of walEntry and one value message.
+const foreignRecord = "record not in this build's framing"
 
 // encodeEngineState / decodeEngineState are the checkpoint codec.
 // gruber.EngineState is sorted slices all the way down, so the same
@@ -456,16 +362,21 @@ func (dp *DecisionPoint) recoverLocked() error {
 			rs.CheckpointRestored = true
 		}
 	}
-	var dec walDecoder
+	var en walEntry
 	for _, payload := range rec.Records {
-		en, derr := dec.decode(payload)
-		if derr != nil {
+		en = walEntry{} // the hook reads into a zero entry only
+		if derr := wire.DecodeBody(payload, &en); derr != nil {
 			// A checksummed record that does not decode is corruption the
-			// CRC missed (or a software bug); same contract as a torn
-			// record — stop replaying here, never panic, report it.
+			// CRC missed (or a software bug), and one that is not this
+			// build's framing comes from a build that was never deployed
+			// beside it; same contract as a torn record — stop replaying
+			// here, never panic, report it.
 			rs.Truncated = true
 			if rs.TruncateReason == "" {
 				rs.TruncateReason = "undecodable record"
+				if errors.Is(derr, wire.ErrForeignBody) {
+					rs.TruncateReason = foreignRecord
+				}
 			}
 			break
 		}

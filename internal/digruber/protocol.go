@@ -20,7 +20,24 @@ import (
 	"digruber/internal/gossip"
 	"digruber/internal/gruber"
 	"digruber/internal/usla"
+	"digruber/internal/wire"
 )
+
+// wireTypes are the types gob writes for this package — the bodies on
+// the wire, the write-ahead record and the checkpoint — hottest first.
+// init numbers them in this order before anything else is encoded, so
+// every process of a build opens each body and record with the same
+// definitions (DESIGN.md "Wire body codec"). ScheduleArgs takes gob's
+// first user id, 64, the only id whose definition header is one byte.
+var wireTypes = []any{
+	ScheduleArgs{}, ScheduleReply{}, QueryArgs{}, QueryReply{}, ReportArgs{}, ReportReply{},
+	walEntry{}, ExchangeArgs{}, ExchangeReply{}, GossipArgs{}, GossipReply{},
+	SnapshotArgs{}, SnapshotReply{}, StatusArgs{}, StatusReply{},
+	ProposeArgs{}, ProposeReply{}, PublishedArgs{}, PublishedReply{},
+	gruber.EngineState{},
+}
+
+func init() { wire.Register(wireTypes...) }
 
 // RPC method names exposed by a decision point.
 const (

@@ -13,9 +13,8 @@ import (
 // write and read them with one codec: appendDispatch and readDispatch,
 // the bytes gob writes for a gruber.Dispatch, field by field in the
 // order wireschema.lock records. The bodies carry wire's value hook as
-// the small bodies do. walEntry carries only the writer, framed by the
-// committer; replay reads the log with gob (walDecoder, durability.go),
-// as the writing process may have numbered its types otherwise.
+// the small bodies do, and so does walEntry, whose records the committer
+// writes and replay reads as wire bodies (durability.go).
 // TestRecordBodiesMatchGob and FuzzRecordBodies hold them to gob, which
 // stays the path for every value a hook declines.
 
@@ -394,4 +393,27 @@ func (en walEntry) AppendGobValue(b []byte) ([]byte, bool) {
 	}
 	w.bool(1, en.Logged)
 	return w.end(), true
+}
+
+// ReadGobValue reads what AppendGobValue writes into the zero en.
+func (en *walEntry) ReadGobValue(b []byte) bool {
+	if *en != (walEntry{}) {
+		return false
+	}
+	var v walEntry
+	r := valueReader{b: b}
+	if r.next(-1, 2) != 0 {
+		return false // the D is always written
+	}
+	readDispatch(&r, &v.D)
+	at := r.next(0, 2)
+	if at == 1 {
+		v.Logged = r.bool()
+		at = r.next(1, 2)
+	}
+	if at >= 0 || !r.end() {
+		return false
+	}
+	*en = v
+	return true
 }

@@ -2,7 +2,7 @@ package digruber
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -17,6 +17,7 @@ import (
 	"digruber/internal/gossip"
 	"digruber/internal/gruber"
 	"digruber/internal/usla"
+	"digruber/internal/wire"
 )
 
 // freshNameTable empties the name table for t, as a new process's is,
@@ -108,79 +109,80 @@ func TestRecordBodiesMatchGob(t *testing.T) {
 }
 
 // walEntryCase holds the committer's record for en to a fresh
-// gob.Encoder's, and replay's reading of it, by a fresh decoder and by
-// a primed one, to a fresh gob.Decoder's.
+// gob.Encoder's, and replay's reading of it, twice over, to a fresh
+// gob.Decoder's.
 func walEntryCase(t *testing.T, name string, en walEntry) {
 	t.Helper()
 	want, gobErr := encodeWALEntry(en)
-	var enc entryEncoder
-	got, err := enc.appendEntry([]byte("kept"), &en)
+	got, err := wire.AppendBody([]byte("kept"), &en)
 	if gobErr != nil {
 		if err == nil {
-			t.Errorf("%s: gob refuses it (%v), appendEntry wrote % x", name, gobErr, got)
+			t.Errorf("%s: gob refuses it (%v), the committer wrote % x", name, gobErr, got)
 		}
 		return
 	}
 	if err != nil || !bytes.Equal(got, append([]byte("kept"), want...)) {
-		t.Fatalf("%s: appendEntry wrote % x (%v), a fresh gob.Encoder % x", name, got, err, want)
+		t.Fatalf("%s: the committer wrote % x (%v), a fresh gob.Encoder % x", name, got, err, want)
 	}
 	fresh := freshDecode[walEntry](t, want)
-	var dec walDecoder
 	for pass := 1; pass <= 2; pass++ {
-		if back, err := dec.decode(want); err != nil || !reflect.DeepEqual(back, fresh) {
+		if back, err := replayRecord(want); err != nil || !reflect.DeepEqual(back, fresh) {
 			t.Fatalf("%s, read %d: replay read %+v (%v), a fresh gob.Decoder %+v", name, pass, back, err, fresh)
 		}
 	}
 }
 
+// replayRecord reads one write-ahead record as recovery does.
+func replayRecord(payload []byte) (walEntry, error) {
+	var en walEntry
+	err := wire.DecodeBody(payload, &en)
+	return en, err
+}
+
 // TestWALEntryInAnotherLayoutReplays: records whose definitions are not
-// this process's — here another build's entry, its fields in another
-// order — replay as gob reads them, the second through the decoder the
-// first primed, and a record in this process's layout after them still
-// replays.
+// this build's — here another build's entry, its fields in another
+// order, which gob would read — are refused with wire.ErrForeignBody,
+// and so is a record whose value message follows a second one; a record
+// in this build's layout after them still replays.
 func TestWALEntryInAnotherLayoutReplays(t *testing.T) {
 	type otherEntry struct {
 		Logged bool
 		D      gruber.Dispatch
 	}
 	ds := recordSet(time.Date(2005, 11, 12, 9, 30, 0, 0, time.UTC))
-	var dec walDecoder
+	own := walEntry{D: ds[0]}
+	ownRecord := freshGob(t, own)
+	split := wire.ValueOffset(ownRecord)
 	for i, d := range ds {
-		got, err := dec.decode(freshGob(t, otherEntry{Logged: i%2 == 0, D: d}))
-		if want := (walEntry{D: d, Logged: i%2 == 0}); err != nil || got != want {
-			t.Fatalf("record %d: replay read %+v (%v), want %+v", i, got, err, want)
+		for _, record := range [][]byte{freshGob(t, otherEntry{Logged: i%2 == 0, D: d}), append(bytes.Clone(ownRecord), ownRecord[split:]...)} {
+			if got, err := replayRecord(record); !errors.Is(err, wire.ErrForeignBody) || got != (walEntry{}) {
+				t.Fatalf("record %d: replay read %+v (%v), want wire.ErrForeignBody", i, got, err)
+			}
 		}
 	}
-	own := walEntry{D: ds[0]}
-	if got, err := dec.decode(freshGob(t, own)); err != nil || got != own {
+	if got, err := replayRecord(ownRecord); err != nil || got != own {
 		t.Fatalf("replay read %+v (%v), want %+v", got, err, own)
 	}
 }
 
-// checkWALEntryValue holds replay, by a decoder a valid record primed,
-// to a fresh gob.Decoder on value bytes data framed as this process
-// frames a record, and on data as a whole record; the valid record still
-// replays after each.
+// checkWALEntryValue holds replay to the codec's contract (bodyVerdict)
+// on value bytes data framed as this build frames a record, and on data
+// as a whole record; a valid record still replays after each.
 func checkWALEntryValue(t *testing.T, data []byte) {
 	t.Helper()
 	frame, _ := valueFraming(t, walEntry{})
 	valid := walEntry{D: recordSet(time.Unix(1e9, 5).UTC())[0], Logged: true}
 	val, _ := valid.AppendGobValue(nil)
 	validRecord := frame(val)
-	var dec walDecoder
 	for _, record := range [][]byte{frame(data), data, nil} {
-		if got, err := dec.decode(validRecord); err != nil || got != valid {
+		if got, err := replayRecord(validRecord); err != nil || got != valid {
 			t.Fatalf("after % x: replay read %+v, %v; want %+v", record, got, err, valid)
 		}
 		if record == nil {
 			return
 		}
-		got, err := dec.decode(record)
-		var fresh walEntry
-		freshErr := gob.NewDecoder(bytes.NewReader(record)).Decode(&fresh)
-		if (err == nil) != (freshErr == nil) || err == nil && !reflect.DeepEqual(got, fresh) {
-			t.Fatalf("record % x: replay read %+v, %v; a fresh gob.Decoder %+v, %v", record, got, err, fresh, freshErr)
-		}
+		got, err := replayRecord(record)
+		bodyVerdict(t, record, got, err, nil)
 	}
 }
 
@@ -299,13 +301,21 @@ func TestRecordPathsAllocate(t *testing.T) {
 	}
 
 	en := walEntry{D: args.Dispatches[7], Logged: true}
-	var enc entryEncoder
-	dst, err := enc.appendEntry(nil, &en)
+	dst, err := wire.AppendBody(nil, &en)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(50, func() { dst, _ = enc.appendEntry(dst[:0], &en) }); n != 0 {
-		t.Errorf("appendEntry: %.0f allocations, want 0", n)
+	if n := testing.AllocsPerRun(50, func() { dst, _ = wire.AppendBody(dst[:0], &en) }); n != 0 {
+		t.Errorf("a write-ahead record: %.0f allocations, want 0", n)
+	}
+	var back walEntry
+	if n := testing.AllocsPerRun(50, func() {
+		back = walEntry{}
+		if err := wire.DecodeBody(dst, &back); err != nil || back.D.JobID != en.D.JobID {
+			t.Fatal(back, err)
+		}
+	}); n != 1 {
+		t.Errorf("replaying a write-ahead record: %.0f allocations, want 1 (its JobID)", n)
 	}
 	report := ReportArgs{Dispatch: en.D}
 	buf := make([]byte, 0, 256)
@@ -317,9 +327,7 @@ func TestRecordPathsAllocate(t *testing.T) {
 // recordBodiesWithoutHook returns, sorted, the struct types files
 // declare with a gruber.Dispatch or []gruber.Dispatch field, each with
 // what it lacks of the value hook: AppendGobValue on the value and
-// ReadGobValue on the pointer. walEntry needs only the writer: replay
-// reads the log with gob (walDecoder), as its writer may have numbered
-// its types otherwise. found lists every such type.
+// ReadGobValue on the pointer. found lists every such type.
 func recordBodiesWithoutHook(files []*ast.File) (found, missing []string) {
 	isRecord := func(e ast.Expr) bool {
 		if a, ok := e.(*ast.ArrayType); ok && a.Len == nil {
@@ -364,7 +372,7 @@ func recordBodiesWithoutHook(files []*ast.File) (found, missing []string) {
 			if !methods[name+".AppendGobValue"] {
 				missing = append(missing, name+" lacks AppendGobValue on its value")
 			}
-			if !methods["*"+name+".ReadGobValue"] && name != "walEntry" {
+			if !methods["*"+name+".ReadGobValue"] {
 				missing = append(missing, name+" lacks ReadGobValue on its pointer")
 			}
 			return true

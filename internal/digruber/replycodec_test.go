@@ -317,11 +317,12 @@ func TestQueryReplySharesNames(t *testing.T) {
 	}
 }
 
-// FuzzQueryReplyValue holds the warm decodeBody behind wire.Call to a
-// fresh gob.Decoder's verdict — error or not, and the value — on
+// FuzzQueryReplyValue holds the codec behind wire.Call to its contract on
 // arbitrary bytes, taken both as the value of a QueryReply body that
-// opens as this process's own do (where ReadGobValue sees them first) and
-// as a whole body; ReadGobValue itself to allocating in proportion to its
+// opens as this build's do (where ReadGobValue sees them first) and as a
+// whole body: under this build's definitions, a fresh gob.Decoder's
+// verdict — error or not, and the value; under any others, a refusal.
+// ReadGobValue itself to allocating in proportion to its
 // input and to leaving a refused receiver alone; and every input to
 // leaving the next valid reply decoding right.
 func FuzzQueryReplyValue(f *testing.F) {
@@ -357,13 +358,7 @@ func FuzzQueryReplyValue(f *testing.F) {
 		}
 		for _, body := range [][]byte{frame(data), data} {
 			_, got, err := call(p, QueryReply{}, body)
-			fresh, freshErr := freshReply(body)
-			if (err == nil) != (freshErr == nil) {
-				t.Fatalf("wire.Call: %v; a fresh gob.Decoder: %v", err, freshErr)
-			}
-			if err == nil && !sameReply(got, fresh) {
-				t.Fatalf("wire.Call decoded %+v; a fresh gob.Decoder reads %+v", got, fresh)
-			}
+			bodyVerdict(t, body, got, err, sameReply)
 		}
 		if ok {
 			if fresh, err := freshReply(frame(data)); err != nil || !sameReply(direct, fresh) {

@@ -32,6 +32,9 @@ type instanceResp struct {
 	Handle string
 }
 
+// Fig 1's bodies take their gob numbers after digruber's, at init.
+func init() { wire.Register(instanceReq{}, instanceResp{}) }
+
 // RunFig1 executes the baseline and returns the DiPerF result.
 func RunFig1(cfg Fig1Config) (diperf.Result, error) {
 	if cfg.Scale.Sites == 0 {

@@ -7,17 +7,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 )
 
-var (
-	updateGolden = flag.Bool("update", false, "rewrite testdata/manual-rows.golden from the current tree")
-	// The two flags the golden test passes to its own child processes.
-	goldenChild = flag.String("golden-child", "", "internal: run this one experiment and write its golden lines to -golden-out")
-	goldenOut   = flag.String("golden-out", "", "internal: where the -golden-child run writes")
-)
+var updateGolden = flag.Bool("update", false, "rewrite testdata/manual-rows.golden from the current tree")
 
 // manualExperiments are the experiments that run wholly on a Manual
 // clock: their rows and metrics dumps are a pure function of the code.
@@ -36,28 +30,17 @@ var manualExperiments = []string{"ext-gossip", "ext-elastic", "ext-slo", "ext-re
 //
 // and explains each difference in EXPERIMENTS.md.
 //
-// Each experiment runs in a process of its own, as it does under the
-// CLI: gob numbers types in order of first use, process-wide, so the
-// byte counts a fleet reports (ext-gossip's bytes_per_dp_round, every
-// wire/bytes_* series) depend on what the process encoded before.
+// All four run in this one process, one after another, as they do under
+// the CLI with -run all: gob's types are numbered at init, so the byte
+// counts a fleet reports (ext-gossip's bytes_per_dp_round, every
+// wire/bytes_* series) do not depend on what the process encoded before,
+// and CI's -count=2 run checks that they do not depend on the order.
 func TestManualExperimentsMatchParent(t *testing.T) {
-	if *goldenChild != "" {
-		if err := writeGoldenLines(*goldenChild, *goldenOut); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	var got []byte
 	for _, id := range manualExperiments {
-		out := filepath.Join(t.TempDir(), "golden-lines")
-		cmd := exec.Command(os.Args[0], "-test.run=^TestManualExperimentsMatchParent$",
-			"-golden-child="+id, "-golden-out="+out)
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("%s in a child process: %v\n%s", id, err, msg)
-		}
-		lines, err := os.ReadFile(out)
+		lines, err := goldenLines(id, filepath.Join(t.TempDir(), "out"))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		got = append(got, lines...)
 	}
@@ -85,18 +68,20 @@ func TestManualExperimentsMatchParent(t *testing.T) {
 	t.Fatalf("%d lines, %s has %d", len(gotLines), golden, len(wantLines))
 }
 
-// writeGoldenLines runs one experiment the way cmd/experiments does and
-// writes its rows plus the digests of its output files to path.
-func writeGoldenLines(id, path string) error {
+// goldenLines runs one experiment the way cmd/experiments does, its
+// output files next to path, and returns its rows plus the digests of
+// those files.
+func goldenLines(id, path string) ([]byte, error) {
 	e, ok := Lookup(id)
 	if !ok {
-		return fmt.Errorf("experiment %s is not registered", id)
+		return nil, fmt.Errorf("experiment %s is not registered", id)
 	}
+	defer func(metrics, alerts string) { MetricsOutputPath, AlertsOutputPath = metrics, alerts }(MetricsOutputPath, AlertsOutputPath)
 	MetricsOutputPath = path + ".metrics"
 	AlertsOutputPath = path + ".alerts"
 	report, err := e.Run(BenchScale())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -107,7 +92,7 @@ func writeGoldenLines(id, path string) error {
 		}
 		out["experiment"] = id
 		if err := enc.Encode(out); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	digests := map[string]any{"experiment": id, "row": "output-digest"}
@@ -117,12 +102,12 @@ func writeGoldenLines(id, path string) error {
 			continue // only ext-slo writes an alerts file
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		digests[key] = fmt.Sprintf("%x", sha256.Sum256(data))
 	}
 	if err := enc.Encode(digests); err != nil {
-		return err
+		return nil, err
 	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return buf.Bytes(), nil
 }

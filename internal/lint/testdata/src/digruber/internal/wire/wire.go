@@ -38,3 +38,12 @@ type Server struct{}
 // Handle registers a typed handler; its type arguments are wireschema
 // roots.
 func Handle[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error)) {}
+
+// CallCtx performs a traced typed RPC (stub).
+func CallCtx[Req, Resp any](c *Client, method string, req Req, timeout time.Duration) (Resp, error) {
+	var resp Resp
+	return resp, nil
+}
+
+// Register numbers body types at init (stub).
+func Register(values ...any) {}

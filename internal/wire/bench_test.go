@@ -39,6 +39,7 @@ func BenchmarkRPCLargePayload(b *testing.B) {
 	mem := NewMem()
 	srv := NewServer("bench-srv", Instant(), vtime.NewReal())
 	payload := make([]byte, 24<<10)
+	Register(struct{ Data []byte }{})
 	Handle(srv, "big", func(r echoReq) (struct{ Data []byte }, error) {
 		return struct{ Data []byte }{Data: payload}, nil
 	})

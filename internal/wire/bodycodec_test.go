@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -37,8 +38,8 @@ type codecReply struct {
 }
 
 // codecReplyV2 is codecReply as a later build would send it: one field
-// appended, so its type definitions differ and its values still decode
-// into a codecReply.
+// appended, so its type definitions differ though gob would decode its
+// values into a codecReply.
 type codecReplyV2 struct {
 	Loads []codecLoad
 	At    time.Time
@@ -52,7 +53,15 @@ type codecLeaf struct{ N int }
 // definition with the first value that carries it.
 type codecIface struct{ V interface{} }
 
-func init() { gob.Register(codecLeaf{}) }
+// onlyHere is a body type no other test encodes.
+type onlyHere struct{ A, B string }
+
+// The package's bodies are numbered as a program's are, at init, the
+// echo pair first.
+func init() {
+	gob.Register(codecLeaf{})
+	Register(echoReq{}, echoResp{}, codecSchedule{}, codecReply{}, codecHooked{}, onlyHere{})
+}
 
 func replyOf(n int) codecReply {
 	r := codecReply{At: time.Date(2005, 11, 12, 0, 0, n, 0, time.UTC), Note: []byte{byte(n), 1, 2}}
@@ -74,18 +83,34 @@ func freshEncode(t testing.TB, v interface{}) []byte {
 	return buf.Bytes()
 }
 
-// forget drops the memo entries of the values' types, so that a test
+// forget empties the free lists of the values' types, so that a test
 // that counts parked codecs starts from none whatever ran before it.
 func forget(vs ...interface{}) {
 	for _, v := range vs {
-		bodyCodecs.Delete(reflect.TypeOf(v))
+		if c := codecFor(reflect.TypeOf(v)); c != nil {
+			c.encs.mu.Lock()
+			c.encs.items = nil
+			c.encs.mu.Unlock()
+			c.decs.mu.Lock()
+			c.decs.items = nil
+			c.decs.mu.Unlock()
+		}
 	}
 }
 
 // freshDecode decodes body into v (a pointer) with a new gob.Decoder —
-// the reference decodeBody is held to.
+// the reference DecodeBody is held to.
 func freshDecode(body []byte, v interface{}) error {
 	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+}
+
+// inOwnFraming reports whether body is this build's definitions of v's
+// type and one value message: the bodies DecodeBody reads, where any
+// other is refused.
+func inOwnFraming(body []byte, v interface{}) bool {
+	c := codecFor(reflect.TypeOf(v))
+	msg, ok := bytes.CutPrefix(body, c.prefix)
+	return ok && ValueOffset(msg) == 0
 }
 
 // parked reports how many encoders and decoders v's type has parked.
@@ -94,11 +119,11 @@ func parked(v interface{}) (encs, decs int) {
 	if c == nil {
 		return 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.encs.mu.Lock()
 	defer c.encs.mu.Unlock()
-	return len(c.encs.items), len(c.decs)
+	c.decs.mu.Lock()
+	defer c.decs.mu.Unlock()
+	return len(c.encs.items), len(c.decs.items)
 }
 
 func TestEncodeBodyIsAFreshEncodersBytes(t *testing.T) {
@@ -111,7 +136,7 @@ func TestEncodeBodyIsAFreshEncodersBytes(t *testing.T) {
 	}
 	for i := 1; i <= 100; i++ {
 		for _, v := range values {
-			got, err := encodeBody(v)
+			got, err := AppendBody(nil, v)
 			if err != nil {
 				t.Fatalf("%T: %v", v, err)
 			}
@@ -123,14 +148,25 @@ func TestEncodeBodyIsAFreshEncodersBytes(t *testing.T) {
 	if encs, _ := parked(codecSchedule{}); encs != 1 {
 		t.Errorf("sequential encodes parked %d encoders, want 1", encs)
 	}
+	if got, err := AppendBody([]byte("kept"), replyOf(1)); err != nil || !bytes.Equal(got, append([]byte("kept"), freshEncode(t, replyOf(1))...)) {
+		t.Errorf("AppendBody after other bytes: %v, or not those bytes and a fresh encoder's", err)
+	}
 	if c := codecFor(reflect.TypeOf(codecIface{})); c != nil {
-		t.Error("a type that reaches an interface must bypass the memo")
+		t.Error("a type that reaches an interface has a codec")
 	}
-	if _, err := encodeBody(nil); err == nil {
-		t.Error("encodeBody(nil) succeeded")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Register took a type that reaches an interface")
+			}
+		}()
+		Register(codecIface{})
+	}()
+	if _, err := AppendBody(nil, nil); err == nil {
+		t.Error("AppendBody(nil) succeeded")
 	}
-	if _, err := encodeBody(make(chan int)); err == nil {
-		t.Error("encodeBody(chan) succeeded")
+	if _, err := AppendBody(nil, make(chan int)); err == nil {
+		t.Error("AppendBody(chan) succeeded")
 	}
 }
 
@@ -142,7 +178,7 @@ func TestDecodeBodyIsAFreshDecodersValue(t *testing.T) {
 		for _, n := range []int{0, 1, 300} {
 			body := freshEncode(t, replyOf(n+i%3))
 			var got, want codecReply
-			if err := decodeBody(body, &got); err != nil {
+			if err := DecodeBody(body, &got); err != nil {
 				t.Fatal(err)
 			}
 			if err := freshDecode(body, &want); err != nil {
@@ -171,8 +207,10 @@ func TestDecodeBodyIsAFreshDecodersValue(t *testing.T) {
 }
 
 // TestForeignAndBrokenBodiesTakeTheFreshPath feeds the warm entry bodies
-// it must not serve from a parked decoder, each followed by a valid body
-// that must still decode correctly.
+// that are not this build's definitions and one value message, each of
+// which must be refused with ErrForeignBody, and broken bodies that are,
+// which a primed decoder must judge as a fresh gob.Decoder does. Each is
+// followed by a valid body that must still decode correctly.
 func TestForeignAndBrokenBodiesTakeTheFreshPath(t *testing.T) {
 	forget(&codecReply{})
 	valid := freshEncode(t, replyOf(3))
@@ -183,73 +221,49 @@ func TestForeignAndBrokenBodiesTakeTheFreshPath(t *testing.T) {
 	checkValid := func(after string) {
 		t.Helper()
 		var got codecReply
-		if err := decodeBody(valid, &got); err != nil {
+		if err := DecodeBody(valid, &got); err != nil {
 			t.Fatalf("valid body after %s: %v", after, err)
 		}
 		if !reflect.DeepEqual(got, replyOf(3)) {
 			t.Fatalf("valid body after %s decoded to %+v", after, got)
 		}
-		if _, decs := parked(&got); decs < 1 {
-			t.Fatalf("after %s no decoder is parked", after)
+		if _, decs := parked(&got); decs != 1 {
+			t.Fatalf("after %s %d decoders are parked, want 1", after, decs)
 		}
 	}
 	checkValid("nothing")
 
-	v2 := codecReplyV2{Loads: replyOf(2).Loads, Note: []byte("n"), Extra: "dropped"}
-	for i := 0; i < 3; i++ {
-		var got codecReply
-		if err := decodeBody(freshEncode(t, v2), &got); err != nil {
-			t.Fatal(err)
-		}
-		if want := (codecReply{Loads: v2.Loads, Note: v2.Note}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("appended-field body decoded to %+v", got)
-		}
-		checkValid("a body with other definitions")
-	}
-	if _, decs := parked(&codecReply{}); decs != 2 {
-		t.Errorf("%d decoders parked, want one per prefix seen", decs)
-	}
-
 	flipped := bytes.Clone(valid)
 	flipped[split+3] ^= 0x40
-	broken := map[string][]byte{
-		"empty":       nil,
-		"prefix only": valid[:split],
-		"value only":  valid[split:],
-		"truncated":   valid[:len(valid)-2],
-		"bit flip":    flipped,
-		"other type":  freshEncode(t, codecSchedule{JobID: "x"}),
+	foreign := map[string][]byte{
+		"other definitions": freshEncode(t, codecReplyV2{Loads: replyOf(2).Loads, Note: []byte("n"), Extra: "dropped"}),
+		"empty":             nil,
+		"prefix only":       valid[:split],
+		"value only":        valid[split:],
+		"truncated":         valid[:len(valid)-2],
+		"other type":        freshEncode(t, codecSchedule{JobID: "x"}),
+		"two values":        append(bytes.Clone(valid), valid[split:]...),
 	}
-	for name, body := range broken {
-		var got, want codecReply
-		err := decodeBody(body, &got)
-		wantErr := freshDecode(body, &want)
-		if (err == nil) != (wantErr == nil) {
-			t.Errorf("%s: err = %v, a fresh decoder says %v", name, err, wantErr)
+	for name, body := range foreign {
+		var got codecReply
+		if err := DecodeBody(body, &got); !errors.Is(err, ErrForeignBody) {
+			t.Errorf("%s: err = %v, want ErrForeignBody", name, err)
 		}
 		checkValid(name)
 	}
-
-	// Two values in one body: the first is decoded, as a fresh decoder
-	// would, by a decoder that is not kept.
-	_, before := parked(&codecReply{})
-	var got codecReply
-	if err := decodeBody(append(bytes.Clone(valid), valid[split:]...), &got); err != nil {
-		t.Fatal(err)
+	var got, want codecReply
+	err, wantErr := DecodeBody(flipped, &got), freshDecode(flipped, &want)
+	if (err == nil) != (wantErr == nil) || errors.Is(err, ErrForeignBody) || !reflect.DeepEqual(got, want) {
+		t.Errorf("bit flip in the value: %+v, %v; a fresh decoder reads %+v, %v", got, err, want, wantErr)
 	}
-	if !reflect.DeepEqual(got, replyOf(3)) {
-		t.Fatalf("two-value body decoded to %+v", got)
-	}
-	if _, after := parked(&codecReply{}); after != before {
-		t.Errorf("a two-value body changed the parked decoders (%d → %d)", before, after)
-	}
-	checkValid("two values")
+	checkValid("bit flip")
 }
 
 // TestLateDefinitionsAreNeverPrimed decodes a body from a build that
 // appended an interface field: gob sends the concrete type's definition
 // in the middle of the value, so a decoder that read it once would
-// refuse it the second time ("duplicate type received").
+// refuse it the second time ("duplicate type received"). It is not this
+// build's framing and is refused every time, parking nothing.
 func TestLateDefinitionsAreNeverPrimed(t *testing.T) {
 	forget(&codecSchedule{})
 	body := freshEncode(t, struct {
@@ -258,7 +272,7 @@ func TestLateDefinitionsAreNeverPrimed(t *testing.T) {
 	}{JobID: "job-17", X: codecLeaf{N: 1}})
 	for i := 0; i < 3; i++ {
 		var got codecSchedule
-		if err := decodeBody(body, &got); err != nil || got.JobID != "job-17" {
+		if err := DecodeBody(body, &got); !errors.Is(err, ErrForeignBody) || got != (codecSchedule{}) {
 			t.Fatalf("call %d: %+v, %v", i, got, err)
 		}
 	}
@@ -298,7 +312,6 @@ func TestValueOffset(t *testing.T) {
 }
 
 func TestFreeListsAreBounded(t *testing.T) {
-	type onlyHere struct{ A, B string }
 	forget(onlyHere{}, &onlyHere{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4*maxParked; g++ {
@@ -306,13 +319,13 @@ func TestFreeListsAreBounded(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				b, err := encodeBody(onlyHere{A: fmt.Sprint(g), B: fmt.Sprint(i)})
+				b, err := AppendBody(nil, onlyHere{A: fmt.Sprint(g), B: fmt.Sprint(i)})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				var got onlyHere
-				if err := decodeBody(b, &got); err != nil || got.A != fmt.Sprint(g) || got.B != fmt.Sprint(i) {
+				if err := DecodeBody(b, &got); err != nil || got.A != fmt.Sprint(g) || got.B != fmt.Sprint(i) {
 					t.Errorf("got %+v, %v", got, err)
 					return
 				}
@@ -326,36 +339,30 @@ func TestFreeListsAreBounded(t *testing.T) {
 		t.Errorf("parked %d encoders and %d decoders, want 1..%d of each", encs, decs, maxParked)
 	}
 
-	// More distinct definition prefixes than the list holds: the least
-	// recently parked decoders go, the latest stay.
+	// Bodies under other definitions are refused and park nothing: the
+	// list holds decoders primed with the one prefix only.
 	str := reflect.TypeOf("")
-	foreign := func(i int) []byte {
+	for i := 0; i < 2*maxParked; i++ {
 		rt := reflect.StructOf([]reflect.StructField{{Name: "A", Type: str}, {Name: fmt.Sprintf("X%d", i), Type: str}})
 		v := reflect.New(rt).Elem()
 		v.Field(0).SetString(fmt.Sprint(i))
-		v.Field(1).SetString("ignored")
-		return freshEncode(t, v.Interface())
-	}
-	for i := 0; i < 2*maxParked; i++ {
 		var got onlyHere
-		if err := decodeBody(foreign(i), &got); err != nil || got.A != fmt.Sprint(i) {
+		if err := DecodeBody(freshEncode(t, v.Interface()), &got); !errors.Is(err, ErrForeignBody) {
 			t.Fatalf("foreign body %d: %+v, %v", i, got, err)
 		}
 	}
-	c := codecFor(reflect.TypeOf(&onlyHere{}))
-	if len(c.decs) != maxParked {
-		t.Fatalf("%d decoders parked, want %d", len(c.decs), maxParked)
-	}
-	last := foreign(2*maxParked - 1)
-	if !bytes.Equal(c.decs[maxParked-1].prefix, last[:ValueOffset(last)]) {
-		t.Error("the most recently parked decoder is not the last body's")
+	if _, after := parked(&onlyHere{}); after != decs {
+		t.Errorf("foreign bodies moved the parked decoders from %d to %d", decs, after)
 	}
 }
 
-// FuzzDecodeBody holds decodeBody, on types whose entries are warm — one
-// gob decodes, one that carries the value hook — to a fresh gob.Decoder's
-// verdict on arbitrary bytes, and the prefix walker to its contract on
-// the same bytes.
+// FuzzDecodeBody holds DecodeBody, on registered types whose lists are
+// warm — one gob decodes, one that carries the value hook — to its
+// contract on arbitrary bytes: under this build's definitions of the
+// type it accepts what a fresh gob.Decoder accepts, with the same value,
+// and refuses what it refuses; under any other it refuses with
+// ErrForeignBody. The prefix walker is held to its contract on the same
+// bytes.
 func FuzzDecodeBody(f *testing.F) {
 	valid := freshEncode(f, replyOf(2))
 	split := ValueOffset(valid)
@@ -401,36 +408,43 @@ func FuzzDecodeBody(f *testing.F) {
 
 		decodeValid := func(when string) {
 			var got codecReply
-			if err := decodeBody(valid, &got); err != nil || !reflect.DeepEqual(got, replyOf(2)) {
+			if err := DecodeBody(valid, &got); err != nil || !reflect.DeepEqual(got, replyOf(2)) {
 				t.Fatalf("valid body %s: %+v, %v", when, got, err)
 			}
 			var viaHook codecHooked
 			reads := hookReads.Load()
-			if err := decodeBody(hooked, &viaHook); err != nil || !reflect.DeepEqual(viaHook, hookedOf(2)) || hookReads.Load() == reads {
+			if err := DecodeBody(hooked, &viaHook); err != nil || !reflect.DeepEqual(viaHook, hookedOf(2)) || hookReads.Load() == reads {
 				t.Fatalf("valid hooked body %s: %+v, %v", when, viaHook, err)
 			}
 		}
 		decodeValid("before")
 		var got, want codecReply
-		err := decodeBody(data, &got)
+		err := DecodeBody(data, &got)
 		wantErr := freshDecode(data, &want)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("decodeBody: %v; fresh decoder: %v", err, wantErr)
-		}
-		if err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("decodeBody: %+v; fresh decoder: %+v", got, want)
-		}
+		bodyVerdict(t, "", inOwnFraming(data, &got), err, wantErr, got, want)
 		var gotHooked, wantHooked codecHooked
-		err = decodeBody(data, &gotHooked)
+		err = DecodeBody(data, &gotHooked)
 		wantErr = freshDecode(data, &wantHooked)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("hooked target: decodeBody: %v; fresh decoder: %v", err, wantErr)
-		}
-		if err == nil && !reflect.DeepEqual(gotHooked, wantHooked) {
-			t.Fatalf("hooked target: decodeBody: %+v; fresh decoder: %+v", gotHooked, wantHooked)
-		}
+		bodyVerdict(t, "hooked target: ", inOwnFraming(data, &gotHooked), err, wantErr, gotHooked, wantHooked)
 		decodeValid("after")
 	})
+}
+
+// bodyVerdict fails t unless DecodeBody's verdict err and value got are
+// what the contract asks: a fresh decoder's wantErr and want for a body in
+// this build's framing, ErrForeignBody for any other.
+func bodyVerdict[T any](t *testing.T, what string, own bool, err, wantErr error, got, want T) {
+	t.Helper()
+	switch {
+	case !own:
+		if !errors.Is(err, ErrForeignBody) {
+			t.Fatalf("%sDecodeBody of a body in another framing: %v, want ErrForeignBody", what, err)
+		}
+	case (err == nil) != (wantErr == nil) || errors.Is(err, ErrForeignBody):
+		t.Fatalf("%sDecodeBody: %v; fresh decoder: %v", what, err, wantErr)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("%sDecodeBody: %+v; fresh decoder: %+v", what, got, want)
+	}
 }
 
 // BenchmarkBodyCodec reads the memo's saving without the harness: cold
@@ -457,11 +471,11 @@ func BenchmarkBodyCodec(b *testing.B) {
 					if !warm {
 						forget(p.v, p.into())
 					}
-					body, err := encodeBody(p.v)
+					body, err := AppendBody(nil, p.v)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if err := decodeBody(body, p.into()); err != nil {
+					if err := DecodeBody(body, p.into()); err != nil {
 						b.Fatal(err)
 					}
 				}

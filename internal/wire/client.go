@@ -470,7 +470,7 @@ func CallCtx[Req, Resp any](c *Client, parent trace.SpanContext, method string, 
 	if err != nil {
 		return resp, err
 	}
-	err = decodeBody(respBody, &resp)
+	err = DecodeBody(respBody, &resp)
 	c.bodies.Put(respBody) // decoding copies out of the body
 	return resp, err
 }

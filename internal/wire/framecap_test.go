@@ -113,7 +113,7 @@ func TestServerDropsOversizedFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := encodeBody(echoReq{Msg: "warm"})
+		body, err := AppendBody(nil, echoReq{Msg: "warm"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,29 +7,14 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 )
 
-// ownFrames is how a stream of frames from this process's gob encoder
+// ownFrames is how a stream of frames from this build's gob encoder
 // opens — the definition messages before the first value — and the type
-// id each value message starts with; both nil if they could not be
-// learnt, and then no stream is read by hand.
+// id each value message starts with, both fixed by Register; nil in a
+// process that registers nothing, and then no stream is read by hand.
 var ownFrames struct {
-	once     sync.Once
 	defs, id []byte
-}
-
-func ownFrameWire() (defs, id []byte) {
-	ownFrames.once.Do(func() {
-		var stream bytes.Buffer
-		if err := gob.NewEncoder(&stream).Encode(frame{ID: 1}); err != nil {
-			return
-		}
-		if split := ValueOffset(stream.Bytes()); split > 0 {
-			ownFrames.defs, ownFrames.id = stream.Bytes()[:split], valueTypeID(stream.Bytes(), split)
-		}
-	})
-	return ownFrames.defs, ownFrames.id
 }
 
 // readChunk is how far ahead of the bytes that have arrived a message
@@ -46,7 +31,7 @@ const maxInterned = 64
 // from a list whose owner knows when the body is dead.
 //
 // It reads by hand only a stream that opens with exactly the definitions
-// this process's own encoder writes for frame, and only value messages
+// this build's encoder writes for frame, and only value messages
 // exactly as that encoder writes them: those bytes are gob's statement
 // of this build's layout (the own-definitions rule, DESIGN.md "Wire body
 // codec"). At the first byte that is anything else — other definitions,
@@ -77,10 +62,7 @@ func (fr *frameReader) next() (frame, error) {
 		if err != nil {
 			return frame{}, err
 		}
-		// Learnt only now that a message is here, as gob's decoder met
-		// frame at its first message: gob numbers types in order of first
-		// use, and byte counts downstream depend on the numbering.
-		defs, id := ownFrameWire()
+		defs, id := ownFrames.defs, ownFrames.id
 		if header > 0 && fr.matched < len(defs) {
 			if bytes.HasPrefix(defs[fr.matched:], fr.msg) {
 				fr.matched += len(fr.msg)
@@ -142,7 +124,7 @@ func (fr *frameReader) readMessage() (header int, err error) {
 }
 
 // parse reads a value message — what follows its length — if it is a
-// frame as this process's encoder writes one: the type id, then each
+// frame as this build's encoder writes one: the type id, then each
 // field that is not zero as its distance from the field before it and
 // its value, then a zero byte and nothing more.
 func (fr *frameReader) parse(m, id []byte) (frame, bool) {

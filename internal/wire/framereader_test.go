@@ -271,7 +271,7 @@ var corruptions = map[string][]byte{
 // and tail under the length header, then more good frames.
 func corrupted(t testing.TB, good int, header func(n int) []byte, tail []byte) []byte {
 	t.Helper()
-	defs, id := ownFrameWire()
+	defs, id := ownFrames.defs, ownFrames.id
 	var fs []frame
 	edges := edgeFrames(300)
 	for i := 0; i < good; i++ {
@@ -308,7 +308,7 @@ func TestFrameReaderCorruptedMessage(t *testing.T) {
 		}
 	}
 	// A message that is none of this: definitions again.
-	defs, _ := ownFrameWire()
+	defs := ownFrames.defs
 	twice := append(bytes.Clone(frameStream(t, frame{ID: 1})), defs...)
 	twice = append(twice, frameStream(t, frame{ID: 2})[len(defs):]...)
 	sameAsGob(t, "definitions twice", twice, func(r io.Reader) io.Reader { return r })
@@ -372,7 +372,7 @@ func TestFrameReaderKeepsASmallBufferOnly(t *testing.T) {
 // behind frameCap: the same frames, errors in the same places, no panic,
 // and no more memory than a message may take however much is announced.
 func FuzzFrameReader(f *testing.F) {
-	defs, id := ownFrameWire()
+	defs, id := ownFrames.defs, ownFrames.id
 	for _, fr := range edgeFrames(300) {
 		f.Add(frameStream(f, fr)[len(defs):], true)
 	}

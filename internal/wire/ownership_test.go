@@ -100,7 +100,7 @@ func TestBodiesHaveOneOwner(t *testing.T) {
 	payload := func(i int) echoReq {
 		return echoReq{Msg: fmt.Sprintf("payload %04d %s", i, bytes.Repeat([]byte{'x'}, i%200))}
 	}
-	body, err := encodeBody(payload(7))
+	body, err := AppendBody(nil, payload(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestBodiesHaveOneOwner(t *testing.T) {
 // and the small body after it is still a fresh gob.Encoder's bytes.
 func TestLargeBodyIsNotRetained(t *testing.T) {
 	type blob struct{ Data []byte }
-	forget(blob{})
+	Register(blob{})
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -186,7 +186,7 @@ func TestLargeBodyIsNotRetained(t *testing.T) {
 	}
 	encode := func(n int) {
 		v := blob{Data: bytes.Repeat([]byte{7}, n)}
-		got, err := encodeBody(v)
+		got, err := AppendBody(nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}

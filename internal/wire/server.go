@@ -200,7 +200,7 @@ func Handle[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error))
 func HandleCtx[Req, Resp any](s *Server, method string, fn func(Ctx, Req) (Resp, error)) {
 	s.RegisterCtx(method, func(ctx Ctx, body []byte) ([]byte, error) {
 		var req Req
-		err := decodeBody(body, &req)
+		err := DecodeBody(body, &req)
 		s.bodies.Put(body) // decoding copies out of the body
 		if err != nil {
 			return nil, err

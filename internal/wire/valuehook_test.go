@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -150,10 +151,9 @@ func (r *codecHooked) ReadGobValue(b []byte) bool {
 	return true
 }
 
-// The hook's contract, on the fixture: the bytes are a fresh encoder's
-// from the first call on, the values a fresh decoder's, and once the
-// type is warm neither gob's encoder nor its decoder is what produced
-// them.
+// The hook's contract, on the fixture: the bytes are a fresh encoder's,
+// the values a fresh decoder's, and neither gob's encoder nor its
+// decoder is what produced them.
 func TestValueHookWritesAndReadsGobsBytes(t *testing.T) {
 	forget(codecHooked{}, &codecHooked{})
 	values := []codecHooked{{}, hookedOf(0), hookedOf(1), hookedOf(4), hookedOf(300),
@@ -161,7 +161,7 @@ func TestValueHookWritesAndReadsGobsBytes(t *testing.T) {
 	before := hookReads.Load()
 	for call := 1; call <= 100; call++ {
 		for _, v := range values {
-			body, err := encodeBody(v)
+			body, err := AppendBody(nil, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestValueHookWritesAndReadsGobsBytes(t *testing.T) {
 				t.Fatalf("call %d, %d loads:\n got %x\nwant %x", call, len(v.Loads), body, want)
 			}
 			var got, want codecHooked
-			if err := decodeBody(body, &got); err != nil {
+			if err := DecodeBody(body, &got); err != nil {
 				t.Fatal(err)
 			}
 			if err := freshDecode(body, &want); err != nil {
@@ -188,25 +188,28 @@ func TestValueHookWritesAndReadsGobsBytes(t *testing.T) {
 	}
 
 	// A pointer has the hook through its element's method set.
-	if body, err := encodeBody(&values[4]); err != nil || !bytes.Equal(body, freshEncode(t, values[4])) {
+	if body, err := AppendBody(nil, &values[4]); err != nil || !bytes.Equal(body, freshEncode(t, values[4])) {
 		t.Errorf("by pointer: %v, or not a fresh encoder's bytes", err)
 	}
 }
 
 // TestValueHookLeavesTheRestToGob feeds the warm entry bodies the hook
-// must not read, or declines: each must decode as a fresh decoder has it,
-// every time, and leave this build's bodies decoding through the hook.
+// must not read, or declines. A body under other definitions is refused
+// with ErrForeignBody; a value in this build's framing that the hook
+// declines decodes as a fresh decoder has it. Either way, every time,
+// this build's bodies go on decoding through the hook.
 func TestValueHookLeavesTheRestToGob(t *testing.T) {
 	forget(codecHooked{}, &codecHooked{})
 	valid := freshEncode(t, hookedOf(3))
 	split := ValueOffset(valid)
 	_, width := gobUint(valid[split:])
-	value := valid[split+width+2:] // the type id of a user type is two bytes
+	id := codecFor(reflect.TypeOf(codecHooked{})).id
+	value := valid[split+width+len(id):]
 	if own, _ := hookedOf(3).AppendGobValue(nil); !bytes.Equal(value, own) {
 		t.Fatalf("test is wrong about where the value starts: % x", valid[split:])
 	}
 	withValue := func(value []byte) []byte {
-		msg := append(bytes.Clone(valid[split+width:split+width+2]), value...)
+		msg := append(bytes.Clone(id), value...)
 		return append(AppendGobUint(bytes.Clone(valid[:split]), uint64(len(msg))), msg...)
 	}
 
@@ -226,9 +229,9 @@ func TestValueHookLeavesTheRestToGob(t *testing.T) {
 		"fields renamed and moved": freshEncode(t, renamed{Note: []byte("n"),
 			Loads: []renamedLoad{{Name: "a", TotalCPUz: 7, TargetGap: 2}, {Name: "b", TotalCPUz: 9}}}),
 		"a field appended": freshEncode(t, codecReplyV2{Loads: replyOf(2).Loads, Extra: "dropped"}),
-		// What a process that numbered its types as this one did, from
-		// a build that called the field something else, would send: the
-		// type id proves nothing without the definitions.
+		// What a build that numbered its types as this one does and
+		// called the field something else would send: the type id
+		// proves nothing without the definitions.
 		"this build's type ids over other definitions": bytes.Replace(valid, []byte("TotalCPUs"), []byte("TotalCPUz"), 1),
 	}
 	if bytes.Equal(foreign["this build's type ids over other definitions"], valid) {
@@ -249,17 +252,20 @@ func TestValueHookLeavesTheRestToGob(t *testing.T) {
 			for name, body := range bodies {
 				before := hookReads.Load()
 				var got, want codecHooked
-				err, wantErr := decodeBody(body, &got), freshDecode(body, &want)
-				if (err == nil) != (wantErr == nil) {
+				err, wantErr := DecodeBody(body, &got), freshDecode(body, &want)
+				switch _, isForeign := foreign[name]; {
+				case isForeign && !errors.Is(err, ErrForeignBody):
+					t.Errorf("round %d, %s: err = %v, want ErrForeignBody", round, name, err)
+				case !isForeign && ((err == nil) != (wantErr == nil) || errors.Is(err, ErrForeignBody)):
 					t.Errorf("round %d, %s: err = %v, a fresh decoder says %v", round, name, err, wantErr)
-				} else if err == nil && !reflect.DeepEqual(got, want) {
+				case !isForeign && err == nil && !reflect.DeepEqual(got, want):
 					t.Errorf("round %d, %s: got %+v, a fresh decoder reads %+v", round, name, got, want)
 				}
 				if hookReads.Load() != before {
 					t.Errorf("round %d, %s: the hook read it", round, name)
 				}
 				var again codecHooked
-				if err := decodeBody(valid, &again); err != nil || !reflect.DeepEqual(again, hookedOf(3)) || hookReads.Load() != before+1 {
+				if err := DecodeBody(valid, &again); err != nil || !reflect.DeepEqual(again, hookedOf(3)) || hookReads.Load() != before+1 {
 					t.Fatalf("round %d, after %s: this build's body decoded to %+v, %v (through the hook: %v)",
 						round, name, again, err, hookReads.Load() == before+1)
 				}
@@ -271,7 +277,7 @@ func TestValueHookLeavesTheRestToGob(t *testing.T) {
 	// the hook leaves it to gob.
 	got := codecHooked{Loads: []codecLoad{{Name: "stale", TotalCPUs: 1, TargetGap: 5}, {}, {}, {}}}
 	want := codecHooked{Loads: []codecLoad{{Name: "stale", TotalCPUs: 1, TargetGap: 5}, {}, {}, {}}}
-	if err := decodeBody(valid, &got); err != nil {
+	if err := DecodeBody(valid, &got); err != nil {
 		t.Fatal(err)
 	}
 	if err := freshDecode(valid, &want); err != nil {
@@ -291,13 +297,13 @@ func TestValueHookConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				v := hookedOf(g + i%5)
-				body, err := encodeBody(v)
+				body, err := AppendBody(nil, v)
 				if err != nil || !bytes.Equal(body, freshEncode(t, v)) {
 					t.Errorf("goroutine %d, call %d: %v, or not a fresh encoder's bytes", g, i, err)
 					return
 				}
 				var got codecHooked
-				if err := decodeBody(body, &got); err != nil || !reflect.DeepEqual(got, v) {
+				if err := DecodeBody(body, &got); err != nil || !reflect.DeepEqual(got, v) {
 					t.Errorf("goroutine %d, call %d: decoded %+v, %v", g, i, got, err)
 					return
 				}

@@ -186,65 +186,116 @@ const (
 	frameResponse
 )
 
-// bodyCodec is the memo behind encodeBody and decodeBody for one Go
-// type. A fresh gob.Encoder opens its stream with the type-definition
-// messages of everything the value can reach and a fresh gob.Decoder
-// compiles a decode engine from them — ~350 allocations around a
-// 100-byte body. Both are functions of the type alone, so the first use
-// pays for them and parks the primed encoder or decoder; later uses
-// encode or decode the value message only. The bytes stay those of a
-// fresh encoder (DESIGN.md "Wire body codec" says why they must).
+// ErrForeignBody reports a body of a registered type that is not this
+// build's definitions of the type followed by one value message: a body
+// from another build, or bytes that were never a body. Such a body is
+// refused, not handed to a fresh gob.Decoder (DESIGN.md "Wire body
+// codec").
+var ErrForeignBody = errors.New("wire: body not in this build's framing")
+
+// Register numbers the types of values for gob, in the order given, then
+// frame, and gives each type its body codec. gob numbers types
+// process-wide, in order of first use, and writes the numbers into the
+// definitions every body opens with. A type first met here, in a
+// package's init, therefore takes the same number in every process of a
+// build, and its bodies the same bytes. A type that reaches an interface
+// is refused: gob defines the concrete type inside the first value that
+// carries it, so its bodies do not all open alike. Register belongs in
+// init; a type registered twice keeps its first codec. A process that
+// registers nothing reads every frame through gob.
+func Register(values ...any) {
+	for _, v := range values {
+		rt := reflect.TypeOf(v)
+		if _, ok := bodyCodecs.Load(rt); ok {
+			continue
+		}
+		prefix, id, err := numberType(rt)
+		if err != nil {
+			//lint:allow nopanic -- a type registered at init that gob cannot number is a programming error
+			panic(err)
+		}
+		c := &bodyCodec{prefix: prefix, id: id}
+		bodyCodecs.Store(rt, c)
+		bodyCodecs.Store(reflect.PointerTo(rt), c) // gob sends *T as T
+	}
+	if ownFrames.defs == nil {
+		// frame is fixed, reaches no interface and always encodes.
+		ownFrames.defs, ownFrames.id, _ = numberType(reflect.TypeOf(frame{}))
+	}
+}
+
+// numberType encodes rt's zero value with a fresh encoder, which numbers
+// rt and everything it reaches unless gob already has, and returns the
+// definitions ahead of the value message and the type id the message
+// opens with.
+func numberType(rt reflect.Type) (prefix, id []byte, err error) {
+	if rt == nil || rt.Kind() == reflect.Pointer || reachesInterface(rt, map[reflect.Type]bool{}) {
+		return nil, nil, fmt.Errorf("wire: cannot register %v: not a value type that reaches no interface", rt)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(reflect.Zero(rt).Interface()); err != nil {
+		return nil, nil, fmt.Errorf("wire: register %v: %w", rt, err)
+	}
+	b := buf.Bytes()
+	split := ValueOffset(b)
+	if split < 0 {
+		return nil, nil, fmt.Errorf("wire: register %v: gob wrote no single value message", rt)
+	}
+	_, n := gobUint(b[split:])
+	_, m := gobUint(b[split+n:])
+	return b[:split], b[split+n : split+n+m], nil
+}
+
+// bodyCodec is the codec of one registered type. A fresh gob.Encoder
+// opens its stream with the type-definition messages of everything the
+// value can reach and a fresh gob.Decoder compiles a decode engine from
+// them — ~350 allocations around a 100-byte body. Both are functions of
+// the type alone, so an encoder or decoder that has done so once is
+// parked and later bodies cost their value message only. The bytes stay
+// those of a fresh encoder (DESIGN.md "Wire body codec" says why they
+// must).
 type bodyCodec struct {
-	mu sync.Mutex
-	// prefix is the type-definition messages a fresh encoder of the type
-	// emits before the value message and id the type id that opens the
-	// value message; the first encode records both.
+	// prefix is the definitions a fresh encoder writes ahead of a value
+	// of the type and id the type id its value message opens with, both
+	// fixed by Register.
 	prefix, id []byte
 	encs       freeList[*bodyEncoder]
-	decs       []*bodyDecoder // least recently parked first
+	decs       freeList[*bodyDecoder] // each has read exactly prefix
 }
 
-// bodyEncoder is an encoder that has already sent its type definitions
-// into buf.
+// bodyEncoder is the storage one body is written into: body for a value
+// that carries the hook, and for one that goes to gob an encoder, made
+// for the first such value, that has sent the definitions into buf from
+// then on.
 type bodyEncoder struct {
-	enc *gob.Encoder
-	buf bytes.Buffer
+	body []byte
+	enc  *gob.Encoder
+	buf  bytes.Buffer
 }
 
-// bodyDecoder is a decoder that has consumed exactly prefix from r.
+// bodyDecoder is a decoder that has consumed exactly its codec's prefix
+// from r.
 type bodyDecoder struct {
-	dec    *gob.Decoder
-	r      bytes.Reader
-	prefix []byte
+	dec *gob.Decoder
+	r   bytes.Reader
 }
 
-// bodyCodecs maps a reflect.Type to its *bodyCodec; the nil *bodyCodec
-// marks a type that bypasses the memo.
+// bodyCodecs maps a registered type and its pointer type to the type's
+// *bodyCodec.
 var bodyCodecs sync.Map
 
-// codecFor returns the memo for rt, or nil when rt bypasses it: gob
-// sends the definition of an interface's concrete type with the value
-// that first carries it, so a primed encoder would leave out what a
-// fresh one sends.
+// codecFor returns the codec of rt, or nil for a type never registered,
+// whose every body is a fresh encoder's and a fresh decoder's work.
 func codecFor(rt reflect.Type) *bodyCodec {
-	if rt == nil {
-		return nil
-	}
-	if c, ok := bodyCodecs.Load(rt); ok {
-		return c.(*bodyCodec)
-	}
-	var c *bodyCodec
-	if !reachesInterface(rt, map[reflect.Type]bool{}) {
-		c = &bodyCodec{}
-	}
-	actual, _ := bodyCodecs.LoadOrStore(rt, c)
-	return actual.(*bodyCodec)
+	c, _ := bodyCodecs.Load(rt)
+	codec, _ := c.(*bodyCodec)
+	return codec
 }
 
 // reachesInterface reports whether a value of type rt can hold an
 // interface anywhere. It also walks unexported fields and the insides of
 // self-encoding types, which gob never looks at: a false positive only
-// costs the type its memo.
+// refuses a registration.
 func reachesInterface(rt reflect.Type, seen map[reflect.Type]bool) bool {
 	if seen[rt] {
 		return false
@@ -267,83 +318,36 @@ func reachesInterface(rt reflect.Type, seen map[reflect.Type]bool) bool {
 	return false
 }
 
-// takeEncoder pops a primed encoder and returns the prefix its output
-// lacks and the type id its value messages open with; all nil when none
-// is parked or the type bypasses.
-func (c *bodyCodec) takeEncoder() (e *bodyEncoder, prefix, id []byte) {
-	if c == nil {
-		return nil, nil, nil
-	}
-	if e, ok := c.encs.take(); ok {
-		prefix, id = c.learnt()
-		return e, prefix, id
-	}
-	return nil, nil, nil
-}
-
-// learn records what a fresh encoder's body opened with: split bytes of
-// definitions, then the value message and its type id.
-func (c *bodyCodec) learn(body []byte, split int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.prefix != nil {
-		return
-	}
-	c.prefix = bytes.Clone(body[:split])
-	c.id = bytes.Clone(valueTypeID(body, split))
-}
-
-// valueTypeID returns the bytes of the type id that opens the value
-// message ValueOffset found at split, after the message's length.
-func valueTypeID(body []byte, split int) []byte {
-	_, n := gobUint(body[split:])
-	_, m := gobUint(body[split+n:])
-	return body[split+n : split+n+m]
-}
-
-// learnt returns what learn recorded, nil before the first encode.
-func (c *bodyCodec) learnt() (prefix, id []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.prefix, c.id
-}
-
-// parkEncoder returns a primed encoder to the list, unless the body it
-// just encoded grew it past maxRetained: a gob.Encoder keeps a message
-// buffer of its own as large as the largest value it wrote and offers no
-// way to shrink it, so the encoder goes with its buffer and the next
-// value of the type primes a new one.
+// parkEncoder returns an encoder to the list, unless the body it just
+// encoded grew it past maxRetained: a gob.Encoder keeps a message buffer
+// of its own as large as the largest value it wrote and offers no way to
+// shrink it, so the encoder goes with its buffer and the list makes a
+// new one. A nil c parks nothing.
 func (c *bodyCodec) parkEncoder(e *bodyEncoder) {
-	if e.buf.Cap() <= maxRetained {
+	if c != nil && e.buf.Cap() <= maxRetained && cap(e.body) <= maxRetained {
 		c.encs.put(e)
 	}
 }
 
-// takeDecoder removes and returns a decoder primed with exactly prefix,
-// or nil. A body from another build or another process (gob numbers
-// types per process) carries other definitions and finds none.
-func (c *bodyCodec) takeDecoder(prefix []byte) *bodyDecoder {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.decs) - 1; i >= 0; i-- {
-		if d := c.decs[i]; bytes.Equal(d.prefix, prefix) {
-			c.decs = append(c.decs[:i], c.decs[i+1:]...)
-			return d
-		}
-	}
-	return nil
-}
+// lengthRoom is what appendHooked leaves for a value message's length
+// before it knows it: the widest gob unsigned integer.
+var lengthRoom [9]byte
 
-// parkDecoder returns a decoder to the list, evicting the least recently
-// parked when full so decoders for a peer that is gone age out.
-func (c *bodyCodec) parkDecoder(d *bodyDecoder) {
-	d.r.Reset(nil) // do not pin the body just decoded
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.decs) == maxParked {
-		c.decs = c.decs[:copy(c.decs, c.decs[1:])]
+// appendHooked appends to dst the body of a value whose value message a
+// writes: the definitions, the message's length, the type id and the
+// value. The value is written behind room for the widest length and
+// moved up to the length gob writes.
+func (c *bodyCodec) appendHooked(dst []byte, a gobValueAppender) ([]byte, bool) {
+	start := len(dst)
+	dst = append(dst, c.prefix...)
+	at := len(dst)
+	dst, ok := a.AppendGobValue(append(append(dst, lengthRoom[:]...), c.id...))
+	if !ok {
+		return dst[:start], false
 	}
-	c.decs = append(c.decs, d)
+	var width [9]byte
+	n := copy(dst[at:], AppendGobUint(width[:0], uint64(len(dst)-at-len(lengthRoom))))
+	return dst[:at+n+copy(dst[at+n:], dst[at+len(lengthRoom):])], true
 }
 
 // ValueOffset returns where the value message starts in a gob stream
@@ -478,124 +482,108 @@ type gobValueAppender interface {
 
 type gobValueReader interface {
 	// ReadGobValue must keep no reference into b: the body belongs to
-	// whoever called decodeBody and may be reused as soon as it returns.
+	// whoever called DecodeBody and may be reused as soon as it returns.
 	ReadGobValue(b []byte) bool
 }
 
-// encodeBody gob-encodes an RPC argument or reply value: the bytes a
-// fresh gob.Encoder writes, which is also literally what the first call
-// for a type does. Once that call has taught the memo the definitions
-// and the value message's type id, a value that carries the hook writes
-// its own message between them and the parked encoder lends its buffer.
-func encodeBody(v interface{}) ([]byte, error) { return encodeBodyFrom(nil, v) }
+// AppendBody appends to dst the body of v: the bytes a fresh gob.Encoder
+// writes for it. A body of a registered type that carries the hook is
+// its definitions, the framing of its value message and what
+// AppendGobValue writes; any other goes to a parked encoder that has
+// sent the definitions, and the definitions are written ahead of what it
+// writes.
+func AppendBody(dst []byte, v any) ([]byte, error) {
+	c, e, body, err := encodeInto(v)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, body...)
+	c.parkEncoder(e)
+	return dst, nil
+}
 
-// encodeBodyFrom is encodeBody into storage taken from l, for a caller
+// encodeBodyFrom is AppendBody into storage taken from l, for a caller
 // that knows when the body is dead and puts it back; with a nil l the
 // result is a new slice of exactly the body's size.
-func encodeBodyFrom(l *SliceList[byte], v interface{}) ([]byte, error) {
-	c := codecFor(reflect.TypeOf(v))
-	e, prefix, id := c.takeEncoder()
-	primed := e != nil
-	if !primed {
-		e = &bodyEncoder{}
-		e.enc = gob.NewEncoder(&e.buf)
+func encodeBodyFrom(l *SliceList[byte], v any) ([]byte, error) {
+	c, e, body, err := encodeInto(v)
+	if err != nil {
+		return nil, err
 	}
-	e.buf.Reset()
-	if a, ok := v.(gobValueAppender); ok && primed {
-		if val, ok := a.AppendGobValue(e.buf.AvailableBuffer()); ok {
-			e.buf.Write(val) // keeps what val grew into for the next value
-			var width [9]byte
-			size := AppendGobUint(width[:0], uint64(len(id)+len(val)))
-			out := l.Take(len(prefix) + len(size) + len(id) + len(val))
-			out = append(append(append(append(out, prefix...), size...), id...), val...)
-			c.parkEncoder(e)
-			return out, nil
-		}
-	}
-	if err := e.enc.Encode(v); err != nil {
-		// e is dropped: a failed Encode may have marked types as sent.
-		return nil, fmt.Errorf("wire: encode body: %w", err)
-	}
-	out := append(append(l.Take(len(prefix)+e.buf.Len()), prefix...), e.buf.Bytes()...)
-	if c == nil {
-		return out, nil
-	}
-	if !primed {
-		split := ValueOffset(out)
-		if split < 0 {
-			return out, nil
-		}
-		c.learn(out, split)
-	}
+	out := append(l.Take(len(body)), body...)
 	c.parkEncoder(e)
 	return out, nil
 }
 
-// decodeBody gob-decodes an RPC argument or reply value into v, as a
-// fresh gob.Decoder over data would. A parked decoder serves only a body
-// that opens with the very definitions it was primed with and goes on
-// with one value message, and only a decoder that decoded such a body
-// without error is parked, so no body can change what a later one
-// decodes to. A target that carries the value hook is offered the value
-// message first, when the body opens exactly as this process's own
-// encoder opens one; what it declines goes to gob as it came.
-func decodeBody(data []byte, v interface{}) error {
-	rt := reflect.TypeOf(v)
-	c := codecFor(rt)
-	split := -1
+// encodeInto writes the body of v into the buffer of an encoder and
+// returns it, with the codec to park the encoder with: nil for a type
+// never registered, whose encoder is a fresh one every time. An encoder
+// whose Encode failed is not returned: it may have marked types as sent.
+func encodeInto(v any) (*bodyCodec, *bodyEncoder, []byte, error) {
+	c := codecFor(reflect.TypeOf(v))
+	var e *bodyEncoder
 	if c != nil {
-		split = ValueOffset(data)
+		e, _ = c.encs.take()
 	}
-	if r, ok := v.(gobValueReader); ok && split >= 0 && rt.Kind() == reflect.Pointer {
-		if val, ok := ownValue(rt.Elem(), data, split); ok && r.ReadGobValue(val) {
+	if e == nil {
+		e = &bodyEncoder{}
+	}
+	if a, hooked := v.(gobValueAppender); hooked && c != nil {
+		var ok bool
+		if e.body, ok = c.appendHooked(e.body[:0], a); ok {
+			return c, e, e.body, nil
+		}
+	}
+	e.buf.Reset()
+	if e.enc == nil {
+		e.enc = gob.NewEncoder(&e.buf) // writes the definitions itself
+	} else {
+		e.buf.Write(c.prefix)
+	}
+	if err := e.enc.Encode(v); err != nil {
+		return nil, nil, nil, fmt.Errorf("wire: encode body: %w", err)
+	}
+	return c, e, e.buf.Bytes(), nil
+}
+
+// DecodeBody gob-decodes a body into v, a pointer. For a registered type
+// it serves only a body that is this build's definitions of the type and
+// one value message, and refuses any other with ErrForeignBody. A target
+// that carries the value hook is offered the value message first; what
+// it declines goes to a decoder primed with the definitions, as a fresh
+// gob.Decoder over the body would read it. Only a decoder that decoded
+// without error is parked, so no body can change what a later one
+// decodes to. A type never registered is a fresh decoder's every time.
+func DecodeBody(data []byte, v any) error {
+	c := codecFor(reflect.TypeOf(v))
+	if c == nil {
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+			return fmt.Errorf("wire: decode body: %w", err)
+		}
+		return nil
+	}
+	msg, ok := bytes.CutPrefix(data, c.prefix)
+	if !ok || ValueOffset(msg) != 0 {
+		return fmt.Errorf("%w: %T", ErrForeignBody, v)
+	}
+	if r, ok := v.(gobValueReader); ok {
+		_, n := gobUint(msg)
+		if val, ok := bytes.CutPrefix(msg[n:], c.id); ok && r.ReadGobValue(val) {
 			return nil
 		}
 	}
-	var d *bodyDecoder
-	if split >= 0 {
-		d = c.takeDecoder(data[:split])
-	}
-	if d != nil {
-		d.r.Reset(data[split:])
+	d, ok := c.decs.take()
+	if ok {
+		d.r.Reset(msg)
 	} else {
 		d = &bodyDecoder{}
-		if split >= 0 {
-			d.prefix = bytes.Clone(data[:split])
-		}
 		d.r.Reset(data)
 		d.dec = gob.NewDecoder(&d.r)
 	}
 	if err := d.dec.Decode(v); err != nil {
 		return fmt.Errorf("wire: decode body: %w", err)
 	}
-	if split >= 0 {
-		c.parkDecoder(d)
-	}
+	d.r.Reset(nil) // do not pin the body just decoded
+	c.decs.put(d)
 	return nil
-}
-
-// ownValue returns the value bytes of a body whose value message starts
-// at split, if the body opens with the definitions and the type id this
-// process's gob encoder gives a value of type rt. Only then do field
-// numbers in the value mean rt's own fields: a decoder accepts any
-// definitions it can match to rt by field name — another build's, with
-// a field appended, renamed or moved — and bodies from a process that
-// numbered its types differently differ here too; both are gob's to
-// decode.
-func ownValue(rt reflect.Type, data []byte, split int) ([]byte, bool) {
-	c := codecFor(rt)
-	prefix, id := c.learnt()
-	if prefix == nil {
-		// Nothing of this type has been encoded here yet: encode one.
-		if _, err := encodeBody(reflect.Zero(rt).Interface()); err != nil {
-			return nil, false
-		}
-		prefix, id = c.learnt()
-	}
-	_, n := gobUint(data[split:])
-	msg := data[split+n:]
-	if id == nil || !bytes.Equal(data[:split], prefix) || !bytes.HasPrefix(msg, id) {
-		return nil, false
-	}
-	return msg[len(id):], true
 }
