@@ -322,7 +322,7 @@ func (dp *DecisionPoint) registerHandlers() {
 		// every peer without waiting out their probe backoff.
 		dp.markPeerAlive(a.From)
 		sp := dp.cfg.Tracer.StartSpan(ctx.Span, trace.PhaseEngineMerge)
-		merged := dp.engine.MergeRemote(a.Dispatches)
+		dp.engine.MergeRemote(a.Dispatches)
 		sp.End()
 		putRecords(a.Dispatches) // the engine copied the records out
 		for _, e := range a.USLAs {
@@ -332,7 +332,7 @@ func (dp *DecisionPoint) registerHandlers() {
 				return ExchangeReply{}, err
 			}
 		}
-		return ExchangeReply{Merged: merged}, nil
+		return ExchangeReply{From: dp.cfg.Name}, nil
 	})
 	wire.HandleCtx(dp.server, MethodGossip, dp.handleGossip)
 	wire.Handle(dp.server, MethodStatus, func(a StatusArgs) (StatusReply, error) {
@@ -497,11 +497,7 @@ func (dp *DecisionPoint) Status() StatusReply {
 	peers := make([]PeerHealth, 0, len(dp.peers))
 	//lint:allow mapiter -- collected slice is sorted by name right below; state.String is a pure label
 	for _, l := range dp.peers {
-		peers = append(peers, PeerHealth{
-			Name:             l.name,
-			State:            l.state.String(),
-			ConsecutiveFails: l.fails,
-		})
+		peers = append(peers, PeerHealth{Name: l.name, State: l.state.String()})
 	}
 	dp.mu.Unlock()
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Name < peers[j].Name })
@@ -520,7 +516,6 @@ func (dp *DecisionPoint) Status() StatusReply {
 		LocalDispatches:  es.LocalDispatches,
 		RemoteDispatches: es.RemoteDispatches,
 		Received:         ss.Received,
-		Completed:        ss.Completed,
 		Shed:             ss.Shed,
 		ConnLost:         ss.ConnLost,
 		InFlight:         ss.InFlight,
@@ -529,7 +524,6 @@ func (dp *DecisionPoint) Status() StatusReply {
 		ObservedRate:     observed,
 		CapacityRate:     capacity,
 		Peers:            peers,
-		At:               dp.cfg.Clock.Now(),
 		Expired:          ss.Expired,
 		State:            state,
 		Alerts:           alerts,
@@ -906,7 +900,13 @@ func (dp *DecisionPoint) floodRequest(lastSent uint64, _ map[string]uint64) link
 	return linkRequest[ExchangeArgs]{args: args, records: len(batch), through: hi}
 }
 
-func (dp *DecisionPoint) floodAck(_ trace.SpanContext, l *peerLink, req linkRequest[ExchangeArgs], _ ExchangeReply) error {
+// floodAck advances the link's cursor past the records the peer asked
+// acknowledged; a reply in another name acknowledges nothing and books
+// the call failed.
+func (dp *DecisionPoint) floodAck(_ trace.SpanContext, l *peerLink, req linkRequest[ExchangeArgs], reply ExchangeReply) error {
+	if err := answeredBy(l.name, reply.From); err != nil {
+		return err
+	}
 	dp.mu.Lock()
 	if req.through > l.lastSent {
 		l.lastSent = req.through

@@ -10,11 +10,15 @@ import (
 )
 
 // impostor serves on addr under the name dp-9, as a restarted broker on
-// a reused port would: its gossip reply acknowledges everything it was
-// pushed, and its snapshot carries a record no point ever brokered.
-func impostor(t *testing.T, mem *wire.Mem, clock vtime.Clock, addr string) {
+// a reused port would: its exchange and gossip replies acknowledge
+// everything they were sent, and its snapshot carries a record no point
+// ever brokered. It returns a function that takes it off addr.
+func impostor(t *testing.T, mem *wire.Mem, clock vtime.Clock, addr string) (stop func()) {
 	t.Helper()
 	srv := wire.NewServer("dp-9", wire.Instant(), clock)
+	wire.Handle(srv, MethodExchange, func(ExchangeArgs) (ExchangeReply, error) {
+		return ExchangeReply{From: "dp-9"}, nil
+	})
 	wire.Handle(srv, MethodGossip, func(a GossipArgs) (GossipReply, error) {
 		return GossipReply{From: "dp-9", Digest: a.Digest}, nil
 	})
@@ -27,7 +31,9 @@ func impostor(t *testing.T, mem *wire.Mem, clock vtime.Clock, addr string) {
 		t.Fatal(err)
 	}
 	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close(); l.Close() })
+	stop = func() { srv.Close(); l.Close() }
+	t.Cleanup(stop)
+	return stop
 }
 
 // linkState reads dp's health verdict on peer from its status.
@@ -58,6 +64,37 @@ func TestGossipRefusesReplyFromAnotherPeer(t *testing.T) {
 	}
 	if st := linkState(h.dps[0], "dp-1"); st != "suspect" {
 		t.Fatalf("dp-1 is %q after a reply signed dp-9, want suspect", st)
+	}
+}
+
+// TestFloodRefusesReplyFromAnotherPeer is the full-mesh flood's twin of
+// TestGossipRefusesReplyFromAnotherPeer: dp-0 floods to dp-1's address
+// and dp-9 answers. Its reply acknowledges nothing for dp-1, so dp-0
+// must keep dp-1's cursor and its records, book the call as failed, and
+// flood them to the real dp-1 once it is back.
+func TestFloodRefusesReplyFromAnotherPeer(t *testing.T) {
+	clock := vtime.NewReal()
+	h := newHarness(t, 2, clock, testStatuses(50))
+	h.dps[1].Stop()
+	stop := impostor(t, h.mem, clock, "dp-1")
+	dispatchAt(h, 0, "f1")
+	dispatchAt(h, 0, "f2")
+
+	h.dps[0].ExchangeNow()
+	if held := h.dps[0].Engine().DispatchesSince(nil, 0); len(held) != 2 {
+		t.Fatalf("dp-0 holds %d of its 2 records after dp-9 acknowledged them for dp-1, want 2", len(held))
+	}
+	if st := linkState(h.dps[0], "dp-1"); st != "suspect" {
+		t.Fatalf("dp-1 is %q after a reply signed dp-9, want suspect", st)
+	}
+
+	stop()
+	if err := h.dps[1].Start(); err != nil {
+		t.Fatal(err)
+	}
+	h.dps[0].ExchangeNow()
+	if got := h.dps[1].Engine().Stats().RemoteDispatches; got != 2 {
+		t.Fatalf("the real dp-1 holds %d of dp-0's 2 dispatches after the next round, want 2", got)
 	}
 }
 

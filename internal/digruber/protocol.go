@@ -148,9 +148,10 @@ type ExchangeArgs struct {
 	USLAs      []usla.Entry
 }
 
-// ExchangeReply reports how many records were new to the receiver.
+// ExchangeReply names the point that merged the records, so the sender
+// advances its cursor only for the peer it asked.
 type ExchangeReply struct {
-	Merged int
+	From string
 }
 
 // GossipArgs is the push half of one gossip exchange: the sender's
@@ -215,8 +216,6 @@ type PeerHealth struct {
 	Name string
 	// State is "alive", "suspect" or "dead".
 	State string
-	// ConsecutiveFails counts exchange failures since the last success.
-	ConsecutiveFails int
 }
 
 // StatusArgs requests a decision point's self-assessment.
@@ -242,16 +241,14 @@ type StatusReply struct {
 	Queries          int64
 	LocalDispatches  int64
 	RemoteDispatches int64
-	// Received/Completed/Shed/ConnLost/InFlight/Queued mirror the service
-	// stack. ConnLost counts responses computed for callers that had
-	// already hung up — wasted container work, the third leg of the
-	// shed/served/conn-lost failure-class split.
-	Received  int64
-	Completed int64
-	Shed      int64
-	ConnLost  int64
-	InFlight  int64
-	Queued    int
+	// Received/Shed/ConnLost/InFlight/Queued mirror the service stack.
+	// ConnLost counts responses computed for callers that had already
+	// hung up — wasted container work.
+	Received int64
+	Shed     int64
+	ConnLost int64
+	InFlight int64
+	Queued   int
 	// Saturated is the decision point's own saturation verdict.
 	Saturated bool
 	// ObservedRate is the recent request arrival rate (req/s).
@@ -261,8 +258,6 @@ type StatusReply struct {
 	CapacityRate float64
 	// Peers reports the health of every mesh link, sorted by peer name.
 	Peers []PeerHealth
-	// At is the decision point's local (virtual) time of the report.
-	At time.Time
 	// Metrics is the decision point's latest metrics snapshot, attached
 	// only when StatusArgs.WithMetrics is set and a registry is wired.
 	// Extension fields (Metrics and everything after it) are append-only:

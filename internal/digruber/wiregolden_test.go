@@ -39,10 +39,10 @@ func wireRows() []wireRow {
 	origin := gruber.OriginState{Origin: "dp-2", Floor: 16, Records: ds}
 	alert := AlertSummary{VO: "atlas", State: "firing", Since: epoch.Add(15 * time.Minute), Burn: 3.5}
 	status := StatusReply{Name: "dp-0", Queries: 42, LocalDispatches: 7, RemoteDispatches: 3,
-		Received: 50, Completed: 48, Shed: 1, ConnLost: 1, InFlight: 2, Queued: 4,
+		Received: 50, Shed: 1, ConnLost: 1, InFlight: 2, Queued: 4,
 		Saturated: true, ObservedRate: 2.5, CapacityRate: 2.0,
-		Peers: []PeerHealth{{Name: "dp-1", State: "alive"}, {Name: "dp-2", State: "dead", ConsecutiveFails: 5}},
-		At:    epoch.Add(17 * time.Minute), Metrics: []MetricSample{{Name: "dp/dp-0/wire/inflight", V: 2}},
+		Peers:   []PeerHealth{{Name: "dp-1", State: "alive"}, {Name: "dp-2", State: "dead"}},
+		Metrics: []MetricSample{{Name: "dp/dp-0/wire/inflight", V: 2}},
 		Expired: 9, State: StateDraining, Alerts: []AlertSummary{alert}}
 	return []wireRow{
 		{v: d, before: []string{"Seq"}}, {v: cur[0]}, {v: member}, {v: load},
@@ -54,7 +54,7 @@ func wireRows() []wireRow {
 		{v: ScheduleArgs{JobID: "job-18", Owner: "atlas.higgs", CPUs: 2, Runtime: time.Hour}},
 		{v: ScheduleReply{Site: "site-003", OK: true}}, {v: ReportReply{OK: true}}, {v: ReportArgs{Dispatch: d}},
 		{v: QueryArgs{Owner: "atlas.higgs", CPUs: 2}}, {v: QueryReply{Loads: []gruber.SiteLoad{load}}},
-		{v: ExchangeArgs{From: "dp-2", Dispatches: ds, USLAs: []usla.Entry{entry}}}, {v: ExchangeReply{Merged: 1}},
+		{v: ExchangeArgs{From: "dp-2", Dispatches: ds, USLAs: []usla.Entry{entry}}}, {v: ExchangeReply{From: "dp-0"}},
 		{v: GossipArgs{From: "dp-2", Round: 7, Digest: cur, Records: ds, Members: []gossip.Member{member}}},
 		{v: GossipReply{From: "dp-0", Digest: cur, Records: ds, Stored: 1}}, {v: SnapshotReply{From: "dp-0", Dispatches: ds}},
 		{v: SnapshotArgs{From: "dp-3", Vector: cur}, before: []string{"Vector"}},

@@ -42,14 +42,10 @@ var valueHooks = map[string]bool{"AppendGobValue": true, "ReadGobValue": true}
 // list holds wire-body fields only and only shrinks; any other unread
 // field is deleted or given its reader.
 var wireBodyUnread = map[string]string{
-	"digruber/internal/digruber.ExchangeReply.Merged":        "the asking point books its own merge count; exit: ROADMAP item 4 re-cuts the exchange bodies",
-	"digruber/internal/digruber.GossipArgs.Round":            "the answering point keeps no per-round state; exit: ROADMAP item 4 re-cuts the gossip bodies",
-	"digruber/internal/digruber.GossipReply.Stored":          "the asking point learns what was stored from the digest; exit: ROADMAP item 4 re-cuts the gossip bodies",
-	"digruber/internal/digruber.PeerHealth.ConsecutiveFails": "status readers judge a link by its last error and age; exit: the next change that re-records digruber's wire golden on purpose",
-	"digruber/internal/digruber.StatusReply.At":              "status readers stamp a reply with their own clock; exit: the next change that re-records digruber's wire golden on purpose",
-	"digruber/internal/digruber.StatusReply.Completed":       "status readers count decisions, not completions; exit: the next change that re-records digruber's wire golden on purpose",
-	"digruber/internal/exp.instanceReq.Payload":              "Fig 1's 0.2 KB request body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
-	"digruber/internal/exp.instanceResp.Handle":              "Fig 1's reply body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
+	"digruber/internal/digruber.GossipArgs.Round":   "the answering point keeps no per-round state; exit: ROADMAP item 4 re-cuts the gossip bodies",
+	"digruber/internal/digruber.GossipReply.Stored": "the asking point learns what was stored from the digest; exit: ROADMAP item 4 re-cuts the gossip bodies",
+	"digruber/internal/exp.instanceReq.Payload":     "Fig 1's 0.2 KB request body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
+	"digruber/internal/exp.instanceResp.Handle":     "Fig 1's reply body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
 }
 
 // unreadFields returns, sorted, the watched fields of pkgs that no

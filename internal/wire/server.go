@@ -417,14 +417,11 @@ func (s *Server) Close() {
 // Stats is a snapshot of server-side load counters, the raw material for
 // the saturation detector of Section 5.
 type Stats struct {
-	Received  int64
-	Completed int64
-	Shed      int64
+	Received int64
+	Shed     int64
 	// ConnLost counts responses the server computed but could not
 	// deliver because the connection was gone — work done for a caller
-	// that had already timed out or failed over. Together with Shed
-	// (rejected before processing) and Completed (served) this
-	// partitions where every accepted request's effort went.
+	// that had already timed out or failed over.
 	ConnLost int64
 	// Expired counts requests dropped unprocessed at dequeue because the
 	// caller's propagated deadline had already passed — work the overload
@@ -459,7 +456,6 @@ func (s *Server) Stats() Stats {
 		BytesIn:      s.bytesIn.Load(),
 		BytesOut:     s.bytesOut.Load(),
 		Received:     s.received.Load(),
-		Completed:    completed,
 		Shed:         s.shed.Load(),
 		ConnLost:     s.connLost.Load(),
 		Expired:      s.expired.Load(),
