@@ -517,10 +517,7 @@ func TestStopAndCrashWithRequestsInFlight(t *testing.T) {
 // wal.log and a checkpoint whose SHA-256 are pinned here. It runs in
 // process, after whatever else the test binary encoded: the package
 // numbers its types at init, so the bytes do not depend on what the
-// process encoded before. Re-recorded once, on purpose, when that
-// numbering moved the definitions every record and checkpoint open with;
-// until then the digests were those of the build before the committer
-// (e058e8c), taken in a process that ran the sequence alone.
+// process encoded before.
 func TestStoreImageMatchesParent(t *testing.T) {
 	const want = "wal.log 17cdbb3e2fffa56239c024d3f69eec0b3f93ce64853268ea094771c8311d1af6" +
 		" checkpoint a5eb6c95d1367c46134994ed91d3137d1b6e1e814d941ad61f03793bea20044e"

@@ -312,7 +312,7 @@ func TestValueOffset(t *testing.T) {
 }
 
 func TestFreeListsAreBounded(t *testing.T) {
-	forget(onlyHere{}, &onlyHere{})
+	forget(onlyHere{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4*maxParked; g++ {
 		wg.Add(1)
