@@ -2,8 +2,7 @@
 // custom analyzers enforcing the simulation invariants that make the
 // paper-shape experiments replayable (virtual clocks, seeded RNG
 // streams, error returns in libraries, no blocking under a held lock,
-// deterministic map-iteration emit order) plus the gob wire-schema
-// lockfile check.
+// deterministic map-iteration emit order).
 //
 // Direct mode, from anywhere inside the module:
 //
@@ -11,14 +10,11 @@
 //	go run ./cmd/digruber-lint -analyzers wallclock,nopanic ./internal/...
 //	go run ./cmd/digruber-lint internal/wire/client.go
 //	go run ./cmd/digruber-lint -json ./...
-//	go run ./cmd/digruber-lint -update-schema ./...
 //
 // Arguments may be package patterns or single .go files; a file
 // argument analyzes its enclosing package but reports only diagnostics
 // in the named file(s). -json emits one JSON object per diagnostic
-// (file, line, column, analyzer, message) per line. -update-schema
-// re-records internal/lint/wireschema.lock from the current tree
-// instead of checking against it.
+// (file, line, column, analyzer, message) per line.
 //
 // Vet-tool mode (the go vet driver invokes the binary once per package
 // with a JSON config file):
@@ -46,13 +42,14 @@ import (
 
 func main() {
 	// The go vet driver probes its tool with -V=full (a version line it
-	// hashes into the build cache key) and -flags (a JSON description of
-	// tool flags; this suite exposes none to the driver), then invokes
-	// it once per package with a *.cfg JSON file.
+	// hashes into the build cache key, so the version moves whenever the
+	// suite's passes do) and -flags (a JSON description of tool flags;
+	// this suite exposes none to the driver), then invokes it once per
+	// package with a *.cfg JSON file.
 	for _, arg := range os.Args[1:] {
 		switch {
 		case strings.HasPrefix(arg, "-V"):
-			fmt.Println("digruber-lint version 2")
+			fmt.Println("digruber-lint version 3")
 			return
 		case arg == "-flags":
 			fmt.Println("[]")
@@ -70,14 +67,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("digruber-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list         = fs.Bool("list", false, "list analyzers and exit")
-		analyzers    = fs.String("analyzers", "", "comma-separated subset to run (default: all)")
-		jsonOut      = fs.Bool("json", false, "emit diagnostics as JSON, one object per line")
-		updateSchema = fs.Bool("update-schema", false, "re-record the wire-schema lockfile instead of checking it")
+		list      = fs.Bool("list", false, "list analyzers and exit")
+		analyzers = fs.String("analyzers", "", "comma-separated subset to run (default: all)")
+		jsonOut   = fs.Bool("json", false, "emit diagnostics as JSON, one object per line")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr,
-			"usage: digruber-lint [-list] [-json] [-update-schema] [-analyzers a,b] [packages or files]\n\n"+
+			"usage: digruber-lint [-list] [-json] [-analyzers a,b] [packages or files]\n\n"+
 				"Arguments are package patterns (./...) or single .go files and default to\n"+
 				"./... relative to the enclosing module root.\n\n")
 		fs.PrintDefaults()
@@ -114,24 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *updateSchema {
-		path, summary, err := lint.UpdateLockfile(pkgs, root)
-		if err != nil {
-			fmt.Fprintln(stderr, "digruber-lint:", err)
-			return 2
-		}
-		if r, err := filepath.Rel(root, path); err == nil {
-			path = r
-		}
-		fmt.Fprintf(stdout, "digruber-lint: %s: %s\n", path, summary)
-		return 0
-	}
-
-	// The lockfile-staleness and whole-tree checks only make sense when
-	// the whole module is in view; a run scoped to a subset of packages
-	// or files must not report structs it cannot see as "gone".
-	wholeModule := only == nil && coversModule(fs.Args())
-	diags, err := lint.Run(pkgs, suite, lint.Options{WholeModule: wholeModule})
+	diags, err := lint.Run(pkgs, suite)
 	if err != nil {
 		fmt.Fprintln(stderr, "digruber-lint:", err)
 		return 2
@@ -171,20 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// coversModule reports whether the argument list asks for the whole
-// module (no arguments, or a bare ./... pattern).
-func coversModule(args []string) bool {
-	if len(args) == 0 {
-		return true
-	}
-	for _, a := range args {
-		if a == "./..." || a == "..." {
-			return true
-		}
-	}
-	return false
-}
-
 // jsonDiag is the -json output shape, one object per line.
 type jsonDiag struct {
 	File     string `json:"file"`
@@ -216,8 +181,7 @@ type vetConfig struct {
 // runVetTool analyzes one package as directed by the vet driver. The
 // driver expects the facts file named by VetxOutput to exist afterwards
 // (this suite exports no facts, so it is written empty), diagnostics on
-// stderr, and a non-zero exit when violations are found. Vet mode is
-// per-package, so module-wide checks (lockfile staleness) stay off.
+// stderr, and a non-zero exit when violations are found.
 func runVetTool(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -243,7 +207,7 @@ func runVetTool(cfgPath string) int {
 		fmt.Fprintln(os.Stderr, "digruber-lint:", err)
 		return 2
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, lint.All(), lint.Options{WholeModule: false})
+	diags, err := lint.Run([]*lint.Package{pkg}, lint.All())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "digruber-lint:", err)
 		return 2

@@ -53,7 +53,7 @@ func runIn(t *testing.T, dir string, args ...string) (code int, stdout, stderr s
 	return code, out.String(), errb.String()
 }
 
-func TestRunModuleViolations(t *testing.T) {
+func TestRunReportsViolations(t *testing.T) {
 	root := tmpModule(t)
 	code, stdout, stderr := runIn(t, root, "./...")
 	if code != 1 {
@@ -136,9 +136,14 @@ func TestRunList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	for _, name := range []string{"wallclock", "globalrand", "nopanic", "lockheld", "mapiter", "wireschema"} {
-		if !strings.Contains(stdout, name) {
-			t.Errorf("-list output missing %s:\n%s", name, stdout)
+	names := []string{"wallclock", "globalrand", "nopanic", "lockheld", "mapiter"}
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(lines) != len(names) {
+		t.Errorf("-list shows %d passes, want %d:\n%s", len(lines), len(names), stdout)
+	}
+	for i, name := range names {
+		if i >= len(lines) || strings.Fields(lines[i])[0] != name {
+			t.Errorf("-list line %d is not %s:\n%s", i+1, name, stdout)
 		}
 	}
 }

@@ -234,8 +234,8 @@ type scheduleArgsNext struct {
 
 type codecLeaf struct{ N int }
 
-// ifacePayload reaches an interface; no protocol struct does (the
-// wireschema lockfile records them all), but a caller's might.
+// ifacePayload reaches an interface; no registered body does
+// (wire.Register refuses one), but a caller's might.
 type ifacePayload struct{ V interface{} }
 
 func init() { gob.Register(codecLeaf{}) }

@@ -11,14 +11,14 @@ import (
 
 // The five small bodies of a decision — ScheduleArgs, ScheduleReply,
 // QueryArgs, ReportArgs (its gruber.Dispatch through the record codec,
-// recordcodec.go) and ReportReply —
-// carry wire's value hook as QueryReply does: AppendGobValue writes the
-// bytes gob writes for the value, field by field in the order
-// wireschema.lock records, and ReadGobValue reads exactly those bytes
-// back or declines, leaving the body to gob. A body this small costs gob
-// more in bookkeeping than in bytes: a message buffer, a string per
-// name, a marshalled time. TestSmallBodiesMatchGob and FuzzSmallBodies
-// hold the hooks to gob.
+// recordcodec.go) and ReportReply — carry wire's value hook as
+// QueryReply does: AppendGobValue writes the bytes gob writes for the
+// value, field by field in the order the type's definitions give
+// (testdata/wire-bytes.golden pins them), and ReadGobValue reads exactly
+// those bytes back or declines, leaving the body to gob. A body this
+// small costs gob more in bookkeeping than in bytes: a message buffer, a
+// string per name, a marshalled time. TestSmallBodiesMatchGob and
+// FuzzSmallBodies hold the hooks to gob.
 
 // valueWriter appends a struct's gob value: each field that is not its
 // zero value as its distance from the field written before it and then

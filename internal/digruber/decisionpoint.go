@@ -132,6 +132,8 @@ type DecisionPoint struct {
 	// round's deterministic peer draw and is never reset (a replayed run
 	// counts the same rounds, so it draws the same peers).
 	gossipRound uint64
+	// flushes numbers the drains' final flushes; see peerLink.answered.
+	flushes uint64
 	// Gossip round accounting (see metrics.go gauges).
 	gossipPulled     int // records pulled via reply halves
 	gossipRelayed    int // third-party records stored (transitive relay)
@@ -149,8 +151,13 @@ type peerLink struct {
 	// is terminal, so Start builds a fresh one).
 	client *wire.Client
 	// lastSent is the highest engine sequence number this peer has
-	// acknowledged; the next round resends everything after it.
+	// acknowledged (under Gossip: its last digest's entry for this
+	// point); the next flood round resends everything after it.
 	lastSent uint64
+	// answered is dp.flushes when the peer last answered a call. A
+	// drain's flush counts a peer's acknowledgment only once the peer has
+	// answered during that flush: one given before a crash is void.
+	answered uint64
 	// ackVV is the peer's last-advertised version vector (gossip digest):
 	// everything it holds, by origin. The gossip push is diffed against
 	// it and compaction takes the per-origin minimum across all links.
@@ -880,6 +887,7 @@ func (dp *DecisionPoint) bookOutcome(l *peerLink, err error) {
 	defer dp.mu.Unlock()
 	if err == nil {
 		l.markAliveLocked()
+		l.answered = dp.flushes
 	} else {
 		l.markFailedLocked(dp.cfg.Clock.Now(), dp.cfg.ExchangeInterval)
 	}

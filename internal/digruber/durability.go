@@ -318,9 +318,18 @@ func encodeEngineState(st gruber.EngineState) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// decodeEngineState reads a checkpoint only when it opens with the
+// definitions this build's encoder writes for gruber.EngineState
+// (wire.Register numbered them at init) and refuses any other with
+// wire.ErrForeignBody: gob would read another build's layout by field
+// name.
 func decodeEngineState(payload []byte) (gruber.EngineState, error) {
 	var st gruber.EngineState
-	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st)
+	defs, err := encodeEngineState(st)
+	if off := wire.ValueOffset(defs); err != nil || off < 0 || !bytes.HasPrefix(payload, defs[:off]) {
+		return st, fmt.Errorf("%w: checkpoint", wire.ErrForeignBody)
+	}
+	err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&st)
 	return st, err
 }
 
@@ -353,9 +362,10 @@ func (dp *DecisionPoint) recoverLocked() error {
 	if len(rec.Checkpoint) > 0 && !rec.CheckpointCorrupt {
 		st, derr := decodeEngineState(rec.Checkpoint)
 		if derr != nil {
-			// Framing and checksum passed but the content did not decode:
-			// treat exactly like a corrupt checkpoint — start empty and
-			// lean on the log plus peer backfill.
+			// Framing and checksum passed but the content did not decode,
+			// or is another build's: treat exactly like a corrupt
+			// checkpoint — start empty and lean on the log plus peer
+			// backfill.
 			rs.CheckpointCorrupt = true
 		} else {
 			rs.Restore.Add(dp.engine.RestoreState(st))

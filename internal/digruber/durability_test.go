@@ -1,6 +1,8 @@
 package digruber
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"testing"
@@ -80,6 +82,37 @@ func TestDurableRecoveryZeroAckedLoss(t *testing.T) {
 	dp.Engine().RecordDispatch(durTestDispatch(99, clock.Now()))
 	if hi := dp.Engine().LocalSeqHighWater(); hi != n+1 {
 		t.Fatalf("post-recovery dispatch stamped seq %d, want %d (numbering continues)", hi, n+1)
+	}
+}
+
+// TestCheckpointInAnotherLayoutIsCorrupt: a checkpoint another build
+// wrote — here EngineState's two fields in the other order, which gob
+// would read by name — is refused: recovery reports it corrupt and
+// restores nothing from it, as for a checkpoint that fails its checksum.
+func TestCheckpointInAnotherLayoutIsCorrupt(t *testing.T) {
+	type otherState struct {
+		View    []gruber.Dispatch
+		Origins []gruber.OriginState
+	}
+	clock := vtime.NewManual(epoch)
+	store := wal.NewMemStore()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(otherState{View: []gruber.Dispatch{durTestDispatch(1, clock.Now())}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Open(store).Checkpoint(payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	dp := newDurableDP(t, clock, wire.NewMem(), "dp-0", store, 0)
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dp.Stop)
+	if rec := dp.LastRecovery(); !rec.CheckpointCorrupt || rec.CheckpointRestored {
+		t.Errorf("recovery = %+v, want the checkpoint refused as corrupt", rec)
+	}
+	if got := dp.Engine().PendingDispatches(); got != 0 {
+		t.Errorf("%d dispatches restored from the checkpoint, want none", got)
 	}
 }
 

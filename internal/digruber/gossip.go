@@ -148,9 +148,8 @@ func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, record
 	dp.mu.Lock()
 	if l, ok := dp.peers[from]; ok {
 		l.ackVV = vv
-		if self := gossip.Seq(digest, dp.cfg.Name); self > l.lastSent {
-			l.lastSent = self
-		}
+		// Exactly, down too: a peer that crashed since holds less.
+		l.lastSent = gossip.Seq(digest, dp.cfg.Name)
 	}
 	dp.gossipRelayed += st.Relayed
 	dp.gossipDuplicates += st.Duplicates

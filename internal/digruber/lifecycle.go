@@ -62,9 +62,10 @@ func drainPoll(timeout time.Duration) time.Duration {
 //     would miss it. Settle again, over the reports admitted before the
 //     close.
 //  4. Final flush: run exchange rounds (force-probing even dead peers)
-//     until every peer has acknowledged this engine's full local
-//     dispatch log — verified against the exchange-cursor high-water
-//     mark, not assumed from one successful round.
+//     until every peer has answered during the flush and acknowledged
+//     this engine's full local dispatch log — verified against the
+//     exchange-cursor high-water mark, not assumed from one successful
+//     round or from an acknowledgment the peer gave before it crashed.
 //  5. Stop.
 //
 // If settling or flushing exceeds the budget — in-flight work wedged, or
@@ -99,10 +100,14 @@ func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 		return err
 	}
 
-	// Final flush, verified: every peer's acknowledged cursor must reach
-	// the local log's high-water mark. One round is not enough evidence —
-	// a call can fail against a partitioned peer — so this retries until
-	// the cursors prove completeness or the budget runs out.
+	// Final flush, verified: every peer must answer during the flush, and
+	// its acknowledged cursor must reach the local log's high-water mark.
+	// One round is not enough evidence — a call can fail against a
+	// partitioned peer — so this retries until the cursors prove
+	// completeness or the budget runs out.
+	dp.mu.Lock()
+	dp.flushes++
+	dp.mu.Unlock()
 	for !dp.flushComplete() {
 		dp.syncNow(true)
 		if dp.flushComplete() {
@@ -146,16 +151,16 @@ func (dp *DecisionPoint) abortDrain(reason string) error {
 	return fmt.Errorf("digruber: %s: drain aborted: %s", dp.cfg.Name, reason)
 }
 
-// flushComplete reports whether every peer has acknowledged the local
-// dispatch log in full — the drain protocol's exit condition for the
-// final flush.
+// flushComplete reports whether every peer has answered during this
+// flush and acknowledged the local dispatch log in full — the drain
+// protocol's exit condition for the final flush.
 func (dp *DecisionPoint) flushComplete() bool {
 	hi := dp.engine.LocalSeqHighWater()
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	//lint:allow mapiter -- conjunction over values; order-independent
 	for _, l := range dp.peers {
-		if l.lastSent < hi {
+		if l.answered != dp.flushes || l.lastSent < hi {
 			return false
 		}
 	}

@@ -782,6 +782,20 @@ func TestFleetCrashRecoveryDeterministic(t *testing.T) {
 // dp-3 from points that still list dp-1, whose hearsay must not re-add it.
 var retireDuringGossip = schedule{Points: 4, Gossip: true, Durable: true, Overload: false, Steps: []step{step{Op: "drain", P: 1, Q: 0, N: 0, D: 60000000000, Side: []int(nil)}, step{Op: "remove", P: 3, Q: 1, N: 0, D: 0, Side: []int(nil)}}}
 
+// drainAfterPeerCrash is seed 461, shrunk and pasted as printed: dp-1
+// acknowledges dp-0's jobs and crashes, and dp-0 drains while it is
+// down. The drain must not retire dp-0 on dp-1's acknowledgment from
+// before the crash: dp-1 would come back without the jobs.
+var drainAfterPeerCrash = schedule{Points: 2, Gossip: true, Durable: false, Overload: true, Steps: []step{step{Op: "submit", P: 0, Q: 0, N: 0, D: 0, Side: []int(nil)}, step{Op: "exchange", P: 0, Q: 0, N: 0, D: 0, Side: []int(nil)}, step{Op: "crash", P: 1, Q: 0, N: 0, D: 120000000000, Side: []int(nil)}, step{Op: "drain", P: 0, Q: 0, N: 0, D: 45000000000, Side: []int(nil)}}}
+
+// TestPromisesDrainAfterPeerCrash: the drain aborts while dp-1 is down,
+// so dp-0 keeps its jobs to serve dp-1's resync.
+func TestPromisesDrainAfterPeerCrash(t *testing.T) {
+	if o := checkSchedule(t, drainAfterPeerCrash, true); len(o.Drains) != 1 || o.Drains[0] == "<nil>" {
+		t.Errorf("drains %q, want one that aborts while dp-1 is down", o.Drains)
+	}
+}
+
 // randomSchedules is how many seeds TestPromises draws; every tenth
 // schedule runs a second time for replay.
 const randomSchedules = 150

@@ -12,7 +12,8 @@ import (
 // GossipArgs, GossipReply, SnapshotReply — and the write-ahead walEntry
 // write and read them with one codec: appendDispatch and readDispatch,
 // the bytes gob writes for a gruber.Dispatch, field by field in the
-// order wireschema.lock records. The bodies carry wire's value hook as
+// order its definitions give (the definitions rows of
+// testdata/wire-bytes.golden pin them). The bodies carry wire's value hook as
 // the small bodies do, and so does walEntry, whose records the committer
 // writes and replay reads as wire bodies (durability.go).
 // TestRecordBodiesMatchGob and FuzzRecordBodies hold them to gob, which

@@ -11,7 +11,7 @@ import (
 // what a decision costs — 300 elements of five fields, both ways — so it
 // carries wire's value hook: AppendGobValue and ReadGobValue write and
 // read the bytes gob itself writes for a QueryReply, field by field in
-// the order wireschema.lock records. TestQueryReplyValueMatchesGob and
+// the order its definitions give (testdata/wire-bytes.golden pins them). TestQueryReplyValueMatchesGob and
 // FuzzQueryReplyValue hold them to gob, which stays the path for every
 // value ReadGobValue declines.
 

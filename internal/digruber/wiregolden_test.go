@@ -68,47 +68,45 @@ func wireRows() []wireRow {
 // frame (wire's own table): body length drives the emulated service
 // time, and the benchmark counts wire bytes per decision. Each row
 // decodes back to itself, so an appended field left unset (a non-durable
-// point's SnapshotArgs, an unstamped Dispatch) is read as sent. Every
-// struct wireschema.lock records from a non-test file needs a row.
+// point's SnapshotArgs, an unstamped Dispatch) is read as sent. Beside
+// its value rows, every registered type (wireTypes) has a definitions
+// row: the bytes each of its bodies opens with, which name, order and
+// type every field of every struct the type reaches. wire.DecodeBody
+// refuses a body whose definitions differ, so any change to them breaks
+// a fleet of mixed builds and is re-recorded here on purpose.
 func TestWireGolden(t *testing.T) {
-	var lines []string
-	pinned := map[string]bool{}
 	for _, r := range wireRows() {
 		typ, full := reflect.TypeOf(r.v), reflect.ValueOf(r.v)
-		pinned[typ.PkgPath()+"."+typ.Name()] = true
 		for i := 0; i < typ.NumField(); i++ {
 			if typ.Field(i).IsExported() && full.Field(i).IsZero() {
 				t.Errorf("%s.%s is zero in the every-field-set row", typ, typ.Field(i).Name)
 			}
 		}
 	}
+	var lines []string
+	rows := map[string]bool{}
 	for _, l := range goldenLines(t) {
 		lines = append(lines, l.name+" "+l.body)
+		rows[l.name] = true
+	}
+	for _, v := range wireTypes {
+		if name := reflect.TypeOf(v).String(); !rows[name] || !rows[name+"/definitions"] {
+			t.Errorf("%s is registered but has no value row or no definitions row: give it a row in wireRows", name)
+		}
 	}
 	file, got := filepath.Join("testdata", "wire-bytes.golden"), strings.Join(lines, "\n")+"\n"
 	if *updateWireGolden && os.WriteFile(file, []byte(got), 0o644) != nil {
 		t.Fatal("cannot write", file)
 	}
-	if want, err := os.ReadFile(file); got != string(want) {
-		t.Errorf("the table differs from %s (err %v):\n got:\n%s\nwant:\n%s", file, err, got, want)
-	}
-	pinned["digruber/internal/wire.frame"] = true // by wire's TestWireGolden
-	lock, err := os.ReadFile(filepath.Join("..", "lint", "wireschema.lock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range strings.Split(string(lock), "\n") {
-		// The one exemption: exp.instance* carry Fig 1's echo, not the protocol.
-		if key == "" || key[0] == '#' || key[0] == '\t' || pinned[key] || strings.HasPrefix(key, "digruber/internal/exp.instance") {
-			continue
+	recorded, moved := recordedRows(t), false
+	for _, l := range lines {
+		if name, body, _ := strings.Cut(l, " "); recorded[name] != body {
+			moved = true
+			t.Errorf("%s differs from %s; re-record with -update only on purpose:\n got %s\nwant %s", name, file, body, recorded[name])
 		}
-		dot := strings.LastIndex(key, ".")
-		srcs, _ := filepath.Glob(filepath.Join("..", filepath.Base(key[:dot]), "*.go"))
-		for _, src := range srcs {
-			if b, _ := os.ReadFile(src); !strings.HasSuffix(src, "_test.go") && bytes.Contains(b, []byte("\ntype "+key[dot+1:]+" struct")) {
-				t.Errorf("wire struct %s has no row in the golden table", key)
-			}
-		}
+	}
+	if want, _ := os.ReadFile(file); !moved && got != string(want) {
+		t.Errorf("the rows of %s are not the table's:\n got:\n%s\nwant:\n%s", file, got, want)
 	}
 }
 
@@ -120,12 +118,19 @@ type goldenLine struct {
 	body string
 }
 
-// goldenLines expands wireRows into the table's lines, each older shape
-// after its type's every-field-set row.
+// goldenLines expands wireRows into the table's lines: a registered
+// type's definitions, then its every-field-set row, then each older shape.
 func goldenLines(t *testing.T) []goldenLine {
+	registered := map[reflect.Type]bool{}
+	for _, v := range wireTypes {
+		registered[reflect.TypeOf(v)] = true
+	}
 	var ls []goldenLine
 	for _, r := range wireRows() {
 		typ, full := reflect.TypeOf(r.v), reflect.ValueOf(r.v)
+		if registered[typ] {
+			ls = append(ls, goldenLine{typ.String() + "/definitions", nil, definitions(t, typ)})
+		}
 		ls = append(ls, goldenLine{typ.String(), r.v, goldenBody(t, r.v)})
 		for _, f := range r.before {
 			old := reflect.New(typ).Elem()
@@ -140,9 +145,8 @@ func goldenLines(t *testing.T) []goldenLine {
 	return ls
 }
 
-// olderShapes returns the named older-shape lines and, in the same
-// order, the bytes the golden file records for them.
-func olderShapes(t *testing.T, names ...string) ([]goldenLine, []string) {
+// recordedRows reads the golden file: row name to body in hex.
+func recordedRows(t *testing.T) map[string]string {
 	t.Helper()
 	file, err := os.ReadFile(filepath.Join("testdata", "wire-bytes.golden"))
 	if err != nil {
@@ -153,6 +157,14 @@ func olderShapes(t *testing.T, names ...string) ([]goldenLine, []string) {
 		name, body, _ := strings.Cut(l, " ")
 		recorded[name] = body
 	}
+	return recorded
+}
+
+// olderShapes returns the named older-shape lines and, in the same
+// order, the bytes the golden file records for them.
+func olderShapes(t *testing.T, names ...string) ([]goldenLine, []string) {
+	t.Helper()
+	recorded := recordedRows(t)
 	byName := map[string]goldenLine{}
 	for _, l := range goldenLines(t) {
 		byName[l.name] = l
@@ -238,6 +250,19 @@ func TestStatusAlertsCrossDecode(t *testing.T) { crossDecode(t, "digruber.Status
 func TestSnapshotWireCompat(t *testing.T) { appendOnly(t, "digruber.SnapshotArgs/before-Vector") }
 
 func TestSnapshotCrossDecode(t *testing.T) { crossDecode(t, "digruber.SnapshotArgs/before-Vector") }
+
+// definitions returns, in hex, what every body of the registered type
+// typ opens with: wire.AppendBody of its zero value, cut where the value
+// message starts.
+func definitions(t *testing.T, typ reflect.Type) string {
+	t.Helper()
+	body, err := wire.AppendBody(nil, reflect.Zero(typ).Interface())
+	off := wire.ValueOffset(body)
+	if err != nil || off < 0 {
+		t.Fatalf("%s: no body of definitions and one value (err %v)", typ, err)
+	}
+	return hex.EncodeToString(body[:off])
+}
 
 // goldenBody encodes v on a gob stream primed with its type's zero value,
 // checks that the message decodes back to v, and returns it in hex

@@ -15,9 +15,7 @@
 //     while a mutex is held — the deadlock shapes -race cannot see
 //     (analyzer "lockheld"),
 //   - nothing on an emit path iterates a map unsorted
-//     (analyzer "mapiter"),
-//   - gob protocol structs evolve append-only against a committed
-//     wire-schema lockfile (analyzer "wireschema").
+//     (analyzer "mapiter").
 //
 // This package encodes those conventions as analyzers in the style of
 // golang.org/x/tools/go/analysis, implemented on the standard library
@@ -26,9 +24,7 @@
 // is exact for the qualified-call patterns they police) and semantic
 // ones that demand full type information (NeedsTypes), supplied by a
 // TypeLoader that type-checks the module and — via go/importer's source
-// importer — its standard-library dependencies. Analyzers may also run
-// once over the whole loaded module (RunModule) for invariants that no
-// single package can see, like wire-schema lockfile staleness.
+// importer — its standard-library dependencies.
 //
 // Intentional violations are suppressed with an annotation on the
 // offending line or the line directly above it:
@@ -69,12 +65,7 @@ type Analyzer struct {
 	// Package.Types/TypesInfo through its TypeLoader) before Run.
 	NeedsTypes bool
 	// Run inspects pass.Files and reports violations via pass.Reportf.
-	// It may be nil for module-level-only analyzers.
 	Run func(pass *Pass) error
-	// RunModule, if non-nil, runs once over all loaded packages after
-	// the per-package passes — the hook for whole-module invariants
-	// (e.g. wireschema's lockfile completeness).
-	RunModule func(pass *ModulePass) error
 }
 
 // File is one parsed source file of a package.
@@ -101,10 +92,6 @@ type Package struct {
 	ImportPath string
 	// Dir is the package directory on disk.
 	Dir string
-	// Root is the module root directory ("" when unknown); module-level
-	// analyzers use it to locate committed artifacts like the
-	// wire-schema lockfile.
-	Root string
 	// Fset positions all Files. Packages loaded through one TypeLoader
 	// share its FileSet.
 	Fset *token.FileSet
@@ -162,42 +149,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// ModulePass carries one analyzer's whole-module run.
-type ModulePass struct {
-	Analyzer *Analyzer
-	// Pkgs are all loaded packages, in load order.
-	Pkgs []*Package
-	// WholeModule asserts Pkgs is the complete module, enabling checks
-	// that would false-positive on a partial view (lockfile staleness).
-	WholeModule bool
-	diags       []Diagnostic
-}
-
-// Reportf records a violation at a resolved position — module passes
-// report against files of any package (all share one FileSet) or
-// against non-Go artifacts like the lockfile, so they position
-// diagnostics themselves.
-func (p *ModulePass) Reportf(pos token.Position, format string, args ...interface{}) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      pos,
-		Message:  fmt.Sprintf(format, args...),
-		Analyzer: p.Analyzer.Name,
-	})
-}
-
-// Fset returns the FileSet shared by the loaded packages.
-func (p *ModulePass) Fset() *token.FileSet {
-	for _, pkg := range p.Pkgs {
-		if pkg.Fset != nil {
-			return pkg.Fset
-		}
-	}
-	return token.NewFileSet()
-}
-
 // All returns the full determinism suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, GlobalRand, NoPanic, LockHeld, MapIter, WireSchema}
+	return []*Analyzer{Wallclock, GlobalRand, NoPanic, LockHeld, MapIter}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).
@@ -223,21 +177,12 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Options configures a Run.
-type Options struct {
-	// WholeModule marks the package list as the module's complete
-	// package set (the "./..." load), enabling whole-module checks like
-	// wire-schema lockfile staleness that would false-positive on a
-	// partial view (single package under go vet, single-file CLI runs).
-	WholeModule bool
-}
-
 // Run applies the analyzers to every package — type-checking packages
 // first when any analyzer needs types — drops diagnostics covered by
 // //lint:allow annotations, reports bare annotations missing their
 // "-- reason" justification, and returns the remainder in file/line
 // order.
-func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	needTypes := false
 	for _, a := range analyzers {
 		if a.NeedsTypes {
@@ -264,9 +209,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, er
 		bare := collectAllows(pkg, allows)
 		out = append(out, bare...)
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{Analyzer: a, Pkg: pkg}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.ImportPath, err)
@@ -274,17 +216,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, er
 			out = append(out, pass.diags...)
 		}
 	}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		mp := &ModulePass{Analyzer: a, Pkgs: pkgs, WholeModule: opts.WholeModule}
-		if err := a.RunModule(mp); err != nil {
-			return nil, fmt.Errorf("lint: %s (module): %w", a.Name, err)
-		}
-		out = append(out, mp.diags...)
-	}
-
 	kept := out[:0]
 	for _, d := range out {
 		if d.Analyzer != allowAnalyzer && allows.covers(d.Analyzer, d.Pos) {
@@ -309,16 +240,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, er
 		}
 		return a.Message < b.Message
 	})
-	// Module passes of overlapping closures can report one drift twice;
-	// identical diagnostics collapse.
-	dedup := out[:0]
-	for i, d := range out {
-		if i > 0 && d == out[i-1] {
-			continue
-		}
-		dedup = append(dedup, d)
-	}
-	return dedup, nil
+	return out, nil
 }
 
 // allowAnalyzer names the pseudo-analyzer reporting malformed

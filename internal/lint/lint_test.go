@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -65,9 +64,6 @@ func TestAnalyzers(t *testing.T) {
 		{lint.MapIter, []string{
 			"digruber/internal/mapiterlib", // order-dependent ranges + sorted-keys idiom
 		}},
-		{lint.WireSchema, []string{
-			"digruber/internal/wirelib", // drifted + appended + unrecorded structs vs fixture lockfile
-		}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -98,7 +94,7 @@ func TestBareAllow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.Wallclock}, lint.Options{})
+	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.Wallclock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +109,13 @@ func TestBareAllow(t *testing.T) {
 
 // The suite over the real repository must be clean: every invariant
 // violation is either fixed or carries an explicit, justified
-// annotation. This is the same gate CI runs via cmd/digruber-lint,
-// including the wire-schema lockfile check against the committed
-// internal/lint/wireschema.lock.
+// annotation. This is the same gate CI runs via cmd/digruber-lint.
 func TestRepositoryIsClean(t *testing.T) {
 	_, pkgs := modulePackages(t)
 	if len(pkgs) < 15 {
 		t.Fatalf("loader found only %d packages; pattern expansion is broken", len(pkgs))
 	}
-	diags, err := lint.Run(pkgs, lint.All(), lint.Options{WholeModule: true})
+	diags, err := lint.Run(pkgs, lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,91 +131,10 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
-// The committed lockfile must round-trip through the formatter and
-// cover exactly the structs reachable from the repo's wire entry
-// points, whose bytes the TestWireGolden tables pin.
-func TestWireSchemaLockfile(t *testing.T) {
-	root, pkgs := modulePackages(t)
-	cur, err := lint.ComputeSchema(pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cur.Structs) == 0 {
-		t.Fatal("no gob protocol structs found; wire-root discovery is broken")
-	}
-
-	lockPath := lint.LockfilePath(root)
-	data, err := os.ReadFile(lockPath)
-	if err != nil {
-		t.Fatalf("committed lockfile missing: %v (record it with digruber-lint -update-schema)", err)
-	}
-	locked, err := lint.ParseLockfile(lockPath, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Round trip: parse(format(locked)) must reproduce the same schema.
-	reparsed, err := lint.ParseLockfile(lockPath, lint.FormatLockfile(locked))
-	if err != nil {
-		t.Fatalf("formatter output does not re-parse: %v", err)
-	}
-	if got, want := strings.Join(reparsed.Keys(), ","), strings.Join(locked.Keys(), ","); got != want {
-		t.Fatalf("round-trip lost entries:\n got %s\nwant %s", got, want)
-	}
-
-	// The lockfile is in sync with the tree: same keys, no drift.
-	if got, want := strings.Join(locked.Keys(), ","), strings.Join(cur.Keys(), ","); got != want {
-		t.Errorf("lockfile keys out of sync with tree:\n lockfile %s\n tree     %s", got, want)
-	}
-	for _, key := range cur.Keys() {
-		l, ok := locked.Structs[key]
-		if !ok {
-			continue // already reported above
-		}
-		if diff := lint.DiffStructs(l, cur.Structs[key]); diff != "" {
-			t.Errorf("%s: %s", key, diff)
-		}
-	}
-
-	// The protocol structs the cross-version gob tests exercise must be
-	// recorded — if this fails, the lockfile no longer guards the wire.
-	for _, key := range []string{
-		"digruber/internal/wire.frame",
-		"digruber/internal/digruber.StatusArgs",
-		"digruber/internal/digruber.StatusReply",
-		"digruber/internal/digruber.ExchangeArgs",
-		"digruber/internal/digruber.SnapshotReply",
-	} {
-		if locked.Structs[key] == nil {
-			t.Errorf("lockfile does not record %s", key)
-		}
-	}
-
-	// Mutating field order must surface as a breaking, field-level diff —
-	// the failure mode the lockfile exists to catch.
-	var mutated *lint.StructSchema
-	for _, key := range locked.Keys() {
-		if s := locked.Structs[key]; len(s.Fields) >= 2 {
-			cp := *s
-			cp.Fields = append([]lint.SchemaField(nil), s.Fields...)
-			cp.Fields[0], cp.Fields[1] = cp.Fields[1], cp.Fields[0]
-			mutated = &cp
-			break
-		}
-	}
-	if mutated == nil {
-		t.Fatal("no recorded struct with >= 2 fields to mutate")
-	}
-	diff := lint.DiffStructs(locked.Structs[mutated.Key], mutated)
-	if !strings.HasPrefix(diff, "reordered: ") || !strings.Contains(diff, "field 0 recorded as") {
-		t.Errorf("swapped fields of %s: diff %q; want a reordered field-level diff", mutated.Key, diff)
-	}
-}
-
 func TestByName(t *testing.T) {
 	all, err := lint.ByName("")
-	if err != nil || len(all) != 6 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
 	}
 	two, err := lint.ByName("wallclock, nopanic")
 	if err != nil || len(two) != 2 || two[0].Name != "wallclock" || two[1].Name != "nopanic" {

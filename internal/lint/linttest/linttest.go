@@ -40,7 +40,7 @@ func Run(t *testing.T, srcRoot string, a *lint.Analyzer, pkgPaths ...string) {
 		if err != nil {
 			t.Fatalf("%s: %v", pkgPath, err)
 		}
-		diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a}, lint.Options{WholeModule: false})
+		diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
 		if err != nil {
 			t.Fatalf("%s: %v", pkgPath, err)
 		}

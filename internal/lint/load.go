@@ -173,7 +173,6 @@ func LoadDir(loader *TypeLoader, importPath, dir string) (*Package, error) {
 		Module:     loader.Module,
 		ImportPath: importPath,
 		Dir:        dir,
-		Root:       loader.Root,
 		Fset:       loader.Fset,
 		Loader:     loader,
 	}
@@ -214,7 +213,6 @@ func LoadVetPackage(dir, importPath string, goFiles []string) (*Package, error) 
 		Module:     module,
 		ImportPath: importPath,
 		Dir:        dir,
-		Root:       root,
 		Fset:       loader.Fset,
 		Loader:     loader,
 	}

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -25,10 +27,61 @@ import (
 // carries a body.
 var wireSends = []string{"Call", "CallCtx", "Handle", "HandleCtx"}
 
+// typeKey names a type by its package path and name.
+func typeKey(t types.Type) string { return types.TypeString(t, (*types.Package).Path) }
+
+// registeredTypes returns the types the non-test wire.Register calls of
+// pkgs name, inline or through a list, each by typeKey, with the import
+// path of the package that registers it.
+func registeredTypes(pkgs []*lint.Package) (map[string]string, error) {
+	wirePath := pkgs[0].Module + "/internal/wire"
+	registered := map[string]string{}
+	for _, pkg := range pkgs {
+		if err := pkg.Loader.Check(pkg); err != nil {
+			return nil, err
+		}
+		info := pkg.TypesInfo
+		for _, f := range pkg.Files {
+			if f.NoTypes || f.Test {
+				continue
+			}
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != wirePath || fn.Name() != "Register" {
+					return true
+				}
+				for _, arg := range call.Args {
+					if call.Ellipsis.IsValid() {
+						for _, elt := range listElements(pkg, arg) {
+							registered[typeKey(info.TypeOf(elt))] = pkg.ImportPath
+						}
+						continue
+					}
+					registered[typeKey(info.TypeOf(arg))] = pkg.ImportPath
+				}
+				return true
+			})
+		}
+	}
+	return registered, nil
+}
+
 // unregisteredBodies returns, sorted, one message per type that a
 // non-test file of pkgs sends through wire and no non-test file
 // registers, with where it is sent, below root.
 func unregisteredBodies(pkgs []*lint.Package, root string) ([]string, error) {
+	registered, err := registeredTypes(pkgs)
+	if err != nil {
+		return nil, err
+	}
 	wirePath := pkgs[0].Module + "/internal/wire"
 	// A slot is one type parameter of a generic function, by the
 	// function's full name and the parameter's index.
@@ -47,12 +100,7 @@ func unregisteredBodies(pkgs []*lint.Package, root string) ([]string, error) {
 	}
 	var uses []use
 	passes := map[slot][]slot{} // a type parameter, and the slots it is passed to
-	registered := map[string]bool{}
-	typeKey := func(t types.Type) string { return types.TypeString(t, (*types.Package).Path) }
 	for _, pkg := range pkgs {
-		if err := pkg.Loader.Check(pkg); err != nil {
-			return nil, err
-		}
 		info := pkg.TypesInfo
 		isTest := func(pos token.Pos) bool {
 			return strings.HasSuffix(pkg.Fset.Position(pos).Filename, "_test.go")
@@ -85,35 +133,6 @@ func unregisteredBodies(pkgs []*lint.Package, root string) ([]string, error) {
 				uses = append(uses, use{at, typeKey(arg), fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)})
 			}
 		}
-		for _, f := range pkg.Files {
-			if f.NoTypes || isTest(f.AST.Pos()) {
-				continue
-			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != wirePath || fn.Name() != "Register" {
-					return true
-				}
-				for _, arg := range call.Args {
-					if call.Ellipsis.IsValid() {
-						for _, elt := range listElements(pkg, arg) {
-							registered[typeKey(info.TypeOf(elt))] = true
-						}
-						continue
-					}
-					registered[typeKey(info.TypeOf(arg))] = true
-				}
-				return true
-			})
-		}
 	}
 	for changed := true; changed; {
 		changed = false
@@ -129,7 +148,7 @@ func unregisteredBodies(pkgs []*lint.Package, root string) ([]string, error) {
 	seen := map[string]bool{}
 	var msgs []string
 	for _, u := range uses {
-		if sends[u.at] && !registered[u.typ] && !seen[u.typ] {
+		if sends[u.at] && registered[u.typ] == "" && !seen[u.typ] {
 			seen[u.typ] = true
 			msgs = append(msgs, fmt.Sprintf("%s is sent through wire (%s) but never registered: add it to a wire.Register call in its package's init", u.typ, u.pos))
 		}
@@ -177,6 +196,48 @@ func TestEveryWireBodyIsRegistered(t *testing.T) {
 	}
 	for _, m := range msgs {
 		t.Error(m)
+	}
+}
+
+// TestWireSchemaLockfile is the completeness gate of the wire's one pin:
+// every type a non-test wire.Register call names, and frame, which
+// Register numbers after them, has a definitions row in the
+// testdata/wire-bytes.golden of the package that registers it, where that package's TestWireGolden holds
+// it to the definitions this build's bodies open with. gob's definitions
+// of a type spell out every struct it reaches, so the row moves with any
+// field of any of them. The one exemption is Fig 1's echo pair,
+// exp.instanceReq and exp.instanceResp, which carry no protocol.
+func TestWireSchemaLockfile(t *testing.T) {
+	root, pkgs := modulePackages(t)
+	registered, err := registeredTypes(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	module := pkgs[0].Module
+	if registered[module+"/internal/digruber.ScheduleArgs"] == "" {
+		t.Fatalf("the Register walk missed digruber's bodies: %v", registered)
+	}
+	registered[module+"/internal/wire.frame"] = module + "/internal/wire"
+	keys := make([]string, 0, len(registered))
+	for key := range registered {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if strings.HasPrefix(key, module+"/internal/exp.instance") {
+			continue
+		}
+		golden := filepath.Join(strings.TrimPrefix(registered[key], module+"/"), "testdata", "wire-bytes.golden")
+		table, err := os.ReadFile(filepath.Join(root, golden))
+		if err != nil {
+			t.Errorf("%s is registered for the wire: %v", key, err)
+			continue
+		}
+		dot := strings.LastIndex(key, ".")
+		row := path.Base(key[:dot]) + "." + key[dot+1:] + "/definitions "
+		if !strings.Contains("\n"+string(table), "\n"+row) {
+			t.Errorf("%s is registered for the wire but %s has no %q row", key, golden, row[:len(row)-1])
+		}
 	}
 }
 

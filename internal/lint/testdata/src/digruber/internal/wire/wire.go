@@ -1,6 +1,6 @@
 // Package wire is a typed stub of the real internal/wire for fixture
 // packages: just enough surface for the lockheld analyzer to classify
-// RPC entry points and for wireschema to harvest payload type arguments.
+// RPC entry points and for the registration rule to follow body types.
 package wire
 
 import "time"
@@ -26,7 +26,7 @@ func (c *Client) Call(method string, body []byte, timeout time.Duration) ([]byte
 	return nil, nil
 }
 
-// Call performs a typed RPC; its type arguments are wireschema roots.
+// Call performs a typed RPC; its type arguments are bodies.
 func Call[Req, Resp any](c *Client, method string, req Req, timeout time.Duration) (Resp, error) {
 	var resp Resp
 	return resp, nil
@@ -35,8 +35,7 @@ func Call[Req, Resp any](c *Client, method string, req Req, timeout time.Duratio
 // Server is the RPC server (stub).
 type Server struct{}
 
-// Handle registers a typed handler; its type arguments are wireschema
-// roots.
+// Handle registers a typed handler; its type arguments are bodies.
 func Handle[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error)) {}
 
 // CallCtx performs a traced typed RPC (stub).

@@ -15,7 +15,7 @@ import (
 )
 
 // TypeLoader resolves and type-checks packages on demand, giving the
-// semantic analyzers (wireschema, mapiter, lockheld) full go/types
+// semantic analyzers (mapiter, lockheld) full go/types
 // information on the standard library alone. In-module import paths are
 // located under Root and type-checked recursively; everything else
 // (the standard library and its vendored dependencies) is delegated to
@@ -212,8 +212,8 @@ func (l *TypeLoader) Check(pkg *Package) error {
 		// The go vet driver presents the external test unit as its own
 		// package whose import path already carries the _test suffix;
 		// direct mode reaches here with the base path. Either way the
-		// checked unit's path must be the canonical <base>_test, since
-		// wireschema keys lockfile entries by it.
+		// checked unit's path must be the canonical <base>_test, the path
+		// the go tool gives it.
 		xpath := pkg.ImportPath
 		if !strings.HasSuffix(xpath, "_test") {
 			xpath += "_test"

@@ -14,8 +14,7 @@ import (
 // Fixtures shaped like the decision point's payloads (internal/digruber
 // imports this package, so its own types are tested from there —
 // TestBodyCodecMatchesFreshGob). They are not protocol structs and reach
-// gob only through interface{} parameters, where the wireschema lint does
-// not look for any.
+// gob only through interface{} parameters.
 type codecSchedule struct {
 	JobID   string
 	Owner   string

@@ -173,7 +173,7 @@ func TestFrameReaderSplitReads(t *testing.T) {
 
 // Lookalikes of frame as other builds or other programs would define it.
 // Their streams come from a real gob.Encoder and reach it as interface
-// values, so the wireschema lint records none of them.
+// values; none is registered.
 type (
 	frameRenamed struct {
 		ID       uint64

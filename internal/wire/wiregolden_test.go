@@ -26,7 +26,11 @@ func frameRows() ([]string, []frame) {
 }
 
 // TestWireGolden is internal/digruber's TestWireGolden for the frame:
-// each row pinned as a gob value body that decodes back.
+// each row pinned as a gob value body that decodes back, then the
+// definitions a stream of this build's frames opens with. frame stays
+// readable across builds that append to it: the frame reader hands a
+// stream in other definitions to gob. Its type id here counts the types
+// this package's tests register first.
 func TestWireGolden(t *testing.T) {
 	names, frames := frameRows()
 	for i := 0; i < reflect.TypeOf(frames[0]).NumField(); i++ {
@@ -39,6 +43,12 @@ func TestWireGolden(t *testing.T) {
 		got = append(got, names[i]+" "...)
 		got = append(hex.AppendEncode(got, frameBody(t, f)), '\n')
 	}
+	defs, err := AppendBody(nil, frame{})
+	off := ValueOffset(defs)
+	if err != nil || off < 0 {
+		t.Fatalf("frame: no body of definitions and one value (err %v)", err)
+	}
+	got = append(hex.AppendEncode(append(got, "wire.frame/definitions "...), defs[:off]), '\n')
 	file := filepath.Join("testdata", "wire-bytes.golden")
 	if *updateWireGolden && os.WriteFile(file, got, 0o644) != nil {
 		t.Fatal("cannot write", file)
