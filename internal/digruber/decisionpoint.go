@@ -95,10 +95,6 @@ type DecisionPoint struct {
 	listener wire.Listener
 	detector *SaturationDetector
 	metrics  *dpMetrics
-	// view is the gossip membership view, maintained alongside peers by
-	// AddPeer/RemovePeer (it has its own lock and caps the active subset
-	// internally). Only the Gossip strategy samples it.
-	view *gossip.View
 	// alertSource, when set, supplies the current SLO alert summary for
 	// Status replies (see SetAlertSource).
 	alertSource func() []AlertSummary
@@ -120,7 +116,10 @@ type DecisionPoint struct {
 	// peer takes its records.
 	resyncOwed atomic.Bool
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// peers is the membership: every decision point this one exchanges
+	// with, by name. The Gossip strategy samples it (gossip.Active,
+	// gossip.Sample); the flood contacts all of it.
 	peers     map[string]*peerLink
 	started   bool
 	draining  bool
@@ -150,23 +149,24 @@ type peerLink struct {
 	// client is nil while the decision point is stopped (wire.Client.Close
 	// is terminal, so Start builds a fresh one).
 	client *wire.Client
-	// lastSent is the highest engine sequence number this peer has
-	// acknowledged (under Gossip: its last digest's entry for this
-	// point); the next flood round resends everything after it.
-	lastSent uint64
 	// answered is dp.flushes when the peer last answered a call. A
 	// drain's flush counts a peer's acknowledgment only once the peer has
 	// answered during that flush: one given before a crash is void.
 	answered uint64
-	// ackVV is the peer's last-advertised version vector (gossip digest):
-	// everything it holds, by origin. The gossip push is diffed against
-	// it and compaction takes the per-origin minimum across all links.
-	// Nil until the first exchange with this peer.
+	// ackVV is what the peer has acknowledged, by origin. Under Gossip
+	// it is the peer's last-advertised version vector (gossip digest),
+	// replaced whole by each one: the push is diffed against it and
+	// compaction takes the per-origin minimum across all links. The
+	// flood keeps only its entry for this point, the highest own
+	// sequence number the peer has acknowledged, which moves only up;
+	// the next flood round resends everything after it. Nil until the
+	// first exchange with this peer. A gossip request reads the vector
+	// outside dp.mu; only the flood writes into it, and a point floods
+	// or gossips, never both.
 	ackVV map[string]uint64
-	// Health: consecutive exchange failures drive alive → suspect → dead;
-	// dead peers are only probed after a growing backoff, so one crashed
-	// peer stops costing every round a full PeerTimeout.
-	state        peerState
+	// Health: consecutive exchange failures drive alive → suspect → dead
+	// (see state); dead peers are only probed after a growing backoff,
+	// so one crashed peer stops costing every round a full PeerTimeout.
 	fails        int
 	probeBackoff time.Duration
 	nextProbe    time.Time
@@ -197,10 +197,23 @@ func (s peerState) String() string {
 // from suspect to dead.
 const deadAfterFails = 3
 
+// state reads the peer's health off its consecutive failures: alive at
+// none, suspect below deadAfterFails, dead from then on. Caller holds
+// dp.mu.
+func (l *peerLink) state() peerState {
+	switch {
+	case l.fails == 0:
+		return peerAlive
+	case l.fails < deadAfterFails:
+		return peerSuspect
+	default:
+		return peerDead
+	}
+}
+
 // markAliveLocked resets a peer's health after any successful contact.
 // Caller holds dp.mu.
 func (l *peerLink) markAliveLocked() {
-	l.state = peerAlive
 	l.fails = 0
 	l.probeBackoff = 0
 	l.nextProbe = time.Time{}
@@ -213,10 +226,8 @@ func (l *peerLink) markAliveLocked() {
 func (l *peerLink) markFailedLocked(now time.Time, interval time.Duration) {
 	l.fails++
 	if l.fails < deadAfterFails {
-		l.state = peerSuspect
 		return
 	}
-	l.state = peerDead
 	if l.probeBackoff <= 0 {
 		l.probeBackoff = 2 * interval
 	} else {
@@ -238,7 +249,6 @@ func New(cfg Config) (*DecisionPoint, error) {
 		engine:   gruber.NewEngine(cfg.Name, cfg.Policies, cfg.Clock),
 		detector: NewSaturationDetector(cfg.Profile.Workers(), cfg.Clock),
 		peers:    make(map[string]*peerLink),
-		view:     gossip.NewView(cfg.Name, cfg.Gossip.Seed, cfg.Gossip.ViewSize),
 	}
 	if cfg.Durability != nil {
 		if cfg.Durability.Store == nil {
@@ -502,9 +512,9 @@ func (dp *DecisionPoint) Status() StatusReply {
 		state = StateDraining
 	}
 	peers := make([]PeerHealth, 0, len(dp.peers))
-	//lint:allow mapiter -- collected slice is sorted by name right below; state.String is a pure label
+	//lint:allow mapiter -- collected slice is sorted by name right below; state().String is a pure label
 	for _, l := range dp.peers {
-		peers = append(peers, PeerHealth{Name: l.name, State: l.state.String()})
+		peers = append(peers, PeerHealth{Name: l.name, State: l.state().String()})
 	}
 	dp.mu.Unlock()
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Name < peers[j].Name })
@@ -575,7 +585,6 @@ func (dp *DecisionPoint) addPeer(name, node, addr string, explicit bool) {
 		addr:   addr,
 		client: dp.newPeerClient(node, addr),
 	}
-	dp.view.Add(gossip.Member{Name: name, Node: node, Addr: addr})
 }
 
 // RemovePeer deregisters a peer — the symmetric teardown to AddPeer,
@@ -598,7 +607,6 @@ func (dp *DecisionPoint) RemovePeer(name string) {
 		return
 	}
 	delete(dp.peers, name)
-	dp.view.Remove(name)
 	client := l.client
 	l.client = nil
 	dp.mu.Unlock()
@@ -757,9 +765,9 @@ type roundPart[A, R any] struct {
 	// targets names the peers this round contacts, in name order, before
 	// the skeleton drops the stopped and the dead.
 	targets []string
-	// request builds one peer's request from the link's cursors as read
-	// under dp.mu.
-	request func(dp *DecisionPoint, lastSent uint64, ackVV map[string]uint64) linkRequest[A]
+	// request builds one peer's request from the link's acknowledgment
+	// as read under dp.mu: its entry for this point, and the whole vector.
+	request func(dp *DecisionPoint, acked uint64, ackVV map[string]uint64) linkRequest[A]
 	// merge handles the reply to a successful request, under the
 	// per-peer span: fold it into the engine, advance the link's cursors.
 	// A reply it refuses leaves both as they were and returns why; the
@@ -806,7 +814,7 @@ func syncRound[A, R any](dp *DecisionPoint, force bool, part roundPart[A, R]) in
 		if l == nil || l.client == nil {
 			continue // removed or stopped
 		}
-		if !force && l.state == peerDead && now.Before(l.nextProbe) {
+		if !force && l.state() == peerDead && now.Before(l.nextProbe) {
 			continue // dead; not due for a probe yet
 		}
 		links = append(links, l)
@@ -820,12 +828,12 @@ func syncRound[A, R any](dp *DecisionPoint, force bool, part roundPart[A, R]) in
 	var wg sync.WaitGroup
 	for _, link := range links {
 		dp.mu.Lock()
-		client, lastSent, ackVV := link.client, link.lastSent, link.ackVV
+		client, acked, ackVV := link.client, link.ackVV[dp.cfg.Name], link.ackVV
 		dp.mu.Unlock()
 		if client == nil {
 			continue // Stop raced us
 		}
-		req := part.request(dp, lastSent, ackVV)
+		req := part.request(dp, acked, ackVV)
 		sent += req.records
 		// The per-peer span (and its ID draw) happens here, in the targets'
 		// name order, so a traced round draws its span IDs in a
@@ -896,11 +904,11 @@ func (dp *DecisionPoint) bookOutcome(l *peerLink, err error) {
 // The full-mesh flood's round parts: every peer is sent this engine's
 // own dispatches since the cursor that peer last acknowledged.
 
-func (dp *DecisionPoint) floodRequest(lastSent uint64, _ map[string]uint64) linkRequest[ExchangeArgs] {
+func (dp *DecisionPoint) floodRequest(acked uint64, _ map[string]uint64) linkRequest[ExchangeArgs] {
 	// The engine assigns sequence numbers under its own lock, so the
 	// (batch, hi) pair is exact: acknowledging hi never skips a record
 	// whose append lost a race with this read.
-	batch, hi := dp.engine.LocalDispatchesAfter(lastSent)
+	batch, hi := dp.engine.LocalDispatchesAfter(acked)
 	args := ExchangeArgs{From: dp.cfg.Name, Dispatches: batch}
 	if dp.cfg.Strategy == UsageAndUSLAs {
 		args.USLAs = dp.cfg.Policies.Entries()
@@ -908,16 +916,19 @@ func (dp *DecisionPoint) floodRequest(lastSent uint64, _ map[string]uint64) link
 	return linkRequest[ExchangeArgs]{args: args, records: len(batch), through: hi}
 }
 
-// floodAck advances the link's cursor past the records the peer asked
-// acknowledged; a reply in another name acknowledges nothing and books
-// the call failed.
+// floodAck advances the link's acknowledgment past the records the peer
+// asked acknowledged; a reply in another name acknowledges nothing and
+// books the call failed.
 func (dp *DecisionPoint) floodAck(_ trace.SpanContext, l *peerLink, req linkRequest[ExchangeArgs], reply ExchangeReply) error {
 	if err := answeredBy(l.name, reply.From); err != nil {
 		return err
 	}
 	dp.mu.Lock()
-	if req.through > l.lastSent {
-		l.lastSent = req.through
+	if req.through > l.ackVV[dp.cfg.Name] {
+		if l.ackVV == nil {
+			l.ackVV = make(map[string]uint64, 1)
+		}
+		l.ackVV[dp.cfg.Name] = req.through
 	}
 	dp.mu.Unlock()
 	return nil
@@ -931,9 +942,7 @@ func (dp *DecisionPoint) floodCompact() {
 	dp.mu.Lock()
 	//lint:allow mapiter -- min over values; the result is order-independent
 	for _, l := range dp.peers {
-		if l.lastSent < oldest {
-			oldest = l.lastSent
-		}
+		oldest = min(oldest, l.ackVV[dp.cfg.Name])
 	}
 	dp.mu.Unlock()
 	dp.engine.CompactOrigins(map[string]uint64{dp.cfg.Name: oldest})
@@ -1012,7 +1021,6 @@ func (dp *DecisionPoint) Crash() {
 	dp.mu.Lock()
 	//lint:allow mapiter -- per-peer state reset with no cross-peer reads; order cannot matter
 	for _, l := range dp.peers {
-		l.lastSent = 0
 		l.ackVV = nil
 		l.markAliveLocked()
 	}

@@ -61,13 +61,16 @@ func TestExchangeSkipsDeadPeerUntilProbeDue(t *testing.T) {
 	h := newHarness(t, 2, clock, testStatuses(50))
 	dispatchAt(h, 0, "dead-1")
 
-	// White-box: declare the link dead with a probe an hour out.
+	// White-box: fail the link to dead, with a probe an hour out.
 	h.dps[0].mu.Lock()
 	l := h.dps[0].peers["dp-1"]
-	l.state = peerDead
 	l.fails = deadAfterFails
 	l.nextProbe = clock.Now().Add(time.Hour)
+	dead := l.state()
 	h.dps[0].mu.Unlock()
+	if dead != peerDead {
+		t.Fatalf("peer state %v after %d failures, want dead", dead, deadAfterFails)
+	}
 
 	if sent := h.dps[0].ExchangeNow(); sent != 0 {
 		t.Fatalf("round sent %d records to a dead peer before its probe was due", sent)
@@ -87,7 +90,7 @@ func TestExchangeSkipsDeadPeerUntilProbeDue(t *testing.T) {
 	// The successful forced contact revived the link: the regular path
 	// reaches it again (nothing new to send, but the skip is gone).
 	h.dps[0].mu.Lock()
-	state := h.dps[0].peers["dp-1"].state
+	state := h.dps[0].peers["dp-1"].state()
 	h.dps[0].mu.Unlock()
 	if state != peerAlive {
 		t.Fatalf("peer state %v after successful forced exchange, want alive", state)

@@ -12,7 +12,7 @@ import (
 // The Gossip dissemination strategy (strategy.go) replaces the full-mesh
 // flood with peer-sampling push-pull rounds. Each round this decision
 // point draws fanout-k peers from its membership view with a seeded
-// deterministic shuffle (gossip.View.Sample), sends each its
+// deterministic shuffle (gossip.Sample), sends each its
 // version-vector digest plus the records that peer's last-acknowledged
 // vector lacked, and merges the records the peer's reply digest proved
 // this side lacked. Third-party records relay transitively through the
@@ -47,7 +47,7 @@ func (dp *DecisionPoint) selfMember() gossip.Member {
 }
 
 // gossipPart is one push-pull round's share of the round skeleton: a
-// seeded sample of the membership view — or, under force (the drain
+// seeded sample of the membership — or, under force (the drain
 // flush), every known peer — is sent this engine's digest plus whatever
 // the peer's last-acknowledged vector lacked, and answers with the
 // records this engine's digest lacked. Only the calls run concurrently:
@@ -58,27 +58,27 @@ func (dp *DecisionPoint) gossipPart(force bool) roundPart[GossipArgs, GossipRepl
 	dp.mu.Lock()
 	round := dp.gossipRound
 	dp.gossipRound++
+	drawn := dp.peerNamesLocked()
+	if !force {
+		g := dp.cfg.Gossip
+		drawn = gossip.Sample(dp.cfg.Name, g.Seed, round, g.Fanout, gossip.Active(dp.cfg.Name, g.Seed, g.ViewSize, drawn))
+	}
+	// Membership piggyback: self plus this round's targets in draw order
+	// — bounded by the fanout, so the payload does not grow with the
+	// fleet.
+	members := make([]gossip.Member, 1, 1+len(drawn))
+	members[0] = dp.selfMember()
+	for _, name := range drawn {
+		l := dp.peers[name]
+		members = append(members, gossip.Member{Name: l.name, Node: l.node, Addr: l.addr})
+	}
 	dp.mu.Unlock()
-
-	var targets []gossip.Member
-	if force {
-		targets = dp.view.All()
-	} else {
-		targets = dp.view.Sample(round, dp.cfg.Gossip.Fanout)
-	}
-	names := make([]string, len(targets))
-	for i, m := range targets {
-		names[i] = m.Name
-	}
-	sort.Strings(names)
-	// Membership piggyback: self plus this round's targets — bounded by
-	// the fanout, so the payload does not grow with the fleet.
-	members := append([]gossip.Member{dp.selfMember()}, targets...)
+	sort.Strings(drawn)
 	digest := gossip.Cursors(dp.engine.OriginVector())
 
 	return roundPart[GossipArgs, GossipReply]{
 		method:       MethodGossip,
-		targets:      names,
+		targets:      drawn,
 		mergeInOrder: true,
 		request: func(dp *DecisionPoint, _ uint64, ackVV map[string]uint64) linkRequest[GossipArgs] {
 			// The push is diffed against this peer's last-acknowledged
@@ -140,22 +140,21 @@ func (dp *DecisionPoint) gossipCompact() {
 // the same message, or the ones it has just merged — so it is the basis
 // for the next push diff, for compaction and, via its entry for this
 // point, for the drain flush's completeness proof.
-func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, records []gruber.Dispatch, digest []gossip.Cursor) (gruber.GossipMergeStats, map[string]uint64) {
+func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, records []gruber.Dispatch, digest []gossip.Cursor) gruber.GossipMergeStats {
 	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineMerge)
 	st := dp.engine.MergeGossip(from, records)
 	sp.End()
 	vv := gossip.Vector(digest)
 	dp.mu.Lock()
 	if l, ok := dp.peers[from]; ok {
-		l.ackVV = vv
 		// Exactly, down too: a peer that crashed since holds less.
-		l.lastSent = gossip.Seq(digest, dp.cfg.Name)
+		l.ackVV = vv
 	}
 	dp.gossipRelayed += st.Relayed
 	dp.gossipDuplicates += st.Duplicates
 	dp.mu.Unlock()
 	dp.metrics.gossipResets.Add(int64(st.Resets))
-	return st, vv
+	return st
 }
 
 // handleGossip serves one inbound push-pull exchange: merge the push,
@@ -169,12 +168,13 @@ func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, 
 		}
 		dp.addPeer(m.Name, m.Node, m.Addr, false) // no-op for known and removed names
 	}
-	st, senderVV := dp.absorbGossip(ctx.Span, a.From, a.Records, a.Digest)
+	st := dp.absorbGossip(ctx.Span, a.From, a.Records, a.Digest)
 	putRecords(a.Records)
 	// The pull: anything we hold that the sender's digest lacks. Records
 	// the sender just pushed are covered by its digest, so they never
-	// echo back.
-	pull := dp.engine.DispatchesSince(senderVV, gossip.MaxRecords)
+	// echo back. The vector is this call's own: a flooding point writes
+	// into the one its link adopted.
+	pull := dp.engine.DispatchesSince(gossip.Vector(a.Digest), gossip.MaxRecords)
 	return GossipReply{
 		From:    dp.cfg.Name,
 		Digest:  gossip.Cursors(dp.engine.OriginVector()),

@@ -160,7 +160,7 @@ func (dp *DecisionPoint) flushComplete() bool {
 	defer dp.mu.Unlock()
 	//lint:allow mapiter -- conjunction over values; order-independent
 	for _, l := range dp.peers {
-		if l.answered != dp.flushes || l.lastSent < hi {
+		if l.answered != dp.flushes || l.ackVV[dp.cfg.Name] < hi {
 			return false
 		}
 	}

@@ -70,7 +70,9 @@ func (dp *DecisionPoint) registerMetrics(reg *tsdb.Registry) {
 			return float64(dp.gossipDuplicates)
 		})
 		reg.GaugeFunc(p+"gossip/view_size", func(now time.Time) float64 {
-			return float64(dp.view.Len())
+			dp.mu.Lock()
+			defer dp.mu.Unlock()
+			return float64(len(dp.peers))
 		})
 	}
 

@@ -70,16 +70,6 @@ func Vector(cursors []Cursor) map[string]uint64 {
 	return vv
 }
 
-// Seq returns the digest's entry for origin (0 when absent).
-func Seq(cursors []Cursor, origin string) uint64 {
-	for _, c := range cursors {
-		if c.Origin == origin {
-			return c.Seq
-		}
-	}
-	return 0
-}
-
 // MinAcked folds one peer's acknowledged vector into a running
 // per-origin minimum over the given origins: for every origin,
 // acc[origin] becomes min(acc[origin], acked[origin]), a missing peer
