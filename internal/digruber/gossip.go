@@ -86,7 +86,7 @@ func (dp *DecisionPoint) gossipPart(force bool) roundPart[GossipArgs, GossipRepl
 			// gets everything (up to the batch bound).
 			push := dp.engine.DispatchesSince(ackVV, gossip.MaxRecords)
 			return linkRequest[GossipArgs]{
-				args:    GossipArgs{From: dp.cfg.Name, Round: round, Digest: digest, Records: push, Members: members},
+				args:    GossipArgs{From: dp.cfg.Name, Digest: digest, Records: push, Members: members},
 				records: len(push),
 			}
 		},
@@ -140,7 +140,7 @@ func (dp *DecisionPoint) gossipCompact() {
 // the same message, or the ones it has just merged — so it is the basis
 // for the next push diff, for compaction and, via its entry for this
 // point, for the drain flush's completeness proof.
-func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, records []gruber.Dispatch, digest []gossip.Cursor) gruber.GossipMergeStats {
+func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, records []gruber.Dispatch, digest []gossip.Cursor) {
 	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineMerge)
 	st := dp.engine.MergeGossip(from, records)
 	sp.End()
@@ -154,7 +154,6 @@ func (dp *DecisionPoint) absorbGossip(ctx trace.SpanContext, from string, record
 	dp.gossipDuplicates += st.Duplicates
 	dp.mu.Unlock()
 	dp.metrics.gossipResets.Add(int64(st.Resets))
-	return st
 }
 
 // handleGossip serves one inbound push-pull exchange: merge the push,
@@ -168,7 +167,7 @@ func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, 
 		}
 		dp.addPeer(m.Name, m.Node, m.Addr, false) // no-op for known and removed names
 	}
-	st := dp.absorbGossip(ctx.Span, a.From, a.Records, a.Digest)
+	dp.absorbGossip(ctx.Span, a.From, a.Records, a.Digest)
 	putRecords(a.Records)
 	// The pull: anything we hold that the sender's digest lacks. Records
 	// the sender just pushed are covered by its digest, so they never
@@ -179,6 +178,5 @@ func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, 
 		From:    dp.cfg.Name,
 		Digest:  gossip.Cursors(dp.engine.OriginVector()),
 		Records: pull,
-		Stored:  st.Stored,
 	}, nil
 }

@@ -161,9 +161,6 @@ type ExchangeReply struct {
 // so fleet growth propagates epidemically too.
 type GossipArgs struct {
 	From string
-	// Round is the sender's gossip round counter, carried for traces and
-	// debugging (receivers do not depend on it).
-	Round uint64
 	// Digest is the sender's version vector as a sorted cursor list —
 	// everything the sender holds, so the receiver can both dedup the
 	// push and compute the pull.
@@ -184,9 +181,6 @@ type GossipReply struct {
 	From    string
 	Digest  []gossip.Cursor
 	Records []gruber.Dispatch
-	// Stored counts push records the receiver appended to a log — the
-	// sender's measure of how useful the push was (vs pure redundancy).
-	Stored int
 }
 
 // SnapshotArgs requests a full state snapshot; From names the requester

@@ -273,33 +273,30 @@ func skipDispatch(r *valueReader) {
 func (a GossipArgs) AppendGobValue(b []byte) ([]byte, bool) {
 	w := newValueWriter(b)
 	w.string(0, a.From)
-	w.uint(1, a.Round)
-	w.cursors(2, a.Digest)
-	if !w.records(3, a.Records) {
+	w.cursors(1, a.Digest)
+	if !w.records(2, a.Records) {
 		return b, false
 	}
-	w.members(4, a.Members)
+	w.members(3, a.Members)
 	return w.end(), true
 }
 
 // ReadGobValue implements wire's value hook, for a zero receiver.
 func (a *GossipArgs) ReadGobValue(b []byte) bool {
-	if a.From != "" || a.Round != 0 || a.Digest != nil || a.Records != nil || a.Members != nil {
+	if a.From != "" || a.Digest != nil || a.Records != nil || a.Members != nil {
 		return false
 	}
 	var v GossipArgs
 	r := valueReader{b: b}
-	for at := r.next(-1, 5); at >= 0; at = r.next(at, 5) {
+	for at := r.next(-1, 4); at >= 0; at = r.next(at, 4) {
 		switch at {
 		case 0:
 			v.From = r.name()
 		case 1:
-			v.Round = r.nonZero()
-		case 2:
 			v.Digest = r.cursors()
-		case 3:
+		case 2:
 			v.Records = r.records()
-		case 4:
+		case 3:
 			v.Members = r.members()
 		}
 	}
@@ -319,18 +316,17 @@ func (g GossipReply) AppendGobValue(b []byte) ([]byte, bool) {
 	if !w.records(2, g.Records) {
 		return b, false
 	}
-	w.int(3, int64(g.Stored))
 	return w.end(), true
 }
 
 // ReadGobValue implements wire's value hook, for a zero receiver.
 func (g *GossipReply) ReadGobValue(b []byte) bool {
-	if g.From != "" || g.Digest != nil || g.Records != nil || g.Stored != 0 {
+	if g.From != "" || g.Digest != nil || g.Records != nil {
 		return false
 	}
 	var v GossipReply
 	r := valueReader{b: b}
-	for at := r.next(-1, 4); at >= 0; at = r.next(at, 4) {
+	for at := r.next(-1, 3); at >= 0; at = r.next(at, 3) {
 		switch at {
 		case 0:
 			v.From = r.name()
@@ -338,8 +334,6 @@ func (g *GossipReply) ReadGobValue(b []byte) bool {
 			v.Digest = r.cursors()
 		case 2:
 			v.Records = r.records()
-		case 3:
-			v.Stored = r.int()
 		}
 	}
 	if !r.end() {

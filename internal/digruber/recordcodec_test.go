@@ -76,16 +76,14 @@ func TestRecordBodiesMatchGob(t *testing.T) {
 			walEntryCase(t, fmt.Sprintf("record %d, %s", i, name), walEntry{D: ds[i], Logged: i%2 == 0})
 		}
 		smallBodyCase(t, p, "ExchangeArgs "+name, ExchangeArgs{From: "dp-1", Dispatches: ds})
-		smallBodyCase(t, p, "GossipArgs "+name, GossipArgs{From: "dp-1", Round: 7, Digest: cur, Records: ds, Members: members})
-		smallBodyCase(t, p, "GossipReply "+name, GossipReply{From: "dp-0", Digest: cur, Records: ds, Stored: -3})
+		smallBodyCase(t, p, "GossipArgs "+name, GossipArgs{From: "dp-1", Digest: cur, Records: ds, Members: members})
+		smallBodyCase(t, p, "GossipReply "+name, GossipReply{From: "dp-0", Digest: cur, Records: ds})
 		smallBodyCase(t, p, "SnapshotReply "+name, SnapshotReply{From: "dp-0", Dispatches: ds})
 	}
 	smallBodyCase(t, p, "ExchangeArgs zero", ExchangeArgs{})
 	smallBodyCase(t, p, "ExchangeArgs without records", ExchangeArgs{From: "dp-1"})
 	smallBodyCase(t, p, "GossipArgs zero", GossipArgs{})
-	smallBodyCase(t, p, "GossipArgs a long round", GossipArgs{Round: 1 << 40})
 	smallBodyCase(t, p, "GossipReply zero", GossipReply{})
-	smallBodyCase(t, p, "GossipReply only Stored", GossipReply{Stored: 1})
 	smallBodyCase(t, p, "SnapshotReply zero", SnapshotReply{})
 	smallBodyCase(t, p, "SnapshotReply without records", SnapshotReply{From: "dp-0"})
 
@@ -193,9 +191,9 @@ func checkRecordBodies(t *testing.T, p *codecProbe, data []byte) {
 	ds := recordSet(time.Unix(1e9, 5).UTC())
 	checkSmallBodyValue(t, p, data, ReportArgs{Dispatch: ds[0]})
 	checkSmallBodyValue(t, p, data, ExchangeArgs{From: "dp-1", Dispatches: ds})
-	checkSmallBodyValue(t, p, data, GossipArgs{From: "dp-1", Round: 3, Digest: []gossip.Cursor{{Origin: "dp-0", Seq: 4}},
+	checkSmallBodyValue(t, p, data, GossipArgs{From: "dp-1", Digest: []gossip.Cursor{{Origin: "dp-0", Seq: 4}},
 		Records: ds, Members: []gossip.Member{{Name: "dp-2", Node: "n-2", Addr: "dp-2"}}})
-	checkSmallBodyValue(t, p, data, GossipReply{From: "dp-0", Digest: []gossip.Cursor{{Origin: "dp-1"}}, Records: ds, Stored: 2})
+	checkSmallBodyValue(t, p, data, GossipReply{From: "dp-0", Digest: []gossip.Cursor{{Origin: "dp-1"}}, Records: ds})
 	checkSmallBodyValue(t, p, data, SnapshotReply{From: "dp-0", Dispatches: ds})
 	checkWALEntryValue(t, data)
 }
@@ -240,9 +238,9 @@ func FuzzRecordBodies(f *testing.F) {
 	for _, v := range []gobValueAppender{
 		ReportArgs{Dispatch: ds[0]},
 		ExchangeArgs{From: "dp-1", Dispatches: ds},
-		GossipArgs{From: "dp-1", Round: 9, Digest: []gossip.Cursor{{Origin: "dp-0", Seq: 1}}, Records: ds[:2],
+		GossipArgs{From: "dp-1", Digest: []gossip.Cursor{{Origin: "dp-0", Seq: 1}}, Records: ds[:2],
 			Members: []gossip.Member{{Name: "dp-2", Addr: "dp-2"}}},
-		GossipReply{From: "dp-0", Records: ds[2:], Stored: 1},
+		GossipReply{From: "dp-0", Records: ds[2:]},
 		SnapshotReply{From: "dp-0", Dispatches: ds},
 		walEntry{D: ds[0], Logged: true},
 	} {

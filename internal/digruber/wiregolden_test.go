@@ -55,8 +55,8 @@ func wireRows() []wireRow {
 		{v: ScheduleReply{Site: "site-003", OK: true}}, {v: ReportReply{OK: true}}, {v: ReportArgs{Dispatch: d}},
 		{v: QueryArgs{Owner: "atlas.higgs", CPUs: 2}}, {v: QueryReply{Loads: []gruber.SiteLoad{load}}},
 		{v: ExchangeArgs{From: "dp-2", Dispatches: ds, USLAs: []usla.Entry{entry}}}, {v: ExchangeReply{From: "dp-0"}},
-		{v: GossipArgs{From: "dp-2", Round: 7, Digest: cur, Records: ds, Members: []gossip.Member{member}}},
-		{v: GossipReply{From: "dp-0", Digest: cur, Records: ds, Stored: 1}}, {v: SnapshotReply{From: "dp-0", Dispatches: ds}},
+		{v: GossipArgs{From: "dp-2", Digest: cur, Records: ds, Members: []gossip.Member{member}}},
+		{v: GossipReply{From: "dp-0", Digest: cur, Records: ds}}, {v: SnapshotReply{From: "dp-0", Dispatches: ds}},
 		{v: SnapshotArgs{From: "dp-3", Vector: cur}, before: []string{"Vector"}},
 		{v: StatusArgs{WithMetrics: true}, before: []string{"WithMetrics"}},
 		{v: status, before: []string{"Alerts", "State", "Expired", "Metrics"}},

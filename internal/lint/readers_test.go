@@ -42,10 +42,8 @@ var valueHooks = map[string]bool{"AppendGobValue": true, "ReadGobValue": true}
 // list holds wire-body fields only and only shrinks; any other unread
 // field is deleted or given its reader.
 var wireBodyUnread = map[string]string{
-	"digruber/internal/digruber.GossipArgs.Round":   "the answering point keeps no per-round state; exit: ROADMAP item 4 re-cuts the gossip bodies",
-	"digruber/internal/digruber.GossipReply.Stored": "the asking point learns what was stored from the digest; exit: ROADMAP item 4 re-cuts the gossip bodies",
-	"digruber/internal/exp.instanceReq.Payload":     "Fig 1's 0.2 KB request body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
-	"digruber/internal/exp.instanceResp.Handle":     "Fig 1's reply body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
+	"digruber/internal/exp.instanceReq.Payload": "Fig 1's 0.2 KB request body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
+	"digruber/internal/exp.instanceResp.Handle": "Fig 1's reply body: its bytes are what the emulated GT3/GT4 service time charges; exit: none",
 }
 
 // unreadFields returns, sorted, the watched fields of pkgs that no
