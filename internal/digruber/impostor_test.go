@@ -72,6 +72,12 @@ func TestGossipRefusesReplyFromAnotherPeer(t *testing.T) {
 // and dp-9 answers. Its reply acknowledges nothing for dp-1, so dp-0
 // must keep dp-1's cursor and its records, book the call as failed, and
 // flood them to the real dp-1 once it is back.
+//
+// dp-0's client may still hold the connection dp-9's server closed
+// until its read loop notices, so the round right after dp-9 leaves
+// runs while dp-1 is still down: it fails on that connection or on the
+// empty address, and must not cost dp-0 its records either. Only the
+// round after dp-1 is back has to deliver.
 func TestFloodRefusesReplyFromAnotherPeer(t *testing.T) {
 	clock := vtime.NewReal()
 	h := newHarness(t, 2, clock, testStatuses(50))
@@ -89,6 +95,10 @@ func TestFloodRefusesReplyFromAnotherPeer(t *testing.T) {
 	}
 
 	stop()
+	h.dps[0].ExchangeNow()
+	if held := h.dps[0].Engine().DispatchesSince(nil, 0); len(held) != 2 {
+		t.Fatalf("dp-0 holds %d of its 2 records after a round with dp-1 down, want 2", len(held))
+	}
 	if err := h.dps[1].Start(); err != nil {
 		t.Fatal(err)
 	}
