@@ -2,6 +2,7 @@ package digruber
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1054,7 +1055,15 @@ func (dp *DecisionPoint) Restart() error {
 // An answer, or having no peer at all, settles an owed resync. An answer
 // signed by another name than the peer asked is no answer: it is booked
 // as a failed call on that link, and the next peer is asked.
+//
+// While a resync is owed, one donor is not enough: records of this
+// point's own that the donor lacks may sit at any other peer (a snapshot
+// it took earlier), and a record stamped later would reuse their
+// numbers. So every other peer that answers is asked too, for the
+// point's own records past its log (ownArgs), and the point takes them.
 func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
+	owed := dp.resyncOwed.Load()
+	imported, donor := 0, ""
 	peers := dp.Peers()
 	for _, name := range peers {
 		dp.mu.Lock()
@@ -1068,7 +1077,10 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 			continue
 		}
 		args := SnapshotArgs{From: dp.cfg.Name}
-		if dp.dur != nil {
+		switch {
+		case donor != "":
+			args = dp.ownArgs(peers)
+		case dp.dur != nil:
 			// Advertise what recovery already rebuilt, so the donor ships
 			// only the seq-gap instead of the whole view. Non-durable
 			// points keep requesting the full snapshot (nil Vector encodes
@@ -1083,16 +1095,56 @@ func (dp *DecisionPoint) ResyncFromPeers() (int, string) {
 		if err != nil {
 			continue
 		}
-		imported := dp.engine.ImportSnapshot(reply.Dispatches)
+		records := reply.Dispatches
+		if donor != "" {
+			records = dp.ownRecords(records)
+		}
+		n := dp.engine.ImportSnapshot(records)
 		putRecords(reply.Dispatches)
 		if dp.dur != nil {
-			dp.dur.noteBackfilled(imported)
+			dp.dur.noteBackfilled(n)
 		}
-		dp.resyncOwed.Store(false)
-		return imported, name
+		imported += n
+		if donor == "" {
+			donor = name
+		}
+		if !owed {
+			break
+		}
 	}
-	if len(peers) == 0 { // nobody is left to hold records of ours
+	if donor != "" || len(peers) == 0 { // an answer, or nobody left to hold records of ours
 		dp.resyncOwed.Store(false)
 	}
-	return 0, ""
+	return imported, donor
+}
+
+// ownArgs asks a donor for this point's own records past its log: the
+// vector marks every other origin the point knows of as held in full.
+// What the donor ships beside them (records of origins the point never
+// heard of, records without a sequence number) ownRecords drops.
+func (dp *DecisionPoint) ownArgs(peers []string) SnapshotArgs {
+	vv := dp.engine.OriginVector()
+	//lint:allow mapiter -- each entry is set on its own; Cursors sorts the result
+	for origin := range vv {
+		if origin != dp.cfg.Name {
+			vv[origin] = math.MaxUint64
+		}
+	}
+	for _, name := range peers {
+		vv[name] = math.MaxUint64
+	}
+	return SnapshotArgs{From: dp.cfg.Name, Vector: gossip.Cursors(vv)}
+}
+
+// ownRecords returns the records of ds this point stamped, in sequence
+// order, so that the own log takes them in turn.
+func (dp *DecisionPoint) ownRecords(ds []gruber.Dispatch) []gruber.Dispatch {
+	var own []gruber.Dispatch
+	for _, d := range ds {
+		if d.Origin == dp.cfg.Name && d.Seq > 0 {
+			own = append(own, d)
+		}
+	}
+	sort.Slice(own, func(i, j int) bool { return own[i].Seq < own[j].Seq })
+	return own
 }

@@ -8,6 +8,7 @@ package digruber_test
 
 import (
 	"crypto/sha256"
+	"flag"
 	"fmt"
 	"io"
 	"reflect"
@@ -796,9 +797,23 @@ func TestPromisesDrainAfterPeerCrash(t *testing.T) {
 	}
 }
 
+// resyncPastFirstDonor is seed 2807, shrunk and pasted as printed: dp-2
+// crashes and, restarting, takes dp-0's job from dp-0's snapshot; then
+// dp-0 crashes and resyncs from dp-1 first, which never held that job.
+// dp-0 must take its own job back from dp-2 as well, or it numbers its
+// next job like the one dp-2 holds.
+var resyncPastFirstDonor = schedule{Points: 4, Gossip: false, Durable: false, Overload: false, Steps: []step{step{Op: "submit", P: 0, Q: 0, N: 0, D: 0, Side: []int(nil)}, step{Op: "crash", P: 2, Q: 0, N: 0, D: 60000000000, Side: []int(nil)}, step{Op: "advance", P: 0, Q: 0, N: 0, D: 110000000000, Side: []int(nil)}, step{Op: "crash", P: 0, Q: 0, N: 0, D: 120000000000, Side: []int(nil)}}}
+
+func TestPromisesResyncPastFirstDonor(t *testing.T) {
+	checkSchedule(t, resyncPastFirstDonor, true)
+}
+
 // randomSchedules is how many seeds TestPromises draws; every tenth
-// schedule runs a second time for replay.
-const randomSchedules = 150
+// schedule runs a second time for replay. Tier-1 draws 150; CI also runs
+// the 3 000-seed sweep as a step of its own:
+//
+//	go test ./internal/digruber -run '^TestPromises$' -promise-seeds 3000
+var randomSchedules = flag.Int64("promise-seeds", 150, "how many seeded schedules TestPromises draws")
 
 // randomSchedule draws a fleet shape and 12 to 23 steps. A drain is
 // followed, steps apart, by RemovePeer at every other point in order.
@@ -856,7 +871,7 @@ func randomSchedule(seed int64) schedule {
 // breaks the same invariant, and printed as a literal to paste in.
 func TestPromises(t *testing.T) {
 	checkSchedule(t, retireDuringGossip, true)
-	for seed := int64(1); seed <= randomSchedules; seed++ {
+	for seed := int64(1); seed <= *randomSchedules; seed++ {
 		s := randomSchedule(seed)
 		_, bad := verdict(t, s, seed%10 == 0)
 		if len(bad) == 0 {
