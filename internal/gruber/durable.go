@@ -145,18 +145,21 @@ func (e *Engine) CheckpointState(persist func(EngineState) error) error {
 	defer e.mu.Unlock()
 	_ = durable(e.ticket) // a refused record is in the state persisted below
 	var st EngineState
-	inLog := make(map[string]struct{})
+	// A job's placement is its JobID and site: a re-planned job's later
+	// record may sit in the view while only the one it moved is logged.
+	type placement struct{ job, site string }
+	inLog := make(map[placement]struct{})
 	for _, origin := range e.originsLocked() {
 		l := e.logs[origin]
 		recs := make([]Dispatch, len(l.recs))
 		copy(recs, l.recs)
 		for _, d := range recs {
-			inLog[d.JobID] = struct{}{}
+			inLog[placement{d.JobID, d.Site}] = struct{}{}
 		}
 		st.Origins = append(st.Origins, OriginState{Origin: origin, Floor: l.dropped, Records: recs})
 	}
 	st.View = e.viewLocked(now, func(d Dispatch) bool {
-		_, dup := inLog[d.JobID]
+		_, dup := inLog[placement{d.JobID, d.Site}]
 		return !dup
 	})
 	return persist(st)

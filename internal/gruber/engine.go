@@ -85,7 +85,7 @@ type Engine struct {
 	// pending holds exactly the dispatches the site views' sums count,
 	// all sites together, earliest expiry first.
 	pending dispatchHeap
-	seen    map[string]time.Time // JobID → expiry, for exchange dedup
+	seen    map[string]seenEntry // JobID → its latest record's site and expiry
 	// seenSweepAt is the size of seen at which markSeenLocked next sweeps
 	// it for expired JobIDs.
 	seenSweepAt int
@@ -126,6 +126,18 @@ type siteView struct {
 	usageDelta map[usla.Path]int
 }
 
+// seenEntry is what the dedup set keeps for a JobID: the site its
+// latest record placed it at and that record's expiry, in nanoseconds
+// since the Unix epoch (saturating, as time.Time.Sub does) — 24 bytes,
+// no more than a time.Time expiry alone.
+type seenEntry struct {
+	expiry int64
+	site   string
+}
+
+// unixEpoch is what seenEntry expiries count from.
+var unixEpoch = time.Unix(0, 0)
+
 // pendingDispatch is one dispatch in a site view with what folding and
 // pruning it need, resolved once: its expiry, its site and its parsed
 // owner (the zero Path when Owner does not parse — such a dispatch
@@ -135,6 +147,19 @@ type pendingDispatch struct {
 	expiry time.Time
 	sv     *siteView
 	owner  usla.Path
+}
+
+// later reports whether a is the later of two records for one job: by
+// At, then Origin, then Seq. A re-planned job's later record is the one
+// that places it.
+func later(a, b Dispatch) bool {
+	if !a.At.Equal(b.At) {
+		return a.At.After(b.At)
+	}
+	if a.Origin != b.Origin {
+		return a.Origin > b.Origin
+	}
+	return a.Seq > b.Seq
 }
 
 // dispatchHeap orders pending dispatches by expiry time: a binary
@@ -168,6 +193,19 @@ func (h *dispatchHeap) pop() pendingDispatch {
 	old[n] = pendingDispatch{} // the heap does not pin what it handed out
 	*h = old[:n]
 	return p
+}
+
+// remove takes out element i, as container/heap.Remove does.
+func (h *dispatchHeap) remove(i int) {
+	old := *h
+	n := len(old) - 1
+	if i != n {
+		old[i], old[n] = old[n], old[i]
+		old[:n].down(i, n)
+		old[:n].up(i)
+	}
+	old[n] = pendingDispatch{}
+	*h = old[:n]
 }
 
 func (h dispatchHeap) up(j int) {
@@ -209,7 +247,7 @@ func NewEngine(name string, policies *usla.PolicySet, clock vtime.Clock) *Engine
 		clock:       clock,
 		policies:    policies,
 		sites:       make(map[string]*siteView),
-		seen:        make(map[string]time.Time),
+		seen:        make(map[string]seenEntry),
 		seenSweepAt: seenSweepFloor,
 		logs:        make(map[string]*originLog),
 	}
@@ -397,8 +435,9 @@ func (e *Engine) foldRemoteLocked(d Dispatch, now time.Time) bool {
 
 // RecordDispatch folds a locally-brokered dispatch into the view and the
 // exchange log. The engine stamps itself as Origin and assigns the
-// record's sequence number in its own dispatch log. With a write-ahead
-// hook installed it returns once the record is on stable storage, or
+// record's sequence number in its own dispatch log. A record for a job
+// held at another site moves it there (see markSeenLocked). With a
+// write-ahead hook installed it returns once the record is on stable storage, or
 // with the error of the commit that refused it: the Schedule/Report
 // handler acks only after a nil return, so an acked dispatch is always
 // durable (zero acked-dispatch loss across a crash). A refused record
@@ -406,11 +445,12 @@ func (e *Engine) foldRemoteLocked(d Dispatch, now time.Time) bool {
 func (e *Engine) RecordDispatch(d Dispatch) error {
 	d.Origin = e.name
 	e.mu.Lock()
+	// Stamped before the dedup, so a re-plan through this point in the
+	// same instant is later than the record it moves.
+	d.Seq = e.logs[e.name].hi() + 1 // the own log is the numbering authority
 	if e.markSeenLocked(d) {
 		e.stats.LocalDispatches++
-		l := e.logLocked(e.name)
-		d.Seq = l.hi() + 1 // the own log is the numbering authority
-		l.insert(d)
+		e.logLocked(e.name).insert(d)
 		e.appendLocked(d, true)
 		e.foldLocked(d)
 	}
@@ -448,18 +488,24 @@ func (e *Engine) MergeRemote(dispatches []Dispatch) int {
 // never swept out.
 const seenSweepFloor = 100000
 
-// markSeenLocked registers a JobID, pruning the dedup set opportunistically.
-// It returns false for duplicates. Caller holds e.mu.
+// markSeenLocked registers a JobID, pruning the dedup set opportunistically,
+// and reports whether d enters the view. It returns false for a
+// re-delivery to the same site (a duplicate) and for a record older than
+// the one held at another site. A later record at another site is a
+// re-planned job: the held record leaves the view, and only such a move
+// scans the pending heap. Caller holds e.mu.
 func (e *Engine) markSeenLocked(d Dispatch) bool {
-	if _, dup := e.seen[d.JobID]; dup {
-		e.stats.DuplicateIgnored++
-		return false
-	}
-	if len(e.seen) > e.seenSweepAt {
-		now := e.clock.Now()
+	expiry := d.At.Add(d.Runtime).Sub(unixEpoch).Nanoseconds()
+	if held, dup := e.seen[d.JobID]; dup {
+		if held.site == d.Site || !e.supersedeLocked(d, held, expiry) {
+			e.stats.DuplicateIgnored++
+			return false
+		}
+	} else if len(e.seen) > e.seenSweepAt {
+		now := e.clock.Now().Sub(unixEpoch).Nanoseconds()
 		//lint:allow mapiter -- expiry sweep deletes a fixed set of keys; order cannot matter
-		for id, exp := range e.seen {
-			if now.After(exp) {
+		for id, s := range e.seen {
+			if now > s.expiry {
 				delete(e.seen, id)
 			}
 		}
@@ -472,8 +518,28 @@ func (e *Engine) markSeenLocked(d Dispatch) bool {
 			e.seenSweepAt = seenSweepFloor
 		}
 	}
-	e.seen[d.JobID] = d.At.Add(d.Runtime)
+	e.seen[d.JobID] = seenEntry{expiry: expiry, site: d.Site}
 	return true
+}
+
+// supersedeLocked settles d against the record held for its job at
+// another site and reports whether d is the later one; if it is, the
+// held record leaves the view. A held record no longer in the view
+// (expired, absorbed by a re-baseline, or at a site the engine does not
+// know) is ordered by its expiry: the records of one job share its
+// runtime, so expiry orders them as At does. Caller holds e.mu.
+func (e *Engine) supersedeLocked(d Dispatch, held seenEntry, expiry int64) bool {
+	for i := range e.pending {
+		if p := &e.pending[i]; p.JobID == d.JobID {
+			if !later(d, p.Dispatch) {
+				return false
+			}
+			p.fold(-1)
+			e.pending.remove(i)
+			return true
+		}
+	}
+	return expiry > held.expiry
 }
 
 // LocalDispatchesAfter returns this engine's own dispatches recorded

@@ -109,7 +109,7 @@ func (e *Engine) DropDynamicState() {
 		sv.usageDelta = make(map[usla.Path]int)
 	}
 	e.pending = nil
-	e.seen = make(map[string]time.Time)
+	e.seen = make(map[string]seenEntry)
 	e.seenSweepAt = seenSweepFloor
 	// Every per-origin log goes, the engine's own included: the sequence
 	// numbering restarts from 1 on the next dispatch, which peers detect
