@@ -113,24 +113,8 @@ func run(w io.Writer) error {
 	var wg sync.WaitGroup
 	runVO := func(i int, t *tally) {
 		defer wg.Done()
-		vo, host, client := vos[i].name, vos[i].host, f.Clients()[i]
-		selector := euryale.SelectorFunc(func(j *grid.Job, excluded map[string]bool) (string, error) {
-			dec := client.Schedule(j)
-			if dec.Err != nil {
-				return "", dec.Err
-			}
-			if excluded[dec.Site] {
-				// Re-planning: the broker's view has moved on, but if it
-				// insists, degrade to any non-excluded site.
-				for _, s := range g.SiteNames() {
-					if !excluded[s] {
-						return s, nil
-					}
-				}
-			}
-			return dec.Site, nil
-		})
-		planner, err := euryale.New(selector, submitter, catalog, network, clock,
+		vo, host := vos[i].name, vos[i].host
+		planner, err := euryale.New(f.Clients()[i], submitter, catalog, network, clock,
 			euryale.Config{MaxAttempts: 4, CollectionSite: "tier2-01"})
 		if t.err = err; err != nil {
 			return

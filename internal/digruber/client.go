@@ -249,7 +249,23 @@ func (c *Client) DPName() string {
 // Schedule runs the full scheduling interaction for one job and returns
 // the decision. It never blocks longer than roughly the configured
 // timeout: on expiry the fallback picks a random site immediately.
-func (c *Client) Schedule(j *grid.Job) Decision {
+func (c *Client) Schedule(j *grid.Job) Decision { return c.ScheduleExcluding(j, nil) }
+
+// SelectSite is the site selector Euryale's prescript calls out to
+// (euryale.SiteSelector). With nothing excluded it is Schedule. A
+// re-plan, with the sites that failed the job excluded, takes the
+// two-call pair on either coupling, so the single call's body carries no
+// exclusion set: the point answers the query, the selector ranks the
+// sites left, and the report moves the job's record to the new site.
+func (c *Client) SelectSite(j *grid.Job, excluded map[string]bool) (string, error) {
+	dec := c.ScheduleExcluding(j, excluded)
+	return dec.Site, dec.Err
+}
+
+// ScheduleExcluding is Schedule avoiding the excluded sites, returning
+// the whole decision of which SelectSite returns the site: whether the
+// point acknowledged it, and how long it took.
+func (c *Client) ScheduleExcluding(j *grid.Job, excluded map[string]bool) Decision {
 	start := c.clock.Now()
 	dec := Decision{JobID: string(j.ID)}
 
@@ -260,7 +276,7 @@ func (c *Client) Schedule(j *grid.Job) Decision {
 	root.SetNote(string(j.ID))
 	dec.TraceID = root.Context().Trace
 
-	if c.cfg.SingleCall {
+	if c.cfg.SingleCall && len(excluded) == 0 {
 		return c.scheduleSingleCall(j, start, dec, root)
 	}
 
@@ -292,25 +308,34 @@ func (c *Client) Schedule(j *grid.Job) Decision {
 	if err != nil {
 		// Graceful degradation: random site, no USLAs, not handled.
 		fs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseFallback)
-		dec.Site, dec.Err = c.fallback()
+		dec.Site, dec.Err = c.fallback(excluded)
 		fs.End()
 		dec.Handled = false
 		return c.finish(j, dec, start, root)
 	}
 
 	sel := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseSelect)
-	site, ok := c.selector.Select(reply.Loads, j.CPUs)
+	loads := reply.Loads
+	if len(excluded) > 0 {
+		loads = loads[:0]
+		for _, l := range reply.Loads {
+			if !excluded[l.Name] {
+				loads = append(loads, l)
+			}
+		}
+	}
+	site, ok := c.selector.Select(loads, j.CPUs)
 	if !ok {
 		// The decision point answered but no site qualifies under USLAs;
 		// degrade to random among the reported sites (still counts as
 		// handled — the broker's information was used).
-		site, ok = pickAnyFree(reply.Loads, j.CPUs, c.cfg.RNG)
+		site, ok = c.pickAnyFree(loads, j.CPUs)
 	}
 	replyLoads.Put(reply.Loads) // site is a string of its own; the loads are done with
 	sel.End()
 	if !ok {
 		fs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseFallback)
-		dec.Site, dec.Err = c.fallback()
+		dec.Site, dec.Err = c.fallback(excluded)
 		fs.End()
 		dec.Handled = true
 		return c.finish(j, dec, start, root)
@@ -368,13 +393,13 @@ func (c *Client) scheduleSingleCall(j *grid.Job, start time.Time, dec Decision, 
 	switch {
 	case err != nil:
 		fs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseFallback)
-		dec.Site, dec.Err = c.fallback()
+		dec.Site, dec.Err = c.fallback(nil)
 		fs.End()
 		dec.Handled = false
 	case !reply.OK:
 		// The broker answered but nothing qualified; degrade to random.
 		fs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseFallback)
-		dec.Site, dec.Err = c.fallback()
+		dec.Site, dec.Err = c.fallback(nil)
 		fs.End()
 		dec.Handled = true
 	default:
@@ -409,14 +434,25 @@ func (c *Client) remaining(start time.Time) time.Duration {
 	return rem
 }
 
-func (c *Client) fallback() (string, error) {
-	if len(c.cfg.FallbackSites) == 0 {
+// fallback picks a random site outside excluded from the static list.
+func (c *Client) fallback(excluded map[string]bool) (string, error) {
+	sites := c.cfg.FallbackSites
+	if len(excluded) > 0 {
+		sites = make([]string, 0, len(sites))
+		for _, s := range c.cfg.FallbackSites {
+			if !excluded[s] {
+				sites = append(sites, s)
+			}
+		}
+	}
+	if len(sites) == 0 {
 		return "", fmt.Errorf("digruber: client %s has no fallback sites", c.cfg.Name)
 	}
-	return c.cfg.FallbackSites[c.cfg.RNG.Intn(len(c.cfg.FallbackSites))], nil
+	return sites[c.intn(len(sites))], nil
 }
 
-func pickAnyFree(loads []gruber.SiteLoad, cpus int, rng randSource) (string, bool) {
+// pickAnyFree picks a random site among loads with room for cpus.
+func (c *Client) pickAnyFree(loads []gruber.SiteLoad, cpus int) (string, bool) {
 	free := make([]string, 0, len(loads))
 	for _, l := range loads {
 		if l.EstFreeCPUs >= cpus {
@@ -426,7 +462,15 @@ func pickAnyFree(loads []gruber.SiteLoad, cpus int, rng randSource) (string, boo
 	if len(free) == 0 {
 		return "", false
 	}
-	return free[rng.Intn(len(free))], true
+	return free[c.intn(len(free))], true
+}
+
+// intn draws from the fallback stream, which a planner's re-plans share
+// with the client's own decisions.
+func (c *Client) intn(n int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cfg.RNG.Intn(n)
 }
 
 // Rebind switches the client to a different decision point — used by

@@ -1,6 +1,8 @@
 package digruber
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,5 +126,63 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	}
 	if !handled {
 		t.Fatal("client never reconnected to the restarted decision point")
+	}
+}
+
+// TestSelectSiteSkipsExcludedSites: a re-plan avoids the excluded sites
+// at every degradation tier — among the free sites the broker reports,
+// and in the random fallback over the static list — while the fallback
+// stream is drawn from by re-plans and decisions on several goroutines at once.
+func TestSelectSiteSkipsExcludedSites(t *testing.T) {
+	clock := vtime.NewReal()
+	mem := wire.NewMem()
+	ps := usla.NewPolicySet()
+	entries, err := usla.ParseTextString("* atlas cpu 0+") // no site qualifies: pick any free one
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.AddAll(entries)
+	dp, err := New(Config{Name: "dp-x", Addr: "dp-x", Transport: mem, Clock: clock, Profile: wire.Instant(), Policies: ps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.Engine().UpdateSites(testStatuses(40, 100, 90), clock.Now())
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	answered, err := NewClient(ClientConfig{Name: "c", DPName: "dp-x", DPNode: "dp-x", DPAddr: "dp-x",
+		Transport: mem, Clock: clock, Timeout: 2 * time.Second, RNG: netsim.Stream(1, "exclude")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer answered.Close()
+	unanswered, err := NewClient(ClientConfig{Name: "u", DPAddr: "nowhere", Transport: mem, Clock: clock,
+		Timeout: 20 * time.Millisecond, FallbackSites: []string{"site-a", "site-b", "site-c"}, RNG: netsim.Stream(1, "exclude")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unanswered.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				id := fmt.Sprintf("j-%d-%d", g, i)
+				answered.Schedule(testJob(id + "-first"))
+				if site, err := answered.SelectSite(testJob(id), map[string]bool{"site-000": true, "site-002": true}); err != nil || site != "site-001" {
+					t.Errorf("broker's free sites less two excluded: %q, %v; want site-001", site, err)
+				}
+				if site, err := unanswered.SelectSite(testJob(id), map[string]bool{"site-a": true, "site-c": true}); err != nil || site != "site-b" {
+					t.Errorf("static list less two excluded: %q, %v; want site-b", site, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if site, err := unanswered.SelectSite(testJob("all"), map[string]bool{"site-a": true, "site-b": true, "site-c": true}); err == nil {
+		t.Errorf("every site excluded, yet SelectSite picked %q", site)
 	}
 }

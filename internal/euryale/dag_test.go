@@ -25,7 +25,7 @@ func dagPlanner(t *testing.T, siteFail float64) (*Planner, *grid.Grid) {
 		cfg.RNG = netsim.Stream(3, "dagfail")
 	}
 	g.AddSite(cfg)
-	selector := SelectorFunc(func(*grid.Job, map[string]bool) (string, error) { return "s0", nil })
+	selector := selectorFunc(func(*grid.Job, map[string]bool) (string, error) { return "s0", nil })
 	sub := gram.NewSubmitter(g, nil, clock, gram.Config{})
 	p, err := New(selector, sub, nil, nil, clock, Config{MaxAttempts: 1})
 	if err != nil {
@@ -126,7 +126,7 @@ func TestDAGParallelismBound(t *testing.T) {
 	g.AddSite(grid.SiteConfig{Name: "s0", Clusters: []int{64}})
 	var mu sync.Mutex
 	inflight, maxInflight := 0, 0
-	selector := SelectorFunc(func(*grid.Job, map[string]bool) (string, error) {
+	selector := selectorFunc(func(*grid.Job, map[string]bool) (string, error) {
 		mu.Lock()
 		inflight++
 		if inflight > maxInflight {

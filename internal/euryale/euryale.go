@@ -22,19 +22,11 @@ import (
 )
 
 // SiteSelector is the external site selector the prescript calls out to.
-// DI-GRUBER's client satisfies this via SelectorFunc.
+// DI-GRUBER's client (digruber.Client) is one.
 type SiteSelector interface {
 	// SelectSite picks a site for j, avoiding excluded sites (previous
 	// failed placements during re-planning).
 	SelectSite(j *grid.Job, excluded map[string]bool) (site string, err error)
-}
-
-// SelectorFunc adapts a function to SiteSelector.
-type SelectorFunc func(j *grid.Job, excluded map[string]bool) (string, error)
-
-// SelectSite implements SiteSelector.
-func (f SelectorFunc) SelectSite(j *grid.Job, excluded map[string]bool) (string, error) {
-	return f(j, excluded)
 }
 
 // Submitter is the job submission interface (gram.Submitter satisfies it).
@@ -81,6 +73,8 @@ func New(selector SiteSelector, submitter Submitter, catalog *replica.Catalog, n
 
 // Result describes one job's journey through the planner.
 type Result struct {
+	// Outcome is the successful attempt's; after a failure, the last
+	// attempt that ran, or, when none ran, a failure with no QueuedAt.
 	Outcome grid.Outcome
 	// Attempts counts placements tried (1 = no re-planning needed).
 	Attempts int
@@ -117,6 +111,7 @@ func (p *Planner) RunJob(j *grid.Job, inputs, outputs []string) (Result, error) 
 		// ---- postscript ----
 		if out.Failed {
 			excluded[site] = true
+			res.Outcome = out
 			lastErr = fmt.Errorf("euryale: job %s failed at %s: %s", j.ID, site, out.FailureReason)
 			continue
 		}
@@ -132,7 +127,9 @@ func (p *Planner) RunJob(j *grid.Job, inputs, outputs []string) (Result, error) 
 	if lastErr == nil {
 		lastErr = fmt.Errorf("euryale: job %s: no placement attempt succeeded", j.ID)
 	}
-	res.Outcome = grid.Outcome{Job: j, Failed: true, FailureReason: lastErr.Error(), FinishedAt: p.clock.Now()}
+	if res.Outcome.Job == nil { // no attempt ran: the outcome is the planner's
+		res.Outcome = grid.Outcome{Job: j, Failed: true, FailureReason: lastErr.Error(), FinishedAt: p.clock.Now()}
+	}
 	return res, lastErr
 }
 

@@ -15,6 +15,13 @@ import (
 	"digruber/internal/vtime"
 )
 
+// selectorFunc adapts a function to SiteSelector.
+type selectorFunc func(j *grid.Job, excluded map[string]bool) (string, error)
+
+func (f selectorFunc) SelectSite(j *grid.Job, excluded map[string]bool) (string, error) {
+	return f(j, excluded)
+}
+
 // env assembles a small grid, a selector preferring the emptiest site,
 // and a planner over them, all on the real clock with tiny runtimes.
 type env struct {
@@ -40,7 +47,7 @@ func newEnv(t *testing.T, failProbBySite map[string]float64) *env {
 		}
 	}
 	e := &env{g: g, cat: replica.NewCatalog()}
-	selector := SelectorFunc(func(j *grid.Job, excluded map[string]bool) (string, error) {
+	selector := selectorFunc(func(j *grid.Job, excluded map[string]bool) (string, error) {
 		best, bestFree := "", -1
 		for _, s := range g.Sites() {
 			if excluded[s.Name()] {
@@ -134,7 +141,7 @@ func TestStageInMovesMissingInputs(t *testing.T) {
 	cat.Register("raw.dat", replica.PFN{Site: "cern", Path: "/raw", Size: 4 << 20})
 
 	network := netsim.New(1, netsim.Profile{Name: "fast", MedianLatency: time.Microsecond, Bandwidth: 1e12})
-	selector := SelectorFunc(func(*grid.Job, map[string]bool) (string, error) { return "fnal", nil })
+	selector := selectorFunc(func(*grid.Job, map[string]bool) (string, error) { return "fnal", nil })
 	submitter := gram.NewSubmitter(g, nil, clock, gram.Config{})
 	p, _ := New(selector, submitter, cat, network, clock, Config{})
 

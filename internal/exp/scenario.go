@@ -7,6 +7,7 @@ import (
 
 	"digruber/internal/digruber"
 	"digruber/internal/diperf"
+	"digruber/internal/euryale"
 	"digruber/internal/gram"
 	"digruber/internal/grid"
 	"digruber/internal/gruber"
@@ -52,16 +53,17 @@ type ScenarioConfig struct {
 	ExecuteJobs bool
 	// Seed drives all randomness.
 	Seed int64
-	// MeshTopology false keeps the paper's full mesh; true switches to a
+	// StarTopology false keeps the paper's full mesh; true switches to a
 	// star (ablation): every DP exchanges only with dp-0.
 	StarTopology bool
 	// SingleCall switches clients to the one-round-trip coupling the
 	// paper's conclusion proposes (see the coupling extension).
 	SingleCall bool
 	// SelectorName picks the client-side site selector policy:
-	// "usla-aware" (default), "random", "round-robin", "least-used" or
-	// "least-recently-used" (the paper's example task assignment
-	// policies; swept by the selector ablation).
+	// "usla-aware" (default), "random", "round-robin", "least-used",
+	// "most-free" or "least-recently-used" (the paper's example task
+	// assignment policies, swept by the selector ablation, and the
+	// greedy most-free baseline the accuracy sweeps use).
 	SelectorName string
 	// Faults optionally schedules broker crashes mid-run (the chaos
 	// extension). The schedule is drawn from Seed, so the same seed
@@ -461,21 +463,19 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		collector.RecordScheduled(string(job.ID), dec.Response, dec.Handled, accuracy)
 
 		if cfg.ExecuteJobs {
+			// The planner runs the job, re-planning through the client if
+			// the placement fails; its first placement is the decision just
+			// measured. Staging is off (no catalog).
+			planner, err := euryale.New(placed{dec.Site, clients[t]}, submitter, nil, nil, clock, euryale.Config{})
+			if err != nil {
+				return diperf.OpResult{Handled: dec.Handled, Err: err, TraceID: dec.TraceID}
+			}
 			execWG.Add(1)
-			go func(site string) {
+			go func() {
 				defer execWG.Done()
-				ticket, err := submitter.Submit(job.SubmitHost, site, job)
-				if err != nil {
-					collector.RecordRefused(string(job.ID))
-					return
-				}
-				out := <-ticket.Done()
-				cpu := time.Duration(0)
-				if !out.Failed {
-					cpu = out.Job.Runtime * time.Duration(out.Job.CPUs)
-				}
-				collector.RecordOutcome(string(job.ID), out.QTime(), cpu, out.Failed)
-			}(dec.Site)
+				res, _ := planner.RunJob(job, nil, nil)
+				collector.RecordOutcome(res.Outcome)
+			}()
 		}
 		return diperf.OpResult{Handled: dec.Handled, TraceID: dec.TraceID}
 	}
@@ -526,6 +526,21 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	arrivals.Sort()
 	res.Trace = arrivals
 	return res, nil
+}
+
+// placed is the site selector for one job whose first placement is
+// already decided: the scenario op's measured Schedule. Re-plans ask the
+// client.
+type placed struct {
+	site   string
+	client *digruber.Client
+}
+
+func (p placed) SelectSite(j *grid.Job, excluded map[string]bool) (string, error) {
+	if len(excluded) == 0 {
+		return p.site, nil
+	}
+	return p.client.SelectSite(j, excluded)
 }
 
 // schedulingAccuracy is SA_i: ground-truth free CPUs at the selected

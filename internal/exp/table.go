@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"digruber/internal/grid"
 )
 
 // This file implements the five evaluation metrics of the paper's
@@ -55,43 +57,36 @@ func NewCollector() *Collector {
 func (c *Collector) RecordScheduled(id string, response time.Duration, handled bool, accuracy float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.jobs[id]
-	if !ok {
-		r = &JobRecord{ID: id}
-		c.jobs[id] = r
-	}
+	r := c.recordLocked(id)
 	r.Response = response
 	r.Handled = handled
 	r.Accuracy = accuracy
 }
 
-// RecordOutcome registers the execution half of a job's record.
-func (c *Collector) RecordOutcome(id string, qtime, cpuTime time.Duration, failed bool) {
+// RecordOutcome registers the execution half of a job's record. An
+// outcome with no QueuedAt is a job no site accepted: it failed, and
+// counts as a request but never as a queue wait.
+func (c *Collector) RecordOutcome(out grid.Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.jobs[id]
-	if !ok {
-		r = &JobRecord{ID: id}
-		c.jobs[id] = r
+	r := c.recordLocked(string(out.Job.ID))
+	r.Failed, r.Completed, r.Refused = out.Failed, !out.Failed, out.QueuedAt.IsZero()
+	if !r.Refused {
+		r.QTime = out.QTime()
 	}
-	r.QTime = qtime
-	r.CPUTime = cpuTime
-	r.Completed = !failed
-	r.Failed = failed
+	if r.Completed {
+		r.CPUTime = out.Job.Runtime * time.Duration(out.Job.CPUs)
+	}
 }
 
-// RecordRefused registers a submission the site refused: the job
-// failed, and counts as a request but never as a queue wait.
-func (c *Collector) RecordRefused(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// recordLocked returns id's record, creating it. Caller holds c.mu.
+func (c *Collector) recordLocked(id string) *JobRecord {
 	r, ok := c.jobs[id]
 	if !ok {
 		r = &JobRecord{ID: id}
 		c.jobs[id] = r
 	}
-	r.Failed = true
-	r.Refused = true
+	return r
 }
 
 // Records returns a copy of all records, sorted by ID.

@@ -6,18 +6,27 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"digruber/internal/grid"
 )
+
+// outcome is job id's run: queued qtime before it started, cpu of CPU
+// time (a one-CPU job of that runtime).
+func outcome(id string, qtime, cpu time.Duration, failed bool) grid.Outcome {
+	return grid.Outcome{Job: &grid.Job{ID: grid.JobID(id), CPUs: 1, Runtime: cpu},
+		QueuedAt: Epoch, StartedAt: Epoch.Add(qtime), Failed: failed}
+}
 
 func TestCollectorTable(t *testing.T) {
 	c := NewCollector()
 	// Two handled jobs (accurate, quick queues) and one fallback job
 	// (inaccurate, long queue).
 	c.RecordScheduled("h1", 2*time.Second, true, 0.9)
-	c.RecordOutcome("h1", 10*time.Second, 100*time.Second, false)
+	c.RecordOutcome(outcome("h1", 10*time.Second, 100*time.Second, false))
 	c.RecordScheduled("h2", 4*time.Second, true, 0.7)
-	c.RecordOutcome("h2", 20*time.Second, 200*time.Second, false)
+	c.RecordOutcome(outcome("h2", 20*time.Second, 200*time.Second, false))
 	c.RecordScheduled("f1", 30*time.Second, false, 0.1)
-	c.RecordOutcome("f1", 60*time.Second, 50*time.Second, false)
+	c.RecordOutcome(outcome("f1", 60*time.Second, 50*time.Second, false))
 
 	table := c.BuildTable(10, 100*time.Second) // 1000 cpu-s available
 	if len(table.Rows) != 3 {
@@ -59,7 +68,7 @@ func TestCollectorTable(t *testing.T) {
 func TestTableStringRendering(t *testing.T) {
 	c := NewCollector()
 	c.RecordScheduled("a", time.Second, true, 0.5)
-	c.RecordOutcome("a", time.Second, time.Minute, false)
+	c.RecordOutcome(outcome("a", time.Second, time.Minute, false))
 	out := c.BuildTable(10, time.Minute).String()
 	for _, want := range []string{"handled", "not-handled", "all", "QTime", "Accuracy"} {
 		if !strings.Contains(out, want) {
@@ -71,7 +80,7 @@ func TestTableStringRendering(t *testing.T) {
 func TestOutOfOrderRecording(t *testing.T) {
 	c := NewCollector()
 	// Outcome can land before the scheduling record (async watchers).
-	c.RecordOutcome("x", 5*time.Second, time.Minute, false)
+	c.RecordOutcome(outcome("x", 5*time.Second, time.Minute, false))
 	c.RecordScheduled("x", time.Second, true, 1.0)
 	recs := c.Records()
 	if len(recs) != 1 {
@@ -86,7 +95,7 @@ func TestOutOfOrderRecording(t *testing.T) {
 func TestFailedJobsCountInQTime(t *testing.T) {
 	c := NewCollector()
 	c.RecordScheduled("f", time.Second, true, 0.5)
-	c.RecordOutcome("f", 30*time.Second, 0, true)
+	c.RecordOutcome(outcome("f", 30*time.Second, 0, true))
 	row := c.BuildTable(10, time.Minute).Rows[0]
 	if row.MeanQTime != 30*time.Second {
 		t.Fatalf("failed job's QTime ignored: %v", row.MeanQTime)
@@ -101,9 +110,9 @@ func TestFailedJobsCountInQTime(t *testing.T) {
 func TestRefusedSubmissionIsNoQueueWait(t *testing.T) {
 	c := NewCollector()
 	c.RecordScheduled("queued", 30*time.Second, false, 0.2)
-	c.RecordOutcome("queued", 10*time.Second, time.Minute, false)
+	c.RecordOutcome(outcome("queued", 10*time.Second, time.Minute, false))
 	c.RecordScheduled("refused", 30*time.Second, false, 0)
-	c.RecordRefused("refused")
+	c.RecordOutcome(grid.Outcome{Job: &grid.Job{ID: "refused"}, Failed: true})
 	row := c.BuildTable(10, time.Minute).Rows[1] // not-handled
 	if row.NumRequests != 2 {
 		t.Fatalf("not-handled requests = %d, want 2", row.NumRequests)
@@ -155,7 +164,7 @@ func TestCollectorConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				id := fmt.Sprintf("g%d-j%d", g, i)
 				c.RecordScheduled(id, time.Second, true, 0.5)
-				c.RecordOutcome(id, time.Second, time.Minute, false)
+				c.RecordOutcome(outcome(id, time.Second, time.Minute, false))
 			}
 		}(g)
 	}
