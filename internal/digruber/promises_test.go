@@ -44,6 +44,7 @@ const (
 	opTruncate  = "truncate"  // down durable point P's log loses its last N bytes
 	opFlipBit   = "flipbit"   // a bit flips in down durable point P's log, N per mille in
 	opFailSyncs = "failsyncs" // durable point P's store refuses its next N syncs
+	opReplan    = "replan"    // a second on, client P re-plans its latest handled job away from that job's site
 )
 
 type step struct {
@@ -106,6 +107,8 @@ type facts struct {
 	Removed map[string][]string // point → names it removed
 	Limits  map[string]float64  // a handled decision's site: its headroom at the deciding point after
 	Probe   [2]int              // the probe wave after heal: handled, submitted
+	Sites   map[string]string   // job → the site its latest handled decision placed it at
+	Moved   []gruber.Dispatch   // the records a re-plan found, which its move takes out of every view
 }
 
 // check returns every broken promise, each tagged with its invariant.
@@ -125,6 +128,12 @@ func (f *facts) check() []string {
 			k := fmt.Sprint(d.Origin, "/", d.Seq)
 			if seen[k] { // (c) no duplicate
 				add("(c) %s holds two records numbered %s", p.Name, k)
+			}
+			if held[d.JobID] { // (h) placement
+				add("(h) %s counts %s twice", p.Name, d.JobID)
+			}
+			if site, ok := f.Sites[d.JobID]; ok && d.Site != site {
+				add("(h) %s counts %s at %s; its latest decision placed it at %s", p.Name, d.JobID, d.Site, site)
 			}
 			kept, held[d.JobID], seen[k] = kept+1, true, true
 		}
@@ -150,8 +159,13 @@ func (f *facts) check() []string {
 		if len(lost) > 0 {
 			add("(b) %s lacks %d acked jobs: %v", p.Name, len(lost), lost[:min(len(lost), 4)])
 		}
-		for o, s := range seqs { // (c) no gap; a lost record leaves none
+		for o, s := range seqs { // (c) no gap; a lost or moved record leaves none
 			for _, d := range f.Excused {
+				if d.Origin == o {
+					s = append(s, d.Seq)
+				}
+			}
+			for _, d := range f.Moved {
 				if d.Origin == o {
 					s = append(s, d.Seq)
 				}
@@ -200,7 +214,7 @@ type point struct {
 	restartAt time.Time // zero: no restart due
 	retired   bool
 	crashView []gruber.Dispatch // a down point's records at its crash
-	refusing  []string          // its jobs when its store began to refuse syncs; nil: it does not
+	refusing  []string          // its placements when its store began to refuse syncs; nil: it does not
 }
 
 // run is one execution of a schedule.
@@ -219,6 +233,7 @@ type run struct {
 	partitionLeft int // steps the open partition still holds
 	healAt        time.Time
 	jobs          int
+	last          []string // per client, its latest handled job
 }
 
 // execute runs s on a fresh fleet: what it observed, the facts, and
@@ -227,8 +242,9 @@ func execute(t *testing.T, s schedule) (observation, facts, []string) {
 	t.Helper()
 	n := s.Points
 	r := &run{s: s, clock: vtime.NewManual(epoch), faults: netsim.NewFaultPlane(), metrics: wire.NewClientMetrics(),
-		pts: make([]*point, n), obs: observation{Recovered: map[string]digruber.RecoveryStats{}},
-		f: facts{Gossip: s.Gossip, Excused: map[string]gruber.Dispatch{}, Removed: map[string][]string{}, Limits: map[string]float64{}}}
+		pts: make([]*point, n), obs: observation{Recovered: map[string]digruber.RecoveryStats{}}, last: make([]string, n),
+		f: facts{Gossip: s.Gossip, Excused: map[string]gruber.Dispatch{}, Removed: map[string][]string{}, Limits: map[string]float64{},
+			Sites: map[string]string{}}}
 	network := netsim.New(1, netsim.Profile{})
 	network.SetFaults(r.faults)
 	budget := wire.NewRetryBudget(r.clock, 0.1, 2) // shared, as co-located hosts would
@@ -307,6 +323,9 @@ func (r *run) step(st step) {
 		r.drive(false, func() { r.obs.Waves = append(r.obs.Waves, r.submit()) })
 	case opExchange:
 		r.drive(false, r.exchange)
+	case opReplan:
+		r.clock.Advance(time.Second) // the failed placement took time: the re-plan is the later record
+		r.drive(false, func() { r.replan(p) })
 	case opAdvance:
 		r.clock.Advance(st.D)
 	case opCrash:
@@ -338,8 +357,8 @@ func (r *run) step(st step) {
 			break
 		}
 		if pt.store.FailNextSyncs(int(st.N)); pt.refusing == nil { // refusals already armed keep their start
-			if pt.refusing = jobIDs(pt.crashView); r.serving(p) {
-				pt.refusing = jobIDs(pt.dp.Engine().ExportSnapshot())
+			if pt.refusing = placements(pt.crashView); r.serving(p) {
+				pt.refusing = placements(pt.dp.Engine().ExportSnapshot())
 			}
 		}
 	}
@@ -387,30 +406,67 @@ func (r *run) drive(walk bool, fn func()) {
 	}
 }
 
-// submit sends one job from every client in index order, reads each
-// handled decision back from the deciding point (e), and counts them.
+// submit sends one job from every client in index order and counts the
+// handled decisions.
 func (r *run) submit() int {
 	handled := 0
 	for i, c := range r.clients {
 		r.jobs++
 		id := fmt.Sprintf("job-%03d", r.jobs)
 		dec := r.fleet.Submit(i, id, "atlas", 1000*time.Hour) // outlasts every schedule: nothing expires
-		at := c.DPName()
-		r.obs.Decisions = append(r.obs.Decisions, fmt.Sprintf("client-%d %s %s %t %s", i, id, dec.Site, dec.Handled, at))
-		if !dec.Handled {
-			continue
-		}
-		handled++
-		r.f.Handled = append(r.f.Handled, id)
-		for _, pt := range r.pts {
-			for _, l := range pt.dp.Engine().SiteLoads(usla.MustParsePath("atlas"), 1) {
-				if pt.dp.Name() == at && l.Name == dec.Site {
-					r.f.Limits[at+" put "+id+" on "+l.Name] = l.Headroom
-				}
-			}
+		if r.decided(i, c, id, dec, ""); dec.Handled {
+			handled++
+			r.f.Handled = append(r.f.Handled, id)
 		}
 	}
 	return handled
+}
+
+// replan re-plans client i's latest handled job as Euryale does after the
+// job's site failed it: the client selects again, that site excluded,
+// through whichever point it is bound to now (ScheduleExcluding, the
+// decision SelectSite returns the site of). The records the job has so
+// far are noted for (c), since the move takes them out of every view.
+func (r *run) replan(i int) {
+	id, c := r.last[i], r.clients[i]
+	from, ok := r.f.Sites[id]
+	if !ok {
+		return
+	}
+	for p, pt := range r.pts {
+		view := pt.crashView
+		if r.serving(p) {
+			view = pt.dp.Engine().ExportSnapshot()
+		}
+		for _, d := range view {
+			if d.JobID == id {
+				r.f.Moved = append(r.f.Moved, d)
+			}
+		}
+	}
+	job := &grid.Job{ID: grid.JobID(id), Owner: usla.MustParsePath("atlas"), CPUs: 1, Runtime: 1000 * time.Hour,
+		SubmitHost: fmt.Sprintf("client-%d", i)}
+	r.decided(i, c, id, c.ScheduleExcluding(job, map[string]bool{from: true}), " replan")
+}
+
+// decided notes client i's decision for job id: the observation, and for
+// a handled one its site (h) and its headroom read back from the deciding
+// point (e). An unhandled re-plan leaves the job's site unknown.
+func (r *run) decided(i int, c *digruber.Client, id string, dec digruber.Decision, note string) {
+	at := c.DPName()
+	r.obs.Decisions = append(r.obs.Decisions, fmt.Sprintf("client-%d %s %s %t %s%s", i, id, dec.Site, dec.Handled, at, note))
+	if !dec.Handled {
+		delete(r.f.Sites, id)
+		return
+	}
+	r.last[i], r.f.Sites[id] = id, dec.Site
+	for _, pt := range r.pts {
+		for _, l := range pt.dp.Engine().SiteLoads(usla.MustParsePath("atlas"), 1) {
+			if pt.dp.Name() == at && l.Name == dec.Site {
+				r.f.Limits[at+" put "+id+" on "+l.Name] = l.Headroom
+			}
+		}
+	}
 }
 
 func (r *run) exchange() {
@@ -419,6 +475,17 @@ func (r *run) exchange() {
 			pt.dp.ExchangeNow()
 		}
 	}
+}
+
+// placement names a job at a site: a re-planned job has one per record.
+func placement(d gruber.Dispatch) string { return d.JobID + "@" + d.Site }
+
+func placements(ds []gruber.Dispatch) []string {
+	out := []string{}
+	for _, d := range ds {
+		out = append(out, placement(d))
+	}
+	return out
 }
 
 func jobIDs(ds []gruber.Dispatch) []string {
@@ -440,7 +507,7 @@ func (r *run) crash(p int, down time.Duration) {
 	// With its store refusing syncs, what came in since may be gone, and the
 	// gap a refused batch leaves in the log drops its own records before it.
 	for _, d := range pt.crashView {
-		if pt.refusing != nil && (d.Origin == pt.dp.Name() || !slices.Contains(pt.refusing, d.JobID)) {
+		if pt.refusing != nil && (d.Origin == pt.dp.Name() || !slices.Contains(pt.refusing, placement(d))) {
 			r.f.Excused[d.JobID] = d
 		}
 	}
@@ -452,16 +519,17 @@ func (r *run) crash(p int, down time.Duration) {
 	}
 }
 
-// writeOff excuses point p's records that no other serving point holds.
+// writeOff excuses point p's records that no other serving point holds:
+// a job's record at a site, so a move only p took in is written off too.
 func (r *run) writeOff(p int, ds []gruber.Dispatch) {
 	held := map[string]bool{}
 	for q, pt := range r.pts {
 		for _, d := range pt.dp.Engine().ExportSnapshot() {
-			held[d.JobID] = held[d.JobID] || (q != p && r.serving(q))
+			held[placement(d)] = held[placement(d)] || (q != p && r.serving(q))
 		}
 	}
 	for _, d := range ds {
-		if !held[d.JobID] {
+		if !held[placement(d)] {
 			r.f.Excused[d.JobID] = d
 		}
 	}
@@ -479,7 +547,7 @@ func (r *run) restart(p int) {
 	n, donor, err := 0, "", pt.dp.Start()
 	if err == nil {
 		if n, donor = pt.dp.ResyncFromPeers(); pt.refusing != nil {
-			pt.refusing = jobIDs(pt.dp.Engine().ExportSnapshot())
+			pt.refusing = placements(pt.dp.Engine().ExportSnapshot())
 		}
 	}
 	r.mu.Lock()
@@ -808,6 +876,28 @@ func TestPromisesResyncPastFirstDonor(t *testing.T) {
 	checkSchedule(t, resyncPastFirstDonor, true)
 }
 
+// TestPromisesReplanThroughAnotherPoint: client-0's job is re-planned
+// once through its own point and, after that point drains, again through
+// the next one; a durable mesh crashes and restarts whole. Every view
+// counts the job once, at the third site, under either strategy.
+func TestPromisesReplanThroughAnotherPoint(t *testing.T) {
+	replan := step{Op: opReplan}
+	for _, gossip := range []bool{false, true} {
+		s := schedule{Points: 3, Gossip: gossip, Durable: true, Steps: []step{submit, exchange, replan, {Op: opDrain, D: time.Minute},
+			replan, {Op: opCrash, P: 1}, {Op: opCrash, P: 2}, {Op: opRestart, P: 1}, {Op: opRestart, P: 2}, exchange}}
+		o := checkSchedule(t, s, true)
+		var moves []string
+		for _, d := range o.Decisions {
+			if strings.HasPrefix(d, "client-0 job-001") {
+				moves = append(moves, d)
+			}
+		}
+		if len(moves) != 3 || !strings.HasSuffix(moves[1], " true dp-0 replan") || !strings.HasSuffix(moves[2], " true dp-1 replan") {
+			t.Errorf("gossip=%t: job-001's decisions %q; want a submit and two handled re-plans, through dp-0 and then dp-1", gossip, moves)
+		}
+	}
+}
+
 // randomSchedules is how many seeds TestPromises draws; every tenth
 // schedule runs a second time for replay. Tier-1 draws 150; CI also runs
 // the 3 000-seed sweep as a step of its own:
@@ -830,6 +920,8 @@ func randomSchedule(seed int64) schedule {
 		}
 		p, st := rng.Intn(s.Points), submit
 		switch rng.Intn(16) {
+		case 3:
+			st = step{Op: opReplan, P: p}
 		case 4, 5, 6, 7:
 			st = exchange
 		case 8:
@@ -907,6 +999,13 @@ func TestPromisesCatchPlantedBugs(t *testing.T) {
 		"(d)": func(p []pointFacts, _ *facts) { p[0].Peers = append(p[0].Peers, "dp-2") },
 		"(e)": func(_ []pointFacts, f *facts) { f.Limits = map[string]float64{"dp-0 put job-001 on site-000": -1} },
 		"(f)": func(_ []pointFacts, f *facts) { f.Probe[0]-- },
+		"(h)": func(p []pointFacts, _ *facts) {
+			p[0].Records = slices.Clone(p[0].Records)
+			p[0].Records[0].Site = "site-003"
+			if p[0].Records[0].Site == f.Sites[p[0].Records[0].JobID] {
+				p[0].Records[0].Site = "site-002"
+			}
+		},
 	} {
 		g := f
 		g.Points = slices.Clone(f.Points)
