@@ -49,7 +49,7 @@ func main() {
 	for _, arg := range os.Args[1:] {
 		switch {
 		case strings.HasPrefix(arg, "-V"):
-			fmt.Println("digruber-lint version 3")
+			fmt.Println("digruber-lint version 4")
 			return
 		case arg == "-flags":
 			fmt.Println("[]")
@@ -170,12 +170,14 @@ func relPath(root, name string) string {
 // vetConfig is the subset of the go vet driver's per-package JSON config
 // this tool needs (the same file golang.org/x/tools' unitchecker reads).
 type vetConfig struct {
-	ID         string
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-	VetxOnly   bool
-	VetxOutput string
+	Dir         string
+	ImportPath  string
+	ModulePath  string
+	GoFiles     []string
+	ImportMap   map[string]string
+	PackageFile map[string]string
+	VetxOnly    bool
+	VetxOutput  string
 }
 
 // runVetTool analyzes one package as directed by the vet driver. The
@@ -202,7 +204,7 @@ func runVetTool(cfgPath string) int {
 	if cfg.VetxOnly {
 		return 0
 	}
-	pkg, err := lint.LoadVetPackage(cfg.Dir, cfg.ImportPath, cfg.GoFiles)
+	pkg, err := lint.LoadVetPackage(cfg.Dir, cfg.ImportPath, cfg.ModulePath, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "digruber-lint:", err)
 		return 2

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -145,5 +147,35 @@ func TestRunList(t *testing.T) {
 		if i >= len(lines) || strings.Fields(lines[i])[0] != name {
 			t.Errorf("-list line %d is not %s:\n%s", i+1, name, stdout)
 		}
+	}
+}
+
+// Vet-tool mode: go vet runs the built binary once per package of the
+// lint fixture module, and the binary type-checks each package from the
+// driver's config alone. A violating package fails the run with its
+// diagnostics; a clean one passes.
+func TestVetTool(t *testing.T) {
+	tool := filepath.Join(t.TempDir(), "digruber-lint")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	vet := func(pkg string) (int, string) {
+		cmd := exec.Command("go", "vet", "-vettool="+tool, pkg)
+		cmd.Dir = filepath.Join("..", "..", "internal", "lint", "testdata", "src", "digruber")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode(), string(out)
+		} else if err != nil {
+			t.Fatalf("go vet %s: %v", pkg, err)
+		}
+		return 0, string(out)
+	}
+	code, out := vet("./internal/paniclib")
+	if code != 1 || !strings.Contains(out, "paniclib.go:10:3: panic in library package digruber/internal/paniclib") {
+		t.Errorf("violating package: exit %d, output:\n%s\nwant 1 with the nopanic diagnostic", code, out)
+	}
+	if code, out := vet("./internal/planlib"); code != 0 {
+		t.Errorf("clean package: exit %d, output:\n%s\nwant 0", code, out)
 	}
 }

@@ -249,7 +249,7 @@ func (c *Client) DPName() string {
 // Schedule runs the full scheduling interaction for one job and returns
 // the decision. It never blocks longer than roughly the configured
 // timeout: on expiry the fallback picks a random site immediately.
-func (c *Client) Schedule(j *grid.Job) Decision { return c.ScheduleExcluding(j, nil) }
+func (c *Client) Schedule(j *grid.Job) Decision { return c.scheduleExcluding(j, nil) }
 
 // SelectSite is the site selector Euryale's prescript calls out to
 // (euryale.SiteSelector). With nothing excluded it is Schedule. A
@@ -258,14 +258,14 @@ func (c *Client) Schedule(j *grid.Job) Decision { return c.ScheduleExcluding(j, 
 // exclusion set: the point answers the query, the selector ranks the
 // sites left, and the report moves the job's record to the new site.
 func (c *Client) SelectSite(j *grid.Job, excluded map[string]bool) (string, error) {
-	dec := c.ScheduleExcluding(j, excluded)
+	dec := c.scheduleExcluding(j, excluded)
 	return dec.Site, dec.Err
 }
 
-// ScheduleExcluding is Schedule avoiding the excluded sites, returning
+// scheduleExcluding is Schedule avoiding the excluded sites, returning
 // the whole decision of which SelectSite returns the site: whether the
 // point acknowledged it, and how long it took.
-func (c *Client) ScheduleExcluding(j *grid.Job, excluded map[string]bool) Decision {
+func (c *Client) scheduleExcluding(j *grid.Job, excluded map[string]bool) Decision {
 	start := c.clock.Now()
 	dec := Decision{JobID: string(j.ID)}
 

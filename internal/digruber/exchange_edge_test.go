@@ -1,10 +1,12 @@
 package digruber
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"digruber/internal/gruber"
 	"digruber/internal/vtime"
 )
 
@@ -94,5 +96,32 @@ func TestExchangeSkipsDeadPeerUntilProbeDue(t *testing.T) {
 	h.dps[0].mu.Unlock()
 	if state != peerAlive {
 		t.Fatalf("peer state %v after successful forced exchange, want alive", state)
+	}
+}
+
+// TestOwnLogShedsExpiredRecordsPastADownPeer: a peer that is down, and
+// never removed, holds the flood's acknowledged floor at zero. The own
+// log still sheds its expired prefix, as a relayed log does, so what it
+// holds is bounded by the live view and not by the peer's downtime.
+func TestOwnLogShedsExpiredRecordsPastADownPeer(t *testing.T) {
+	clock := vtime.NewManual(time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC))
+	h := newHarness(t, 2, clock, testStatuses(1000))
+	h.dps[1].Stop()
+	for i := 0; i < 500; i++ {
+		if err := h.dps[0].Engine().RecordDispatch(gruber.Dispatch{
+			JobID: fmt.Sprintf("job-%d", i), Site: "site-000", Owner: "atlas", CPUs: 1,
+			Runtime: time.Minute, At: clock.Now(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		clock.Advance(time.Hour)
+		h.dps[0].syncNow(true)
+	}
+	e := h.dps[0].Engine()
+	if recs, hi := e.LocalDispatchesAfter(0); len(recs) != 0 || hi != 500 || e.LocalExpiredThrough() != 500 {
+		t.Errorf("own log holds %d records, high-water %d, expired through %d; want 0, 500, 500",
+			len(recs), hi, e.LocalExpiredThrough())
 	}
 }

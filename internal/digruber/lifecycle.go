@@ -153,14 +153,16 @@ func (dp *DecisionPoint) abortDrain(reason string) error {
 
 // flushComplete reports whether every peer has answered during this
 // flush and acknowledged the local dispatch log in full — the drain
-// protocol's exit condition for the final flush.
+// protocol's exit condition for the final flush. A prefix of records
+// known to have expired counts as delivered: it changes no view, and
+// compaction may have shed it, so no round can ship it again.
 func (dp *DecisionPoint) flushComplete() bool {
-	hi := dp.engine.LocalSeqHighWater()
+	hi, expired := dp.engine.LocalSeqHighWater(), dp.engine.LocalExpiredThrough()
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	//lint:allow mapiter -- conjunction over values; order-independent
 	for _, l := range dp.peers {
-		if l.answered != dp.flushes || l.ackVV[dp.cfg.Name] < hi {
+		if l.answered != dp.flushes || max(l.ackVV[dp.cfg.Name], expired) < hi {
 			return false
 		}
 	}

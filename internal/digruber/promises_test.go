@@ -424,8 +424,8 @@ func (r *run) submit() int {
 
 // replan re-plans client i's latest handled job as Euryale does after the
 // job's site failed it: the client selects again, that site excluded,
-// through whichever point it is bound to now (ScheduleExcluding, the
-// decision SelectSite returns the site of). The records the job has so
+// through whichever point it is bound to now (ScheduleExcluding, from
+// export_test.go: the decision SelectSite returns the site of). The records the job has so
 // far are noted for (c), since the move takes them out of every view.
 func (r *run) replan(i int) {
 	id, c := r.last[i], r.clients[i]

@@ -572,6 +572,20 @@ func (e *Engine) LocalSeqHighWater() uint64 {
 	return hi
 }
 
+// LocalExpiredThrough returns the sequence number through which every
+// own dispatch record is known to have expired, compacted away or not.
+// Such a record changes no view, so a drain's flush counts it as
+// delivered to every peer.
+func (e *Engine) LocalExpiredThrough() uint64 {
+	e.mu.RLock()
+	var through uint64
+	if l := e.logs[e.name]; l != nil {
+		through = l.expired
+	}
+	e.rUnlockDurable()
+	return through
+}
+
 // Stats returns a copy of the engine counters.
 func (e *Engine) Stats() EngineStats {
 	e.mu.RLock()

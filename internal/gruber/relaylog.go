@@ -13,10 +13,14 @@ import "sort"
 
 // originLog is one origin's dispatch records as a contiguous run:
 // recs[i] carries sequence number dropped+i+1, and everything at or
-// below dropped has been compacted away.
+// below dropped has been compacted away. Every record at or below
+// expired is known to have expired: expired follows the prefixes
+// compaction sees expire, and stops for good once a record it never saw
+// expire is compacted by acknowledgment (or restored from a checkpoint
+// as compacted).
 type originLog struct {
-	recs    []Dispatch
-	dropped uint64
+	recs             []Dispatch
+	dropped, expired uint64
 }
 
 // hi returns the highest sequence number the log covers (compacted
@@ -213,25 +217,29 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 
 // CompactOrigins bounds the per-origin logs: for every origin, records
 // acknowledged across the caller's whole membership view
-// (seq ≤ acked[origin]) are dropped, and relayed logs also shed any
-// expired prefix — an expired dispatch no longer affects anyone's view,
-// so relaying it is pointless. The engine's own log is compacted by
-// acknowledgment only, never by expiry: Drain's verified flush promises
-// peers every own record up to the high-water mark. Log entries survive
-// emptying so the version vector keeps its floor.
+// (seq ≤ acked[origin]) are dropped, and so is any expired prefix — an
+// expired dispatch no longer affects anyone's view, so holding or
+// relaying it is pointless. That holds for the engine's own log too:
+// Drain's verified flush promises peers every unexpired own record, and
+// counts the expired prefix as delivered (LocalExpiredThrough), so a
+// peer that is down, and never removed, no longer pins the log. Log
+// entries survive emptying so the version vector keeps its floor.
 func (e *Engine) CompactOrigins(acked map[string]uint64) {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	//lint:allow mapiter -- per-origin front-drop with no cross-origin reads; order cannot matter
 	for origin, l := range e.logs {
-		l.dropThrough(acked[origin])
-		if origin == e.name {
-			continue
-		}
+		// Shed the acknowledged prefix, then on through an expired run.
 		n := 0
-		for n < len(l.recs) && l.recs[n].Expired(now) {
-			n++
+		for ; n < len(l.recs); n++ {
+			seq, expired := l.dropped+uint64(n)+1, l.recs[n].Expired(now)
+			if !expired && seq > acked[origin] {
+				break
+			}
+			if expired && l.expired == seq-1 {
+				l.expired = seq
+			}
 		}
 		l.dropThrough(l.dropped + uint64(n))
 	}

@@ -188,15 +188,21 @@ func TestCompactOriginsAckAndExpiry(t *testing.T) {
 		t.Fatalf("OriginVector = %v; want both at 4", vv)
 	}
 
-	// Expiry compaction drains relayed logs but never the engine's own
-	// (Drain's verified flush promises peers the full own log).
+	// Expiry compaction drains every log, the engine's own included: an
+	// expired record changes no view. The own log's first two records
+	// left by acknowledgment before they expired, so the prefix known to
+	// have expired, which a drain's flush counts as delivered, stays
+	// behind them.
 	clock.Advance(45 * time.Minute)
 	e.CompactOrigins(nil)
 	if n := held(e, "dp-a"); n != 0 {
 		t.Fatalf("dp-a log holds %d expired records; want 0", n)
 	}
-	if n := held(e, e.Name()); n != 2 {
-		t.Fatalf("own log holds %d records; want 2 (expiry must not touch it)", n)
+	if n := held(e, e.Name()); n != 0 {
+		t.Fatalf("own log holds %d expired records; want 0", n)
+	}
+	if through := e.LocalExpiredThrough(); through != 0 {
+		t.Fatalf("own log known expired through %d; want 0 (records 1-2 were never seen expired)", through)
 	}
 	// A fully-compacted log contributes nothing, however far back the
 	// peer's cursor sits — the digest alone fast-forwards it.

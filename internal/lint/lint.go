@@ -23,8 +23,11 @@
 // resolve package identifiers through each file's import table, which
 // is exact for the qualified-call patterns they police) and semantic
 // ones that demand full type information (NeedsTypes), supplied by a
-// TypeLoader that type-checks the module and — via go/importer's source
-// importer — its standard-library dependencies.
+// TypeLoader over the go tool's own package graph: it runs `go list` (or
+// reads the go vet driver's config), type-checks the module's packages
+// from source in the variants the go tool builds, and imports the rest
+// from the compiler's export data in the build cache. It needs nothing
+// outside the standard library and no network.
 //
 // Intentional violations are suppressed with an annotation on the
 // offending line or the line directly above it:
@@ -99,6 +102,8 @@ type Package struct {
 	Files []*File
 	// Loader type-checks this package and resolves its imports.
 	Loader *TypeLoader
+	// units are the compilation units Loader checks the Files in.
+	units []*unit
 	// Types is the type-checked base package, filled by Loader.Check
 	// when an analyzer declares NeedsTypes (nil for xtest-only dirs).
 	Types *types.Package

@@ -10,7 +10,8 @@ import (
 	"digruber/internal/lint/linttest"
 )
 
-var testdata = filepath.Join("testdata", "src")
+// testdata is the fixture tree, absolute as the loader's file names are.
+var testdata, _ = filepath.Abs(filepath.Join("testdata", "src"))
 
 // module is the whole module, loaded once for every test that checks
 // the real tree: a load and its type-check take seconds.
@@ -88,12 +89,7 @@ func TestAllowAnnotations(t *testing.T) {
 // expectation on the line the annotation occupies, so this is asserted
 // programmatically.
 func TestBareAllow(t *testing.T) {
-	loader := lint.NewTypeLoader("digruber", filepath.Join(testdata, "digruber"))
-	pkg, err := lint.LoadDir(loader, "digruber/internal/allowbare",
-		filepath.Join(testdata, "digruber", "internal", "allowbare"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := linttest.Package(t, testdata, "digruber/internal/allowbare")
 	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{lint.Wallclock})
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +124,22 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	for _, m := range msgs {
 		t.Error(m)
+	}
+}
+
+// The fixture module type-checks whole, in the variants the go tool
+// builds: planlib's external test calls an accessor of planlib's
+// export_test.go on a Planner it gets from fleetlib, which imports
+// planlib and loads before it.
+func TestFixtureModuleTypeChecks(t *testing.T) {
+	pkgs, err := lint.LoadModule(filepath.Join(testdata, "digruber"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		if err := pkg.Loader.Check(pkg); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -15,11 +15,11 @@
 package linttest
 
 import (
-	"fmt"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"digruber/internal/lint"
@@ -28,18 +28,13 @@ import (
 // wantRE extracts the quoted expectation patterns from a want comment.
 var wantRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-// Run applies analyzer a to each fixture package (an import path below
-// srcRoot, e.g. "digruber/internal/simlib") and diffs the diagnostics
-// against the fixtures' want comments. The module path is the first
-// segment of the fixture's import path, so exemption rules keyed on
-// Module+"/internal/..." behave exactly as in the real tree.
+// Run applies analyzer a to each fixture package (an import path of a
+// fixture module below srcRoot, e.g. "digruber/internal/simlib") and
+// diffs the diagnostics against the fixtures' want comments.
 func Run(t *testing.T, srcRoot string, a *lint.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	for _, pkgPath := range pkgPaths {
-		pkg, err := load(srcRoot, pkgPath)
-		if err != nil {
-			t.Fatalf("%s: %v", pkgPath, err)
-		}
+		pkg := Package(t, srcRoot, pkgPath)
 		diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
 		if err != nil {
 			t.Fatalf("%s: %v", pkgPath, err)
@@ -48,24 +43,41 @@ func Run(t *testing.T, srcRoot string, a *lint.Analyzer, pkgPaths ...string) {
 	}
 }
 
-func load(srcRoot, pkgPath string) (*lint.Package, error) {
-	module := pkgPath
-	if i := strings.IndexByte(module, '/'); i >= 0 {
-		module = module[:i]
-	}
-	// The fixture tree root (testdata/src) acts as a GOPATH-style source
-	// root: the loader resolves in-module imports like
-	// "digruber/internal/wire" below it.
-	loader := lint.NewTypeLoader(module, filepath.Join(srcRoot, module))
-	dir := filepath.Join(srcRoot, filepath.FromSlash(pkgPath))
-	pkg, err := lint.LoadDir(loader, pkgPath, dir)
+// fixtures holds each fixture module loaded so far in this process, by
+// its root directory.
+var fixtures = struct {
+	sync.Mutex
+	pkgs map[string][]*lint.Package
+}{pkgs: map[string][]*lint.Package{}}
+
+// Package returns the fixture package pkgPath. The first segment of
+// pkgPath names the fixture module: a directory below srcRoot with a
+// go.mod of that module path, so exemption rules keyed on
+// Module+"/internal/..." behave exactly as in the real tree. The module
+// is loaded whole, once per process, as LoadModule loads the real one.
+func Package(t *testing.T, srcRoot, pkgPath string) *lint.Package {
+	t.Helper()
+	module, _, _ := strings.Cut(pkgPath, "/")
+	root, err := filepath.Abs(filepath.Join(srcRoot, module))
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	if pkg == nil {
-		return nil, fmt.Errorf("no .go files in %s", dir)
+	fixtures.Lock()
+	defer fixtures.Unlock()
+	pkgs, ok := fixtures.pkgs[root]
+	if !ok {
+		if pkgs, err = lint.LoadModule(root, nil); err != nil {
+			t.Fatalf("%s: %v", pkgPath, err)
+		}
+		fixtures.pkgs[root] = pkgs
 	}
-	return pkg, nil
+	for _, pkg := range pkgs {
+		if pkg.ImportPath == pkgPath {
+			return pkg
+		}
+	}
+	t.Fatalf("no fixture package %s below %s", pkgPath, srcRoot)
+	return nil
 }
 
 // expectation is one want pattern at a file:line.

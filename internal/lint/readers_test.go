@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"digruber/internal/lint"
+	"digruber/internal/lint/linttest"
 )
 
 // The reader rule: every field, exported or not, of a struct type that
@@ -221,11 +222,7 @@ func TestEveryFieldHasAReader(t *testing.T) {
 // read.
 func TestReaderRuleCatchesPlants(t *testing.T) {
 	const path = "digruber/internal/readerlib"
-	loader := lint.NewTypeLoader("digruber", filepath.Join(testdata, "digruber"))
-	pkg, err := lint.LoadDir(loader, path, filepath.Join(testdata, filepath.FromSlash(path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := linttest.Package(t, testdata, path)
 	got, err := checkReaders([]*lint.Package{pkg}, filepath.Join(testdata, "digruber"), map[string]string{
 		path + ".state.Passed": "read since it was listed",
 	})

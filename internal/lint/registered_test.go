@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"digruber/internal/lint"
+	"digruber/internal/lint/linttest"
 )
 
 // The registration rule: every type a non-test file sends through
@@ -247,11 +248,7 @@ func TestWireSchemaLockfile(t *testing.T) {
 // exempt.
 func TestRegistrationRuleCatchesPlants(t *testing.T) {
 	const path = "digruber/internal/registerlib"
-	loader := lint.NewTypeLoader("digruber", filepath.Join(testdata, "digruber"))
-	pkg, err := lint.LoadDir(loader, path, filepath.Join(testdata, filepath.FromSlash(path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := linttest.Package(t, testdata, path)
 	got, err := unregisteredBodies([]*lint.Package{pkg}, filepath.Join(testdata, "digruber"))
 	if err != nil {
 		t.Fatal(err)

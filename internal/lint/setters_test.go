@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"digruber/internal/lint"
+	"digruber/internal/lint/linttest"
 )
 
 // The setter rule: an exported field of an exported struct type that a
@@ -181,11 +182,7 @@ func TestEveryOptionHasASetter(t *testing.T) {
 // the rule reports the two unset ones and exempts the tagged one.
 func TestSetterRuleCatchesPlants(t *testing.T) {
 	const path = "digruber/internal/setterlib"
-	loader := lint.NewTypeLoader("digruber", filepath.Join(testdata, "digruber"))
-	pkg, err := lint.LoadDir(loader, path, filepath.Join(testdata, filepath.FromSlash(path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := linttest.Package(t, testdata, path)
 	got, err := unsetFields([]*lint.Package{pkg}, filepath.Join(testdata, "digruber"))
 	if err != nil {
 		t.Fatal(err)

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"digruber/internal/lint"
+	"digruber/internal/lint/linttest"
 )
 
 // reachWatched is every package under internal/ but the lint suite's
@@ -187,11 +187,7 @@ func checkTestOnly(pkgs []*lint.Package, watched []string, allowed map[string]st
 // seam that production has started to call.
 func TestTestOnlyCheck(t *testing.T) {
 	const path = "digruber/internal/reachlib"
-	loader := lint.NewTypeLoader("digruber", filepath.Join(testdata, "digruber"))
-	pkg, err := lint.LoadDir(loader, path, filepath.Join(testdata, filepath.FromSlash(path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := linttest.Package(t, testdata, path)
 	got, err := checkTestOnly([]*lint.Package{pkg}, []string{"internal/reachlib"}, map[string]string{
 		"(*" + path + ".Disk).FailNext": "fault-injection seam",
 		"(*" + path + ".Disk).Corrupt":  "fault-injection seam",
