@@ -156,6 +156,56 @@ func TestGossipDrainFlushCompletes(t *testing.T) {
 	}
 }
 
+// TestGossipDrainPastRecordsThatExpiredUnsent: dp-1 holds dp-0's first
+// two records, then is down while dp-0 records six more that expire
+// before it comes back. dp-0's own log sheds them, so no round can push
+// dp-1 a record and its digest stays at 2; the drain's flush still
+// completes, because all dp-1 lacks has expired.
+func TestGossipDrainPastRecordsThatExpiredUnsent(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	h := newGossipHarness(t, 2, clock, testStatuses(50), GossipConfig{Fanout: 1, Seed: 5})
+	dispatchAt(h, 0, "held-1")
+	dispatchAt(h, 0, "held-2")
+	h.dps[0].ExchangeNow()
+	h.dps[1].Stop()
+	for i := 0; i < 6; i++ {
+		if err := h.dps[0].Engine().RecordDispatch(gruber.Dispatch{
+			JobID: fmt.Sprintf("short-%d", i), Site: "site-000", Owner: "atlas", CPUs: 1,
+			Runtime: time.Minute, At: clock.Now(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock.Advance(2 * time.Minute)
+	h.dps[0].ExchangeNow()
+	if recs, hi := h.dps[0].Engine().LocalDispatchesAfter(0); len(recs) != 0 || hi != 8 {
+		t.Fatalf("own log holds %d records, high-water %d; want 0, 8", len(recs), hi)
+	}
+	if err := h.dps[1].Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drain sleeps on the clock between flush retries; walk it forward
+	// until the drain retires the point or its deadline aborts it.
+	done := make(chan error, 1)
+	go func() { done <- h.dps[0].Drain(time.Minute) }()
+	var err error
+	for waiting := true; waiting; {
+		select {
+		case err = <-done:
+			waiting = false
+		case <-time.After(time.Millisecond):
+			clock.Advance(time.Second)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.dps[1].Engine().Stats().RemoteDispatches; got != 2 {
+		t.Fatalf("dp-1 holds %d of dp-0's records, want the 2 that lived", got)
+	}
+}
+
 // TestGossipMembershipPropagates: a joiner wired to a single seed peer
 // becomes known fleet-wide through the Members piggyback, with no
 // central registry.

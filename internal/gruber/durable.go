@@ -183,8 +183,10 @@ func (e *Engine) RestoreState(st EngineState) RestoreStats {
 		if l.hi() < o.Floor {
 			// Adopt the floor even with no retained records: for the own
 			// log this IS the sequence numbering; for relay logs it is the
-			// version-vector position compaction had reached.
-			l.dropped = o.Floor
+			// version-vector position compaction had reached. Why the
+			// records below it left is not kept, so they count as
+			// acknowledged.
+			l.dropped, l.acked = o.Floor, o.Floor
 		}
 		for _, d := range o.Records {
 			e.restoreLocked(d, true, now, &rs)

@@ -572,15 +572,21 @@ func (e *Engine) LocalSeqHighWater() uint64 {
 	return hi
 }
 
-// LocalExpiredThrough returns the sequence number through which every
-// own dispatch record is known to have expired, compacted away or not.
-// Such a record changes no view, so a drain's flush counts it as
-// delivered to every peer.
+// LocalExpiredThrough returns the own log's compacted floor when the
+// records above its acknowledged floor left by expiry, and 0 otherwise.
+// A peer whose cursor is at or past the acknowledged floor lacks only
+// expired records below the returned value, and they change no view, so
+// a drain's flush counts them as delivered. One that crashed or joined
+// since sits below it and fast-forwards over the gap, as it does over
+// any compacted prefix (originLog.insert). The flood never needs this:
+// its acknowledgment covers the compacted floor itself. A gossip peer's
+// digest only advances on a record it receives, so one that missed the
+// records while they lived would otherwise hold the flush forever.
 func (e *Engine) LocalExpiredThrough() uint64 {
 	e.mu.RLock()
 	var through uint64
-	if l := e.logs[e.name]; l != nil {
-		through = l.expired
+	if l := e.logs[e.name]; l != nil && l.acked < l.dropped {
+		through = l.dropped
 	}
 	e.rUnlockDurable()
 	return through

@@ -13,14 +13,13 @@ import "sort"
 
 // originLog is one origin's dispatch records as a contiguous run:
 // recs[i] carries sequence number dropped+i+1, and everything at or
-// below dropped has been compacted away. Every record at or below
-// expired is known to have expired: expired follows the prefixes
-// compaction sees expire, and stops for good once a record it never saw
-// expire is compacted by acknowledgment (or restored from a checkpoint
-// as compacted).
+// below dropped has been compacted away. acked is the highest sequence
+// number compacted while acknowledged across the view (or restored from
+// a checkpoint as compacted): every record above acked and at or below
+// dropped left by expiry.
 type originLog struct {
-	recs             []Dispatch
-	dropped, expired uint64
+	recs           []Dispatch
+	dropped, acked uint64
 }
 
 // hi returns the highest sequence number the log covers (compacted
@@ -219,28 +218,22 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 // acknowledged across the caller's whole membership view
 // (seq ≤ acked[origin]) are dropped, and so is any expired prefix — an
 // expired dispatch no longer affects anyone's view, so holding or
-// relaying it is pointless. That holds for the engine's own log too:
-// Drain's verified flush promises peers every unexpired own record, and
-// counts the expired prefix as delivered (LocalExpiredThrough), so a
-// peer that is down, and never removed, no longer pins the log. Log
-// entries survive emptying so the version vector keeps its floor.
+// relaying it is pointless. That holds for the engine's own log too, so
+// a peer that is down, and never removed, no longer pins it; Drain's
+// verified flush promises peers every unexpired own record
+// (LocalExpiredThrough). Log entries survive emptying so the version
+// vector keeps its floor.
 func (e *Engine) CompactOrigins(acked map[string]uint64) {
 	now := e.clock.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	//lint:allow mapiter -- per-origin front-drop with no cross-origin reads; order cannot matter
 	for origin, l := range e.logs {
-		// Shed the acknowledged prefix, then on through an expired run.
-		n := 0
-		for ; n < len(l.recs); n++ {
-			seq, expired := l.dropped+uint64(n)+1, l.recs[n].Expired(now)
-			if !expired && seq > acked[origin] {
-				break
-			}
-			if expired && l.expired == seq-1 {
-				l.expired = seq
-			}
+		ack, n := acked[origin], 0
+		for n < len(l.recs) && (l.dropped+uint64(n) < ack || l.recs[n].Expired(now)) {
+			n++
 		}
 		l.dropThrough(l.dropped + uint64(n))
+		l.acked = max(l.acked, min(ack, l.dropped))
 	}
 }
