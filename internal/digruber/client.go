@@ -1,7 +1,6 @@
 package digruber
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -297,7 +296,7 @@ func (c *Client) scheduleExcluding(j *grid.Job, excluded map[string]bool) Decisi
 		return reply, rpc, br, err
 	}
 	reply, rpc, br, err := queryOnce(c.cfg.Timeout)
-	if errors.Is(err, wire.ErrDraining) && c.failoverNow() {
+	if c.failOver(err) {
 		// The bound point is retiring. Nothing was processed, so the
 		// query is safe to re-issue — once, against the new binding, on
 		// the remaining budget — instead of burning this job on random
@@ -351,10 +350,22 @@ func (c *Client) scheduleExcluding(j *grid.Job, excluded map[string]bool) Decisi
 		Runtime: j.Runtime,
 		At:      c.clock.Now(),
 	}}
-	rs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseReport)
-	_, err = wire.CallCtx[ReportArgs, ReportReply](rpc, rs.Context(), MethodReport, report, c.remaining(start))
-	rs.End()
-	br.Record(err)
+	sendReport := func(rpc *wire.Client, br *wire.Breaker) error {
+		rs := c.cfg.Tracer.StartSpan(root.Context(), trace.PhaseReport)
+		_, err := wire.CallCtx[ReportArgs, ReportReply](rpc, rs.Context(), MethodReport, report, c.remaining(start))
+		rs.End()
+		br.Record(err)
+		return err
+	}
+	if err = sendReport(rpc, br); c.failOver(err) {
+		// A point that closed its reports refused the record unprocessed:
+		// it goes to the new binding once.
+		if rpc, br = c.connAndBreaker(); br.Allow() {
+			err = sendReport(rpc, br)
+		} else {
+			err = errBreakerOpen
+		}
+	}
 	if err != nil {
 		// The selection stands; only the bookkeeping was lost.
 		dec.Handled = false
@@ -385,7 +396,7 @@ func (c *Client) scheduleSingleCall(j *grid.Job, start time.Time, dec Decision, 
 		return reply, err
 	}
 	reply, err := callOnce(c.cfg.Timeout)
-	if errors.Is(err, wire.ErrDraining) && c.failoverNow() {
+	if c.failOver(err) {
 		// Retiring point: re-issue once on the new binding (see Schedule).
 		reply, err = callOnce(c.remaining(start))
 	}
@@ -588,6 +599,20 @@ func (c *Client) rebindFailover(next DPRef, candidates []DPRef) {
 		}
 	}
 	c.Rebind(next.Name, next.Node, next.Addr)
+}
+
+// failOver rebinds at once after a refusal that fails over
+// (wire.FailureClass.FailsOver) and reports whether the request may be
+// re-issued on the new binding: only after a draining refusal, when
+// nothing was processed. A point whose commit was refused keeps the
+// record, and the job re-issued elsewhere would be held under two
+// origins' numbers (DESIGN.md "Errors on the wire").
+func (c *Client) failOver(err error) (reissue bool) {
+	class := wire.Classify(err)
+	if !class.FailsOver() || !c.failoverNow() {
+		return false
+	}
+	return class == wire.FailureDraining
 }
 
 // failoverNow rebinds away from the current decision point immediately,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -206,7 +207,7 @@ func TestRefusedCommitFailsTheRequest(t *testing.T) {
 	}
 
 	store.FailNextSyncs(1)
-	if _, err := callSchedule(cli, "sched-refused"); err == nil || !strings.Contains(err.Error(), "not durable") {
+	if _, err := callSchedule(cli, "sched-refused"); !errors.Is(err, wire.ErrNotDurable) || wire.Classify(err) != wire.FailureNotDurable {
 		t.Fatalf("Schedule over a failing fsync: %v", err)
 	}
 	wantErrors(1)
@@ -215,7 +216,7 @@ func TestRefusedCommitFailsTheRequest(t *testing.T) {
 	}
 
 	store.FailNextSyncs(1)
-	if err := report("report-refused"); err == nil || !strings.Contains(err.Error(), "not durable") {
+	if err := report("report-refused"); !errors.Is(err, wire.ErrNotDurable) || !strings.Contains(err.Error(), "dispatch report-refused") {
 		t.Fatalf("Report over a failing fsync: %v", err)
 	}
 	wantErrors(2)
@@ -266,6 +267,78 @@ func TestRefusedCommitFailsTheRequest(t *testing.T) {
 	// Numbering goes on past the refused records' sequence numbers.
 	if hi := dp.Engine().LocalSeqHighWater(); hi != 7 {
 		t.Fatalf("recovered high-water mark %d, want 7", hi)
+	}
+}
+
+// TestRefusedCommitFailsOver: a durable dp-0 whose store refuses the
+// next fsync, and a client bound to it with dp-1, dp-2 as its failover
+// chain, under both couplings. The refused job is not acknowledged, and
+// the client rebinds at once, as on a draining refusal: the next job is
+// handled at dp-1. The refused job is not re-issued there, since dp-0
+// keeps its record. After one round every view holds each job once.
+func TestRefusedCommitFailsOver(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		t.Run(fmt.Sprintf("single-call=%v", single), func(t *testing.T) {
+			clock := vtime.NewManual(epoch)
+			mem := wire.NewMem()
+			store := wal.NewMemStore()
+			dps := []*DecisionPoint{newDurableDP(t, clock, mem, "dp-0", store, -1)}
+			for _, name := range []string{"dp-1", "dp-2"} {
+				dp, err := New(Config{Name: name, Addr: name, Transport: mem, Clock: clock, Profile: wire.Instant(),
+					Strategy: UsageOnly, ExchangeInterval: 24 * time.Hour, PeerTimeout: 30 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dp.Engine().UpdateSites(testStatuses(100, 100), clock.Now())
+				dps = append(dps, dp)
+			}
+			var chain []DPRef
+			for _, dp := range dps {
+				for _, peer := range dps {
+					if peer != dp {
+						dp.AddPeer(peer.Name(), peer.Name(), peer.Addr())
+					}
+				}
+				if err := dp.Start(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(dp.Stop)
+				if dp.Name() != "dp-0" {
+					chain = append(chain, DPRef{Name: dp.Name(), Node: dp.Name(), Addr: dp.Addr()})
+				}
+			}
+			c, err := NewClient(ClientConfig{Name: "c", DPName: "dp-0", DPNode: "dp-0", DPAddr: "dp-0",
+				Transport: mem, Clock: clock, Timeout: 5 * time.Second, SingleCall: single, Failover: chain,
+				FallbackSites: []string{"site-000", "site-001"}, RNG: netsim.Stream(1, "refused-commit")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+
+			store.FailNextSyncs(1)
+			if dec := c.Schedule(testJob("refused")); dec.Handled || dec.Err != nil {
+				t.Fatalf("a job whose commit dp-0 refused: %+v", dec)
+			}
+			if got := c.DPName(); got != "dp-1" {
+				t.Fatalf("bound to %s after a refused commit, want dp-1", got)
+			}
+			next := c.Schedule(testJob("next"))
+			if !next.Handled || next.Err != nil {
+				t.Fatalf("the next job: %+v", next)
+			}
+			for _, dp := range dps {
+				dp.ExchangeNow()
+			}
+			for _, dp := range dps {
+				held := map[string][]string{}
+				for _, d := range dp.Engine().ExportSnapshot() {
+					held[d.JobID] = append(held[d.JobID], d.Site+" from "+d.Origin)
+				}
+				if len(held["refused"]) != 1 || len(held["next"]) != 1 || held["next"][0] != next.Site+" from dp-1" {
+					t.Errorf("%s holds %v; want the refused job once, and the next once at %s from dp-1", dp.Name(), held, next.Site)
+				}
+			}
+		})
 	}
 }
 

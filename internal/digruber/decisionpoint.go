@@ -108,8 +108,9 @@ type DecisionPoint struct {
 	// Report is on the two-call hot path.
 	reportsClosed atomic.Bool
 	// resyncOwed is set while the point may have lost records of its own
-	// that peers hold (a crash without a store, or a recovery that
-	// truncated its log) and no peer has answered a resync yet: a record
+	// that peers hold (a crash without a store, or after a refused
+	// commit, or a recovery that truncated its log) and no peer has
+	// answered a resync yet: a record
 	// stamped now could reuse a sequence number peers already hold for a
 	// different job. Schedule and Report refuse (ErrDraining) until a
 	// resync gets an answer or no peer is left. Start tries one, and
@@ -466,13 +467,14 @@ func (dp *DecisionPoint) siteLoads(ctx trace.SpanContext, dst []gruber.SiteLoad,
 
 // recordDispatch is Engine.RecordDispatch recorded as an engine.record
 // span under the request's trace context. An error means the write-ahead
-// log refused the record: the request must not be acked.
+// log refused the record: the request must not be acked, and the error
+// is wire.ErrNotDurable, so that the client fails over.
 func (dp *DecisionPoint) recordDispatch(ctx trace.SpanContext, d gruber.Dispatch) error {
 	sp := dp.cfg.Tracer.StartSpan(ctx, trace.PhaseEngineRecord)
 	err := dp.engine.RecordDispatch(d)
 	sp.End()
 	if err != nil {
-		return fmt.Errorf("digruber: %s: dispatch %s is not durable: %w", dp.cfg.Name, d.JobID, err)
+		return fmt.Errorf("%w: %s: dispatch %s: %w", wire.ErrNotDurable, dp.cfg.Name, d.JobID, err)
 	}
 	return nil
 }
@@ -1014,9 +1016,7 @@ func (dp *DecisionPoint) Stop() {
 func (dp *DecisionPoint) Crash() {
 	dp.Stop()
 	dp.engine.DropDynamicState()
-	if dp.dur != nil {
-		dp.dur.crash()
-	} else {
+	if dp.dur == nil || dp.dur.crash() {
 		dp.oweResync()
 	}
 	dp.mu.Lock()

@@ -104,6 +104,10 @@ type durability struct {
 	appendsAtCkpt  int64
 	// last is the most recent recovery pass, for LastRecovery.
 	last RecoveryStats
+	// refusedAtRecover is the log's count of refused appends when the
+	// last recovery ended: a crash with more has lost records of its own
+	// that may have left for peers.
+	refusedAtRecover int64
 }
 
 func newDurability(cfg *DurabilityConfig) *durability {
@@ -398,6 +402,7 @@ func (dp *DecisionPoint) recoverLocked() error {
 	}
 	dur.mu.Lock()
 	dur.needRecover = false
+	dur.refusedAtRecover = dur.log.Stats().AppendErrors
 	dur.recovered += int64(rs.Recovered)
 	if rs.Truncated {
 		dur.truncations++
@@ -424,12 +429,15 @@ func (dur *durability) noteBackfilled(n int) {
 
 // crash drops the open log segment handle (the store image survives —
 // that is the point) and arms recovery for the next Start. The
-// committer has been stopped by then.
-func (dur *durability) crash() {
+// committer has been stopped by then. It reports whether the log refused
+// a commit since the last recovery: a refused record stays in the view
+// and leaves for peers, but the store may not hold it.
+func (dur *durability) crash() (refused bool) {
 	dur.log.Close()
 	dur.mu.Lock()
+	defer dur.mu.Unlock()
 	dur.needRecover = true
-	dur.mu.Unlock()
+	return dur.log.Stats().AppendErrors > dur.refusedAtRecover
 }
 
 // CheckpointNow forces a durability checkpoint: the engine state is

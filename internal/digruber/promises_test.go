@@ -876,6 +876,19 @@ func TestPromisesResyncPastFirstDonor(t *testing.T) {
 	checkSchedule(t, resyncPastFirstDonor, true)
 }
 
+// crashAfterRefusedCommit is seed 885 of 3 000, shrunk and pasted as
+// printed, once the client failed over at a refused commit: dp-0's store
+// refuses client-0's job and the gossip round carries the record to
+// dp-1; then both crash, and dp-0 restarts while dp-1 is down. Its store
+// never held the job, so it must owe a resync as a point without one
+// does, or it numbers its next job like the one dp-1 holds, and dp-1,
+// whose vector covers that number, never takes it.
+var crashAfterRefusedCommit = schedule{Points: 2, Gossip: true, Durable: true, Overload: false, Steps: []step{step{Op: "failsyncs", P: 0, Q: 0, N: 3, D: 0, Side: []int(nil)}, step{Op: "submit", P: 0, Q: 0, N: 0, D: 0, Side: []int(nil)}, step{Op: "exchange", P: 0, Q: 0, N: 0, D: 0, Side: []int(nil)}, step{Op: "crash", P: 1, Q: 0, N: 0, D: 120000000000, Side: []int(nil)}, step{Op: "crash", P: 0, Q: 0, N: 0, D: 0, Side: []int(nil)}}}
+
+func TestPromisesCrashAfterRefusedCommit(t *testing.T) {
+	checkSchedule(t, crashAfterRefusedCommit, true)
+}
+
 // TestPromisesReplanThroughAnotherPoint: client-0's job is re-planned
 // once through its own point and, after that point drains, again through
 // the next one; a durable mesh crashes and restarts whole. Every view

@@ -153,10 +153,11 @@ func (b *Breaker) Record(err error) {
 	case FailureClosed:
 		// Locally-closed client: says nothing about the far end.
 		return
-	case FailureDraining:
-		// A draining refusal is proof of life, not failure: the far end
-		// answered, it is just retiring. Failover owns the reaction; the
-		// breaker treats it like any successful contact.
+	case FailureDraining, FailureNotDurable:
+		// A draining or not-durable refusal is proof of life, not
+		// failure: the far end answered, it is just retiring or its disk
+		// is refusing. Failover owns the reaction; the breaker treats it
+		// like any successful contact.
 	}
 	b.mu.Lock()
 	var notify func()

@@ -2,9 +2,7 @@ package wire
 
 import (
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -251,14 +249,9 @@ func (c *Client) dropConn(conn Conn, cause error) {
 	_ = conn.Close()
 	//lint:allow mapiter -- each orphaned call has its own reply channel; delivery order is immaterial
 	for _, s := range orphans {
-		s.reply <- frame{Err: connLostPrefix + cause.Error()}
+		s.reply <- frame{Err: fmt.Sprintf("%v: %v", ErrConnLost, cause)} // read back by fromWire
 	}
 }
-
-// connLostPrefix marks locally-synthesized failure frames from dropConn
-// so CallCtx can map them back to the ErrConnLost sentinel. It never
-// crosses the wire.
-const connLostPrefix = "wire: connection lost: "
 
 // frameClosed is the Kind of the frame Close sends a call it took out of
 // pending, which CallCtx maps to ErrClosed. It never crosses the wire.
@@ -383,20 +376,7 @@ func (c *Client) attemptCall(ctx trace.SpanContext, method string, body []byte, 
 		}
 		c.metrics.onBytesReceived(method, len(f.Body))
 		if f.Err != "" {
-			switch {
-			case f.Err == ErrOverloaded.Error():
-				return nil, ErrOverloaded
-			case f.Err == ErrExpired.Error():
-				return nil, ErrExpired
-			case f.Err == ErrDraining.Error():
-				// A draining decision point's refusal travels as an
-				// application error string; map it back to the sentinel so
-				// Classify (and the failover layer) can see it.
-				return nil, ErrDraining
-			case strings.HasPrefix(f.Err, connLostPrefix):
-				return nil, fmt.Errorf("%w: %s", ErrConnLost, strings.TrimPrefix(f.Err, connLostPrefix))
-			}
-			return nil, errors.New(f.Err)
+			return nil, fromWire(f.Err)
 		}
 		// Inbound WAN propagation.
 		if c.network != nil {

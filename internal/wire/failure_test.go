@@ -26,12 +26,38 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("%w: dial dp-0: no listener", ErrRefused), FailureRefused},
 		{ErrOverloaded, FailureOverload},
 		{ErrClosed, FailureClosed},
+		{ErrExpired, FailureExpired},
+		{ErrDraining, FailureDraining},
+		{fmt.Errorf("%w: dp-0: dispatch j: %w", ErrNotDurable, io.ErrShortWrite), FailureNotDurable},
 		{errors.New("USLA violation"), FailureOther},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
 			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
 		}
+	}
+}
+
+// TestWireErrorsCrossAsSentinels returns each sentinel of the wire's
+// error table from a handler, bare and wrapped with a detail: the caller
+// gets the sentinel, in its class, with the handler's text. A text that
+// only begins like a sentinel's is an application error.
+func TestWireErrorsCrossAsSentinels(t *testing.T) {
+	srv, cli := newPair(t, Instant(), nil, vtime.NewReal())
+	var fail error
+	Handle(srv, "fail", func(echoReq) (echoResp, error) { return echoResp{}, fail })
+	for _, w := range wireErrors {
+		for _, sent := range []error{w.err, fmt.Errorf("%w: dp-0: %w", w.err, io.ErrShortWrite)} {
+			fail = sent
+			_, err := Call[echoReq, echoResp](cli, "fail", echoReq{}, time.Second)
+			if !errors.Is(err, w.err) || Classify(err) != w.class || err.Error() != sent.Error() {
+				t.Errorf("handler returned %q: got %q (%v), want %v", sent, err, Classify(err), w.class)
+			}
+		}
+	}
+	fail = errors.New(ErrDraining.Error() + "ish")
+	if _, err := Call[echoReq, echoResp](cli, "fail", echoReq{}, time.Second); Classify(err) != FailureOther || err.Error() != fail.Error() {
+		t.Errorf("handler returned %q: got %q (%v)", fail, err, Classify(err))
 	}
 }
 

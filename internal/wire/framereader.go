@@ -3,19 +3,31 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"io"
 	"math"
+	"reflect"
 	"slices"
+	"sync"
 )
 
-// ownFrames is how a stream of frames from this build's gob encoder
+// ownFrames returns how a stream of frames from this build's gob encoder
 // opens — the definition messages before the first value — and the type
-// id each value message starts with, both fixed by Register; nil in a
-// process that registers nothing, and then no stream is read by hand.
-var ownFrames struct {
-	defs, id []byte
-}
+// id each value message starts with. frame is numbered once, by the
+// first Register right after the registering package's bodies, or here
+// in a process that registers nothing.
+var ownFrames = sync.OnceValues(func() (defs, id []byte) {
+	// frame is fixed, reaches no interface and always encodes.
+	defs, id, _ = numberType(reflect.TypeOf(frame{}))
+	return defs, id
+})
+
+// maxFrameBytes is the longest message either end of a connection will
+// read. A frame carries one body, and the largest a decision point sends
+// is a full SnapshotReply — every unexpired dispatch it holds, a hundred
+// bytes each; a 300-load QueryReply is 11 KB. A peer that announced a
+// longer message and then trickled it would otherwise pin as much memory
+// as it cared to send.
+const maxFrameBytes = 64 << 20
 
 // readChunk is how far ahead of the bytes that have arrived a message
 // buffer grows: a length is the sender's claim.
@@ -24,69 +36,61 @@ const readChunk = 1 << 20
 // maxInterned bounds the method names one connection keeps.
 const maxInterned = 64
 
-// frameReader reads the frames of one connection. gob's decoder
-// allocates each message's buffer, then the frame, its Method and its
-// Body; the reader follows gob's framing itself into one buffer it keeps,
-// reads the eight fields by hand and copies Body out once, into storage
-// from a list whose owner knows when the body is dead.
+// frameReader reads the frames of one connection, and only this build's.
+// gob's decoder allocates each message's buffer, then the frame, its
+// Method and its Body; the reader follows gob's framing itself into one
+// buffer it keeps, reads the eight fields by hand and copies Body out
+// once, into storage from a list whose owner knows when the body is dead.
 //
-// It reads by hand only a stream that opens with exactly the definitions
-// this build's encoder writes for frame, and only value messages
-// exactly as that encoder writes them: those bytes are gob's statement
-// of this build's layout (the own-definitions rule, DESIGN.md "Wire body
-// codec"). At the first byte that is anything else — other definitions,
-// a length or field in more bytes than it needs, a zero field written
-// out, an unknown field, a byte after the terminator — gob takes over
-// for the life of the connection: a gob.Decoder behind frameCap is handed
-// the definitions, the message in hand and the rest of the connection,
-// which leaves it where a decoder that had read the whole stream would
-// be, since value messages teach a decoder nothing.
+// A stream must open with exactly the definitions this build's encoder
+// writes for frame, and every value message after them must be exactly
+// as that encoder writes it: those bytes are gob's statement of this
+// build's layout (the own-definitions rule, DESIGN.md "Wire body codec").
+// At the first byte that is anything else — other definitions, a length
+// or field in more bytes than it needs, a zero field written out, an
+// unknown field, a byte after the terminator, a length ReadGobUint
+// refuses — next fails with ErrForeignBody, and the connection is closed
+// as on any read error. No gob.Decoder ever reads a connection.
 type frameReader struct {
-	br      *bufio.Reader
-	bodies  *SliceList[byte]
-	msg     []byte // the message in hand, its length included
-	matched int    // bytes of the own definitions the stream has opened with
-	methods map[string]string
-	dec     *gob.Decoder // set once gob has taken over
+	br       *bufio.Reader
+	bodies   *SliceList[byte]
+	defs, id []byte // ownFrames
+	msg      []byte // the message in hand, its length included
+	matched  int    // bytes of defs the stream has opened with
+	methods  map[string]string
 }
 
 func newFrameReader(r io.Reader, bodies *SliceList[byte]) *frameReader {
-	return &frameReader{br: bufio.NewReader(r), bodies: bodies}
+	fr := &frameReader{br: bufio.NewReader(r), bodies: bodies}
+	fr.defs, fr.id = ownFrames()
+	return fr
 }
 
-// next returns the next frame. Its Body is from fr.bodies or, after gob
-// has taken over, gob's own allocation; either way it is the caller's.
+// next returns the next frame. Its Body is from fr.bodies and the
+// caller's.
 func (fr *frameReader) next() (frame, error) {
-	for fr.dec == nil {
+	for {
 		header, err := fr.readMessage()
 		if err != nil {
 			return frame{}, err
 		}
-		defs, id := ownFrames.defs, ownFrames.id
-		if header > 0 && fr.matched < len(defs) {
-			if bytes.HasPrefix(defs[fr.matched:], fr.msg) {
-				fr.matched += len(fr.msg)
-				continue
-			}
-		} else if header > 0 && id != nil {
-			if f, ok := fr.parse(fr.msg[header:], id); ok {
+		if fr.matched == len(fr.defs) {
+			if f, ok := fr.parse(fr.msg[header:]); ok {
 				return f, nil
 			}
+			return frame{}, ErrForeignBody
 		}
-		replay := append(bytes.Clone(defs[:fr.matched]), fr.msg...)
-		fr.dec = gob.NewDecoder(&frameCap{r: io.MultiReader(bytes.NewReader(replay), fr.br)})
-		fr.msg = nil
+		if !bytes.HasPrefix(fr.defs[fr.matched:], fr.msg) {
+			return frame{}, ErrForeignBody
+		}
+		fr.matched += len(fr.msg)
 	}
-	var f frame
-	err := fr.dec.Decode(&f)
-	return f, err
 }
 
 // readMessage reads the next message into fr.msg, length first, and
-// returns the width of the length. Width 0 without an error is a length
-// ReadGobUint refuses: fr.msg then holds what was read of it, for gob to
-// judge. A length above maxFrameBytes fails the stream before any of the
-// message is read.
+// returns the width of the length. A length ReadGobUint refuses fails
+// the stream with ErrForeignBody, and one above maxFrameBytes with
+// ErrFrameTooLarge, both before any of the message is read.
 func (fr *frameReader) readMessage() (header int, err error) {
 	if cap(fr.msg) > maxRetained {
 		fr.msg = nil
@@ -98,7 +102,7 @@ func (fr *frameReader) readMessage() (header int, err error) {
 	fr.msg = append(slices.Grow(fr.msg[:0], 9), first)
 	if n := -int(int8(first)); first >= 0x80 {
 		if n > 8 {
-			return 0, nil
+			return 0, ErrForeignBody
 		}
 		fr.msg = fr.msg[:1+n]
 		if _, err := io.ReadFull(fr.br, fr.msg[1:]); err != nil {
@@ -107,7 +111,7 @@ func (fr *frameReader) readMessage() (header int, err error) {
 	}
 	size, header := ReadGobUint(fr.msg)
 	if header == 0 {
-		return 0, nil
+		return 0, ErrForeignBody
 	}
 	if size > maxFrameBytes {
 		return 0, ErrFrameTooLarge
@@ -127,11 +131,11 @@ func (fr *frameReader) readMessage() (header int, err error) {
 // frame as this build's encoder writes one: the type id, then each
 // field that is not zero as its distance from the field before it and
 // its value, then a zero byte and nothing more.
-func (fr *frameReader) parse(m, id []byte) (frame, bool) {
-	if !bytes.HasPrefix(m, id) {
+func (fr *frameReader) parse(m []byte) (frame, bool) {
+	if !bytes.HasPrefix(m, fr.id) {
 		return frame{}, false
 	}
-	m = m[len(id):]
+	m = m[len(fr.id):]
 	var f frame
 	var method, body, errText []byte
 	for at := -1; ; {

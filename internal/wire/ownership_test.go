@@ -213,7 +213,7 @@ func TestLargeBodyIsNotRetained(t *testing.T) {
 
 // BenchmarkFrameReader reads one frame — a request the size of the
 // benchmark's echo, a response carrying a 300-load reply — with gob's
-// decoder behind frameCap, as both ends did, and with the frame reader,
+// decoder, as both ends did, and with the frame reader,
 // its Body going back on the list as a typed call's does.
 func BenchmarkFrameReader(b *testing.B) {
 	for _, c := range []struct {
@@ -239,7 +239,7 @@ func BenchmarkFrameReader(b *testing.B) {
 		src := &looped{head: first.Bytes(), loop: rest.Bytes()}
 		b.Run(name+"/gob", func(b *testing.B) {
 			*src = looped{head: src.head, loop: src.loop}
-			dec := gob.NewDecoder(&frameCap{r: src})
+			dec := gob.NewDecoder(src)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(src.loop)))
 			for i := 0; i < b.N; i++ {
@@ -261,9 +261,6 @@ func BenchmarkFrameReader(b *testing.B) {
 					b.Fatal(err)
 				}
 				bodies.Put(got.Body)
-			}
-			if fr.dec != nil {
-				b.Fatal("the stream went to gob")
 			}
 		})
 	}

@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"strings"
 	"sync"
 )
 
@@ -67,6 +68,12 @@ var (
 	// it; the failover layer above re-runs the interaction against a
 	// different decision point instead.
 	ErrDraining = errors.New("wire: decision point draining")
+	// ErrNotDurable reports that the far end took a dispatch record in
+	// but its write-ahead log refused the commit that would have made it
+	// durable, so the request was not acknowledged. Like ErrDraining it
+	// fails over, since the same disk is likely to refuse again; unlike
+	// it, the request was processed, and the point keeps the record.
+	ErrNotDurable = errors.New("wire: commit not durable")
 	// ErrFrameTooLarge reports that the peer announced a message longer
 	// than maxFrameBytes. The connection is dropped before any of the
 	// message is read, so calls in flight on it see ErrConnLost.
@@ -102,54 +109,85 @@ const (
 	// else: the same address will keep refusing until it stops, so the
 	// wire retry loop skips it and failover handles the re-issue.
 	FailureDraining
+	// FailureNotDurable is a request whose record the far end could not
+	// make durable (ErrNotDurable), so it was not acknowledged. It fails
+	// over like FailureDraining.
+	FailureNotDurable
 )
+
+// failureNames is each class's String.
+var failureNames = [...]string{
+	FailureNone: "none", FailureTimeout: "timeout", FailureLost: "lost", FailureRefused: "refused",
+	FailureOverload: "overload", FailureClosed: "closed", FailureOther: "other",
+	FailureExpired: "expired", FailureDraining: "draining", FailureNotDurable: "not-durable",
+}
 
 // String names the class.
 func (c FailureClass) String() string {
-	switch c {
-	case FailureNone:
-		return "none"
-	case FailureTimeout:
-		return "timeout"
-	case FailureLost:
-		return "lost"
-	case FailureRefused:
-		return "refused"
-	case FailureOverload:
-		return "overload"
-	case FailureClosed:
-		return "closed"
-	case FailureExpired:
-		return "expired"
-	case FailureDraining:
-		return "draining"
-	default:
+	if c < 0 || int(c) >= len(failureNames) {
 		return "other"
 	}
+	return failureNames[c]
 }
 
-// Classify maps a Call error to its failure class.
+// FailsOver reports whether a call that failed in class c should move
+// its caller to another decision point at once: the far end refused the
+// request unacknowledged, and would refuse the next one too.
+func (c FailureClass) FailsOver() bool {
+	return c == FailureDraining || c == FailureNotDurable
+}
+
+// wireErrors is every sentinel that crosses the wire, with its class. A
+// handler's error travels as its text in frame.Err, and fromWire maps a
+// text back. The reader takes only this build's frames, so a sentinel's
+// text is as exact as a numeric code would be.
+var wireErrors = [...]struct {
+	err   error
+	class FailureClass
+}{
+	{ErrConnLost, FailureLost},
+	{ErrOverloaded, FailureOverload},
+	{ErrExpired, FailureExpired},
+	{ErrDraining, FailureDraining},
+	{ErrNotDurable, FailureNotDurable},
+}
+
+// fromWire returns the error a frame's Err text stands for: a sentinel's
+// text is the sentinel, and that text followed by ": " and a detail is
+// the sentinel wrapped with the detail. Any other text is an
+// application error.
+func fromWire(text string) error {
+	for _, w := range wireErrors {
+		s := w.err.Error()
+		if text == s {
+			return w.err
+		}
+		if detail, ok := strings.CutPrefix(text, s); ok && strings.HasPrefix(detail, ": ") {
+			return fmt.Errorf("%w%s", w.err, detail)
+		}
+	}
+	return errors.New(text)
+}
+
+// Classify maps a Call error to its failure class: the client's own
+// three sentinels, then the table of those that cross the wire.
 func Classify(err error) FailureClass {
 	switch {
 	case err == nil:
 		return FailureNone
 	case errors.Is(err, ErrTimeout):
 		return FailureTimeout
-	case errors.Is(err, ErrConnLost):
-		return FailureLost
 	case errors.Is(err, ErrRefused):
 		return FailureRefused
-	case errors.Is(err, ErrOverloaded):
-		return FailureOverload
 	case errors.Is(err, ErrClosed):
 		return FailureClosed
-	case errors.Is(err, ErrExpired):
-		return FailureExpired
-	case errors.Is(err, ErrDraining):
-		return FailureDraining
-	default:
-		return FailureOther
 	}
+	for _, w := range wireErrors {
+		if errors.Is(err, w.err) {
+			return w.class
+		}
+	}
+	return FailureOther
 }
 
 // frame is the single on-the-wire message type; Kind discriminates
@@ -187,10 +225,10 @@ const (
 )
 
 // ErrForeignBody reports a body of a registered type that is not this
-// build's definitions of the type followed by one value message: a body
-// from another build, or bytes that were never a body. Such a body is
-// refused, not handed to a fresh gob.Decoder (DESIGN.md "Wire body
-// codec").
+// build's definitions of the type followed by one value message, or a
+// connection whose bytes are not this build's frames: another build's,
+// or bytes that were never a body or a frame. Either is refused, not
+// handed to a gob.Decoder (DESIGN.md "Wire body codec").
 var ErrForeignBody = errors.New("wire: body not in this build's framing")
 
 // Register numbers the types of values for gob, in the order given, then
@@ -201,8 +239,8 @@ var ErrForeignBody = errors.New("wire: body not in this build's framing")
 // build, and its bodies the same bytes. A type that reaches an interface
 // is refused: gob defines the concrete type inside the first value that
 // carries it, so its bodies do not all open alike. Register belongs in
-// init; a type registered twice keeps its first codec. A process that
-// registers nothing reads every frame through gob.
+// init; a type registered twice keeps its first codec. The first call
+// numbers frame too, right after its own types (ownFrames).
 func Register(values ...any) {
 	for _, v := range values {
 		rt := reflect.TypeOf(v)
@@ -218,10 +256,7 @@ func Register(values ...any) {
 		bodyCodecs.Store(rt, c)
 		bodyCodecs.Store(reflect.PointerTo(rt), c) // gob sends *T as T
 	}
-	if ownFrames.defs == nil {
-		// frame is fixed, reaches no interface and always encodes.
-		ownFrames.defs, ownFrames.id, _ = numberType(reflect.TypeOf(frame{}))
-	}
+	ownFrames()
 }
 
 // numberType encodes rt's zero value with a fresh encoder, which numbers

@@ -27,9 +27,8 @@ func frameRows() ([]string, []frame) {
 
 // TestWireGolden is internal/digruber's TestWireGolden for the frame:
 // each row pinned as a gob value body that decodes back, then the
-// definitions a stream of this build's frames opens with. frame stays
-// readable across builds that append to it: the frame reader hands a
-// stream in other definitions to gob. Its type id here counts the types
+// definitions a stream of this build's frames opens with, the only
+// definitions the frame reader takes. Its type id here counts the types
 // this package's tests register first.
 func TestWireGolden(t *testing.T) {
 	names, frames := frameRows()
